@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DimensionMismatch, GainOutOfRange, NotHermitian, NotNormal,
                      TruncationError)
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
-                   annihilation_op, coherent_state, displacement_matrix,
+                   annihilation_op, displacement_matrix,
                    expm_hermitian, gaussian_meter, mode_expectation,
                    mode_symmetrized_moment, normal_decompose, quadrature_ops,
                    squeezed_vacuum, symmetrized_moment, tensor, vacuum_state,
@@ -273,13 +273,15 @@ def meter_dim_for(g: float, f_max: float, cap: int = METER_DIM_CAP,
     tail holds at most 1e-6 quanta (:meth:`Meter.fock_levels`) and no
     displaced copy D(alpha)|meter> puts more than 1e-6 on the cutoff.
     Otherwise (strongly squeezed meters) the meter's own levels are added
-    on top of the displacement's.
+    on top of the displacement's. Displaced copies are probed only for
+    meters that need more than one level: at this size a displaced vacuum
+    leaves at most ~1e-34 on the cutoff (|alpha| up to the cap).
     """
     need = max(floor, int(math.ceil((g * f_max + 6.0) ** 2)))
     if meter is not None and need <= cap:
         levels = meter.fock_levels()
-        if levels > need or \
-                _cutoff_occupancy(meter.state(need), alphas) > TRUNCATION_TOL:
+        if levels > need or (levels > 1 and _cutoff_occupancy(
+                meter.state(need), alphas) > TRUNCATION_TOL):
             need += levels
     if need > cap:
         raise TruncationError(
@@ -294,8 +296,9 @@ def _cutoff_occupancy(meter_state: State, alphas) -> float:
 
 
 def _warn_if_meter_tight(g: float, f_max: float, dim_b: int):
-    # consistent with the sizing rule: a displacement of A needs dim >= (A+6)^2
-    if dim_b < (g * f_max + 6.0) ** 2:
+    # consistent with the sizing rule: a displacement of A needs dim >= (A+6)^2;
+    # no displacement (U = 1) needs nothing
+    if g * f_max > 0 and dim_b < (g * f_max + 6.0) ** 2:
         warnings.warn(
             f"displacement g*max|f| = {g * f_max:.2f} needs meter dim "
             f">= {(g * f_max + 6.0) ** 2:.0f} but got {dim_b}; results are "
@@ -484,38 +487,23 @@ def predict_output_moments(spec, input_a: State, meters=None) -> MomentReport:
 # simulation
 # ---------------------------------------------------------------------------
 
-_DISPLACE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _displacement_basis(dim: int):
-    """Cached eigendecomposition of i(b^dag - b) for displacement synthesis."""
-    if dim not in _DISPLACE_CACHE:
-        b = annihilation_op(FockSpace(dim)).matrix
-        h0 = 1j * (b.conj().T - b)
-        _DISPLACE_CACHE[dim] = np.linalg.eigh(h0)
-    return _DISPLACE_CACHE[dim]
-
-
 def displaced_meter_ket(meter_state: State, alpha: complex) -> np.ndarray:
-    """D(alpha)|meter> on the meter's truncation.
+    """D(alpha)|meter> = exp(alpha b^dag - alpha* b)|meter> on the meter's truncation.
 
-    Vacuum meters get the exact truncated coherent coefficients (renormalized);
-    other kets get a roundoff-exact displacement built in the cached
-    eigenbasis of i(b^dag - b).
+    This is the one conditional-displacement kernel: the exponential of the
+    truncated generator, the object the dense composite unitaries hold on
+    each eigenspace of f. scipy's ``expm_multiply`` applies it to the ket,
+    so no meter-space matrix, eigendecomposition or cache is built.
     """
-    dim = meter_state.space.dim
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import expm_multiply
     ket = meter_state.data
-    if abs(alpha) == 0.0:
+    if alpha == 0:
         return ket.copy()
-    if abs(abs(ket[0]) - 1.0) < 1e-14:
-        return coherent_state(meter_state.space, alpha, tail_tol=1e-3).data
-    w, v = _displacement_basis(dim)
-    theta = np.angle(alpha)
-    rot = np.exp(1j * theta * np.arange(dim))
-    inner = (v * np.exp(-1j * abs(alpha) * w)) @ (v.conj().T @ (ket / rot))
-    out = rot * inner
-    n = np.linalg.norm(out)
-    return out / n
+    s = np.sqrt(np.arange(1, ket.shape[0]))
+    gen = diags([alpha * s, -np.conj(alpha) * s], [-1, 1], format="csr")
+    out = expm_multiply(gen, ket)
+    return out / np.linalg.norm(out)
 
 
 def _default_meter_states(spec, input_a: State, dims):
@@ -545,13 +533,14 @@ def _default_meter_states(spec, input_a: State, dims):
 
 
 def simulate_output_state(spec, input_a: State, meters=None, dims=None,
-                          method: str = "auto", apply_swap: bool = False) -> State:
+                          apply_swap: bool = False) -> State:
     """Evolve input (x) meters under the amplifier unitary and return the composite.
 
-    ``method`` is 'dense' (build the full unitary), 'spectral' (assemble the
-    output in the signal eigenbasis; exact for ket inputs and ket meters), or
-    'auto'. ``apply_swap`` exchanges modes 0 and 1 afterwards for the two-mode
-    variants (needs equal dims).
+    Ket inputs with ket meters are assembled from conditional meter
+    displacements in the signal eigenbasis (:func:`_spectral_output`);
+    density matrices go through the dense composite unitary. ``apply_swap``
+    exchanges modes 0 and 1 afterwards for the two-mode variants (needs
+    equal dims).
     """
     if isinstance(spec, SingleModeAmp):
         raise TypeError("single-mode variant has no internal mode; "
@@ -564,22 +553,16 @@ def simulate_output_state(spec, input_a: State, meters=None, dims=None,
     if isinstance(spec, LinearAmp):
         u = linear_amp_unitary(spec.g, (da, mdims[0]))
         out = _apply_unitary(u, tensor(input_a, *meters))
+    elif input_a.kind == "ket" and all(m.kind == "ket" for m in meters):
+        out = _spectral_output(spec, input_a, meters)
     else:
-        if method == "auto":
-            # the spectral assembly is exact for ket inputs and much cheaper
-            # than a composite-space eigendecomposition
-            kets = input_a.kind == "ket" and all(m.kind == "ket" for m in meters)
-            method = "spectral" if kets else "dense"
-        if method == "dense":
-            if isinstance(spec, TwoModeNormalAmp):
-                u = two_mode_unitary(spec.f, spec.g, (da, mdims[0]))
-            elif isinstance(spec, VonNeumannAmp):
-                u = von_neumann_unitary(spec.f, spec.g, (da, mdims[0]))
-            else:
-                u = three_mode_unitary(spec.f, spec.g, (da,) + mdims)
-            out = _apply_unitary(u, tensor(input_a, *meters))
+        if isinstance(spec, TwoModeNormalAmp):
+            u = two_mode_unitary(spec.f, spec.g, (da, mdims[0]))
+        elif isinstance(spec, VonNeumannAmp):
+            u = von_neumann_unitary(spec.f, spec.g, (da, mdims[0]))
         else:
-            out = _spectral_output(spec, input_a, meters)
+            u = three_mode_unitary(spec.f, spec.g, (da,) + mdims)
+        out = _apply_unitary(u, tensor(input_a, *meters))
 
     _check_top_occupancy(out)
     if apply_swap:
@@ -618,11 +601,8 @@ def _spectral_output(spec, input_a: State, meters) -> State:
     U acts on the eigenspace of f with eigenvalue lam as a meter displacement:
     alpha = g lam for the two-mode and von Neumann couplings, and
     (g Re lam, g Im lam) on the two meters of the three-mode coupling.
+    Exact for a ket input and ket meters.
     """
-    if input_a.kind != "ket" or any(m.kind != "ket" for m in meters):
-        raise TruncationError(
-            "spectral simulation route needs ket input and ket meters; "
-            "use method='dense' for density matrices")
     dec = normal_decompose(spec.f)
     amps = dec.eigenvectors.conj().T @ input_a.data
     defect = input_a.norm_defect + sum(m.norm_defect for m in meters)
@@ -685,13 +665,12 @@ def _mode_quad_moments(out: State, mode: int):
     return mean, sym, mx, mp, vx, vp
 
 
-def simulated_output_moments(spec, input_a: State, meters=None, dims=None,
-                             method: str = "auto") -> MomentReport:
+def simulated_output_moments(spec, input_a: State, meters=None,
+                             dims=None) -> MomentReport:
     """MomentReport extracted from an actual evolution (matrix moments)."""
     if isinstance(spec, SingleModeAmp):
         return _single_mode_matrix_report(spec, input_a)
-    out = simulate_output_state(spec, input_a, meters=meters, dims=dims,
-                                method=method)
+    out = simulate_output_state(spec, input_a, meters=meters, dims=dims)
     if isinstance(spec, ThreeModeAmp):
         _, _, mxb, _, vxb, _ = _mode_quad_moments(out, 1)
         _, _, mxc, _, vxc, _ = _mode_quad_moments(out, 2)

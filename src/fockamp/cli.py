@@ -22,7 +22,8 @@ from . import measurement as meas
 from . import verify as verify_mod
 from .errors import (ConfigError, CoverageError, FockampError, GainOutOfRange,
                      NotHermitian, NotNormal, TruncationError)
-from .fock import FockSpace, Operator, State, make_state, normal_decompose, number_op
+from .fock import (FockSpace, State, make_state, normal_decompose, number_op,
+                   parity_op)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -205,8 +206,7 @@ def build_signal_op(fres: dict, space: FockSpace):
     if kind == "a_dag_a":
         return number_op(space)
     if kind == "parity":
-        d = space.dim
-        return Operator(space, np.diag((-1.0) ** np.arange(d)).astype(complex))
+        return parity_op(space)
     if kind == "quadratic":
         op, _ = amp.quadratic_signal_op(
             space, complex(*fres["alpha"]), complex(*fres["beta"]),
@@ -321,14 +321,14 @@ def cmd_noise_sweep(cfg: dict, outdir: Path) -> int:
 
 def _povm_model_and_epsilon(cfg: dict):
     variant = cfg["amplifier"]["variant"]
-    meter = build_meter(cfg["amplifier"]["meter"])
-    eps2 = meas._meter_eps2(meter)
+    # meter wavefunction width: Var[x] = epsilon^2/2
+    epsilon = math.sqrt(2.0 * build_meter(cfg["amplifier"]["meter"]).x_variance())
     if variant == "two_mode_normal":
         return "heterodyne", 1.0
     if variant == "von_neumann":
-        return "homodyne", math.sqrt(eps2)
+        return "homodyne", epsilon
     if variant == "three_mode":
-        return "three_mode", math.sqrt(eps2)
+        return "three_mode", epsilon
     raise ConfigError("'amplifier.variant': povm covers two_mode_normal, "
                       "von_neumann and three_mode")
 
@@ -440,8 +440,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config RNG seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; sweep outputs keep input order")
     args = parser.parse_args(argv)
 
     try:

@@ -27,7 +27,7 @@ from .amplifiers import (LinearAmp, Meter, TwoModeNormalAmp, VACUUM,
                          VonNeumannAmp)
 from .errors import GainOutOfRange, NotHermitian
 from .fock import State, normal_decompose, number_op, variance
-from .measurement import DetectorSpec, husimi_values
+from .measurement import DetectorSpec, _rng, husimi_values
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +98,6 @@ class EstimateReport:
                 self.variance, self.se_mean, self.se_variance,
                 self.analytic_mean, self.analytic_variance, self.z_mean,
                 self.z_variance)
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def _sample_stats(x: np.ndarray):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln
 
 from .errors import DimensionMismatch, NotHermitian, NotNormal, TruncationError
 
@@ -353,21 +353,33 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
 
         sqrt(n!/m!) alpha^{m-n} e^{-|alpha|^2/2} L_n^{(m-n)}(|alpha|^2),
 
-    and the mirrored form with -alpha* for m < n. The prefactor is taken in
-    log space, so no factorial or power overflows before the product.
+    and the mirrored form with -alpha* for m < n. The real elements
+    F_n^(k) = <n+k|D(|alpha|)|n> are bounded by one, and the Laguerre
+    three-term recurrence runs on them rather than on L_n^(k), which
+    overflows from about 1040 levels up:
+
+        F_{n+1} = ((2n+1+k-x) F_n - sqrt(n(n+k)) F_{n-1}) / sqrt((n+1)(n+k+1)),
+
+    with x = |alpha|^2 and F_0^(k) = |alpha|^k e^{-x/2}/sqrt(k!) taken in log
+    space. The cost is O(dim^2).
     """
     alpha = complex(alpha)
     if alpha == 0.0:
         return np.eye(dim, dtype=complex)
-    m = np.arange(dim)[:, None]
-    n = np.arange(dim)[None, :]
-    lo, k = np.minimum(m, n), np.abs(m - n)
     x = abs(alpha) ** 2
-    logpre = 0.5 * (gammaln(lo + 1) - gammaln(lo + k + 1)) \
-        + k * math.log(abs(alpha)) - 0.5 * x
-    phase = np.where(m >= n, (alpha / abs(alpha)) ** k,
-                     (-np.conj(alpha) / abs(alpha)) ** k)
-    return np.exp(logpre) * eval_genlaguerre(lo, k, x) * phase
+    k = np.arange(dim)
+    f = np.zeros((dim, dim))  # f[n, k] = F_n^(k) for n + k < dim
+    f[0] = np.exp(k * math.log(abs(alpha)) - 0.5 * x - 0.5 * gammaln(k + 1))
+    for n in range(dim - 1):
+        kn = k[:dim - n - 1]
+        f[n + 1, kn] = ((2 * n + 1 + kn - x) * f[n, kn]
+                        - np.sqrt(n * (n + kn)) * f[n - 1, kn]) \
+            / np.sqrt((n + 1) * (n + kn + 1))
+    m, n = k[:, None], k[None, :]
+    lo, dk = np.minimum(m, n), np.abs(m - n)
+    u = alpha / abs(alpha)
+    phase = np.where(m >= n, (u ** k)[dk], ((-np.conj(u)) ** k)[dk])
+    return f[lo, dk] * phase
 
 
 def unitary_from_generator(h: Operator, t: float = 1.0) -> Operator:

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .amplifiers import (TRUNCATION_TOL, Meter, ThreeModeAmp, TwoModeNormalAmp,
-                         VonNeumannAmp, displaced_meter_ket, meter_dim_for,
-                         two_mode_unitary, von_neumann_unitary)
+from .amplifiers import (TRUNCATION_TOL, ThreeModeAmp, TwoModeNormalAmp,
+                         VonNeumannAmp, displaced_meter_ket, meter_dim_for)
 from .errors import CoverageError, DimensionMismatch, TruncationError
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
                    hermite_functions, normal_decompose, quadrature_amplitudes)
@@ -96,18 +95,23 @@ def heterodyne_element(beta: complex, sigma2: float, space: FockSpace) -> Operat
     return Operator(space, m)
 
 
-def _default_ygrid() -> np.ndarray:
-    n = int(round(2 * HOMODYNE_YGRID_RANGE / HOMODYNE_YGRID_STEP)) + 1
-    return np.linspace(-HOMODYNE_YGRID_RANGE, HOMODYNE_YGRID_RANGE, n)
+def _default_ygrid(xs, sigma2: float) -> np.ndarray:
+    """Quadrature grid for the raw outcomes ``xs``: step 0.005 on
+    |y| <= max(10, max|x| + 8 sqrt(sigma^2/2)), so the noise kernel about
+    every outcome lies on the grid to eight of its standard deviations."""
+    half = max(HOMODYNE_YGRID_RANGE,
+               float(np.abs(xs).max()) + 8.0 * math.sqrt(sigma2 / 2.0))
+    n = int(round(2 * half / HOMODYNE_YGRID_STEP)) + 1
+    return np.linspace(-half, half, n)
 
 
 def homodyne_element(x: float, sigma2: float, space: FockSpace,
                      y_grid: np.ndarray | None = None) -> Operator:
     """<m|M_x|n> = int K_sigma(x - y) h_m(y) h_n(y) dy by trapezoid quadrature.
 
-    The fixed grid is |y| <= 10 at step 0.005. sigma^2 = 0 returns the
-    rank-one outcome density h_m(x) h_n(x) (per unit outcome, not a
-    projector).
+    The default grid is step 0.005 on |y| <= max(10, |x| + 8 sqrt(sigma^2/2)).
+    sigma^2 = 0 returns the rank-one outcome density h_m(x) h_n(x) (per unit
+    outcome, not a projector).
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
@@ -115,7 +119,8 @@ def homodyne_element(x: float, sigma2: float, space: FockSpace,
     if sigma2 == 0.0:
         h = hermite_functions(d, np.array([float(x)]))[:, 0]
         return Operator(space, np.outer(h, h).astype(complex))
-    y = _default_ygrid() if y_grid is None else np.asarray(y_grid, dtype=float)
+    y = _default_ygrid(float(x), sigma2) if y_grid is None \
+        else np.asarray(y_grid, dtype=float)
     h = hermite_functions(d, y)
     m = (h * _homodyne_kernel(x, sigma2, y)) @ h.T
     return Operator(space, m.astype(complex))
@@ -225,17 +230,6 @@ def effective_povm_closed_form(decomposition: SpectralDecomposition, g: float,
 # numeric sandwich
 # ---------------------------------------------------------------------------
 
-def _evolved_columns(u: np.ndarray, da: int, meter_ket: np.ndarray) -> np.ndarray:
-    """U (|j>_a (x) |meter>) for j = 0..da-1, shaped (da, db, da)."""
-    db = meter_ket.shape[0]
-    cols = np.zeros((u.shape[0], da), dtype=complex)
-    for j in range(da):
-        vec = np.zeros(u.shape[0], dtype=complex)
-        vec[j * db:(j + 1) * db] = meter_ket
-        cols[:, j] = u @ vec
-    return cols.reshape(da, db, da)
-
-
 def povm_meter_dims(amp) -> tuple[int, ...]:
     """Auto-sized meter truncations of :func:`effective_povm_numeric`.
 
@@ -275,13 +269,16 @@ def _prepared_meters(amp, dims) -> list[State]:
     return states
 
 
-def _check_cutoff(top: np.ndarray, dim: int):
-    """Reject displaced meters that put more than the tolerance on their cutoff."""
-    worst = float(np.max(top))
+def _displaced_kets(meter: State, alphas) -> np.ndarray:
+    """Rows D(alpha)|meter>, one per alpha; reject any that put more than
+    the tolerance on the meter's cutoff."""
+    chi = np.array([displaced_meter_ket(meter, a) for a in alphas])
+    worst = float(np.max(np.abs(chi[:, -1]) ** 2))
     if worst > TRUNCATION_TOL:
         raise TruncationError(
-            f"a displaced meter holds {worst:.2e} at its cutoff (dim {dim}, "
-            f"> {TRUNCATION_TOL:.0e}); enlarge the meter")
+            f"a displaced meter holds {worst:.2e} at its cutoff (dim "
+            f"{meter.space.dim}, > {TRUNCATION_TOL:.0e}); enlarge the meter")
+    return chi
 
 
 def _homodyne_kernel(x: float, sigma2: float, y: np.ndarray) -> np.ndarray:
@@ -302,7 +299,7 @@ def _homodyne_expectations(kets: np.ndarray, xs, sigma2: float) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if sigma2 == 0.0:
         return (np.abs(kets @ hermite_functions(kets.shape[1], xs)) ** 2).T
-    y = _default_ygrid()
+    y = _default_ygrid(xs, sigma2)
     q = np.abs(kets @ hermite_functions(kets.shape[1], y)) ** 2
     return np.array([q @ _homodyne_kernel(x, sigma2, y) for x in xs])
 
@@ -319,10 +316,13 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     imaginary part of the eigenvalue, matching the closed-form records whose
     centers are the complex eigenvalues themselves.
 
-    The three-mode sandwich is assembled from conditional displacements:
-    E(phi) = g^2 sum_k P_k <chi_bk|M_b|chi_bk> <chi_ck|M_c|chi_ck> with
-    chi_bk = D(g Re lam_k/sqrt(2))|m_b> and chi_ck = D(g Im lam_k/sqrt(2))|m_c>,
-    which is what the dense :func:`three_mode_unitary` sandwich gives.
+    U acts on the eigenspace of f with eigenvalue lam_k as a meter
+    displacement, so the sandwich is E = sum_k P_k <chi_k|M|chi_k> with
+    chi_k = D(g lam_k)|m> (two-mode), D(g lam_k/sqrt(2))|m> (von Neumann),
+    and the product of the b and c records of chi_bk = D(g Re lam_k/sqrt(2))|m_b>
+    and chi_ck = D(g Im lam_k/sqrt(2))|m_c> (three-mode). This is what the
+    dense sandwich with :func:`two_mode_unitary`, :func:`von_neumann_unitary`
+    or :func:`three_mode_unitary` gives.
 
     ``dims`` defaults to :func:`povm_meter_dims`. A meter whose truncation
     drops more than 1e-6 of its norm, or whose displaced copy puts more than
@@ -332,74 +332,43 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     ``outcomes`` are rescaled (outcome/g); elements carry the matching
     Jacobian (g^2 for complex outcomes, g for real ones).
     """
+    if not isinstance(amp, (TwoModeNormalAmp, VonNeumannAmp, ThreeModeAmp)):
+        raise TypeError(f"no effective POVM for {type(amp)!r}")
+    expected = "heterodyne" if isinstance(amp, TwoModeNormalAmp) else "homodyne"
+    if detector.kind != expected:
+        raise ValueError(f"{type(amp).__name__} is read out by {expected}")
     outcomes = np.atleast_1d(outcomes)
     sig2 = detector.sigma2
     g = amp.g
-    da = amp.f.space.dim
+    s = g / math.sqrt(2.0)
     dec = normal_decompose(amp.f)
-
+    lam = dec.eigenvalues
+    meters = _prepared_meters(amp, dims)
     if isinstance(amp, TwoModeNormalAmp):
-        if detector.kind != "heterodyne":
-            raise ValueError("two-mode normal amplifier is read out by heterodyne")
-        meter, = _prepared_meters(amp, dims)
-        db = meter.space.dim
-        u = two_mode_unitary(amp.f, g, (da, db))
-        psi = _evolved_columns(u.matrix, da, meter.data)
-        _check_cutoff(np.sum(np.abs(psi[:, -1, :] @ dec.eigenvectors) ** 2, axis=0), db)
-        t = np.einsum("ami,anj->ijmn", psi.conj(), psi, optimize=True)
-        tmat = t.reshape(da * da, db * db)
-        els = []
-        msp = FockSpace(db)
+        chi = _displaced_kets(meters[0], g * lam)
+        weights = []
         for phi in outcomes:
-            m = heterodyne_element(g * complex(phi), sig2, msp).matrix
-            els.append((tmat @ m.ravel()).reshape(da, da) * g * g)
-        return PovmGrid(outcomes, els, FockSpace(da), "heterodyne",
-                        width2=(sig2 + 1.0) / g ** 2)
-
-    if isinstance(amp, VonNeumannAmp):
-        if detector.kind != "homodyne":
-            raise ValueError("von Neumann amplifier is read out by homodyne")
-        meter, = _prepared_meters(amp, dims)
-        db = meter.space.dim
-        v = von_neumann_unitary(amp.f, g / math.sqrt(2.0), (da, db))
-        psi = _evolved_columns(v.matrix, da, meter.data)
-        _check_cutoff(np.sum(np.abs(psi[:, -1, :] @ dec.eigenvectors) ** 2, axis=0), db)
-        t = np.einsum("ami,anj->ijmn", psi.conj(), psi, optimize=True)
-        tmat = t.reshape(da * da, db * db)
-        els = []
-        msp = FockSpace(db)
-        for phi in outcomes:
-            m = homodyne_element(g * float(np.real(phi)), sig2, msp).matrix
-            els.append((tmat @ m.ravel()).reshape(da, da) * g)
-        return PovmGrid(np.real(outcomes), els, FockSpace(da), "homodyne",
-                        width2=(sig2 + _meter_eps2(amp.meter)) / g ** 2)
-
-    if isinstance(amp, ThreeModeAmp):
-        if detector.kind != "homodyne":
-            raise ValueError("three-mode amplifier is read out by two homodynes")
-        mb, mc = _prepared_meters(amp, dims)
-        s = g / math.sqrt(2.0)
-        lam = dec.eigenvalues
-        chib = np.array([displaced_meter_ket(mb, s * a) for a in lam.real])
-        chic = np.array([displaced_meter_ket(mc, s * a) for a in lam.imag])
-        _check_cutoff(np.abs(chib[:, -1]) ** 2, mb.space.dim)
-        _check_cutoff(np.abs(chic[:, -1]) ** 2, mc.space.dim)
-        pb = _homodyne_expectations(chib, g * np.real(outcomes), sig2)
-        pc = _homodyne_expectations(chic, g * np.imag(outcomes), sig2)
-        v = dec.eigenvectors
-        els = [(v * (g * g * wb * wc)) @ v.conj().T for wb, wc in zip(pb, pc)]
-        return PovmGrid(outcomes, els, FockSpace(da), "three_mode",
-                        width2=(sig2 + _meter_eps2(amp.meter_b)) / g ** 2)
-
-    raise TypeError(f"no effective POVM for {type(amp)!r}")
-
-
-def _meter_eps2(meter: Meter) -> float:
-    if meter.kind == "gaussian":
-        return meter.epsilon ** 2
-    if meter.kind == "squeezed":
-        return math.exp(-2.0 * meter.r)
-    return 1.0
+            m = heterodyne_element(g * complex(phi), sig2, meters[0].space).matrix
+            weights.append(g * g * np.real(np.sum(chi.conj() * (chi @ m.T), axis=1)))
+        model = "heterodyne"
+        width2 = (sig2 + 1.0) / g ** 2
+    elif isinstance(amp, VonNeumannAmp):
+        chi = _displaced_kets(meters[0], s * lam.real)
+        outcomes = np.real(outcomes)
+        weights = g * _homodyne_expectations(chi, g * outcomes, sig2)
+        model = "homodyne"
+        width2 = (sig2 + 2.0 * amp.meter.x_variance()) / g ** 2
+    else:
+        pb = _homodyne_expectations(_displaced_kets(meters[0], s * lam.real),
+                                    g * np.real(outcomes), sig2)
+        pc = _homodyne_expectations(_displaced_kets(meters[1], s * lam.imag),
+                                    g * np.imag(outcomes), sig2)
+        weights = g * g * pb * pc
+        model = "three_mode"
+        width2 = (sig2 + 2.0 * amp.meter_b.x_variance()) / g ** 2
+    v = dec.eigenvectors
+    els = [(v * w) @ v.conj().T for w in weights]
+    return PovmGrid(outcomes, els, FockSpace(v.shape[0]), model, width2=width2)
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +402,17 @@ class DecisionRegions:
 def _collinear_axis(centers: np.ndarray):
     """Unit direction if all centers lie on one line in C, else None."""
     if len(centers) <= 1:
-        return complex(1.0), 0.0
+        return complex(1.0)
     c0 = centers[0]
     rel = centers - c0
     scale = np.abs(rel).max()
     if scale == 0:
-        return complex(1.0), 0.0
+        return complex(1.0)
     u = rel[np.argmax(np.abs(rel))] / np.abs(rel[np.argmax(np.abs(rel))])
     perp = np.abs(np.imag(rel * np.conj(u)))
     if perp.max() > 1e-9 * max(1.0, scale):
         return None
-    return u, None
+    return u
 
 
 def coarse_grain(povm, regions: DecisionRegions) -> list[Operator]:
@@ -483,12 +452,11 @@ def _coarse_grain_closed(povm: ClosedFormPovm, regions: DecisionRegions):
     if regions.n_regions == 1:
         ident = v @ v.conj().T
         return [Operator(dec.space, ident)]
-    axis = _collinear_axis(regions.centers)
-    if axis is None:
+    u = _collinear_axis(regions.centers)
+    if u is None:
         raise CoverageError(
             "exact coarse graining implemented for collinear cluster centers; "
             "integrate a numeric grid for general complex configurations")
-    u = axis[0]
     t_centers = np.real((regions.centers - regions.centers[0]) * np.conj(u))
     t_lam = np.real((lam - regions.centers[0]) * np.conj(u))
     order = np.argsort(t_centers)
@@ -600,7 +568,7 @@ def sample_outcome(state: State, detector: DetectorSpec, seed: int):
 def smeared_position_density(state: State, sigma2: float,
                              xs: np.ndarray) -> np.ndarray:
     """q(x) convolved with the homodyne noise kernel (analytic oracle helper)."""
-    y = _default_ygrid()
+    y = _default_ygrid(xs, sigma2)
     step = y[1] - y[0]
     q = np.abs(quadrature_amplitudes(state, y)) ** 2 if state.kind == "ket" \
         else np.real(quadrature_amplitudes(state, y))

@@ -1,5 +1,6 @@
 """Amplifier tests: unitary constructions, input-output relations, moments."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from fockamp import (FockSpace, GainOutOfRange, LinearAmp, NotHermitian,
                      squeezed_vacuum, tensor, three_mode_unitary,
                      two_mode_unitary, two_mode_unitary_factored,
                      vacuum_state, von_neumann_unitary)
-from fockamp.amplifiers import (meter_dim_for, single_mode_commutator_residual)
+from fockamp.amplifiers import (displaced_meter_ket, meter_dim_for,
+                                single_mode_commutator_residual)
 from fockamp.errors import TruncationError
 from fockamp.fock import State
 
@@ -76,8 +78,11 @@ def test_quadratic_fplus_spectrum_psd():
 # ---------------------------------------------------------------------------
 
 def test_two_mode_zero_gain_is_identity():
+    # U = 1 displaces nothing, so no meter size is "truncation limited"
     sp = FockSpace(4)
-    u = two_mode_unitary(number_op(sp), 0.0, (4, 12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        u = two_mode_unitary(number_op(sp), 0.0, (4, 12))
     assert np.abs(u.matrix - np.eye(48)).max() < 1e-14
 
 
@@ -332,20 +337,22 @@ def test_added_noise_gain_independent_squeezed_meter():
     for g in (0.5, 1.0, 2.0):
         rep = simulated_output_moments(
             TwoModeNormalAmp(number_op(sp), g, meter), fock_state(sp, 2),
-            dims=(160,), method="dense")
+            dims=(160,))
         vals.append(rep.added_noise)
     assert max(vals) - min(vals) < 1e-8
     assert abs(vals[0] - 0.5 * math.exp(-0.6)) < 1e-4
 
 
 def test_spectral_route_matches_dense_route():
+    # oracle: the dense composite unitary applied to input (x) vacuum meter
     sp = FockSpace(6)
     st = State(sp, "ket", np.array([0.8, 0.0, 0.6j, 0.0, 0.0, 0.0]))
-    for spec in (TwoModeNormalAmp(number_op(sp), 1.2),
-                 VonNeumannAmp(number_op(sp), 1.2)):
-        dense = simulate_output_state(spec, st, dims=(64,), method="dense")
-        spectral = simulate_output_state(spec, st, dims=(64,), method="spectral")
-        fid = abs(np.vdot(dense.data, spectral.data))
+    joint = tensor(st, vacuum_state(FockSpace(64))).data
+    for spec, unitary in ((TwoModeNormalAmp(number_op(sp), 1.2), two_mode_unitary),
+                          (VonNeumannAmp(number_op(sp), 1.2), von_neumann_unitary)):
+        dense = unitary(spec.f, spec.g, (6, 64)).matrix @ joint
+        spectral = simulate_output_state(spec, st, dims=(64,))
+        fid = abs(np.vdot(dense, spectral.data))
         assert abs(fid - 1.0) < 1e-10
 
 
@@ -354,9 +361,10 @@ def test_spectral_route_three_mode_matches_dense():
     f = Operator(sp, number_op(sp).matrix + 0.5j * np.eye(4))
     spec = ThreeModeAmp(f, 0.5)
     st = State(sp, "ket", np.array([0.6, 0.48j, 0.64, 0.0]))
-    dense = simulate_output_state(spec, st, dims=(24, 24), method="dense")
-    spectral = simulate_output_state(spec, st, dims=(24, 24), method="spectral")
-    assert abs(abs(np.vdot(dense.data, spectral.data)) - 1.0) < 1e-10
+    vac = vacuum_state(FockSpace(24))
+    dense = three_mode_unitary(f, 0.5, (4, 24, 24)).matrix @ tensor(st, vac, vac).data
+    spectral = simulate_output_state(spec, st, dims=(24, 24))
+    assert abs(abs(np.vdot(dense, spectral.data)) - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("make_input", [
@@ -398,12 +406,22 @@ def test_cv_swap_moves_signal_to_mode_zero():
     sp = FockSpace(10)
     spec = TwoModeNormalAmp(number_op(sp), 0.4)
     st = fock_state(sp, 2)
-    plain = simulate_output_state(spec, st, dims=(10,), method="dense")
-    swapped = simulate_output_state(spec, st, dims=(10,), method="dense",
-                                    apply_swap=True)
+    plain = simulate_output_state(spec, st, dims=(10,))
+    swapped = simulate_output_state(spec, st, dims=(10,), apply_swap=True)
     from fockamp.fock import mode_expectation
     b = annihilation_op(sp).matrix
     assert abs(mode_expectation(plain, 1, b) - mode_expectation(swapped, 0, b)) < 1e-12
+
+
+def test_displaced_meter_ket_is_truncated_exponential():
+    # the one conditional-displacement kernel: exp(alpha b^dag - alpha* b)
+    # of the truncated b applied to any meter ket
+    b = annihilation_op(FockSpace(24)).matrix
+    for meter in (Meter(), Meter("squeezed", 0.5)):
+        st = meter.state(24)
+        for alpha in (0.7, 1.5 - 2.0j):
+            target = expm(alpha * b.conj().T - np.conj(alpha) * b) @ st.data
+            assert np.abs(displaced_meter_ket(st, alpha) - target).max() < 1e-13
 
 
 def test_meter_dim_rule_and_cap():

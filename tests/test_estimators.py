@@ -8,10 +8,11 @@ from fockamp import (DetectorSpec, FockSpace, LinearAmp, TrialPlan,
                      TwoModeNormalAmp, VonNeumannAmp, coherent_state,
                      compare_schemes, fock_state, husimi_values, number_op,
                      run_linear_number_estimation, run_nonlinear_estimation,
-                     run_plan, simulate_output_state, snr_report, vacuum_state)
+                     run_plan, simulate_output_state, snr_report, tensor,
+                     vacuum_state, von_neumann_unitary)
 from fockamp.errors import GainOutOfRange
 from fockamp.estimators import nonlinear_meter_x_samples
-from fockamp.fock import partial_trace, quadrature_amplitudes
+from fockamp.fock import State, partial_trace, quadrature_amplitudes
 
 
 def _hom(eta=1.0):
@@ -75,7 +76,8 @@ def test_nonlinear_sampler_matches_unitary_evolution():
     sp = FockSpace(8)
     amp = VonNeumannAmp(number_op(sp), 0.8)
     st = coherent_state(sp, 0.5)
-    out = simulate_output_state(amp, st, dims=(64,), method="dense")
+    u = von_neumann_unitary(amp.f, amp.g, (8, 64))
+    out = State(u.space, "ket", u.matrix @ tensor(st, vacuum_state(FockSpace(64))).data)
     meter = partial_trace(out, 1)
     xs = np.arange(-10.0, 10.0, 0.01)
     q = np.real(quadrature_amplitudes(meter, xs))

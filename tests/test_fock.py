@@ -191,6 +191,31 @@ def test_displacement_matrix_closed_form():
     assert np.array_equal(displacement_matrix(0.0, 5), np.eye(5))
 
 
+def _displacement_element_50_digits(mpmath, alpha, m, n):
+    """<m|D(alpha)|n> from the Cahill-Glauber closed form at 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpc(alpha.real, alpha.imag)
+        z = a if m >= n else -mpmath.conj(a)
+        lo, k = min(m, n), abs(m - n)
+        x = abs(a) ** 2
+        val = (mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(lo + k))
+               * z ** k * mpmath.exp(-x / 2) * mpmath.laguerre(lo, k, x))
+        return complex(val)
+
+
+def test_displacement_matrix_finite_and_exact_at_1100_levels():
+    # L_n^(k) overflows from about 1040 levels up; the recurrence runs on the
+    # bounded elements, so every entry stays finite and matches 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    levels = (0, 1, 37, 550, 1040, 1099)
+    for alpha in (0.3j, 7.0 - 12.0j):
+        d = displacement_matrix(alpha, 1100)
+        assert np.isfinite(d).all()
+        worst = max(abs(d[m, n] - _displacement_element_50_digits(mpmath, alpha, m, n))
+                    for m in levels for n in levels)
+        assert worst < 1e-11
+
+
 def test_non_hermitian_generator_rejected():
     with pytest.raises(NotHermitian):
         unitary_from_generator(annihilation_op(FockSpace(6)), 1.0)

@@ -10,7 +10,8 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
                      effective_povm_numeric, fock_state, heterodyne_element,
                      homodyne_element, normal_decompose, number_op,
                      own_region_weights, coarse_grain, sample_outcome,
-                     sample_outcomes, three_mode_unitary, vacuum_state)
+                     sample_outcomes, three_mode_unitary, two_mode_unitary,
+                     vacuum_state, von_neumann_unitary)
 from fockamp.errors import CoverageError, TruncationError
 from fockamp.amplifiers import meter_dim_for
 from fockamp.measurement import (husimi_values, povm_csv_rows, povm_meter_dims,
@@ -119,6 +120,19 @@ def test_noisy_homodyne_vacuum_density_is_wider_gaussian():
         assert abs(dens - target) < 1e-8
 
 
+def test_homodyne_element_grid_follows_the_outcome():
+    # a coherent meter centred at x = 11 lies past |y| <= 10; the quadrature
+    # grid extends to |x| + 8 kernel widths, so the density stays exact there
+    sp = FockSpace(128)
+    sigma2 = 0.25
+    var = 0.5 + sigma2 / 2.0
+    rho = coherent_state(sp, 11.0 / math.sqrt(2.0)).to_density().data
+    for x in (10.5, 11.0, 12.0):
+        dens = float(np.real(np.trace(homodyne_element(x, sigma2, sp).matrix @ rho)))
+        target = math.exp(-(x - 11.0) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
+        assert abs(dens - target) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # effective POVMs
 # ---------------------------------------------------------------------------
@@ -198,6 +212,61 @@ def test_three_mode_oracle_equivalence_moderate_squeezing():
     dev = max(float(np.abs(e - closed.element(o)).max())
               for o, e in zip(pts, grid.elements))
     assert dev < 1e-5
+
+
+def test_homodyne_numeric_povm_at_high_gain():
+    # the CLI's povm grid at g = 3 runs to 3 + 5w, raw outcomes g (3 + 5w)
+    # ~ 12.9, past |y| <= 10
+    sp = FockSpace(4)
+    f = number_op(sp)
+    dec = normal_decompose(f)
+    g, r = 3.0, 0.5
+    det = DetectorSpec("homodyne", 0.5)
+    closed = effective_povm_closed_form(dec, g, det.sigma2, "homodyne",
+                                        epsilon=math.exp(-r))
+    w = math.sqrt(closed.width2)
+    step = w / 4
+    pts = np.arange(-5 * w, 3 + 5 * w + step / 2, step)
+    grid = effective_povm_numeric(VonNeumannAmp(f, g, Meter("squeezed", r=r)),
+                                  det, pts)
+    grid.measure = step
+    dev = max(float(np.abs(e - closed.element(o)).max())
+              for o, e in zip(pts, grid.elements))
+    assert dev < 1e-9
+    assert grid.identity_residual() < 1e-9
+
+
+@pytest.mark.parametrize("variant", ["two_mode", "von_neumann"])
+def test_spectral_sandwich_matches_dense_oracle(variant):
+    # oracle: <meter| U^dag M U |meter> with the dense composite unitary
+    sp = FockSpace(4)
+    f = number_op(sp)
+    if variant == "two_mode":
+        g = 1.0
+        spec = TwoModeNormalAmp(f, g)
+        det = DetectorSpec("heterodyne", 0.5)
+        pts = np.array([0.2 + 0.1j, 1.0, 1.7 - 0.4j, 3.2 + 0.5j])
+        db, = povm_meter_dims(spec)
+        u = two_mode_unitary(f, g, (4, db)).matrix
+        def element(o):
+            return g * g * heterodyne_element(g * o, det.sigma2, FockSpace(db)).matrix
+    else:
+        g = 2.0
+        spec = VonNeumannAmp(f, g, Meter("squeezed", r=0.5))
+        det = DetectorSpec("homodyne", 0.5)
+        pts = np.array([-0.5, 0.3, 1.0, 2.6, 3.9])
+        db, = povm_meter_dims(spec)
+        u = von_neumann_unitary(f, g / math.sqrt(2.0), (4, db)).matrix
+        def element(o):
+            return g * homodyne_element(g * o, det.sigma2, FockSpace(db)).matrix
+    m = spec.meter.state(db).data
+    psi = np.stack([u[:, j * db:(j + 1) * db] @ m for j in range(4)],
+                   axis=-1).reshape(4, db, 4)
+    grid = effective_povm_numeric(spec, det, pts)
+    for o, e in zip(pts, grid.elements):
+        dense = np.einsum("ami,mn,anj->ij", psi.conj(), element(o), psi,
+                          optimize=True)
+        assert np.abs(e - dense).max() < 1e-12
 
 
 def test_numeric_identity_resolution():
