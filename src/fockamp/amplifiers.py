@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DimensionMismatch, GainOutOfRange, NotHermitian, NotNormal,
                      TruncationError)
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
-                   annihilation_op, displacement_matrix,
+                   annihilation_op, cv_swap, displacement_matrix,
                    expm_hermitian, gaussian_meter, mode_expectation,
                    mode_symmetrized_moment, normal_decompose, quadrature_ops,
                    squeezed_vacuum, symmetrized_moment, tensor, vacuum_state,
@@ -532,43 +532,31 @@ def _default_meter_states(spec, input_a: State, dims):
     return [spec.meter_b.state(db), spec.meter_c.state(dc)]
 
 
-def simulate_output_state(spec, input_a: State, meters=None, dims=None,
+def simulate_output_state(spec, input_a: State, dims=None,
                           apply_swap: bool = False) -> State:
     """Evolve input (x) meters under the amplifier unitary and return the composite.
 
-    Ket inputs with ket meters are assembled from conditional meter
-    displacements in the signal eigenbasis (:func:`_spectral_output`);
-    density matrices go through the dense composite unitary. ``apply_swap``
-    exchanges modes 0 and 1 afterwards for the two-mode variants (needs
-    equal dims).
+    The meters are prepared at ``dims`` (auto-sized if None). Kets and
+    density matrices of the nonlinear variants alike are assembled from
+    conditional meter displacements in the signal eigenbasis
+    (:func:`_spectral_output`); the linear amplifier applies its two-mode
+    squeezer. ``apply_swap`` exchanges modes 0 and 1 afterwards for the
+    two-mode variants (needs equal dims).
     """
     if isinstance(spec, SingleModeAmp):
         raise TypeError("single-mode variant has no internal mode; "
                         "use single_mode_output_moments / single_mode_output_ops")
-    if meters is None:
-        meters = _default_meter_states(spec, input_a, dims)
-    da = input_a.space.dim
-    mdims = tuple(m.space.dim for m in meters)
-
+    meters = _default_meter_states(spec, input_a, dims)
     if isinstance(spec, LinearAmp):
-        u = linear_amp_unitary(spec.g, (da, mdims[0]))
+        u = linear_amp_unitary(spec.g, (input_a.space.dim, meters[0].space.dim))
         out = _apply_unitary(u, tensor(input_a, *meters))
-    elif input_a.kind == "ket" and all(m.kind == "ket" for m in meters):
-        out = _spectral_output(spec, input_a, meters)
     else:
-        if isinstance(spec, TwoModeNormalAmp):
-            u = two_mode_unitary(spec.f, spec.g, (da, mdims[0]))
-        elif isinstance(spec, VonNeumannAmp):
-            u = von_neumann_unitary(spec.f, spec.g, (da, mdims[0]))
-        else:
-            u = three_mode_unitary(spec.f, spec.g, (da,) + mdims)
-        out = _apply_unitary(u, tensor(input_a, *meters))
+        out = _spectral_output(spec, input_a, meters)
 
     _check_top_occupancy(out)
     if apply_swap:
         if out.space.n_modes != 2 or out.space.dims[0] != out.space.dims[1]:
             raise DimensionMismatch("CV swap needs two equal-dimension modes")
-        from .fock import cv_swap
         out = _apply_unitary(cv_swap(out.space, 0, 1), out)
     return out
 
@@ -596,40 +584,39 @@ def _apply_unitary(u: Operator, state: State) -> State:
 
 
 def _spectral_output(spec, input_a: State, meters) -> State:
-    """Output ket via conditional meter displacements in the f eigenbasis.
+    """Output via conditional meter displacements in the f eigenbasis.
 
-    U acts on the eigenspace of f with eigenvalue lam as a meter displacement:
-    alpha = g lam for the two-mode and von Neumann couplings, and
-    (g Re lam, g Im lam) on the two meters of the three-mode coupling.
-    Exact for a ket input and ket meters.
+    U acts on the eigenspace of f with eigenvalue lam_i as a meter
+    displacement, so it maps e_i (x) meters to the column y_i = e_i (x) chi_i,
+    with chi_i = D(g lam_i)|m> for the two-mode and von Neumann couplings and
+    D(g Re lam_i)|m_b> (x) D(g Im lam_i)|m_c> for the three-mode coupling.
+    In the eigenbasis (c = V^dag psi, rho' = V^dag rho V) the output is Y c
+    for a ket and Y rho' Y^dag for a density matrix. Eigenvectors the input
+    does not populate (|c_i|^2 or rho'_ii below 1e-32) are skipped; for a
+    density this is exact, since rho' is positive semidefinite.
     """
     dec = normal_decompose(spec.f)
-    amps = dec.eigenvectors.conj().T @ input_a.data
+    v, g, ket = dec.eigenvectors, spec.g, input_a.kind == "ket"
+    c = v.conj().T @ input_a.data if ket else v.conj().T @ input_a.data @ v
+    keep = np.flatnonzero((np.abs(c) ** 2 if ket else np.real(np.diag(c))) >= 1e-32)
+    c = c[keep] if ket else c[np.ix_(keep, keep)]
+    if isinstance(spec, ThreeModeAmp):
+        chi = [np.kron(displaced_meter_ket(meters[0], g * np.real(lam)),
+                       displaced_meter_ket(meters[1], g * np.imag(lam)))
+               for lam in dec.eigenvalues[keep]]
+    else:
+        chi = [displaced_meter_ket(meters[0], g * lam) for lam in dec.eigenvalues[keep]]
+    # y[(a, m), i] = v[a, i] chi_i[m]
+    y = (v[:, None, keep] * np.transpose(chi)).reshape(-1, keep.size)
+    space = FockSpace((input_a.space.dim,) + tuple(m.space.dim for m in meters))
     defect = input_a.norm_defect + sum(m.norm_defect for m in meters)
-    if isinstance(spec, (TwoModeNormalAmp, VonNeumannAmp)):
-        db = meters[0].space.dim
-        y = np.zeros((input_a.space.dim, db), dtype=complex)
-        for i, lam in enumerate(dec.eigenvalues):
-            if abs(amps[i]) < 1e-16:
-                continue
-            chi = displaced_meter_ket(meters[0], spec.g * lam)
-            y += np.outer(dec.eigenvectors[:, i] * amps[i], chi)
-        nrm = np.linalg.norm(y)
-        return State(FockSpace((input_a.space.dim, db)), "ket", y.ravel() / nrm,
-                     defect + max(0.0, 1.0 - nrm ** 2))
-    # three-mode
-    db, dc = meters[0].space.dim, meters[1].space.dim
-    y = np.zeros((input_a.space.dim, db, dc), dtype=complex)
-    for i, lam in enumerate(dec.eigenvalues):
-        if abs(amps[i]) < 1e-16:
-            continue
-        chib = displaced_meter_ket(meters[0], spec.g * np.real(lam))
-        chic = displaced_meter_ket(meters[1], spec.g * np.imag(lam))
-        y += (dec.eigenvectors[:, i] * amps[i])[:, None, None] \
-            * chib[None, :, None] * chic[None, None, :]
-    nrm = np.linalg.norm(y)
-    return State(FockSpace((input_a.space.dim, db, dc)), "ket", y.ravel() / nrm,
-                 defect + max(0.0, 1.0 - nrm ** 2))
+    if ket:
+        out = y @ c
+        nrm = np.linalg.norm(out)
+        return State(space, "ket", out / nrm, defect + max(0.0, 1.0 - nrm ** 2))
+    out = y @ c @ y.conj().T
+    tr = float(np.trace(out).real)
+    return State(space, "density", out / tr, defect + max(0.0, 1.0 - tr))
 
 
 def _mode_quad_moments(out: State, mode: int):
@@ -665,12 +652,11 @@ def _mode_quad_moments(out: State, mode: int):
     return mean, sym, mx, mp, vx, vp
 
 
-def simulated_output_moments(spec, input_a: State, meters=None,
-                             dims=None) -> MomentReport:
+def simulated_output_moments(spec, input_a: State, dims=None) -> MomentReport:
     """MomentReport extracted from an actual evolution (matrix moments)."""
     if isinstance(spec, SingleModeAmp):
         return _single_mode_matrix_report(spec, input_a)
-    out = simulate_output_state(spec, input_a, meters=meters, dims=dims)
+    out = simulate_output_state(spec, input_a, dims=dims)
     if isinstance(spec, ThreeModeAmp):
         _, _, mxb, _, vxb, _ = _mode_quad_moments(out, 1)
         _, _, mxc, _, vxc, _ = _mode_quad_moments(out, 2)

@@ -14,7 +14,9 @@ nonlinear coupling is a mixture of Gaussians centered at sqrt(2) g lambda_i
 weighted by the spectral measure of the input, and the heterodyne outcome of
 the amplified state is g times a draw from the input Husimi density (the
 amplifier rescales the Husimi density without extra convolution). Both facts
-are validated against full unitary evolution in the test suite.
+are validated against full unitary evolution in the test suite. The Husimi
+draws come from the grid sampler shared with the detector,
+:func:`measurement.ideal_draws`.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .amplifiers import (LinearAmp, Meter, TwoModeNormalAmp, VACUUM,
                          VonNeumannAmp)
 from .errors import GainOutOfRange, NotHermitian
 from .fock import State, normal_decompose, number_op, variance
-from .measurement import DetectorSpec, _rng, husimi_values
+from .measurement import DetectorSpec, _rng, ideal_draws
 
 
 # ---------------------------------------------------------------------------
@@ -170,37 +172,22 @@ def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
 # linear scheme: n_hat = |alpha|^2/g^2 - 1
 # ---------------------------------------------------------------------------
 
-def ideal_heterodyne_draws(state: State, n: int, rng: np.random.Generator,
-                           step: float = 0.05) -> np.ndarray:
-    """Draws from the Husimi density by grid inverse-CDF with in-cell jitter."""
-    dim = state.space.dim
-    half = math.sqrt(dim) + 4.0
-    axis = np.arange(-half, half + step / 2, step)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    betas = (gx + 1j * gy).ravel()
-    q = husimi_values(state, betas)
-    cdf = np.cumsum(q)
-    cdf /= cdf[-1]
-    cells = np.searchsorted(cdf, rng.random(n), side="right").clip(0, betas.size - 1)
-    jit = rng.uniform(-step / 2, step / 2, size=(n, 2))
-    return betas[cells] + jit[:, 0] + 1j * jit[:, 1]
-
-
 def linear_heterodyne_samples(plan: TrialPlan) -> np.ndarray:
     """Heterodyne outcomes after phase-preserving amplification.
 
-    alpha = g * (Husimi draw of the input) + detector noise. The amplifier
-    adds no further term: with a vacuum internal mode the output Husimi
-    density is exactly the input one rescaled by the gain, Q_out(alpha) =
-    Q_in(alpha/g)/g^2, so the antinormally ordered extra quantum is already
-    in the Husimi draw. Validated against two-mode squeezer evolution in the
-    tests.
+    alpha = g * (Husimi draw of the input, :func:`measurement.ideal_draws`)
+    + detector noise. The amplifier adds no further term: with a vacuum
+    internal mode the output Husimi density is exactly the input one
+    rescaled by the gain, Q_out(alpha) = Q_in(alpha/g)/g^2, so the
+    antinormally ordered extra quantum is already in the Husimi draw.
+    Validated against two-mode squeezer evolution in the tests. An input
+    holding more than 1e-6 at its cutoff raises TruncationError.
     """
     amp = plan.amplifier
     if amp.meter.kind != "vacuum":
         raise ValueError("linear-scheme sampling shortcut assumes a vacuum internal mode")
     rng = _rng(plan.seed)
-    ideal = ideal_heterodyne_draws(plan.input_state, plan.trials, rng)
+    ideal = ideal_draws(plan.input_state, "heterodyne", plan.trials, rng)
     alpha = amp.g * ideal
     s2 = plan.detector.sigma2
     if s2 > 0:

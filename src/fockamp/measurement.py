@@ -31,6 +31,8 @@ from .fock import (FockSpace, Operator, SpectralDecomposition, State,
 
 HOMODYNE_YGRID_STEP = 0.005
 HOMODYNE_YGRID_RANGE = 10.0
+# betas per overlap-matrix block in husimi_values
+HUSIMI_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +423,8 @@ def coarse_grain(povm, regions: DecisionRegions) -> list[Operator]:
     Closed-form POVMs with collinear cluster centers use exact error-function
     slab integrals (the orthogonal Gaussian direction integrates to one), so
     no grid error enters. Numeric grids are summed with their cell measure
-    after a coverage check of five nominal widths beyond the extreme centers.
+    after a coverage check of five nominal widths beyond the extreme centers,
+    on the real axis and, for complex outcomes, on the imaginary axis too.
     """
     if isinstance(povm, ClosedFormPovm):
         return _coarse_grain_closed(povm, regions)
@@ -429,13 +432,14 @@ def coarse_grain(povm, regions: DecisionRegions) -> list[Operator]:
         raise CoverageError("numeric coarse graining needs a grid with a measure")
     if povm.width2 is not None and regions.n_regions > 0:
         w = math.sqrt(povm.width2)
-        lo_needed = regions.centers.real.min() - 5 * w
-        hi_needed = regions.centers.real.max() + 5 * w
         pts = np.atleast_1d(povm.outcomes)
-        if pts.real.min() > lo_needed or pts.real.max() < hi_needed:
-            raise CoverageError(
-                f"grid [{pts.real.min():.2f}, {pts.real.max():.2f}] does not cover "
-                f"regions to 5 widths [{lo_needed:.2f}, {hi_needed:.2f}]")
+        for part in (np.real,) if povm.model == "homodyne" else (np.real, np.imag):
+            lo, hi = part(pts).min(), part(pts).max()
+            need = part(regions.centers).min() - 5 * w, part(regions.centers).max() + 5 * w
+            if lo > need[0] or hi < need[1]:
+                raise CoverageError(
+                    f"grid {part.__name__} extent [{lo:.2f}, {hi:.2f}] does not "
+                    f"cover regions to 5 widths [{need[0]:.2f}, {need[1]:.2f}]")
     idx = regions.assign(povm.outcomes)
     d = povm.space.dim
     out = [np.zeros((d, d), dtype=complex) for _ in range(regions.n_regions)]
@@ -504,31 +508,34 @@ def _coherent_overlap_matrix(dim: int, betas: np.ndarray) -> np.ndarray:
 
 
 def husimi_values(state: State, betas: np.ndarray) -> np.ndarray:
-    """Q(beta) = <beta|rho|beta>/pi, vectorized over a flat array of betas."""
+    """Q(beta) = <beta|rho|beta>/pi over a flat array of betas.
+
+    The dim x n overlap matrix is built HUSIMI_BLOCK betas at a time, so
+    memory stays bounded however fine the grid.
+    """
     dim = state.space.dim
-    c = _coherent_overlap_matrix(dim, np.asarray(betas, dtype=complex))
-    if state.kind == "ket":
-        amp = c.conj().T @ state.data
-        return np.abs(amp) ** 2 / math.pi
-    q = np.einsum("mg,mn,ng->g", c.conj(), state.data, c, optimize=True)
-    return np.real(q) / math.pi
+    betas = np.asarray(betas, dtype=complex)
+    q = np.empty(betas.shape[0])
+    for lo in range(0, betas.shape[0], HUSIMI_BLOCK):
+        c = _coherent_overlap_matrix(dim, betas[lo:lo + HUSIMI_BLOCK])
+        if state.kind == "ket":
+            q[lo:lo + HUSIMI_BLOCK] = np.abs(c.conj().T @ state.data) ** 2
+        else:
+            q[lo:lo + HUSIMI_BLOCK] = np.real(np.einsum(
+                "mg,mn,ng->g", c.conj(), state.data, c, optimize=True))
+    return q / math.pi
 
 
-def _inverse_cdf_draw(rng, weights: np.ndarray, n: int) -> np.ndarray:
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    return np.searchsorted(cdf, rng.random(n), side="right").clip(0, len(weights) - 1)
+def ideal_draws(state: State, kind: str, n: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """n noise-free outcomes of an ideal heterodyne or homodyne detector.
 
-
-def sample_outcomes(state: State, detector: DetectorSpec, n: int,
-                    seed: int) -> np.ndarray:
-    """n detector outcomes for a single-mode state; deterministic given seed.
-
-    Ideal outcomes come from a grid inverse-CDF of the Husimi density
-    (heterodyne, square grid |Re|,|Im| <= sqrt(dim)+4, step 0.05) or of the
-    position density (homodyne, same range and step), with uniform jitter
-    inside each cell; detector noise of per-axis variance sigma^2/2 is added
-    on top.
+    A grid inverse-CDF of the Husimi density (heterodyne, square grid
+    |Re|,|Im| <= sqrt(dim)+4, step 0.05) or of the position density
+    (homodyne, same range and step), with uniform jitter inside each cell.
+    Draws ``rng.random(n)``, then the jitter. A state holding more than
+    1e-6 at its cutoff raises TruncationError, since the grid would miss
+    the mass beyond it.
     """
     if state.space.n_modes != 1:
         raise DimensionMismatch("sampler wants a single-mode state")
@@ -537,25 +544,38 @@ def sample_outcomes(state: State, detector: DetectorSpec, n: int,
         raise TruncationError(
             f"state holds {top:.2e} probability at its cutoff; the outcome "
             "grid would miss mass beyond it")
-    rng = _rng(seed)
-    dim = state.space.dim
-    half = math.sqrt(dim) + 4.0
+    half = math.sqrt(state.space.dim) + 4.0
     step = 0.05
-    axis = np.arange(-half, half + step / 2, step)
+    points = np.arange(-half, half + step / 2, step)
+    if kind == "heterodyne":
+        gx, gy = np.meshgrid(points, points, indexing="ij")
+        points = (gx + 1j * gy).ravel()
+        q = husimi_values(state, points)
+    else:
+        q = np.abs(quadrature_amplitudes(state, points)) ** 2 \
+            if state.kind == "ket" else np.real(quadrature_amplitudes(state, points))
+    cdf = np.cumsum(q)
+    cdf /= cdf[-1]
+    cells = np.searchsorted(cdf, rng.random(n), side="right").clip(0, points.size - 1)
+    if kind == "heterodyne":
+        jit = rng.uniform(-step / 2, step / 2, size=(n, 2))
+        return points[cells] + jit[:, 0] + 1j * jit[:, 1]
+    return points[cells] + rng.uniform(-step / 2, step / 2, size=n)
+
+
+def sample_outcomes(state: State, detector: DetectorSpec, n: int,
+                    seed: int) -> np.ndarray:
+    """n detector outcomes for a single-mode state; deterministic given seed.
+
+    Ideal outcomes come from :func:`ideal_draws`; detector noise of per-axis
+    variance sigma^2/2 is added on top.
+    """
+    rng = _rng(seed)
+    ideal = ideal_draws(state, detector.kind, n, rng)
     sig = math.sqrt(detector.sigma2 / 2.0)
     if detector.kind == "heterodyne":
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        betas = (gx + 1j * gy).ravel()
-        q = husimi_values(state, betas)
-        cells = _inverse_cdf_draw(rng, q, n)
-        jit = rng.uniform(-step / 2, step / 2, size=(n, 2))
-        ideal = betas[cells] + jit[:, 0] + 1j * jit[:, 1]
         noise = rng.normal(0.0, 1.0, size=(n, 2)) * sig
         return ideal + noise[:, 0] + 1j * noise[:, 1]
-    q = np.abs(quadrature_amplitudes(state, axis)) ** 2 if state.kind == "ket" \
-        else np.real(quadrature_amplitudes(state, axis))
-    cells = _inverse_cdf_draw(rng, q, n)
-    ideal = axis[cells] + rng.uniform(-step / 2, step / 2, size=n)
     return ideal + rng.normal(0.0, 1.0, size=n) * sig
 
 

@@ -401,17 +401,23 @@ def _snr():
 
 
 def run_all(extra_checks=(), out=print):
-    """Run the matrix; returns (n_pass, n_fail)."""
+    """Run the matrix; returns (n_pass, n_fail).
+
+    Warnings leave a check's verdict alone (several checks probe tight
+    truncations on purpose); their count and first message end its line.
+    """
     import warnings
     n_pass = n_fail = 0
     for name, fn in list(CHECKS) + list(extra_checks):
-        try:
-            with warnings.catch_warnings():
-                # several checks probe deliberately tight truncations
-                warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
                 ok, detail = fn()
-        except Exception as exc:  # surfaced as a failing check, not a crash
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
+            except Exception as exc:  # surfaced as a failing check, not a crash
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+        if caught:
+            detail += (f" [{len(caught)} warning{'s' * (len(caught) > 1)}: "
+                       f"{caught[0].message}]")
         n_pass += ok
         n_fail += not ok
         out(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")

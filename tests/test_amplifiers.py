@@ -343,8 +343,17 @@ def test_added_noise_gain_independent_squeezed_meter():
     assert abs(vals[0] - 0.5 * math.exp(-0.6)) < 1e-4
 
 
+def _mixed_state(sp, support, rank, seed):
+    """Random density matrix of the given rank on the lowest ``support`` levels."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((sp.dim, rank), dtype=complex)
+    a[:support] = rng.normal(size=(support, rank)) + 1j * rng.normal(size=(support, rank))
+    rho = a @ a.conj().T
+    return State(sp, "density", rho / np.trace(rho).real)
+
+
 def test_spectral_route_matches_dense_route():
-    # oracle: the dense composite unitary applied to input (x) vacuum meter
+    # oracle: the dense composite unitary applied to input (x) meter
     sp = FockSpace(6)
     st = State(sp, "ket", np.array([0.8, 0.0, 0.6j, 0.0, 0.0, 0.0]))
     joint = tensor(st, vacuum_state(FockSpace(64))).data
@@ -354,6 +363,18 @@ def test_spectral_route_matches_dense_route():
         spectral = simulate_output_state(spec, st, dims=(64,))
         fid = abs(np.vdot(dense, spectral.data))
         assert abs(fid - 1.0) < 1e-10
+    # density inputs supported below the signal cutoff, against U (rho (x) sigma) U^dag
+    rho = _mixed_state(sp, 4, 3, 0)
+    for spec, unitary in (
+            (TwoModeNormalAmp(number_op(sp), 1.2), two_mode_unitary),
+            (VonNeumannAmp(number_op(sp), 1.2), von_neumann_unitary),
+            (TwoModeNormalAmp(number_op(sp), 0.8, Meter("squeezed", 0.4)),
+             two_mode_unitary)):
+        u = unitary(spec.f, spec.g, (6, 64)).matrix
+        dense = u @ tensor(rho, spec.meter.state(64)).data @ u.conj().T
+        spectral = simulate_output_state(spec, rho, dims=(64,))
+        assert spectral.kind == "density"
+        assert np.abs(spectral.data - dense).max() < 1e-12
 
 
 def test_spectral_route_three_mode_matches_dense():
@@ -362,9 +383,14 @@ def test_spectral_route_three_mode_matches_dense():
     spec = ThreeModeAmp(f, 0.5)
     st = State(sp, "ket", np.array([0.6, 0.48j, 0.64, 0.0]))
     vac = vacuum_state(FockSpace(24))
-    dense = three_mode_unitary(f, 0.5, (4, 24, 24)).matrix @ tensor(st, vac, vac).data
+    w = three_mode_unitary(f, 0.5, (4, 24, 24)).matrix
+    dense = w @ tensor(st, vac, vac).data
     spectral = simulate_output_state(spec, st, dims=(24, 24))
     assert abs(abs(np.vdot(dense, spectral.data)) - 1.0) < 1e-10
+    rho = _mixed_state(sp, 3, 2, 1)
+    dense = w @ tensor(rho, vac, vac).data @ w.conj().T
+    spectral = simulate_output_state(spec, rho, dims=(24, 24))
+    assert np.abs(spectral.data - dense).max() < 1e-12
 
 
 @pytest.mark.parametrize("make_input", [

@@ -10,8 +10,9 @@ from fockamp import (DetectorSpec, FockSpace, LinearAmp, TrialPlan,
                      run_linear_number_estimation, run_nonlinear_estimation,
                      run_plan, simulate_output_state, snr_report, tensor,
                      vacuum_state, von_neumann_unitary)
-from fockamp.errors import GainOutOfRange
-from fockamp.estimators import nonlinear_meter_x_samples
+from fockamp.errors import GainOutOfRange, TruncationError
+from fockamp.estimators import (linear_heterodyne_samples,
+                                nonlinear_meter_x_samples)
 from fockamp.fock import State, partial_trace, quadrature_amplitudes
 
 
@@ -176,6 +177,15 @@ def test_linear_sampler_matches_two_mode_squeezer():
     q_out = husimi_values(rho_a, pts)
     q_in = husimi_values(st, pts / g) / g ** 2
     assert np.abs(q_out - q_in).max() < 1e-7
+
+
+def test_linear_sampler_rejects_cutoff_heavy_state():
+    # the Husimi grid of the input would miss the mass beyond its cutoff
+    sp = FockSpace(6)
+    plan = TrialPlan(LinearAmp(2.0), fock_state(sp, 5), _het(), 10, 0,
+                     "n_hat_linear")
+    with pytest.raises(TruncationError):
+        linear_heterodyne_samples(plan)
 
 
 def test_linear_rejects_small_gain():

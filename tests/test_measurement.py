@@ -405,9 +405,41 @@ def test_coverage_error_for_skimpy_grid():
         coarse_grain(grid, regions)
 
 
+def test_coverage_error_for_narrow_imaginary_extent():
+    # the real axis covers the regions; |Im| <= 0.25 is half a width, so the
+    # cells hold only ~half of each element's mass
+    sp = FockSpace(3)
+    det = DetectorSpec("heterodyne", 1.0)
+    spec = TwoModeNormalAmp(number_op(sp), 2.0)
+    step = 0.0625
+    axis_re = np.arange(-3.0, 5.0, step) + step / 2
+    axis_im = np.arange(-0.25, 0.25, step) + step / 2
+    gr, gi = np.meshgrid(axis_re, axis_im, indexing="ij")
+    grid = effective_povm_numeric(spec, det, (gr + 1j * gi).ravel())
+    grid.measure = step * step
+    assert math.sqrt(grid.width2) == pytest.approx(0.5)
+    regions = DecisionRegions.from_decomposition(normal_decompose(number_op(sp)))
+    with pytest.raises(CoverageError, match="imag"):
+        coarse_grain(grid, regions)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
+
+def test_heterodyne_sampler_memory_is_bounded():
+    # dim 64 puts 231,361 betas on the grid; the Husimi density is evaluated
+    # in blocks, not through one dim x grid overlap matrix (~237 MB)
+    import tracemalloc
+    st = coherent_state(FockSpace(64), 1.0)
+    tracemalloc.start()
+    try:
+        sample_outcomes(st, DetectorSpec("heterodyne", 1.0), 1000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
 
 def test_heterodyne_sampler_moments():
     sp = FockSpace(16)
