@@ -34,6 +34,7 @@ from .fock import (FockSpace, Operator, SpectralDecomposition, State,
                    variance)
 
 METER_DIM_CAP = 4096
+METER_DIM_FLOOR = 24
 # probability (or mean quanta) a meter may lose to its truncation
 TRUNCATION_TOL = 1e-6
 
@@ -263,29 +264,31 @@ def _f_of_x_operator(f_of_x, space: FockSpace) -> tuple[Operator, SpectralDecomp
 # unitaries
 # ---------------------------------------------------------------------------
 
-def meter_dim_for(g: float, f_max: float, cap: int = METER_DIM_CAP,
-                  floor: int = 24, meter: Meter | None = None,
+def meter_dim_for(g: float, f_max: float, meter: Meter | None = None,
                   alphas=()) -> int:
     """Meter truncation that holds a displacement of size g*f_max: (g f_max + 6)^2.
 
-    Given the ``meter`` preparation and the displacements ``alphas`` it
-    undergoes, that size stays wherever the meter fits there: its own
-    tail holds at most 1e-6 quanta (:meth:`Meter.fock_levels`) and no
-    displaced copy D(alpha)|meter> puts more than 1e-6 on the cutoff.
-    Otherwise (strongly squeezed meters) the meter's own levels are added
-    on top of the displacement's. Displaced copies are probed only for
-    meters that need more than one level: at this size a displaced vacuum
-    leaves at most ~1e-34 on the cutoff (|alpha| up to the cap).
+    The size is at least METER_DIM_FLOOR. Given the ``meter`` preparation
+    and the displacements ``alphas`` it undergoes, that size stays wherever
+    the meter fits there: its own tail holds at most 1e-6 quanta
+    (:meth:`Meter.fock_levels`) and no displaced copy D(alpha)|meter> puts
+    more than 1e-6 on the cutoff. Otherwise (strongly squeezed meters) the
+    meter's own levels are added on top of the displacement's. Displaced
+    copies are probed only for meters that need more than one level: at
+    this size a displaced vacuum leaves at most ~1e-34 on the cutoff
+    (|alpha| up to METER_DIM_CAP). Sizes past METER_DIM_CAP raise
+    TruncationError.
     """
-    need = max(floor, int(math.ceil((g * f_max + 6.0) ** 2)))
-    if meter is not None and need <= cap:
+    need = max(METER_DIM_FLOOR, int(math.ceil((g * f_max + 6.0) ** 2)))
+    if meter is not None and need <= METER_DIM_CAP:
         levels = meter.fock_levels()
         if levels > need or (levels > 1 and _cutoff_occupancy(
                 meter.state(need), alphas) > TRUNCATION_TOL):
             need += levels
-    if need > cap:
+    if need > METER_DIM_CAP:
         raise TruncationError(
-            f"meter would need dim {need} > cap {cap} for displacement {g * f_max:.1f}")
+            f"meter would need dim {need} > cap {METER_DIM_CAP} for "
+            f"displacement {g * f_max:.1f}")
     return need
 
 
@@ -506,52 +509,81 @@ def displaced_meter_ket(meter_state: State, alpha: complex) -> np.ndarray:
     return out / np.linalg.norm(out)
 
 
-def _default_meter_states(spec, input_a: State, dims):
-    """Meter states at explicit or auto-sized truncations.
+def meter_table(spec) -> list:
+    """(meter, part) for each meter of a nonlinear variant.
 
-    Auto-sizing counts each meter's preparation as well as the conditional
-    displacements of :func:`_spectral_output` (see :func:`meter_dim_for`).
+    On the eigenspace of f with eigenvalue lam the coupling displaces each
+    meter by a drive times ``part(lam)``: the whole eigenvalue for the
+    two-mode coupling, its real part for the von Neumann coupling, and its
+    real and imaginary parts on the b and c meters for the three-mode one.
     """
-    if isinstance(spec, LinearAmp):
-        db = dims[0] if dims else input_a.space.dim
-        return [spec.meter.state(db)]
-    if not isinstance(spec, (TwoModeNormalAmp, VonNeumannAmp, ThreeModeAmp)):
-        raise TypeError(f"no meters for {type(spec)!r}")
-    lam = normal_decompose(spec.f).eigenvalues
-    if isinstance(spec, (TwoModeNormalAmp, VonNeumannAmp)):
-        db = dims[0] if dims else meter_dim_for(
-            spec.g, float(np.abs(lam).max()), meter=spec.meter, alphas=spec.g * lam)
-        return [spec.meter.state(db)]
-    if dims:
-        db, dc = dims
-    else:
-        db = meter_dim_for(spec.g, float(np.abs(lam.real).max()),
-                           meter=spec.meter_b, alphas=spec.g * lam.real)
-        dc = meter_dim_for(spec.g, float(np.abs(lam.imag).max()),
-                           meter=spec.meter_c, alphas=spec.g * lam.imag)
-    return [spec.meter_b.state(db), spec.meter_c.state(dc)]
+    if isinstance(spec, TwoModeNormalAmp):
+        return [(spec.meter, np.asarray)]
+    if isinstance(spec, VonNeumannAmp):
+        return [(spec.meter, np.real)]
+    if isinstance(spec, ThreeModeAmp):
+        return [(spec.meter_b, np.real), (spec.meter_c, np.imag)]
+    raise TypeError(f"no meters for {type(spec)!r}")
+
+
+def prepare_meters(spec, drive: float, dims=None) -> list[State]:
+    """The meters of :func:`meter_table` at ``dims``, auto-sized if not given.
+
+    Auto-sizing holds each meter's preparation and its displacements
+    ``drive * part(lam)`` over the spectrum of f (:func:`meter_dim_for`).
+    A meter whose truncation drops more than TRUNCATION_TOL of its norm
+    raises TruncationError instead of being renormalized.
+    """
+    table = meter_table(spec)
+    if not dims:
+        lam = normal_decompose(spec.f).eigenvalues
+        dims = [meter_dim_for(spec.g, float(np.abs(part(lam)).max()), meter=m,
+                              alphas=drive * part(lam)) for m, part in table]
+    states = [m.state(d) for (m, _), d in zip(table, dims, strict=True)]
+    for st in states:
+        if st.norm_defect > TRUNCATION_TOL:
+            raise TruncationError(
+                f"meter truncated at dim {st.space.dim} drops {st.norm_defect:.2e} "
+                f"of its norm (> {TRUNCATION_TOL:.0e}); enlarge the meter")
+    return states
+
+
+def displaced_rows(meter: State, alphas) -> np.ndarray:
+    """Rows D(alpha)|meter>, one per alpha; reject any that put more than
+    TRUNCATION_TOL on the meter's cutoff."""
+    chi = np.array([displaced_meter_ket(meter, a) for a in alphas])
+    worst = float(np.max(np.abs(chi[:, -1]) ** 2))
+    if worst > TRUNCATION_TOL:
+        raise TruncationError(
+            f"a displaced meter holds {worst:.2e} at its cutoff (dim "
+            f"{meter.space.dim}, > {TRUNCATION_TOL:.0e}); enlarge the meter")
+    return chi
 
 
 def simulate_output_state(spec, input_a: State, dims=None,
                           apply_swap: bool = False) -> State:
     """Evolve input (x) meters under the amplifier unitary and return the composite.
 
-    The meters are prepared at ``dims`` (auto-sized if None). Kets and
-    density matrices of the nonlinear variants alike are assembled from
-    conditional meter displacements in the signal eigenbasis
-    (:func:`_spectral_output`); the linear amplifier applies its two-mode
-    squeezer. ``apply_swap`` exchanges modes 0 and 1 afterwards for the
-    two-mode variants (needs equal dims).
+    The meters of a nonlinear variant come from :func:`prepare_meters` at
+    ``dims`` (auto-sized if None, driven at g), and kets and density
+    matrices alike are assembled from conditional meter displacements in
+    the signal eigenbasis (:func:`_spectral_output`); the linear amplifier
+    applies its two-mode squeezer to its meter at ``dims`` (the signal
+    dimension if None). A meter that drops more than 1e-6 of its norm, a
+    displaced meter of a populated eigenvector that puts more than 1e-6 on
+    its cutoff, and an output holding more than 1e-6 on any mode's cutoff
+    raise TruncationError. ``apply_swap`` exchanges modes 0 and 1 afterwards
+    for the two-mode variants (needs equal dims).
     """
     if isinstance(spec, SingleModeAmp):
         raise TypeError("single-mode variant has no internal mode; "
                         "use single_mode_output_moments / single_mode_output_ops")
-    meters = _default_meter_states(spec, input_a, dims)
     if isinstance(spec, LinearAmp):
-        u = linear_amp_unitary(spec.g, (input_a.space.dim, meters[0].space.dim))
-        out = _apply_unitary(u, tensor(input_a, *meters))
+        meter = spec.meter.state(dims[0] if dims else input_a.space.dim)
+        u = linear_amp_unitary(spec.g, (input_a.space.dim, meter.space.dim))
+        out = _apply_unitary(u, tensor(input_a, meter))
     else:
-        out = _spectral_output(spec, input_a, meters)
+        out = _spectral_output(spec, input_a, prepare_meters(spec, spec.g, dims))
 
     _check_top_occupancy(out)
     if apply_swap:
@@ -588,26 +620,25 @@ def _spectral_output(spec, input_a: State, meters) -> State:
 
     U acts on the eigenspace of f with eigenvalue lam_i as a meter
     displacement, so it maps e_i (x) meters to the column y_i = e_i (x) chi_i,
-    with chi_i = D(g lam_i)|m> for the two-mode and von Neumann couplings and
-    D(g Re lam_i)|m_b> (x) D(g Im lam_i)|m_c> for the three-mode coupling.
-    In the eigenbasis (c = V^dag psi, rho' = V^dag rho V) the output is Y c
-    for a ket and Y rho' Y^dag for a density matrix. Eigenvectors the input
-    does not populate (|c_i|^2 or rho'_ii below 1e-32) are skipped; for a
-    density this is exact, since rho' is positive semidefinite.
+    where chi_i is the product over :func:`meter_table` of the displaced
+    meters D(g part(lam_i))|m>. In the eigenbasis (c = V^dag psi,
+    rho' = V^dag rho V) the output is Y c for a ket and Y rho' Y^dag for a
+    density matrix. Eigenvectors the input does not populate (|c_i|^2 or
+    rho'_ii below 1e-32) are skipped; for a density this is exact, since
+    rho' is positive semidefinite.
     """
     dec = normal_decompose(spec.f)
-    v, g, ket = dec.eigenvectors, spec.g, input_a.kind == "ket"
+    v, ket = dec.eigenvectors, input_a.kind == "ket"
     c = v.conj().T @ input_a.data if ket else v.conj().T @ input_a.data @ v
     keep = np.flatnonzero((np.abs(c) ** 2 if ket else np.real(np.diag(c))) >= 1e-32)
     c = c[keep] if ket else c[np.ix_(keep, keep)]
-    if isinstance(spec, ThreeModeAmp):
-        chi = [np.kron(displaced_meter_ket(meters[0], g * np.real(lam)),
-                       displaced_meter_ket(meters[1], g * np.imag(lam)))
-               for lam in dec.eigenvalues[keep]]
-    else:
-        chi = [displaced_meter_ket(meters[0], g * lam) for lam in dec.eigenvalues[keep]]
+    lam = dec.eigenvalues[keep]
+    chi = np.ones((keep.size, 1))
+    for (_, part), meter in zip(meter_table(spec), meters):
+        rows = displaced_rows(meter, spec.g * part(lam))
+        chi = (chi[:, :, None] * rows[:, None, :]).reshape(keep.size, -1)
     # y[(a, m), i] = v[a, i] chi_i[m]
-    y = (v[:, None, keep] * np.transpose(chi)).reshape(-1, keep.size)
+    y = (v[:, None, keep] * chi.T).reshape(-1, keep.size)
     space = FockSpace((input_a.space.dim,) + tuple(m.space.dim for m in meters))
     defect = input_a.norm_defect + sum(m.norm_defect for m in meters)
     if ket:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .amplifiers import (TRUNCATION_TOL, ThreeModeAmp, TwoModeNormalAmp,
-                         VonNeumannAmp, displaced_meter_ket, meter_dim_for)
+from .amplifiers import (ThreeModeAmp, TwoModeNormalAmp, VonNeumannAmp,
+                         displaced_rows, meter_table, prepare_meters)
 from .errors import CoverageError, DimensionMismatch, TruncationError
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
                    hermite_functions, normal_decompose, quadrature_amplitudes)
@@ -149,10 +149,6 @@ class PovmGrid:
         total = sum(self.elements) * self.measure
         return float(np.abs(total - np.eye(self.space.dim)).max())
 
-    def min_eigenvalue(self) -> float:
-        return float(min(np.linalg.eigvalsh((e + e.conj().T) / 2).min()
-                         for e in self.elements))
-
     def max_offdiagonal(self, basis: np.ndarray) -> float:
         """Largest off-diagonal element magnitude in the given eigenbasis."""
         worst = 0.0
@@ -206,18 +202,10 @@ class ClosedFormPovm:
         v = self.decomposition.eigenvectors
         return (v * self.weights(outcome)) @ v.conj().T
 
-    def element_operator(self, outcome) -> Operator:
-        return Operator(self.decomposition.space, self.element(outcome))
-
     def identity_residual(self) -> float:
         """The analytic outcome integral is exactly V V^dag; report its residual."""
         v = self.decomposition.eigenvectors
         return float(np.abs(v @ v.conj().T - np.eye(v.shape[0])).max())
-
-    def evaluate_grid(self, outcomes) -> PovmGrid:
-        els = [self.element(o) for o in np.atleast_1d(outcomes)]
-        return PovmGrid(np.atleast_1d(outcomes), els, self.decomposition.space,
-                        self.model, width2=self.width2)
 
 
 def effective_povm_closed_form(decomposition: SpectralDecomposition, g: float,
@@ -232,55 +220,27 @@ def effective_povm_closed_form(decomposition: SpectralDecomposition, g: float,
 # numeric sandwich
 # ---------------------------------------------------------------------------
 
+def _readout_drive(amp) -> float:
+    """Drive of the sandwich: g for heterodyne readout, g/sqrt(2) for homodyne."""
+    return amp.g if isinstance(amp, TwoModeNormalAmp) else amp.g / math.sqrt(2.0)
+
+
 def povm_meter_dims(amp) -> tuple[int, ...]:
-    """Auto-sized meter truncations of :func:`effective_povm_numeric`.
+    """Auto-sized meter truncations of :func:`effective_povm_numeric`."""
+    return tuple(m.space.dim for m in prepare_meters(amp, _readout_drive(amp)))
 
-    The meter of a two-mode amplifier is displaced by g lam, that of a von
-    Neumann amplifier (driven at g/sqrt(2)) by g lam/sqrt(2), and the two
-    three-mode meters by g Re lam/sqrt(2) and g Im lam/sqrt(2);
-    :func:`meter_dim_for` sizes each meter for its preparation and these
-    displacements.
+
+def _heterodyne_expectations(kets: np.ndarray, betas, sigma2: float) -> np.ndarray:
+    """<chi_k|M_beta|chi_k> for each outcome beta (rows) and ket chi_k (columns).
+
+    Builds one :func:`heterodyne_element` per outcome.
     """
-    lam = normal_decompose(amp.f).eigenvalues
-    g = amp.g
-    if isinstance(amp, TwoModeNormalAmp):
-        return (meter_dim_for(g, float(np.abs(lam).max()), meter=amp.meter,
-                              alphas=g * lam),)
-    s = g / math.sqrt(2.0)
-    if isinstance(amp, VonNeumannAmp):
-        return (meter_dim_for(g, float(np.abs(lam).max()), meter=amp.meter,
-                              alphas=s * lam),)
-    if isinstance(amp, ThreeModeAmp):
-        return (meter_dim_for(g, float(np.abs(lam.real).max()),
-                              meter=amp.meter_b, alphas=s * lam.real),
-                meter_dim_for(g, float(np.abs(lam.imag).max()),
-                              meter=amp.meter_c, alphas=s * lam.imag))
-    raise TypeError(f"no effective POVM for {type(amp)!r}")
-
-
-def _prepared_meters(amp, dims) -> list[State]:
-    """Meter states at ``dims`` (auto-sized if None); reject lossy truncations."""
-    preps = (amp.meter_b, amp.meter_c) if isinstance(amp, ThreeModeAmp) \
-        else (amp.meter,)
-    states = [m.state(d) for m, d in zip(preps, dims or povm_meter_dims(amp))]
-    for st in states:
-        if st.norm_defect > TRUNCATION_TOL:
-            raise TruncationError(
-                f"meter truncated at dim {st.space.dim} drops {st.norm_defect:.2e} "
-                f"of its norm (> {TRUNCATION_TOL:.0e}); enlarge the meter")
-    return states
-
-
-def _displaced_kets(meter: State, alphas) -> np.ndarray:
-    """Rows D(alpha)|meter>, one per alpha; reject any that put more than
-    the tolerance on the meter's cutoff."""
-    chi = np.array([displaced_meter_ket(meter, a) for a in alphas])
-    worst = float(np.max(np.abs(chi[:, -1]) ** 2))
-    if worst > TRUNCATION_TOL:
-        raise TruncationError(
-            f"a displaced meter holds {worst:.2e} at its cutoff (dim "
-            f"{meter.space.dim}, > {TRUNCATION_TOL:.0e}); enlarge the meter")
-    return chi
+    space = FockSpace(kets.shape[1])
+    out = []
+    for beta in betas:
+        m = heterodyne_element(beta, sigma2, space).matrix
+        out.append(np.real(np.sum(kets.conj() * (kets @ m.T), axis=1)))
+    return np.array(out)
 
 
 def _homodyne_kernel(x: float, sigma2: float, y: np.ndarray) -> np.ndarray:
@@ -318,59 +278,49 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     imaginary part of the eigenvalue, matching the closed-form records whose
     centers are the complex eigenvalues themselves.
 
-    U acts on the eigenspace of f with eigenvalue lam_k as a meter
-    displacement, so the sandwich is E = sum_k P_k <chi_k|M|chi_k> with
-    chi_k = D(g lam_k)|m> (two-mode), D(g lam_k/sqrt(2))|m> (von Neumann),
-    and the product of the b and c records of chi_bk = D(g Re lam_k/sqrt(2))|m_b>
-    and chi_ck = D(g Im lam_k/sqrt(2))|m_c> (three-mode). This is what the
-    dense sandwich with :func:`two_mode_unitary`, :func:`von_neumann_unitary`
-    or :func:`three_mode_unitary` gives.
+    U acts on the eigenspace of f with eigenvalue lam_k as a displacement of
+    each meter of :func:`amplifiers.meter_table` by the drive times its part
+    of lam_k, so the sandwich is E = sum_k P_k prod_meters g^j <chi_k|M|chi_k>
+    over the displaced meters chi_k, read at g times the same part of the
+    outcome, with j = 2 for heterodyne and j = 1 for homodyne readout. This is
+    what the dense sandwich with :func:`two_mode_unitary`,
+    :func:`von_neumann_unitary` or :func:`three_mode_unitary` gives.
 
-    ``dims`` defaults to :func:`povm_meter_dims`. A meter whose truncation
-    drops more than 1e-6 of its norm, or whose displaced copy puts more than
-    1e-6 on the cutoff, raises TruncationError instead of yielding
-    truncation-limited elements.
+    The meters come from :func:`amplifiers.prepare_meters` at ``dims``
+    (:func:`povm_meter_dims` if None), which simulation shares. A meter
+    whose truncation drops more than 1e-6 of its norm, or whose displaced
+    copy puts more than 1e-6 on the cutoff, raises TruncationError instead
+    of yielding truncation-limited elements.
 
     ``outcomes`` are rescaled (outcome/g); elements carry the matching
     Jacobian (g^2 for complex outcomes, g for real ones).
     """
     if not isinstance(amp, (TwoModeNormalAmp, VonNeumannAmp, ThreeModeAmp)):
         raise TypeError(f"no effective POVM for {type(amp)!r}")
-    expected = "heterodyne" if isinstance(amp, TwoModeNormalAmp) else "homodyne"
+    heterodyne = isinstance(amp, TwoModeNormalAmp)
+    expected = "heterodyne" if heterodyne else "homodyne"
     if detector.kind != expected:
         raise ValueError(f"{type(amp).__name__} is read out by {expected}")
     outcomes = np.atleast_1d(outcomes)
+    if isinstance(amp, VonNeumannAmp):
+        outcomes = np.real(outcomes)
     sig2 = detector.sigma2
     g = amp.g
-    s = g / math.sqrt(2.0)
+    drive = _readout_drive(amp)
     dec = normal_decompose(amp.f)
-    lam = dec.eigenvalues
-    meters = _prepared_meters(amp, dims)
-    if isinstance(amp, TwoModeNormalAmp):
-        chi = _displaced_kets(meters[0], g * lam)
-        weights = []
-        for phi in outcomes:
-            m = heterodyne_element(g * complex(phi), sig2, meters[0].space).matrix
-            weights.append(g * g * np.real(np.sum(chi.conj() * (chi @ m.T), axis=1)))
-        model = "heterodyne"
-        width2 = (sig2 + 1.0) / g ** 2
-    elif isinstance(amp, VonNeumannAmp):
-        chi = _displaced_kets(meters[0], s * lam.real)
-        outcomes = np.real(outcomes)
-        weights = g * _homodyne_expectations(chi, g * outcomes, sig2)
-        model = "homodyne"
-        width2 = (sig2 + 2.0 * amp.meter.x_variance()) / g ** 2
-    else:
-        pb = _homodyne_expectations(_displaced_kets(meters[0], s * lam.real),
-                                    g * np.real(outcomes), sig2)
-        pc = _homodyne_expectations(_displaced_kets(meters[1], s * lam.imag),
-                                    g * np.imag(outcomes), sig2)
-        weights = g * g * pb * pc
-        model = "three_mode"
-        width2 = (sig2 + 2.0 * amp.meter_b.x_variance()) / g ** 2
+    table = meter_table(amp)
+    expectations, jacobian = (_heterodyne_expectations, g * g) if heterodyne \
+        else (_homodyne_expectations, g)
+    weights = 1.0
+    for (_, part), meter in zip(table, prepare_meters(amp, drive, dims)):
+        chi = displaced_rows(meter, drive * part(dec.eigenvalues))
+        weights = weights * (jacobian * expectations(chi, g * part(outcomes), sig2))
+    model = "three_mode" if isinstance(amp, ThreeModeAmp) else expected
+    eps2 = 1.0 if heterodyne else 2.0 * table[0][0].x_variance()
     v = dec.eigenvectors
     els = [(v * w) @ v.conj().T for w in weights]
-    return PovmGrid(outcomes, els, FockSpace(v.shape[0]), model, width2=width2)
+    return PovmGrid(outcomes, els, FockSpace(v.shape[0]), model,
+                    width2=(sig2 + eps2) / g ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -190,11 +190,8 @@ def _tmu():
 
 @check("two-mode meter relation b_out = g f + b")
 def _tmb():
-    import warnings as _w
     sp = FockSpace(6)
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        u = amp.two_mode_unitary(number_op(sp), 0.8, (6, 30))
+    u = amp.two_mode_unitary(number_op(sp), 0.8, (6, 30))
     b = annihilation_op(FockSpace(30)).matrix
     big_b = np.kron(np.eye(6), b)
     lhs = u.h.matrix @ big_b @ u.matrix

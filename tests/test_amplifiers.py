@@ -469,6 +469,18 @@ def test_auto_sized_meter_counts_squeezing(cls, r):
     assert meter_dim_for(2, 3) == 144
 
 
+def test_simulation_rejects_lossy_meter():
+    # at 40 levels the r = 1.5 meter drops 5.0e-3 of its norm; renormalized,
+    # it read added noise 0.0494 where e^{-3}/2 = 0.0249 is right
+    sp = FockSpace(6)
+    spec = VonNeumannAmp(number_op(sp), 0.3, Meter("squeezed", r=1.5))
+    with pytest.warns(UserWarning, match="truncation tail"):
+        with pytest.raises(TruncationError, match="drops"):
+            simulated_output_moments(spec, fock_state(sp, 1), dims=(40,))
+    rep = simulated_output_moments(spec, fock_state(sp, 1))
+    assert abs(rep.added_noise - math.exp(-3.0) / 2) < 1e-6
+
+
 def test_auto_sizing_keeps_displacement_rule_for_fitting_meters():
     lam = np.arange(4.0)
     for g in (0.5, 1.0, 2.0):

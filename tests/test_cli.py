@@ -90,14 +90,17 @@ def test_verify_default_passes(tmp_path):
     assert "[FAIL]" not in proc.stdout
 
 
-def test_verify_reports_check_warnings(monkeypatch):
+@pytest.mark.parametrize("name", ["two-mode coupling unitarity",
+                                  "two-mode meter relation b_out = g f + b"],
+                         ids=["coupling_unitarity", "meter_relation"])
+def test_verify_reports_check_warnings(monkeypatch, name):
     # the check keeps its verdict; the truncation warning it raises is shown
     from fockamp import verify
     monkeypatch.setattr(verify, "CHECKS", [
-        c for c in verify.CHECKS if c[0] == "two-mode coupling unitarity"])
+        c for c in verify.CHECKS if c[0] == name])
     lines = []
     assert verify.run_all(out=lines.append) == (1, 0)
-    assert lines[0].startswith("[PASS] two-mode coupling unitarity: residual")
+    assert lines[0].startswith(f"[PASS] {name}: residual")
     assert "[1 warning: " in lines[0] and "truncation limited" in lines[0]
 
 
