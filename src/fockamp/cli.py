@@ -346,6 +346,10 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     nw = cfg["grid"]["n_widths"]
     ppw = cfg["grid"]["points_per_width"]
     summary = {"config": cfg, "per_gain": []}
+    # Cost no longer sets this gate: the heterodyne sandwich is one GEMM per
+    # expansion term over all outcomes. What keeps it is range: that kernel
+    # raises past ~2200-3500 meter levels (by efficiency), below the sizing
+    # cap METER_DIM_CAP = 4096, so the gate stays until the range covers it.
     numeric_limit = 2500
     for g in cfg["amplifier"]["g_list"]:
         closed = meas.effective_povm_closed_form(dec, g, detector.sigma2, model,

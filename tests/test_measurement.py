@@ -12,9 +12,11 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
                      own_region_weights, coarse_grain, sample_outcome,
                      sample_outcomes, three_mode_unitary, two_mode_unitary,
                      vacuum_state, von_neumann_unitary)
-from fockamp.errors import CoverageError, TruncationError
+from fockamp import measurement
+from fockamp.errors import CoverageError, FockampError, TruncationError
 from fockamp.amplifiers import meter_dim_for
-from fockamp.measurement import (husimi_values, povm_csv_rows, povm_meter_dims,
+from fockamp.measurement import (_heterodyne_expectations, husimi_values,
+                                 povm_csv_rows, povm_meter_dims,
                                  smeared_position_density)
 
 
@@ -84,6 +86,44 @@ def test_heterodyne_elements_psd():
     for beta, s2 in ((0.5 + 1j, 0.3), (2.0, 1.0), (-1.5j, 0.0)):
         m = heterodyne_element(beta, s2, sp).matrix
         assert np.linalg.eigvalsh((m + m.conj().T) / 2).min() > -1e-9
+
+
+@pytest.mark.parametrize("dim", [24, 81, 144])
+@pytest.mark.parametrize("sigma2", [0.0, 0.25, 1.0])
+def test_heterodyne_expectations_match_element_oracle(dim, sigma2):
+    # oracle: <chi|M_beta|chi> from one dense heterodyne_element per outcome,
+    # on kets with weight on every level so no term of the expansion is idle
+    rng = np.random.default_rng(dim)
+    kets = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    betas = 3.0 * (rng.normal(size=6) + 1j * rng.normal(size=6))
+    oracle = np.array([
+        np.real(np.sum(kets.conj() * (kets @ heterodyne_element(
+            b, sigma2, FockSpace(dim)).matrix.T), axis=1)) for b in betas])
+    got = _heterodyne_expectations(kets, betas, sigma2)
+    assert got.shape == oracle.shape
+    assert np.max(np.abs(got - oracle) / np.abs(oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("sigma2", [0.0, 1.0])
+def test_heterodyne_expectations_closed_form_at_large_amplitude(sigma2):
+    # <alpha|M_beta|alpha> = (t/pi) e^{-t|alpha-beta|^2}; at 2048 levels the
+    # terms of the expansion peak near k = s|alpha|^2 = 800 for sigma2 = 1
+    alpha = 40.0 * np.exp(0.7j)
+    ket = coherent_state(FockSpace(2048), alpha).data[None, :]
+    betas = alpha + np.array([0.0, 0.3, -0.5 + 0.2j, 1.1j, 1.5, 2.0 - 1.0j])
+    t = 1.0 / (1.0 + sigma2)
+    exact = (t / math.pi) * np.exp(-t * np.abs(alpha - betas) ** 2)
+    got = _heterodyne_expectations(ket, betas, sigma2)[:, 0]
+    assert np.max(np.abs(got - exact) / exact) < 1e-11
+
+
+def test_heterodyne_expectations_raise_past_float_range():
+    # w_k(m) = s^{k/2} sqrt(binom(m, k)) overflows near 3500 levels at sigma2 = 1
+    alpha = 55.0 * np.exp(0.7j)
+    ket = coherent_state(FockSpace(3600), alpha).data[None, :]
+    with pytest.raises(FockampError, match="overflows"):
+        _heterodyne_expectations(ket, alpha + np.array([0.0, 0.5]), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +274,42 @@ def test_homodyne_numeric_povm_at_high_gain():
               for o, e in zip(pts, grid.elements))
     assert dev < 1e-9
     assert grid.identity_residual() < 1e-9
+
+
+def test_heterodyne_numeric_povm_at_high_gain():
+    # at g = 4 the meter is displaced to g lam = 12 on 324 levels, where the
+    # expansion terms peak near k = s|alpha|^2 = 72: every term counts
+    sp = FockSpace(4)
+    f = number_op(sp)
+    dec = normal_decompose(f)
+    g = 4.0
+    det = DetectorSpec("heterodyne", 0.5)
+    closed = effective_povm_closed_form(dec, g, det.sigma2, "heterodyne")
+    w = math.sqrt(closed.width2)
+    pts = (3.0 + w * np.linspace(-3, 3, 5)[:, None]
+           + 1j * w * np.array([-1.5, -0.4, 0.6, 2.0])[None, :]).ravel()
+    grid = effective_povm_numeric(TwoModeNormalAmp(f, g), det, pts)
+    dev = max(float(np.abs(e - closed.element(o)).max())
+              for o, e in zip(pts, grid.elements))
+    assert dev < 1e-9
+
+
+def test_numeric_povm_builds_no_heterodyne_element(monkeypatch):
+    # heterodyne_element is the single-outcome oracle, not a production path
+    calls = []
+    oracle = measurement.heterodyne_element
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "heterodyne_element", counted)
+    f = number_op(FockSpace(4))
+    pts = np.array([0.2 + 0.1j, 1.0, 1.7 - 0.4j, 3.2 + 0.5j])
+    grid = effective_povm_numeric(TwoModeNormalAmp(f, 1.0),
+                                  DetectorSpec("heterodyne", 0.5), pts)
+    assert len(grid.elements) == pts.size
+    assert calls == []
 
 
 @pytest.mark.parametrize("variant", ["two_mode", "von_neumann"])
