@@ -139,20 +139,39 @@ def homodyne_element(x: float, sigma2: float, space: FockSpace,
 
 @dataclass
 class PovmGrid:
-    """Explicit POVM elements on the signal space, one per (rescaled) outcome."""
+    """Numeric effective POVM on a grid of (rescaled) outcomes, in spectral form.
+
+    Every element is diagonal in the eigenbasis V of f by construction, so the
+    grid stores V (``decomposition``) and the (n_outcomes, d) weight table:
+    E(outcomes[j]) = V diag(weights[j]) V^dag, as :class:`ClosedFormPovm`
+    stores its Gaussians. ``elements`` builds the dense matrices on demand.
+    """
 
     outcomes: np.ndarray            # complex (heterodyne/three_mode) or real
-    elements: list                  # np.ndarray per outcome
-    space: FockSpace
+    decomposition: SpectralDecomposition
+    weights: np.ndarray             # (n_outcomes, d), per eigenvector
     model: str                      # heterodyne | homodyne | three_mode
+    width2: float                   # nominal Gaussian width of the elements
     measure: float | None = None    # cell measure per grid point
-    width2: float | None = None     # nominal Gaussian width of the elements
+
+    @property
+    def space(self) -> FockSpace:
+        return self.decomposition.space
+
+    @property
+    def elements(self) -> list:
+        """Dense element per outcome, V diag(weights[j]) V^dag."""
+        v = self.decomposition.eigenvectors
+        return [(v * w) @ v.conj().T for w in self.weights]
 
     def identity_residual(self) -> float:
+        """Max-norm residual of V diag(measure sum_j weights[j]) V^dag
+        against 1, which includes the residual of the eigenbasis itself."""
         if self.measure is None:
             raise ValueError("grid carries no cell measure")
-        total = sum(self.elements) * self.measure
-        return float(np.abs(total - np.eye(self.space.dim)).max())
+        v = self.decomposition.eigenvectors
+        total = (v * (self.measure * sum(self.weights))) @ v.conj().T
+        return float(np.abs(total - np.eye(v.shape[0])).max())
 
     def max_offdiagonal(self, basis: np.ndarray) -> float:
         """Largest off-diagonal element magnitude in the given eigenbasis.
@@ -333,7 +352,7 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     copy puts more than 1e-6 on the cutoff, raises TruncationError instead
     of yielding truncation-limited elements.
 
-    ``outcomes`` are rescaled (outcome/g); elements carry the matching
+    ``outcomes`` are rescaled (outcome/g); the weights carry the matching
     Jacobian (g^2 for complex outcomes, g for real ones).
     """
     if not isinstance(amp, (TwoModeNormalAmp, VonNeumannAmp, ThreeModeAmp)):
@@ -358,10 +377,7 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
         weights = weights * (jacobian * expectations(chi, g * part(outcomes), sig2))
     model = "three_mode" if isinstance(amp, ThreeModeAmp) else expected
     eps2 = 1.0 if heterodyne else 2.0 * table[0][0].x_variance()
-    v = dec.eigenvectors
-    els = [(v * w) @ v.conj().T for w in weights]
-    return PovmGrid(outcomes, els, FockSpace(v.shape[0]), model,
-                    width2=(sig2 + eps2) / g ** 2)
+    return PovmGrid(outcomes, dec, weights, model, (sig2 + eps2) / g ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -394,91 +410,74 @@ class DecisionRegions:
 
 def _collinear_axis(centers: np.ndarray):
     """Unit direction if all centers lie on one line in C, else None."""
-    if len(centers) <= 1:
-        return complex(1.0)
-    c0 = centers[0]
-    rel = centers - c0
+    rel = centers - centers[0]
     scale = np.abs(rel).max()
     if scale == 0:
         return complex(1.0)
-    u = rel[np.argmax(np.abs(rel))] / np.abs(rel[np.argmax(np.abs(rel))])
-    perp = np.abs(np.imag(rel * np.conj(u)))
-    if perp.max() > 1e-9 * max(1.0, scale):
+    u = rel[np.argmax(np.abs(rel))] / scale
+    if np.abs(np.imag(rel * np.conj(u))).max() > 1e-9 * max(1.0, scale):
         return None
     return u
 
 
-def coarse_grain(povm, regions: DecisionRegions) -> list[Operator]:
-    """One operator per decision region, summing the POVM over each cell.
-
-    Closed-form POVMs with collinear cluster centers use exact error-function
-    slab integrals (the orthogonal Gaussian direction integrates to one), so
-    no grid error enters. Numeric grids are summed with their cell measure
-    after a coverage check of five nominal widths beyond the extreme centers,
-    on the real axis and, for complex outcomes, on the imaginary axis too.
-    """
+def _region_masses(povm, regions: DecisionRegions) -> np.ndarray:
+    """(n_regions, d) table: the mass region k takes from eigenvector i's record."""
     if isinstance(povm, ClosedFormPovm):
-        return _coarse_grain_closed(povm, regions)
+        u = _collinear_axis(regions.centers)
+        if u is None:
+            raise CoverageError(
+                "exact coarse graining implemented for collinear cluster centers; "
+                "integrate a numeric grid for general complex configurations")
+        t_centers = np.real((regions.centers - regions.centers[0]) * np.conj(u))
+        t_lam = np.real((povm.decomposition.eigenvalues - regions.centers[0])
+                        * np.conj(u))
+        order = np.argsort(t_centers)
+        sorted_t = t_centers[order]
+        bounds = np.concatenate(
+            ([-np.inf], 0.5 * (sorted_t[1:] + sorted_t[:-1]), [np.inf]))
+        cdf = 0.5 * (1 + erf((bounds[:, None] - t_lam) / math.sqrt(povm.width2)))
+        mass = np.empty((regions.n_regions, t_lam.size))
+        mass[order] = np.diff(cdf, axis=0)
+        return mass
     if povm.measure is None:
         raise CoverageError("numeric coarse graining needs a grid with a measure")
-    if povm.width2 is not None and regions.n_regions > 0:
-        w = math.sqrt(povm.width2)
-        pts = np.atleast_1d(povm.outcomes)
-        for part in (np.real,) if povm.model == "homodyne" else (np.real, np.imag):
-            lo, hi = part(pts).min(), part(pts).max()
-            need = part(regions.centers).min() - 5 * w, part(regions.centers).max() + 5 * w
-            if lo > need[0] or hi < need[1]:
-                raise CoverageError(
-                    f"grid {part.__name__} extent [{lo:.2f}, {hi:.2f}] does not "
-                    f"cover regions to 5 widths [{need[0]:.2f}, {need[1]:.2f}]")
-    idx = regions.assign(povm.outcomes)
-    d = povm.space.dim
-    out = [np.zeros((d, d), dtype=complex) for _ in range(regions.n_regions)]
-    for e, k in zip(povm.elements, idx):
-        out[k] += e * povm.measure
-    return [Operator(povm.space, m) for m in out]
-
-
-def _coarse_grain_closed(povm: ClosedFormPovm, regions: DecisionRegions):
-    dec = povm.decomposition
-    lam = dec.eigenvalues
-    v = dec.eigenvectors
     w = math.sqrt(povm.width2)
-    if regions.n_regions == 1:
-        ident = v @ v.conj().T
-        return [Operator(dec.space, ident)]
-    u = _collinear_axis(regions.centers)
-    if u is None:
-        raise CoverageError(
-            "exact coarse graining implemented for collinear cluster centers; "
-            "integrate a numeric grid for general complex configurations")
-    t_centers = np.real((regions.centers - regions.centers[0]) * np.conj(u))
-    t_lam = np.real((lam - regions.centers[0]) * np.conj(u))
-    order = np.argsort(t_centers)
-    bounds = np.empty(regions.n_regions + 1)
-    bounds[0], bounds[-1] = -np.inf, np.inf
-    sorted_t = t_centers[order]
-    bounds[1:-1] = 0.5 * (sorted_t[1:] + sorted_t[:-1])
-    ops = [None] * regions.n_regions
-    for pos, region in enumerate(order):
-        lo, hi = bounds[pos], bounds[pos + 1]
-        hi_e = np.ones_like(t_lam) if np.isinf(hi) else 0.5 * (1 + erf((hi - t_lam) / w))
-        lo_e = np.zeros_like(t_lam) if np.isinf(lo) else 0.5 * (1 + erf((lo - t_lam) / w))
-        mass = hi_e - lo_e
-        ops[region] = Operator(dec.space, (v * mass) @ v.conj().T)
-    return ops
+    pts = np.atleast_1d(povm.outcomes)
+    for part in (np.real,) if povm.model == "homodyne" else (np.real, np.imag):
+        lo, hi = part(pts).min(), part(pts).max()
+        need = part(regions.centers).min() - 5 * w, part(regions.centers).max() + 5 * w
+        if lo > need[0] or hi < need[1]:
+            raise CoverageError(
+                f"grid {part.__name__} extent [{lo:.2f}, {hi:.2f}] does not "
+                f"cover regions to 5 widths [{need[0]:.2f}, {need[1]:.2f}]")
+    mass = np.zeros((regions.n_regions, povm.weights.shape[1]))
+    np.add.at(mass, regions.assign(povm.outcomes), povm.weights)
+    return mass * povm.measure
 
 
-def own_region_weights(povm: ClosedFormPovm, regions: DecisionRegions) -> np.ndarray:
-    """<e_i | Pi_own(i) | e_i> averaged over each cluster's members."""
-    ops = coarse_grain(povm, regions)
-    v = povm.decomposition.eigenvectors
-    out = np.zeros(regions.n_regions)
-    for k, members in enumerate(regions.members):
-        vals = [float(np.real(v[:, i].conj() @ ops[k].matrix @ v[:, i]))
-                for i in members]
-        out[k] = float(np.mean(vals))
-    return out
+def coarse_grain(povm, regions: DecisionRegions) -> list[Operator]:
+    """One operator per decision region, V diag(mass) V^dag in the eigenbasis.
+
+    Both POVM kinds reduce to one (regions x d) mass table. Closed-form POVMs
+    with collinear cluster centers use exact error-function slab integrals
+    (the orthogonal Gaussian direction integrates to one), so no grid error
+    enters. Numeric grids sum their weight rows over each cell with the cell
+    measure, after a coverage check of five nominal widths beyond the extreme
+    centers, on the real axis and, for complex outcomes, on the imaginary
+    axis too.
+    """
+    dec = povm.decomposition
+    v = dec.eigenvectors
+    return [Operator(dec.space, (v * m) @ v.conj().T)
+            for m in _region_masses(povm, regions)]
+
+
+def own_region_weights(povm, regions: DecisionRegions) -> np.ndarray:
+    """<e_i | Pi_own(i) | e_i> averaged over each cluster's members, read off
+    the mass table of :func:`coarse_grain`."""
+    mass = _region_masses(povm, regions)
+    return np.array([float(np.mean(mass[k, list(members)]))
+                     for k, members in enumerate(regions.members)])
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,14 @@ def test_numeric_coarse_grain_matches_exact():
     approx = coarse_grain(grid, regions)
     for a, b in zip(exact, approx):
         assert np.abs(a.matrix - b.matrix).max() < 2e-3
+    # the grid is its weight table in the eigenbasis of f, and the own-region
+    # weights read the same mass table for both POVM kinds
+    v = dec.eigenvectors
+    assert grid.weights.shape == (pts.size, 3)
+    for wt, e in zip(grid.weights, grid.elements):
+        assert np.abs(e - (v * wt) @ v.conj().T).max() < 1e-15
+    assert np.abs(own_region_weights(grid, regions)
+                  - own_region_weights(closed, regions)).max() < 2e-3
 
 
 def test_coverage_error_for_skimpy_grid():

@@ -5,7 +5,10 @@ lowest 3 levels and a random (complex, or real for the von Neumann coupling)
 spectrum in [-1, 1]^2; the cutoff level is its own eigenvector, so inputs on
 the lowest 3 levels never reach it. The simulated output is checked against
 the dense composite unitary, and the numeric heterodyne POVM of the same f
-against its closed form.
+against its closed form. The numeric POVMs of all three readouts on the
+drawn eigenbasis (heterodyne, homodyne on the Hermitian part of f, two-meter
+homodyne) are checked against their closed forms too, and their weight-table
+identity residuals against the dense sum of their elements.
 """
 import warnings
 
@@ -83,3 +86,39 @@ def test_meter_table_matches_dense_oracle_and_closed_form(case):
     closed = effective_povm_closed_form(dec, g, det.sigma2, "heterodyne")
     assert max(float(np.abs(e - closed.element(o)).max())
                for o, e in zip(pts, grid.elements)) < 1e-6
+
+
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(cases())
+def test_numeric_povm_weight_table_matches_closed_form(case):
+    # every readout on the drawn eigenbasis: heterodyne with a vacuum meter,
+    # homodyne on the Hermitian part of f (real spectrum, same eigenbasis),
+    # and two equal homodyne meters on the complex spectrum of f
+    _, f, g, meters, _ = case
+    meter = meters[0]
+    hermitian = Operator(f.space, (f.matrix + f.matrix.conj().T) / 2)
+    readouts = [(TwoModeNormalAmp(f, g), "heterodyne"),
+                (VonNeumannAmp(hermitian, g, meter), "homodyne"),
+                (ThreeModeAmp(f, g, meter, meter), "three_mode")]
+    for spec, model in readouts:
+        det = DetectorSpec("heterodyne" if model == "heterodyne" else "homodyne",
+                           0.5)
+        dec = normal_decompose(spec.f)
+        closed = effective_povm_closed_form(dec, g, det.sigma2, model,
+                                            np.sqrt(2.0 * meter.x_variance()))
+        shift = np.sqrt(closed.width2) * (0.7 - 0.5j)
+        lam = dec.eigenvalues
+        pts = np.concatenate([lam, lam + shift, lam - 2 * shift])
+        grid = effective_povm_numeric(spec, det, pts)
+        elements = grid.elements
+        assert grid.weights.shape == (pts.size, 4)
+        assert max(float(np.abs(e - closed.element(o)).max())
+                   for o, e in zip(pts, elements)) < 1e-11
+
+        # the weight-table identity residual against the dense element sum,
+        # on a basis that is not the identity
+        grid.measure = 0.05
+        dense = float(np.abs(sum(elements) * grid.measure - np.eye(4)).max())
+        assert abs(grid.identity_residual() - dense) < 1e-12
