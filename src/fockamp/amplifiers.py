@@ -354,31 +354,50 @@ def von_neumann_unitary(f: Operator, g: float, dims: tuple[int, int]) -> Operato
     return Operator(FockSpace((da, db)), expm_hermitian(h))
 
 
+def three_mode_columns(f: Operator, g: float, dims: tuple[int, int, int],
+                       keep: tuple[int, int, int]) -> np.ndarray:
+    """Columns W[:, :ka, :kb, :kc] of :func:`three_mode_unitary`, shape dims + keep.
+
+    W is assembled in the joint eigenbasis Va (x) Vb (x) Vc of (f, p_b, p_c):
+    the phase table times the conjugated kept rows of each factor, then one
+    mode product per factor. The composite-space basis is never formed, so
+    the cost and memory scale with the kept columns, not with dim^2.
+    """
+    da, db, dc = dims
+    if f.space.dim != da:
+        raise DimensionMismatch("f dim != dims[0]")
+    ka, kb, kc = keep
+    if not all(0 < k <= d for k, d in zip(keep, dims)):
+        raise DimensionMismatch(f"keep {tuple(keep)} outside dims {tuple(dims)}")
+    dec = normal_decompose(f)
+    _, pb = quadrature_ops(FockSpace(db))
+    _, pc = quadrature_ops(FockSpace(dc))
+    wb, vb = np.linalg.eigh(pb.matrix)
+    wc, vc = np.linalg.eigh(pc.matrix)
+    va = dec.eigenvectors
+    # eigenvalues of f_R, f_I on the shared eigenvectors
+    fr = np.sqrt(2.0) * np.real(dec.eigenvalues)
+    fi = np.sqrt(2.0) * np.imag(dec.eigenvalues)
+    phase = np.exp(-1j * g * (fr[:, None, None] * wb[None, :, None]
+                              + fi[:, None, None] * wc[None, None, :]))
+    rows = np.einsum("ijk,xi,yj,zk->ijkxyz", phase, va[:ka].conj(),
+                     vb[:kb].conj(), vc[:kc].conj())
+    return np.einsum("ai,bj,ck,ijkxyz->abcxyz", va, vb, vc, rows,
+                     optimize=True)
+
+
 def three_mode_unitary(f: Operator, g: float,
                        dims: tuple[int, int, int]) -> Operator:
     """W = exp(-i g (f_R p_b + f_I p_c)) with f_R, f_I from :func:`real_imag_parts`.
 
     f_R and f_I commute for normal f, so W is assembled in the joint
     eigenbasis of (f, p_b, p_c); this equals the exponential of the full
-    generator to roundoff and costs two dense products instead of a
-    composite-space eigendecomposition.
+    generator to roundoff and needs no composite-space eigendecomposition.
+    It is the full-column reshape of :func:`three_mode_columns`.
     """
-    da, db, dc = dims
-    if f.space.dim != da:
-        raise DimensionMismatch("f dim != dims[0]")
-    dec = normal_decompose(f)
-    _, pb = quadrature_ops(FockSpace(db))
-    _, pc = quadrature_ops(FockSpace(dc))
-    wb, vb = np.linalg.eigh(pb.matrix)
-    wc, vc = np.linalg.eigh(pc.matrix)
-    # eigenvalues of f_R, f_I on the shared eigenvectors
-    fr = np.sqrt(2.0) * np.real(dec.eigenvalues)
-    fi = np.sqrt(2.0) * np.imag(dec.eigenvalues)
-    phase = np.exp(-1j * g * (fr[:, None, None] * wb[None, :, None]
-                              + fi[:, None, None] * wc[None, None, :]))
-    basis = np.kron(np.kron(dec.eigenvectors, vb), vc)
-    w = (basis * phase.ravel()) @ basis.conj().T
-    return Operator(FockSpace((da, db, dc)), w)
+    n = math.prod(dims)
+    return Operator(FockSpace(tuple(dims)),
+                    three_mode_columns(f, g, dims, dims).reshape(n, n))
 
 
 def linear_amp_unitary(g: float, dims: tuple[int, int]) -> Operator:

@@ -17,7 +17,8 @@ from fockamp import (FockSpace, GainOutOfRange, LinearAmp, NotHermitian,
                      two_mode_unitary, two_mode_unitary_factored,
                      vacuum_state, von_neumann_unitary)
 from fockamp.amplifiers import (displaced_meter_ket, meter_dim_for,
-                                single_mode_commutator_residual)
+                                single_mode_commutator_residual,
+                                three_mode_columns)
 from fockamp.errors import TruncationError
 from fockamp.fock import State
 
@@ -193,8 +194,14 @@ def test_three_mode_matches_brute_force_exponential():
     pb = quadrature_ops(FockSpace(10))[1].matrix
     h = g * (np.kron(np.kron(fr.matrix, pb), np.eye(10))
              + np.kron(np.kron(fi.matrix, np.eye(10)), pb))
-    assert np.abs(w.matrix - expm(-1j * h)).max() < 1e-12
+    brute = expm(-1j * h)
+    assert np.abs(w.matrix - brute).max() < 1e-12
     assert w.unitarity_residual() < 1e-12
+    # the column builder behind W, on a keep that differs in every mode
+    cols = three_mode_columns(f, g, dims, (3, 4, 5))
+    assert cols.shape == dims + (3, 4, 5)
+    want = brute.reshape(dims + dims)[..., :3, :4, :5]
+    assert np.abs(cols - want).max() < 1e-12
 
 
 def test_three_mode_hermitian_signal_leaves_mode_c_alone():
@@ -203,7 +210,6 @@ def test_three_mode_hermitian_signal_leaves_mode_c_alone():
     m = w.matrix.reshape(4, 12, 12, 4, 12, 12)
     # block-diagonal in mode c: W = W_ab (x) I_c
     wc = m[:, :, 0, :, :, 0]
-    rebuilt = np.einsum("amck,bndl->ambncdkl", np.zeros((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)))  # placeholder
     full = np.kron(wc.reshape(48, 48), np.eye(12))
     assert np.abs(full - w.matrix.reshape(48 * 12, 48 * 12)).max() < 1e-12
 
@@ -217,10 +223,14 @@ def test_three_mode_meter_relations_complex_signal():
     fr, fi = real_imag_parts(f)
     from fockamp import embed
     cs = FockSpace(dims)
+    # (W^H X W)[R, R] = W[:, R]^H X W[:, R] on the guarded indices R
+    guard = np.ravel_multi_index(np.ix_(range(3), range(6), range(6)),
+                                 dims).ravel()
+    cols = w.matrix[:, guard]
     for mode, part in ((1, fr), (2, fi)):
         xq = embed(quadrature_ops(FockSpace(24))[0], mode, cs).matrix
-        lhs = w.h.matrix @ xq @ w.matrix - xq - g * embed(part, 0, cs).matrix
-        block = lhs.reshape(5, 24, 24, 5, 24, 24)[:3, :6, :6, :3, :6, :6]
+        rhs = xq + g * embed(part, 0, cs).matrix
+        block = cols.conj().T @ xq @ cols - rhs[np.ix_(guard, guard)]
         assert np.abs(block).max() < 1e-6
 
 
@@ -388,7 +398,9 @@ def test_spectral_route_three_mode_matches_dense():
     spectral = simulate_output_state(spec, st, dims=(24, 24))
     assert abs(abs(np.vdot(dense, spectral.data)) - 1.0) < 1e-10
     rho = _mixed_state(sp, 3, 2, 1)
-    dense = w @ tensor(rho, vac, vac).data @ w.conj().T
+    # rho (x) |0><0| (x) |0><0| is zero off the vacuum-meter columns
+    vac_cols = w[:, ::24 * 24]
+    dense = vac_cols @ rho.data @ vac_cols.conj().T
     spectral = simulate_output_state(spec, rho, dims=(24, 24))
     assert np.abs(spectral.data - dense).max() < 1e-12
 

@@ -104,6 +104,40 @@ def test_verify_reports_check_warnings(monkeypatch, name):
     assert "[1 warning: " in lines[0] and "truncation limited" in lines[0]
 
 
+def test_verify_times_each_check_on_stderr(tmp_path):
+    # one timing line per check and a total go to stderr; stdout keeps only
+    # the verdict lines and the summary
+    proc = run_cli(tmp_path, {"command": "verify"})
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    checks = [ln for ln in lines if ln.startswith("[")]
+    assert all(re.match(r"\[(PASS|FAIL)\] [^:]+: ", ln) for ln in checks)
+    assert lines[-1] == f"{len(checks)} passed, 0 failed, {len(checks)} total"
+    assert len(lines) == len(checks) + 1
+    assert "[time]" not in proc.stdout
+    timings = re.findall(r"^\[time\] (.+): \d+\.\d{3} s$", proc.stderr, re.M)
+    assert timings[:-1] == [ln.split("] ", 1)[1].split(": ", 1)[0]
+                            for ln in checks]
+    assert timings[-1] == "total"
+
+
+def test_verify_three_mode_check_memory_is_bounded():
+    # the check builds only the 108 guarded columns of the 2880-dim W; the
+    # dense W alone would take 133 MB
+    import tracemalloc
+    from fockamp import verify
+    fn = dict(verify.CHECKS)["three-mode meter relations"]
+    tracemalloc.start()
+    try:
+        ok, detail = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert detail == "residual 8.646e-08 (tol 1.0e-06)"
+    assert peak < 64 * 2 ** 20
+
+
 def test_verify_surfaces_nonnormal_signal(tmp_path):
     cfg = {"command": "verify",
            "amplifier": {"variant": "two_mode_normal",
