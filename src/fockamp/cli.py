@@ -166,8 +166,8 @@ def validate_config(cfg) -> dict:
         raise ConfigError("'dims.signal' must be >= 2")
 
     trials = cfg.get("trials", 100000)
-    if not isinstance(trials, int) or trials < 1:
-        raise ConfigError("'trials' must be an integer >= 1")
+    if not isinstance(trials, int) or trials < 2:
+        raise ConfigError("'trials' must be an integer >= 2")
     out["trials"] = trials
     seed = cfg.get("seed", 42)
     if not isinstance(seed, int) or seed < 0:

@@ -46,8 +46,8 @@ class TrialPlan:
     estimator: str  # "f_hat_nonlinear" | "n_hat_linear"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.trials < 2:
+            raise ValueError("trials must be >= 2 for a sample variance")
         if self.estimator not in ("f_hat_nonlinear", "n_hat_linear"):
             raise ValueError(f"unknown estimator {self.estimator!r}")
 
@@ -103,12 +103,19 @@ class EstimateReport:
 
 
 def _sample_stats(x: np.ndarray):
-    """Mean, variance, and their standard errors (variance SE via fourth moment)."""
+    """Mean, variance, and their standard errors (variance SE via fourth moment).
+
+    The centred buffer, squared, is what ``np.var(ddof=1)`` sums; squared
+    again it gives the fourth moment without an elementwise ``pow``.
+    """
     n = x.shape[0]
     mean = float(np.mean(x))
-    var = float(np.var(x, ddof=1))
+    d = x - mean
+    d *= d
+    var = float(d.sum() / (n - 1))
     se_mean = math.sqrt(var / n)
-    m4 = float(np.mean((x - mean) ** 4))
+    d *= d
+    m4 = float(d.mean())
     se_var = math.sqrt(max(m4 - (n - 3) / (n - 1) * var * var, 0.0) / n)
     return mean, var, se_mean, se_var
 
@@ -135,12 +142,13 @@ def nonlinear_meter_x_samples(plan: TrialPlan) -> np.ndarray:
     probs /= probs.sum()
     rng = _rng(plan.seed)
     idx = rng.choice(lam.shape[0], size=plan.trials, p=probs)
-    g = amp.g
-    x = math.sqrt(2.0) * g * lam[idx]
-    x = x + rng.normal(0.0, math.sqrt(amp.meter.x_variance()), size=plan.trials)
+    x = lam[idx]
+    del idx
+    x *= math.sqrt(2.0) * amp.g
+    x += rng.normal(0.0, math.sqrt(amp.meter.x_variance()), size=plan.trials)
     s2 = plan.detector.sigma2
     if s2 > 0:
-        x = x + rng.normal(0.0, math.sqrt(s2 / 2.0), size=plan.trials)
+        x += rng.normal(0.0, math.sqrt(s2 / 2.0), size=plan.trials)
     return x
 
 
@@ -151,9 +159,9 @@ def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
         raise TypeError("nonlinear estimation wants a von Neumann or two-mode amplifier")
     if plan.detector.kind != "homodyne":
         raise ValueError("nonlinear estimation reads the meter with homodyne")
-    x = nonlinear_meter_x_samples(plan)
     g = amp.g
-    fhat = x / (math.sqrt(2.0) * g)
+    fhat = nonlinear_meter_x_samples(plan)
+    fhat /= math.sqrt(2.0) * g
     mean, var, se_m, se_v = _sample_stats(fhat)
     var_f = variance(plan.input_state, amp.f)
     mean_f = float(np.real(plan.input_state.expectation(amp.f)))
@@ -187,12 +195,12 @@ def linear_heterodyne_samples(plan: TrialPlan) -> np.ndarray:
     if amp.meter.kind != "vacuum":
         raise ValueError("linear-scheme sampling shortcut assumes a vacuum internal mode")
     rng = _rng(plan.seed)
-    ideal = ideal_draws(plan.input_state, "heterodyne", plan.trials, rng)
-    alpha = amp.g * ideal
+    alpha = ideal_draws(plan.input_state, "heterodyne", plan.trials, rng)
+    alpha *= amp.g
     s2 = plan.detector.sigma2
     if s2 > 0:
         noise = rng.normal(0.0, math.sqrt(s2 / 2.0), size=(plan.trials, 2))
-        alpha = alpha + noise[:, 0] + 1j * noise[:, 1]
+        alpha += noise.view(complex)[:, 0]
     return alpha
 
 
@@ -207,7 +215,9 @@ def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
         raise ValueError("linear number estimation reads mode a with heterodyne")
     alpha = linear_heterodyne_samples(plan)
     g = amp.g
-    a2 = np.abs(alpha) ** 2
+    a2 = np.abs(alpha)
+    del alpha
+    a2 *= a2
     nhat = a2 / (g * g) - 1.0
     mean, var, se_m, se_v = _sample_stats(nhat)
     nop = number_op(plan.input_state.space)

@@ -546,11 +546,19 @@ def ideal_draws(state: State, kind: str, n: int,
             if state.kind == "ket" else np.real(quadrature_amplitudes(state, points))
     cdf = np.cumsum(q)
     cdf /= cdf[-1]
-    cells = np.searchsorted(cdf, rng.random(n), side="right").clip(0, points.size - 1)
-    if kind == "heterodyne":
-        jit = rng.uniform(-step / 2, step / 2, size=(n, 2))
-        return points[cells] + jit[:, 0] + 1j * jit[:, 1]
-    return points[cells] + rng.uniform(-step / 2, step / 2, size=n)
+    # the uniforms are looked up in sorted order, which walks the CDF once;
+    # the cells (and the stream) are those of the plain lookup
+    u = rng.random(n)
+    order = np.argsort(u)
+    cells = np.empty_like(order)
+    cells[order] = np.searchsorted(cdf, u[order], side="right")
+    del u, order
+    out = points[cells.clip(0, points.size - 1)]
+    if kind == "heterodyne":  # (n, 2) pairs viewed as n complex numbers
+        out += rng.uniform(-step / 2, step / 2, size=(n, 2)).view(complex)[:, 0]
+    else:
+        out += rng.uniform(-step / 2, step / 2, size=n)
+    return out
 
 
 def sample_outcomes(state: State, detector: DetectorSpec, n: int,
@@ -561,12 +569,14 @@ def sample_outcomes(state: State, detector: DetectorSpec, n: int,
     variance sigma^2/2 is added on top.
     """
     rng = _rng(seed)
-    ideal = ideal_draws(state, detector.kind, n, rng)
+    out = ideal_draws(state, detector.kind, n, rng)
     sig = math.sqrt(detector.sigma2 / 2.0)
     if detector.kind == "heterodyne":
         noise = rng.normal(0.0, 1.0, size=(n, 2)) * sig
-        return ideal + noise[:, 0] + 1j * noise[:, 1]
-    return ideal + rng.normal(0.0, 1.0, size=n) * sig
+        out += noise.view(complex)[:, 0]
+    else:
+        out += rng.normal(0.0, 1.0, size=n) * sig
+    return out
 
 
 def sample_outcome(state: State, detector: DetectorSpec, seed: int):

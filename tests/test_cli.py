@@ -54,11 +54,13 @@ def test_linear_gain_below_one_rejected(tmp_path):
 
 
 def test_zero_trials_rejected(tmp_path):
-    cfg = {"command": "estimate", "trials": 0,
-           "amplifier": {"variant": "linear", "g": 2.0}}
-    proc = run_cli(tmp_path, cfg)
-    assert proc.returncode == 2
-    assert "trials" in proc.stderr
+    for trials in (0, 1):  # one trial has no sample variance
+        cfg = {"command": "estimate", "trials": trials,
+               "amplifier": {"variant": "linear", "g": 2.0}}
+        proc = run_cli(tmp_path, cfg)
+        assert proc.returncode == 2
+        assert "trials" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_bad_json_rejected(tmp_path):

@@ -13,7 +13,9 @@ from fockamp import (DetectorSpec, FockSpace, LinearAmp, TrialPlan,
 from fockamp.errors import GainOutOfRange, TruncationError
 from fockamp.estimators import (linear_heterodyne_samples,
                                 nonlinear_meter_x_samples)
-from fockamp.fock import State, partial_trace, quadrature_amplitudes
+from fockamp.fock import (State, normal_decompose, partial_trace,
+                          quadrature_amplitudes)
+from fockamp.measurement import _rng, ideal_draws
 
 
 def _hom(eta=1.0):
@@ -110,9 +112,10 @@ def test_nonlinear_inefficient_detector_variance():
 
 def test_nonlinear_plan_validation():
     sp = FockSpace(6)
-    with pytest.raises(ValueError):
-        TrialPlan(TwoModeNormalAmp(number_op(sp), 1.0), fock_state(sp, 1),
-                  _hom(), 0, 1, "f_hat_nonlinear")
+    for trials in (0, 1):  # a sample variance needs two trials
+        with pytest.raises(ValueError):
+            TrialPlan(TwoModeNormalAmp(number_op(sp), 1.0), fock_state(sp, 1),
+                      _hom(), trials, 1, "f_hat_nonlinear")
     plan = TrialPlan(TwoModeNormalAmp(number_op(sp), 1.0), fock_state(sp, 1),
                      _het(), 10, 1, "f_hat_nonlinear")
     with pytest.raises(ValueError):
@@ -223,6 +226,89 @@ def test_seed_determinism_bit_exact():
     r1 = run_plan(plan).to_dict()
     r2 = run_plan(plan).to_dict()
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# stream contracts: each sampler draws the same stream as its plain formula
+# ---------------------------------------------------------------------------
+
+def _plain_ideal_draws(state, kind, n, rng):
+    # the grid inverse-CDF with an unsorted searchsorted and out-of-place jitter
+    half = math.sqrt(state.space.dim) + 4.0
+    step = 0.05
+    points = np.arange(-half, half + step / 2, step)
+    if kind == "heterodyne":
+        gx, gy = np.meshgrid(points, points, indexing="ij")
+        points = (gx + 1j * gy).ravel()
+        q = husimi_values(state, points)
+    else:
+        q = np.abs(quadrature_amplitudes(state, points)) ** 2
+    cdf = np.cumsum(q)
+    cdf /= cdf[-1]
+    cells = np.searchsorted(cdf, rng.random(n), side="right").clip(0, points.size - 1)
+    if kind == "heterodyne":
+        jit = rng.uniform(-step / 2, step / 2, size=(n, 2))
+        return points[cells] + jit[:, 0] + 1j * jit[:, 1]
+    return points[cells] + rng.uniform(-step / 2, step / 2, size=n)
+
+
+@pytest.mark.parametrize("kind", ["heterodyne", "homodyne"])
+def test_ideal_draws_match_plain_inverse_cdf(kind):
+    st = fock_state(FockSpace(16), 2)
+    got = ideal_draws(st, kind, 20000, _rng(5))
+    ref = _plain_ideal_draws(st, kind, 20000, _rng(5))
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+
+
+def test_nonlinear_samples_match_choice_plus_normals():
+    sp = FockSpace(16)
+    amp = TwoModeNormalAmp(number_op(sp), 2.0)
+    st = coherent_state(sp, 0.8)
+    det = _hom(0.9)
+    plan = TrialPlan(amp, st, det, 20000, 9, "f_hat_nonlinear")
+    dec = normal_decompose(amp.f)
+    probs = np.clip(dec.probabilities(st), 0.0, None)
+    probs /= probs.sum()
+    rng = _rng(9)
+    idx = rng.choice(probs.size, size=plan.trials, p=probs)
+    ref = math.sqrt(2.0) * amp.g * np.real(dec.eigenvalues)[idx]
+    ref = ref + rng.normal(0.0, math.sqrt(amp.meter.x_variance()), size=plan.trials)
+    ref = ref + rng.normal(0.0, math.sqrt(det.sigma2 / 2.0), size=plan.trials)
+    assert np.array_equal(nonlinear_meter_x_samples(plan), ref)
+
+
+def test_linear_seed_determinism_bit_exact():
+    sp = FockSpace(16)
+    plan = TrialPlan(LinearAmp(2.0), coherent_state(sp, 1.0 + 0.5j), _het(0.8),
+                     5000, 123, "n_hat_linear")
+    assert np.array_equal(linear_heterodyne_samples(plan),
+                          linear_heterodyne_samples(plan))
+    assert run_plan(plan).to_dict() == run_plan(plan).to_dict()
+
+
+@pytest.mark.parametrize("case", ["linear", "two_mode"])
+def test_estimation_memory_is_bounded(case):
+    # the two montecarlo benchmark plans; the samplers build their draws in
+    # place and the moments share one centred buffer
+    import tracemalloc
+    if case == "linear":
+        plan = TrialPlan(LinearAmp(2.0), coherent_state(FockSpace(64), 1.0 + 0.5j),
+                         _het(0.8), 1_000_000, 7, "n_hat_linear")
+        bound = 60
+    else:
+        sp = FockSpace(8)
+        plan = TrialPlan(TwoModeNormalAmp(number_op(sp), 2.0), fock_state(sp, 2),
+                         _hom(0.9), 4_000_000, 7, "f_hat_nonlinear")
+        bound = 90
+    tracemalloc.start()
+    try:
+        rep = run_plan(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
+    assert peak < bound * 2 ** 20
 
 
 def test_unbiasedness_over_seeds():

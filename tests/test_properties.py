@@ -10,6 +10,8 @@ drawn eigenbasis (heterodyne, homodyne on the Hermitian part of f, two-meter
 homodyne) are checked against their closed forms too, and their weight-table
 identity residuals against the dense sum of their elements; that test draws
 only the spectrum, eigenbasis, gain and meter it reads, on a 0.001 grid.
+The estimator statistics are checked on random samples against NumPy's mean
+and variance (bit for bit) and a two-pass fourth-moment reference.
 """
 import warnings
 
@@ -21,6 +23,7 @@ from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      effective_povm_closed_form, effective_povm_numeric,
                      normal_decompose, simulate_output_state, tensor,
                      three_mode_unitary, two_mode_unitary, von_neumann_unitary)
+from fockamp.estimators import _sample_stats
 
 METER_DIM = 20
 unit = st.floats(-1.0, 1.0)
@@ -140,3 +143,17 @@ def test_numeric_povm_weight_table_matches_closed_form(case):
         grid.measure = 0.05
         dense = float(np.abs(sum(elements) * grid.measure - np.eye(4)).max())
         assert abs(grid.identity_residual() - dense) < 1e-12
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=500))
+def test_sample_stats_match_numpy_and_two_pass_reference(values):
+    x = np.array(values)
+    n = x.size
+    mean, var, se_mean, se_var = _sample_stats(x)
+    assert mean == float(np.mean(x))
+    assert var == float(np.var(x, ddof=1))
+    assert se_mean == np.sqrt(var / n)
+    m4 = float(np.mean((x - np.mean(x)) ** 4))
+    ref = np.sqrt(max(m4 - (n - 3) / (n - 1) * var * var, 0.0) / n)
+    assert np.isclose(se_var, ref, rtol=1e-12, atol=0.0)
