@@ -9,7 +9,7 @@ Layers: :mod:`fockamp.fock` (operators, states, spectral decompositions),
 
 from .errors import (ConfigError, CoverageError, DimensionMismatch,
                      FockampError, GainOutOfRange, NotHermitian, NotNormal,
-                     TruncationError)
+                     ResourceLimit, TruncationError)
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
                    annihilation_op, coherent_state, creation_op, cv_swap,
                    embed, fock_state, gaussian_meter, guard_keep,

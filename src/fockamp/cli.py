@@ -2,7 +2,8 @@
 
 One JSON config per run; commands: verify, noise-sweep, povm, estimate,
 compare. Exit codes: 0 success, 1 check failure, 2 usage/config error,
-3 truncation/resource error. Reports embed the fully resolved config, use a
+3 truncation/resource error (including ``trials`` above ``TRIALS_MAX``).
+Reports embed the fully resolved config, use a
 fixed key order and 12-significant-digit scientific CSV, so reruns with the
 same seed are byte-identical.
 """
@@ -21,7 +22,7 @@ from . import estimators as est
 from . import measurement as meas
 from . import verify as verify_mod
 from .errors import (ConfigError, CoverageError, FockampError, GainOutOfRange,
-                     NotHermitian, NotNormal, TruncationError)
+                     NotHermitian, NotNormal, ResourceLimit, TruncationError)
 from .fock import (FockSpace, State, make_state, normal_decompose, number_op,
                    parity_op)
 
@@ -29,6 +30,10 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
+
+# Monte Carlo draws are held in memory at once: ~32 B per trial on the linear
+# plan, so 1e8 trials is ~3.2 GB. Larger configs are refused at validation.
+TRIALS_MAX = 10 ** 8
 
 _TOP_KEYS = {"command", "amplifier", "input_state", "detector", "dims",
              "trials", "seed", "grid", "output"}
@@ -168,6 +173,9 @@ def validate_config(cfg) -> dict:
     trials = cfg.get("trials", 100000)
     if not isinstance(trials, int) or trials < 2:
         raise ConfigError("'trials' must be an integer >= 2")
+    if trials > TRIALS_MAX:
+        raise ResourceLimit(f"'trials' = {trials} exceeds the in-memory "
+                            f"ceiling {TRIALS_MAX:.0e} (~32 B per trial)")
     out["trials"] = trials
     seed = cfg.get("seed", 42)
     if not isinstance(seed, int) or seed < 0:
@@ -471,6 +479,9 @@ def main(argv=None) -> int:
         if command == "estimate":
             return cmd_estimate(cfg, outdir)
         return cmd_compare(cfg, outdir)
+    except ResourceLimit as exc:
+        print(f"truncation/resource error: {exc}", file=sys.stderr)
+        return EXIT_TRUNCATION
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

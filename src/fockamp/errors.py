@@ -38,3 +38,8 @@ class CoverageError(FockampError):
 
 class ConfigError(FockampError):
     """Invalid run configuration (maps to CLI exit code 2)."""
+
+
+class ResourceLimit(ConfigError):
+    """A valid config asks for more than a documented resource ceiling
+    (maps to CLI exit code 3, like other resource errors)."""

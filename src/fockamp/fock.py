@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, NotHermitian, NotNormal, TruncationError
 
@@ -65,6 +63,11 @@ class FockSpace:
 def guard_keep(dim: int) -> int:
     """Number of low-lying levels kept by the default truncation guard."""
     return dim - math.ceil(dim / 4)
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n-1, from ``math.lgamma``."""
+    return np.array([math.lgamma(k + 1) for k in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +273,8 @@ def coherent_state(space: FockSpace, alpha: complex, tail_tol: float = 1e-6) -> 
     n = np.arange(d)
     if abs(alpha) == 0.0:
         return fock_state(space, 0)
-    lg = np.array([math.lgamma(k + 1) for k in range(d)])
-    logmag = n * math.log(abs(alpha)) - 0.5 * lg - 0.5 * abs(alpha) ** 2
+    logmag = (n * math.log(abs(alpha)) - 0.5 * log_factorials(d)
+              - 0.5 * abs(alpha) ** 2)
     c = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
     kept = float(np.sum(np.abs(c) ** 2))
     tail = max(0.0, 1.0 - kept)
@@ -369,7 +372,7 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     x = abs(alpha) ** 2
     k = np.arange(dim)
     f = np.zeros((dim, dim))  # f[n, k] = F_n^(k) for n + k < dim
-    f[0] = np.exp(k * math.log(abs(alpha)) - 0.5 * x - 0.5 * gammaln(k + 1))
+    f[0] = np.exp(k * math.log(abs(alpha)) - 0.5 * x - 0.5 * log_factorials(dim))
     for n in range(dim - 1):
         kn = k[:dim - n - 1]
         f[n + 1, kn] = ((2 * n + 1 + kn - x) * f[n, kn]
@@ -441,13 +444,30 @@ class SpectralDecomposition:
 
 
 def normal_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposition:
-    """Spectral decomposition of a normal operator via complex Schur form.
+    """Spectral decomposition of a normal operator as a joint eigenbasis.
 
-    The Schur form of a normal matrix is diagonal and its Q factor is an
-    orthonormal eigenbasis. Default normality tolerance is 1e-9 * max|f|.
-    Degenerate clusters (eigenvalues within 1e-8) are re-orthonormalized.
+    The Hermitian part h = (f + f^dag)/2 and the anti-Hermitian part
+    k = (f - f^dag)/2i of a normal f commute, so one orthonormal basis
+    diagonalizes both. ``eigh(h)`` gives it up to rotations inside runs of
+    eigenvalues of h closer than 1e-8 * scale; ``eigh`` of k on each run
+    fixes those. Eigenvectors of h whose eigenvalues are close but not equal
+    still mix at roundoff over their gap (~1e-9 at a gap of 1e-7), which k
+    turns into off-diagonal terms of V^dag f V. One first-order step
+    V <- V (1 + E), E_ij = (V^dag f V)_ij / (lambda_j - lambda_i) over pairs
+    at least 1e-8 * scale apart, removes them, and one Newton-Schulz step
+    V <- V (3 - V^dag V)/2 restores orthonormality; both are exact no-ops on
+    a basis that already diagonalizes f exactly (a diagonal f, say). NotNormal
+    is raised when [f, f^dag] reaches ``tol``, or when the off-diagonal part
+    of V^dag f V or scale * (V^dag V - 1) reaches 10 * tol (a step that
+    cannot converge leaves V far from unitary).
+
+    The eigenvalues, the diagonal of V^dag f V, come in ascending order of
+    real part, and by ascending imaginary part within a run of real parts
+    closer than 1e-8 * scale. Default normality tolerance is
+    1e-9 * scale, scale = max(1, max|f|).
     """
     m = f.matrix
+    d = m.shape[0]
     scale = max(1.0, float(np.abs(m).max()))
     if tol is None:
         tol = 1e-9 * scale
@@ -455,21 +475,29 @@ def normal_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposi
     if cnorm >= tol:
         raise NotNormal(
             f"[f, f^dag] max-norm {cnorm:.3e} >= tolerance {tol:.3e}", cnorm)
-    t, z = schur(m, output="complex")
-    off = t - np.diag(np.diag(t))
-    if np.abs(off).max() >= 10 * tol:
-        raise NotNormal(
-            f"Schur off-diagonal residual {np.abs(off).max():.3e} >= {10 * tol:.3e}",
-            cnorm)
+    gap = 1e-8 * scale
+    mh = m.conj().T
+    re, vecs = np.linalg.eigh((m + mh) / 2)
+    k = (m - mh) / 2j
+    cuts = np.flatnonzero(np.diff(re) >= gap) + 1
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, d]):
+        if hi - lo > 1:
+            blk = vecs[:, lo:hi]
+            _, w = np.linalg.eigh(blk.conj().T @ k @ blk)
+            vecs[:, lo:hi] = blk @ w
+    t = vecs.conj().T @ m @ vecs
+    dl = np.diag(t)[None, :] - np.diag(t)[:, None]
+    far = np.abs(dl) >= gap
+    vecs = vecs + vecs @ np.where(far, t / np.where(far, dl, 1.0), 0.0)
+    vecs = vecs @ (1.5 * np.eye(d) - 0.5 * (vecs.conj().T @ vecs))
+    t = vecs.conj().T @ m @ vecs
     vals = np.diag(t).copy()
-    vecs = z.copy()
-    dec = SpectralDecomposition(f.space, vals, vecs, 0.0)
-    # re-orthonormalize inside degenerate clusters (QR is a no-op for exact data
-    # but protects against accumulated roundoff)
-    for group in dec.clusters(1e-8):
-        if len(group) > 1:
-            q, _ = np.linalg.qr(vecs[:, group])
-            vecs[:, group] = q
+    off = max(float(np.abs(t - np.diag(vals)).max()),
+              scale * float(np.abs(vecs.conj().T @ vecs - np.eye(d)).max()))
+    if off >= 10 * tol:
+        raise NotNormal(
+            f"joint eigenbasis residual {off:.3e} >= {10 * tol:.3e}",
+            cnorm)
     recon = (vecs * vals) @ vecs.conj().T
     residual = float(np.abs(recon - m).max())
     return SpectralDecomposition(f.space, vals, vecs, residual)

@@ -21,14 +21,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, gammaln, xlogy
 
 from .amplifiers import (ThreeModeAmp, TwoModeNormalAmp, VonNeumannAmp,
                          displaced_rows, meter_table, prepare_meters)
 from .errors import (CoverageError, DimensionMismatch, FockampError,
                      TruncationError)
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
-                   hermite_functions, normal_decompose, quadrature_amplitudes)
+                   hermite_functions, log_factorials, normal_decompose,
+                   quadrature_amplitudes)
 
 HOMODYNE_YGRID_STEP = 0.005
 HOMODYNE_YGRID_RANGE = 10.0
@@ -283,7 +283,10 @@ def _heterodyne_expectations(kets: np.ndarray, betas, sigma2: float) -> np.ndarr
     s = sigma2 / (1.0 + sigma2)
     tb = t * betas
     p = np.arange(d)[:, None]
-    c = np.exp(xlogy(p, np.abs(tb)) - 0.5 * gammaln(p + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logc = p * np.log(np.abs(tb))
+    logc[0] = 0.0  # (t beta)^0 = 1, also at beta = 0
+    c = np.exp(logc - 0.5 * log_factorials(d)[:, None]
                - 0.5 * t * np.abs(betas) ** 2 + 1j * p * np.angle(tb))
     bra = kets.conj()
     w = np.ones(d)
@@ -435,7 +438,8 @@ def _region_masses(povm, regions: DecisionRegions) -> np.ndarray:
         sorted_t = t_centers[order]
         bounds = np.concatenate(
             ([-np.inf], 0.5 * (sorted_t[1:] + sorted_t[:-1]), [np.inf]))
-        cdf = 0.5 * (1 + erf((bounds[:, None] - t_lam) / math.sqrt(povm.width2)))
+        z = (bounds[:, None] - t_lam) / math.sqrt(povm.width2)
+        cdf = 0.5 * (1 + np.vectorize(math.erf, otypes=[float])(z))
         mass = np.empty((regions.n_regions, t_lam.size))
         mass[order] = np.diff(cdf, axis=0)
         return mass

@@ -4,8 +4,15 @@ import math
 import re
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+from fockamp import ConfigError, ResourceLimit
+from fockamp.cli import TRIALS_MAX, validate_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def run_cli(tmp_path, cfg, *args):
@@ -61,6 +68,20 @@ def test_zero_trials_rejected(tmp_path):
         assert proc.returncode == 2
         assert "trials" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_trials_above_ceiling_rejected(tmp_path):
+    # checked at validation, before any sample buffer is allocated
+    base = {"command": "estimate", "amplifier": {"variant": "linear", "g": 2.0}}
+    assert validate_config({**base, "trials": TRIALS_MAX})["trials"] == TRIALS_MAX
+    for trials in (TRIALS_MAX + 1, 10 ** 9):
+        with pytest.raises(ResourceLimit, match="'trials'"):
+            validate_config({**base, "trials": trials})
+    assert issubclass(ResourceLimit, ConfigError)
+    proc = run_cli(tmp_path, {**base, "trials": 10 ** 9})
+    assert proc.returncode == 3
+    assert "trials" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_json_rejected(tmp_path):
@@ -309,3 +330,29 @@ def test_estimate_nonnormal_quadratic_rejected(tmp_path):
     proc = run_cli(tmp_path, cfg)
     assert proc.returncode == 2
     assert "NotNormal" in proc.stderr
+
+
+def test_estimate_and_compare_load_no_scipy(tmp_path):
+    # start-up (import and validation of every benchmark config) and the
+    # estimate and compare commands run on numpy alone; scipy is imported
+    # only by the displacement kernel, which povm and verify run
+    script = textwrap.dedent(f"""
+        import json, sys
+        from pathlib import Path
+        from fockamp import cli
+        configs = Path({str(CONFIGS)!r})
+        for path in sorted(configs.glob("*/*.json")):
+            cli.validate_config(json.loads(path.read_text()))
+        for name in ("estimate_linear", "estimate_two_mode", "compare"):
+            cfg = json.loads((configs / "montecarlo" / (name + ".json")).read_text())
+            cfg["trials"] = 2000
+            path = Path({str(tmp_path)!r}) / (name + ".json")
+            path.write_text(json.dumps(cfg))
+            code = cli.main(["--config", str(path), "--out", str(path.parent / name)])
+            assert code == 0, (name, code)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

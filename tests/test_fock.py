@@ -8,7 +8,7 @@ from fockamp import (FockSpace, NotHermitian, NotNormal, Operator,
                      TruncationError, annihilation_op, coherent_state,
                      cv_swap, embed, fock_state, gaussian_meter,
                      guard_keep, hermite_functions, identity_op, make_state,
-                     normal_decompose, number_op, partial_trace,
+                     normal_decompose, number_op, parity_op, partial_trace,
                      quadrature_amplitudes, quadrature_ops, squeezed_vacuum,
                      symmetrized_moment, tensor, unitary_from_generator,
                      vacuum_state, variance)
@@ -253,6 +253,28 @@ def test_decompose_complex_normal():
     assert dec.residual < 1e-10
     ortho = dec.eigenvectors.conj().T @ dec.eigenvectors
     assert np.abs(ortho - np.eye(10)).max() < 1e-10
+
+
+def test_decompose_eigenvalue_order():
+    # ascending real part, then ascending imaginary part among equal real parts
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    lam = np.array([1 + 2j, 5j, 1 - 1j, -2, 1])
+    dec = normal_decompose(Operator(FockSpace(5), (q * lam) @ q.conj().T))
+    assert np.abs(dec.eigenvalues - [-2, 5j, 1 - 1j, 1, 1 + 2j]).max() < 1e-12
+    assert np.array_equal(normal_decompose(number_op(FockSpace(6))).eigenvalues,
+                          np.arange(6))
+    # parity lists its -1 eigenspace first, so eigen_index 0..2 is odd parity
+    assert np.array_equal(normal_decompose(parity_op(FockSpace(6))).eigenvalues,
+                          [-1, -1, -1, 1, 1, 1])
+
+
+def test_decompose_rejects_nonunitary_eigenbasis():
+    # with a loose tolerance a nilpotent f passes the commutator gate
+    # ([f, f^dag] ~ eps^2); the eigenbasis gate still rejects it
+    f = Operator(FockSpace(2), np.array([[0.0, 0.01], [0.0, 0.0]]))
+    with pytest.raises(NotNormal, match="joint eigenbasis residual"):
+        normal_decompose(f, tol=2e-4)
 
 
 def test_decompose_degenerate_cluster():

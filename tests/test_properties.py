@@ -10,13 +10,18 @@ drawn eigenbasis (heterodyne, homodyne on the Hermitian part of f, two-meter
 homodyne) are checked against their closed forms too, and their weight-table
 identity residuals against the dense sum of their elements; that test draws
 only the spectrum, eigenbasis, gain and meter it reads, on a 0.001 grid.
-The estimator statistics are checked on random samples against NumPy's mean
+Numeric POVMs on grids that cover the outcomes resolve the identity. The
+estimator statistics are checked on random samples against NumPy's mean
 and variance (bit for bit) and a two-pass fourth-moment reference.
+:func:`normal_decompose` is checked against ``scipy.linalg.schur`` on random
+normal operators whose spectra hold equal, nearly equal (1e-7 apart) and
+repeated real parts.
 """
 import warnings
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import schur
 
 from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      ThreeModeAmp, TwoModeNormalAmp, VACUUM, VonNeumannAmp,
@@ -157,3 +162,83 @@ def test_sample_stats_match_numpy_and_two_pass_reference(values):
     m4 = float(np.mean((x - np.mean(x)) ** 4))
     ref = np.sqrt(max(m4 - (n - 3) / (n - 1) * var * var, 0.0) / n)
     assert np.isclose(se_var, ref, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(povm_cases())
+def test_numeric_povm_grid_covering_outcomes_resolves_identity(case):
+    # a grid at half-width steps reaching 6 widths past the extreme
+    # eigenvalues on every axis it covers: the Riemann sum of the Gaussian
+    # records is then 1 up to e^-36 tails and e^-(2 pi)^2 aliasing
+    f, g, meter = case
+    hermitian = Operator(f.space, (f.matrix + f.matrix.conj().T) / 2)
+    readouts = [(TwoModeNormalAmp(f, g), "heterodyne"),
+                (VonNeumannAmp(hermitian, g, meter), "homodyne"),
+                (ThreeModeAmp(f, g, meter, meter), "three_mode")]
+    for spec, model in readouts:
+        det = DetectorSpec("heterodyne" if model == "heterodyne" else "homodyne",
+                           0.5)
+        dec = normal_decompose(spec.f)
+        w = np.sqrt(effective_povm_closed_form(
+            dec, g, det.sigma2, model,
+            np.sqrt(2.0 * meter.x_variance())).width2)
+        step = w / 2
+        lam = dec.eigenvalues
+        axes = [np.arange(part(lam).min() - 6 * w, part(lam).max() + 6 * w + step,
+                          step) for part in (np.real, np.imag)]
+        if model == "homodyne":
+            pts, measure = axes[0], step
+        else:
+            pts, measure = (axes[0][:, None] + 1j * axes[1][None, :]).ravel(), step ** 2
+        grid = effective_povm_numeric(spec, det, pts)
+        grid.measure = measure
+        assert grid.identity_residual() < 1e-11
+
+
+@st.composite
+def normal_operators(draw):
+    """A normal f on 6..8 levels: random unitary eigenbasis, complex spectrum
+    at magnitude 1 or 40. Eigenvalues 0 and 1 share their real part, 2 and 3
+    have real parts 1e-7 apart, and 5 repeats 4."""
+    d = draw(st.integers(6, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    lam = rng.uniform(-1, 1, d) + 1j * rng.uniform(-1, 1, d)
+    lam *= draw(st.sampled_from([1.0, 40.0]))
+    lam[1] = lam[0].real + 1j * lam[1].imag
+    lam[3] = lam[2].real + 1e-7 + 1j * lam[3].imag
+    lam[5] = lam[4]
+    return Operator(FockSpace(d), (q * lam) @ q.conj().T)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(normal_operators())
+def test_normal_decompose_matches_schur(f):
+    m = f.matrix
+    d = m.shape[0]
+    scale = max(1.0, float(np.abs(m).max()))
+    dec = normal_decompose(f)
+    v, lam = dec.eigenvectors, dec.eigenvalues
+    assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-12
+    assert np.abs((v * lam) @ v.conj().T - m).max() <= 1e-12 * scale
+    assert dec.residual <= 1e-12 * scale
+
+    # pinned order: ascending real part, ascending imaginary part inside a
+    # run of real parts closer than 1e-8 * scale
+    # (repeated eigenvalues tie up to roundoff)
+    step = np.diff(lam)
+    run = np.abs(step.real) < 1e-8 * scale
+    assert (step.real[~run] > 0).all()
+    assert (step.imag[run] > -1e-12 * scale).all()
+
+    # the same eigenvalues and spectral projectors as the Schur form
+    t, z = schur(m, output="complex")
+    ref = np.diag(t)
+    dist = np.abs(lam[:, None] - ref[None, :])
+    assert dist.min(axis=1).max() <= 1e-12 * scale
+    assert dist.min(axis=0).max() <= 1e-12 * scale
+    for center in lam:
+        ours = v[:, np.abs(lam - center) < 1e-6 * scale]
+        theirs = z[:, np.abs(ref - center) < 1e-6 * scale]
+        assert ours.shape == theirs.shape
+        assert np.abs(ours @ ours.conj().T - theirs @ theirs.conj().T).max() <= 1e-9
