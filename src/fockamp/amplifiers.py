@@ -279,23 +279,29 @@ def meter_dim_for(g: float, f_max: float, meter: Meter | None = None,
     (|alpha| up to METER_DIM_CAP). Sizes past METER_DIM_CAP raise
     TruncationError.
     """
+    return _sized_meter(g, f_max, meter, alphas)[0]
+
+
+def _sized_meter(g: float, f_max: float, meter: Meter | None, alphas):
+    """(:func:`meter_dim_for`, the rows its probe built at that size or None)."""
     need = max(METER_DIM_FLOOR, int(math.ceil((g * f_max + 6.0) ** 2)))
+    rows = None
     if meter is not None and need <= METER_DIM_CAP:
         levels = meter.fock_levels()
-        if levels > need or (levels > 1 and _cutoff_occupancy(
-                meter.state(need), alphas) > TRUNCATION_TOL):
-            need += levels
+        if 1 < levels <= need:
+            rows = displaced_meter_ket(meter.state(need), alphas)
+        if levels > need or _cutoff_occupancy(rows) > TRUNCATION_TOL:
+            need, rows = need + levels, None
     if need > METER_DIM_CAP:
         raise TruncationError(
             f"meter would need dim {need} > cap {METER_DIM_CAP} for "
             f"displacement {g * f_max:.1f}")
-    return need
+    return need, rows
 
 
-def _cutoff_occupancy(meter_state: State, alphas) -> float:
-    """Largest probability that a displaced copy D(alpha)|meter> puts on the cutoff."""
-    return max((abs(displaced_meter_ket(meter_state, a)[-1]) ** 2
-                for a in np.ravel(alphas)), default=0.0)
+def _cutoff_occupancy(rows) -> float:
+    """Largest probability that a displaced row puts on the meter's cutoff."""
+    return 0.0 if rows is None else float(np.max(np.abs(rows[:, -1]) ** 2, initial=0.0))
 
 
 def _warn_if_meter_tight(g: float, f_max: float, dim_b: int):
@@ -509,23 +515,28 @@ def predict_output_moments(spec, input_a: State, meters=None) -> MomentReport:
 # simulation
 # ---------------------------------------------------------------------------
 
-def displaced_meter_ket(meter_state: State, alpha: complex) -> np.ndarray:
-    """D(alpha)|meter> = exp(alpha b^dag - alpha* b)|meter> on the meter's truncation.
+def displaced_meter_ket(meter_state: State, alphas) -> np.ndarray:
+    """Rows D(alpha)|meter> = exp(alpha b^dag - alpha* b)|meter>, shape (len(alphas), d).
 
     This is the one conditional-displacement kernel: the exponential of the
     truncated generator, the object the dense composite unitaries hold on
-    each eigenspace of f. scipy's ``expm_multiply`` applies it to the ket,
-    so no meter-space matrix, eigendecomposition or cache is built.
+    each eigenspace of f. With beta = -i alpha, R = e^{i arg(beta) n} and the
+    Hermite Jacobi matrix J = b + b^dag = U diag(lam) U^T (one eigh per call,
+    nothing cached), each row is R U e^{i|beta| lam} U^T R^dag |meter>, by two
+    GEMMs over all alphas, renormalized; alpha = 0 rows copy the meter ket.
     """
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import expm_multiply
     ket = meter_state.data
-    if alpha == 0:
-        return ket.copy()
-    s = np.sqrt(np.arange(1, ket.shape[0]))
-    gen = diags([alpha * s, -np.conj(alpha) * s], [-1, 1], format="csr")
-    out = expm_multiply(gen, ket)
-    return out / np.linalg.norm(out)
+    alphas = np.ravel(alphas).astype(complex)
+    rows = np.tile(ket, (alphas.size, 1))
+    move = np.flatnonzero(alphas)
+    if move.size:
+        # eigh reads the upper triangle only: the superdiagonal sqrt(n) of J
+        lam, u = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, ket.size)), 1), UPLO="U")
+        beta = -1j * alphas[move, None]
+        r = np.exp(1j * np.angle(beta) * np.arange(ket.size))
+        out = ((ket * r.conj()) @ u * np.exp(1j * np.abs(beta) * lam)) @ u.T * r
+        rows[move] = out / np.linalg.norm(out, axis=1, keepdims=True)
+    return rows
 
 
 def meter_table(spec) -> list:
@@ -545,33 +556,36 @@ def meter_table(spec) -> list:
     raise TypeError(f"no meters for {type(spec)!r}")
 
 
-def prepare_meters(spec, drive: float, dims=None) -> list[State]:
+def prepare_meters(spec, drive: float,
+                   dims=None) -> list[tuple[State, np.ndarray | None]]:
     """The meters of :func:`meter_table` at ``dims``, auto-sized if not given.
 
     Auto-sizing holds each meter's preparation and its displacements
     ``drive * part(lam)`` over the spectrum of f (:func:`meter_dim_for`).
+    Each meter is paired with the rows its sizing probe built, else None.
     A meter whose truncation drops more than TRUNCATION_TOL of its norm
     raises TruncationError instead of being renormalized.
     """
     table = meter_table(spec)
+    sized = [(d, None) for d in dims or ()]
     if not dims:
         lam = normal_decompose(spec.f).eigenvalues
-        dims = [meter_dim_for(spec.g, float(np.abs(part(lam)).max()), meter=m,
-                              alphas=drive * part(lam)) for m, part in table]
-    states = [m.state(d) for (m, _), d in zip(table, dims, strict=True)]
-    for st in states:
+        sized = [_sized_meter(spec.g, float(np.abs(part(lam)).max()), m,
+                              drive * part(lam)) for m, part in table]
+    prepared = [(m.state(d), rows) for (m, _), (d, rows) in zip(table, sized, strict=True)]
+    for st, _ in prepared:
         if st.norm_defect > TRUNCATION_TOL:
             raise TruncationError(
                 f"meter truncated at dim {st.space.dim} drops {st.norm_defect:.2e} "
                 f"of its norm (> {TRUNCATION_TOL:.0e}); enlarge the meter")
-    return states
+    return prepared
 
 
-def displaced_rows(meter: State, alphas) -> np.ndarray:
-    """Rows D(alpha)|meter>, one per alpha; reject any that put more than
-    TRUNCATION_TOL on the meter's cutoff."""
-    chi = np.array([displaced_meter_ket(meter, a) for a in alphas])
-    worst = float(np.max(np.abs(chi[:, -1]) ** 2))
+def displaced_rows(meter: State, alphas, rows=None) -> np.ndarray:
+    """Rows D(alpha)|meter>, one per alpha (``rows`` if already built); reject
+    any that put more than TRUNCATION_TOL on the meter's cutoff."""
+    chi = displaced_meter_ket(meter, alphas) if rows is None else rows
+    worst = _cutoff_occupancy(chi)
     if worst > TRUNCATION_TOL:
         raise TruncationError(
             f"a displaced meter holds {worst:.2e} at its cutoff (dim "
@@ -653,13 +667,14 @@ def _spectral_output(spec, input_a: State, meters) -> State:
     c = c[keep] if ket else c[np.ix_(keep, keep)]
     lam = dec.eigenvalues[keep]
     chi = np.ones((keep.size, 1))
-    for (_, part), meter in zip(meter_table(spec), meters):
-        rows = displaced_rows(meter, spec.g * part(lam))
+    for (_, part), (meter, probed) in zip(meter_table(spec), meters):
+        rows = displaced_rows(meter, spec.g * part(lam),
+                              None if probed is None else probed[keep])
         chi = (chi[:, :, None] * rows[:, None, :]).reshape(keep.size, -1)
     # y[(a, m), i] = v[a, i] chi_i[m]
     y = (v[:, None, keep] * chi.T).reshape(-1, keep.size)
-    space = FockSpace((input_a.space.dim,) + tuple(m.space.dim for m in meters))
-    defect = input_a.norm_defect + sum(m.norm_defect for m in meters)
+    space = FockSpace((input_a.space.dim,) + tuple(m.space.dim for m, _ in meters))
+    defect = input_a.norm_defect + sum(m.norm_defect for m, _ in meters)
     if ket:
         out = y @ c
         nrm = np.linalg.norm(out)

@@ -126,15 +126,9 @@ class Operator:
     def hermiticity_residual(self) -> float:
         return float(np.abs(self.matrix - self.matrix.conj().T).max())
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return self.hermiticity_residual() <= tol * max(1.0, np.abs(self.matrix).max())
-
     def unitarity_residual(self) -> float:
         m = self.matrix
         return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        return self.unitarity_residual() <= tol
 
     def commutator_norm(self) -> float:
         """Max-norm of [A, A^dag], the normality defect."""
@@ -406,10 +400,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray        # complex, length d
     eigenvectors: np.ndarray       # unitary, columns are |e_i>
     residual: float                # max-norm reconstruction error
-
-    def reconstruct(self) -> Operator:
-        v = self.eigenvectors
-        return Operator(self.space, (v * self.eigenvalues) @ v.conj().T)
 
     def apply(self, func) -> Operator:
         """Functional calculus: sum_i func(lambda_i) |e_i><e_i|."""

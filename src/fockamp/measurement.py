@@ -257,7 +257,7 @@ def _readout_drive(amp) -> float:
 
 def povm_meter_dims(amp) -> tuple[int, ...]:
     """Auto-sized meter truncations of :func:`effective_povm_numeric`."""
-    return tuple(m.space.dim for m in prepare_meters(amp, _readout_drive(amp)))
+    return tuple(m.space.dim for m, _ in prepare_meters(amp, _readout_drive(amp)))
 
 
 def _heterodyne_expectations(kets: np.ndarray, betas, sigma2: float) -> np.ndarray:
@@ -375,8 +375,8 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     expectations, jacobian = (_heterodyne_expectations, g * g) if heterodyne \
         else (_homodyne_expectations, g)
     weights = 1.0
-    for (_, part), meter in zip(table, prepare_meters(amp, drive, dims)):
-        chi = displaced_rows(meter, drive * part(dec.eigenvalues))
+    for (_, part), (meter, rows) in zip(table, prepare_meters(amp, drive, dims)):
+        chi = displaced_rows(meter, drive * part(dec.eigenvalues), rows)
         weights = weights * (jacobian * expectations(chi, g * part(outcomes), sig2))
     model = "three_mode" if isinstance(amp, ThreeModeAmp) else expected
     eps2 = 1.0 if heterodyne else 2.0 * table[0][0].x_variance()

@@ -453,13 +453,50 @@ def test_cv_swap_moves_signal_to_mode_zero():
 
 def test_displaced_meter_ket_is_truncated_exponential():
     # the one conditional-displacement kernel: exp(alpha b^dag - alpha* b)
-    # of the truncated b applied to any meter ket
+    # of the truncated b applied to any meter ket, every alpha in one call
     b = annihilation_op(FockSpace(24)).matrix
+    alphas = np.array([0.0, 0.7, 1.5 - 2.0j])
     for meter in (Meter(), Meter("squeezed", 0.5)):
         st = meter.state(24)
-        for alpha in (0.7, 1.5 - 2.0j):
+        rows = displaced_meter_ket(st, alphas)
+        assert rows.shape == (3, 24)
+        assert np.array_equal(rows[0], st.data)
+        for row, alpha in zip(rows, alphas):
             target = expm(alpha * b.conj().T - np.conj(alpha) * b) @ st.data
-            assert np.abs(displaced_meter_ket(st, alpha) - target).max() < 1e-13
+            assert np.abs(row - target).max() < 1e-13
+
+
+def test_displaced_meter_ket_matches_expm_multiply_at_225_levels():
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import expm_multiply
+    st = Meter("squeezed", 0.5).state(225)
+    alphas = np.array([9.0, -6.0, 4.0 + 5.0j])
+    s = np.sqrt(np.arange(1, 225))
+    for row, alpha in zip(displaced_meter_ket(st, alphas), alphas):
+        gen = diags([alpha * s, -np.conj(alpha) * s], [-1, 1], format="csr")
+        target = expm_multiply(gen, st.data)
+        assert np.abs(row - target / np.linalg.norm(target)).max() < 1e-13
+
+
+def test_auto_sized_squeezed_meter_builds_one_kernel_basis(monkeypatch):
+    # the sizing probe's rows are handed on, not rebuilt
+    from fockamp import DetectorSpec, amplifiers, effective_povm_numeric
+    calls = []
+    kernel = amplifiers.displaced_meter_ket
+
+    def counted(meter_state, alphas):
+        calls.append(meter_state.space.dim)
+        return kernel(meter_state, alphas)
+
+    monkeypatch.setattr(amplifiers, "displaced_meter_ket", counted)
+    sp = FockSpace(4)
+    spec = VonNeumannAmp(number_op(sp), 2.0, Meter("squeezed", r=0.5))
+    effective_povm_numeric(spec, DetectorSpec("homodyne", 0.5),
+                           np.linspace(-2.0, 8.0, 5))
+    assert len(calls) == 1
+    calls.clear()
+    simulate_output_state(spec, fock_state(sp, 1))
+    assert len(calls) == 1
 
 
 def test_meter_dim_rule_and_cap():

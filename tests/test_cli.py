@@ -1,4 +1,5 @@
 """CLI tests: config validation, commands, output formats, reproducibility."""
+import ast
 import json
 import math
 import re
@@ -356,3 +357,58 @@ def test_estimate_and_compare_load_no_scipy(tmp_path):
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_povm_and_verify_load_no_scipy(tmp_path):
+    # the displacement kernel is numpy-only, so the numeric POVM sandwich
+    # (heterodyne, squeezed-meter homodyne) and verify run without scipy
+    script = textwrap.dedent(f"""
+        import json, sys
+        from pathlib import Path
+        from fockamp import cli
+        out = Path({str(tmp_path)!r})
+        amp = {{"variant": "two_mode_normal", "f": {{"kind": "a_dag_a"}},
+                "g_list": [1]}}
+        configs = {{
+            "heterodyne": {{"command": "povm", "amplifier": amp,
+                            "detector": {{"kind": "heterodyne", "efficiency": 0.5}},
+                            "dims": {{"signal": 3}}}},
+            "homodyne": {{"command": "povm",
+                          "amplifier": dict(amp, variant="von_neumann",
+                                            meter={{"kind": "squeezed", "r": 0.5}}),
+                          "detector": {{"kind": "homodyne", "efficiency": 0.5}},
+                          "dims": {{"signal": 3}}}},
+            "verify": {{"command": "verify"}},
+        }}
+        for name, cfg in configs.items():
+            path = out / (name + ".json")
+            path.write_text(json.dumps(cfg))
+            code = cli.main(["--config", str(path), "--out", str(out / name)])
+            assert code == 0, (name, code)
+        for name in ("heterodyne", "homodyne"):
+            summary = json.loads((out / name / "povm_summary.json").read_text())
+            assert summary["per_gain"][0]["numeric"] is not None, name
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_package_source_imports_no_scipy():
+    # static guard: no module of the package imports scipy, at any depth
+    src = Path(__file__).resolve().parents[1] / "src" / "fockamp"
+    paths = sorted(src.glob("*.py"))
+    assert paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert found == []

@@ -11,6 +11,8 @@ homodyne) are checked against their closed forms too, and their weight-table
 identity residuals against the dense sum of their elements; that test draws
 only the spectrum, eigenbasis, gain and meter it reads, on a 0.001 grid.
 Numeric POVMs on grids that cover the outcomes resolve the identity. The
+batched displacement kernel undoes itself: D(-alpha) D(alpha)|meter> is the
+meter, and every row has unit norm. The
 estimator statistics are checked on random samples against NumPy's mean
 and variance (bit for bit) and a two-pass fourth-moment reference.
 :func:`normal_decompose` is checked against ``scipy.linalg.schur`` on random
@@ -28,6 +30,7 @@ from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      effective_povm_closed_form, effective_povm_numeric,
                      normal_decompose, simulate_output_state, tensor,
                      three_mode_unitary, two_mode_unitary, von_neumann_unitary)
+from fockamp.amplifiers import displaced_meter_ket
 from fockamp.estimators import _sample_stats
 
 METER_DIM = 20
@@ -242,3 +245,18 @@ def test_normal_decompose_matches_schur(f):
         theirs = z[:, np.abs(ref - center) < 1e-6 * scale]
         assert ours.shape == theirs.shape
         assert np.abs(ours @ ours.conj().T - theirs @ theirs.conj().T).max() <= 1e-9
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.integers(24, 64), st.floats(0.0, 0.5),
+       st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                min_size=1, max_size=4))
+def test_displaced_meter_ket_rows_invert(dim, r, parts):
+    # the truncated exponentials are exact inverses of each other
+    meter = Meter("squeezed", r=r).state(dim)
+    alphas = np.array([complex(a, b) for a, b in parts])
+    rows = displaced_meter_ket(meter, alphas)
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
+    for row, alpha in zip(rows, alphas):
+        back = displaced_meter_ket(State(meter.space, "ket", row), [-alpha])
+        assert np.abs(back[0] - meter.data).max() <= 1e-12
