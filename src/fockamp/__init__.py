@@ -31,7 +31,7 @@ from .measurement import (ClosedFormPovm, DecisionRegions, DetectorSpec,
                           PovmGrid, coarse_grain, effective_povm_closed_form,
                           effective_povm_numeric, heterodyne_element,
                           homodyne_element, husimi_values, own_region_weights,
-                          sample_outcome, sample_outcomes)
+                          sample_outcomes)
 from .estimators import (CompareReport, EstimateReport, TrialPlan,
                          compare_schemes, run_linear_number_estimation,
                          run_nonlinear_estimation, run_plan, snr_report)

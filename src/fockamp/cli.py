@@ -31,8 +31,8 @@ EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
 
-# Monte Carlo draws are held in memory at once: ~32 B per trial on the linear
-# plan, so 1e8 trials is ~3.2 GB. Larger configs are refused at validation.
+# Monte Carlo memory does not grow with trials (the draws stream in blocks);
+# this ceiling bounds run time. Larger configs are refused at validation.
 TRIALS_MAX = 10 ** 8
 
 _TOP_KEYS = {"command", "amplifier", "input_state", "detector", "dims",
@@ -174,8 +174,8 @@ def validate_config(cfg) -> dict:
     if not isinstance(trials, int) or trials < 2:
         raise ConfigError("'trials' must be an integer >= 2")
     if trials > TRIALS_MAX:
-        raise ResourceLimit(f"'trials' = {trials} exceeds the in-memory "
-                            f"ceiling {TRIALS_MAX:.0e} (~32 B per trial)")
+        raise ResourceLimit(f"'trials' = {trials} exceeds the run-time "
+                            f"ceiling {TRIALS_MAX:.0e}")
     out["trials"] = trials
     seed = cfg.get("seed", 42)
     if not isinstance(seed, int) or seed < 0:
@@ -378,15 +378,15 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
             "numeric": None,
         }
         spec = build_amplifier(cfg, g=g)
-        mdims = None
+        meters = None
         if model != "three_mode":
             try:
-                mdims = meas.povm_meter_dims(spec)
+                meters = meas.povm_meters(spec)
             except TruncationError:
                 pass
-        if mdims is not None and space.dim * mdims[0] <= numeric_limit:
+        if meters and space.dim * meters[0][0].space.dim <= numeric_limit:
             grid = meas.effective_povm_numeric(spec, detector, outcomes,
-                                               dims=mdims)
+                                               meters=meters)
             dev = max(float(np.abs(e - closed.element(o)).max())
                       for o, e in zip(grid.outcomes, grid.elements))
             grid.measure = measure

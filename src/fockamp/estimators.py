@@ -16,12 +16,15 @@ the amplified state is g times a draw from the input Husimi density (the
 amplifier rescales the Husimi density without extra convolution). Both facts
 are validated against full unitary evolution in the test suite. The Husimi
 draws come from the grid sampler shared with the detector,
-:func:`measurement.ideal_draws`.
+:func:`measurement.detector_blocks`.
+
+Plans are drawn and their moments merged in blocks of
+:data:`measurement.BLOCK` trials, so memory does not grow with ``trials``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .amplifiers import (LinearAmp, Meter, TwoModeNormalAmp, VACUUM,
                          VonNeumannAmp)
 from .errors import GainOutOfRange, NotHermitian
 from .fock import State, normal_decompose, number_op, variance
-from .measurement import DetectorSpec, _rng, ideal_draws
+from .measurement import DetectorSpec, detector_blocks, mixture_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -75,81 +78,79 @@ class EstimateReport:
         return (self.variance - self.analytic_variance) / self.se_variance
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mean": self.mean,
-            "variance": self.variance,
-            "se_mean": self.se_mean,
-            "se_variance": self.se_variance,
-            "analytic_mean": self.analytic_mean,
-            "analytic_variance": self.analytic_variance,
-            "analytic_source": self.analytic_source,
-            "z_mean": self.z_mean,
-            "z_variance": self.z_variance,
-            "extra": dict(sorted(self.extra.items())),
-        }
+        return {**asdict(self), "z_mean": self.z_mean, "z_variance": self.z_variance,
+                "extra": dict(sorted(self.extra.items()))}
 
     CSV_HEADER = ("estimator", "trials", "seed", "mean", "variance", "se_mean",
                   "se_variance", "analytic_mean", "analytic_variance",
                   "z_mean", "z_variance")
 
     def to_csv_row(self) -> tuple:
-        return (self.estimator, str(self.trials), str(self.seed), self.mean,
-                self.variance, self.se_mean, self.se_variance,
-                self.analytic_mean, self.analytic_variance, self.z_mean,
-                self.z_variance)
+        return (self.estimator, str(self.trials), str(self.seed)) \
+            + tuple(getattr(self, key) for key in self.CSV_HEADER[3:])
 
 
-def _sample_stats(x: np.ndarray):
-    """Mean, variance, and their standard errors (variance SE via fourth moment).
+class _Moments:
+    """Mean and centred power sums (n, 0, M2, M3, M4) of a sample fed in blocks.
 
-    The centred buffer, squared, is what ``np.var(ddof=1)`` sums; squared
-    again it gives the fourth moment without an elementwise ``pow``.
+    Blocks merge exactly by the pairwise update of Chan, Golub & LeVeque and
+    Pebay (SAND2008-6212), as the binomial re-centring of both sides at the
+    merged mean. One block alone gives ``np.var(ddof=1)`` bit for bit.
     """
-    n = x.shape[0]
-    mean = float(np.mean(x))
-    d = x - mean
-    d *= d
-    var = float(d.sum() / (n - 1))
-    se_mean = math.sqrt(var / n)
-    d *= d
-    m4 = float(d.mean())
-    se_var = math.sqrt(max(m4 - (n - 3) / (n - 1) * var * var, 0.0) / n)
-    return mean, var, se_mean, se_var
+
+    def __init__(self):
+        self.mean, self.sums = 0.0, [0, 0.0, 0.0, 0.0, 0.0]
+
+    def add(self, x: np.ndarray) -> "_Moments":
+        mean = float(np.mean(x))
+        d = x - mean
+        d2 = d * d
+        d *= d2
+        sums = [x.shape[0], 0.0, float(d2.sum()), float(d.sum()), float((d2 * d2).sum())]
+        if self.sums[0]:
+            merged = self.mean + (mean - self.mean) * sums[0] / (self.sums[0] + sums[0])
+            sums = [a + b for a, b in zip(_recentred(self.sums, self.mean - merged),
+                                          _recentred(sums, mean - merged))]
+            mean = merged
+        self.mean, self.sums = mean, sums
+        return self
+
+    def stats(self):
+        """Mean, variance, and their standard errors (variance SE via M4)."""
+        n, _, m2, _, m4 = self.sums
+        var = m2 / (n - 1)
+        se_var = math.sqrt(max(m4 / n - (n - 3) / (n - 1) * var * var, 0.0) / n)
+        return self.mean, var, math.sqrt(var / n), se_var
+
+
+def _recentred(sums, shift: float) -> list:
+    """sum (x - m + shift)^k for k = 0..4 from the sums sum (x - m)^k."""
+    return [sum(math.comb(k, j) * sums[j] * shift ** (k - j) for j in range(k + 1))
+            for k in range(5)]
 
 
 # ---------------------------------------------------------------------------
 # nonlinear scheme: f_hat = x_out / (sqrt(2) g)
 # ---------------------------------------------------------------------------
 
-def nonlinear_meter_x_samples(plan: TrialPlan) -> np.ndarray:
-    """Meter homodyne outcomes for the nonlinear scheme, sampled exactly.
-
-    Draw an eigenvalue from the spectral measure of the input and add the
-    meter position noise and the detector smearing, both Gaussian. Deterministic
-    for a fixed (plan, seed): eigenvalue indices first, then meter noise, then
-    detector noise.
-    """
+def _nonlinear_blocks(plan: TrialPlan):
+    """Meter homodyne outcomes for the nonlinear scheme, block by block: an
+    eigenvalue from the spectral measure of the input, then the meter
+    position noise and the detector smearing, both Gaussian."""
     amp = plan.amplifier
     dec = normal_decompose(amp.f)
     if np.abs(np.imag(dec.eigenvalues)).max() > 1e-9:
         raise NotHermitian("nonlinear estimation wants a Hermitian signal operator")
-    lam = np.real(dec.eigenvalues)
-    probs = dec.probabilities(plan.input_state)
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip(dec.probabilities(plan.input_state), 0.0, None)
     probs /= probs.sum()
-    rng = _rng(plan.seed)
-    idx = rng.choice(lam.shape[0], size=plan.trials, p=probs)
-    x = lam[idx]
-    del idx
-    x *= math.sqrt(2.0) * amp.g
-    x += rng.normal(0.0, math.sqrt(amp.meter.x_variance()), size=plan.trials)
-    s2 = plan.detector.sigma2
-    if s2 > 0:
-        x += rng.normal(0.0, math.sqrt(s2 / 2.0), size=plan.trials)
-    return x
+    noise = (math.sqrt(amp.meter.x_variance()), math.sqrt(plan.detector.sigma2 / 2.0))
+    return mixture_blocks(np.real(dec.eigenvalues), probs, plan.trials, plan.seed,
+                          gain=math.sqrt(2.0) * amp.g, noise=noise)
+
+
+def nonlinear_meter_x_samples(plan: TrialPlan) -> np.ndarray:
+    """All meter outcomes of the plan's blocks (:func:`_nonlinear_blocks`)."""
+    return np.concatenate(list(_nonlinear_blocks(plan)))
 
 
 def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
@@ -160,9 +161,10 @@ def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
     if plan.detector.kind != "homodyne":
         raise ValueError("nonlinear estimation reads the meter with homodyne")
     g = amp.g
-    fhat = nonlinear_meter_x_samples(plan)
-    fhat /= math.sqrt(2.0) * g
-    mean, var, se_m, se_v = _sample_stats(fhat)
+    moments = _Moments()
+    for x in _nonlinear_blocks(plan):
+        moments.add(x / (math.sqrt(2.0) * g))
+    mean, var, se_m, se_v = moments.stats()
     var_f = variance(plan.input_state, amp.f)
     mean_f = float(np.real(plan.input_state.expectation(amp.f)))
     noise_var = (amp.meter.x_variance() + plan.detector.sigma2 / 2.0) / (2.0 * g * g)
@@ -180,28 +182,28 @@ def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
 # linear scheme: n_hat = |alpha|^2/g^2 - 1
 # ---------------------------------------------------------------------------
 
-def linear_heterodyne_samples(plan: TrialPlan) -> np.ndarray:
-    """Heterodyne outcomes after phase-preserving amplification.
+def _linear_blocks(plan: TrialPlan):
+    """Heterodyne outcomes after phase-preserving amplification, by block.
 
-    alpha = g * (Husimi draw of the input, :func:`measurement.ideal_draws`)
-    + detector noise. The amplifier adds no further term: with a vacuum
-    internal mode the output Husimi density is exactly the input one
-    rescaled by the gain, Q_out(alpha) = Q_in(alpha/g)/g^2, so the
-    antinormally ordered extra quantum is already in the Husimi draw.
-    Validated against two-mode squeezer evolution in the tests. An input
-    holding more than 1e-6 at its cutoff raises TruncationError.
+    alpha = g * (Husimi draw of the input) + detector noise, from the
+    detector's sampler :func:`measurement.detector_blocks`. The amplifier
+    adds no further term: with a vacuum internal mode the output Husimi
+    density is exactly the input one rescaled by the gain, Q_out(alpha) =
+    Q_in(alpha/g)/g^2, so the antinormally ordered extra quantum is already
+    in the Husimi draw (validated against two-mode squeezer evolution in
+    the tests). An input holding more than 1e-6 at its cutoff raises
+    TruncationError.
     """
     amp = plan.amplifier
     if amp.meter.kind != "vacuum":
         raise ValueError("linear-scheme sampling shortcut assumes a vacuum internal mode")
-    rng = _rng(plan.seed)
-    alpha = ideal_draws(plan.input_state, "heterodyne", plan.trials, rng)
-    alpha *= amp.g
-    s2 = plan.detector.sigma2
-    if s2 > 0:
-        noise = rng.normal(0.0, math.sqrt(s2 / 2.0), size=(plan.trials, 2))
-        alpha += noise.view(complex)[:, 0]
-    return alpha
+    return detector_blocks(plan.input_state, plan.detector, plan.trials,
+                           plan.seed, gain=amp.g)
+
+
+def linear_heterodyne_samples(plan: TrialPlan) -> np.ndarray:
+    """All heterodyne outcomes of the plan's blocks (:func:`_linear_blocks`)."""
+    return np.concatenate(list(_linear_blocks(plan)))
 
 
 def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
@@ -213,13 +215,14 @@ def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
         raise GainOutOfRange("linear scheme needs g >= 1")
     if plan.detector.kind != "heterodyne":
         raise ValueError("linear number estimation reads mode a with heterodyne")
-    alpha = linear_heterodyne_samples(plan)
     g = amp.g
-    a2 = np.abs(alpha)
-    del alpha
-    a2 *= a2
-    nhat = a2 / (g * g) - 1.0
-    mean, var, se_m, se_v = _sample_stats(nhat)
+    moments, raw = _Moments(), _Moments()
+    for alpha in _linear_blocks(plan):
+        a2 = np.abs(alpha)
+        a2 *= a2
+        raw.add(a2)
+        moments.add(a2 / (g * g) - 1.0)
+    mean, var, se_m, se_v = moments.stats()
     nop = number_op(plan.input_state.space)
     n_mean = float(np.real(plan.input_state.expectation(nop)))
     n_var = variance(plan.input_state, nop)
@@ -227,7 +230,7 @@ def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
     analytic_mean = n_mean + s2 / (g * g)
     analytic_var = (n_var + n_mean + 1.0
                     + 2.0 * s2 * (n_mean + 1.0) / (g * g) + s2 * s2 / g ** 4)
-    m2, v2, se2m, _ = _sample_stats(a2)
+    m2, v2, se2m, _ = raw.stats()
     return EstimateReport(
         "n_hat_linear", plan.trials, plan.seed, mean, var, se_m, se_v,
         analytic_mean=analytic_mean,
@@ -262,14 +265,9 @@ class CompareReport:
     crossover_satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "nonlinear": self.nonlinear.to_dict(),
-            "linear": self.linear.to_dict() if self.linear else None,
-            "analytic_nonlinear_variance": self.analytic_nonlinear_variance,
-            "analytic_linear_variance": self.analytic_linear_variance,
-            "improvement": self.improvement,
-            "crossover_satisfied": self.crossover_satisfied,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "nonlinear": self.nonlinear.to_dict(),
+                "linear": self.linear.to_dict() if self.linear else None}
 
 
 def compare_schemes(input_state: State, g: float, trials: int, seed: int,
@@ -297,10 +295,8 @@ def compare_schemes(input_state: State, g: float, trials: int, seed: int,
     nop = number_op(space)
     n_mean = float(np.real(input_state.expectation(nop)))
     n_var = variance(input_state, nop)
-    var_f = variance(input_state, fop)
-    s2h = DetectorSpec("homodyne", eta).sigma2
     s2het = DetectorSpec("heterodyne", eta).sigma2
-    var_nl = var_f + (meter.x_variance() + s2h / 2.0) / (2.0 * g * g)
+    var_nl = nl.analytic_variance
     var_lin = (n_var + n_mean + 1.0 + 2.0 * s2het * (n_mean + 1.0) / (g * g)
                + s2het ** 2 / g ** 4)
     improvement = var_nl < var_lin

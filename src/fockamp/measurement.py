@@ -34,6 +34,11 @@ HOMODYNE_YGRID_STEP = 0.005
 HOMODYNE_YGRID_RANGE = 10.0
 # betas per overlap-matrix block in husimi_values
 HUSIMI_BLOCK = 4096
+# trials per Monte Carlo block, the unit of the stream law (see
+# mixture_blocks); memory is O(BLOCK) whatever the trial count
+BLOCK = 2 ** 16
+# equal buckets of u in the inverse-CDF guide table of mixture_blocks
+GUIDE_BUCKETS = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +260,9 @@ def _readout_drive(amp) -> float:
     return amp.g if isinstance(amp, TwoModeNormalAmp) else amp.g / math.sqrt(2.0)
 
 
-def povm_meter_dims(amp) -> tuple[int, ...]:
-    """Auto-sized meter truncations of :func:`effective_povm_numeric`."""
-    return tuple(m.space.dim for m, _ in prepare_meters(amp, _readout_drive(amp)))
+def povm_meters(amp) -> list:
+    """Auto-sized meters of :func:`effective_povm_numeric`, with probe rows."""
+    return prepare_meters(amp, _readout_drive(amp))
 
 
 def _heterodyne_expectations(kets: np.ndarray, betas, sigma2: float) -> np.ndarray:
@@ -330,7 +335,7 @@ def _homodyne_expectations(kets: np.ndarray, xs, sigma2: float) -> np.ndarray:
 
 
 def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
-                           dims=None) -> PovmGrid:
+                           dims=None, meters=None) -> PovmGrid:
     """E(outcome) = <meters| U^dag M U |meters> on the signal mode, rescaled.
 
     The amplifier fixes the model: a two-mode normal amplifier is read out by
@@ -349,8 +354,9 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     what the dense sandwich with :func:`two_mode_unitary`,
     :func:`von_neumann_unitary` or :func:`three_mode_unitary` gives.
 
-    The meters come from :func:`amplifiers.prepare_meters` at ``dims``
-    (:func:`povm_meter_dims` if None), which simulation shares. A meter
+    The meters are ``meters`` from :func:`povm_meters` if given, else
+    :func:`amplifiers.prepare_meters` at ``dims`` (auto-sized if None),
+    which simulation shares. A meter
     whose truncation drops more than 1e-6 of its norm, or whose displaced
     copy puts more than 1e-6 on the cutoff, raises TruncationError instead
     of yielding truncation-limited elements.
@@ -375,7 +381,8 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     expectations, jacobian = (_heterodyne_expectations, g * g) if heterodyne \
         else (_homodyne_expectations, g)
     weights = 1.0
-    for (_, part), (meter, rows) in zip(table, prepare_meters(amp, drive, dims)):
+    meters = meters or prepare_meters(amp, drive, dims)
+    for (_, part), (meter, rows) in zip(table, meters):
         chi = displaced_rows(meter, drive * part(dec.eigenvalues), rows)
         weights = weights * (jacobian * expectations(chi, g * part(outcomes), sig2))
     model = "three_mode" if isinstance(amp, ThreeModeAmp) else expected
@@ -488,8 +495,42 @@ def own_region_weights(povm, regions: DecisionRegions) -> np.ndarray:
 # outcome sampling
 # ---------------------------------------------------------------------------
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
+                   jitter: float = 0.0, noise=()):
+    """n draws of gain (points[i] + jitter) + noise, in blocks of at most BLOCK.
+
+    i has the law weights/sum(weights). Block b draws from Philox keyed by
+    the seed with b as its third counter word, which is
+    ``Philox(key=seed).jumped(b)`` (Salmon et al., SC'11): ``random()`` for
+    i, then the jitter, uniform on [-jitter, jitter], then a Gaussian per
+    nonzero standard deviation in ``noise``, per axis. i is read off a
+    guide table over equal buckets of u (Chen & Asau, 1974): the cell of u
+    lies between those of its bucket's edges, so where they agree it is
+    known and only the other uniforms are searched. The cells are
+    ``rng.choice(p=)``'s bit for bit.
+    """
+    cdf = np.cumsum(weights)  # normalized as rng.choice(p=) does
+    cdf /= cdf[-1]
+    guide = np.searchsorted(cdf, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS,
+                            side="right")
+    axes = (2,) if np.iscomplexobj(points) else ()  # complex: (re, im) pairs
+    for b, lo in enumerate(range(0, n, BLOCK)):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0]))
+        size = min(BLOCK, n - lo)
+        draws = (size,) + axes
+        u = rng.random(size)
+        j = (u * GUIDE_BUCKETS).astype(np.intp)
+        cells = guide[j]
+        search = np.flatnonzero(cells != guide[j + 1])
+        cells[search] = np.searchsorted(cdf, u[search], side="right")
+        out = points[cells]
+        if jitter:
+            out += rng.uniform(-jitter, jitter, draws).view(out.dtype).reshape(size)
+        out *= gain
+        for sd in noise:
+            if sd > 0:
+                out += rng.normal(0.0, sd, draws).view(out.dtype).reshape(size)
+        yield out
 
 
 def _coherent_overlap_matrix(dim: int, betas: np.ndarray) -> np.ndarray:
@@ -505,10 +546,18 @@ def husimi_values(state: State, betas: np.ndarray) -> np.ndarray:
     """Q(beta) = <beta|rho|beta>/pi over a flat array of betas.
 
     The dim x n overlap matrix is built HUSIMI_BLOCK betas at a time, so
-    memory stays bounded however fine the grid.
+    memory stays bounded however fine the grid. The overlaps start at
+    e^{-|beta|^2/2}, subnormal past |beta|^2 ~ 1416: |beta|^2 > 1400 raises
+    TruncationError on a state with over 1e-12 above level 1000 (else Q is
+    below roundoff there, and 0 is right).
     """
     dim = state.space.dim
     betas = np.asarray(betas, dtype=complex)
+    reach = float(np.max(np.abs(betas) ** 2, initial=0.0))
+    tail = float(state.probabilities()[1001:].sum()) if reach > 1400 else 0.0
+    if tail > 1e-12:
+        raise TruncationError(f"Husimi values at |beta|^2 = {reach:.0f} underflow, "
+                              f"and the state holds {tail:.2e} above level 1000")
     q = np.empty(betas.shape[0])
     for lo in range(0, betas.shape[0], HUSIMI_BLOCK):
         c = _coherent_overlap_matrix(dim, betas[lo:lo + HUSIMI_BLOCK])
@@ -520,17 +569,14 @@ def husimi_values(state: State, betas: np.ndarray) -> np.ndarray:
     return q / math.pi
 
 
-def ideal_draws(state: State, kind: str, n: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """n noise-free outcomes of an ideal heterodyne or homodyne detector.
-
-    A grid inverse-CDF of the Husimi density (heterodyne, square grid
-    |Re|,|Im| <= sqrt(dim)+4, step 0.05) or of the position density
-    (homodyne, same range and step), with uniform jitter inside each cell.
-    Draws ``rng.random(n)``, then the jitter. A state holding more than
-    1e-6 at its cutoff raises TruncationError, since the grid would miss
-    the mass beyond it.
-    """
+def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
+                    gain: float = 1.0):
+    """n outcomes of ``detector`` on ``state`` times ``gain``, in the blocks
+    of :func:`mixture_blocks`: cells of the Husimi (heterodyne) or position
+    (homodyne) density on a grid |Re|,|Im| <= sqrt(dim)+4 of step 0.05,
+    jittered in the cell, plus detector noise of per-axis variance
+    sigma^2/2. A state holding more than 1e-6 at its cutoff, or a Husimi
+    grid :func:`husimi_values` refuses, raises TruncationError first."""
     if state.space.n_modes != 1:
         raise DimensionMismatch("sampler wants a single-mode state")
     top = float(state.probabilities()[-1])
@@ -541,68 +587,22 @@ def ideal_draws(state: State, kind: str, n: int,
     half = math.sqrt(state.space.dim) + 4.0
     step = 0.05
     points = np.arange(-half, half + step / 2, step)
-    if kind == "heterodyne":
-        gx, gy = np.meshgrid(points, points, indexing="ij")
-        points = (gx + 1j * gy).ravel()
+    if detector.kind == "heterodyne":
+        # the farthest corner: raises before the grid is built if Q underflows
+        husimi_values(state, [np.abs(points).max() * (1 + 1j)])
+        points = (points[:, None] + 1j * points[None, :]).ravel()
         q = husimi_values(state, points)
     else:
         q = np.abs(quadrature_amplitudes(state, points)) ** 2 \
             if state.kind == "ket" else np.real(quadrature_amplitudes(state, points))
-    cdf = np.cumsum(q)
-    cdf /= cdf[-1]
-    # the uniforms are looked up in sorted order, which walks the CDF once;
-    # the cells (and the stream) are those of the plain lookup
-    u = rng.random(n)
-    order = np.argsort(u)
-    cells = np.empty_like(order)
-    cells[order] = np.searchsorted(cdf, u[order], side="right")
-    del u, order
-    out = points[cells.clip(0, points.size - 1)]
-    if kind == "heterodyne":  # (n, 2) pairs viewed as n complex numbers
-        out += rng.uniform(-step / 2, step / 2, size=(n, 2)).view(complex)[:, 0]
-    else:
-        out += rng.uniform(-step / 2, step / 2, size=n)
-    return out
+    return mixture_blocks(points, q, n, seed, gain, step / 2,
+                          (math.sqrt(detector.sigma2 / 2.0),))
 
 
 def sample_outcomes(state: State, detector: DetectorSpec, n: int,
                     seed: int) -> np.ndarray:
-    """n detector outcomes for a single-mode state; deterministic given seed.
-
-    Ideal outcomes come from :func:`ideal_draws`; detector noise of per-axis
-    variance sigma^2/2 is added on top.
-    """
-    rng = _rng(seed)
-    out = ideal_draws(state, detector.kind, n, rng)
-    sig = math.sqrt(detector.sigma2 / 2.0)
-    if detector.kind == "heterodyne":
-        noise = rng.normal(0.0, 1.0, size=(n, 2)) * sig
-        out += noise.view(complex)[:, 0]
-    else:
-        out += rng.normal(0.0, 1.0, size=n) * sig
-    return out
-
-
-def sample_outcome(state: State, detector: DetectorSpec, seed: int):
-    """Single outcome; complex for heterodyne, real for homodyne."""
-    out = sample_outcomes(state, detector, 1, seed)[0]
-    return complex(out) if detector.kind == "heterodyne" else float(np.real(out))
-
-
-def smeared_position_density(state: State, sigma2: float,
-                             xs: np.ndarray) -> np.ndarray:
-    """q(x) convolved with the homodyne noise kernel (analytic oracle helper)."""
-    y = _default_ygrid(xs, sigma2)
-    step = y[1] - y[0]
-    q = np.abs(quadrature_amplitudes(state, y)) ** 2 if state.kind == "ket" \
-        else np.real(quadrature_amplitudes(state, y))
-    if sigma2 == 0.0:
-        return np.interp(xs, y, q)
-    out = np.empty_like(np.asarray(xs, dtype=float))
-    for i, xv in enumerate(np.asarray(xs, dtype=float)):
-        k = np.exp(-((xv - y) ** 2) / sigma2) / math.sqrt(math.pi * sigma2)
-        out[i] = float(np.sum(k * q) * step)
-    return out
+    """n outcomes of :func:`detector_blocks`, joined; deterministic given seed."""
+    return np.concatenate(list(detector_blocks(state, detector, n, seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,31 @@ def test_povm_single_region_weight_one(tmp_path):
     assert summary["per_gain"][0]["own_region_weights"] == [1.0]
 
 
+def test_povm_builds_one_kernel_basis_per_gain(tmp_path, monkeypatch):
+    # the sizing probe's displaced rows of an auto-sized squeezed meter are
+    # handed on to the sandwich instead of being built again
+    from fockamp import amplifiers, cli
+    kernel = amplifiers.displaced_meter_ket
+    dims = []
+
+    def counted(meter_state, alphas):
+        dims.append(meter_state.space.dim)
+        return kernel(meter_state, alphas)
+
+    monkeypatch.setattr(amplifiers, "displaced_meter_ket", counted)
+    cfg = {"command": "povm",
+           "amplifier": {"variant": "von_neumann", "f": {"kind": "a_dag_a"},
+                         "g_list": [1, 2], "meter": {"kind": "squeezed", "r": 0.5}},
+           "detector": {"kind": "homodyne", "efficiency": 0.5},
+           "dims": {"signal": 4}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
+    assert dims == [81, 144]
+    summary = json.loads((tmp_path / "povm_summary.json").read_text())
+    assert all(e["numeric"] is not None for e in summary["per_gain"])
+
+
 # ---------------------------------------------------------------------------
 # estimate / compare
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fockamp.estimators import (linear_heterodyne_samples,
                                 nonlinear_meter_x_samples)
 from fockamp.fock import (State, normal_decompose, partial_trace,
                           quadrature_amplitudes)
-from fockamp.measurement import _rng, ideal_draws
+from fockamp.measurement import BLOCK, sample_outcomes
 
 
 def _hom(eta=1.0):
@@ -229,11 +229,18 @@ def test_seed_determinism_bit_exact():
 
 
 # ---------------------------------------------------------------------------
-# stream contracts: each sampler draws the same stream as its plain formula
+# stream contracts: each sampler draws the same stream as its plain formula,
+# block b of a plan from Philox(key=seed) jumped b times
 # ---------------------------------------------------------------------------
 
-def _plain_ideal_draws(state, kind, n, rng):
-    # the grid inverse-CDF with an unsorted searchsorted and out-of-place jitter
+def _block_streams(seed, n):
+    # (rng, trials) of each block, from the jump rather than the counter
+    return [(np.random.Generator(np.random.Philox(key=seed).jumped(b)),
+             min(BLOCK, n - lo)) for b, lo in enumerate(range(0, n, BLOCK))]
+
+
+def _plain_ideal_draws(state, kind, n, seed):
+    # the grid inverse-CDF with a plain searchsorted and out-of-place jitter
     half = math.sqrt(state.space.dim) + 4.0
     step = 0.05
     points = np.arange(-half, half + step / 2, step)
@@ -245,18 +252,23 @@ def _plain_ideal_draws(state, kind, n, rng):
         q = np.abs(quadrature_amplitudes(state, points)) ** 2
     cdf = np.cumsum(q)
     cdf /= cdf[-1]
-    cells = np.searchsorted(cdf, rng.random(n), side="right").clip(0, points.size - 1)
-    if kind == "heterodyne":
-        jit = rng.uniform(-step / 2, step / 2, size=(n, 2))
-        return points[cells] + jit[:, 0] + 1j * jit[:, 1]
-    return points[cells] + rng.uniform(-step / 2, step / 2, size=n)
+    out = []
+    for rng, m in _block_streams(seed, n):
+        cells = np.searchsorted(cdf, rng.random(m), side="right").clip(0, points.size - 1)
+        if kind == "heterodyne":
+            jit = rng.uniform(-step / 2, step / 2, size=(m, 2))
+            out.append(points[cells] + jit[:, 0] + 1j * jit[:, 1])
+        else:
+            out.append(points[cells] + rng.uniform(-step / 2, step / 2, size=m))
+    return np.concatenate(out)
 
 
 @pytest.mark.parametrize("kind", ["heterodyne", "homodyne"])
 def test_ideal_draws_match_plain_inverse_cdf(kind):
+    # an ideal detector adds no noise; BLOCK + 3 trials end in a partial block
     st = fock_state(FockSpace(16), 2)
-    got = ideal_draws(st, kind, 20000, _rng(5))
-    ref = _plain_ideal_draws(st, kind, 20000, _rng(5))
+    got = sample_outcomes(st, DetectorSpec(kind, 1.0), BLOCK + 3, 5)
+    ref = _plain_ideal_draws(st, kind, BLOCK + 3, 5)
     assert got.dtype == ref.dtype
     assert np.array_equal(got, ref)
 
@@ -266,16 +278,32 @@ def test_nonlinear_samples_match_choice_plus_normals():
     amp = TwoModeNormalAmp(number_op(sp), 2.0)
     st = coherent_state(sp, 0.8)
     det = _hom(0.9)
-    plan = TrialPlan(amp, st, det, 20000, 9, "f_hat_nonlinear")
+    plan = TrialPlan(amp, st, det, BLOCK + 3, 9, "f_hat_nonlinear")
     dec = normal_decompose(amp.f)
     probs = np.clip(dec.probabilities(st), 0.0, None)
     probs /= probs.sum()
-    rng = _rng(9)
-    idx = rng.choice(probs.size, size=plan.trials, p=probs)
-    ref = math.sqrt(2.0) * amp.g * np.real(dec.eigenvalues)[idx]
-    ref = ref + rng.normal(0.0, math.sqrt(amp.meter.x_variance()), size=plan.trials)
-    ref = ref + rng.normal(0.0, math.sqrt(det.sigma2 / 2.0), size=plan.trials)
-    assert np.array_equal(nonlinear_meter_x_samples(plan), ref)
+    ref = []
+    for rng, m in _block_streams(9, plan.trials):
+        idx = rng.choice(probs.size, size=m, p=probs)
+        x = math.sqrt(2.0) * amp.g * np.real(dec.eigenvalues)[idx]
+        x = x + rng.normal(0.0, math.sqrt(amp.meter.x_variance()), size=m)
+        ref.append(x + rng.normal(0.0, math.sqrt(det.sigma2 / 2.0), size=m))
+    assert np.array_equal(nonlinear_meter_x_samples(plan), np.concatenate(ref))
+
+
+def test_linear_samples_match_gain_times_draws_plus_noise():
+    # the linear scheme and the detector share one sampler
+    st = coherent_state(FockSpace(16), 1.0 + 0.5j)
+    det = _het(0.8)
+    plan = TrialPlan(LinearAmp(2.0), st, det, BLOCK + 3, 4, "n_hat_linear")
+    ideal = _plain_ideal_draws(st, "heterodyne", BLOCK + 3, 4)
+    ref = []
+    for (rng, m), lo in zip(_block_streams(4, plan.trials), range(0, BLOCK + 3, BLOCK)):
+        rng.random(m)
+        rng.uniform(size=(m, 2))  # the draws and their jitter, as above
+        noise = rng.normal(0.0, math.sqrt(det.sigma2 / 2.0), size=(m, 2))
+        ref.append(2.0 * ideal[lo:lo + m] + (noise[:, 0] + 1j * noise[:, 1]))
+    assert np.array_equal(linear_heterodyne_samples(plan), np.concatenate(ref))
 
 
 def test_linear_seed_determinism_bit_exact():
@@ -309,6 +337,30 @@ def test_estimation_memory_is_bounded(case):
         tracemalloc.stop()
     assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
     assert peak < bound * 2 ** 20
+
+
+@pytest.mark.parametrize("case", ["linear", "two_mode"])
+def test_estimation_memory_is_flat_in_trials(case):
+    # the draws stream in blocks and the moments merge per block, so the
+    # traced peak at 4e6 trials is the peak at 1e5
+    import tracemalloc
+    if case == "linear":
+        args = (LinearAmp(2.0), coherent_state(FockSpace(64), 1.0 + 0.5j), _het(0.8))
+    else:
+        sp = FockSpace(8)
+        args = (TwoModeNormalAmp(number_op(sp), 2.0), fock_state(sp, 2), _hom(0.9))
+    peaks = []
+    for trials in (100_000, 4_000_000):
+        plan = TrialPlan(*args, trials, 7,
+                         "n_hat_linear" if case == "linear" else "f_hat_nonlinear")
+        tracemalloc.start()
+        try:
+            rep = run_plan(plan)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
+    assert abs(peaks[1] - peaks[0]) < 4 * 2 ** 20
 
 
 def test_unbiasedness_over_seeds():

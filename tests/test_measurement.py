@@ -9,15 +9,18 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
                      Meter, coherent_state, effective_povm_closed_form,
                      effective_povm_numeric, fock_state, heterodyne_element,
                      homodyne_element, normal_decompose, number_op,
-                     own_region_weights, coarse_grain, sample_outcome,
-                     sample_outcomes, three_mode_unitary, two_mode_unitary,
+                     own_region_weights, coarse_grain, sample_outcomes, three_mode_unitary, two_mode_unitary,
                      vacuum_state, von_neumann_unitary)
 from fockamp import measurement
 from fockamp.errors import CoverageError, FockampError, TruncationError
 from fockamp.amplifiers import meter_dim_for
-from fockamp.measurement import (_heterodyne_expectations, husimi_values,
-                                 povm_csv_rows, povm_meter_dims,
-                                 smeared_position_density)
+from fockamp.fock import quadrature_amplitudes
+from fockamp.measurement import (_default_ygrid, _heterodyne_expectations,
+                                 husimi_values, povm_csv_rows, povm_meters)
+
+
+def povm_meter_dims(amp):
+    return tuple(m.space.dim for m, _ in povm_meters(amp))
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +514,27 @@ def test_coverage_error_for_narrow_imaginary_extent():
 # sampling
 # ---------------------------------------------------------------------------
 
+def sample_outcome(state, detector, seed):
+    """Single outcome; complex for heterodyne, real for homodyne."""
+    out = sample_outcomes(state, detector, 1, seed)[0]
+    return complex(out) if detector.kind == "heterodyne" else float(np.real(out))
+
+
+def smeared_position_density(state, sigma2, xs):
+    """q(x) convolved with the homodyne noise kernel (analytic oracle)."""
+    y = _default_ygrid(xs, sigma2)
+    step = y[1] - y[0]
+    q = np.abs(quadrature_amplitudes(state, y)) ** 2 if state.kind == "ket" \
+        else np.real(quadrature_amplitudes(state, y))
+    if sigma2 == 0.0:
+        return np.interp(xs, y, q)
+    out = np.empty_like(np.asarray(xs, dtype=float))
+    for i, xv in enumerate(np.asarray(xs, dtype=float)):
+        k = np.exp(-((xv - y) ** 2) / sigma2) / math.sqrt(math.pi * sigma2)
+        out[i] = float(np.sum(k * q) * step)
+    return out
+
+
 def test_heterodyne_sampler_memory_is_bounded():
     # dim 64 puts 231,361 betas on the grid; the Husimi density is evaluated
     # in blocks, not through one dim x grid overlap matrix (~237 MB)
@@ -523,6 +547,31 @@ def test_heterodyne_sampler_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_husimi_values_refuse_underflow():
+    # the overlaps start at e^{-|beta|^2/2}, subnormal past |beta|^2 ~ 1416:
+    # unguarded, coherent(38) read Q(38.5) = 0.2565 (true 0.2479) and
+    # coherent(39) read Q(39) = 0 (true 1/pi)
+    sp = FockSpace(3000)
+    for alpha, beta in ((38.0, 38.5), (39.0, 39.0)):
+        with pytest.raises(TruncationError, match="underflow"):
+            husimi_values(coherent_state(sp, alpha), np.array([beta]))
+    # the sampler checks its grid corners before it builds the grid
+    with pytest.raises(TruncationError, match="underflow"):
+        sample_outcomes(coherent_state(sp, 38.0), DetectorSpec("heterodyne", 1.0),
+                        10, 0)
+    # without weight above level 1000, Q there is below roundoff: 0 is right
+    assert husimi_values(fock_state(FockSpace(1100), 5), np.array([40.0]))[0] == 0.0
+
+
+def test_husimi_guard_spares_benchmark_input():
+    # the montecarlo linear input (dim 64): its grid corners reach
+    # |beta|^2 = 2 (8 + 4)^2 = 288, and it has no level above 1000
+    st = coherent_state(FockSpace(64), 1.0 + 0.5j)
+    assert husimi_values(st, np.array([40.0]))[0] == 0.0
+    out = sample_outcomes(st, DetectorSpec("heterodyne", 0.8), 1000, 7)
+    assert np.isfinite(out).all()
 
 
 def test_heterodyne_sampler_moments():

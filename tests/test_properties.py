@@ -14,7 +14,8 @@ Numeric POVMs on grids that cover the outcomes resolve the identity. The
 batched displacement kernel undoes itself: D(-alpha) D(alpha)|meter> is the
 meter, and every row has unit norm. The
 estimator statistics are checked on random samples against NumPy's mean
-and variance (bit for bit) and a two-pass fourth-moment reference.
+and variance (bit for bit) and a two-pass fourth-moment reference, and
+their block merge against one-buffer two-pass moments.
 :func:`normal_decompose` is checked against ``scipy.linalg.schur`` on random
 normal operators whose spectra hold equal, nearly equal (1e-7 apart) and
 repeated real parts.
@@ -31,7 +32,7 @@ from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      normal_decompose, simulate_output_state, tensor,
                      three_mode_unitary, two_mode_unitary, von_neumann_unitary)
 from fockamp.amplifiers import displaced_meter_ket
-from fockamp.estimators import _sample_stats
+from fockamp.estimators import _Moments
 
 METER_DIM = 20
 unit = st.floats(-1.0, 1.0)
@@ -158,13 +159,41 @@ def test_numeric_povm_weight_table_matches_closed_form(case):
 def test_sample_stats_match_numpy_and_two_pass_reference(values):
     x = np.array(values)
     n = x.size
-    mean, var, se_mean, se_var = _sample_stats(x)
+    mean, var, se_mean, se_var = _Moments().add(x).stats()
     assert mean == float(np.mean(x))
     assert var == float(np.var(x, ddof=1))
     assert se_mean == np.sqrt(var / n)
     m4 = float(np.mean((x - np.mean(x)) ** 4))
     ref = np.sqrt(max(m4 - (n - 3) / (n - 1) * var * var, 0.0) / n)
     assert np.isclose(se_var, ref, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=400),
+       st.lists(st.integers(1, 64), min_size=1, max_size=40))
+def test_merged_moments_match_one_buffer_two_pass(values, sizes):
+    # blocks cut at random sizes, and blocks of size 1, merge to the
+    # moments of the whole sample
+    x = np.array(values)
+    n = x.size
+    mean = x.sum() / n
+    d = x - mean
+    m2, m3, m4 = (float(np.sum(d ** k)) for k in (2, 3, 4))
+    scale = max(float(np.abs(x).max()), 1e-300)
+    cuts = np.cumsum(sizes)
+    for parts in (np.split(x, cuts[cuts < n]), np.split(x, np.arange(1, n))):
+        acc = _Moments()
+        for part in parts:
+            acc.add(part)
+        assert acc.sums[0] == n
+        for got, ref, k in zip([acc.mean] + acc.sums[2:], (mean, m2, m3, m4),
+                               (1, 2, 3, 4)):
+            assert abs(got - ref) <= 1e-12 * n * scale ** k
+        var = m2 / (n - 1)
+        ref = np.sqrt(max(m4 / n - (n - 3) / (n - 1) * var * var, 0.0) / n)
+        _, got_var, _, got_se = acc.stats()
+        assert np.isclose(got_var, var, rtol=1e-12, atol=1e-12 * scale ** 2)
+        assert np.isclose(got_se, ref, rtol=1e-12, atol=1e-12 * scale ** 2)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
