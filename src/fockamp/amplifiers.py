@@ -406,20 +406,45 @@ def three_mode_unitary(f: Operator, g: float,
                     three_mode_columns(f, g, dims, dims).reshape(n, n))
 
 
-def linear_amp_unitary(g: float, dims: tuple[int, int]) -> Operator:
-    """Two-mode squeezer with amplitude gain g = cosh(r): a_out = g a + sqrt(g^2-1) b^dag.
+def _squeezer_chains(g: float, dims: tuple[int, int]):
+    """(indices, block) of the linear squeezer on each photon-difference chain.
 
-    g = 1 (r = 0) is the identity boundary; g < 1 is rejected.
+    The generator K = r (a^dag b^dag - a b), g = cosh(r), keeps n_a - n_b
+    fixed, truncated or not, so exp(K) is block diagonal over the
+    d_a + d_b - 1 chains |n_a, n_b>, |n_a + 1, n_b + 1>, ... On a chain K is
+    P (i T) P^dag with P = diag((-i)^k) and T real symmetric tridiagonal
+    with zero diagonal and off-diagonals r sqrt((n_a+1)(n_b+1)); one eigh of
+    T gives the block P exp(i T) P^dag. ``indices`` are the chain's flat
+    positions n_a d_b + n_b in the composite space.
     """
     if g < 1.0:
         raise GainOutOfRange(f"linear amplifier needs g >= 1, got {g}")
     da, db = dims
     r = math.acosh(g)
-    a = annihilation_op(FockSpace(da)).matrix
-    b = annihilation_op(FockSpace(db)).matrix
-    # generator r (a^dag b^dag - a b) gives the +sqrt(g^2-1) b^dag convention
-    k = r * (np.kron(a.conj().T, b.conj().T) - np.kron(a, b))
-    return Operator(FockSpace((da, db)), expm_hermitian(1j * k))
+    for delta in range(1 - db, da):
+        na0, nb0 = max(delta, 0), max(-delta, 0)
+        k = np.arange(min(da - na0, db - nb0))
+        # eigh reads the upper triangle only: the superdiagonal of T
+        off = r * np.sqrt((na0 + k[1:]) * (nb0 + k[1:]))
+        w, v = np.linalg.eigh(np.diag(off, 1), UPLO="U")
+        p = np.array([1, -1j, -1, 1j])[k % 4]
+        yield (na0 + k) * db + nb0 + k, \
+            (p[:, None] * ((v * np.exp(1j * w)) @ v.T)) * p.conj()
+
+
+def linear_amp_unitary(g: float, dims: tuple[int, int]) -> Operator:
+    """Two-mode squeezer with amplitude gain g = cosh(r): a_out = g a + sqrt(g^2-1) b^dag.
+
+    U = exp(r (a^dag b^dag - a b)), assembled from its photon-difference
+    chain blocks (:func:`_squeezer_chains`); simulation applies the blocks
+    without forming U. g = 1 (r = 0) is the identity boundary; g < 1 is
+    rejected.
+    """
+    n = math.prod(dims)
+    u = np.zeros((n, n), dtype=complex)
+    for idx, block in _squeezer_chains(g, dims):
+        u[np.ix_(idx, idx)] = block
+    return Operator(FockSpace(tuple(dims)), u)
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +626,9 @@ def simulate_output_state(spec, input_a: State, dims=None,
     ``dims`` (auto-sized if None, driven at g), and kets and density
     matrices alike are assembled from conditional meter displacements in
     the signal eigenbasis (:func:`_spectral_output`); the linear amplifier
-    applies its two-mode squeezer to its meter at ``dims`` (the signal
-    dimension if None). A meter that drops more than 1e-6 of its norm, a
+    applies its two-mode squeezer, one photon-difference chain at a time
+    (:func:`_squeeze`), to its meter at ``dims`` (the signal dimension if
+    None). A meter that drops more than 1e-6 of its norm, a
     displaced meter of a populated eigenvector that puts more than 1e-6 on
     its cutoff, and an output holding more than 1e-6 on any mode's cutoff
     raise TruncationError. ``apply_swap`` exchanges modes 0 and 1 afterwards
@@ -613,8 +639,7 @@ def simulate_output_state(spec, input_a: State, dims=None,
                         "use single_mode_output_moments / single_mode_output_ops")
     if isinstance(spec, LinearAmp):
         meter = spec.meter.state(dims[0] if dims else input_a.space.dim)
-        u = linear_amp_unitary(spec.g, (input_a.space.dim, meter.space.dim))
-        out = _apply_unitary(u, tensor(input_a, meter))
+        out = _squeeze(spec.g, tensor(input_a, meter))
     else:
         out = _spectral_output(spec, input_a, prepare_meters(spec, spec.g, dims))
 
@@ -646,6 +671,23 @@ def _apply_unitary(u: Operator, state: State) -> State:
         return State(u.space, "ket", u.matrix @ state.data, state.norm_defect)
     m = u.matrix @ state.data @ u.matrix.conj().T
     return State(u.space, "density", m, state.norm_defect)
+
+
+def _squeeze(g: float, state: State) -> State:
+    """U psi, or U rho U^dag, of :func:`linear_amp_unitary` on a two-mode state.
+
+    Each chain block of :func:`_squeezer_chains` maps its own indices, rows
+    first and then (for a density) columns, so U is never formed.
+    """
+    chains = list(_squeezer_chains(g, state.space.dims))
+    out = np.empty(state.data.shape, dtype=complex)
+    for idx, block in chains:
+        out[idx] = block @ state.data[idx]
+    if state.kind == "density":
+        rows = out.copy()
+        for idx, block in chains:
+            out[:, idx] = rows[:, idx] @ block.conj().T
+    return State(state.space, state.kind, out, state.norm_defect)
 
 
 def _spectral_output(spec, input_a: State, meters) -> State:

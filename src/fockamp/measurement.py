@@ -32,7 +32,7 @@ from .fock import (FockSpace, Operator, SpectralDecomposition, State,
 
 HOMODYNE_YGRID_STEP = 0.005
 HOMODYNE_YGRID_RANGE = 10.0
-# betas per overlap-matrix block in husimi_values
+# betas per recurrence block in husimi_values
 HUSIMI_BLOCK = 4096
 # trials per Monte Carlo block, the unit of the stream law (see
 # mixture_blocks); memory is O(BLOCK) whatever the trial count
@@ -533,39 +533,43 @@ def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
         yield out
 
 
-def _coherent_overlap_matrix(dim: int, betas: np.ndarray) -> np.ndarray:
-    """C[n, j] = <n|beta_j> = e^{-|b|^2/2} b^n / sqrt(n!), stable cumulative form."""
-    c = np.zeros((dim, betas.shape[0]), dtype=complex)
-    c[0] = np.exp(-0.5 * np.abs(betas) ** 2)
-    for n in range(1, dim):
-        c[n] = c[n - 1] * betas / math.sqrt(n)
-    return c
-
-
 def husimi_values(state: State, betas: np.ndarray) -> np.ndarray:
     """Q(beta) = <beta|rho|beta>/pi over a flat array of betas.
 
-    The dim x n overlap matrix is built HUSIMI_BLOCK betas at a time, so
-    memory stays bounded however fine the grid. The overlaps start at
-    e^{-|beta|^2/2}, subnormal past |beta|^2 ~ 1416: |beta|^2 > 1400 raises
-    TruncationError on a state with over 1e-12 above level 1000 (else Q is
-    below roundoff there, and 0 is right).
+    A density enters as sum_k p_k |<beta|v_k>|^2 over its eigenvectors
+    (weights below 1e-32 dropped); a ket is the rank-one case. Each
+    conj(<beta|v>) = sum_n c_n conj(v_n) accumulates along the recurrence
+    c_n = c_{n-1} beta/sqrt(n), c_0 = e^{-|beta|^2/2}, HUSIMI_BLOCK betas at
+    a time, so no overlap matrix is formed. c_0 is subnormal past
+    |beta|^2 ~ 1416: |beta|^2 > 1400 raises TruncationError on a state with
+    over 1e-12 above level 1000 (else Q is below roundoff there, and 0 is
+    right).
     """
-    dim = state.space.dim
     betas = np.asarray(betas, dtype=complex)
     reach = float(np.max(np.abs(betas) ** 2, initial=0.0))
     tail = float(state.probabilities()[1001:].sum()) if reach > 1400 else 0.0
     if tail > 1e-12:
         raise TruncationError(f"Husimi values at |beta|^2 = {reach:.0f} underflow, "
                               f"and the state holds {tail:.2e} above level 1000")
+    if state.kind == "ket":
+        p, v = np.ones(1), state.data[:, None]
+    else:
+        p, v = np.linalg.eigh(state.data)
+        keep = p > 1e-32
+        p, v = p[keep], v[:, keep]
+    v = v.conj()
     q = np.empty(betas.shape[0])
     for lo in range(0, betas.shape[0], HUSIMI_BLOCK):
-        c = _coherent_overlap_matrix(dim, betas[lo:lo + HUSIMI_BLOCK])
-        if state.kind == "ket":
-            q[lo:lo + HUSIMI_BLOCK] = np.abs(c.conj().T @ state.data) ** 2
-        else:
-            q[lo:lo + HUSIMI_BLOCK] = np.real(np.einsum(
-                "mg,mn,ng->g", c.conj(), state.data, c, optimize=True))
+        beta = betas[lo:lo + HUSIMI_BLOCK]
+        c = np.exp(-0.5 * np.abs(beta) ** 2).astype(complex)
+        parts = c.view(float)  # real and imaginary parts, scaled in place
+        acc = v[0, :, None] * c
+        term = np.empty_like(acc)
+        for n in range(1, state.space.dim):
+            c *= beta
+            parts *= 1.0 / math.sqrt(n)
+            acc += np.multiply(v[n, :, None], c, out=term)
+        q[lo:lo + HUSIMI_BLOCK] = p @ (np.abs(acc) ** 2)
     return q / math.pi
 
 

@@ -19,8 +19,10 @@ from fockamp import (FockSpace, GainOutOfRange, LinearAmp, NotHermitian,
 from fockamp.amplifiers import (displaced_meter_ket, meter_dim_for,
                                 single_mode_commutator_residual,
                                 three_mode_columns)
+from fockamp import amplifiers
+from fockamp import fock as fock_module
 from fockamp.errors import TruncationError
-from fockamp.fock import State
+from fockamp.fock import State, expm_hermitian
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +291,81 @@ def test_linear_added_noise_lower_bound():
             assert rep.added_noise >= (g * g - 1) * 0.5 - 1e-10
             assert abs(rep.added_noise
                        - (g * g - 1) * meter.symmetrized_variance()) < 1e-12
+
+
+def _dense_linear_unitary(g, dims):
+    # exp(r (a^dag b^dag - a b)) of the dense composite generator
+    da, db = dims
+    r = math.acosh(g)
+    a = annihilation_op(FockSpace(da)).matrix
+    b = annihilation_op(FockSpace(db)).matrix
+    k = r * (np.kron(a.conj().T, b.conj().T) - np.kron(a, b))
+    return expm_hermitian(1j * k)
+
+
+@pytest.mark.parametrize("dims", [(20, 20), (24, 32), (32, 24), (2, 5), (5, 2)])
+@pytest.mark.parametrize("g", [1.25, 2.0])
+def test_linear_chains_match_dense_exponential(dims, g):
+    u = linear_amp_unitary(g, dims)
+    assert u.space.dims == dims
+    assert np.abs(u.matrix - _dense_linear_unitary(g, dims)).max() < 1e-13
+
+
+def test_linear_simulation_memory_is_bounded():
+    # the chain blocks are applied to the ket; the dense (d_a d_b)^2
+    # generator and unitary (2 x 41 MB at 40 x 40 levels) are never formed
+    import tracemalloc
+    st = coherent_state(FockSpace(40), 0.5)
+    tracemalloc.start()
+    try:
+        out = simulate_output_state(LinearAmp(1.25), st, dims=(40,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.space.dims == (40, 40)
+    assert peak < 16 * 2 ** 20
+
+
+def test_linear_density_input_matches_assembled_unitary():
+    g, dims = 1.05, (12, 16)
+    spec = LinearAmp(g)
+    rho = _mixed_state(FockSpace(dims[0]), 3, 3, 5)
+    out = simulate_output_state(spec, rho, dims=dims[1:])
+    u = linear_amp_unitary(g, dims).matrix
+    full = tensor(rho, vacuum_state(FockSpace(dims[1]))).data
+    assert out.kind == "density"
+    assert np.abs(out.data - u @ full @ u.conj().T).max() < 1e-13
+    # tolerances of test_predicted_vs_simulated_all_variants
+    pred = predict_output_moments(spec, rho)
+    sim = simulated_output_moments(spec, rho, dims=dims[1:])
+    tol = max(1e-6, 10 * rho.norm_defect)
+    assert abs(pred.mean_out - sim.mean_out) < tol
+    assert abs(pred.quad_means[0] - sim.quad_means[0]) < tol
+    assert abs(pred.quad_means[1] - sim.quad_means[1]) < tol
+    assert abs(pred.quad_noises[0] - sim.quad_noises[0]) < tol * 10
+    assert abs(pred.quad_noises[1] - sim.quad_noises[1]) < tol * 10
+    assert abs(pred.added_noise - sim.added_noise) < tol * 10
+
+
+def test_simulation_forms_no_dense_exponential(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense composite unitary built in simulation")
+
+    monkeypatch.setattr(fock_module, "expm_hermitian", refuse)
+    monkeypatch.setattr(amplifiers, "expm_hermitian", refuse)
+    monkeypatch.setattr(amplifiers, "linear_amp_unitary", refuse)
+    sp, sp_lin = FockSpace(8), FockSpace(12)
+    fc = Operator(sp, number_op(sp).matrix + 0.3j * np.eye(8))
+    cases = [
+        (LinearAmp(1.05), coherent_state(sp_lin, 0.3), (16,)),
+        (LinearAmp(1.05), _mixed_state(sp_lin, 3, 3, 5), (16,)),
+        (TwoModeNormalAmp(number_op(sp), 0.5), fock_state(sp, 2), None),
+        (VonNeumannAmp(number_op(sp), 0.5), _mixed_state(sp, 3, 2, 2), None),
+        (ThreeModeAmp(fc, 0.5), fock_state(sp, 1), None),
+    ]
+    for spec, state, dims in cases:
+        out = simulate_output_state(spec, state, dims=dims)
+        assert out.kind == state.kind
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
 from fockamp import measurement
 from fockamp.errors import CoverageError, FockampError, TruncationError
 from fockamp.amplifiers import meter_dim_for
-from fockamp.fock import quadrature_amplitudes
+from fockamp.fock import State, quadrature_amplitudes
 from fockamp.measurement import (_default_ygrid, _heterodyne_expectations,
                                  husimi_values, povm_csv_rows, povm_meters)
 
@@ -547,6 +547,37 @@ def test_heterodyne_sampler_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def _coherent_overlap_matrix(dim, betas):
+    # reference: C[n, j] = <n|beta_j> = e^{-|b|^2/2} b^n / sqrt(n!), cumulative
+    c = np.zeros((dim, betas.shape[0]), dtype=complex)
+    c[0] = np.exp(-0.5 * np.abs(betas) ** 2)
+    for n in range(1, dim):
+        c[n] = c[n - 1] * betas / math.sqrt(n)
+    return c
+
+
+def test_husimi_values_match_overlap_matrix():
+    rng = np.random.default_rng(3)
+    # more betas than one recurrence block, reaching past the states' support
+    betas = 3.0 * (rng.normal(size=measurement.HUSIMI_BLOCK + 905)
+                   + 1j * rng.normal(size=measurement.HUSIMI_BLOCK + 905))
+    sp = FockSpace(64)
+    ket = coherent_state(sp, 1.0 + 0.5j)
+    c = _coherent_overlap_matrix(64, betas)
+    want = np.abs(c.conj().T @ ket.data) ** 2 / math.pi
+    assert np.abs(husimi_values(ket, betas) - want).max() < 1e-15
+    # a density goes through its eigendecomposition: full rank and rank 3
+    x = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    for a in (x, x[:, :3]):
+        rho = a @ a.conj().T
+        st = State(sp, "density", rho / np.trace(rho).real)
+        want = np.real(np.einsum("mg,mn,ng->g", c.conj(), st.data, c)) / math.pi
+        assert np.abs(husimi_values(st, betas) - want).max() < 1e-15
+    # a pure density reads the same as its ket
+    assert np.abs(husimi_values(ket.to_density(), betas)
+                  - husimi_values(ket, betas)).max() < 1e-15
 
 
 def test_husimi_values_refuse_underflow():
