@@ -31,8 +31,9 @@ EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
 
-# Monte Carlo memory does not grow with trials (the draws stream in blocks);
-# this ceiling bounds run time. Larger configs are refused at validation.
+# Monte Carlo memory is O(workers * BLOCK) whatever trials is (the draws
+# stream in blocks on a thread pool); this ceiling bounds run time. Larger
+# configs are refused at validation.
 TRIALS_MAX = 10 ** 8
 
 _TOP_KEYS = {"command", "amplifier", "input_state", "detector", "dims",

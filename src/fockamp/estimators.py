@@ -18,8 +18,11 @@ are validated against full unitary evolution in the test suite. The Husimi
 draws come from the grid sampler shared with the detector,
 :func:`measurement.detector_blocks`.
 
-Plans are drawn and their moments merged in blocks of
-:data:`measurement.BLOCK` trials, so memory does not grow with ``trials``.
+Plans are drawn in blocks of :data:`measurement.BLOCK` trials, each on a
+worker thread of the sampler, which also reduces it to its mean and centred
+sums (:meth:`_Moments.block`). The main thread merges those in block order,
+so the reports do not depend on the worker count, and memory is
+O(workers * BLOCK) whatever ``trials`` is.
 """
 from __future__ import annotations
 
@@ -101,12 +104,20 @@ class _Moments:
     def __init__(self):
         self.mean, self.sums = 0.0, [0, 0.0, 0.0, 0.0, 0.0]
 
-    def add(self, x: np.ndarray) -> "_Moments":
+    @staticmethod
+    def block(x: np.ndarray, out=None, scratch=None):
+        """(mean, centred sums) of one block; ``out=x`` centres x in place,
+        and ``scratch``, if given, holds the squares."""
         mean = float(np.mean(x))
-        d = x - mean
-        d2 = d * d
+        d = np.subtract(x, mean, out=out)
+        d2 = np.multiply(d, d, out=scratch)
         d *= d2
-        sums = [x.shape[0], 0.0, float(d2.sum()), float(d.sum()), float((d2 * d2).sum())]
+        m2, m3 = float(d2.sum()), float(d.sum())
+        d2 *= d2
+        return mean, [x.shape[0], 0.0, m2, m3, float(d2.sum())]
+
+    def merge(self, mean: float, sums: list) -> "_Moments":
+        """Fold in one block's :meth:`block` result."""
         if self.sums[0]:
             merged = self.mean + (mean - self.mean) * sums[0] / (self.sums[0] + sums[0])
             sums = [a + b for a, b in zip(_recentred(self.sums, self.mean - merged),
@@ -114,6 +125,10 @@ class _Moments:
             mean = merged
         self.mean, self.sums = mean, sums
         return self
+
+    def add(self, x: np.ndarray) -> "_Moments":
+        """Fold in the block x, leaving x unchanged."""
+        return self.merge(*self.block(x))
 
     def stats(self):
         """Mean, variance, and their standard errors (variance SE via M4)."""
@@ -133,10 +148,11 @@ def _recentred(sums, shift: float) -> list:
 # nonlinear scheme: f_hat = x_out / (sqrt(2) g)
 # ---------------------------------------------------------------------------
 
-def _nonlinear_blocks(plan: TrialPlan):
+def _nonlinear_blocks(plan: TrialPlan, reduce=None):
     """Meter homodyne outcomes for the nonlinear scheme, block by block: an
     eigenvalue from the spectral measure of the input, then the meter
-    position noise and the detector smearing, both Gaussian."""
+    position noise and the detector smearing, both Gaussian. ``reduce`` goes
+    to :func:`measurement.mixture_blocks`."""
     amp = plan.amplifier
     dec = normal_decompose(amp.f)
     if np.abs(np.imag(dec.eigenvalues)).max() > 1e-9:
@@ -145,7 +161,7 @@ def _nonlinear_blocks(plan: TrialPlan):
     probs /= probs.sum()
     noise = (math.sqrt(amp.meter.x_variance()), math.sqrt(plan.detector.sigma2 / 2.0))
     return mixture_blocks(np.real(dec.eigenvalues), probs, plan.trials, plan.seed,
-                          gain=math.sqrt(2.0) * amp.g, noise=noise)
+                          gain=math.sqrt(2.0) * amp.g, noise=noise, reduce=reduce)
 
 
 def nonlinear_meter_x_samples(plan: TrialPlan) -> np.ndarray:
@@ -161,9 +177,15 @@ def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
     if plan.detector.kind != "homodyne":
         raise ValueError("nonlinear estimation reads the meter with homodyne")
     g = amp.g
+    scale = math.sqrt(2.0) * g
+
+    def reduce(x):  # on the sampler's worker, in the block's own buffer
+        x /= scale
+        return _Moments.block(x, out=x)
+
     moments = _Moments()
-    for x in _nonlinear_blocks(plan):
-        moments.add(x / (math.sqrt(2.0) * g))
+    for sums in _nonlinear_blocks(plan, reduce):
+        moments.merge(*sums)
     mean, var, se_m, se_v = moments.stats()
     var_f = variance(plan.input_state, amp.f)
     mean_f = float(np.real(plan.input_state.expectation(amp.f)))
@@ -182,7 +204,7 @@ def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
 # linear scheme: n_hat = |alpha|^2/g^2 - 1
 # ---------------------------------------------------------------------------
 
-def _linear_blocks(plan: TrialPlan):
+def _linear_blocks(plan: TrialPlan, reduce=None):
     """Heterodyne outcomes after phase-preserving amplification, by block.
 
     alpha = g * (Husimi draw of the input) + detector noise, from the
@@ -192,13 +214,13 @@ def _linear_blocks(plan: TrialPlan):
     Q_in(alpha/g)/g^2, so the antinormally ordered extra quantum is already
     in the Husimi draw (validated against two-mode squeezer evolution in
     the tests). An input holding more than 1e-6 at its cutoff raises
-    TruncationError.
+    TruncationError. ``reduce`` goes to :func:`measurement.mixture_blocks`.
     """
     amp = plan.amplifier
     if amp.meter.kind != "vacuum":
         raise ValueError("linear-scheme sampling shortcut assumes a vacuum internal mode")
     return detector_blocks(plan.input_state, plan.detector, plan.trials,
-                           plan.seed, gain=amp.g)
+                           plan.seed, gain=amp.g, reduce=reduce)
 
 
 def linear_heterodyne_samples(plan: TrialPlan) -> np.ndarray:
@@ -216,12 +238,20 @@ def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
     if plan.detector.kind != "heterodyne":
         raise ValueError("linear number estimation reads mode a with heterodyne")
     g = amp.g
-    moments, raw = _Moments(), _Moments()
-    for alpha in _linear_blocks(plan):
+
+    def reduce(alpha):  # on the sampler's worker, in the block's own buffers
         a2 = np.abs(alpha)
         a2 *= a2
-        raw.add(a2)
-        moments.add(a2 / (g * g) - 1.0)
+        n_hat, scratch = alpha.view(float).reshape(2, -1)  # alpha is spent
+        np.divide(a2, g * g, out=n_hat)
+        n_hat -= 1.0
+        return (_Moments.block(a2, out=a2, scratch=scratch),
+                _Moments.block(n_hat, out=n_hat, scratch=a2))
+
+    moments, raw = _Moments(), _Moments()
+    for raw_sums, n_sums in _linear_blocks(plan, reduce):
+        raw.merge(*raw_sums)
+        moments.merge(*n_sums)
     mean, var, se_m, se_v = moments.stats()
     nop = number_op(plan.input_state.space)
     n_mean = float(np.real(plan.input_state.expectation(nop)))

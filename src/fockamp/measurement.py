@@ -18,6 +18,8 @@ regions do not move with the gain.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +37,13 @@ HOMODYNE_YGRID_RANGE = 10.0
 # betas per recurrence block in husimi_values
 HUSIMI_BLOCK = 4096
 # trials per Monte Carlo block, the unit of the stream law (see
-# mixture_blocks); memory is O(BLOCK) whatever the trial count
+# mixture_blocks); memory is O(workers * BLOCK) whatever the trial count
 BLOCK = 2 ** 16
 # equal buckets of u in the inverse-CDF guide table of mixture_blocks
 GUIDE_BUCKETS = 2 ** 16
+# trials per pass of mixture_blocks inside a block; the fills are sequential,
+# so the chunk sets the working set, not the streams
+DRAW_CHUNK = 2 ** 13
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +501,12 @@ def own_region_weights(povm, regions: DecisionRegions) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
-                   jitter: float = 0.0, noise=()):
+                   jitter: float = 0.0, noise=(), reduce=None):
     """n draws of gain (points[i] + jitter) + noise, in blocks of at most BLOCK.
 
-    i has the law weights/sum(weights). Block b draws from Philox keyed by
+    ``points`` is a real array, or a pair (x, y) of real axes standing for
+    the complex grid ``points[i] = x[i // y.size] + 1j y[i % y.size]``; i
+    has the law weights/sum(weights). Block b draws from Philox keyed by
     the seed with b as its third counter word, which is
     ``Philox(key=seed).jumped(b)`` (Salmon et al., SC'11): ``random()`` for
     i, then the jitter, uniform on [-jitter, jitter], then a Gaussian per
@@ -508,29 +515,73 @@ def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
     lies between those of its bucket's edges, so where they agree it is
     known and only the other uniforms are searched. The cells are
     ``rng.choice(p=)``'s bit for bit.
+
+    Blocks are drawn on a thread pool, one worker per CPU available to the
+    process, with at most workers + 1 blocks in flight, and are yielded in
+    block order; ``reduce``, if given, runs on the worker and its result
+    is yielded in place of the block (which it may overwrite). The streams
+    do not depend on the worker count.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     cdf = np.cumsum(weights)  # normalized as rng.choice(p=) does
     cdf /= cdf[-1]
+    del weights  # else held, with the grid's Husimi values, while blocks run
     guide = np.searchsorted(cdf, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS,
                             side="right")
-    axes = (2,) if np.iscomplexobj(points) else ()  # complex: (re, im) pairs
-    for b, lo in enumerate(range(0, n, BLOCK)):
+    split = guide[:-1] != guide[1:]  # buckets whose edges fall in two cells
+    axes = [a.view() for a in (points if isinstance(points, tuple) else (points,))]
+    for shared in (*axes, cdf, guide, split):  # read by every worker
+        shared.flags.writeable = False
+    pair = (2,) if len(axes) == 2 else ()  # complex draws: (re, im) per trial
+
+    def draw(b, size):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0]))
-        size = min(BLOCK, n - lo)
-        draws = (size,) + axes
-        u = rng.random(size)
-        j = (u * GUIDE_BUCKETS).astype(np.intp)
-        cells = guide[j]
-        search = np.flatnonzero(cells != guide[j + 1])
-        cells[search] = np.searchsorted(cdf, u[search], side="right")
-        out = points[cells]
+        out = np.empty(size, complex if pair else float)
+        parts = [out[lo:lo + DRAW_CHUNK] for lo in range(0, size, DRAW_CHUNK)]
+        for part in parts:
+            u = rng.random(part.shape[0])
+            j = (u * GUIDE_BUCKETS).astype(np.intp)
+            cells = guide.take(j)
+            search = np.flatnonzero(split.take(j))
+            cells[search] = np.searchsorted(cdf, u[search], side="right")
+            if pair:
+                row, col = np.divmod(cells, axes[1].size)
+                part.real, part.imag = axes[0].take(row), axes[1].take(col)
+            else:
+                part[:] = axes[0].take(cells)
+        buf = np.empty((parts[0].shape[0],) + pair)
+
+        def add(fill, scale, shift=0.0):  # scale * fill() - shift, chunk by chunk
+            for part in parts:
+                r = buf[:part.shape[0]]
+                fill(out=r)
+                r *= scale
+                if shift:
+                    r -= shift
+                part += r.view(out.dtype).reshape(part.shape)
+
         if jitter:
-            out += rng.uniform(-jitter, jitter, draws).view(out.dtype).reshape(size)
+            add(rng.random, 2.0 * jitter, jitter)  # rng.uniform(-jitter, jitter)
         out *= gain
         for sd in noise:
             if sd > 0:
-                out += rng.normal(0.0, sd, draws).view(out.dtype).reshape(size)
-        yield out
+                add(rng.standard_normal, sd)  # rng.normal(0.0, sd)
+        return out
+
+    def work(b, size):  # reduces once draw's temporaries are freed
+        return draw(b, size) if reduce is None else reduce(draw(b, size))
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    pending = deque()
+    with ThreadPoolExecutor(workers) as pool:  # a closed stream joins its pool
+        for b, lo in enumerate(range(0, n, BLOCK)):
+            pending.append(pool.submit(work, b, min(BLOCK, n - lo)))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def husimi_values(state: State, betas: np.ndarray) -> np.ndarray:
@@ -574,13 +625,14 @@ def husimi_values(state: State, betas: np.ndarray) -> np.ndarray:
 
 
 def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
-                    gain: float = 1.0):
+                    gain: float = 1.0, reduce=None):
     """n outcomes of ``detector`` on ``state`` times ``gain``, in the blocks
     of :func:`mixture_blocks`: cells of the Husimi (heterodyne) or position
     (homodyne) density on a grid |Re|,|Im| <= sqrt(dim)+4 of step 0.05,
     jittered in the cell, plus detector noise of per-axis variance
-    sigma^2/2. A state holding more than 1e-6 at its cutoff, or a Husimi
-    grid :func:`husimi_values` refuses, raises TruncationError first."""
+    sigma^2/2; ``reduce`` goes to :func:`mixture_blocks`. A state holding
+    more than 1e-6 at its cutoff, or a Husimi grid :func:`husimi_values`
+    refuses, raises TruncationError first."""
     if state.space.n_modes != 1:
         raise DimensionMismatch("sampler wants a single-mode state")
     top = float(state.probabilities()[-1])
@@ -594,13 +646,13 @@ def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
     if detector.kind == "heterodyne":
         # the farthest corner: raises before the grid is built if Q underflows
         husimi_values(state, [np.abs(points).max() * (1 + 1j)])
-        points = (points[:, None] + 1j * points[None, :]).ravel()
-        q = husimi_values(state, points)
+        q = husimi_values(state, (points[:, None] + 1j * points[None, :]).ravel())
+        points = (points, points)
     else:
         q = np.abs(quadrature_amplitudes(state, points)) ** 2 \
             if state.kind == "ket" else np.real(quadrature_amplitudes(state, points))
     return mixture_blocks(points, q, n, seed, gain, step / 2,
-                          (math.sqrt(detector.sigma2 / 2.0),))
+                          (math.sqrt(detector.sigma2 / 2.0),), reduce)
 
 
 def sample_outcomes(state: State, detector: DetectorSpec, n: int,

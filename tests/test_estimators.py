@@ -1,8 +1,16 @@
-"""Estimator tests: exact samplers vs unitary evolution, variance formulas."""
+"""Estimator tests: exact samplers vs unitary evolution, variance formulas,
+and the sampler's worker threads."""
+import importlib
+import inspect
+import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from fockamp import (DetectorSpec, FockSpace, LinearAmp, TrialPlan,
                      TwoModeNormalAmp, VonNeumannAmp, coherent_state,
@@ -15,7 +23,7 @@ from fockamp.estimators import (linear_heterodyne_samples,
                                 nonlinear_meter_x_samples)
 from fockamp.fock import (State, normal_decompose, partial_trace,
                           quadrature_amplitudes)
-from fockamp.measurement import BLOCK, sample_outcomes
+from fockamp.measurement import BLOCK, mixture_blocks, sample_outcomes
 
 
 def _hom(eta=1.0):
@@ -315,10 +323,16 @@ def test_linear_seed_determinism_bit_exact():
     assert run_plan(plan).to_dict() == run_plan(plan).to_dict()
 
 
+def _set_cpus(mp, k):
+    # mixture_blocks sizes its pool from the CPU count at call time
+    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    mp.setattr(os, "cpu_count", lambda: k)
+
+
 @pytest.mark.parametrize("case", ["linear", "two_mode"])
-def test_estimation_memory_is_bounded(case):
-    # the two montecarlo benchmark plans; the samplers build their draws in
-    # place and the moments share one centred buffer
+def test_estimation_memory_is_bounded(case, monkeypatch):
+    # the two montecarlo benchmark plans, at 1 and 4 workers; the samplers
+    # build their draws in place and the moments reuse the block buffers
     import tracemalloc
     if case == "linear":
         plan = TrialPlan(LinearAmp(2.0), coherent_state(FockSpace(64), 1.0 + 0.5j),
@@ -329,38 +343,137 @@ def test_estimation_memory_is_bounded(case):
         plan = TrialPlan(TwoModeNormalAmp(number_op(sp), 2.0), fock_state(sp, 2),
                          _hom(0.9), 4_000_000, 7, "f_hat_nonlinear")
         bound = 90
-    tracemalloc.start()
-    try:
-        rep = run_plan(plan)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
-    assert peak < bound * 2 ** 20
+    for workers in (1, 4):
+        _set_cpus(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            rep = run_plan(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
+        assert peak < bound * 2 ** 20
 
 
 @pytest.mark.parametrize("case", ["linear", "two_mode"])
-def test_estimation_memory_is_flat_in_trials(case):
-    # the draws stream in blocks and the moments merge per block, so the
-    # traced peak at 4e6 trials is the peak at 1e5
+def test_estimation_memory_is_flat_in_trials(case, monkeypatch):
+    # the draws stream in blocks and the moments merge per block, so at 1
+    # and at 4 workers the traced peak at 4e6 trials is the peak at 1e5
     import tracemalloc
     if case == "linear":
         args = (LinearAmp(2.0), coherent_state(FockSpace(64), 1.0 + 0.5j), _het(0.8))
     else:
         sp = FockSpace(8)
         args = (TwoModeNormalAmp(number_op(sp), 2.0), fock_state(sp, 2), _hom(0.9))
-    peaks = []
-    for trials in (100_000, 4_000_000):
-        plan = TrialPlan(*args, trials, 7,
-                         "n_hat_linear" if case == "linear" else "f_hat_nonlinear")
-        tracemalloc.start()
-        try:
-            rep = run_plan(plan)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
-    assert abs(peaks[1] - peaks[0]) < 4 * 2 ** 20
+    for workers in (1, 4):
+        _set_cpus(monkeypatch, workers)
+        peaks = []
+        for trials in (100_000, 4_000_000):
+            plan = TrialPlan(*args, trials, 7,
+                             "n_hat_linear" if case == "linear" else "f_hat_nonlinear")
+            tracemalloc.start()
+            try:
+                rep = run_plan(plan)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
+        assert abs(peaks[1] - peaks[0]) < 4 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# worker threads: the blocks are drawn on a pool and merged in block order
+# ---------------------------------------------------------------------------
+
+def _thread_outputs(trials):
+    sp = FockSpace(16)
+    state = coherent_state(sp, 1.0 + 0.5j)
+    nl = TrialPlan(TwoModeNormalAmp(number_op(sp), 2.0), state, _hom(0.9),
+                   trials, 3, "f_hat_nonlinear")
+    lin = TrialPlan(LinearAmp(2.0), state, _het(0.8), trials, 3, "n_hat_linear")
+    return [sample_outcomes(state, _het(0.8), trials, 3).tobytes(),
+            sample_outcomes(state, _hom(0.9), trials, 3).tobytes(),
+            nonlinear_meter_x_samples(nl).tobytes(),
+            json.dumps(run_plan(nl).to_dict()), json.dumps(run_plan(lin).to_dict())]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(strategies.integers(2, 3 * BLOCK + 5))
+def test_outputs_do_not_depend_on_worker_count(trials):
+    with pytest.MonkeyPatch.context() as mp:
+        _set_cpus(mp, 1)
+        ref = _thread_outputs(trials)
+        for workers in (2, 3, 4):
+            _set_cpus(mp, workers)
+            assert _thread_outputs(trials) == ref
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
+    _set_cpus(monkeypatch, workers)
+    args = (np.arange(4.0), np.ones(4), 4 * BLOCK + 1, 0)  # five blocks
+    blocks = list(mixture_blocks(*args, noise=(1.0,)))
+    started = []
+
+    def reduce(x, fail=None):
+        b = next(i for i, ref in enumerate(blocks) if np.array_equal(x, ref))
+        started.append(b)
+        if b == fail:
+            raise ValueError(f"block {b}")
+        return b
+
+    before = threading.active_count()
+    stream = mixture_blocks(*args, noise=(1.0,), reduce=reduce)
+    assert next(stream) == 0
+    stream.close()
+    assert threading.active_count() == before
+    assert max(started) <= workers  # at most workers + 1 blocks in flight
+
+    started.clear()
+    with pytest.raises(ValueError, match="block 2"):
+        for _ in mixture_blocks(*args, noise=(1.0,),
+                                reduce=lambda x: reduce(x, fail=2)):
+            pass
+    assert threading.active_count() == before
+    assert 2 in started and max(started) <= 2 + workers
+
+
+def test_package_functions_run_on_the_main_thread(monkeypatch):
+    # every module-level function wrapped as perfbench/tracer.py wraps it
+    # (generator functions aside): none may run on a sampler worker, whose
+    # reductions do run off the main thread
+    from fockamp import estimators
+    calls, reductions = [], []
+
+    def on_thread(fn, log):
+        def wrapper(*a, **k):
+            log.append((fn.__name__, threading.current_thread()))
+            return fn(*a, **k)
+        return wrapper
+
+    wrapped = {}
+    for short in ("fock", "amplifiers", "measurement", "estimators"):
+        mod = importlib.import_module("fockamp." + short)
+        for obj in vars(mod).values():
+            if (inspect.isfunction(obj) and obj.__module__ == mod.__name__
+                    and not inspect.isgeneratorfunction(obj)):
+                wrapped[id(obj)] = on_thread(obj, calls)
+    for name, mod in list(sys.modules.items()):
+        if name == "fockamp" or name.startswith("fockamp."):
+            for attr, obj in list(vars(mod).items()):
+                if inspect.isfunction(obj) and id(obj) in wrapped:
+                    monkeypatch.setattr(mod, attr, wrapped[id(obj)])
+    monkeypatch.setattr(estimators._Moments, "block", staticmethod(
+        on_thread(estimators._Moments.block, reductions)))
+    _set_cpus(monkeypatch, 2)
+    state = coherent_state(FockSpace(16), 1.0)
+    estimators.compare_schemes(state, 2.0, 3 * BLOCK, 5)
+    estimators.run_plan(TrialPlan(LinearAmp(2.0), state, _het(0.8), 3 * BLOCK, 5,
+                                  "n_hat_linear"))
+    names = {name for name, _ in calls}
+    assert {"compare_schemes", "run_plan", "husimi_values", "_linear_blocks"} <= names
+    assert all(t is threading.main_thread() for _, t in calls)
+    assert any(t is not threading.main_thread() for _, t in reductions)
 
 
 def test_unbiasedness_over_seeds():
