@@ -28,10 +28,9 @@ from .errors import (DimensionMismatch, GainOutOfRange, NotHermitian, NotNormal,
                      TruncationError)
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
                    annihilation_op, cv_swap, displacement_matrix,
-                   expm_hermitian, gaussian_meter, mode_expectation,
-                   mode_symmetrized_moment, normal_decompose, quadrature_ops,
-                   squeezed_vacuum, symmetrized_moment, tensor, vacuum_state,
-                   variance)
+                   expm_hermitian, gaussian_meter, normal_decompose,
+                   partial_trace, quadrature_ops, squeezed_vacuum,
+                   symmetrized_moment, tensor, vacuum_state, variance)
 
 METER_DIM_CAP = 4096
 METER_DIM_FLOOR = 24
@@ -484,10 +483,8 @@ def _meter_quads(meter, meter_state: State | None):
     """(x-var, p-var, <x>, <p>) of an internal mode, analytic unless a state is given."""
     if meter_state is None:
         return meter.x_variance(), meter.p_variance(), 0.0, 0.0
-    x, p = quadrature_ops(meter_state.space)
-    return (variance(meter_state, x), variance(meter_state, p),
-            float(np.real(meter_state.expectation(x))),
-            float(np.real(meter_state.expectation(p))))
+    _, _, mx, mp, vx, vp = _mode_quad_moments(meter_state, 0)
+    return vx, vp, mx, mp
 
 
 def predict_output_moments(spec, input_a: State, meters=None) -> MomentReport:
@@ -654,10 +651,7 @@ def simulate_output_state(spec, input_a: State, dims=None,
 def _check_top_occupancy(out: State, tol: float = TRUNCATION_TOL):
     """Reject evolutions that pile more than ``tol`` mass on any mode's cutoff."""
     dims = out.space.dims
-    if out.kind == "ket":
-        prob = np.abs(out.data.reshape(dims)) ** 2
-    else:
-        prob = np.real(np.diag(out.data)).reshape(dims)
+    prob = out.probabilities().reshape(dims)
     for mode, d in enumerate(dims):
         top = float(np.take(prob, d - 1, axis=mode).sum())
         if top > tol:
@@ -729,34 +723,30 @@ def _spectral_output(spec, input_a: State, meters) -> State:
 def _mode_quad_moments(out: State, mode: int):
     """(mean_a, sym_a, <x>, <p>, Var x, Var p) of one mode of a composite.
 
-    Ket states stay matvec-only (no dense operator squares), which keeps the
-    large auto-sized meters cheap; densities go through the partial trace.
+    Every moment comes from three diagonals r_k[n] = rho[n + k, n], k = 0, 1,
+    2, of the mode's reduced density rho. A ket, reshaped to (rest, d), gives
+    each r_k as one sum over the other modes, so no d x d matrix is formed; a
+    density gives them from its partial trace. Then <a> = sum sqrt(n+1) r_1,
+    <a^2> = sum sqrt((n+1)(n+2)) r_2 and <a^dag a + a a^dag> = sum n r_0 +
+    sum_{n<d-1} (n+1) r_0: the truncated a a^dag gives the cutoff level 0,
+    as the matrix products do.
     """
-    msp = out.space.mode(mode)
-    am = annihilation_op(msp).matrix
+    d = out.space.dims[mode]
     if out.kind == "ket":
-        from .fock import mode_vectors
-        psi = mode_vectors(out, mode)
-        a_psi = psi @ am.T
-        ad_psi = psi @ am.conj()
-        mean = complex(np.vdot(psi, a_psi))
-        sym = 0.5 * (np.vdot(a_psi, a_psi).real + np.vdot(ad_psi, ad_psi).real) \
-            - abs(mean) ** 2
-        x_psi = (a_psi + ad_psi) / math.sqrt(2.0)
-        p_psi = -1j * (a_psi - ad_psi) / math.sqrt(2.0)
-        mx = float(np.vdot(psi, x_psi).real)
-        mp = float(np.vdot(psi, p_psi).real)
-        vx = float(np.vdot(x_psi, x_psi).real) - mx * mx
-        vp = float(np.vdot(p_psi, p_psi).real) - mp * mp
-        return mean, float(sym), mx, mp, vx, vp
-    x, p = (q.matrix for q in quadrature_ops(msp))
-    mean = complex(mode_expectation(out, mode, am))
-    sym = mode_symmetrized_moment(out, mode, am)
-    mx = float(np.real(mode_expectation(out, mode, x)))
-    mp = float(np.real(mode_expectation(out, mode, p)))
-    vx = float(np.real(mode_expectation(out, mode, x @ x))) - mx ** 2
-    vp = float(np.real(mode_expectation(out, mode, p @ p))) - mp ** 2
-    return mean, sym, mx, mp, vx, vp
+        psi = np.moveaxis(out.data.reshape(out.space.dims), mode, -1).reshape(-1, d)
+        r0, r1, r2 = (np.einsum("in,in->n", psi[:, k:], psi[:, :d - k].conj())
+                      for k in range(3))
+    else:
+        rho = partial_trace(out, mode).data
+        r0, r1, r2 = (np.diag(rho, -k) for k in range(3))
+    up = np.sqrt(np.arange(1.0, d))
+    pops = r0.real
+    mean = complex(up @ r1)
+    re_a2 = float(np.real((up[:-1] * up[1:]) @ r2))
+    anti = float(np.arange(d) @ pops + np.arange(1.0, d) @ pops[:-1])
+    mx, mp = math.sqrt(2.0) * mean.real, math.sqrt(2.0) * mean.imag
+    return (mean, 0.5 * anti - abs(mean) ** 2, mx, mp,
+            re_a2 + 0.5 * anti - mx * mx, -re_a2 + 0.5 * anti - mp * mp)
 
 
 def simulated_output_moments(spec, input_a: State, dims=None) -> MomentReport:

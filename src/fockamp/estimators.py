@@ -33,7 +33,7 @@ import numpy as np
 
 from .amplifiers import (LinearAmp, Meter, TwoModeNormalAmp, VACUUM,
                          VonNeumannAmp)
-from .errors import GainOutOfRange, NotHermitian
+from .errors import NotHermitian
 from .fock import State, normal_decompose, number_op, variance
 from .measurement import DetectorSpec, detector_blocks, mixture_blocks
 
@@ -228,13 +228,21 @@ def linear_heterodyne_samples(plan: TrialPlan) -> np.ndarray:
     return np.concatenate(list(_linear_blocks(plan)))
 
 
+def _linear_analytic(state: State, g: float, s2: float):
+    """(<n>, mean, variance) of n_hat for heterodyne noise ``s2`` at gain g."""
+    nop = number_op(state.space)
+    n_mean = float(np.real(state.expectation(nop)))
+    n_var = variance(state, nop)
+    return (n_mean, n_mean + s2 / (g * g),
+            n_var + n_mean + 1.0 + 2.0 * s2 * (n_mean + 1.0) / (g * g)
+            + s2 * s2 / g ** 4)
+
+
 def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
     """n_hat = |alpha|^2/g^2 - 1 against Var[n_hat] = Var[n] + <n> + 1 (ideal)."""
     amp = plan.amplifier
     if not isinstance(amp, LinearAmp):
         raise TypeError("linear number estimation wants a LinearAmp")
-    if amp.g < 1.0:
-        raise GainOutOfRange("linear scheme needs g >= 1")
     if plan.detector.kind != "heterodyne":
         raise ValueError("linear number estimation reads mode a with heterodyne")
     g = amp.g
@@ -253,13 +261,8 @@ def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
         raw.merge(*raw_sums)
         moments.merge(*n_sums)
     mean, var, se_m, se_v = moments.stats()
-    nop = number_op(plan.input_state.space)
-    n_mean = float(np.real(plan.input_state.expectation(nop)))
-    n_var = variance(plan.input_state, nop)
     s2 = plan.detector.sigma2
-    analytic_mean = n_mean + s2 / (g * g)
-    analytic_var = (n_var + n_mean + 1.0
-                    + 2.0 * s2 * (n_mean + 1.0) / (g * g) + s2 * s2 / g ** 4)
+    n_mean, analytic_mean, analytic_var = _linear_analytic(plan.input_state, g, s2)
     m2, v2, se2m, _ = raw.stats()
     return EstimateReport(
         "n_hat_linear", plan.trials, plan.seed, mean, var, se_m, se_v,
@@ -322,13 +325,9 @@ def compare_schemes(input_state: State, g: float, trials: int, seed: int,
         det = DetectorSpec("heterodyne", eta)
         linear = run_linear_number_estimation(
             TrialPlan(amp_l, input_state, det, trials, seed + 1, "n_hat_linear"))
-    nop = number_op(space)
-    n_mean = float(np.real(input_state.expectation(nop)))
-    n_var = variance(input_state, nop)
-    s2het = DetectorSpec("heterodyne", eta).sigma2
+    n_mean, _, var_lin = _linear_analytic(
+        input_state, g, DetectorSpec("heterodyne", eta).sigma2)
     var_nl = nl.analytic_variance
-    var_lin = (n_var + n_mean + 1.0 + 2.0 * s2het * (n_mean + 1.0) / (g * g)
-               + s2het ** 2 / g ** 4)
     improvement = var_nl < var_lin
     crossover = (1.0 / (4.0 * g * g) < n_mean + 1.0)
     return CompareReport(nl, linear, var_nl, var_lin, improvement,

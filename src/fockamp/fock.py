@@ -519,30 +519,6 @@ def variance(state: State, op: Operator) -> float:
     return float(second - mean ** 2)
 
 
-def mode_vectors(state: State, mode: int) -> np.ndarray:
-    """Ket reshaped to (rest, mode_dim) so single-mode ops act by matvec."""
-    if state.kind != "ket":
-        raise DimensionMismatch("mode_vectors wants a ket")
-    dims = state.space.dims
-    psi = state.data.reshape(dims)
-    return np.moveaxis(psi, mode, -1).reshape(-1, dims[mode])
-
-
-def mode_expectation(state: State, mode: int, m: np.ndarray) -> complex:
-    """<I x ... x M x ... x I> with single-mode matrix ``m`` acting on ``mode``."""
-    if state.kind == "ket":
-        psi_m = mode_vectors(state, mode)
-        return complex(np.vdot(psi_m, psi_m @ m.T))
-    rho = partial_trace(state, mode).data
-    return complex(np.trace(m @ rho))
-
-
-def mode_symmetrized_moment(state: State, mode: int, m: np.ndarray) -> float:
-    sym = (m @ m.conj().T + m.conj().T @ m) / 2.0
-    mean = mode_expectation(state, mode, m)
-    return float(np.real(mode_expectation(state, mode, sym)) - abs(mean) ** 2)
-
-
 # ---------------------------------------------------------------------------
 # composite-space plumbing
 # ---------------------------------------------------------------------------

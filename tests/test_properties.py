@@ -16,6 +16,10 @@ meter, and every row has unit norm. The
 estimator statistics are checked on random samples against NumPy's mean
 and variance (bit for bit) and a two-pass fourth-moment reference, and
 their block merge against one-buffer two-pass moments.
+The mode-moment reader is checked on random kets and densities of 2-3 mode
+composites against dense embedded operators, cutoff level included, and
+predicted output moments against simulated ones for squeezed, Gaussian and
+vacuum meters on mixed inputs.
 :func:`normal_decompose` is checked against ``scipy.linalg.schur`` on random
 normal operators whose spectra hold equal, nearly equal (1e-7 apart) and
 repeated real parts.
@@ -28,10 +32,12 @@ from scipy.linalg import schur
 
 from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      ThreeModeAmp, TwoModeNormalAmp, VACUUM, VonNeumannAmp,
-                     effective_povm_closed_form, effective_povm_numeric,
-                     normal_decompose, simulate_output_state, tensor,
+                     annihilation_op, effective_povm_closed_form,
+                     effective_povm_numeric, embed, normal_decompose,
+                     predict_output_moments, quadrature_ops,
+                     simulate_output_state, simulated_output_moments, tensor,
                      three_mode_unitary, two_mode_unitary, von_neumann_unitary)
-from fockamp.amplifiers import displaced_meter_ket
+from fockamp.amplifiers import _mode_quad_moments, displaced_meter_ket
 from fockamp.estimators import _Moments
 
 METER_DIM = 20
@@ -289,3 +295,89 @@ def test_displaced_meter_ket_rows_invert(dim, r, parts):
     for row, alpha in zip(rows, alphas):
         back = displaced_meter_ket(State(meter.space, "ket", row), [-alpha])
         assert np.abs(back[0] - meter.data).max() <= 1e-12
+
+
+@st.composite
+def composite_states(draw):
+    """A ket or a rank 1-3 density on 2-3 modes of 2-6 levels, with weight
+    on every level of every mode, the cutoffs included."""
+    dims = tuple(draw(st.lists(st.integers(2, 6), min_size=2, max_size=3)))
+    rank = draw(st.sampled_from([0, 1, 2, 3]))  # 0: a ket
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(np.prod(dims))
+    vecs = (rng.uniform(0.5, 1.0, (max(rank, 1), n))
+            * np.exp(2j * np.pi * rng.uniform(size=(max(rank, 1), n))))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    space = FockSpace(dims)
+    if rank == 0:
+        return State(space, "ket", vecs[0])
+    w = rng.uniform(0.2, 1.0, rank)
+    return State(space, "density", (vecs.T * (w / w.sum())) @ vecs.conj())
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(composite_states())
+def test_mode_moments_match_embedded_operators(state):
+    # three diagonals of each mode's reduced density against the dense
+    # truncated products, whose a a^dag gives the cutoff level 0
+    space = state.space
+    for mode, d in enumerate(space.dims):
+        a = annihilation_op(FockSpace(d)).matrix
+        x, p = (q.matrix for q in quadrature_ops(FockSpace(d)))
+
+        def ev(m):
+            return state.expectation(embed(Operator(FockSpace(d), m), mode, space))
+
+        mean_a, ex, ep = ev(a), ev(x).real, ev(p).real
+        oracle = (mean_a,
+                  0.5 * (ev(a @ a.conj().T) + ev(a.conj().T @ a)).real - abs(mean_a) ** 2,
+                  ex, ep, ev(x @ x).real - ex ** 2, ev(p @ p).real - ep ** 2)
+        got = _mode_quad_moments(state, mode)
+        assert max(abs(u - v) for u, v in zip(got, oracle)) < 1e-12
+
+
+@st.composite
+def moment_cases(draw):
+    """A nonlinear variant on a random normal f of 5 levels, one meter kind,
+    a gain, and an input on the lowest 4 levels: a rank 1-3 density for the
+    two-mode variants, a ket for the three-mode one (a density on its three
+    auto-sized modes would not fit in memory)."""
+    variant = draw(st.sampled_from(["two_mode", "von_neumann", "three_mode"]))
+    meter = draw(st.sampled_from([Meter("squeezed", r=0.5),
+                                  Meter("gaussian", epsilon=0.7), VACUUM]))
+    g = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    q, _ = np.linalg.qr(_complex(draw(st.lists(unit, min_size=32, max_size=32)))
+                        .reshape(4, 4))
+    v = np.eye(5, dtype=complex)
+    v[:4, :4] = q
+    lam = _complex(draw(st.lists(unit, min_size=10, max_size=10)))
+    if variant == "von_neumann":
+        lam = lam.real
+    f = Operator(FockSpace(5), (v * lam) @ v.conj().T)
+    rank = 1 if variant == "three_mode" else draw(st.integers(1, 3))
+    vecs = np.zeros((rank, 5), dtype=complex)
+    for k in range(rank):
+        vecs[k, :4] = _complex(draw(st.lists(unit, min_size=8, max_size=8)))
+        vecs[k, k] += 2.0  # keeps the components clear of zero
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    if variant == "three_mode":
+        return ThreeModeAmp(f, g, meter, meter), State(f.space, "ket", vecs[0])
+    w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=rank, max_size=rank)))
+    rho = (vecs.T * (w / w.sum())) @ vecs.conj()
+    cls = TwoModeNormalAmp if variant == "two_mode" else VonNeumannAmp
+    return cls(f, g, meter), State(f.space, "density", rho)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(moment_cases())
+def test_predicted_vs_simulated_meters_and_mixed_inputs(case):
+    spec, state = case
+    pred = predict_output_moments(spec, state)
+    sim = simulated_output_moments(spec, state)
+    tol = max(1e-6, 10 * state.norm_defect)
+    assert abs(pred.mean_out - sim.mean_out) < tol
+    assert abs(pred.quad_means[0] - sim.quad_means[0]) < tol
+    assert abs(pred.quad_means[1] - sim.quad_means[1]) < tol
+    assert abs(pred.quad_noises[0] - sim.quad_noises[0]) < tol * 10
+    assert abs(pred.quad_noises[1] - sim.quad_noises[1]) < tol * 10
+    assert abs(pred.added_noise - sim.added_noise) < tol * 10
