@@ -19,16 +19,13 @@ the nonlinear variants is the meter preparation noise and is gain independent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, GainOutOfRange, NotHermitian, NotNormal,
-                     TruncationError)
+from .errors import GainOutOfRange, NotHermitian, NotNormal, TruncationError
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
-                   annihilation_op, cv_swap, displacement_matrix,
-                   expm_hermitian, gaussian_meter, normal_decompose,
+                   annihilation_op, gaussian_meter, normal_decompose,
                    partial_trace, quadrature_ops, squeezed_vacuum,
                    symmetrized_moment, tensor, vacuum_state, variance)
 
@@ -109,6 +106,13 @@ VACUUM = Meter()
 # amplifier specs
 # ---------------------------------------------------------------------------
 
+def _require_normal(f: Operator):
+    """Raise NotNormal unless [f, f^dag] is below 1e-9 max(1, max|f|)."""
+    norm = f.commutator_norm()
+    if norm >= 1e-9 * max(1.0, float(np.abs(f.matrix).max())):
+        raise NotNormal(f"signal operator not normal, [f,f^dag] = {norm:.2e}", norm)
+
+
 @dataclass(frozen=True)
 class LinearAmp:
     g: float
@@ -128,10 +132,7 @@ class TwoModeNormalAmp:
     def __post_init__(self):
         if self.g <= 0:
             raise GainOutOfRange("two-mode amplifier needs g > 0")
-        norm = self.f.commutator_norm()
-        scale = max(1.0, float(np.abs(self.f.matrix).max()))
-        if norm >= 1e-9 * scale:
-            raise NotNormal(f"signal operator not normal, [f,f^dag] = {norm:.2e}", norm)
+        _require_normal(self.f)
 
 
 @dataclass(frozen=True)
@@ -158,10 +159,7 @@ class ThreeModeAmp:
     def __post_init__(self):
         if self.g <= 0:
             raise GainOutOfRange("three-mode amplifier needs g > 0")
-        norm = self.f.commutator_norm()
-        scale = max(1.0, float(np.abs(self.f.matrix).max()))
-        if norm >= 1e-9 * scale:
-            raise NotNormal(f"signal operator not normal, [f,f^dag] = {norm:.2e}", norm)
+        _require_normal(self.f)
 
 
 @dataclass(frozen=True)
@@ -225,16 +223,6 @@ def quadratic_signal_op(space: FockSpace, alpha, beta, gamma, delta,
     return Operator(space, m), bool(is_normal)
 
 
-def f_plus(space: FockSpace) -> Operator:
-    """Signal operator transducing x^2: (a^2 + a^dag^2)/2 + a^dag a + 1/2."""
-    return quadratic_signal_op(space, 0.5, 1.0, 0.5, 0.5)[0]
-
-
-def f_minus(space: FockSpace) -> Operator:
-    """Signal operator transducing p^2."""
-    return quadratic_signal_op(space, -0.5, 1.0, -0.5, 0.5)[0]
-
-
 def real_imag_parts(f: Operator) -> tuple[Operator, Operator]:
     """f_R = (f + f^dag)/sqrt(2), f_I = -i(f - f^dag)/sqrt(2); f = (f_R + i f_I)/sqrt(2)."""
     m = f.matrix
@@ -260,7 +248,7 @@ def _f_of_x_operator(f_of_x, space: FockSpace) -> tuple[Operator, SpectralDecomp
 
 
 # ---------------------------------------------------------------------------
-# unitaries
+# meter sizing and squeezer chains
 # ---------------------------------------------------------------------------
 
 def meter_dim_for(g: float, f_max: float, meter: Meter | None = None,
@@ -303,108 +291,6 @@ def _cutoff_occupancy(rows) -> float:
     return 0.0 if rows is None else float(np.max(np.abs(rows[:, -1]) ** 2, initial=0.0))
 
 
-def _warn_if_meter_tight(g: float, f_max: float, dim_b: int):
-    # consistent with the sizing rule: a displacement of A needs dim >= (A+6)^2;
-    # no displacement (U = 1) needs nothing
-    if g * f_max > 0 and dim_b < (g * f_max + 6.0) ** 2:
-        warnings.warn(
-            f"displacement g*max|f| = {g * f_max:.2f} needs meter dim "
-            f">= {(g * f_max + 6.0) ** 2:.0f} but got {dim_b}; results are "
-            "truncation limited", stacklevel=3)
-
-
-def two_mode_unitary(f: Operator, g: float, dims: tuple[int, int]) -> Operator:
-    """U = exp(g (f b^dag - f^dag b)) on H_a (x) H_b, f normal."""
-    da, db = dims
-    if f.space.dim != da:
-        raise DimensionMismatch("f dim != dims[0]")
-    dec = normal_decompose(f)
-    _warn_if_meter_tight(g, float(np.abs(dec.eigenvalues).max()), db)
-    b = annihilation_op(FockSpace(db)).matrix
-    k = g * (np.kron(f.matrix, b.conj().T) - np.kron(f.matrix.conj().T, b))
-    return Operator(FockSpace((da, db)), expm_hermitian(1j * k))
-
-
-def two_mode_unitary_factored(f: Operator, g: float,
-                              dims: tuple[int, int]) -> Operator:
-    """Ordered product e^{g f b^dag} e^{-g f^dag b} e^{-g^2 f^dag f / 2}, projected.
-
-    On the eigenvector of f with eigenvalue lam the product is the
-    normal-ordered D(g lam), so this assembles sum_i |e_i><e_i| (x) D(g lam_i)
-    from the closed-form Fock elements of :func:`fock.displacement_matrix`.
-    It equals the projection of the untruncated unitary and, holding no
-    composite-space exponential, serves as the independent cross-check of
-    the direct exponential.
-    """
-    da, db = dims
-    if f.space.dim != da:
-        raise DimensionMismatch("f dim != dims[0]")
-    dec = normal_decompose(f)
-    v = dec.eigenvectors
-    disp = np.array([displacement_matrix(g * lam, db) for lam in dec.eigenvalues])
-    m = np.einsum("ai,bi,imn->ambn", v, v.conj(), disp, optimize=True)
-    return Operator(FockSpace((da, db)), m.reshape(da * db, da * db))
-
-
-def von_neumann_unitary(f: Operator, g: float, dims: tuple[int, int]) -> Operator:
-    """V = exp(-i sqrt(2) g f (x) p_b), f Hermitian; shifts x_b by sqrt(2) g f."""
-    da, db = dims
-    if f.space.dim != da:
-        raise DimensionMismatch("f dim != dims[0]")
-    res = f.hermiticity_residual()
-    if res > 1e-10 * max(1.0, float(np.abs(f.matrix).max())):
-        raise NotHermitian(f"von Neumann coupling wants Hermitian f, residual {res:.2e}")
-    _, p = quadrature_ops(FockSpace(db))
-    h = math.sqrt(2.0) * g * np.kron(f.matrix, p.matrix)
-    return Operator(FockSpace((da, db)), expm_hermitian(h))
-
-
-def three_mode_columns(f: Operator, g: float, dims: tuple[int, int, int],
-                       keep: tuple[int, int, int]) -> np.ndarray:
-    """Columns W[:, :ka, :kb, :kc] of :func:`three_mode_unitary`, shape dims + keep.
-
-    W is assembled in the joint eigenbasis Va (x) Vb (x) Vc of (f, p_b, p_c):
-    the phase table times the conjugated kept rows of each factor, then one
-    mode product per factor. The composite-space basis is never formed, so
-    the cost and memory scale with the kept columns, not with dim^2.
-    """
-    da, db, dc = dims
-    if f.space.dim != da:
-        raise DimensionMismatch("f dim != dims[0]")
-    ka, kb, kc = keep
-    if not all(0 < k <= d for k, d in zip(keep, dims)):
-        raise DimensionMismatch(f"keep {tuple(keep)} outside dims {tuple(dims)}")
-    dec = normal_decompose(f)
-    _, pb = quadrature_ops(FockSpace(db))
-    _, pc = quadrature_ops(FockSpace(dc))
-    wb, vb = np.linalg.eigh(pb.matrix)
-    wc, vc = np.linalg.eigh(pc.matrix)
-    va = dec.eigenvectors
-    # eigenvalues of f_R, f_I on the shared eigenvectors
-    fr = np.sqrt(2.0) * np.real(dec.eigenvalues)
-    fi = np.sqrt(2.0) * np.imag(dec.eigenvalues)
-    phase = np.exp(-1j * g * (fr[:, None, None] * wb[None, :, None]
-                              + fi[:, None, None] * wc[None, None, :]))
-    rows = np.einsum("ijk,xi,yj,zk->ijkxyz", phase, va[:ka].conj(),
-                     vb[:kb].conj(), vc[:kc].conj())
-    return np.einsum("ai,bj,ck,ijkxyz->abcxyz", va, vb, vc, rows,
-                     optimize=True)
-
-
-def three_mode_unitary(f: Operator, g: float,
-                       dims: tuple[int, int, int]) -> Operator:
-    """W = exp(-i g (f_R p_b + f_I p_c)) with f_R, f_I from :func:`real_imag_parts`.
-
-    f_R and f_I commute for normal f, so W is assembled in the joint
-    eigenbasis of (f, p_b, p_c); this equals the exponential of the full
-    generator to roundoff and needs no composite-space eigendecomposition.
-    It is the full-column reshape of :func:`three_mode_columns`.
-    """
-    n = math.prod(dims)
-    return Operator(FockSpace(tuple(dims)),
-                    three_mode_columns(f, g, dims, dims).reshape(n, n))
-
-
 def _squeezer_chains(g: float, dims: tuple[int, int]):
     """(indices, block) of the linear squeezer on each photon-difference chain.
 
@@ -429,21 +315,6 @@ def _squeezer_chains(g: float, dims: tuple[int, int]):
         p = np.array([1, -1j, -1, 1j])[k % 4]
         yield (na0 + k) * db + nb0 + k, \
             (p[:, None] * ((v * np.exp(1j * w)) @ v.T)) * p.conj()
-
-
-def linear_amp_unitary(g: float, dims: tuple[int, int]) -> Operator:
-    """Two-mode squeezer with amplitude gain g = cosh(r): a_out = g a + sqrt(g^2-1) b^dag.
-
-    U = exp(r (a^dag b^dag - a b)), assembled from its photon-difference
-    chain blocks (:func:`_squeezer_chains`); simulation applies the blocks
-    without forming U. g = 1 (r = 0) is the identity boundary; g < 1 is
-    rejected.
-    """
-    n = math.prod(dims)
-    u = np.zeros((n, n), dtype=complex)
-    for idx, block in _squeezer_chains(g, dims):
-        u[np.ix_(idx, idx)] = block
-    return Operator(FockSpace(tuple(dims)), u)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +486,7 @@ def displaced_rows(meter: State, alphas, rows=None) -> np.ndarray:
     return chi
 
 
-def simulate_output_state(spec, input_a: State, dims=None,
-                          apply_swap: bool = False) -> State:
+def simulate_output_state(spec, input_a: State, dims=None) -> State:
     """Evolve input (x) meters under the amplifier unitary and return the composite.
 
     The meters of a nonlinear variant come from :func:`prepare_meters` at
@@ -628,8 +498,7 @@ def simulate_output_state(spec, input_a: State, dims=None,
     None). A meter that drops more than 1e-6 of its norm, a
     displaced meter of a populated eigenvector that puts more than 1e-6 on
     its cutoff, and an output holding more than 1e-6 on any mode's cutoff
-    raise TruncationError. ``apply_swap`` exchanges modes 0 and 1 afterwards
-    for the two-mode variants (needs equal dims).
+    raise TruncationError.
     """
     if isinstance(spec, SingleModeAmp):
         raise TypeError("single-mode variant has no internal mode; "
@@ -641,10 +510,6 @@ def simulate_output_state(spec, input_a: State, dims=None,
         out = _spectral_output(spec, input_a, prepare_meters(spec, spec.g, dims))
 
     _check_top_occupancy(out)
-    if apply_swap:
-        if out.space.n_modes != 2 or out.space.dims[0] != out.space.dims[1]:
-            raise DimensionMismatch("CV swap needs two equal-dimension modes")
-        out = _apply_unitary(cv_swap(out.space, 0, 1), out)
     return out
 
 
@@ -660,15 +525,8 @@ def _check_top_occupancy(out: State, tol: float = TRUNCATION_TOL):
                 f"(dim {d}); enlarge the truncation")
 
 
-def _apply_unitary(u: Operator, state: State) -> State:
-    if state.kind == "ket":
-        return State(u.space, "ket", u.matrix @ state.data, state.norm_defect)
-    m = u.matrix @ state.data @ u.matrix.conj().T
-    return State(u.space, "density", m, state.norm_defect)
-
-
 def _squeeze(g: float, state: State) -> State:
-    """U psi, or U rho U^dag, of :func:`linear_amp_unitary` on a two-mode state.
+    """U psi, or U rho U^dag, of the linear squeezer on a two-mode state.
 
     Each chain block of :func:`_squeezer_chains` maps its own indices, rows
     first and then (for a density) columns, so U is never formed.

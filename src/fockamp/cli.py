@@ -20,7 +20,6 @@ import numpy as np
 from . import amplifiers as amp
 from . import estimators as est
 from . import measurement as meas
-from . import verify as verify_mod
 from .errors import (ConfigError, CoverageError, FockampError, GainOutOfRange,
                      NotHermitian, NotNormal, ResourceLimit, TruncationError)
 from .fock import (FockSpace, State, make_state, normal_decompose, number_op,
@@ -293,6 +292,8 @@ def _write_json(path: Path, payload: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_verify(cfg: dict, outdir: Path) -> int:
+    # imported here: verify loads the dense oracles, which no other command needs
+    from . import verify as verify_mod
     extra = []
     if "amplifier" in cfg:
         def _configured():

@@ -164,11 +164,6 @@ def _nonlinear_blocks(plan: TrialPlan, reduce=None):
                           gain=math.sqrt(2.0) * amp.g, noise=noise, reduce=reduce)
 
 
-def nonlinear_meter_x_samples(plan: TrialPlan) -> np.ndarray:
-    """All meter outcomes of the plan's blocks (:func:`_nonlinear_blocks`)."""
-    return np.concatenate(list(_nonlinear_blocks(plan)))
-
-
 def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
     """Estimate <f> as E[x_out]/(sqrt(2) g) and compare to the analytic variance."""
     amp = plan.amplifier
@@ -221,11 +216,6 @@ def _linear_blocks(plan: TrialPlan, reduce=None):
         raise ValueError("linear-scheme sampling shortcut assumes a vacuum internal mode")
     return detector_blocks(plan.input_state, plan.detector, plan.trials,
                            plan.seed, gain=amp.g, reduce=reduce)
-
-
-def linear_heterodyne_samples(plan: TrialPlan) -> np.ndarray:
-    """All heterodyne outcomes of the plan's blocks (:func:`_linear_blocks`)."""
-    return np.concatenate(list(_linear_blocks(plan)))
 
 
 def _linear_analytic(state: State, g: float, s2: float):

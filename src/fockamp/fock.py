@@ -137,20 +137,12 @@ class Operator:
         return float(np.abs(c).max())
 
 
-def identity_op(space: FockSpace) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=complex))
-
-
 def annihilation_op(space: FockSpace) -> Operator:
     """Ladder matrix <n-1|a|n> = sqrt(n) on a single mode."""
     if space.n_modes != 1:
         raise DimensionMismatch("annihilation_op wants a single-mode space")
     d = space.dim
     return Operator(space, np.diag(np.sqrt(np.arange(1, d)), 1).astype(complex))
-
-
-def creation_op(space: FockSpace) -> Operator:
-    return annihilation_op(space).h
 
 
 def number_op(space: FockSpace) -> Operator:
@@ -334,63 +326,8 @@ def make_state(space: FockSpace, kind: str, **params) -> State:
 
 
 # ---------------------------------------------------------------------------
-# exponentials and spectral decompositions
+# spectral decompositions
 # ---------------------------------------------------------------------------
-
-def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i h t) by eigendecomposition; exactly unitary up to roundoff."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
-    """<m|D(alpha)|n> for m, n < dim: the Fock projection of the untruncated D(alpha).
-
-    Closed form (Cahill & Glauber 1969), for m >= n
-
-        sqrt(n!/m!) alpha^{m-n} e^{-|alpha|^2/2} L_n^{(m-n)}(|alpha|^2),
-
-    and the mirrored form with -alpha* for m < n. The real elements
-    F_n^(k) = <n+k|D(|alpha|)|n> are bounded by one, and the Laguerre
-    three-term recurrence runs on them rather than on L_n^(k), which
-    overflows from about 1040 levels up:
-
-        F_{n+1} = ((2n+1+k-x) F_n - sqrt(n(n+k)) F_{n-1}) / sqrt((n+1)(n+k+1)),
-
-    with x = |alpha|^2 and F_0^(k) = |alpha|^k e^{-x/2}/sqrt(k!) taken in log
-    space. The cost is O(dim^2).
-    """
-    alpha = complex(alpha)
-    if alpha == 0.0:
-        return np.eye(dim, dtype=complex)
-    x = abs(alpha) ** 2
-    k = np.arange(dim)
-    f = np.zeros((dim, dim))  # f[n, k] = F_n^(k) for n + k < dim
-    f[0] = np.exp(k * math.log(abs(alpha)) - 0.5 * x - 0.5 * log_factorials(dim))
-    for n in range(dim - 1):
-        kn = k[:dim - n - 1]
-        f[n + 1, kn] = ((2 * n + 1 + kn - x) * f[n, kn]
-                        - np.sqrt(n * (n + kn)) * f[n - 1, kn]) \
-            / np.sqrt((n + 1) * (n + kn + 1))
-    m, n = k[:, None], k[None, :]
-    lo, dk = np.minimum(m, n), np.abs(m - n)
-    u = alpha / abs(alpha)
-    phase = np.where(m >= n, (u ** k)[dk], ((-np.conj(u)) ** k)[dk])
-    return f[lo, dk] * phase
-
-
-def unitary_from_generator(h: Operator, t: float = 1.0) -> Operator:
-    """U = exp(-i H t) for Hermitian H.
-
-    Uses eigendecomposition rather than a series, so the result is unitary to
-    roundoff at any t.
-    """
-    res = h.hermiticity_residual()
-    if res > 1e-10 * max(1.0, float(np.abs(h.matrix).max())):
-        raise NotHermitian(f"generator hermiticity residual {res:.2e}")
-    hm = (h.matrix + h.matrix.conj().T) / 2.0
-    return Operator(h.space, expm_hermitian(hm, t))
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -400,12 +337,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray        # complex, length d
     eigenvectors: np.ndarray       # unitary, columns are |e_i>
     residual: float                # max-norm reconstruction error
-
-    def apply(self, func) -> Operator:
-        """Functional calculus: sum_i func(lambda_i) |e_i><e_i|."""
-        vals = np.asarray([func(lam) for lam in self.eigenvalues], dtype=complex)
-        v = self.eigenvectors
-        return Operator(self.space, (v * vals) @ v.conj().T)
 
     def probabilities(self, state: State) -> np.ndarray:
         """Spectral measure of ``state``: p_i = <e_i|rho|e_i>."""
@@ -546,19 +477,6 @@ def tensor(*objs):
     raise TypeError("tensor() wants all Operators or all States")
 
 
-def embed(op: Operator, slot: int, space: FockSpace) -> Operator:
-    """Embed a single-mode operator into ``slot`` of a composite space."""
-    if op.space.n_modes != 1:
-        raise DimensionMismatch("embed() wants a single-mode operator")
-    if op.space.dim != space.dims[slot]:
-        raise DimensionMismatch(
-            f"operator dim {op.space.dim} != mode dim {space.dims[slot]}")
-    m = np.eye(1, dtype=complex)
-    for i, d in enumerate(space.dims):
-        m = np.kron(m, op.matrix if i == slot else np.eye(d, dtype=complex))
-    return Operator(space, m)
-
-
 def partial_trace(state: State, keep) -> State:
     """Trace out all modes not in ``keep`` (int or sequence of ints)."""
     if isinstance(keep, (int, np.integer)):
@@ -581,20 +499,6 @@ def partial_trace(state: State, keep) -> State:
         rho = rho.reshape(dk, dk)
     rho = (rho + rho.conj().T) / 2.0
     return State(FockSpace(kept_dims), "density", rho, state.norm_defect)
-
-
-def cv_swap(space: FockSpace, i: int, j: int) -> Operator:
-    """Permutation unitary exchanging the full Hilbert spaces of modes i and j."""
-    dims = space.dims
-    if dims[i] != dims[j]:
-        raise DimensionMismatch("cv_swap wants equal dims on the swapped modes")
-    perm = np.arange(space.dim).reshape(dims)
-    axes = list(range(len(dims)))
-    axes[i], axes[j] = axes[j], axes[i]
-    perm = np.transpose(perm, axes).ravel()
-    m = np.zeros((space.dim, space.dim), dtype=complex)
-    m[np.arange(space.dim), perm] = 1.0
-    return Operator(space, m)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .amplifiers import (ThreeModeAmp, TwoModeNormalAmp, VonNeumannAmp,
                          displaced_rows, meter_table, prepare_meters)
 from .errors import (CoverageError, DimensionMismatch, FockampError,
                      TruncationError)
-from .fock import (FockSpace, Operator, SpectralDecomposition, State,
+from .fock import (FockSpace, SpectralDecomposition, State,
                    hermite_functions, log_factorials, normal_decompose,
                    quadrature_amplitudes)
 
@@ -70,77 +70,6 @@ class DetectorSpec:
         if self.kind == "heterodyne":
             return (1.0 - eta) / eta
         return (1.0 - eta) / (4.0 * eta)
-
-
-# ---------------------------------------------------------------------------
-# detector elements in the Fock basis
-# ---------------------------------------------------------------------------
-
-def heterodyne_element(beta: complex, sigma2: float, space: FockSpace) -> Operator:
-    """<m|M_beta|n> in closed form (no numeric 2-D integral).
-
-    With t = 1/(1+sigma^2) and s = sigma^2/(1+sigma^2),
-
-        M_beta = (t/pi) e^{-t|beta|^2} sum_k v_k v_k^dag,
-        v_k(k) = s^{k/2},  v_k(m+1) = v_k(m) t beta sqrt(m+1)/(m+1-k),
-
-    which is the Fock projection of the exact smeared coherent projector for
-    any beta (entries are exact; only states near the cutoff are affected by
-    truncation). sigma^2 = 0 reduces to (1/pi)|beta><beta|.
-
-    The single-outcome oracle: the numeric POVM builds no element and takes
-    the same expansion over all outcomes at once in
-    :func:`_heterodyne_expectations`.
-    """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
-    d = space.dim
-    beta = complex(beta)
-    t = 1.0 / (1.0 + sigma2)
-    s = sigma2 / (1.0 + sigma2)
-    tb = t * beta
-    m = np.zeros((d, d), dtype=complex)
-    sq = np.sqrt(np.arange(1, d))
-    kmax = d if sigma2 > 0 else 1
-    for k in range(kmax):
-        v = np.zeros(d, dtype=complex)
-        v[k] = s ** (k / 2.0)
-        for i in range(k + 1, d):
-            v[i] = v[i - 1] * tb * sq[i - 1] / (i - k)
-        m += np.outer(v, v.conj())
-    m *= (t / math.pi) * math.exp(-t * abs(beta) ** 2)
-    return Operator(space, m)
-
-
-def _default_ygrid(xs, sigma2: float) -> np.ndarray:
-    """Quadrature grid for the raw outcomes ``xs``: step 0.005 on
-    |y| <= max(10, max|x| + 8 sqrt(sigma^2/2)), so the noise kernel about
-    every outcome lies on the grid to eight of its standard deviations."""
-    half = max(HOMODYNE_YGRID_RANGE,
-               float(np.abs(xs).max()) + 8.0 * math.sqrt(sigma2 / 2.0))
-    n = int(round(2 * half / HOMODYNE_YGRID_STEP)) + 1
-    return np.linspace(-half, half, n)
-
-
-def homodyne_element(x: float, sigma2: float, space: FockSpace,
-                     y_grid: np.ndarray | None = None) -> Operator:
-    """<m|M_x|n> = int K_sigma(x - y) h_m(y) h_n(y) dy by trapezoid quadrature.
-
-    The default grid is step 0.005 on |y| <= max(10, |x| + 8 sqrt(sigma^2/2)).
-    sigma^2 = 0 returns the rank-one outcome density h_m(x) h_n(x) (per unit
-    outcome, not a projector).
-    """
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
-    d = space.dim
-    if sigma2 == 0.0:
-        h = hermite_functions(d, np.array([float(x)]))[:, 0]
-        return Operator(space, np.outer(h, h).astype(complex))
-    y = _default_ygrid(float(x), sigma2) if y_grid is None \
-        else np.asarray(y_grid, dtype=float)
-    h = hermite_functions(d, y)
-    m = (h * _homodyne_kernel(x, sigma2, y)) @ h.T
-    return Operator(space, m.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +202,10 @@ def povm_meters(amp) -> list:
 def _heterodyne_expectations(kets: np.ndarray, betas, sigma2: float) -> np.ndarray:
     """<chi_k|M_beta|chi_k> for each outcome beta (rows) and ket chi_k (columns).
 
-    The rank-one expansion of :func:`heterodyne_element` contracted with all
-    outcomes at once. Its vectors are v_k = s^{k/2} e^{t beta a^dag}|k>, so
-    with w_k(m) = s^{k/2} sqrt(binom(m, k)) and the coherent amplitudes
+    The rank-one expansion of :func:`oracles.heterodyne_element` contracted
+    with all outcomes at once. Its vectors are
+    v_k = s^{k/2} e^{t beta a^dag}|k>, so with w_k(m) = s^{k/2}
+    sqrt(binom(m, k)) and the coherent amplitudes
     C[p, j] = e^{-t|beta_j|^2/2} (t beta_j)^p / sqrt(p!), built in log space
     (|C| <= 1 at any beta),
 
@@ -316,6 +246,16 @@ def _heterodyne_expectations(kets: np.ndarray, betas, sigma2: float) -> np.ndarr
     return (t / math.pi) * acc.T
 
 
+def _default_ygrid(xs, sigma2: float) -> np.ndarray:
+    """Quadrature grid for the raw outcomes ``xs``: step 0.005 on
+    |y| <= max(10, max|x| + 8 sqrt(sigma^2/2)), so the noise kernel about
+    every outcome lies on the grid to eight of its standard deviations."""
+    half = max(HOMODYNE_YGRID_RANGE,
+               float(np.abs(xs).max()) + 8.0 * math.sqrt(sigma2 / 2.0))
+    n = int(round(2 * half / HOMODYNE_YGRID_STEP)) + 1
+    return np.linspace(-half, half, n)
+
+
 def _homodyne_kernel(x: float, sigma2: float, y: np.ndarray) -> np.ndarray:
     """Trapezoid weights of the noise kernel K_sigma(x - y) on the grid ``y``."""
     k = np.exp(-((float(x) - y) ** 2) / sigma2) / math.sqrt(math.pi * sigma2)
@@ -328,7 +268,7 @@ def _homodyne_kernel(x: float, sigma2: float, y: np.ndarray) -> np.ndarray:
 def _homodyne_expectations(kets: np.ndarray, xs, sigma2: float) -> np.ndarray:
     """<chi_k|M_x|chi_k> for each outcome x (rows) and ket chi_k (columns).
 
-    Uses the quadrature of :func:`homodyne_element` on the position
+    Uses the quadrature of :func:`oracles.homodyne_element` on the position
     densities |<y|chi_k>|^2, so no meter-space element is built.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -356,8 +296,9 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     of lam_k, so the sandwich is E = sum_k P_k prod_meters g^j <chi_k|M|chi_k>
     over the displaced meters chi_k, read at g times the same part of the
     outcome, with j = 2 for heterodyne and j = 1 for homodyne readout. This is
-    what the dense sandwich with :func:`two_mode_unitary`,
-    :func:`von_neumann_unitary` or :func:`three_mode_unitary` gives.
+    what the dense sandwich with :func:`oracles.two_mode_unitary`,
+    :func:`oracles.von_neumann_unitary` or :func:`oracles.three_mode_unitary`
+    gives.
 
     The meters are ``meters`` from :func:`povm_meters` if given, else
     :func:`amplifiers.prepare_meters` at ``dims`` (auto-sized if None),
@@ -396,7 +337,7 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
 
 
 # ---------------------------------------------------------------------------
-# decision regions and coarse graining
+# decision regions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -436,7 +377,15 @@ def _collinear_axis(centers: np.ndarray):
 
 
 def _region_masses(povm, regions: DecisionRegions) -> np.ndarray:
-    """(n_regions, d) table: the mass region k takes from eigenvector i's record."""
+    """(n_regions, d) table: the mass region k takes from eigenvector i's record.
+
+    Closed-form POVMs with collinear cluster centers use exact error-function
+    slab integrals (the orthogonal Gaussian direction integrates to one), so
+    no grid error enters. Numeric grids sum their weight rows over each cell
+    with the cell measure, after a coverage check of five nominal widths
+    beyond the extreme centers, on the real axis and, for complex outcomes,
+    on the imaginary axis too.
+    """
     if isinstance(povm, ClosedFormPovm):
         u = _collinear_axis(regions.centers)
         if u is None:
@@ -471,26 +420,9 @@ def _region_masses(povm, regions: DecisionRegions) -> np.ndarray:
     return mass * povm.measure
 
 
-def coarse_grain(povm, regions: DecisionRegions) -> list[Operator]:
-    """One operator per decision region, V diag(mass) V^dag in the eigenbasis.
-
-    Both POVM kinds reduce to one (regions x d) mass table. Closed-form POVMs
-    with collinear cluster centers use exact error-function slab integrals
-    (the orthogonal Gaussian direction integrates to one), so no grid error
-    enters. Numeric grids sum their weight rows over each cell with the cell
-    measure, after a coverage check of five nominal widths beyond the extreme
-    centers, on the real axis and, for complex outcomes, on the imaginary
-    axis too.
-    """
-    dec = povm.decomposition
-    v = dec.eigenvectors
-    return [Operator(dec.space, (v * m) @ v.conj().T)
-            for m in _region_masses(povm, regions)]
-
-
 def own_region_weights(povm, regions: DecisionRegions) -> np.ndarray:
     """<e_i | Pi_own(i) | e_i> averaged over each cluster's members, read off
-    the mass table of :func:`coarse_grain`."""
+    the mass table of :func:`_region_masses`."""
     mass = _region_masses(povm, regions)
     return np.array([float(np.mean(mass[k, list(members)]))
                      for k, members in enumerate(regions.members)])

@@ -36,9 +36,9 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, LinearAmp,
                      own_region_weights, predict_output_moments,
                      quadratic_signal_op, run_linear_number_estimation,
                      run_nonlinear_estimation, simulated_output_moments,
-                     single_mode_output_moments, two_mode_unitary,
-                     two_mode_unitary_factored, vacuum_state)
+                     single_mode_output_moments, vacuum_state)
 from fockamp.amplifiers import single_mode_commutator_residual
+from fockamp.oracles import two_mode_unitary, two_mode_unitary_factored
 
 
 def _report(name, ok, detail):

@@ -9,20 +9,20 @@ from scipy.linalg import expm
 from fockamp import (FockSpace, GainOutOfRange, LinearAmp, NotHermitian,
                      NotNormal, Operator, SingleModeAmp, ThreeModeAmp,
                      TwoModeNormalAmp, VonNeumannAmp, Meter, annihilation_op,
-                     coherent_state, fock_state, linear_amp_unitary, number_op,
-                     parity_op, predict_output_moments, quadratic_signal_op,
+                     coherent_state, fock_state, number_op, parity_op,
+                     predict_output_moments, quadratic_signal_op,
                      quadrature_ops, real_imag_parts, simulate_output_state,
                      simulated_output_moments, single_mode_output_moments,
-                     squeezed_vacuum, tensor, three_mode_unitary,
-                     two_mode_unitary, two_mode_unitary_factored,
-                     vacuum_state, von_neumann_unitary)
+                     squeezed_vacuum, tensor, vacuum_state)
 from fockamp.amplifiers import (displaced_meter_ket, meter_dim_for,
-                                single_mode_commutator_residual,
-                                three_mode_columns)
-from fockamp import amplifiers
-from fockamp import fock as fock_module
+                                single_mode_commutator_residual)
+from fockamp import amplifiers, oracles
 from fockamp.errors import TruncationError
-from fockamp.fock import State, expm_hermitian, partial_trace
+from fockamp.fock import State, partial_trace
+from fockamp.oracles import (cv_swap, embed, expm_hermitian,
+                             linear_amp_unitary, three_mode_columns,
+                             three_mode_unitary, two_mode_unitary,
+                             two_mode_unitary_factored, von_neumann_unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,6 @@ def test_three_mode_meter_relations_complex_signal():
     g = 0.7
     w = three_mode_unitary(f, g, dims)
     fr, fi = real_imag_parts(f)
-    from fockamp import embed
     cs = FockSpace(dims)
     # (W^H X W)[R, R] = W[:, R]^H X W[:, R] on the guarded indices R
     guard = np.ravel_multi_index(np.ix_(range(3), range(6), range(6)),
@@ -351,9 +350,8 @@ def test_simulation_forms_no_dense_exponential(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense composite unitary built in simulation")
 
-    monkeypatch.setattr(fock_module, "expm_hermitian", refuse)
-    monkeypatch.setattr(amplifiers, "expm_hermitian", refuse)
-    monkeypatch.setattr(amplifiers, "linear_amp_unitary", refuse)
+    monkeypatch.setattr(oracles, "expm_hermitian", refuse)
+    monkeypatch.setattr(oracles, "linear_amp_unitary", refuse)
     sp, sp_lin = FockSpace(8), FockSpace(12)
     fc = Operator(sp, number_op(sp).matrix + 0.3j * np.eye(8))
     cases = [
@@ -540,7 +538,8 @@ def test_cv_swap_moves_signal_to_mode_zero():
     spec = TwoModeNormalAmp(number_op(sp), 0.4)
     st = fock_state(sp, 2)
     plain = simulate_output_state(spec, st, dims=(10,))
-    swapped = simulate_output_state(spec, st, dims=(10,), apply_swap=True)
+    u = cv_swap(plain.space, 0, 1).matrix
+    swapped = State(plain.space, "ket", u @ plain.data)
     b = annihilation_op(sp)
     assert abs(partial_trace(plain, 1).expectation(b)
                - partial_trace(swapped, 0).expectation(b)) < 1e-12

@@ -386,7 +386,8 @@ def test_estimate_and_compare_load_no_scipy(tmp_path):
 
 def test_povm_and_verify_load_no_scipy(tmp_path):
     # the displacement kernel is numpy-only, so the numeric POVM sandwich
-    # (heterodyne, squeezed-meter homodyne) and verify run without scipy
+    # (heterodyne, squeezed-meter homodyne) and verify run without scipy;
+    # povm and estimate run without loading verify or the dense oracles
     script = textwrap.dedent(f"""
         import json, sys
         from pathlib import Path
@@ -403,9 +404,17 @@ def test_povm_and_verify_load_no_scipy(tmp_path):
                                             meter={{"kind": "squeezed", "r": 0.5}}),
                           "detector": {{"kind": "homodyne", "efficiency": 0.5}},
                           "dims": {{"signal": 3}}}},
+            "estimate": {{"command": "estimate", "amplifier": amp,
+                          "input_state": {{"kind": "fock", "n": 1}},
+                          "detector": {{"kind": "homodyne"}},
+                          "dims": {{"signal": 4}}, "trials": 2000}},
             "verify": {{"command": "verify"}},
         }}
         for name, cfg in configs.items():
+            if name == "verify":
+                # the dense oracles load with verify and with no other command
+                loaded = {{"fockamp.oracles", "fockamp.verify"}} & set(sys.modules)
+                assert not loaded, sorted(loaded)
             path = out / (name + ".json")
             path.write_text(json.dumps(cfg))
             code = cli.main(["--config", str(path), "--out", str(out / name)])
@@ -422,18 +431,24 @@ def test_povm_and_verify_load_no_scipy(tmp_path):
 
 
 def test_package_source_imports_no_scipy():
-    # static guard: no module of the package imports scipy, at any depth
+    # static guard: no module of the package imports scipy, at any depth, and
+    # no module but verify imports the dense oracles
     src = Path(__file__).resolve().parents[1] / "src" / "fockamp"
     paths = sorted(src.glob("*.py"))
     assert paths
-    found = []
+    found, oracle_users = [], []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                # "from . import oracles" names the module in its aliases
+                names = [node.module or ""] + [
+                    f"{node.module or ''}.{a.name}" for a in node.names]
             else:
                 continue
             found += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+            if any("oracles" in n.split(".") for n in names):
+                oracle_users.append(path.name)
     assert found == []
+    assert set(oracle_users) == {"verify.py"}

@@ -17,13 +17,23 @@ from fockamp import (DetectorSpec, FockSpace, LinearAmp, TrialPlan,
                      compare_schemes, fock_state, husimi_values, number_op,
                      run_linear_number_estimation, run_nonlinear_estimation,
                      run_plan, simulate_output_state, snr_report, tensor,
-                     vacuum_state, von_neumann_unitary)
+                     vacuum_state)
 from fockamp.errors import GainOutOfRange, TruncationError
-from fockamp.estimators import (linear_heterodyne_samples,
-                                nonlinear_meter_x_samples)
+from fockamp.estimators import _linear_blocks, _nonlinear_blocks
 from fockamp.fock import (State, normal_decompose, partial_trace,
                           quadrature_amplitudes)
 from fockamp.measurement import BLOCK, mixture_blocks, sample_outcomes
+from fockamp.oracles import von_neumann_unitary
+
+
+def nonlinear_meter_x_samples(plan):
+    """All meter outcomes of the plan's blocks, joined."""
+    return np.concatenate(list(_nonlinear_blocks(plan)))
+
+
+def linear_heterodyne_samples(plan):
+    """All heterodyne outcomes of the plan's blocks, joined."""
+    return np.concatenate(list(_linear_blocks(plan)))
 
 
 def _hom(eta=1.0):

@@ -7,20 +7,31 @@ import pytest
 from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
                      ThreeModeAmp, TwoModeNormalAmp, VonNeumannAmp,
                      Meter, coherent_state, effective_povm_closed_form,
-                     effective_povm_numeric, fock_state, heterodyne_element,
-                     homodyne_element, normal_decompose, number_op,
-                     own_region_weights, coarse_grain, sample_outcomes, three_mode_unitary, two_mode_unitary,
-                     vacuum_state, von_neumann_unitary)
-from fockamp import measurement
+                     effective_povm_numeric, fock_state, normal_decompose,
+                     number_op, own_region_weights, sample_outcomes,
+                     vacuum_state)
+from fockamp import measurement, oracles
 from fockamp.errors import CoverageError, FockampError, TruncationError
 from fockamp.amplifiers import meter_dim_for
 from fockamp.fock import State, quadrature_amplitudes
 from fockamp.measurement import (_default_ygrid, _heterodyne_expectations,
-                                 husimi_values, povm_csv_rows, povm_meters)
+                                 _region_masses, husimi_values, povm_csv_rows,
+                                 povm_meters)
+from fockamp.oracles import (heterodyne_element, homodyne_element,
+                             three_mode_unitary, two_mode_unitary,
+                             von_neumann_unitary)
 
 
 def povm_meter_dims(amp):
     return tuple(m.space.dim for m, _ in povm_meters(amp))
+
+
+def coarse_grain(povm, regions: DecisionRegions) -> list[Operator]:
+    """One operator per decision region, V diag(mass) V^dag in the eigenbasis."""
+    dec = povm.decomposition
+    v = dec.eigenvectors
+    return [Operator(dec.space, (v * m) @ v.conj().T)
+            for m in _region_masses(povm, regions)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +311,13 @@ def test_heterodyne_numeric_povm_at_high_gain():
 def test_numeric_povm_builds_no_heterodyne_element(monkeypatch):
     # heterodyne_element is the single-outcome oracle, not a production path
     calls = []
-    oracle = measurement.heterodyne_element
+    oracle = oracles.heterodyne_element
 
     def counted(*args, **kwargs):
         calls.append(args)
         return oracle(*args, **kwargs)
 
-    monkeypatch.setattr(measurement, "heterodyne_element", counted)
+    monkeypatch.setattr(oracles, "heterodyne_element", counted)
     f = number_op(FockSpace(4))
     pts = np.array([0.2 + 0.1j, 1.0, 1.7 - 0.4j, 3.2 + 0.5j])
     grid = effective_povm_numeric(TwoModeNormalAmp(f, 1.0),

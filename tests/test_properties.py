@@ -33,12 +33,13 @@ from scipy.linalg import schur
 from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      ThreeModeAmp, TwoModeNormalAmp, VACUUM, VonNeumannAmp,
                      annihilation_op, effective_povm_closed_form,
-                     effective_povm_numeric, embed, normal_decompose,
+                     effective_povm_numeric, normal_decompose,
                      predict_output_moments, quadrature_ops,
-                     simulate_output_state, simulated_output_moments, tensor,
-                     three_mode_unitary, two_mode_unitary, von_neumann_unitary)
+                     simulate_output_state, simulated_output_moments, tensor)
 from fockamp.amplifiers import _mode_quad_moments, displaced_meter_ket
 from fockamp.estimators import _Moments
+from fockamp.oracles import (embed, three_mode_unitary, two_mode_unitary,
+                             von_neumann_unitary)
 
 METER_DIM = 20
 unit = st.floats(-1.0, 1.0)
