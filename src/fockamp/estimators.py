@@ -14,14 +14,17 @@ nonlinear coupling is a mixture of Gaussians centered at sqrt(2) g lambda_i
 weighted by the spectral measure of the input, and the heterodyne outcome of
 the amplified state is g times a draw from the input Husimi density (the
 amplifier rescales the Husimi density without extra convolution). Both facts
-are validated against full unitary evolution in the test suite. The Husimi
-draws come from the grid sampler shared with the detector,
-:func:`measurement.detector_blocks`.
+are validated against full unitary evolution in the test suite. The meter
+draws come from :func:`measurement.gaussian_blocks`, with the meter and
+detector noise merged into one Gaussian. The heterodyne draws come from the
+detector's sampler, :func:`measurement.detector_blocks`: exact Gaussian draws
+for a coherent input, and the Husimi grid for any other.
 
 Plans are drawn in blocks of :data:`measurement.BLOCK` trials, each on a
 worker thread of the sampler, which also reduces it to its mean and centred
-sums (:meth:`_Moments.block`). The main thread merges those in block order,
-so the reports do not depend on the worker count, and memory is
+sums (:meth:`_Moments.block`). A block of the Gaussian sampler is ordered by
+centre; the moments do not see the order. The main thread merges the sums in
+block order, so the reports do not depend on the worker count, and memory is
 O(workers * BLOCK) whatever ``trials`` is.
 """
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .amplifiers import (LinearAmp, Meter, TwoModeNormalAmp, VACUUM,
                          VonNeumannAmp)
 from .errors import NotHermitian
 from .fock import State, normal_decompose, number_op, variance
-from .measurement import DetectorSpec, detector_blocks, mixture_blocks
+from .measurement import (DRAW_CHUNK, DetectorSpec, detector_blocks,
+                          gaussian_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +153,19 @@ def _recentred(sums, shift: float) -> list:
 # ---------------------------------------------------------------------------
 
 def _nonlinear_blocks(plan: TrialPlan, reduce=None):
-    """Meter homodyne outcomes for the nonlinear scheme, block by block: an
-    eigenvalue from the spectral measure of the input, then the meter
-    position noise and the detector smearing, both Gaussian. ``reduce`` goes
-    to :func:`measurement.mixture_blocks`."""
+    """Meter homodyne outcomes for the nonlinear scheme, block by block: a
+    centre sqrt(2) g lambda_i drawn from the spectral measure of the input,
+    plus the meter position noise and the detector smearing, drawn as one
+    Gaussian of the summed variance. ``reduce`` goes to
+    :func:`measurement.gaussian_blocks`."""
     amp = plan.amplifier
     dec = normal_decompose(amp.f)
     if np.abs(np.imag(dec.eigenvalues)).max() > 1e-9:
         raise NotHermitian("nonlinear estimation wants a Hermitian signal operator")
     probs = np.clip(dec.probabilities(plan.input_state), 0.0, None)
-    probs /= probs.sum()
-    noise = (math.sqrt(amp.meter.x_variance()), math.sqrt(plan.detector.sigma2 / 2.0))
-    return mixture_blocks(np.real(dec.eigenvalues), probs, plan.trials, plan.seed,
-                          gain=math.sqrt(2.0) * amp.g, noise=noise, reduce=reduce)
+    sd = math.sqrt(amp.meter.x_variance() + plan.detector.sigma2 / 2.0)
+    return gaussian_blocks(math.sqrt(2.0) * amp.g * np.real(dec.eigenvalues), probs,
+                           sd, plan.trials, plan.seed, reduce)
 
 
 def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
@@ -209,7 +213,7 @@ def _linear_blocks(plan: TrialPlan, reduce=None):
     Q_in(alpha/g)/g^2, so the antinormally ordered extra quantum is already
     in the Husimi draw (validated against two-mode squeezer evolution in
     the tests). An input holding more than 1e-6 at its cutoff raises
-    TruncationError. ``reduce`` goes to :func:`measurement.mixture_blocks`.
+    TruncationError. ``reduce`` goes to the sampler.
     """
     amp = plan.amplifier
     if amp.meter.kind != "vacuum":
@@ -236,24 +240,27 @@ def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
     if plan.detector.kind != "heterodyne":
         raise ValueError("linear number estimation reads mode a with heterodyne")
     g = amp.g
+    g2 = g * g
 
-    def reduce(alpha):  # on the sampler's worker, in the block's own buffers
-        a2 = np.abs(alpha)
+    def reduce(alpha):  # on the sampler's worker, in the block's own buffer
+        # |alpha| chunk by chunk into the first half of alpha's floats, which
+        # overlay trials already read, so no block-sized temporary is made
+        a2, scratch = alpha.view(float).reshape(2, -1)  # alpha is spent
+        part = np.empty(min(DRAW_CHUNK, alpha.shape[0]))
+        for lo in range(0, alpha.shape[0], DRAW_CHUNK):
+            chunk = alpha[lo:lo + DRAW_CHUNK]
+            a2[lo:lo + chunk.shape[0]] = np.abs(chunk, out=part[:chunk.shape[0]])
         a2 *= a2
-        n_hat, scratch = alpha.view(float).reshape(2, -1)  # alpha is spent
-        np.divide(a2, g * g, out=n_hat)
-        n_hat -= 1.0
-        return (_Moments.block(a2, out=a2, scratch=scratch),
-                _Moments.block(n_hat, out=n_hat, scratch=a2))
+        return _Moments.block(a2, out=a2, scratch=scratch)
 
-    moments, raw = _Moments(), _Moments()
-    for raw_sums, n_sums in _linear_blocks(plan, reduce):
-        raw.merge(*raw_sums)
-        moments.merge(*n_sums)
-    mean, var, se_m, se_v = moments.stats()
+    raw = _Moments()
+    for sums in _linear_blocks(plan, reduce):
+        raw.merge(*sums)
+    # n_hat = |alpha|^2/g^2 - 1 is affine in |alpha|^2: its statistics follow
+    m2, v2, se2m, se2v = raw.stats()
+    mean, var, se_m, se_v = m2 / g2 - 1.0, v2 / (g2 * g2), se2m / g2, se2v / (g2 * g2)
     s2 = plan.detector.sigma2
     n_mean, analytic_mean, analytic_var = _linear_analytic(plan.input_state, g, s2)
-    m2, v2, se2m, _ = raw.stats()
     return EstimateReport(
         "n_hat_linear", plan.trials, plan.seed, mean, var, se_m, se_v,
         analytic_mean=analytic_mean,
@@ -263,7 +270,7 @@ def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
             "gain": g,
             "raw_second_moment": m2,
             "raw_second_moment_se": se2m,
-            "analytic_raw_second_moment": g * g * n_mean + g * g + s2,
+            "analytic_raw_second_moment": g2 * n_mean + g2 + s2,
         },
     )
 

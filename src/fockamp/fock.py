@@ -248,6 +248,16 @@ def vacuum_state(space: FockSpace) -> State:
     return State(space, "ket", v)
 
 
+def _coherent_amplitudes(d: int, alpha: complex) -> np.ndarray:
+    """e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n < d, from their logarithms."""
+    n = np.arange(d)
+    if alpha == 0:
+        return (n == 0).astype(complex)
+    logmag = (n * math.log(abs(alpha)) - 0.5 * log_factorials(d)
+              - 0.5 * abs(alpha) ** 2)
+    return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
+
+
 def coherent_state(space: FockSpace, alpha: complex, tail_tol: float = 1e-6) -> State:
     """Coherent ket from exact coefficients e^{-|a|^2/2} a^n / sqrt(n!), renormalized.
 
@@ -256,12 +266,9 @@ def coherent_state(space: FockSpace, alpha: complex, tail_tol: float = 1e-6) -> 
     """
     d = space.dim
     alpha = complex(alpha)
-    n = np.arange(d)
     if abs(alpha) == 0.0:
         return fock_state(space, 0)
-    logmag = (n * math.log(abs(alpha)) - 0.5 * log_factorials(d)
-              - 0.5 * abs(alpha) ** 2)
-    c = np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
+    c = _coherent_amplitudes(d, alpha)
     kept = float(np.sum(np.abs(c) ** 2))
     tail = max(0.0, 1.0 - kept)
     if float(np.sum(np.abs(c[-3:]) ** 2)) > 1e-8:

@@ -29,21 +29,24 @@ from .amplifiers import (ThreeModeAmp, TwoModeNormalAmp, VonNeumannAmp,
 from .errors import (CoverageError, DimensionMismatch, FockampError,
                      TruncationError)
 from .fock import (FockSpace, SpectralDecomposition, State,
-                   hermite_functions, log_factorials, normal_decompose,
-                   quadrature_amplitudes)
+                   _coherent_amplitudes, hermite_functions, log_factorials,
+                   normal_decompose, quadrature_amplitudes)
 
 HOMODYNE_YGRID_STEP = 0.005
 HOMODYNE_YGRID_RANGE = 10.0
 # betas per recurrence block in husimi_values
 HUSIMI_BLOCK = 4096
-# trials per Monte Carlo block, the unit of the stream law (see
-# mixture_blocks); memory is O(workers * BLOCK) whatever the trial count
+# trials per Monte Carlo block, the unit of the stream law (see _pooled);
+# memory is O(workers * BLOCK) whatever the trial count
 BLOCK = 2 ** 16
 # equal buckets of u in the inverse-CDF guide table of mixture_blocks
 GUIDE_BUCKETS = 2 ** 16
-# trials per pass of mixture_blocks inside a block; the fills are sequential,
-# so the chunk sets the working set, not the streams
+# trials per fill inside a block; the fills are sequential, so the chunk
+# sets the working set, not the streams
 DRAW_CHUNK = 2 ** 13
+# 1 - <m|rho|m> at or below which a heterodyne input is sampled as the
+# coherent state |m>, m = <a> (see detector_blocks)
+COHERENT_DEFECT = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -432,77 +435,39 @@ def own_region_weights(povm, regions: DecisionRegions) -> np.ndarray:
 # outcome sampling
 # ---------------------------------------------------------------------------
 
-def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
-                   jitter: float = 0.0, noise=(), reduce=None):
-    """n draws of gain (points[i] + jitter) + noise, in blocks of at most BLOCK.
+def _pooled(n: int, seed: int, draw, reduce=None):
+    """draw(rng, size, add) for each block of n trials, in block order.
 
-    ``points`` is a real array, or a pair (x, y) of real axes standing for
-    the complex grid ``points[i] = x[i // y.size] + 1j y[i % y.size]``; i
-    has the law weights/sum(weights). Block b draws from Philox keyed by
-    the seed with b as its third counter word, which is
-    ``Philox(key=seed).jumped(b)`` (Salmon et al., SC'11): ``random()`` for
-    i, then the jitter, uniform on [-jitter, jitter], then a Gaussian per
-    nonzero standard deviation in ``noise``, per axis. i is read off a
-    guide table over equal buckets of u (Chen & Asau, 1974): the cell of u
-    lies between those of its bucket's edges, so where they agree it is
-    known and only the other uniforms are searched. The cells are
-    ``rng.choice(p=)``'s bit for bit.
-
-    Blocks are drawn on a thread pool, one worker per CPU available to the
-    process, with at most workers + 1 blocks in flight, and are yielded in
-    block order; ``reduce``, if given, runs on the worker and its result
-    is yielded in place of the block (which it may overwrite). The streams
-    do not depend on the worker count.
+    Block b holds trials [b BLOCK, (b + 1) BLOCK) and draws from Philox
+    keyed by the seed with b as its third counter word, which is
+    ``Philox(key=seed).jumped(b)`` (Salmon et al., SC'11).
+    ``add(out, fill, scale, shift=0.0)`` adds ``scale * fill() - shift`` to
+    out, DRAW_CHUNK trials per fill and one (re, im) pair per trial of a
+    complex out. Blocks are drawn on a thread pool, one worker per CPU
+    available to the process, with at most workers + 1 blocks in flight, and
+    are yielded in block order; ``reduce``, if given, runs on the worker
+    once ``draw`` has returned, and its result is yielded in place of the
+    block (which it may overwrite). The streams do not depend on the worker
+    count. The workers call closures only, no module-level function.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    cdf = np.cumsum(weights)  # normalized as rng.choice(p=) does
-    cdf /= cdf[-1]
-    del weights  # else held, with the grid's Husimi values, while blocks run
-    guide = np.searchsorted(cdf, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS,
-                            side="right")
-    split = guide[:-1] != guide[1:]  # buckets whose edges fall in two cells
-    axes = [a.view() for a in (points if isinstance(points, tuple) else (points,))]
-    for shared in (*axes, cdf, guide, split):  # read by every worker
-        shared.flags.writeable = False
-    pair = (2,) if len(axes) == 2 else ()  # complex draws: (re, im) per trial
-
-    def draw(b, size):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0]))
-        out = np.empty(size, complex if pair else float)
-        parts = [out[lo:lo + DRAW_CHUNK] for lo in range(0, size, DRAW_CHUNK)]
-        for part in parts:
-            u = rng.random(part.shape[0])
-            j = (u * GUIDE_BUCKETS).astype(np.intp)
-            cells = guide.take(j)
-            search = np.flatnonzero(split.take(j))
-            cells[search] = np.searchsorted(cdf, u[search], side="right")
-            if pair:
-                row, col = np.divmod(cells, axes[1].size)
-                part.real, part.imag = axes[0].take(row), axes[1].take(col)
-            else:
-                part[:] = axes[0].take(cells)
-        buf = np.empty((parts[0].shape[0],) + pair)
-
-        def add(fill, scale, shift=0.0):  # scale * fill() - shift, chunk by chunk
-            for part in parts:
-                r = buf[:part.shape[0]]
-                fill(out=r)
-                r *= scale
-                if shift:
-                    r -= shift
-                part += r.view(out.dtype).reshape(part.shape)
-
-        if jitter:
-            add(rng.random, 2.0 * jitter, jitter)  # rng.uniform(-jitter, jitter)
-        out *= gain
-        for sd in noise:
-            if sd > 0:
-                add(rng.standard_normal, sd)  # rng.normal(0.0, sd)
-        return out
+    def add(out, fill, scale, shift=0.0):
+        buf = np.empty((min(DRAW_CHUNK, out.shape[0]),)
+                       + ((2,) if out.dtype == complex else ()))
+        for lo in range(0, out.shape[0], DRAW_CHUNK):
+            part = out[lo:lo + DRAW_CHUNK]
+            r = buf[:part.shape[0]]
+            fill(out=r)
+            r *= scale
+            if shift:
+                r -= shift
+            part += r.view(out.dtype).reshape(part.shape)
 
     def work(b, size):  # reduces once draw's temporaries are freed
-        return draw(b, size) if reduce is None else reduce(draw(b, size))
+        out = draw(np.random.Generator(
+            np.random.Philox(key=seed, counter=[0, 0, b, 0])), size, add)
+        return out if reduce is None else reduce(out)
 
     affinity = getattr(os, "sched_getaffinity", None)
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -514,6 +479,86 @@ def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+
+
+def gaussian_blocks(centres, weights, sd: float, n: int, seed: int,
+                    reduce=None):
+    """n draws of centres[i] + sd * (a standard normal per real axis), i
+    with the law weights/sum(weights), in the blocks of :func:`_pooled`.
+
+    A block is filled by counts: one ``rng.multinomial(size, p)`` says how
+    many of its trials fall on each centre (skipped for a single centre),
+    ``np.repeat(centres, counts)`` lays them down, and ``sd *
+    rng.standard_normal`` is added, (re, im) per trial for complex centres.
+    So a block is ordered by centre: an exchangeable sample of the mixture,
+    not i.i.d. in sequence. A function of the block that ignores order (its
+    moments, which are all the estimators read, or a histogram) has exactly
+    the law it has on i.i.d. draws.
+    """
+    centres = np.array(centres)
+    p = np.array(weights, dtype=float)
+    p /= p.sum()
+    for shared in (centres, p):  # read by every worker
+        shared.flags.writeable = False
+
+    def draw(rng, size, add):
+        counts = [size] if centres.size == 1 else rng.multinomial(size, p)
+        out = np.repeat(centres, counts)
+        add(out, rng.standard_normal, sd)  # rng.normal(0.0, sd)
+        return out
+
+    return _pooled(n, seed, draw, reduce)
+
+
+def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
+                   jitter: float = 0.0, noise=(), reduce=None):
+    """n draws of gain (points[i] + jitter) + noise, in the blocks of
+    :func:`_pooled`: the grid sampler of :func:`detector_blocks`.
+
+    ``points`` is a real array, or a pair (x, y) of real axes standing for
+    the complex grid ``points[i] = x[i // y.size] + 1j y[i % y.size]``; i
+    has the law weights/sum(weights). A block draws ``random()`` for i,
+    then the jitter, uniform on [-jitter, jitter], then a Gaussian per
+    nonzero standard deviation in ``noise``, per axis. i is read off a
+    guide table over equal buckets of u (Chen & Asau, 1974): the cell of u
+    lies between those of its bucket's edges, so where they agree it is
+    known and only the other uniforms are searched. The cells are
+    ``rng.choice(p=)``'s bit for bit, and the block keeps the order of its
+    uniforms.
+    """
+    cdf = np.cumsum(weights)  # normalized as rng.choice(p=) does
+    cdf /= cdf[-1]
+    guide = np.searchsorted(cdf, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS,
+                            side="right")
+    split = guide[:-1] != guide[1:]  # buckets whose edges fall in two cells
+    axes = [a.view() for a in (points if isinstance(points, tuple) else (points,))]
+    for shared in (*axes, cdf, guide, split):  # read by every worker
+        shared.flags.writeable = False
+    complex_grid = len(axes) == 2
+
+    def draw(rng, size, add):
+        out = np.empty(size, complex if complex_grid else float)
+        for lo in range(0, size, DRAW_CHUNK):
+            part = out[lo:lo + DRAW_CHUNK]
+            u = rng.random(part.shape[0])
+            j = (u * GUIDE_BUCKETS).astype(np.intp)
+            cells = guide.take(j)
+            search = np.flatnonzero(split.take(j))
+            cells[search] = np.searchsorted(cdf, u[search], side="right")
+            if complex_grid:
+                row, col = np.divmod(cells, axes[1].size)
+                part.real, part.imag = axes[0].take(row), axes[1].take(col)
+            else:
+                part[:] = axes[0].take(cells)
+        if jitter:
+            add(out, rng.random, 2.0 * jitter, jitter)  # rng.uniform(-jitter, jitter)
+        out *= gain
+        for sd in noise:
+            if sd > 0:
+                add(out, rng.standard_normal, sd)  # rng.normal(0.0, sd)
+        return out
+
+    return _pooled(n, seed, draw, reduce)
 
 
 def husimi_values(state: State, betas: np.ndarray) -> np.ndarray:
@@ -559,12 +604,23 @@ def husimi_values(state: State, betas: np.ndarray) -> np.ndarray:
 def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
                     gain: float = 1.0, reduce=None):
     """n outcomes of ``detector`` on ``state`` times ``gain``, in the blocks
-    of :func:`mixture_blocks`: cells of the Husimi (heterodyne) or position
-    (homodyne) density on a grid |Re|,|Im| <= sqrt(dim)+4 of step 0.05,
-    jittered in the cell, plus detector noise of per-axis variance
-    sigma^2/2; ``reduce`` goes to :func:`mixture_blocks`. A state holding
-    more than 1e-6 at its cutoff, or a Husimi grid :func:`husimi_values`
-    refuses, raises TruncationError first."""
+    of :func:`_pooled`; ``reduce`` goes with them. A multi-mode state, or
+    one holding more than 1e-6 at its cutoff, raises first.
+
+    A heterodyne input is sampled exactly when it is coherent: when, for
+    m = <a>, 1 - <m|rho|m> <= COHERENT_DEFECT, with |m> the renormalized
+    coherent ket on the state's own truncated space. The outcomes are then
+    those of the coherent state |m>: the complex Gaussian about gain m of
+    per-axis variance (gain^2 + sigma^2)/2, drawn by
+    :func:`gaussian_blocks`, and no grid is built. The input's own outcome
+    law is within sqrt(COHERENT_DEFECT) = 1e-6 in total variation of that of
+    the truncated |m> (Fuchs-van de Graaf), which differs from the Gaussian
+    only by the coherent tail beyond the cutoff. Every other input draws, by :func:`mixture_blocks`, cells of
+    its Husimi (heterodyne) or position (homodyne) density on a grid
+    |Re|,|Im| <= sqrt(dim)+4 of step 0.05, jittered in the cell, plus
+    detector noise of per-axis variance sigma^2/2. A Husimi grid that
+    :func:`husimi_values` refuses raises TruncationError before it is built.
+    """
     if state.space.n_modes != 1:
         raise DimensionMismatch("sampler wants a single-mode state")
     top = float(state.probabilities()[-1])
@@ -572,6 +628,12 @@ def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
         raise TruncationError(
             f"state holds {top:.2e} probability at its cutoff; the outcome "
             "grid would miss mass beyond it")
+    if detector.kind == "heterodyne":
+        m = _as_coherent(state)
+        if m is not None:
+            return gaussian_blocks([gain * m], [1.0],
+                                   math.sqrt((gain * gain + detector.sigma2) / 2.0),
+                                   n, seed, reduce)
     half = math.sqrt(state.space.dim) + 4.0
     step = 0.05
     points = np.arange(-half, half + step / 2, step)
@@ -585,6 +647,24 @@ def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
             if state.kind == "ket" else np.real(quadrature_amplitudes(state, points))
     return mixture_blocks(points, q, n, seed, gain, step / 2,
                           (math.sqrt(detector.sigma2 / 2.0),), reduce)
+
+
+def _as_coherent(state: State):
+    """m = <a> if 1 - <m|rho|m> <= COHERENT_DEFECT, else None; |m> is the
+    renormalized coherent ket on the state's own truncated space."""
+    root = np.sqrt(np.arange(1, state.space.dim))
+    if state.kind == "ket":
+        psi = state.data
+        m = complex(np.vdot(psi[:-1], root * psi[1:]))
+    else:
+        m = complex(np.sum(root * np.diagonal(state.data, -1)))
+    ket = _coherent_amplitudes(state.space.dim, m)
+    ket /= np.linalg.norm(ket)
+    if state.kind == "ket":
+        fidelity = abs(np.vdot(ket, psi)) ** 2
+    else:
+        fidelity = float(np.real(np.vdot(ket, state.data @ ket)))
+    return m if 1.0 - fidelity <= COHERENT_DEFECT else None
 
 
 def sample_outcomes(state: State, detector: DetectorSpec, n: int,

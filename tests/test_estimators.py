@@ -22,6 +22,7 @@ from fockamp.errors import GainOutOfRange, TruncationError
 from fockamp.estimators import _linear_blocks, _nonlinear_blocks
 from fockamp.fock import (State, normal_decompose, partial_trace,
                           quadrature_amplitudes)
+from fockamp import measurement
 from fockamp.measurement import BLOCK, mixture_blocks, sample_outcomes
 from fockamp.oracles import von_neumann_unitary
 
@@ -300,28 +301,81 @@ def test_nonlinear_samples_match_choice_plus_normals():
     dec = normal_decompose(amp.f)
     probs = np.clip(dec.probabilities(st), 0.0, None)
     probs /= probs.sum()
+    centres = math.sqrt(2.0) * amp.g * np.real(dec.eigenvalues)
+    sd = math.sqrt(amp.meter.x_variance() + det.sigma2 / 2.0)  # meter + detector
     ref = []
     for rng, m in _block_streams(9, plan.trials):
-        idx = rng.choice(probs.size, size=m, p=probs)
-        x = math.sqrt(2.0) * amp.g * np.real(dec.eigenvalues)[idx]
-        x = x + rng.normal(0.0, math.sqrt(amp.meter.x_variance()), size=m)
-        ref.append(x + rng.normal(0.0, math.sqrt(det.sigma2 / 2.0), size=m))
+        counts = rng.multinomial(m, probs)
+        ref.append(np.repeat(centres, counts) + sd * rng.standard_normal(m))
     assert np.array_equal(nonlinear_meter_x_samples(plan), np.concatenate(ref))
 
 
+def _mean_amplitude(state):
+    # <a> = sum_n sqrt(n) conj(psi_{n-1}) psi_n, summed as the sampler sums it
+    psi = state.data
+    return complex(np.vdot(psi[:-1], np.sqrt(np.arange(1, psi.size)) * psi[1:]))
+
+
+def _plain_coherent_draws(state, det, gain, n, seed):
+    # gain <a> + sd (z_re + 1j z_im), sd^2 = (gain^2 + sigma^2)/2 per axis
+    centre = gain * _mean_amplitude(state)
+    sd = math.sqrt((gain * gain + det.sigma2) / 2.0)
+    out = []
+    for rng, m in _block_streams(seed, n):
+        z = rng.standard_normal((m, 2))
+        out.append(centre + sd * (z[:, 0] + 1j * z[:, 1]))
+    return np.concatenate(out)
+
+
 def test_linear_samples_match_gain_times_draws_plus_noise():
-    # the linear scheme and the detector share one sampler
+    # the linear scheme and the detector share one sampler; a coherent input
+    # is one Gaussian about gain <a>, amplifier and detector noise together
     st = coherent_state(FockSpace(16), 1.0 + 0.5j)
     det = _het(0.8)
     plan = TrialPlan(LinearAmp(2.0), st, det, BLOCK + 3, 4, "n_hat_linear")
-    ideal = _plain_ideal_draws(st, "heterodyne", BLOCK + 3, 4)
-    ref = []
-    for (rng, m), lo in zip(_block_streams(4, plan.trials), range(0, BLOCK + 3, BLOCK)):
-        rng.random(m)
-        rng.uniform(size=(m, 2))  # the draws and their jitter, as above
-        noise = rng.normal(0.0, math.sqrt(det.sigma2 / 2.0), size=(m, 2))
-        ref.append(2.0 * ideal[lo:lo + m] + (noise[:, 0] + 1j * noise[:, 1]))
-    assert np.array_equal(linear_heterodyne_samples(plan), np.concatenate(ref))
+    ref = _plain_coherent_draws(st, det, 2.0, BLOCK + 3, 4)
+    assert np.array_equal(linear_heterodyne_samples(plan), ref)
+
+
+@pytest.mark.parametrize("as_density", [False, True])
+def test_coherent_heterodyne_draws_build_no_grid(as_density, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Husimi grid was built")
+
+    monkeypatch.setattr(measurement, "husimi_values", refuse)
+    st = coherent_state(FockSpace(16), 1.0 + 0.5j)
+    if as_density:
+        st = st.to_density()
+    det = _het(0.8)
+    ref = _plain_coherent_draws(coherent_state(FockSpace(16), 1.0 + 0.5j), det,
+                                1.0, BLOCK + 3, 6)
+    got = sample_outcomes(st, det, BLOCK + 3, 6)
+    if as_density:  # <a> is summed along the subdiagonal of rho instead
+        assert np.abs(got - ref).max() < 1e-14
+    else:
+        assert np.array_equal(got, ref)
+    plan = TrialPlan(LinearAmp(2.0), st, det, 1000, 6, "n_hat_linear")
+    assert run_plan(plan).to_dict() == run_plan(plan).to_dict()
+
+
+@pytest.mark.parametrize("admixture, grid", [(1e-6, True), (1e-14, False)])
+def test_coherent_route_threshold(admixture, grid, monkeypatch):
+    # 1 - <m|rho|m> <= 1e-12 at m = <a> samples |m> exactly; a coherent ket
+    # with 1e-6 of another level keeps the grid
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return husimi_values(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "husimi_values", counted)
+    sp = FockSpace(16)
+    psi = math.sqrt(1.0 - admixture) * coherent_state(sp, 1.0 + 0.5j).data
+    psi[5] += math.sqrt(admixture)
+    st = State(sp, "ket", psi / np.linalg.norm(psi))
+    out = sample_outcomes(st, _het(0.8), 1000, 2)
+    assert bool(calls) == grid
+    assert np.isfinite(out).all()
 
 
 def test_linear_seed_determinism_bit_exact():
@@ -480,8 +534,12 @@ def test_package_functions_run_on_the_main_thread(monkeypatch):
     estimators.compare_schemes(state, 2.0, 3 * BLOCK, 5)
     estimators.run_plan(TrialPlan(LinearAmp(2.0), state, _het(0.8), 3 * BLOCK, 5,
                                   "n_hat_linear"))
+    # a non-coherent input takes the Husimi grid
+    estimators.run_plan(TrialPlan(LinearAmp(2.0), fock_state(FockSpace(16), 1),
+                                  _het(0.8), 3 * BLOCK, 5, "n_hat_linear"))
     names = {name for name, _ in calls}
-    assert {"compare_schemes", "run_plan", "husimi_values", "_linear_blocks"} <= names
+    assert {"compare_schemes", "run_plan", "husimi_values", "_linear_blocks",
+            "gaussian_blocks", "mixture_blocks"} <= names
     assert all(t is threading.main_thread() for _, t in calls)
     assert any(t is not threading.main_thread() for _, t in reductions)
 

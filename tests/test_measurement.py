@@ -560,6 +560,22 @@ def test_heterodyne_sampler_memory_is_bounded():
     assert peak < 64 * 2 ** 20
 
 
+def test_heterodyne_grid_memory_is_bounded(monkeypatch):
+    # a non-coherent input at dim 64 takes the 231,361-point Husimi grid
+    import tracemalloc
+    st = fock_state(FockSpace(64), 1)
+    calls = []
+    monkeypatch.setattr(measurement, "husimi_values",
+                        lambda *a: calls.append(1) or husimi_values(*a))
+    tracemalloc.start()
+    try:
+        sample_outcomes(st, DetectorSpec("heterodyne", 1.0), 1000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls and peak < 64 * 2 ** 20
+
+
 def _coherent_overlap_matrix(dim, betas):
     # reference: C[n, j] = <n|beta_j> = e^{-|b|^2/2} b^n / sqrt(n!), cumulative
     c = np.zeros((dim, betas.shape[0]), dtype=complex)
@@ -601,8 +617,12 @@ def test_husimi_values_refuse_underflow():
             husimi_values(coherent_state(sp, alpha), np.array([beta]))
     # the sampler checks its grid corners before it builds the grid
     with pytest.raises(TruncationError, match="underflow"):
-        sample_outcomes(coherent_state(sp, 38.0), DetectorSpec("heterodyne", 1.0),
+        sample_outcomes(fock_state(sp, 1400), DetectorSpec("heterodyne", 1.0),
                         10, 0)
+    # a coherent input is sampled without the grid, so nothing underflows
+    out = sample_outcomes(coherent_state(sp, 38.0), DetectorSpec("heterodyne", 1.0),
+                          1000, 0)
+    assert abs(np.mean(out) - 38.0) < 0.1  # se 0.022 per axis
     # without weight above level 1000, Q there is below roundoff: 0 is right
     assert husimi_values(fock_state(FockSpace(1100), 5), np.array([40.0]))[0] == 0.0
 
@@ -616,12 +636,16 @@ def test_husimi_guard_spares_benchmark_input():
     assert np.isfinite(out).all()
 
 
-def test_heterodyne_sampler_moments():
+@pytest.mark.parametrize("kind", ["coherent", "fock"])
+def test_heterodyne_sampler_moments(kind):
+    # coherent(1) is sampled exactly, Fock 1 on the Husimi grid; both have
+    # E|beta|^2 = 2, and E Re beta is 1 and 0
     sp = FockSpace(16)
-    st = coherent_state(sp, 1.0)
+    st = coherent_state(sp, 1.0) if kind == "coherent" else fock_state(sp, 1)
+    mean = 1.0 if kind == "coherent" else 0.0
     out = sample_outcomes(st, DetectorSpec("heterodyne", 1.0), 100000, 42)
     se_mean = np.std(out.real) / math.sqrt(out.size)
-    assert abs(np.mean(out.real) - 1.0) < 3 * se_mean
+    assert abs(np.mean(out.real) - mean) < 3 * se_mean
     a2 = np.abs(out) ** 2
     se2 = np.std(a2) / math.sqrt(out.size)
     assert abs(np.mean(a2) - 2.0) < 3 * se2
@@ -674,9 +698,11 @@ def test_homodyne_histogram_total_variation():
     assert tv < 0.01
 
 
-def test_heterodyne_marginal_total_variation():
+@pytest.mark.parametrize("kind", ["coherent", "fock"])
+def test_heterodyne_marginal_total_variation(kind):
+    # coherent(0.7) is sampled exactly, Fock 1 on the Husimi grid
     sp = FockSpace(12)
-    st = coherent_state(sp, 0.7)
+    st = coherent_state(sp, 0.7) if kind == "coherent" else fock_state(sp, 1)
     det = DetectorSpec("heterodyne", 1.0)
     out = sample_outcomes(st, det, 100000, 4)
     # analytic marginal of the Husimi density along the real axis, bin masses
