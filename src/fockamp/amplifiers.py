@@ -25,9 +25,10 @@ import numpy as np
 
 from .errors import GainOutOfRange, NotHermitian, NotNormal, TruncationError
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
-                   annihilation_op, gaussian_meter, normal_decompose,
-                   partial_trace, quadrature_ops, squeezed_vacuum,
-                   symmetrized_moment, tensor, vacuum_state, variance)
+                   annihilation_op, gaussian_meter, guard_keep,
+                   normal_decompose, partial_trace, quadrature_ops,
+                   squeezed_vacuum, symmetrized_moment, tensor, vacuum_state,
+                   variance)
 
 METER_DIM_CAP = 4096
 METER_DIM_FLOOR = 24
@@ -201,13 +202,13 @@ def output_modes(spec) -> tuple[int, ...]:
 # signal operators
 # ---------------------------------------------------------------------------
 
-def quadratic_signal_op(space: FockSpace, alpha, beta, gamma, delta,
-                        tol: float | None = None) -> tuple[Operator, bool]:
+def quadratic_signal_op(space: FockSpace, alpha, beta, gamma,
+                        delta) -> tuple[Operator, bool]:
     """f = alpha a^2 + beta a^dag a + gamma a^dag^2 + delta 1, plus normality flag.
 
     Normality holds iff |alpha|^2 = |gamma|^2 and alpha beta* = beta gamma*
-    (delta is unconstrained); the flag tests those conditions, it does not
-    raise.
+    (delta is unconstrained); the flag tests those conditions to within
+    1e-9 max(1, |alpha|, |beta|, |gamma|)^2, it does not raise.
     """
     alpha, beta, gamma, delta = (complex(alpha), complex(beta), complex(gamma),
                                  complex(delta))
@@ -215,9 +216,7 @@ def quadratic_signal_op(space: FockSpace, alpha, beta, gamma, delta,
     ad = a.conj().T
     m = (alpha * (a @ a) + beta * (ad @ a) + gamma * (ad @ ad)
          + delta * np.eye(space.dim))
-    if tol is None:
-        s = max(1.0, abs(alpha), abs(beta), abs(gamma))
-        tol = 1e-9 * s * s
+    tol = 1e-9 * max(1.0, abs(alpha), abs(beta), abs(gamma)) ** 2
     is_normal = (abs(abs(alpha) ** 2 - abs(gamma) ** 2) < tol
                  and abs(alpha * beta.conjugate() - beta * gamma.conjugate()) < tol)
     return Operator(space, m), bool(is_normal)
@@ -513,13 +512,13 @@ def simulate_output_state(spec, input_a: State, dims=None) -> State:
     return out
 
 
-def _check_top_occupancy(out: State, tol: float = TRUNCATION_TOL):
-    """Reject evolutions that pile more than ``tol`` mass on any mode's cutoff."""
+def _check_top_occupancy(out: State):
+    """Reject outputs holding more than TRUNCATION_TOL on any mode's cutoff."""
     dims = out.space.dims
     prob = out.probabilities().reshape(dims)
     for mode, d in enumerate(dims):
         top = float(np.take(prob, d - 1, axis=mode).sum())
-        if top > tol:
+        if top > TRUNCATION_TOL:
             raise TruncationError(
                 f"mode {mode} holds {top:.2e} probability at its cutoff "
                 f"(dim {d}); enlarge the truncation")
@@ -704,12 +703,11 @@ def _single_mode_matrix_report(spec: SingleModeAmp, input_state: State) -> Momen
                         vp - 2 * spec.g * spec.g * vf)
 
 
-def single_mode_commutator_residual(f_of_x, g: float, r: float, space: FockSpace,
-                                    keep: int | None = None) -> float:
+def single_mode_commutator_residual(f_of_x, g: float, r: float,
+                                    space: FockSpace) -> float:
     """|| P([a_out, a_out^dag] - 1) P ||_max on the guarded subspace."""
-    from .fock import guard_keep
     a_out, _, _, _ = single_mode_output_ops(f_of_x, g, r, space)
     m = a_out.matrix
     c = m @ m.conj().T - m.conj().T @ m - np.eye(space.dim)
-    k = guard_keep(space.dim) if keep is None else keep
+    k = guard_keep(space.dim)
     return float(np.abs(c[:k, :k]).max())

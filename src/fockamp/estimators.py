@@ -53,13 +53,16 @@ class TrialPlan:
     detector: DetectorSpec
     trials: int
     seed: int
-    estimator: str  # "f_hat_nonlinear" | "n_hat_linear"
 
     def __post_init__(self):
         if self.trials < 2:
             raise ValueError("trials must be >= 2 for a sample variance")
-        if self.estimator not in ("f_hat_nonlinear", "n_hat_linear"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+
+    @property
+    def estimator(self) -> str:
+        """n_hat_linear for a LinearAmp, else f_hat_nonlinear."""
+        return "n_hat_linear" if isinstance(self.amplifier, LinearAmp) \
+            else "f_hat_nonlinear"
 
 
 @dataclass(frozen=True)
@@ -129,10 +132,6 @@ class _Moments:
             mean = merged
         self.mean, self.sums = mean, sums
         return self
-
-    def add(self, x: np.ndarray) -> "_Moments":
-        """Fold in the block x, leaving x unchanged."""
-        return self.merge(*self.block(x))
 
     def stats(self):
         """Mean, variance, and their standard errors (variance SE via M4)."""
@@ -276,9 +275,9 @@ def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
 
 
 def run_plan(plan: TrialPlan) -> EstimateReport:
-    if plan.estimator == "f_hat_nonlinear":
-        return run_nonlinear_estimation(plan)
-    return run_linear_number_estimation(plan)
+    if isinstance(plan.amplifier, LinearAmp):
+        return run_linear_number_estimation(plan)
+    return run_nonlinear_estimation(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +314,13 @@ def compare_schemes(input_state: State, g: float, trials: int, seed: int,
     amp_nl = TwoModeNormalAmp(fop, g, meter)
     det_h = DetectorSpec("homodyne", eta)
     nl = run_nonlinear_estimation(
-        TrialPlan(amp_nl, input_state, det_h, trials, seed, "f_hat_nonlinear"))
+        TrialPlan(amp_nl, input_state, det_h, trials, seed))
     linear = None
     if g >= 1.0:
         amp_l = LinearAmp(g)
         det = DetectorSpec("heterodyne", eta)
         linear = run_linear_number_estimation(
-            TrialPlan(amp_l, input_state, det, trials, seed + 1, "n_hat_linear"))
+            TrialPlan(amp_l, input_state, det, trials, seed + 1))
     n_mean, _, var_lin = _linear_analytic(
         input_state, g, DetectorSpec("heterodyne", eta).sigma2)
     var_nl = nl.analytic_variance

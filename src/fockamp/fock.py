@@ -258,11 +258,11 @@ def _coherent_amplitudes(d: int, alpha: complex) -> np.ndarray:
     return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
 
 
-def coherent_state(space: FockSpace, alpha: complex, tail_tol: float = 1e-6) -> State:
+def coherent_state(space: FockSpace, alpha: complex) -> State:
     """Coherent ket from exact coefficients e^{-|a|^2/2} a^n / sqrt(n!), renormalized.
 
     Warns when the top three levels carry more than 1e-8 occupancy; raises
-    TruncationError when the discarded tail mass exceeds ``tail_tol``.
+    TruncationError when the discarded tail mass exceeds 1e-6.
     """
     d = space.dim
     alpha = complex(alpha)
@@ -275,9 +275,9 @@ def coherent_state(space: FockSpace, alpha: complex, tail_tol: float = 1e-6) -> 
         warnings.warn(
             f"coherent({alpha}) occupies top 3 of {d} levels above 1e-8",
             stacklevel=2)
-    if tail > tail_tol:
+    if tail > 1e-6:
         raise TruncationError(
-            f"coherent({alpha}) tail mass {tail:.2e} exceeds {tail_tol:.0e} at dim {d}")
+            f"coherent({alpha}) tail mass {tail:.2e} exceeds 1e-06 at dim {d}")
     return State(space, "ket", c / np.sqrt(kept), norm_defect=tail)
 
 
@@ -352,8 +352,8 @@ class SpectralDecomposition:
             return np.abs(v.conj().T @ state.data) ** 2
         return np.real(np.einsum("ji,jk,ki->i", v.conj(), state.data, v))
 
-    def clusters(self, tol: float = 1e-8) -> list[np.ndarray]:
-        """Indices of eigenvalues grouped within ``tol`` of each other."""
+    def clusters(self) -> list[np.ndarray]:
+        """Indices of eigenvalues grouped within 1e-8 of each other."""
         order = np.lexsort((self.eigenvalues.imag, self.eigenvalues.real))
         groups: list[list[int]] = []
         centers: list[complex] = []
@@ -361,7 +361,7 @@ class SpectralDecomposition:
             lam = self.eigenvalues[idx]
             placed = False
             for gi, c in enumerate(centers):
-                if abs(lam - c) < tol:
+                if abs(lam - c) < 1e-8:
                     groups[gi].append(int(idx))
                     placed = True
                     break

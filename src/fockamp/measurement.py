@@ -101,10 +101,9 @@ class PovmGrid:
         return self.decomposition.space
 
     @property
-    def elements(self) -> list:
-        """Dense element per outcome, V diag(weights[j]) V^dag."""
-        v = self.decomposition.eigenvectors
-        return [(v * w) @ v.conj().T for w in self.weights]
+    def elements(self) -> np.ndarray:
+        """(n_outcomes, d, d) dense elements, V diag(weights[j]) V^dag."""
+        return _spectral_elements(self.decomposition.eigenvectors, self.weights)
 
     def identity_residual(self) -> float:
         """Max-norm residual of V diag(measure sum_j weights[j]) V^dag
@@ -123,11 +122,21 @@ class PovmGrid:
         that basis this reads 0 by construction. The diagonality check is
         the dense-oracle sandwich in the tests.
         """
-        worst = 0.0
-        for e in self.elements:
-            t = basis.conj().T @ e @ basis
-            worst = max(worst, float(np.abs(t - np.diag(np.diag(t))).max()))
-        return worst
+        t = basis.conj().T @ self.elements @ basis
+        t[:, np.arange(t.shape[1]), np.arange(t.shape[1])] = 0.0
+        return float(np.abs(t).max())
+
+    def max_deviation(self, closed: "ClosedFormPovm") -> float:
+        """Largest element-wise |E(o) - E_closed(o)| over the grid's outcomes."""
+        e = self.elements
+        e -= _spectral_elements(closed.decomposition.eigenvectors,
+                                closed.weights(self.outcomes))
+        return float(np.abs(e).max())
+
+
+def _spectral_elements(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """V diag(weights[j]) V^dag for each row j of the (n, d) weight table."""
+    return (v * weights[:, None, :]) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -161,18 +170,20 @@ class ClosedFormPovm:
         eps2 = 1.0 if self.model == "heterodyne" else self.epsilon2
         return (self.sigma2 + eps2) / (self.g * self.g)
 
-    def weights(self, outcome) -> np.ndarray:
-        """Gaussian density of each eigenvector record at the outcome."""
+    def weights(self, outcomes) -> np.ndarray:
+        """(n, d) table: the Gaussian density of each eigenvector record
+        (columns) at each of the n outcomes (rows); a scalar is one row."""
         lam = self.decomposition.eigenvalues
+        o = np.atleast_1d(outcomes)[:, None]
         w2 = self.width2
         if self.model == "homodyne":
-            return np.exp(-((float(np.real(outcome)) - np.real(lam)) ** 2) / w2) \
+            return np.exp(-((np.real(o) - np.real(lam)) ** 2) / w2) \
                 / math.sqrt(math.pi * w2)
-        return np.exp(-(np.abs(complex(outcome) - lam) ** 2) / w2) / (math.pi * w2)
+        return np.exp(-(np.abs(o - lam) ** 2) / w2) / (math.pi * w2)
 
     def element(self, outcome) -> np.ndarray:
-        v = self.decomposition.eigenvectors
-        return (v * self.weights(outcome)) @ v.conj().T
+        return _spectral_elements(self.decomposition.eigenvectors,
+                                  self.weights(outcome))[0]
 
     def identity_residual(self) -> float:
         """The analytic outcome integral is exactly V V^dag; report its residual."""
@@ -351,9 +362,8 @@ class DecisionRegions:
     members: tuple
 
     @classmethod
-    def from_decomposition(cls, dec: SpectralDecomposition,
-                           tol: float = 1e-8) -> "DecisionRegions":
-        groups = dec.clusters(tol)
+    def from_decomposition(cls, dec: SpectralDecomposition) -> "DecisionRegions":
+        groups = dec.clusters()
         centers = np.array([dec.eigenvalues[g].mean() for g in groups])
         return cls(centers, tuple(tuple(int(i) for i in g) for g in groups))
 
@@ -511,20 +521,20 @@ def gaussian_blocks(centres, weights, sd: float, n: int, seed: int,
 
 
 def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
-                   jitter: float = 0.0, noise=(), reduce=None):
-    """n draws of gain (points[i] + jitter) + noise, in the blocks of
-    :func:`_pooled`: the grid sampler of :func:`detector_blocks`.
+                   jitter: float = 0.0, sd: float = 0.0, reduce=None):
+    """n draws of gain (points[i] + jitter) + sd * (a standard normal per
+    real axis), in the blocks of :func:`_pooled`: the grid sampler of
+    :func:`detector_blocks`.
 
     ``points`` is a real array, or a pair (x, y) of real axes standing for
     the complex grid ``points[i] = x[i // y.size] + 1j y[i % y.size]``; i
     has the law weights/sum(weights). A block draws ``random()`` for i,
-    then the jitter, uniform on [-jitter, jitter], then a Gaussian per
-    nonzero standard deviation in ``noise``, per axis. i is read off a
-    guide table over equal buckets of u (Chen & Asau, 1974): the cell of u
-    lies between those of its bucket's edges, so where they agree it is
-    known and only the other uniforms are searched. The cells are
-    ``rng.choice(p=)``'s bit for bit, and the block keeps the order of its
-    uniforms.
+    then the jitter, uniform on [-jitter, jitter], then, if sd > 0, the
+    normals. i is read off a guide table over equal buckets of u (Chen &
+    Asau, 1974): the cell of u lies between those of its bucket's edges, so
+    where they agree it is known and only the other uniforms are searched.
+    The cells are ``rng.choice(p=)``'s bit for bit, and the block keeps the
+    order of its uniforms.
     """
     cdf = np.cumsum(weights)  # normalized as rng.choice(p=) does
     cdf /= cdf[-1]
@@ -553,9 +563,8 @@ def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
         if jitter:
             add(out, rng.random, 2.0 * jitter, jitter)  # rng.uniform(-jitter, jitter)
         out *= gain
-        for sd in noise:
-            if sd > 0:
-                add(out, rng.standard_normal, sd)  # rng.normal(0.0, sd)
+        if sd > 0:
+            add(out, rng.standard_normal, sd)  # rng.normal(0.0, sd)
         return out
 
     return _pooled(n, seed, draw, reduce)
@@ -646,7 +655,7 @@ def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
         q = np.abs(quadrature_amplitudes(state, points)) ** 2 \
             if state.kind == "ket" else np.real(quadrature_amplitudes(state, points))
     return mixture_blocks(points, q, n, seed, gain, step / 2,
-                          (math.sqrt(detector.sigma2 / 2.0),), reduce)
+                          math.sqrt(detector.sigma2 / 2.0), reduce)
 
 
 def _as_coherent(state: State):
@@ -671,16 +680,3 @@ def sample_outcomes(state: State, detector: DetectorSpec, n: int,
                     seed: int) -> np.ndarray:
     """n outcomes of :func:`detector_blocks`, joined; deterministic given seed."""
     return np.concatenate(list(detector_blocks(state, detector, n, seed)))
-
-
-# ---------------------------------------------------------------------------
-# CSV export of closed-form grids
-# ---------------------------------------------------------------------------
-
-def povm_csv_rows(povm: ClosedFormPovm, outcomes, measure: float):
-    """Rows (outcome_re, outcome_im, measure, eigen_index, weight)."""
-    for o in np.atleast_1d(outcomes):
-        wts = povm.weights(o)
-        for i, wv in enumerate(wts):
-            yield (float(np.real(o)), float(np.imag(o)), float(measure), i,
-                   float(wv))

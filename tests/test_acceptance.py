@@ -261,13 +261,13 @@ def test_a07_estimator_variances():
         for g in (1.0, 2.0, 3.0):
             nl = run_nonlinear_estimation(TrialPlan(
                 TwoModeNormalAmp(f, g), st, DetectorSpec("homodyne"),
-                100000, 42, "f_hat_nonlinear"))
+                100000, 42))
             target_nl = n_var + 1.0 / (4 * g * g)
             z_nl = abs(nl.variance - target_nl) / nl.se_variance
             z_nl_mean = abs(nl.mean - n_mean) / nl.se_mean
             lin = run_linear_number_estimation(TrialPlan(
                 LinearAmp(g), st, DetectorSpec("heterodyne"),
-                100000, 42, "n_hat_linear"))
+                100000, 42))
             target_lin = n_var + n_mean + 1.0
             z_lin = abs(lin.variance - target_lin) / lin.se_variance
             z_lin_mean = abs(lin.mean - n_mean) / lin.se_mean
@@ -284,8 +284,7 @@ def test_a08_heterodyne_second_moment_identity():
     for st, n_mean in ((fock_state(sp, 2), 2.0), (coherent_state(sp, 1.0), 1.0)):
         for g in (1.0, 1.5):
             rep = run_linear_number_estimation(TrialPlan(
-                LinearAmp(g), st, DetectorSpec("heterodyne"), 100000, 42,
-                "n_hat_linear"))
+                LinearAmp(g), st, DetectorSpec("heterodyne"), 100000, 42))
             target = g * g * (n_mean + 1.0)
             z = abs(rep.extra["raw_second_moment"] - target) \
                 / rep.extra["raw_second_moment_se"]

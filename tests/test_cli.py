@@ -43,6 +43,17 @@ def test_unknown_nested_key_rejected(tmp_path):
     assert "amplifier.gane" in proc.stderr
 
 
+@pytest.mark.parametrize("key", ["meter", "meter_c"])
+def test_meter_dims_rejected(tmp_path, key):
+    # meters are always auto-sized, so dims takes only the signal cutoff
+    cfg = {"command": "povm", "dims": {"signal": 4, key: 30}}
+    with pytest.raises(ConfigError, match=f"unknown key 'dims.{key}'"):
+        validate_config(cfg)
+    proc = run_cli(tmp_path, cfg)
+    assert proc.returncode == 2
+    assert f"unknown key 'dims.{key}'" in proc.stderr
+
+
 def test_nonpositive_gain_rejected(tmp_path):
     proc = run_cli(tmp_path, {"command": "noise-sweep",
                               "amplifier": {"variant": "linear", "g": -1.0}})

@@ -52,7 +52,7 @@ def _het(eta=1.0):
 def test_nonlinear_eigenstate_mean_and_variance():
     sp = FockSpace(8)
     plan = TrialPlan(TwoModeNormalAmp(number_op(sp), 3.0), fock_state(sp, 2),
-                     _hom(), 100000, 42, "f_hat_nonlinear")
+                     _hom(), 100000, 42)
     rep = run_nonlinear_estimation(plan)
     assert abs(rep.mean - 2.0) < 3 * rep.se_mean
     assert abs(rep.variance - 1.0 / 36.0) < 3 * rep.se_variance
@@ -65,7 +65,7 @@ def test_nonlinear_coherent_variance():
     sp = FockSpace(32)
     st = coherent_state(sp, math.sqrt(2.0))
     plan = TrialPlan(TwoModeNormalAmp(number_op(sp), 2.0), st, _hom(),
-                     100000, 42, "f_hat_nonlinear")
+                     100000, 42)
     rep = run_nonlinear_estimation(plan)
     assert abs(rep.analytic_variance - (2.0 + 1.0 / 16.0)) < 1e-5
     assert abs(rep.variance - rep.analytic_variance) < 3 * rep.se_variance
@@ -74,7 +74,7 @@ def test_nonlinear_coherent_variance():
 def test_nonlinear_large_gain_reaches_projective_variance():
     sp = FockSpace(8)
     plan = TrialPlan(TwoModeNormalAmp(number_op(sp), 50.0), fock_state(sp, 2),
-                     _hom(), 100000, 1, "f_hat_nonlinear")
+                     _hom(), 100000, 1)
     rep = run_nonlinear_estimation(plan)
     assert rep.variance < 1e-3  # projective Var[f] = 0 for an eigenstate
 
@@ -83,8 +83,7 @@ def test_nonlinear_squeezed_meter_variance():
     from fockamp import Meter
     sp = FockSpace(8)
     amp = TwoModeNormalAmp(number_op(sp), 2.0, Meter("squeezed", 1.0))
-    plan = TrialPlan(amp, fock_state(sp, 1), _hom(), 100000, 3,
-                     "f_hat_nonlinear")
+    plan = TrialPlan(amp, fock_state(sp, 1), _hom(), 100000, 3)
     rep = run_nonlinear_estimation(plan)
     target = math.exp(-2.0) / 16.0
     assert rep.analytic_variance == pytest.approx(target)
@@ -105,7 +104,7 @@ def test_nonlinear_sampler_matches_unitary_evolution():
     q = np.real(quadrature_amplitudes(meter, xs))
     mean_q = float(np.sum(xs * q) * 0.01)
     var_q = float(np.sum(xs * xs * q) * 0.01) - mean_q ** 2
-    plan = TrialPlan(amp, st, _hom(), 200000, 5, "f_hat_nonlinear")
+    plan = TrialPlan(amp, st, _hom(), 200000, 5)
     x = nonlinear_meter_x_samples(plan)
     se_m = x.std() / math.sqrt(x.size)
     assert abs(x.mean() - mean_q) < 4 * se_m
@@ -122,11 +121,20 @@ def test_nonlinear_sampler_matches_unitary_evolution():
 def test_nonlinear_inefficient_detector_variance():
     sp = FockSpace(8)
     plan = TrialPlan(TwoModeNormalAmp(number_op(sp), 2.0), fock_state(sp, 1),
-                     _hom(0.5), 100000, 9, "f_hat_nonlinear")
+                     _hom(0.5), 100000, 9)
     rep = run_nonlinear_estimation(plan)
     target = (0.5 + 0.25 / 2.0) / 8.0
     assert rep.analytic_variance == pytest.approx(target)
     assert abs(rep.variance - target) < 3 * rep.se_variance
+
+
+def test_plan_estimator_follows_amplifier():
+    sp = FockSpace(8)
+    args = (fock_state(sp, 1), _hom(), 10, 1)
+    assert TrialPlan(LinearAmp(2.0), *args).estimator == "n_hat_linear"
+    for amp in (TwoModeNormalAmp(number_op(sp), 2.0),
+                VonNeumannAmp(number_op(sp), 2.0)):
+        assert TrialPlan(amp, *args).estimator == "f_hat_nonlinear"
 
 
 def test_nonlinear_plan_validation():
@@ -134,9 +142,9 @@ def test_nonlinear_plan_validation():
     for trials in (0, 1):  # a sample variance needs two trials
         with pytest.raises(ValueError):
             TrialPlan(TwoModeNormalAmp(number_op(sp), 1.0), fock_state(sp, 1),
-                      _hom(), trials, 1, "f_hat_nonlinear")
+                      _hom(), trials, 1)
     plan = TrialPlan(TwoModeNormalAmp(number_op(sp), 1.0), fock_state(sp, 1),
-                     _het(), 10, 1, "f_hat_nonlinear")
+                     _het(), 10, 1)
     with pytest.raises(ValueError):
         run_nonlinear_estimation(plan)
 
@@ -147,8 +155,7 @@ def test_nonlinear_plan_validation():
 
 def test_linear_fock2_statistics():
     sp = FockSpace(16)
-    plan = TrialPlan(LinearAmp(2.0), fock_state(sp, 2), _het(), 100000, 42,
-                     "n_hat_linear")
+    plan = TrialPlan(LinearAmp(2.0), fock_state(sp, 2), _het(), 100000, 42)
     rep = run_linear_number_estimation(plan)
     assert abs(rep.mean - 2.0) < 3 * rep.se_mean
     assert abs(rep.variance - 3.0) < 3 * rep.se_variance
@@ -158,7 +165,7 @@ def test_linear_fock2_statistics():
 def test_linear_coherent_statistics():
     sp = FockSpace(32)
     st = coherent_state(sp, math.sqrt(2.0))
-    plan = TrialPlan(LinearAmp(1.5), st, _het(), 100000, 42, "n_hat_linear")
+    plan = TrialPlan(LinearAmp(1.5), st, _het(), 100000, 42)
     rep = run_linear_number_estimation(plan)
     assert abs(rep.analytic_variance - 5.0) < 1e-5
     assert abs(rep.variance - 5.0) < 3 * rep.se_variance
@@ -167,8 +174,7 @@ def test_linear_coherent_statistics():
 
 def test_linear_vacuum_statistics():
     sp = FockSpace(12)
-    plan = TrialPlan(LinearAmp(1.25), vacuum_state(sp), _het(), 100000, 42,
-                     "n_hat_linear")
+    plan = TrialPlan(LinearAmp(1.25), vacuum_state(sp), _het(), 100000, 42)
     rep = run_linear_number_estimation(plan)
     assert abs(rep.mean) < 3 * rep.se_mean
     assert abs(rep.variance - 1.0) < 3 * rep.se_variance
@@ -177,8 +183,7 @@ def test_linear_vacuum_statistics():
 def test_heterodyne_second_moment_identity():
     sp = FockSpace(16)
     for g in (1.0, 1.5):
-        plan = TrialPlan(LinearAmp(g), fock_state(sp, 2), _het(), 100000, 11,
-                         "n_hat_linear")
+        plan = TrialPlan(LinearAmp(g), fock_state(sp, 2), _het(), 100000, 11)
         rep = run_linear_number_estimation(plan)
         m2 = rep.extra["raw_second_moment"]
         target = rep.extra["analytic_raw_second_moment"]
@@ -204,8 +209,7 @@ def test_linear_sampler_matches_two_mode_squeezer():
 def test_linear_sampler_rejects_cutoff_heavy_state():
     # the Husimi grid of the input would miss the mass beyond its cutoff
     sp = FockSpace(6)
-    plan = TrialPlan(LinearAmp(2.0), fock_state(sp, 5), _het(), 10, 0,
-                     "n_hat_linear")
+    plan = TrialPlan(LinearAmp(2.0), fock_state(sp, 5), _het(), 10, 0)
     with pytest.raises(TruncationError):
         linear_heterodyne_samples(plan)
 
@@ -218,8 +222,7 @@ def test_linear_rejects_small_gain():
 
 def test_inefficient_linear_detector():
     sp = FockSpace(12)
-    plan = TrialPlan(LinearAmp(2.0), fock_state(sp, 1), _het(0.5), 100000, 4,
-                     "n_hat_linear")
+    plan = TrialPlan(LinearAmp(2.0), fock_state(sp, 1), _het(0.5), 100000, 4)
     rep = run_linear_number_estimation(plan)
     assert rep.analytic_source == "derived"
     # derived corrections: mean shifts by sigma^2/g^2, variance gains
@@ -238,7 +241,7 @@ def test_inefficient_linear_detector():
 def test_seed_determinism_bit_exact():
     sp = FockSpace(8)
     plan = TrialPlan(TwoModeNormalAmp(number_op(sp), 2.0), fock_state(sp, 2),
-                     _hom(), 5000, 123, "f_hat_nonlinear")
+                     _hom(), 5000, 123)
     x1 = nonlinear_meter_x_samples(plan)
     x2 = nonlinear_meter_x_samples(plan)
     assert np.array_equal(x1, x2)
@@ -297,7 +300,7 @@ def test_nonlinear_samples_match_choice_plus_normals():
     amp = TwoModeNormalAmp(number_op(sp), 2.0)
     st = coherent_state(sp, 0.8)
     det = _hom(0.9)
-    plan = TrialPlan(amp, st, det, BLOCK + 3, 9, "f_hat_nonlinear")
+    plan = TrialPlan(amp, st, det, BLOCK + 3, 9)
     dec = normal_decompose(amp.f)
     probs = np.clip(dec.probabilities(st), 0.0, None)
     probs /= probs.sum()
@@ -332,7 +335,7 @@ def test_linear_samples_match_gain_times_draws_plus_noise():
     # is one Gaussian about gain <a>, amplifier and detector noise together
     st = coherent_state(FockSpace(16), 1.0 + 0.5j)
     det = _het(0.8)
-    plan = TrialPlan(LinearAmp(2.0), st, det, BLOCK + 3, 4, "n_hat_linear")
+    plan = TrialPlan(LinearAmp(2.0), st, det, BLOCK + 3, 4)
     ref = _plain_coherent_draws(st, det, 2.0, BLOCK + 3, 4)
     assert np.array_equal(linear_heterodyne_samples(plan), ref)
 
@@ -354,7 +357,7 @@ def test_coherent_heterodyne_draws_build_no_grid(as_density, monkeypatch):
         assert np.abs(got - ref).max() < 1e-14
     else:
         assert np.array_equal(got, ref)
-    plan = TrialPlan(LinearAmp(2.0), st, det, 1000, 6, "n_hat_linear")
+    plan = TrialPlan(LinearAmp(2.0), st, det, 1000, 6)
     assert run_plan(plan).to_dict() == run_plan(plan).to_dict()
 
 
@@ -381,7 +384,7 @@ def test_coherent_route_threshold(admixture, grid, monkeypatch):
 def test_linear_seed_determinism_bit_exact():
     sp = FockSpace(16)
     plan = TrialPlan(LinearAmp(2.0), coherent_state(sp, 1.0 + 0.5j), _het(0.8),
-                     5000, 123, "n_hat_linear")
+                     5000, 123)
     assert np.array_equal(linear_heterodyne_samples(plan),
                           linear_heterodyne_samples(plan))
     assert run_plan(plan).to_dict() == run_plan(plan).to_dict()
@@ -400,12 +403,12 @@ def test_estimation_memory_is_bounded(case, monkeypatch):
     import tracemalloc
     if case == "linear":
         plan = TrialPlan(LinearAmp(2.0), coherent_state(FockSpace(64), 1.0 + 0.5j),
-                         _het(0.8), 1_000_000, 7, "n_hat_linear")
+                         _het(0.8), 1_000_000, 7)
         bound = 60
     else:
         sp = FockSpace(8)
         plan = TrialPlan(TwoModeNormalAmp(number_op(sp), 2.0), fock_state(sp, 2),
-                         _hom(0.9), 4_000_000, 7, "f_hat_nonlinear")
+                         _hom(0.9), 4_000_000, 7)
         bound = 90
     for workers in (1, 4):
         _set_cpus(monkeypatch, workers)
@@ -433,8 +436,7 @@ def test_estimation_memory_is_flat_in_trials(case, monkeypatch):
         _set_cpus(monkeypatch, workers)
         peaks = []
         for trials in (100_000, 4_000_000):
-            plan = TrialPlan(*args, trials, 7,
-                             "n_hat_linear" if case == "linear" else "f_hat_nonlinear")
+            plan = TrialPlan(*args, trials, 7)
             tracemalloc.start()
             try:
                 rep = run_plan(plan)
@@ -453,8 +455,8 @@ def _thread_outputs(trials):
     sp = FockSpace(16)
     state = coherent_state(sp, 1.0 + 0.5j)
     nl = TrialPlan(TwoModeNormalAmp(number_op(sp), 2.0), state, _hom(0.9),
-                   trials, 3, "f_hat_nonlinear")
-    lin = TrialPlan(LinearAmp(2.0), state, _het(0.8), trials, 3, "n_hat_linear")
+                   trials, 3)
+    lin = TrialPlan(LinearAmp(2.0), state, _het(0.8), trials, 3)
     return [sample_outcomes(state, _het(0.8), trials, 3).tobytes(),
             sample_outcomes(state, _hom(0.9), trials, 3).tobytes(),
             nonlinear_meter_x_samples(nl).tobytes(),
@@ -476,7 +478,7 @@ def test_outputs_do_not_depend_on_worker_count(trials):
 def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
     _set_cpus(monkeypatch, workers)
     args = (np.arange(4.0), np.ones(4), 4 * BLOCK + 1, 0)  # five blocks
-    blocks = list(mixture_blocks(*args, noise=(1.0,)))
+    blocks = list(mixture_blocks(*args, sd=1.0))
     started = []
 
     def reduce(x, fail=None):
@@ -487,7 +489,7 @@ def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
         return b
 
     before = threading.active_count()
-    stream = mixture_blocks(*args, noise=(1.0,), reduce=reduce)
+    stream = mixture_blocks(*args, sd=1.0, reduce=reduce)
     assert next(stream) == 0
     stream.close()
     assert threading.active_count() == before
@@ -495,7 +497,7 @@ def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
 
     started.clear()
     with pytest.raises(ValueError, match="block 2"):
-        for _ in mixture_blocks(*args, noise=(1.0,),
+        for _ in mixture_blocks(*args, sd=1.0,
                                 reduce=lambda x: reduce(x, fail=2)):
             pass
     assert threading.active_count() == before
@@ -532,11 +534,10 @@ def test_package_functions_run_on_the_main_thread(monkeypatch):
     _set_cpus(monkeypatch, 2)
     state = coherent_state(FockSpace(16), 1.0)
     estimators.compare_schemes(state, 2.0, 3 * BLOCK, 5)
-    estimators.run_plan(TrialPlan(LinearAmp(2.0), state, _het(0.8), 3 * BLOCK, 5,
-                                  "n_hat_linear"))
+    estimators.run_plan(TrialPlan(LinearAmp(2.0), state, _het(0.8), 3 * BLOCK, 5))
     # a non-coherent input takes the Husimi grid
     estimators.run_plan(TrialPlan(LinearAmp(2.0), fock_state(FockSpace(16), 1),
-                                  _het(0.8), 3 * BLOCK, 5, "n_hat_linear"))
+                                  _het(0.8), 3 * BLOCK, 5))
     names = {name for name, _ in calls}
     assert {"compare_schemes", "run_plan", "husimi_values", "_linear_blocks",
             "gaussian_blocks", "mixture_blocks"} <= names
@@ -549,10 +550,9 @@ def test_unbiasedness_over_seeds():
     z_values = []
     for seed in range(42, 62):
         nl = TrialPlan(TwoModeNormalAmp(number_op(FockSpace(8)), 3.0),
-                       fock_state(FockSpace(8), 2), _hom(), 20000, seed,
-                       "f_hat_nonlinear")
+                       fock_state(FockSpace(8), 2), _hom(), 20000, seed)
         lin = TrialPlan(LinearAmp(2.0), fock_state(sp, 2), _het(), 20000,
-                        seed, "n_hat_linear")
+                        seed)
         z_values.append(abs(run_plan(nl).z_mean))
         z_values.append(abs(run_plan(lin).z_mean))
     z_values = np.array(z_values)

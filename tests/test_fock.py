@@ -282,7 +282,7 @@ def test_decompose_degenerate_cluster():
     sp = FockSpace(6)
     f = Operator(sp, np.diag([0.0, 1.0, 1.0 + 5e-9, 2.0, 2.0, 3.0]).astype(complex))
     dec = normal_decompose(f)
-    groups = dec.clusters(1e-8)
+    groups = dec.clusters()
     assert sorted(len(g) for g in groups) == [1, 1, 2, 2]
 
 

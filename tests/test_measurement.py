@@ -15,8 +15,7 @@ from fockamp.errors import CoverageError, FockampError, TruncationError
 from fockamp.amplifiers import meter_dim_for
 from fockamp.fock import State, quadrature_amplitudes
 from fockamp.measurement import (_default_ygrid, _heterodyne_expectations,
-                                 _region_masses, husimi_values, povm_csv_rows,
-                                 povm_meters)
+                                 _region_masses, husimi_values, povm_meters)
 from fockamp.oracles import (heterodyne_element, homodyne_element,
                              three_mode_unitary, two_mode_unitary,
                              von_neumann_unitary)
@@ -211,6 +210,32 @@ def test_effective_povm_diagonal_in_signal_basis():
     pts = np.array([0.5 + 0.2j, 1.5, 2.5 - 0.4j])
     grid = effective_povm_numeric(spec, det, pts)
     assert grid.max_offdiagonal(np.eye(4)) < 1e-8
+
+
+@pytest.mark.parametrize("model", ["heterodyne", "homodyne"])
+def test_grid_checks_match_per_outcome_loops(model):
+    # the batched leakage and closed-form deviation equal the per-outcome
+    # loops bit for bit, here in a basis that is not the eigenbasis
+    sp = FockSpace(4)
+    f = number_op(sp)
+    dec = normal_decompose(f)
+    if model == "heterodyne":
+        spec, det = TwoModeNormalAmp(f, 2.0), DetectorSpec("heterodyne", 0.5)
+        pts = np.array([0.5 + 0.2j, 1.5, 2.5 - 0.4j])
+    else:
+        spec, det = VonNeumannAmp(f, 2.0), DetectorSpec("homodyne", 0.5)
+        pts = np.array([0.5, 1.5, 2.7])
+    closed = effective_povm_closed_form(dec, 2.0, det.sigma2, model)
+    grid = effective_povm_numeric(spec, det, pts)
+    basis = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))[0]
+    off = 0.0
+    for e in grid.elements:
+        t = basis.conj().T @ e @ basis
+        off = max(off, float(np.abs(t - np.diag(np.diag(t))).max()))
+    assert grid.max_offdiagonal(basis) == off > 0.1
+    dev = max(float(np.abs(e - closed.element(o)).max())
+              for o, e in zip(grid.outcomes, grid.elements))
+    assert grid.max_deviation(closed) == dev
 
 
 def test_heterodyne_oracle_equivalence():
@@ -546,24 +571,14 @@ def smeared_position_density(state, sigma2, xs):
     return out
 
 
-def test_heterodyne_sampler_memory_is_bounded():
-    # dim 64 puts 231,361 betas on the grid; the Husimi density is evaluated
-    # in blocks, not through one dim x grid overlap matrix (~237 MB)
+@pytest.mark.parametrize("kind", ["coherent", "fock"])
+def test_heterodyne_grid_memory_is_bounded(kind, monkeypatch):
+    # a coherent input is sampled without a grid; a non-coherent one at dim
+    # 64 takes the 231,361-point Husimi grid, evaluated in blocks, not
+    # through one dim x grid overlap matrix (~237 MB)
     import tracemalloc
-    st = coherent_state(FockSpace(64), 1.0)
-    tracemalloc.start()
-    try:
-        sample_outcomes(st, DetectorSpec("heterodyne", 1.0), 1000, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
-
-
-def test_heterodyne_grid_memory_is_bounded(monkeypatch):
-    # a non-coherent input at dim 64 takes the 231,361-point Husimi grid
-    import tracemalloc
-    st = fock_state(FockSpace(64), 1)
+    sp = FockSpace(64)
+    st = coherent_state(sp, 1.0) if kind == "coherent" else fock_state(sp, 1)
     calls = []
     monkeypatch.setattr(measurement, "husimi_values",
                         lambda *a: calls.append(1) or husimi_values(*a))
@@ -573,7 +588,8 @@ def test_heterodyne_grid_memory_is_bounded(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert calls and peak < 64 * 2 ** 20
+    assert bool(calls) == (kind == "fock")
+    assert peak < 64 * 2 ** 20
 
 
 def _coherent_overlap_matrix(dim, betas):
@@ -627,13 +643,21 @@ def test_husimi_values_refuse_underflow():
     assert husimi_values(fock_state(FockSpace(1100), 5), np.array([40.0]))[0] == 0.0
 
 
-def test_husimi_guard_spares_benchmark_input():
-    # the montecarlo linear input (dim 64): its grid corners reach
-    # |beta|^2 = 2 (8 + 4)^2 = 288, and it has no level above 1000
+def test_husimi_guard_spares_benchmark_input(monkeypatch):
+    # the montecarlo linear input's dim 64: the grid corners reach
+    # |beta|^2 = 2 (8 + 4)^2 = 288, and no level lies above 1000
     st = coherent_state(FockSpace(64), 1.0 + 0.5j)
     assert husimi_values(st, np.array([40.0]))[0] == 0.0
-    out = sample_outcomes(st, DetectorSpec("heterodyne", 0.8), 1000, 7)
+    # that coherent input skips the grid; a non-coherent one probes the
+    # corner before it builds the grid, and the guard lets it through
+    betas = []
+    monkeypatch.setattr(measurement, "husimi_values",
+                        lambda s, b: betas.append(np.asarray(b)) or husimi_values(s, b))
+    out = sample_outcomes(fock_state(FockSpace(64), 1),
+                          DetectorSpec("heterodyne", 0.8), 1000, 7)
     assert np.isfinite(out).all()
+    assert betas[0].size == 1 and abs(abs(betas[0][0]) ** 2 - 288.0) < 1e-9
+    assert len(betas) == 2
 
 
 @pytest.mark.parametrize("kind", ["coherent", "fock"])
@@ -720,20 +744,18 @@ def test_heterodyne_marginal_total_variation(kind):
 
 
 # ---------------------------------------------------------------------------
-# CSV records
+# closed-form weight table
 # ---------------------------------------------------------------------------
 
-def test_povm_csv_rows():
+def test_closed_form_weight_table():
     sp = FockSpace(3)
     dec = normal_decompose(number_op(sp))
     povm = effective_povm_closed_form(dec, 2.0, 0.0, "heterodyne")
-    rows = list(povm_csv_rows(povm, np.array([0.0 + 0j, 1.0 + 0j]), 0.01))
-    assert len(rows) == 6
-    re, im, measure, idx, wt = rows[0]
-    assert (re, im, measure) == (0.0, 0.0, 0.01)
+    table = povm.weights(np.array([0.0 + 0j, 1.0 + 0j]))
+    assert table.shape == (2, 3)
     # weight at the eigenvalue center equals the peak density 1/(pi w^2)
-    peak = [r for r in rows if r[3] == np.argmin(np.abs(dec.eigenvalues - 0.0))][0]
-    assert abs(peak[4] - 1.0 / (math.pi * povm.width2)) < 1e-12
+    peak = table[0, np.argmin(np.abs(dec.eigenvalues - 0.0))]
+    assert abs(peak - 1.0 / (math.pi * povm.width2)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def test_numeric_povm_weight_table_matches_closed_form(case):
 def test_sample_stats_match_numpy_and_two_pass_reference(values):
     x = np.array(values)
     n = x.size
-    mean, var, se_mean, se_var = _Moments().add(x).stats()
+    mean, var, se_mean, se_var = _Moments().merge(*_Moments.block(x)).stats()
     assert mean == float(np.mean(x))
     assert var == float(np.var(x, ddof=1))
     assert se_mean == np.sqrt(var / n)
@@ -191,7 +191,7 @@ def test_merged_moments_match_one_buffer_two_pass(values, sizes):
     for parts in (np.split(x, cuts[cuts < n]), np.split(x, np.arange(1, n))):
         acc = _Moments()
         for part in parts:
-            acc.add(part)
+            acc.merge(*_Moments.block(part))
         assert acc.sums[0] == n
         for got, ref, k in zip([acc.mean] + acc.sums[2:], (mean, m2, m3, m4),
                                (1, 2, 3, 4)):
