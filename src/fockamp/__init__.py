@@ -27,8 +27,8 @@ from .amplifiers import (LinearAmp, Meter, MomentReport, SingleModeAmp,
                          single_mode_output_moments, single_mode_output_ops)
 from .measurement import (ClosedFormPovm, DecisionRegions, DetectorSpec,
                           PovmGrid, effective_povm_closed_form,
-                          effective_povm_numeric, husimi_values,
-                          own_region_weights, sample_outcomes)
+                          effective_povm_numeric, own_region_weights,
+                          sample_outcomes)
 from .estimators import (CompareReport, EstimateReport, TrialPlan,
                          compare_schemes, run_linear_number_estimation,
                          run_nonlinear_estimation, run_plan, snr_report)

@@ -56,6 +56,12 @@ def _reject_unknown(block: dict, allowed: set, path: str):
                               else f"unknown key '{key}'")
 
 
+def _as_float(value, path: str) -> float:
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"'{path}' must be a number")
+    return float(value)
+
+
 def _as_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
@@ -117,8 +123,8 @@ def validate_config(cfg) -> dict:
     mkind = mb.get("kind", "vacuum")
     if mkind not in {"vacuum", "squeezed", "gaussian"}:
         raise ConfigError("'amplifier.meter.kind' must be vacuum|squeezed|gaussian")
-    meter = {"kind": mkind, "r": float(mb.get("r", 0.0)),
-             "epsilon": float(mb.get("epsilon", 1.0))}
+    meter = {"kind": mkind, "r": _as_float(mb.get("r", 0.0), "amplifier.meter.r"),
+             "epsilon": _as_float(mb.get("epsilon", 1.0), "amplifier.meter.epsilon")}
     if meter["epsilon"] <= 0:
         raise ConfigError("'amplifier.meter.epsilon' must be positive")
     out["amplifier"] = {"variant": variant, "f": fres, "g": float(g),
@@ -141,8 +147,8 @@ def validate_config(cfg) -> dict:
     if skind == "coherent":
         sres["alpha"] = _c2list(_as_complex(sb.get("alpha", 1.0), "input_state.alpha"))
     if skind == "squeezed_vacuum":
-        sres["r"] = float(sb.get("r", 0.5))
-        sres["phi"] = float(sb.get("phi", 0.0))
+        sres["r"] = _as_float(sb.get("r", 0.5), "input_state.r")
+        sres["phi"] = _as_float(sb.get("phi", 0.0), "input_state.phi")
     out["input_state"] = sres
 
     db = cfg.get("detector", {"kind": "heterodyne", "efficiency": 1.0})

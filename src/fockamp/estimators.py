@@ -18,7 +18,8 @@ are validated against full unitary evolution in the test suite. The meter
 draws come from :func:`measurement.gaussian_blocks`, with the meter and
 detector noise merged into one Gaussian. The heterodyne draws come from the
 detector's sampler, :func:`measurement.detector_blocks`: exact Gaussian draws
-for a coherent input, and the Husimi grid for any other.
+for a coherent input, and exact rejection draws from the Husimi density for
+any other.
 
 Plans are drawn in blocks of :data:`measurement.BLOCK` trials, each on a
 worker thread of the sampler, which also reduces it to its mean and centred
@@ -205,7 +206,7 @@ def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
 def _linear_blocks(plan: TrialPlan, reduce=None):
     """Heterodyne outcomes after phase-preserving amplification, by block.
 
-    alpha = g * (Husimi draw of the input) + detector noise, from the
+    alpha = g * (exact Husimi draw of the input) + detector noise, from the
     detector's sampler :func:`measurement.detector_blocks`. The amplifier
     adds no further term: with a vacuum internal mode the output Husimi
     density is exactly the input one rescaled by the gain, Q_out(alpha) =

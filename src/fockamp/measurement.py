@@ -30,20 +30,19 @@ from .errors import (CoverageError, DimensionMismatch, FockampError,
                      TruncationError)
 from .fock import (FockSpace, SpectralDecomposition, State,
                    _coherent_amplitudes, hermite_functions, log_factorials,
-                   normal_decompose, quadrature_amplitudes)
+                   normal_decompose)
 
 HOMODYNE_YGRID_STEP = 0.005
 HOMODYNE_YGRID_RANGE = 10.0
-# betas per recurrence block in husimi_values
-HUSIMI_BLOCK = 4096
 # trials per Monte Carlo block, the unit of the stream law (see _pooled);
 # memory is O(workers * BLOCK) whatever the trial count
 BLOCK = 2 ** 16
-# equal buckets of u in the inverse-CDF guide table of mixture_blocks
-GUIDE_BUCKETS = 2 ** 16
 # trials per fill inside a block; the fills are sequential, so the chunk
 # sets the working set, not the streams
 DRAW_CHUNK = 2 ** 13
+# proposals x levels per slice of the acceptance table of husimi_blocks;
+# sets the working set, not the streams
+ACCEPT_SLICE = 2 ** 18
 # 1 - <m|rho|m> at or below which a heterodyne input is sampled as the
 # coherent state |m>, m = <a> (see detector_blocks)
 COHERENT_DEFECT = 1e-12
@@ -451,18 +450,18 @@ def _pooled(n: int, seed: int, draw, reduce=None):
     Block b holds trials [b BLOCK, (b + 1) BLOCK) and draws from Philox
     keyed by the seed with b as its third counter word, which is
     ``Philox(key=seed).jumped(b)`` (Salmon et al., SC'11).
-    ``add(out, fill, scale, shift=0.0)`` adds ``scale * fill() - shift`` to
-    out, DRAW_CHUNK trials per fill and one (re, im) pair per trial of a
-    complex out. Blocks are drawn on a thread pool, one worker per CPU
-    available to the process, with at most workers + 1 blocks in flight, and
-    are yielded in block order; ``reduce``, if given, runs on the worker
-    once ``draw`` has returned, and its result is yielded in place of the
-    block (which it may overwrite). The streams do not depend on the worker
-    count. The workers call closures only, no module-level function.
+    ``add(out, fill, scale)`` adds ``scale * fill()`` to out, DRAW_CHUNK
+    trials per fill and one (re, im) pair per trial of a complex out. Blocks
+    are drawn on a thread pool, one worker per CPU available to the process,
+    with at most workers + 1 blocks in flight, and are yielded in block
+    order; ``reduce``, if given, runs on the worker once ``draw`` has
+    returned, and its result is yielded in place of the block (which it may
+    overwrite). The streams do not depend on the worker count. The workers
+    call closures only, no module-level function.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    def add(out, fill, scale, shift=0.0):
+    def add(out, fill, scale):
         buf = np.empty((min(DRAW_CHUNK, out.shape[0]),)
                        + ((2,) if out.dtype == complex else ()))
         for lo in range(0, out.shape[0], DRAW_CHUNK):
@@ -470,8 +469,6 @@ def _pooled(n: int, seed: int, draw, reduce=None):
             r = buf[:part.shape[0]]
             fill(out=r)
             r *= scale
-            if shift:
-                r -= shift
             part += r.view(out.dtype).reshape(part.shape)
 
     def work(b, size):  # reduces once draw's temporaries are freed
@@ -520,48 +517,81 @@ def gaussian_blocks(centres, weights, sd: float, n: int, seed: int,
     return _pooled(n, seed, draw, reduce)
 
 
-def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
-                   jitter: float = 0.0, sd: float = 0.0, reduce=None):
-    """n draws of gain (points[i] + jitter) + sd * (a standard normal per
-    real axis), in the blocks of :func:`_pooled`: the grid sampler of
-    :func:`detector_blocks`.
-
-    ``points`` is a real array, or a pair (x, y) of real axes standing for
-    the complex grid ``points[i] = x[i // y.size] + 1j y[i % y.size]``; i
-    has the law weights/sum(weights). A block draws ``random()`` for i,
-    then the jitter, uniform on [-jitter, jitter], then, if sd > 0, the
-    normals. i is read off a guide table over equal buckets of u (Chen &
-    Asau, 1974): the cell of u lies between those of its bucket's edges, so
-    where they agree it is known and only the other uniforms are searched.
-    The cells are ``rng.choice(p=)``'s bit for bit, and the block keeps the
-    order of its uniforms.
+def _husimi_proposal(state: State):
+    """(levels, probabilities, acceptance) of :func:`husimi_blocks` for
+    rho = sum_k p_k |v_k><v_k| (a ket is the one-term case; p_k < 1e-32
+    dropped), c_kn = <n|v_k>, S_k = sum_n |c_kn|: level n has probability
+    W_n / M, W_n = sum_k p_k S_k |c_kn|, M = sum_k p_k S_k^2 (levels with
+    W_n = 0 dropped), and the closure ``acceptance(s, phase)`` gives
+    sum_k p_k |<beta|v_k>|^2 / sum_n W_n |<n|beta>|^2 <= 1 (Cauchy-Schwarz)
+    at beta = sqrt(s) phase, |phase| = 1. Both sums take |<n|beta>|
+    e^{s/2} over its largest value on the kept levels, so nothing under- or
+    overflows, and run ACCEPT_SLICE proposals x levels at a time.
     """
-    cdf = np.cumsum(weights)  # normalized as rng.choice(p=) does
-    cdf /= cdf[-1]
-    guide = np.searchsorted(cdf, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS,
-                            side="right")
-    split = guide[:-1] != guide[1:]  # buckets whose edges fall in two cells
-    axes = [a.view() for a in (points if isinstance(points, tuple) else (points,))]
-    for shared in (*axes, cdf, guide, split):  # read by every worker
+    if state.kind == "ket":
+        p, v = np.ones(1), state.data[:, None]
+    else:
+        p, v = np.linalg.eigh(state.data)
+        keep = p > 1e-32
+        p, v = p[keep], v[:, keep]
+    a = np.abs(v)
+    w = a @ (p * a.sum(axis=0))
+    levels = np.flatnonzero(w)
+    w = w[levels]
+    c = (v[levels] * np.sqrt(p)).T  # row k: sqrt(p_k) c_kn on the kept levels
+    half_lf = 0.5 * log_factorials(levels[-1] + 1)[levels, None]
+    gaps = np.diff(levels).tolist()
+    for shared in (levels, w, c, half_lf):  # read by every worker
         shared.flags.writeable = False
-    complex_grid = len(axes) == 2
+    rows = max(1, ACCEPT_SLICE // levels.size)
+
+    def acceptance(s, phase):
+        out = np.empty(s.shape[0])
+        for lo in range(0, s.shape[0], rows):
+            # log |<n|beta>| + |beta|^2/2, less its largest value over n
+            t = np.multiply.outer(levels, 0.5 * np.log(s[lo:lo + rows]))
+            t -= half_lf
+            t -= t.max(axis=0)
+            np.exp(t, out=t)
+            # Horner: amp_k = sum_n c_kn t_n conj(phase)^(n - levels[0])
+            spin = {g: phase[lo:lo + rows].conj() ** g for g in set(gaps)}
+            amp = c[:, -1:] * t[-1]
+            for j in range(levels.size - 2, -1, -1):
+                amp *= spin[gaps[j]]
+                amp += c[:, j:j + 1] * t[j]
+            out[lo:lo + rows] = ((amp.real ** 2 + amp.imag ** 2).sum(axis=0)
+                                 / (w @ (t * t)))
+        return out
+
+    return levels, w / w.sum(), acceptance
+
+
+def husimi_blocks(state: State, gain: float, sd: float, n: int, seed: int,
+                  reduce=None):
+    """n draws of gain beta + sd (a standard normal per real axis), beta
+    exactly from the Husimi density <beta|rho|beta>/pi of ``state``, in the
+    blocks of :func:`_pooled`, by rejection (:func:`_husimi_proposal`).
+
+    A block proposes in rounds of min(DRAW_CHUNK, draws missing). A round
+    draws levels n (``rng.choice``), |beta|^2 ~ Gamma(n + 1), angles 2 pi
+    ``rng.random()`` and accept uniforms, in that order, and keeps in order
+    the betas whose uniform is below their acceptance. A full block is
+    scaled by the gain, then the normals are added. Proposals per draw
+    average M = sum_k p_k S_k^2 <= levels kept; a Fock state takes one.
+    """
+    levels, prob, acceptance = _husimi_proposal(state)
 
     def draw(rng, size, add):
-        out = np.empty(size, complex if complex_grid else float)
-        for lo in range(0, size, DRAW_CHUNK):
-            part = out[lo:lo + DRAW_CHUNK]
-            u = rng.random(part.shape[0])
-            j = (u * GUIDE_BUCKETS).astype(np.intp)
-            cells = guide.take(j)
-            search = np.flatnonzero(split.take(j))
-            cells[search] = np.searchsorted(cdf, u[search], side="right")
-            if complex_grid:
-                row, col = np.divmod(cells, axes[1].size)
-                part.real, part.imag = axes[0].take(row), axes[1].take(col)
-            else:
-                part[:] = axes[0].take(cells)
-        if jitter:
-            add(out, rng.random, 2.0 * jitter, jitter)  # rng.uniform(-jitter, jitter)
+        out = np.empty(size, complex)
+        done = 0
+        while done < size:
+            k = min(DRAW_CHUNK, size - done)
+            s = rng.standard_gamma(rng.choice(levels, k, p=prob) + 1.0)
+            phase = np.exp(2j * math.pi * rng.random(k))
+            keep = rng.random(k) < acceptance(s, phase)
+            beta = np.sqrt(s[keep]) * phase[keep]
+            out[done:done + beta.shape[0]] = beta
+            done += beta.shape[0]
         out *= gain
         if sd > 0:
             add(out, rng.standard_normal, sd)  # rng.normal(0.0, sd)
@@ -570,92 +600,38 @@ def mixture_blocks(points, weights, n: int, seed: int, gain: float = 1.0,
     return _pooled(n, seed, draw, reduce)
 
 
-def husimi_values(state: State, betas: np.ndarray) -> np.ndarray:
-    """Q(beta) = <beta|rho|beta>/pi over a flat array of betas.
-
-    A density enters as sum_k p_k |<beta|v_k>|^2 over its eigenvectors
-    (weights below 1e-32 dropped); a ket is the rank-one case. Each
-    conj(<beta|v>) = sum_n c_n conj(v_n) accumulates along the recurrence
-    c_n = c_{n-1} beta/sqrt(n), c_0 = e^{-|beta|^2/2}, HUSIMI_BLOCK betas at
-    a time, so no overlap matrix is formed. c_0 is subnormal past
-    |beta|^2 ~ 1416: |beta|^2 > 1400 raises TruncationError on a state with
-    over 1e-12 above level 1000 (else Q is below roundoff there, and 0 is
-    right).
-    """
-    betas = np.asarray(betas, dtype=complex)
-    reach = float(np.max(np.abs(betas) ** 2, initial=0.0))
-    tail = float(state.probabilities()[1001:].sum()) if reach > 1400 else 0.0
-    if tail > 1e-12:
-        raise TruncationError(f"Husimi values at |beta|^2 = {reach:.0f} underflow, "
-                              f"and the state holds {tail:.2e} above level 1000")
-    if state.kind == "ket":
-        p, v = np.ones(1), state.data[:, None]
-    else:
-        p, v = np.linalg.eigh(state.data)
-        keep = p > 1e-32
-        p, v = p[keep], v[:, keep]
-    v = v.conj()
-    q = np.empty(betas.shape[0])
-    for lo in range(0, betas.shape[0], HUSIMI_BLOCK):
-        beta = betas[lo:lo + HUSIMI_BLOCK]
-        c = np.exp(-0.5 * np.abs(beta) ** 2).astype(complex)
-        parts = c.view(float)  # real and imaginary parts, scaled in place
-        acc = v[0, :, None] * c
-        term = np.empty_like(acc)
-        for n in range(1, state.space.dim):
-            c *= beta
-            parts *= 1.0 / math.sqrt(n)
-            acc += np.multiply(v[n, :, None], c, out=term)
-        q[lo:lo + HUSIMI_BLOCK] = p @ (np.abs(acc) ** 2)
-    return q / math.pi
-
-
 def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
                     gain: float = 1.0, reduce=None):
-    """n outcomes of ``detector`` on ``state`` times ``gain``, in the blocks
-    of :func:`_pooled`; ``reduce`` goes with them. A multi-mode state, or
-    one holding more than 1e-6 at its cutoff, raises first.
+    """n heterodyne outcomes on ``state`` times ``gain``, in the blocks of
+    :func:`_pooled`; ``reduce`` goes with them. A homodyne detector, a
+    multi-mode state, or one holding more than 1e-6 at its cutoff, raises
+    first.
 
-    A heterodyne input is sampled exactly when it is coherent: when, for
-    m = <a>, 1 - <m|rho|m> <= COHERENT_DEFECT, with |m> the renormalized
-    coherent ket on the state's own truncated space. The outcomes are then
-    those of the coherent state |m>: the complex Gaussian about gain m of
-    per-axis variance (gain^2 + sigma^2)/2, drawn by
-    :func:`gaussian_blocks`, and no grid is built. The input's own outcome
-    law is within sqrt(COHERENT_DEFECT) = 1e-6 in total variation of that of
-    the truncated |m> (Fuchs-van de Graaf), which differs from the Gaussian
-    only by the coherent tail beyond the cutoff. Every other input draws, by :func:`mixture_blocks`, cells of
-    its Husimi (heterodyne) or position (homodyne) density on a grid
-    |Re|,|Im| <= sqrt(dim)+4 of step 0.05, jittered in the cell, plus
-    detector noise of per-axis variance sigma^2/2. A Husimi grid that
-    :func:`husimi_values` refuses raises TruncationError before it is built.
+    The draws are exact. A coherent input, one with 1 - <m|rho|m> <=
+    COHERENT_DEFECT for m = <a> and |m> the renormalized coherent ket on the
+    state's own truncated space, is sampled as |m>: the complex Gaussian
+    about gain m of per-axis variance (gain^2 + sigma^2)/2, drawn by
+    :func:`gaussian_blocks`. Its outcome law is within sqrt(COHERENT_DEFECT)
+    = 1e-6 in total variation of the input's (Fuchs-van de Graaf). Every
+    other input is drawn from its Husimi density by :func:`husimi_blocks`,
+    plus detector noise of per-axis variance sigma^2/2.
     """
     if state.space.n_modes != 1:
         raise DimensionMismatch("sampler wants a single-mode state")
+    if detector.kind != "heterodyne":
+        raise ValueError("only heterodyne outcomes are sampled")
     top = float(state.probabilities()[-1])
     if top > 1e-6:
         raise TruncationError(
-            f"state holds {top:.2e} probability at its cutoff; the outcome "
-            "grid would miss mass beyond it")
-    if detector.kind == "heterodyne":
-        m = _as_coherent(state)
-        if m is not None:
-            return gaussian_blocks([gain * m], [1.0],
-                                   math.sqrt((gain * gain + detector.sigma2) / 2.0),
-                                   n, seed, reduce)
-    half = math.sqrt(state.space.dim) + 4.0
-    step = 0.05
-    points = np.arange(-half, half + step / 2, step)
-    if detector.kind == "heterodyne":
-        # the farthest corner: raises before the grid is built if Q underflows
-        husimi_values(state, [np.abs(points).max() * (1 + 1j)])
-        q = husimi_values(state, (points[:, None] + 1j * points[None, :]).ravel())
-        points = (points, points)
-    else:
-        q = np.abs(quadrature_amplitudes(state, points)) ** 2 \
-            if state.kind == "ket" else np.real(quadrature_amplitudes(state, points))
-    return mixture_blocks(points, q, n, seed, gain, step / 2,
-                          math.sqrt(detector.sigma2 / 2.0), reduce)
+            f"state holds {top:.2e} probability at its cutoff; the draws "
+            "would miss mass beyond it")
+    m = _as_coherent(state)
+    if m is not None:
+        return gaussian_blocks([gain * m], [1.0],
+                               math.sqrt((gain * gain + detector.sigma2) / 2.0),
+                               n, seed, reduce)
+    return husimi_blocks(state, gain, math.sqrt(detector.sigma2 / 2.0), n,
+                         seed, reduce)
 
 
 def _as_coherent(state: State):

@@ -1,12 +1,13 @@
-"""Dense oracles: composite-space unitaries and single-outcome detector elements.
+"""Dense oracles: composite-space unitaries, single-outcome detector elements
+and Husimi values.
 
 No command builds these. The production routes take the conditional meter
 displacements in the eigenbasis of f (:func:`amplifiers.displaced_meter_ket`),
 the photon-difference chains of the linear squeezer
-(:func:`amplifiers._squeezer_chains`) and the all-outcome detector
-expectations of :mod:`fockamp.measurement`. The builders here form the dense
-matrices those routes avoid, so they serve as independent cross-checks in
-``verify`` and the tests, and only those import this module.
+(:func:`amplifiers._squeezer_chains`), the all-outcome detector expectations
+of :mod:`fockamp.measurement` and its exact Husimi draws. The builders here
+form the dense matrices those routes avoid, so they serve as independent
+cross-checks in ``verify`` and the tests, and only those import this module.
 """
 from __future__ import annotations
 
@@ -285,3 +286,17 @@ def homodyne_element(x: float, sigma2: float, space: FockSpace) -> Operator:
     h = hermite_functions(d, y)
     m = (h * _homodyne_kernel(x, sigma2, y)) @ h.T
     return Operator(space, m.astype(complex))
+
+
+def husimi_values(state, betas) -> np.ndarray:
+    """Q(beta) = <beta|rho|beta>/pi over a flat array of betas, from the
+    dense overlap matrix C[n, j] = <n|beta_j> (C[0] underflows past
+    |beta|^2 ~ 1416)."""
+    betas = np.asarray(betas, dtype=complex)
+    c = np.empty((state.space.dim, betas.shape[0]), dtype=complex)
+    c[0] = np.exp(-0.5 * np.abs(betas) ** 2)
+    for n in range(1, state.space.dim):
+        c[n] = c[n - 1] * betas / math.sqrt(n)
+    if state.kind == "ket":
+        return np.abs(state.data.conj() @ c) ** 2 / math.pi
+    return np.real(np.einsum("nj,nm,mj->j", c.conj(), state.data, c)) / math.pi

@@ -54,6 +54,24 @@ def test_meter_dims_rejected(tmp_path, key):
     assert f"unknown key 'dims.{key}'" in proc.stderr
 
 
+@pytest.mark.parametrize("cfg, path", [
+    ({"amplifier": {"variant": "two_mode_normal",
+                    "meter": {"kind": "squeezed", "r": "abc"}}}, "amplifier.meter.r"),
+    ({"input_state": {"kind": "squeezed_vacuum", "r": [1]}}, "input_state.r"),
+    ({"amplifier": {"meter": {"kind": "gaussian", "epsilon": None}}},
+     "amplifier.meter.epsilon"),
+], ids=["meter_r_text", "state_r_list", "epsilon_null"])
+def test_non_numeric_config_values_rejected(tmp_path, cfg, path):
+    # the same number check as amplifier.g: a named ConfigError, exit 2
+    cfg = dict(cfg, command="estimate")
+    with pytest.raises(ConfigError, match=f"'{path}' must be a number"):
+        validate_config(cfg)
+    proc = run_cli(tmp_path, cfg)
+    assert proc.returncode == 2
+    assert path in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_nonpositive_gain_rejected(tmp_path):
     proc = run_cli(tmp_path, {"command": "noise-sweep",
                               "amplifier": {"variant": "linear", "g": -1.0}})
@@ -398,7 +416,8 @@ def test_estimate_and_compare_load_no_scipy(tmp_path):
 def test_povm_and_verify_load_no_scipy(tmp_path):
     # the displacement kernel is numpy-only, so the numeric POVM sandwich
     # (heterodyne, squeezed-meter homodyne) and verify run without scipy;
-    # povm and estimate run without loading verify or the dense oracles
+    # povm and estimate, the linear one on the rejection sampler, run
+    # without loading verify or the dense oracles
     script = textwrap.dedent(f"""
         import json, sys
         from pathlib import Path
@@ -419,6 +438,10 @@ def test_povm_and_verify_load_no_scipy(tmp_path):
                           "input_state": {{"kind": "fock", "n": 1}},
                           "detector": {{"kind": "homodyne"}},
                           "dims": {{"signal": 4}}, "trials": 2000}},
+            "linear": {{"command": "estimate", "amplifier": {{"variant": "linear"}},
+                        "input_state": {{"kind": "fock", "n": 2}},
+                        "detector": {{"kind": "heterodyne", "efficiency": 0.8}},
+                        "dims": {{"signal": 8}}, "trials": 2000}},
             "verify": {{"command": "verify"}},
         }}
         for name, cfg in configs.items():

@@ -14,17 +14,18 @@ from hypothesis import given, settings, strategies
 
 from fockamp import (DetectorSpec, FockSpace, LinearAmp, TrialPlan,
                      TwoModeNormalAmp, VonNeumannAmp, coherent_state,
-                     compare_schemes, fock_state, husimi_values, number_op,
+                     compare_schemes, fock_state, number_op,
                      run_linear_number_estimation, run_nonlinear_estimation,
                      run_plan, simulate_output_state, snr_report, tensor,
                      vacuum_state)
 from fockamp.errors import GainOutOfRange, TruncationError
 from fockamp.estimators import _linear_blocks, _nonlinear_blocks
-from fockamp.fock import (State, normal_decompose, partial_trace,
-                          quadrature_amplitudes)
+from fockamp.fock import (State, log_factorials, normal_decompose,
+                          partial_trace, quadrature_amplitudes)
 from fockamp import measurement
-from fockamp.measurement import BLOCK, mixture_blocks, sample_outcomes
-from fockamp.oracles import von_neumann_unitary
+from fockamp.measurement import (BLOCK, DRAW_CHUNK, gaussian_blocks,
+                                 sample_outcomes)
+from fockamp.oracles import husimi_values, von_neumann_unitary
 
 
 def nonlinear_meter_x_samples(plan):
@@ -207,7 +208,7 @@ def test_linear_sampler_matches_two_mode_squeezer():
 
 
 def test_linear_sampler_rejects_cutoff_heavy_state():
-    # the Husimi grid of the input would miss the mass beyond its cutoff
+    # the draws would miss the input's mass beyond its cutoff
     sp = FockSpace(6)
     plan = TrialPlan(LinearAmp(2.0), fock_state(sp, 5), _het(), 10, 0)
     with pytest.raises(TruncationError):
@@ -261,36 +262,55 @@ def _block_streams(seed, n):
              min(BLOCK, n - lo)) for b, lo in enumerate(range(0, n, BLOCK))]
 
 
-def _plain_ideal_draws(state, kind, n, seed):
-    # the grid inverse-CDF with a plain searchsorted and out-of-place jitter
-    half = math.sqrt(state.space.dim) + 4.0
-    step = 0.05
-    points = np.arange(-half, half + step / 2, step)
-    if kind == "heterodyne":
-        gx, gy = np.meshgrid(points, points, indexing="ij")
-        points = (gx + 1j * gy).ravel()
-        q = husimi_values(state, points)
+def _plain_husimi_draws(state, det, n, seed):
+    # levels with weight W_n = sum_k p_k S_k |c_kn| over all levels, |beta|^2
+    # ~ Gamma(n + 1) and angle 2 pi u, kept where an accept uniform falls
+    # below pi Q(beta) / sum_n W_n |<n|beta>|^2 from the dense oracle; gain
+    # 1, then sd (z_re + 1j z_im)
+    if state.kind == "ket":
+        p, v = np.ones(1), state.data[:, None]
     else:
-        q = np.abs(quadrature_amplitudes(state, points)) ** 2
-    cdf = np.cumsum(q)
-    cdf /= cdf[-1]
+        p, v = np.linalg.eigh(state.data)
+        p, v = p[p > 1e-32], v[:, p > 1e-32]
+    w = np.abs(v) @ (p * np.abs(v).sum(axis=0))
+    d = state.space.dim
+    sd = math.sqrt(det.sigma2 / 2.0)
     out = []
     for rng, m in _block_streams(seed, n):
-        cells = np.searchsorted(cdf, rng.random(m), side="right").clip(0, points.size - 1)
-        if kind == "heterodyne":
-            jit = rng.uniform(-step / 2, step / 2, size=(m, 2))
-            out.append(points[cells] + jit[:, 0] + 1j * jit[:, 1])
-        else:
-            out.append(points[cells] + rng.uniform(-step / 2, step / 2, size=m))
+        got = []
+        while len(got) < m:
+            k = min(DRAW_CHUNK, m - len(got))
+            s = rng.standard_gamma(rng.choice(d, size=k, p=w / w.sum()) + 1.0)
+            beta = np.sqrt(s) * np.exp(2j * math.pi * rng.random(k))
+            u = rng.random(k)
+            n_beta = np.exp(np.multiply.outer(np.arange(d), np.log(s)) - s
+                            - log_factorials(d)[:, None])  # |<n|beta>|^2
+            accept = math.pi * husimi_values(state, beta) / (w @ n_beta)
+            got.extend(beta[u < accept])
+        block = np.array(got)
+        if sd > 0:
+            z = rng.standard_normal((m, 2))
+            block = block + sd * (z[:, 0] + 1j * z[:, 1])
+        out.append(block)
     return np.concatenate(out)
 
 
-@pytest.mark.parametrize("kind", ["heterodyne", "homodyne"])
-def test_ideal_draws_match_plain_inverse_cdf(kind):
-    # an ideal detector adds no noise; BLOCK + 3 trials end in a partial block
-    st = fock_state(FockSpace(16), 2)
-    got = sample_outcomes(st, DetectorSpec(kind, 1.0), BLOCK + 3, 5)
-    ref = _plain_ideal_draws(st, kind, BLOCK + 3, 5)
+def _random_ket(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi[-1] = 0.0  # nothing at the cutoff
+    return State(FockSpace(dim), "ket", psi / np.linalg.norm(psi))
+
+
+@pytest.mark.parametrize("kind, eta", [("fock", 1.0), ("fock", 0.8),
+                                       ("random", 0.8)])
+def test_heterodyne_draws_match_plain_rejection(kind, eta):
+    # BLOCK + 3 trials end in a partial block; a Fock input accepts every
+    # proposal, a random ket on 7 levels about one in M = S^2 = 5.75
+    st = fock_state(FockSpace(16), 2) if kind == "fock" else _random_ket(8, 1)
+    det = _het(eta)
+    got = sample_outcomes(st, det, BLOCK + 3, 5)
+    ref = _plain_husimi_draws(st, det, BLOCK + 3, 5)
     assert got.dtype == ref.dtype
     assert np.array_equal(got, ref)
 
@@ -342,10 +362,11 @@ def test_linear_samples_match_gain_times_draws_plus_noise():
 
 @pytest.mark.parametrize("as_density", [False, True])
 def test_coherent_heterodyne_draws_build_no_grid(as_density, monkeypatch):
+    # a coherent input never reaches the rejection sampler
     def refuse(*args, **kwargs):
-        raise AssertionError("the Husimi grid was built")
+        raise AssertionError("the rejection sampler was called")
 
-    monkeypatch.setattr(measurement, "husimi_values", refuse)
+    monkeypatch.setattr(measurement, "husimi_blocks", refuse)
     st = coherent_state(FockSpace(16), 1.0 + 0.5j)
     if as_density:
         st = st.to_density()
@@ -361,23 +382,24 @@ def test_coherent_heterodyne_draws_build_no_grid(as_density, monkeypatch):
     assert run_plan(plan).to_dict() == run_plan(plan).to_dict()
 
 
-@pytest.mark.parametrize("admixture, grid", [(1e-6, True), (1e-14, False)])
-def test_coherent_route_threshold(admixture, grid, monkeypatch):
-    # 1 - <m|rho|m> <= 1e-12 at m = <a> samples |m> exactly; a coherent ket
-    # with 1e-6 of another level keeps the grid
+@pytest.mark.parametrize("admixture, rejection", [(1e-6, True), (1e-14, False)])
+def test_coherent_route_threshold(admixture, rejection, monkeypatch):
+    # 1 - <m|rho|m> <= 1e-12 at m = <a> samples |m> as one Gaussian; a
+    # coherent ket with 1e-6 of another level takes the rejection sampler
     calls = []
+    husimi_blocks = measurement.husimi_blocks
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return husimi_values(*args, **kwargs)
+        return husimi_blocks(*args, **kwargs)
 
-    monkeypatch.setattr(measurement, "husimi_values", counted)
+    monkeypatch.setattr(measurement, "husimi_blocks", counted)
     sp = FockSpace(16)
     psi = math.sqrt(1.0 - admixture) * coherent_state(sp, 1.0 + 0.5j).data
     psi[5] += math.sqrt(admixture)
     st = State(sp, "ket", psi / np.linalg.norm(psi))
     out = sample_outcomes(st, _het(0.8), 1000, 2)
-    assert bool(calls) == grid
+    assert bool(calls) == rejection
     assert np.isfinite(out).all()
 
 
@@ -391,7 +413,7 @@ def test_linear_seed_determinism_bit_exact():
 
 
 def _set_cpus(mp, k):
-    # mixture_blocks sizes its pool from the CPU count at call time
+    # _pooled sizes its pool from the CPU count at call time
     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
     mp.setattr(os, "cpu_count", lambda: k)
 
@@ -458,7 +480,7 @@ def _thread_outputs(trials):
                    trials, 3)
     lin = TrialPlan(LinearAmp(2.0), state, _het(0.8), trials, 3)
     return [sample_outcomes(state, _het(0.8), trials, 3).tobytes(),
-            sample_outcomes(state, _hom(0.9), trials, 3).tobytes(),
+            sample_outcomes(fock_state(sp, 2), _het(0.8), trials, 3).tobytes(),
             nonlinear_meter_x_samples(nl).tobytes(),
             json.dumps(run_plan(nl).to_dict()), json.dumps(run_plan(lin).to_dict())]
 
@@ -477,8 +499,8 @@ def test_outputs_do_not_depend_on_worker_count(trials):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
     _set_cpus(monkeypatch, workers)
-    args = (np.arange(4.0), np.ones(4), 4 * BLOCK + 1, 0)  # five blocks
-    blocks = list(mixture_blocks(*args, sd=1.0))
+    args = (np.arange(4.0), np.ones(4), 1.0, 4 * BLOCK + 1, 0)  # five blocks
+    blocks = list(gaussian_blocks(*args))
     started = []
 
     def reduce(x, fail=None):
@@ -489,7 +511,7 @@ def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
         return b
 
     before = threading.active_count()
-    stream = mixture_blocks(*args, sd=1.0, reduce=reduce)
+    stream = gaussian_blocks(*args, reduce=reduce)
     assert next(stream) == 0
     stream.close()
     assert threading.active_count() == before
@@ -497,8 +519,7 @@ def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
 
     started.clear()
     with pytest.raises(ValueError, match="block 2"):
-        for _ in mixture_blocks(*args, sd=1.0,
-                                reduce=lambda x: reduce(x, fail=2)):
+        for _ in gaussian_blocks(*args, reduce=lambda x: reduce(x, fail=2)):
             pass
     assert threading.active_count() == before
     assert 2 in started and max(started) <= 2 + workers
@@ -535,12 +556,13 @@ def test_package_functions_run_on_the_main_thread(monkeypatch):
     state = coherent_state(FockSpace(16), 1.0)
     estimators.compare_schemes(state, 2.0, 3 * BLOCK, 5)
     estimators.run_plan(TrialPlan(LinearAmp(2.0), state, _het(0.8), 3 * BLOCK, 5))
-    # a non-coherent input takes the Husimi grid
+    # a non-coherent input takes the rejection sampler, whose acceptance
+    # tables are built here and read by closures on the workers
     estimators.run_plan(TrialPlan(LinearAmp(2.0), fock_state(FockSpace(16), 1),
                                   _het(0.8), 3 * BLOCK, 5))
     names = {name for name, _ in calls}
-    assert {"compare_schemes", "run_plan", "husimi_values", "_linear_blocks",
-            "gaussian_blocks", "mixture_blocks"} <= names
+    assert {"compare_schemes", "run_plan", "_linear_blocks", "gaussian_blocks",
+            "husimi_blocks", "_husimi_proposal", "log_factorials"} <= names
     assert all(t is threading.main_thread() for _, t in calls)
     assert any(t is not threading.main_thread() for _, t in reductions)
 

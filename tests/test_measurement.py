@@ -1,5 +1,6 @@
 """Measurement tests: detector elements, effective POVMs, regions, sampling."""
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,17 +9,18 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
                      ThreeModeAmp, TwoModeNormalAmp, VonNeumannAmp,
                      Meter, coherent_state, effective_povm_closed_form,
                      effective_povm_numeric, fock_state, normal_decompose,
-                     number_op, own_region_weights, sample_outcomes,
+                     number_op, own_region_weights, sample_outcomes, tensor,
                      vacuum_state)
 from fockamp import measurement, oracles
-from fockamp.errors import CoverageError, FockampError, TruncationError
+from fockamp.errors import (CoverageError, DimensionMismatch, FockampError,
+                            TruncationError)
 from fockamp.amplifiers import meter_dim_for
-from fockamp.fock import State, quadrature_amplitudes
-from fockamp.measurement import (_default_ygrid, _heterodyne_expectations,
-                                 _region_masses, husimi_values, povm_meters)
+from fockamp.fock import State, _coherent_amplitudes, log_factorials
+from fockamp.measurement import (_heterodyne_expectations, _region_masses,
+                                 povm_meters)
 from fockamp.oracles import (heterodyne_element, homodyne_element,
-                             three_mode_unitary, two_mode_unitary,
-                             von_neumann_unitary)
+                             husimi_values, three_mode_unitary,
+                             two_mode_unitary, von_neumann_unitary)
 
 
 def povm_meter_dims(amp):
@@ -551,119 +553,122 @@ def test_coverage_error_for_narrow_imaginary_extent():
 # ---------------------------------------------------------------------------
 
 def sample_outcome(state, detector, seed):
-    """Single outcome; complex for heterodyne, real for homodyne."""
-    out = sample_outcomes(state, detector, 1, seed)[0]
-    return complex(out) if detector.kind == "heterodyne" else float(np.real(out))
-
-
-def smeared_position_density(state, sigma2, xs):
-    """q(x) convolved with the homodyne noise kernel (analytic oracle)."""
-    y = _default_ygrid(xs, sigma2)
-    step = y[1] - y[0]
-    q = np.abs(quadrature_amplitudes(state, y)) ** 2 if state.kind == "ket" \
-        else np.real(quadrature_amplitudes(state, y))
-    if sigma2 == 0.0:
-        return np.interp(xs, y, q)
-    out = np.empty_like(np.asarray(xs, dtype=float))
-    for i, xv in enumerate(np.asarray(xs, dtype=float)):
-        k = np.exp(-((xv - y) ** 2) / sigma2) / math.sqrt(math.pi * sigma2)
-        out[i] = float(np.sum(k * q) * step)
-    return out
+    """Single heterodyne outcome."""
+    return complex(sample_outcomes(state, detector, 1, seed)[0])
 
 
 @pytest.mark.parametrize("kind", ["coherent", "fock"])
 def test_heterodyne_grid_memory_is_bounded(kind, monkeypatch):
-    # a coherent input is sampled without a grid; a non-coherent one at dim
-    # 64 takes the 231,361-point Husimi grid, evaluated in blocks, not
-    # through one dim x grid overlap matrix (~237 MB)
+    # traced peak of the two heterodyne routes at dim 64, 1 and 4 workers:
+    # a coherent input is one Gaussian, Fock 1 takes the rejection sampler,
+    # whose proposals and acceptance table are built in chunks
     import tracemalloc
     sp = FockSpace(64)
     st = coherent_state(sp, 1.0) if kind == "coherent" else fock_state(sp, 1)
-    calls = []
-    monkeypatch.setattr(measurement, "husimi_values",
-                        lambda *a: calls.append(1) or husimi_values(*a))
-    tracemalloc.start()
-    try:
-        sample_outcomes(st, DetectorSpec("heterodyne", 1.0), 1000, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert bool(calls) == (kind == "fock")
-    assert peak < 64 * 2 ** 20
-
-
-def _coherent_overlap_matrix(dim, betas):
-    # reference: C[n, j] = <n|beta_j> = e^{-|b|^2/2} b^n / sqrt(n!), cumulative
-    c = np.zeros((dim, betas.shape[0]), dtype=complex)
-    c[0] = np.exp(-0.5 * np.abs(betas) ** 2)
-    for n in range(1, dim):
-        c[n] = c[n - 1] * betas / math.sqrt(n)
-    return c
+    for workers in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(workers)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        tracemalloc.start()
+        try:
+            means = list(measurement.detector_blocks(
+                st, DetectorSpec("heterodyne", 1.0), 1_000_000, 0,
+                reduce=lambda x: float(np.mean(np.abs(x) ** 2))))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(np.mean(means) - 2.0) < 0.01  # E|beta|^2 = 2, se 0.0014
+        assert peak < 64 * 2 ** 20
 
 
 def test_husimi_values_match_overlap_matrix():
+    # the dense oracle against one coherent ket per beta
     rng = np.random.default_rng(3)
-    # more betas than one recurrence block, reaching past the states' support
-    betas = 3.0 * (rng.normal(size=measurement.HUSIMI_BLOCK + 905)
-                   + 1j * rng.normal(size=measurement.HUSIMI_BLOCK + 905))
+    betas = 3.0 * (rng.normal(size=300) + 1j * rng.normal(size=300))
     sp = FockSpace(64)
+    c = np.array([_coherent_amplitudes(64, b) for b in betas]).T  # <n|beta>
     ket = coherent_state(sp, 1.0 + 0.5j)
-    c = _coherent_overlap_matrix(64, betas)
     want = np.abs(c.conj().T @ ket.data) ** 2 / math.pi
     assert np.abs(husimi_values(ket, betas) - want).max() < 1e-15
-    # a density goes through its eigendecomposition: full rank and rank 3
+    # full rank and rank 3 densities, and a pure density as its ket
     x = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     for a in (x, x[:, :3]):
         rho = a @ a.conj().T
         st = State(sp, "density", rho / np.trace(rho).real)
         want = np.real(np.einsum("mg,mn,ng->g", c.conj(), st.data, c)) / math.pi
         assert np.abs(husimi_values(st, betas) - want).max() < 1e-15
-    # a pure density reads the same as its ket
     assert np.abs(husimi_values(ket.to_density(), betas)
                   - husimi_values(ket, betas)).max() < 1e-15
 
 
-def test_husimi_values_refuse_underflow():
-    # the overlaps start at e^{-|beta|^2/2}, subnormal past |beta|^2 ~ 1416:
-    # unguarded, coherent(38) read Q(38.5) = 0.2565 (true 0.2479) and
-    # coherent(39) read Q(39) = 0 (true 1/pi)
-    sp = FockSpace(3000)
-    for alpha, beta in ((38.0, 38.5), (39.0, 39.0)):
-        with pytest.raises(TruncationError, match="underflow"):
-            husimi_values(coherent_state(sp, alpha), np.array([beta]))
-    # the sampler checks its grid corners before it builds the grid
-    with pytest.raises(TruncationError, match="underflow"):
-        sample_outcomes(fock_state(sp, 1400), DetectorSpec("heterodyne", 1.0),
-                        10, 0)
-    # a coherent input is sampled without the grid, so nothing underflows
-    out = sample_outcomes(coherent_state(sp, 38.0), DetectorSpec("heterodyne", 1.0),
-                          1000, 0)
+def _random_state(rank, seed):
+    # a random ket (rank 1) or rank-r density on 15 of 16 levels
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(16, rank)) + 1j * rng.normal(size=(16, rank))
+    a[-1] = 0.0
+    if rank == 1:
+        return State(FockSpace(16), "ket", a[:, 0] / np.linalg.norm(a))
+    rho = a @ a.conj().T
+    return State(FockSpace(16), "density", rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_rejection_envelope_bounds_husimi_density(rank):
+    # the envelope sum_n W_n |<n|beta>|^2, W_n = sum_k p_k S_k |c_kn|, bounds
+    # pi Q(beta); the sampler accepts with their ratio, once per M = sum_k
+    # p_k S_k^2 proposals on average
+    st = _random_state(rank, 5)
+    if st.kind == "ket":
+        p, v = np.ones(1), st.data[:, None]
+    else:
+        p, v = np.linalg.eigh(st.data)
+        p, v = p[p > 1e-32], v[:, p > 1e-32]
+    s_k = np.abs(v).sum(axis=0)
+    w = np.abs(v) @ (p * s_k)
+    levels, prob, acceptance = measurement._husimi_proposal(st)
+    assert np.array_equal(levels, np.arange(15))
+    assert np.allclose(prob, w[:15] / w.sum(), rtol=1e-13, atol=0)
+
+    rng = np.random.default_rng(rank)
+    betas = 3.0 * (rng.normal(size=2000) + 1j * rng.normal(size=2000))
+    s = np.abs(betas) ** 2
+    n_beta = np.exp(np.multiply.outer(np.arange(16), np.log(s)) - s
+                    - log_factorials(16)[:, None])  # |<n|beta>|^2
+    target = math.pi * husimi_values(st, betas)
+    envelope = w @ n_beta
+    assert (target <= envelope * (1 + 1e-12)).all()
+    assert np.allclose(acceptance(s, betas / np.abs(betas)), target / envelope,
+                       rtol=1e-10, atol=1e-15)
+
+    k = 200_000
+    s = rng.standard_gamma(rng.choice(levels, k, p=prob) + 1.0)
+    accepted = rng.random(k) < acceptance(s, np.exp(2j * math.pi * rng.random(k)))
+    rate, se = accepted.mean(), accepted.std() / math.sqrt(k)
+    assert abs(rate - 1.0 / float(p @ s_k ** 2)) < 5 * se
+
+
+def test_heterodyne_draws_reach_high_levels():
+    # |<n|beta>| is scaled by its largest value over the levels, so nothing
+    # underflows near |beta|^2 = 1400: E|beta|^2 = <n> + 1
+    det = DetectorSpec("heterodyne", 1.0)
+    sp = FockSpace(1402)
+    pair = np.zeros(1402, complex)
+    pair[[1390, 1400]] = math.sqrt(0.5)
+    for st, want in ((fock_state(sp, 1400), 1401.0),
+                     (State(sp, "ket", pair), 1396.0)):
+        out = sample_outcomes(st, det, 1000, 0)
+        assert np.isfinite(out).all()
+        a2 = np.abs(out) ** 2
+        assert abs(a2.mean() - want) < 5 * a2.std() / math.sqrt(out.size)
+    # a coherent input is one Gaussian, at any amplitude
+    out = sample_outcomes(coherent_state(FockSpace(3000), 38.0), det, 1000, 0)
     assert abs(np.mean(out) - 38.0) < 0.1  # se 0.022 per axis
-    # without weight above level 1000, Q there is below roundoff: 0 is right
-    assert husimi_values(fock_state(FockSpace(1100), 5), np.array([40.0]))[0] == 0.0
-
-
-def test_husimi_guard_spares_benchmark_input(monkeypatch):
-    # the montecarlo linear input's dim 64: the grid corners reach
-    # |beta|^2 = 2 (8 + 4)^2 = 288, and no level lies above 1000
-    st = coherent_state(FockSpace(64), 1.0 + 0.5j)
-    assert husimi_values(st, np.array([40.0]))[0] == 0.0
-    # that coherent input skips the grid; a non-coherent one probes the
-    # corner before it builds the grid, and the guard lets it through
-    betas = []
-    monkeypatch.setattr(measurement, "husimi_values",
-                        lambda s, b: betas.append(np.asarray(b)) or husimi_values(s, b))
-    out = sample_outcomes(fock_state(FockSpace(64), 1),
-                          DetectorSpec("heterodyne", 0.8), 1000, 7)
-    assert np.isfinite(out).all()
-    assert betas[0].size == 1 and abs(abs(betas[0][0]) ** 2 - 288.0) < 1e-9
-    assert len(betas) == 2
 
 
 @pytest.mark.parametrize("kind", ["coherent", "fock"])
 def test_heterodyne_sampler_moments(kind):
-    # coherent(1) is sampled exactly, Fock 1 on the Husimi grid; both have
-    # E|beta|^2 = 2, and E Re beta is 1 and 0
+    # coherent(1) is one Gaussian, Fock 1 takes the rejection sampler; both
+    # have E|beta|^2 = 2, and E Re beta is 1 and 0
     sp = FockSpace(16)
     st = coherent_state(sp, 1.0) if kind == "coherent" else fock_state(sp, 1)
     mean = 1.0 if kind == "coherent" else 0.0
@@ -673,25 +678,6 @@ def test_heterodyne_sampler_moments(kind):
     a2 = np.abs(out) ** 2
     se2 = np.std(a2) / math.sqrt(out.size)
     assert abs(np.mean(a2) - 2.0) < 3 * se2
-
-
-def test_homodyne_sampler_vacuum_variance():
-    sp = FockSpace(12)
-    out = sample_outcomes(vacuum_state(sp), DetectorSpec("homodyne", 1.0),
-                          100000, 1)
-    var = np.var(out)
-    se = math.sqrt(2.0 / out.size) * var
-    assert abs(var - 0.5) < 3 * se + 1e-3
-
-
-def test_noisy_homodyne_sampler_variance():
-    sp = FockSpace(12)
-    out = sample_outcomes(vacuum_state(sp), DetectorSpec("homodyne", 0.5),
-                          100000, 2)
-    target = 0.5 + 0.25 / 2.0
-    var = np.var(out)
-    se = math.sqrt(2.0 / out.size) * var
-    assert abs(var - target) < 3 * se + 1e-3
 
 
 def test_sampler_determinism():
@@ -705,26 +691,9 @@ def test_sampler_determinism():
     assert not np.array_equal(a, sample_outcomes(st, d, 512, 8))
 
 
-def test_homodyne_histogram_total_variation():
-    # TV between the binned sample law and the smeared analytic density
-    sp = FockSpace(12)
-    st = fock_state(sp, 1)
-    det = DetectorSpec("homodyne", 0.8)
-    out = sample_outcomes(st, det, 100000, 3)
-    bins = np.arange(-8.0, 8.0 + 1e-9, 0.5)
-    hist, _ = np.histogram(out, bins=bins)
-    emp = hist / out.size
-    # bin masses integrated at fine resolution (50 points per bin)
-    fine = np.arange(-8.0, 8.0, 0.01) + 0.005
-    dens_fine = smeared_position_density(st, det.sigma2, fine)
-    dens = np.add.reduceat(dens_fine * 0.01, np.arange(0, fine.size, 50))
-    tv = 0.5 * np.abs(emp - dens).sum()
-    assert tv < 0.01
-
-
 @pytest.mark.parametrize("kind", ["coherent", "fock"])
 def test_heterodyne_marginal_total_variation(kind):
-    # coherent(0.7) is sampled exactly, Fock 1 on the Husimi grid
+    # coherent(0.7) is one Gaussian, Fock 1 takes the rejection sampler
     sp = FockSpace(12)
     st = coherent_state(sp, 0.7) if kind == "coherent" else fock_state(sp, 1)
     det = DetectorSpec("heterodyne", 1.0)
@@ -891,8 +860,18 @@ def test_sampler_rejects_cutoff_heavy_state():
     from fockamp import TruncationError
     sp = FockSpace(6)
     st = fock_state(sp, 5)  # all mass on the cutoff level
-    with pytest.raises(TruncationError):
-        sample_outcomes(st, DetectorSpec("homodyne", 1.0), 10, 0)
+    with pytest.raises(TruncationError, match="cutoff"):
+        sample_outcomes(st, DetectorSpec("heterodyne", 1.0), 10, 0)
+
+
+def test_sampler_refuses_homodyne_and_two_modes():
+    # no caller draws homodyne outcomes of a state; one mode at a time
+    sp = FockSpace(4)
+    with pytest.raises(ValueError, match="heterodyne"):
+        sample_outcomes(vacuum_state(sp), DetectorSpec("homodyne", 1.0), 10, 0)
+    with pytest.raises(DimensionMismatch):
+        sample_outcomes(tensor(vacuum_state(sp), vacuum_state(sp)),
+                        DetectorSpec("heterodyne", 1.0), 10, 0)
 
 
 def test_detector_variant_mismatch_rejected():
