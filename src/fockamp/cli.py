@@ -47,6 +47,10 @@ _GRID_KEYS = {"n_widths", "points_per_width"}
 _COMMANDS = {"verify", "noise-sweep", "povm", "estimate", "compare"}
 _VARIANTS = {"linear", "two_mode_normal", "von_neumann", "three_mode",
              "single_mode"}
+# the detector each estimator reads (see estimators.run_plan): the linear
+# scheme heterodynes mode a, the nonlinear ones homodyne the meter
+_ESTIMATE_DETECTOR = {"linear": "heterodyne", "two_mode_normal": "homodyne",
+                      "von_neumann": "homodyne"}
 
 
 def _reject_unknown(block: dict, allowed: set, path: str):
@@ -56,17 +60,26 @@ def _reject_unknown(block: dict, allowed: set, path: str):
                               else f"unknown key '{key}'")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass: not a number
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _as_float(value, path: str) -> float:
-    if not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"'{path}' must be a number")
     return float(value)
 
 
 def _as_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
     if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+            and all(_is_number(v) for v in value)):
         return complex(value[0], value[1])
     raise ConfigError(f"'{path}' must be a number or [re, im] pair")
 
@@ -90,14 +103,14 @@ def validate_config(cfg) -> dict:
     if variant not in _VARIANTS:
         raise ConfigError(f"'amplifier.variant' must be one of {sorted(_VARIANTS)}")
     g = ab.get("g", 2.0)
-    if not isinstance(g, (int, float)) or g <= 0:
+    if not _is_number(g) or g <= 0:
         raise ConfigError("'amplifier.g' must be a positive number")
     g_list = ab.get("g_list", [g])
     if (not isinstance(g_list, list) or not g_list
-            or any(not isinstance(v, (int, float)) or v <= 0 for v in g_list)):
+            or any(not _is_number(v) or v <= 0 for v in g_list)):
         raise ConfigError("'amplifier.g_list' must be a non-empty list of positive numbers")
     r = ab.get("r", 0.0)
-    if not isinstance(r, (int, float)) or r < 0:
+    if not _is_number(r) or r < 0:
         raise ConfigError("'amplifier.r' must be a number >= 0")
     fb = ab.get("f", {"kind": "a_dag_a"})
     if not isinstance(fb, dict):
@@ -113,7 +126,7 @@ def validate_config(cfg) -> dict:
     if fkind == "poly_x":
         coeffs = fb.get("coeffs", [0.0, 0.0, 1.0])
         if (not isinstance(coeffs, list) or not coeffs
-                or any(not isinstance(v, (int, float)) for v in coeffs)):
+                or any(not _is_number(v) for v in coeffs)):
             raise ConfigError("'amplifier.f.coeffs' must be a list of numbers")
         fres["coeffs"] = [float(v) for v in coeffs]
     mb = ab.get("meter", {"kind": "vacuum"})
@@ -141,7 +154,7 @@ def validate_config(cfg) -> dict:
     sres = {"kind": skind}
     if skind == "fock":
         n = sb.get("n")
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ConfigError("'input_state.n' must be an integer >= 0")
         sres["n"] = n
     if skind == "coherent":
@@ -159,9 +172,17 @@ def validate_config(cfg) -> dict:
     if dkind not in {"heterodyne", "homodyne"}:
         raise ConfigError("'detector.kind' must be heterodyne or homodyne")
     eff = db.get("efficiency", 1.0)
-    if not isinstance(eff, (int, float)) or not 0 < eff <= 1:
+    if not _is_number(eff) or not 0 < eff <= 1:
         raise ConfigError("'detector.efficiency' must be in (0, 1]")
     out["detector"] = {"kind": dkind, "efficiency": float(eff)}
+    if command == "estimate":
+        if variant not in _ESTIMATE_DETECTOR:
+            raise ConfigError("'amplifier.variant': estimate covers "
+                              + ", ".join(sorted(_ESTIMATE_DETECTOR)))
+        if dkind != _ESTIMATE_DETECTOR[variant]:
+            raise ConfigError(f"'detector.kind' must be "
+                              f"{_ESTIMATE_DETECTOR[variant]} for a {variant} "
+                              "estimate")
 
     dm = cfg.get("dims", {})
     if not isinstance(dm, dict):
@@ -169,19 +190,19 @@ def validate_config(cfg) -> dict:
     # meters are always auto-sized (see amplifiers.prepare_meters)
     _reject_unknown(dm, _DIMS_KEYS, "dims")
     signal = dm.get("signal", 8)
-    if not isinstance(signal, int) or signal < 2:
+    if not _is_int(signal) or signal < 2:
         raise ConfigError("'dims.signal' must be an integer >= 2")
     out["dims"] = {"signal": signal}
 
     trials = cfg.get("trials", 100000)
-    if not isinstance(trials, int) or trials < 2:
+    if not _is_int(trials) or trials < 2:
         raise ConfigError("'trials' must be an integer >= 2")
     if trials > TRIALS_MAX:
         raise ResourceLimit(f"'trials' = {trials} exceeds the run-time "
                             f"ceiling {TRIALS_MAX:.0e}")
     out["trials"] = trials
     seed = cfg.get("seed", 42)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("'seed' must be a nonnegative integer")
     out["seed"] = seed
 
@@ -191,9 +212,9 @@ def validate_config(cfg) -> dict:
     _reject_unknown(gb, _GRID_KEYS, "grid")
     nw = gb.get("n_widths", 5)
     ppw = gb.get("points_per_width", 4)
-    if not isinstance(nw, (int, float)) or nw <= 0:
+    if not _is_number(nw) or nw <= 0:
         raise ConfigError("'grid.n_widths' must be positive")
-    if not isinstance(ppw, int) or ppw < 1:
+    if not _is_int(ppw) or ppw < 1:
         raise ConfigError("'grid.points_per_width' must be an integer >= 1")
     out["grid"] = {"n_widths": float(nw), "points_per_width": ppw}
 

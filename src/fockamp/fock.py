@@ -524,8 +524,16 @@ def hermite_functions(nmax: int, xs: np.ndarray) -> np.ndarray:
     h[0] = np.pi ** -0.25 * np.exp(-xs * xs / 2.0)
     if nmax > 1:
         h[1] = np.sqrt(2.0) * xs * h[0]
-    for n in range(2, nmax):
-        h[n] = np.sqrt(2.0 / n) * xs * h[n - 1] - np.sqrt((n - 1.0) / n) * h[n - 2]
+    # h_n = sqrt(2/n) x h_{n-1} - sqrt((n-1)/n) h_{n-2}, in place: the rows
+    # are short when callers stream a grid, so per-row temporaries dominate
+    n = np.arange(2.0, nmax)
+    up, down = np.sqrt(2.0 / n).tolist(), np.sqrt((n - 1.0) / n).tolist()
+    tmp = np.empty_like(xs)
+    for k in range(2, nmax):
+        row = h[k]
+        np.multiply(xs, up[k - 2], out=row)
+        row *= h[k - 1]
+        row -= np.multiply(h[k - 2], down[k - 2], out=tmp)
     return h
 
 

@@ -34,6 +34,13 @@ from .fock import (FockSpace, SpectralDecomposition, State,
 
 HOMODYNE_YGRID_STEP = 0.005
 HOMODYNE_YGRID_RANGE = 10.0
+# homodyne quadrature points per Hermite table (see _homodyne_expectations);
+# sets the working set, not the result beyond roundoff
+Y_CHUNK = 2 ** 10
+_LOG_TINY = math.log(np.finfo(float).tiny)
+# |y| from which h_0(y) = pi^{-1/4} e^{-y^2/2} is below the smallest normal
+# float, ~37.6
+HERMITE_REACH = math.sqrt(2.0 * (math.log(math.pi ** -0.25) - _LOG_TINY))
 # trials per Monte Carlo block, the unit of the stream law (see _pooled);
 # memory is O(workers * BLOCK) whatever the trial count
 BLOCK = 2 ** 16
@@ -269,27 +276,71 @@ def _default_ygrid(xs, sigma2: float) -> np.ndarray:
     return np.linspace(-half, half, n)
 
 
-def _homodyne_kernel(x: float, sigma2: float, y: np.ndarray) -> np.ndarray:
-    """Trapezoid weights of the noise kernel K_sigma(x - y) on the grid ``y``."""
-    k = np.exp(-((float(x) - y) ** 2) / sigma2) / math.sqrt(math.pi * sigma2)
-    w = k * (y[1] - y[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+def _homodyne_kernel(xs, sigma2: float, y: np.ndarray, lo: int = 0,
+                     hi: int | None = None) -> np.ndarray:
+    """(rows, outcomes) trapezoid weights of the noise kernel K_sigma(x - y)
+    on rows lo:hi of the grid ``y``, one column per outcome x in ``xs``. The
+    end halves go on y[0] and y[-1] only, so the row blocks of a grid sum to
+    the weights of the whole grid."""
+    hi = y.shape[0] if hi is None else min(hi, y.shape[0])
+    arg = np.subtract.outer(y[lo:hi], np.atleast_1d(np.asarray(xs, dtype=float)))
+    arg *= arg
+    arg /= -sigma2
+    # exp is left at 0 where it would be subnormal (1e-308 of the peak):
+    # most of the table lies there, and exp takes a ~15x slower path on it
+    w = np.zeros_like(arg)
+    np.exp(arg, out=w, where=arg >= _LOG_TINY)
+    w /= math.sqrt(math.pi * sigma2)
+    w *= y[1] - y[0]
+    if lo == 0:
+        w[0] *= 0.5
+    if hi == y.shape[0]:
+        w[-1] *= 0.5
     return w
 
 
 def _homodyne_expectations(kets: np.ndarray, xs, sigma2: float) -> np.ndarray:
     """<chi_k|M_x|chi_k> for each outcome x (rows) and ket chi_k (columns).
 
-    Uses the quadrature of :func:`oracles.homodyne_element` on the position
-    densities |<y|chi_k>|^2, so no meter-space element is built.
+    The quadrature of :func:`oracles.homodyne_element` on the position
+    densities q_k(y) = |<y|chi_k>|^2, streamed over the grid of
+    :func:`_default_ygrid` in blocks of Y_CHUNK points: per block, one
+    Hermite table h, q = (Re chi @ h)^2 + (Im chi @ h)^2 (one real GEMM),
+    and q @ W, with W the block's rows of :func:`_homodyne_kernel`. At
+    sigma^2 = 0 the densities are read at the outcomes themselves, in the
+    same blocks. No meter-space element is built, and the working set is
+    O(d Y_CHUNK + Y_CHUNK n_outcomes) at any grid length.
+
+    h_0(y) = pi^{-1/4} e^{-y^2/2} leaves the normal float range at |y| >=
+    HERMITE_REACH, and every Hermite row with it; a grid that reaches there
+    raises TruncationError rather than lose the mass there.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if sigma2 == 0.0:
-        return (np.abs(kets @ hermite_functions(kets.shape[1], xs)) ** 2).T
-    y = _default_ygrid(xs, sigma2)
-    q = np.abs(kets @ hermite_functions(kets.shape[1], y)) ** 2
-    return np.array([q @ _homodyne_kernel(x, sigma2, y) for x in xs])
+    y = xs if sigma2 == 0.0 else _default_ygrid(xs, sigma2)
+    reach = float(np.abs(y).max())
+    if reach >= HERMITE_REACH:
+        raise TruncationError(
+            f"homodyne grid reaches |y| = {reach:.1f}; Hermite functions "
+            f"underflow past {HERMITE_REACH:.1f}")
+    parts = np.concatenate((kets.real, kets.imag))  # (Re chi; Im chi)
+    out = np.zeros((xs.shape[0], kets.shape[0]))
+    for lo in range(0, y.shape[0], Y_CHUNK):
+        q = _position_densities(parts, y[lo:lo + Y_CHUNK])
+        if sigma2 == 0.0:
+            out[lo:lo + Y_CHUNK] = q.T
+        else:
+            out += (q @ _homodyne_kernel(xs, sigma2, y, lo, lo + Y_CHUNK)).T
+    return out
+
+
+def _position_densities(parts: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|<y|chi_k>|^2 on the points ``y`` from the stacked real and imaginary
+    parts of the kets, by one real GEMM with a Hermite table of those points
+    (freed on return, so one table is alive at a time)."""
+    a = parts @ hermite_functions(parts.shape[1], y)
+    a *= a
+    n = parts.shape[0] // 2
+    return a[:n] + a[n:]
 
 
 def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,

@@ -284,7 +284,7 @@ def homodyne_element(x: float, sigma2: float, space: FockSpace) -> Operator:
         return Operator(space, np.outer(h, h).astype(complex))
     y = _default_ygrid(float(x), sigma2)
     h = hermite_functions(d, y)
-    m = (h * _homodyne_kernel(x, sigma2, y)) @ h.T
+    m = (h * _homodyne_kernel(x, sigma2, y)[:, 0]) @ h.T
     return Operator(space, m.astype(complex))
 
 

@@ -315,12 +315,12 @@ def _hettr():
 
 @check("homodyne elements resolve the identity")
 def _homres():
-    # sum_x M_x dx as _homodyne_expectations runs it: one Hermite table on
-    # the grid shared by every outcome, the kernel weights summed over x
+    # sum_x M_x dx on the grid and kernel weights of _homodyne_expectations,
+    # which streams that grid in Y_CHUNK blocks; 12 levels fit one table
     xs = np.arange(-8.0, 8.0 + 1e-9, 0.05)
     y = meas._default_ygrid(xs, 0.25)
     h = hermite_functions(12, y)
-    w = sum(meas._homodyne_kernel(x, 0.25, y) for x in xs) * 0.05
+    w = meas._homodyne_kernel(xs, 0.25, y).sum(axis=1) * 0.05
     return _ok(float(np.abs((h * w) @ h.T - np.eye(12)).max()), 1e-4)
 
 

@@ -72,6 +72,54 @@ def test_non_numeric_config_values_rejected(tmp_path, cfg, path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("cfg, path", [
+    ({"amplifier": {"variant": "linear", "g": True}}, "amplifier.g"),
+    ({"amplifier": {"variant": "linear", "g_list": [2.0, True]}},
+     "amplifier.g_list"),
+    ({"amplifier": {"variant": "linear",
+                    "meter": {"kind": "squeezed", "r": True}}},
+     "amplifier.meter.r"),
+    ({"input_state": {"kind": "fock", "n": True}}, "input_state.n"),
+    ({"input_state": {"kind": "coherent", "alpha": [0.5, True]},
+      "dims": {"signal": 16}}, "input_state.alpha"),
+    ({"detector": {"kind": "heterodyne", "efficiency": True}},
+     "detector.efficiency"),
+    ({"grid": {"points_per_width": True}}, "grid.points_per_width"),
+    ({"seed": True}, "seed"),
+], ids=["g", "g_list", "meter_r", "fock_n", "alpha", "efficiency",
+        "points_per_width", "seed"])
+def test_json_booleans_are_not_numbers(tmp_path, cfg, path):
+    # true loads as a bool, an int subclass; it must not run as 1
+    cfg = {"command": "noise-sweep", "amplifier": {"variant": "linear"}, **cfg}
+    with pytest.raises(ConfigError, match=f"'{path}'"):
+        validate_config(cfg)
+    proc = run_cli(tmp_path, cfg)
+    assert proc.returncode == 2
+    assert path in proc.stderr
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("variant, kind", [
+    ("linear", "homodyne"), ("two_mode_normal", "heterodyne"),
+    ("von_neumann", "heterodyne"), ("three_mode", "homodyne"),
+    ("single_mode", "homodyne"),
+])
+def test_estimate_needs_the_detector_its_estimator_reads(tmp_path, variant,
+                                                         kind):
+    # named at validation (exit 2), not a ValueError or TypeError traceback
+    # from the estimator (exit 1)
+    cfg = {"command": "estimate", "amplifier": {"variant": variant},
+           "detector": {"kind": kind}, "dims": {"signal": 4}, "trials": 100}
+    path = "amplifier.variant" if variant in ("three_mode", "single_mode") \
+        else "detector.kind"
+    with pytest.raises(ConfigError, match=f"'{path}'"):
+        validate_config(cfg)
+    proc = run_cli(tmp_path, cfg)
+    assert proc.returncode == 2
+    assert path in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_nonpositive_gain_rejected(tmp_path):
     proc = run_cli(tmp_path, {"command": "noise-sweep",
                               "amplifier": {"variant": "linear", "g": -1.0}})

@@ -443,3 +443,20 @@ def test_hermite_recurrence_stable_at_high_order():
     gram = (h2 * 0.002) @ h2.T
     assert abs(gram[39, 39] - 1.0) < 1e-6
     assert abs(gram[39, 37]) < 1e-6
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 3, 300])
+def test_hermite_table_matches_plain_recurrence_bit_for_bit(nmax):
+    # the in-place recurrence does the plain formula's arithmetic in its
+    # order, and every point on its own, so any block of points is a block
+    # of the table
+    xs = np.random.default_rng(nmax).uniform(-30.0, 30.0, 257)
+    ref = np.zeros((nmax, xs.size))
+    ref[0] = np.pi ** -0.25 * np.exp(-xs * xs / 2.0)
+    if nmax > 1:
+        ref[1] = np.sqrt(2.0) * xs * ref[0]
+    for n in range(2, nmax):
+        ref[n] = np.sqrt(2.0 / n) * xs * ref[n - 1] \
+            - np.sqrt((n - 1.0) / n) * ref[n - 2]
+    assert np.array_equal(hermite_functions(nmax, xs), ref)
+    assert np.array_equal(hermite_functions(nmax, xs[100:131]), ref[:, 100:131])

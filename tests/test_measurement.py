@@ -188,6 +188,67 @@ def test_homodyne_element_grid_follows_the_outcome():
         assert abs(dens - target) < 1e-8
 
 
+def _random_kets(n, d, seed):
+    rng = np.random.default_rng(seed)
+    kets = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("sigma2", [0.25, 0.0])
+@pytest.mark.parametrize("layout", ["under_one_chunk", "four_chunks",
+                                    "three_chunks_and_one"])
+def test_streamed_homodyne_matches_dense_oracle(monkeypatch, layout, sigma2):
+    # the end halves of the trapezoid rule sit on the grid's ends only, so
+    # the blocks add up to the dense sandwich wherever the chunks fall; at
+    # sigma^2 = 0 the blocks run over the outcomes
+    xs = np.linspace(-4.0, 12.0, 28)
+    n = xs.size if sigma2 == 0.0 else measurement._default_ygrid(xs, sigma2).size
+    assert n % 4 == 0 and (n - 1) % 3 == 0  # 28 outcomes; 5932 grid points
+    chunk = {"under_one_chunk": n + 1, "four_chunks": n // 4,
+             "three_chunks_and_one": (n - 1) // 3}[layout]
+    monkeypatch.setattr(measurement, "Y_CHUNK", chunk)
+    kets = _random_kets(3, 40, 5)
+    got = measurement._homodyne_expectations(kets, xs, sigma2)
+    sp = FockSpace(40)
+    want = np.array([[np.vdot(k, homodyne_element(float(x), sigma2, sp).matrix @ k).real
+                      for k in kets] for x in xs])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_homodyne_expectations_memory_is_bounded():
+    # one Hermite table of Y_CHUNK points at a time: a 1024-level meter and
+    # 200 outcomes trace 8.6 MB; the whole (d x 5131) table and its complex
+    # copy traced 126 MB
+    import tracemalloc
+    kets = _random_kets(4, 1024, 3)
+    xs = np.linspace(-10.0, 10.0, 200)
+    tracemalloc.start()
+    try:
+        out = measurement._homodyne_expectations(kets, xs, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (200, 4)
+    assert peak <= 16e6, peak / 1e6
+
+
+def test_homodyne_grid_past_hermite_range_raises():
+    # at g = 16 the outcomes reach g (3 + 5 w) ~ 53, where h_0(y) = 0 in
+    # floating point; the grid lost the POVM mass there (deviation from the
+    # closed form 8.0, identity residual 1.0) without a word
+    g = 16.0
+    amp = VonNeumannAmp(number_op(FockSpace(4)), g, Meter("vacuum"))
+    det = DetectorSpec("homodyne", 0.5)
+    closed = effective_povm_closed_form(normal_decompose(amp.f), g,
+                                        det.sigma2, "homodyne")
+    w = math.sqrt(closed.width2)
+    outcomes = np.arange(-5 * w, 3 + 5 * w + 1e-9, w / 4)
+    with pytest.raises(TruncationError, match="Hermite"):
+        effective_povm_numeric(amp, det, outcomes)
+    with pytest.raises(TruncationError, match="Hermite"):
+        measurement._homodyne_expectations(np.eye(1, 8), [40.0], 0.0)
+
+
 # ---------------------------------------------------------------------------
 # effective POVMs
 # ---------------------------------------------------------------------------
