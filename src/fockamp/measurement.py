@@ -299,17 +299,9 @@ def _homodyne_kernel(xs, sigma2: float, y: np.ndarray, lo: int = 0,
     return w
 
 
-def _homodyne_expectations(kets: np.ndarray, xs, sigma2: float) -> np.ndarray:
-    """<chi_k|M_x|chi_k> for each outcome x (rows) and ket chi_k (columns).
-
-    The quadrature of :func:`oracles.homodyne_element` on the position
-    densities q_k(y) = |<y|chi_k>|^2, streamed over the grid of
-    :func:`_default_ygrid` in blocks of Y_CHUNK points: per block, one
-    Hermite table h, q = (Re chi @ h)^2 + (Im chi @ h)^2 (one real GEMM),
-    and q @ W, with W the block's rows of :func:`_homodyne_kernel`. At
-    sigma^2 = 0 the densities are read at the outcomes themselves, in the
-    same blocks. No meter-space element is built, and the working set is
-    O(d Y_CHUNK + Y_CHUNK n_outcomes) at any grid length.
+def _homodyne_grid(xs, sigma2: float) -> np.ndarray:
+    """Quadrature points of :func:`_homodyne_expectations` for the outcomes
+    ``xs``: the outcomes themselves at sigma^2 = 0, else :func:`_default_ygrid`.
 
     h_0(y) = pi^{-1/4} e^{-y^2/2} leaves the normal float range at |y| >=
     HERMITE_REACH, and every Hermite row with it; a grid that reaches there
@@ -322,6 +314,24 @@ def _homodyne_expectations(kets: np.ndarray, xs, sigma2: float) -> np.ndarray:
         raise TruncationError(
             f"homodyne grid reaches |y| = {reach:.1f}; Hermite functions "
             f"underflow past {HERMITE_REACH:.1f}")
+    return y
+
+
+def _homodyne_expectations(kets: np.ndarray, xs, sigma2: float) -> np.ndarray:
+    """<chi_k|M_x|chi_k> for each outcome x (rows) and ket chi_k (columns).
+
+    The quadrature of :func:`oracles.homodyne_element` on the position
+    densities q_k(y) = |<y|chi_k>|^2, streamed over the grid of
+    :func:`_homodyne_grid` (which refuses one past HERMITE_REACH) in blocks
+    of Y_CHUNK points: per block, one Hermite table h,
+    q = (Re chi @ h)^2 + (Im chi @ h)^2 (one real GEMM), and q @ W, with W
+    the block's rows of :func:`_homodyne_kernel`. At
+    sigma^2 = 0 the densities are read at the outcomes themselves, in the
+    same blocks. No meter-space element is built, and the working set is
+    O(d Y_CHUNK + Y_CHUNK n_outcomes) at any grid length.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    y = _homodyne_grid(xs, sigma2)
     parts = np.concatenate((kets.real, kets.imag))  # (Re chi; Im chi)
     out = np.zeros((xs.shape[0], kets.shape[0]))
     for lo in range(0, y.shape[0], Y_CHUNK):
@@ -390,6 +400,9 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     table = meter_table(amp)
     expectations, jacobian = (_heterodyne_expectations, g * g) if heterodyne \
         else (_homodyne_expectations, g)
+    if not heterodyne:  # a refused grid costs no meter build
+        for _, part in table:
+            _homodyne_grid(g * part(outcomes), sig2)
     weights = 1.0
     meters = meters or prepare_meters(amp, drive, dims)
     for (_, part), (meter, rows) in zip(table, meters):

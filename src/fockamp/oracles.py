@@ -174,9 +174,11 @@ def three_mode_columns(f: Operator, g: float, dims: tuple[int, int, int],
     """Columns W[:, :ka, :kb, :kc] of :func:`three_mode_unitary`, shape dims + keep.
 
     W is assembled in the joint eigenbasis Va (x) Vb (x) Vc of (f, p_b, p_c):
-    the phase table times the conjugated kept rows of each factor, then one
-    mode product per factor. The composite-space basis is never formed, so
-    the cost and memory scale with the kept columns, not with dim^2.
+    the phase table is taken through one mode product per factor, c, then b,
+    then a, each with that factor's projector columns V V[:k]^H. Every
+    intermediate is smaller than the output, which the last product writes
+    in place, so the working set is the size of the kept columns; the
+    composite-space basis is never formed.
     """
     da, db, dc = dims
     if f.space.dim != da:
@@ -195,10 +197,12 @@ def three_mode_columns(f: Operator, g: float, dims: tuple[int, int, int],
     fi = np.sqrt(2.0) * np.imag(dec.eigenvalues)
     phase = np.exp(-1j * g * (fr[:, None, None] * wb[None, :, None]
                               + fi[:, None, None] * wc[None, None, :]))
-    rows = np.einsum("ijk,xi,yj,zk->ijkxyz", phase, va[:ka].conj(),
-                     vb[:kb].conj(), vc[:kc].conj())
-    return np.einsum("ai,bj,ck,ijkxyz->abcxyz", va, vb, vc, rows,
-                     optimize=True)
+    t = np.einsum("ijk,czk->ijcz", phase, vc[:, None] * vc[None, :kc].conj())
+    t = np.einsum("byj,ijcz->ibcyz", vb[:, None] * vb[None, :kb].conj(), t)
+    out = np.empty(tuple(dims) + tuple(keep), dtype=complex)
+    np.einsum("axi,ibcyz->abcxyz", va[:, None] * va[None, :ka].conj(), t,
+              out=out)
+    return out
 
 
 def three_mode_unitary(f: Operator, g: float,

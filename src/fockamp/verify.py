@@ -227,24 +227,26 @@ def _vnrel():
 def _tm3():
     # (W^H X W)[R, R] = W[:, R]^H X W[:, R]: only the guarded columns R of W
     # are built; the guard is sized to the conditional displacement, not the
-    # 1/4 rule
+    # 1/4 rule. X leaves mode a alone, so the sandwich is a sum over the
+    # mode-a row blocks C_a of W[:, R], one block and one part at a time
     sp = FockSpace(5)
     f = Operator(sp, number_op(sp).matrix + 0.3j * np.eye(5))
     g, keep = 0.7, (3, 6, 6)
     cols = oracles.three_mode_columns(f, g, (5, 24, 24), keep)
-    w = cols.reshape(-1, math.prod(keep))
+    k = math.prod(keep)
     fr, fi = amp.real_imag_parts(f)
     x = quadrature_ops(FockSpace(24))[0].matrix
     one, xg = np.eye(6), x[:6, :6]
     res = 0.0
-    for xw, meters, part in (
-            (np.einsum("mn,anc...->amc...", x, cols, optimize=True),
-             np.kron(xg, one), fr),
-            (np.einsum("mn,abn...->abm...", x, cols, optimize=True),
-             np.kron(one, xg), fi)):
+    for mode, meters, part in ((1, np.kron(xg, one), fr),
+                               (2, np.kron(one, xg), fi)):
         want = np.kron(np.eye(3), meters) + g * np.kron(part.matrix[:3, :3],
                                                         np.eye(36))
-        lhs = w.conj().T @ xw.reshape(w.shape)
+        lhs = np.zeros((k, k), dtype=complex)
+        for c in cols:
+            # C_a viewed as (b, rest), x acts on mode b; as (b, c, rest), on c
+            xc = x @ c.reshape(c.shape[:mode] + (-1,))
+            lhs += c.reshape(-1, k).conj().T @ xc.reshape(-1, k)
         res = max(res, float(np.abs(lhs - want).max()))
     return _ok(res, 1e-6)
 
@@ -316,11 +318,15 @@ def _hettr():
 @check("homodyne elements resolve the identity")
 def _homres():
     # sum_x M_x dx on the grid and kernel weights of _homodyne_expectations,
-    # which streams that grid in Y_CHUNK blocks; 12 levels fit one table
+    # summed over the outcomes in the Y_CHUNK row blocks that function
+    # streams (row sums do not depend on the blocking); 12 levels fit one
+    # Hermite table
     xs = np.arange(-8.0, 8.0 + 1e-9, 0.05)
     y = meas._default_ygrid(xs, 0.25)
     h = hermite_functions(12, y)
-    w = meas._homodyne_kernel(xs, 0.25, y).sum(axis=1) * 0.05
+    w = np.concatenate([
+        meas._homodyne_kernel(xs, 0.25, y, lo, lo + meas.Y_CHUNK).sum(axis=1)
+        for lo in range(0, y.shape[0], meas.Y_CHUNK)]) * 0.05
     return _ok(float(np.abs((h * w) @ h.T - np.eye(12)).max()), 1e-4)
 
 

@@ -6,11 +6,12 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from fockamp import ConfigError, ResourceLimit
+from fockamp import ConfigError, ResourceLimit, verify
 from fockamp.cli import TRIALS_MAX, validate_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -222,21 +223,35 @@ def test_verify_times_each_check_on_stderr(tmp_path):
     assert timings[-1] == "total"
 
 
-def test_verify_three_mode_check_memory_is_bounded():
-    # the check builds only the 108 guarded columns of the 2880-dim W; the
-    # dense W alone would take 133 MB
-    import tracemalloc
-    from fockamp import verify
-    fn = dict(verify.CHECKS)["three-mode meter relations"]
+def _traced_check(name):
+    """(ok, detail, traced peak in bytes) of one verify check."""
+    fn = dict(verify.CHECKS)[name]
     tracemalloc.start()
     try:
         ok, detail = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return ok, detail, peak
+
+
+def test_verify_three_mode_check_memory_is_bounded():
+    # the check builds only the 108 guarded columns of the 2880-dim W (4.7
+    # MiB) one mode product at a time, and sandwiches one mode-a block of
+    # them at a time; the dense W alone would take 133 MB
+    ok, detail, peak = _traced_check("three-mode meter relations")
     assert ok
     assert detail == "residual 8.646e-08 (tol 1.0e-06)"
-    assert peak < 64 * 2 ** 20
+    assert peak < 12 * 2 ** 20
+
+
+@pytest.mark.parametrize("name", [name for name, _ in verify.CHECKS])
+def test_every_verify_check_memory_is_bounded(name):
+    # each check's working set is about the size of its own output, so no
+    # check sets the peak of the verify run
+    ok, detail, peak = _traced_check(name)
+    assert ok, detail
+    assert peak < 12 * 2 ** 20, peak / 2 ** 20
 
 
 def test_verify_surfaces_nonnormal_signal(tmp_path):

@@ -11,7 +11,7 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
                      effective_povm_numeric, fock_state, normal_decompose,
                      number_op, own_region_weights, sample_outcomes, tensor,
                      vacuum_state)
-from fockamp import measurement, oracles
+from fockamp import amplifiers, measurement, oracles
 from fockamp.errors import (CoverageError, DimensionMismatch, FockampError,
                             TruncationError)
 from fockamp.amplifiers import meter_dim_for
@@ -232,10 +232,19 @@ def test_homodyne_expectations_memory_is_bounded():
     assert peak <= 16e6, peak / 1e6
 
 
-def test_homodyne_grid_past_hermite_range_raises():
+def test_homodyne_grid_past_hermite_range_raises(monkeypatch):
     # at g = 16 the outcomes reach g (3 + 5 w) ~ 53, where h_0(y) = 0 in
     # floating point; the grid lost the POVM mass there (deviation from the
-    # closed form 8.0, identity residual 1.0) without a word
+    # closed form 8.0, identity residual 1.0) without a word. The grid is
+    # refused before any meter is displaced (2916 levels at this gain)
+    calls = []
+    displace = amplifiers.displaced_meter_ket
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return displace(*args, **kwargs)
+
+    monkeypatch.setattr(amplifiers, "displaced_meter_ket", counted)
     g = 16.0
     amp = VonNeumannAmp(number_op(FockSpace(4)), g, Meter("vacuum"))
     det = DetectorSpec("homodyne", 0.5)
@@ -245,6 +254,7 @@ def test_homodyne_grid_past_hermite_range_raises():
     outcomes = np.arange(-5 * w, 3 + 5 * w + 1e-9, w / 4)
     with pytest.raises(TruncationError, match="Hermite"):
         effective_povm_numeric(amp, det, outcomes)
+    assert calls == []
     with pytest.raises(TruncationError, match="Hermite"):
         measurement._homodyne_expectations(np.eye(1, 8), [40.0], 0.0)
 

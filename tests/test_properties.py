@@ -22,24 +22,26 @@ predicted output moments against simulated ones for squeezed, Gaussian and
 vacuum meters on mixed inputs.
 :func:`normal_decompose` is checked against ``scipy.linalg.schur`` on random
 normal operators whose spectra hold equal, nearly equal (1e-7 apart) and
-repeated real parts.
+repeated real parts. The three-mode column builder is checked against the
+kept columns of ``scipy.linalg.expm`` of the full generator on small random
+dims, keeps, gains and normal f.
 """
 import warnings
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import schur
+from scipy.linalg import expm, schur
 
 from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      ThreeModeAmp, TwoModeNormalAmp, VACUUM, VonNeumannAmp,
                      annihilation_op, effective_povm_closed_form,
                      effective_povm_numeric, normal_decompose,
-                     predict_output_moments, quadrature_ops,
+                     predict_output_moments, quadrature_ops, real_imag_parts,
                      simulate_output_state, simulated_output_moments, tensor)
 from fockamp.amplifiers import _mode_quad_moments, displaced_meter_ket
 from fockamp.estimators import _Moments
-from fockamp.oracles import (embed, three_mode_unitary, two_mode_unitary,
-                             von_neumann_unitary)
+from fockamp.oracles import (embed, three_mode_columns, three_mode_unitary,
+                             two_mode_unitary, von_neumann_unitary)
 
 METER_DIM = 20
 unit = st.floats(-1.0, 1.0)
@@ -232,6 +234,39 @@ def test_numeric_povm_grid_covering_outcomes_resolves_identity(case):
         grid = effective_povm_numeric(spec, det, pts)
         grid.measure = measure
         assert grid.identity_residual() < 1e-11
+
+
+@st.composite
+def three_mode_cases(draw):
+    """A normal f on da = 2..5 levels (complex spectrum on a 0.001 grid,
+    drawn first, then a random eigenbasis), meter dims 4..10, any keep and
+    g in [0, 1]."""
+    dims = (draw(st.integers(2, 5)), draw(st.integers(4, 10)),
+            draw(st.integers(4, 10)))
+    da = dims[0]
+    lam = _complex(draw(st.lists(grid_unit, min_size=2 * da, max_size=2 * da)))
+    q, _ = np.linalg.qr(_complex(draw(st.lists(
+        grid_unit, min_size=2 * da * da, max_size=2 * da * da))).reshape(da, da))
+    keep = tuple(draw(st.integers(1, d)) for d in dims)
+    g = draw(st.floats(0.0, 1.0))
+    return Operator(FockSpace(da), (q * lam) @ q.conj().T), g, dims, keep
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(three_mode_cases())
+def test_three_mode_columns_match_expm(case):
+    f, g, dims, keep = case
+    _, db, dc = dims
+    fr, fi = real_imag_parts(f)
+    pb = quadrature_ops(FockSpace(db))[1].matrix
+    pc = quadrature_ops(FockSpace(dc))[1].matrix
+    h = g * (np.kron(np.kron(fr.matrix, pb), np.eye(dc))
+             + np.kron(np.kron(fi.matrix, np.eye(db)), pc))
+    want = expm(-1j * h).reshape(dims + dims)
+    want = want[..., :keep[0], :keep[1], :keep[2]]
+    cols = three_mode_columns(f, g, dims, keep)
+    assert cols.shape == dims + keep
+    assert np.abs(cols - want).max() < 1e-12
 
 
 @st.composite
