@@ -42,6 +42,9 @@ def test_unknown_nested_key_rejected(tmp_path):
                               "amplifier": {"variant": "linear", "gane": 2}})
     assert proc.returncode == 2
     assert "amplifier.gane" in proc.stderr
+    # a dotted key names no field, even when its text is a field's path
+    with pytest.raises(ConfigError, match="unknown key 'amplifier.g'"):
+        validate_config({"command": "verify", "amplifier.g": 3.0})
 
 
 @pytest.mark.parametrize("key", ["meter", "meter_c"])
@@ -121,6 +124,84 @@ def test_estimate_needs_the_detector_its_estimator_reads(tmp_path, variant,
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, amplifier, kind, path", [
+    ("povm", {"variant": "linear"}, "heterodyne", "amplifier.variant"),
+    ("povm", {"variant": "single_mode"}, "homodyne", "amplifier.variant"),
+    ("povm", {"variant": "two_mode_normal"}, "homodyne", "detector.kind"),
+    ("povm", {"variant": "von_neumann"}, "heterodyne", "detector.kind"),
+    ("povm", {"variant": "three_mode"}, "heterodyne", "detector.kind"),
+    ("noise-sweep", {"variant": "single_mode"}, "heterodyne",
+     "amplifier.variant"),
+    ("estimate", {"variant": "linear", "meter": {"kind": "squeezed", "r": 0.5}},
+     "heterodyne", "amplifier.meter.kind"),
+], ids=["povm_linear", "povm_single_mode", "povm_two_mode_homodyne",
+        "povm_von_neumann_heterodyne", "povm_three_mode_heterodyne",
+        "sweep_single_mode", "linear_estimate_squeezed_idler"])
+def test_commands_refuse_what_they_cannot_read(tmp_path, capsys, command,
+                                               amplifier, kind, path):
+    # refused at validation, before the output directory is made; the
+    # povm and noise-sweep cases were refused only once the command ran, and
+    # the linear estimate with a squeezed idler ended in a ValueError
+    from fockamp import cli
+    cfg = {"command": command, "amplifier": amplifier,
+           "input_state": {"kind": "fock", "n": 1},
+           "detector": {"kind": kind}, "dims": {"signal": 4}, "trials": 100}
+    with pytest.raises(ConfigError, match=f"'{path}'"):
+        validate_config(cfg)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out)]) == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _put(cfg, path, value):
+    *parents, key = path.split(".")
+    for name in parents:
+        cfg = cfg.setdefault(name, {})
+    cfg[key] = value
+
+
+# every number field: (path, the kind of its object that reads it, whether
+# the value is a list or [re, im] pair)
+NUMBER_FIELDS = [
+    ("amplifier.g", None, False), ("amplifier.g_list", None, True),
+    ("amplifier.r", None, False), ("amplifier.f.alpha", "quadratic", True),
+    ("amplifier.f.beta", "quadratic", True),
+    ("amplifier.f.gamma", "quadratic", False),
+    ("amplifier.f.delta", "quadratic", False),
+    ("amplifier.f.coeffs", "poly_x", True), ("amplifier.meter.r", None, False),
+    ("amplifier.meter.epsilon", None, False),
+    ("input_state.alpha", "coherent", True),
+    ("input_state.r", "squeezed_vacuum", False),
+    ("input_state.phi", "squeezed_vacuum", False),
+    ("detector.efficiency", None, False), ("grid.n_widths", None, False),
+]
+
+
+@pytest.mark.parametrize("path, kind, is_list", NUMBER_FIELDS,
+                         ids=[p for p, *_ in NUMBER_FIELDS])
+def test_non_finite_numbers_rejected(tmp_path, capsys, path, kind, is_list):
+    # json.loads reads NaN and Infinity, and an integer past the float range
+    # has no float value; none may run (to an all-nan report or a
+    # traceback), each exits 2 with the key named
+    from fockamp import cli
+    for bad in (10 ** 400, math.inf, -math.inf, math.nan):
+        cfg = {"command": "noise-sweep", "amplifier": {"variant": "linear"}}
+        _put(cfg, path, [1.0, bad] if is_list else bad)
+        if kind:
+            _put(cfg, path.rsplit(".", 1)[0] + ".kind", kind)
+        with pytest.raises(ConfigError, match=f"'{path}' must be "):
+            validate_config(cfg)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))  # the last config, written as NaN
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(config), "--out", str(out)]) == 2
+    assert f"'{path}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonpositive_gain_rejected(tmp_path):
     proc = run_cli(tmp_path, {"command": "noise-sweep",
                               "amplifier": {"variant": "linear", "g": -1.0}})
@@ -161,6 +242,85 @@ def test_trials_above_ceiling_rejected(tmp_path):
     assert proc.returncode == 3
     assert "trials" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# the resolved form of {"command": "verify"}: every default
+DEFAULTS = {
+    "command": "verify",
+    "amplifier": {"variant": "two_mode_normal", "f": {"kind": "a_dag_a"},
+                  "g": 2.0, "g_list": [2.0], "r": 0.0,
+                  "meter": {"kind": "vacuum", "r": 0.0, "epsilon": 1.0}},
+    "input_state": {"kind": "vacuum"},
+    "detector": {"kind": "heterodyne", "efficiency": 1.0},
+    "dims": {"signal": 8},
+    "trials": 100000,
+    "seed": 42,
+    "grid": {"n_widths": 5.0, "points_per_width": 4},
+    "output": ".",
+}
+RESOLVED = {
+    "montecarlo/compare": {
+        **DEFAULTS, "command": "compare",
+        "input_state": {"kind": "coherent", "alpha": [1.0, 0.0]},
+        "detector": {"kind": "homodyne", "efficiency": 0.9},
+        "dims": {"signal": 16}, "trials": 2000000},
+    "montecarlo/estimate_linear": {
+        **DEFAULTS, "command": "estimate",
+        "amplifier": {**DEFAULTS["amplifier"], "variant": "linear"},
+        "input_state": {"kind": "coherent", "alpha": [1.0, 0.5]},
+        "detector": {"kind": "heterodyne", "efficiency": 0.8},
+        "dims": {"signal": 64}, "trials": 1000000},
+    "montecarlo/estimate_two_mode": {
+        **DEFAULTS, "command": "estimate",
+        "input_state": {"kind": "fock", "n": 2},
+        "detector": {"kind": "homodyne", "efficiency": 0.9},
+        "dims": {"signal": 8}, "trials": 4000000},
+    "povm/heterodyne": {
+        **DEFAULTS, "command": "povm",
+        "amplifier": {**DEFAULTS["amplifier"], "g_list": [1.0, 2.0]},
+        "detector": {"kind": "heterodyne", "efficiency": 0.5},
+        "dims": {"signal": 4},
+        "grid": {"n_widths": 5.0, "points_per_width": 2}},
+    "povm/homodyne": {
+        **DEFAULTS, "command": "povm",
+        "amplifier": {"variant": "von_neumann", "f": {"kind": "a_dag_a"},
+                      "g": 2.0, "g_list": [1.0, 2.0, 3.0], "r": 0.0,
+                      "meter": {"kind": "squeezed", "r": 0.5, "epsilon": 1.0}},
+        "detector": {"kind": "homodyne", "efficiency": 0.5},
+        "dims": {"signal": 4}},
+    "verify/verify": DEFAULTS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVED))
+def test_benchmark_configs_resolve_to_pinned_form(name):
+    # compared as JSON text, so an int default where a float was (2 for 2.0)
+    # shows as a difference; every benchmark config is pinned
+    assert sorted(RESOLVED) == sorted(
+        str(p.relative_to(CONFIGS).with_suffix("")) for p in CONFIGS.glob("*/*.json"))
+    resolved = validate_config(json.loads((CONFIGS / f"{name}.json").read_text()))
+    assert json.dumps(resolved, sort_keys=True) == \
+        json.dumps(RESOLVED[name], sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["verify", "noise-sweep", "povm",
+                                     "compare", "estimate"])
+def test_bare_command_resolves_to_defaults(command):
+    if command == "estimate":
+        # the default two_mode_normal amplifier is read out by homodyne
+        with pytest.raises(ConfigError, match="'detector.kind' must be homodyne"):
+            validate_config({"command": command})
+        return
+    assert json.dumps(validate_config({"command": command}), sort_keys=True) \
+        == json.dumps({**DEFAULTS, "command": command}, sort_keys=True)
+
+
+def test_readme_config_reference_lists_every_field():
+    from fockamp import cli
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Config reference\n")[1].split("\n#")[0]
+    rows = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    assert rows == [path for path, *_ in cli._FIELDS]
 
 
 def test_bad_json_rejected(tmp_path):
@@ -252,6 +412,29 @@ def test_every_verify_check_memory_is_bounded(name):
     ok, detail, peak = _traced_check(name)
     assert ok, detail
     assert peak < 12 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("amplifier", [None, {"variant": "linear"}],
+                         ids=["no_amplifier", "amplifier"])
+def test_verify_gates_the_amplifier_only_when_given(tmp_path, monkeypatch,
+                                                    amplifier):
+    # resolution always fills in an amplifier; the gate checks the one the
+    # config gives, and a bare verify config runs the matrix alone
+    from fockamp import cli
+    names = []
+
+    def run_all(extra_checks=()):
+        names.extend(name for name, _ in extra_checks)
+        return 0, 0
+
+    monkeypatch.setattr(verify, "run_all", run_all)
+    cfg = {"command": "verify"}
+    if amplifier:
+        cfg["amplifier"] = amplifier
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path)]) == 0
+    assert names == (["configured amplifier gate"] if amplifier else [])
 
 
 def test_verify_surfaces_nonnormal_signal(tmp_path):
@@ -389,6 +572,30 @@ def test_povm_builds_one_kernel_basis_per_gain(tmp_path, monkeypatch):
     assert all(e["numeric"] is not None for e in summary["per_gain"])
 
 
+def test_povm_grid_above_ceiling_refused_before_allocation(tmp_path, capsys):
+    # the outcome count is worked out from the grid's span and step, so a
+    # grid of ~4e30 outcomes is refused (exit 3, naming grid) without an
+    # attempt to allocate it
+    from fockamp import cli
+    cfg = {"command": "povm",
+           "amplifier": {"variant": "two_mode_normal", "g_list": [1.0]},
+           "detector": {"kind": "heterodyne", "efficiency": 0.5},
+           "dims": {"signal": 4},
+           "grid": {"n_widths": 1e9, "points_per_width": 10 ** 6}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        code = cli.main(["--config", str(config), "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "'grid'" in capsys.readouterr().err
+    assert peak < 4 * 2 ** 20, peak / 2 ** 20
+    assert not (tmp_path / "povm_g1.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # estimate / compare
 # ---------------------------------------------------------------------------
@@ -448,6 +655,23 @@ def test_estimate_nonnormal_quadratic_rejected(tmp_path):
     proc = run_cli(tmp_path, cfg)
     assert proc.returncode == 2
     assert "NotNormal" in proc.stderr
+
+
+def test_seed_override_obeys_the_seed_row(tmp_path, capsys):
+    # --seed goes through the same rule as the config's seed: a negative one
+    # exits 2 with the key named, not in a Philox traceback
+    from fockamp import cli
+    cfg = {"command": "estimate", "amplifier": {"variant": "linear"},
+           "input_state": {"kind": "fock", "n": 1},
+           "dims": {"signal": 4}, "trials": 100}
+    config = tmp_path / "config.json"
+    out = tmp_path / "out"
+    for seed, given in (("-1", 1), ("3", -1)):
+        config.write_text(json.dumps(cfg | {"seed": given}))
+        assert cli.main(["--config", str(config), "--out", str(out),
+                         "--seed", seed]) == 2
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_estimate_and_compare_load_no_scipy(tmp_path):
