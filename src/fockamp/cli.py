@@ -42,11 +42,12 @@ TRIALS_MAX = 10 ** 8
 POVM_OUTCOMES_MAX = 10 ** 6
 
 # One row per config key: path, type, bounds, default, and the kind of its
-# object that reads it (None: every kind). Types: "int", "num" (a finite
-# number), "pair" (a number or [re, im], resolved to [re, im]), "nums" (a
-# non-empty list of numbers, bounds per entry), "str", or a tuple of the
-# allowed strings. Bounds are intervals; an "int" above its upper bound hits
-# a run-time ceiling (ResourceLimit, exit 3). A default of None makes the key
+# object that reads it (None: every kind). Types: "int", "count" (an integer
+# whose upper bound is a run-time ceiling: above it, ResourceLimit, exit 3),
+# "num" (a finite number), "pair" (a number or [re, im], resolved to
+# [re, im]), "nums" (a non-empty list of numbers, bounds per entry), "str",
+# or a tuple of the allowed strings. Bounds are intervals, their integer ends
+# exact. A default of None makes the key
 # required; a callable default is given the object resolved so far. Keys of
 # another kind are dropped unchecked. README's "Config reference" lists the
 # rows with the commands and variants that read them.
@@ -79,8 +80,9 @@ _FIELDS = (
     ("detector.kind", ("heterodyne", "homodyne"), None, "heterodyne", None),
     ("detector.efficiency", "num", "(0, 1]", 1.0, None),
     ("dims.signal", "int", "[2, inf)", 8, None),
-    ("trials", "int", f"[2, {TRIALS_MAX}]", 100000, None),
-    ("seed", "int", "[0, inf)", 42, None),
+    ("trials", "count", f"[2, {TRIALS_MAX}]", 100000, None),
+    # a Philox key is below 2**128, and compare keys its linear side seed + 1
+    ("seed", "int", f"[0, {2 ** 128 - 2}]", 42, None),
     ("grid.n_widths", "num", "(0, inf)", 5.0, None),
     ("grid.points_per_width", "int", "[1, inf)", 4, None),
     ("output", "str", None, ".", None),
@@ -145,7 +147,7 @@ def _number(value):
 
 def _field(path: str, kind, bounds, value):
     """One config value checked against its row of _FIELDS and resolved."""
-    if kind == "int":
+    if kind in ("int", "count"):
         items = [None if isinstance(value, bool) or not isinstance(value, int)
                  else value]
     elif kind == "num":
@@ -161,14 +163,15 @@ def _field(path: str, kind, bounds, value):
                  and (kind == "str" or value in kind) else None]
     ok = None not in items
     if ok and bounds:
-        lo, hi = (float(b) for b in bounds[1:-1].split(","))
-        if kind == "int" and value > hi:
+        lo, hi = (int(b) if b.strip().isdigit() else float(b)
+                  for b in bounds[1:-1].split(","))
+        if kind == "count" and value > hi:
             raise ResourceLimit(f"'{path}' = {value} exceeds the run-time "
                                 f"ceiling {hi:.0e}")
         ok = all((lo < v if bounds[0] == "(" else lo <= v)
                  and (v < hi if bounds[-1] == ")" else v <= hi) for v in items)
     if not ok:
-        want = {"int": "an integer", "num": "a number",
+        want = {"int": "an integer", "count": "an integer", "num": "a number",
                 "pair": "a number or [re, im] pair",
                 "nums": "a non-empty list of numbers",
                 "str": "a string"}.get(kind) or f"one of {list(kind)}"
@@ -270,18 +273,17 @@ def build_detector(cfg: dict) -> meas.DetectorSpec:
 # output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.11e}"
-
-
 def _write_csv(path: Path, header: list, rows):
     # row by row: a body formatted in one piece would hold every value of a
-    # povm weight table at once (~0.2 MB more peak RSS on the povm benchmark)
+    # povm weight table at once (~0.2 MB more peak RSS on the povm benchmark);
+    # one %-format per table, from the types of its first row
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        fmt = None
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row)
-                     + "\n")
+            fmt = fmt or ",".join("%s" if isinstance(v, str) else "%.11e"
+                                  for v in row) + "\n"
+            fh.write(fmt % row)
 
 
 def _write_json(path: Path, payload: dict):
@@ -349,10 +351,9 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     nw = cfg["grid"]["n_widths"]
     ppw = cfg["grid"]["points_per_width"]
     summary = {"config": cfg, "per_gain": []}
-    # Cost no longer sets this gate: the heterodyne sandwich is one GEMM per
-    # expansion term over all outcomes. What keeps it is range: that kernel
-    # raises past ~2200-3500 meter levels (by efficiency), below the sizing
-    # cap METER_DIM_CAP = 4096, so the gate stays until the range covers it.
+    # Both sandwich kernels run up to the sizing cap METER_DIM_CAP = 4096;
+    # this gate bounds cost: displaced_meter_ket takes ~9 s and 682 MB at
+    # 4096 levels, in the eigh of its Jacobi matrix.
     numeric_limit = 2500
     for g in cfg["amplifier"]["g_list"]:
         closed = meas.effective_povm_closed_form(dec, g, detector.sigma2, model,

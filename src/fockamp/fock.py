@@ -248,14 +248,24 @@ def vacuum_state(space: FockSpace) -> State:
     return State(space, "ket", v)
 
 
-def _coherent_amplitudes(d: int, alpha: complex) -> np.ndarray:
-    """e^{-|alpha|^2/2} alpha^n / sqrt(n!) for n < d, from their logarithms."""
-    n = np.arange(d)
-    if alpha == 0:
-        return (n == 0).astype(complex)
-    logmag = (n * math.log(abs(alpha)) - 0.5 * log_factorials(d)
-              - 0.5 * abs(alpha) ** 2)
-    return np.exp(logmag) * np.exp(1j * n * np.angle(alpha))
+def _coherent_amplitudes(d: int, gammas) -> np.ndarray:
+    """<p|gamma_j> = e^{-|gamma_j|^2/2} gamma_j^p / sqrt(p!) for p < d (rows)
+    and each gamma_j (columns), from their logarithms, so every entry has
+    modulus at most 1 at any gamma. log|gamma| and |gamma|^2 are taken per
+    gamma in float arithmetic, so a column is the same at any batch size."""
+    gammas = np.atleast_1d(np.asarray(gammas, dtype=complex))
+    p = np.arange(d)[:, None]
+    r = [abs(g) for g in gammas.tolist()]
+    mag = np.zeros((d, gammas.size))  # gamma^0 = 1, also at gamma = 0
+    np.multiply(p[1:], [math.log(x) if x else -math.inf for x in r],
+                out=mag[1:])
+    mag -= 0.5 * log_factorials(d)[:, None]
+    mag -= [0.5 * x ** 2 for x in r]
+    out = np.zeros(mag.shape, dtype=complex)
+    np.multiply(p, np.angle(gammas), out=out.imag)
+    np.exp(out, out=out)  # the phases e^{i p arg gamma}
+    out *= np.exp(mag, out=mag)
+    return out
 
 
 def coherent_state(space: FockSpace, alpha: complex) -> State:
@@ -268,7 +278,7 @@ def coherent_state(space: FockSpace, alpha: complex) -> State:
     alpha = complex(alpha)
     if abs(alpha) == 0.0:
         return fock_state(space, 0)
-    c = _coherent_amplitudes(d, alpha)
+    c = _coherent_amplitudes(d, alpha)[:, 0]
     kept = float(np.sum(np.abs(c) ** 2))
     tail = max(0.0, 1.0 - kept)
     if float(np.sum(np.abs(c[-3:]) ** 2)) > 1e-8:
@@ -517,7 +527,8 @@ def hermite_functions(nmax: int, xs: np.ndarray) -> np.ndarray:
 
     h_0(x) = pi^{-1/4} e^{-x^2/2}; the three-term recurrence is run on the
     functions themselves, which stays bounded for large n (unlike the
-    polynomial recurrence).
+    polynomial recurrence). Where h_0 is below the smallest normal float
+    (|x| > ~37.6), :func:`_rescaled_hermite_rows` runs it on scaled values.
     """
     xs = np.asarray(xs, dtype=float)
     h = np.zeros((nmax, xs.shape[0]))
@@ -526,15 +537,36 @@ def hermite_functions(nmax: int, xs: np.ndarray) -> np.ndarray:
         h[1] = np.sqrt(2.0) * xs * h[0]
     # h_n = sqrt(2/n) x h_{n-1} - sqrt((n-1)/n) h_{n-2}, in place: the rows
     # are short when callers stream a grid, so per-row temporaries dominate
-    n = np.arange(2.0, nmax)
+    n = np.arange(1.0, nmax + 1)
     up, down = np.sqrt(2.0 / n).tolist(), np.sqrt((n - 1.0) / n).tolist()
     tmp = np.empty_like(xs)
     for k in range(2, nmax):
         row = h[k]
-        np.multiply(xs, up[k - 2], out=row)
+        np.multiply(xs, up[k - 1], out=row)
         row *= h[k - 1]
-        row -= np.multiply(h[k - 2], down[k - 2], out=tmp)
+        row -= np.multiply(h[k - 2], down[k - 1], out=tmp)
+    far = np.flatnonzero(h[0] < np.finfo(float).tiny)
+    if far.size:
+        _rescaled_hermite_rows(h, xs, far, up, down)
     return h
+
+
+def _rescaled_hermite_rows(h, xs, far, up, down):
+    """Columns ``far`` of the table h of :func:`hermite_functions`, rewritten
+    from a scaled start: h_n = s_n 2^e per column, with h_0 = s_0 2^e,
+    1 <= s_0 < 2, and the same recurrence on s_n (h_{-1} = 0). Each new s_n
+    is normalised into [1/2, 1) by its float exponent, which moves into e,
+    so s stays finite at any order; row n is written as ldexp(s_n, e)."""
+    x = xs[far]
+    log2h = (math.log(math.pi ** -0.25) - x * x / 2.0) / math.log(2.0)
+    e = np.floor(log2h).astype(int)
+    prev, cur = np.zeros_like(x), np.exp2(log2h - e)
+    for k in range(h.shape[0]):
+        h[k, far] = np.ldexp(cur, e)
+        prev, cur = cur, (x * up[k]) * cur - prev * down[k]
+        cur, shift = np.frexp(cur)
+        prev = np.ldexp(prev, -shift)
+        e += shift
 
 
 def quadrature_amplitudes(state: State, grid) -> np.ndarray:

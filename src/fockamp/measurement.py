@@ -26,8 +26,7 @@ import numpy as np
 
 from .amplifiers import (ThreeModeAmp, TwoModeNormalAmp, VonNeumannAmp,
                          displaced_rows, meter_table, prepare_meters)
-from .errors import (CoverageError, DimensionMismatch, FockampError,
-                     TruncationError)
+from .errors import CoverageError, DimensionMismatch, TruncationError
 from .fock import (FockSpace, SpectralDecomposition, State,
                    _coherent_amplitudes, hermite_functions, log_factorials,
                    normal_decompose)
@@ -37,10 +36,6 @@ HOMODYNE_YGRID_RANGE = 10.0
 # homodyne quadrature points per Hermite table (see _homodyne_expectations);
 # sets the working set, not the result beyond roundoff
 Y_CHUNK = 2 ** 10
-_LOG_TINY = math.log(np.finfo(float).tiny)
-# |y| from which h_0(y) = pi^{-1/4} e^{-y^2/2} is below the smallest normal
-# float, ~37.6
-HERMITE_REACH = math.sqrt(2.0 * (math.log(math.pi ** -0.25) - _LOG_TINY))
 # trials per Monte Carlo block, the unit of the stream law (see _pooled);
 # memory is O(workers * BLOCK) whatever the trial count
 BLOCK = 2 ** 16
@@ -223,46 +218,34 @@ def _heterodyne_expectations(kets: np.ndarray, betas, sigma2: float) -> np.ndarr
     """<chi_k|M_beta|chi_k> for each outcome beta (rows) and ket chi_k (columns).
 
     The rank-one expansion of :func:`oracles.heterodyne_element` contracted
-    with all outcomes at once. Its vectors are
-    v_k = s^{k/2} e^{t beta a^dag}|k>, so with w_k(m) = s^{k/2}
-    sqrt(binom(m, k)) and the coherent amplitudes
-    C[p, j] = e^{-t|beta_j|^2/2} (t beta_j)^p / sqrt(p!), built in log space
-    (|C| <= 1 at any beta),
+    with all outcomes at once. With t = 1/(1+sigma^2), s = sigma^2/(1+sigma^2),
+    the binomial weights B_k(m) = sqrt(binom(m, k) s^k t^(m-k)) and the
+    coherent amplitudes <p|sqrt(t) beta> (:func:`fock._coherent_amplitudes`),
 
-        <chi|M_beta_j|chi> = (t/pi) sum_k |sum_{m>=k} chi*(m) w_k(m) C[m-k, j]|^2,
+        <chi|M_beta|chi> = (t/pi) sum_k |sum_{m>=k} chi*(m) B_k(m) <m-k|sqrt(t) beta>|^2,
 
-    one GEMM over every outcome per k. All d terms are kept: for a meter
-    displaced to alpha they peak near k = s|alpha|^2. w_k is bounded by
-    (1+s)^{(d-1)/2} < 2^{(d-1)/2}: finite up to 2048 levels at any sigma^2,
-    it leaves the float range past ~3500 levels at eta = 0.5 and ~2200 at
-    eta = 0.1. There FockampError is raised, never NaN or 0.
+    one GEMM per k. Both factors are at most 1, so no term leaves the float
+    range at any number of meter levels; B_k is taken from log factorials,
+    one row per term. All d terms are kept: for a meter displaced to alpha
+    they peak near k = s|alpha|^2. The outcomes are streamed in blocks of
+    Y_CHUNK, so the working set is O(d Y_CHUNK) at any outcome count.
     """
     d = kets.shape[1]
     betas = np.asarray(betas, dtype=complex)
     t = 1.0 / (1.0 + sigma2)
     s = sigma2 / (1.0 + sigma2)
-    tb = t * betas
-    p = np.arange(d)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logc = p * np.log(np.abs(tb))
-    logc[0] = 0.0  # (t beta)^0 = 1, also at beta = 0
-    c = np.exp(logc - 0.5 * log_factorials(d)[:, None]
-               - 0.5 * t * np.abs(betas) ** 2 + 1j * p * np.angle(tb))
+    # log B_k(m) = half_lf[m] + rest[m - k] + head[k]
+    half_lf = 0.5 * log_factorials(d)
+    rest = 0.5 * np.arange(d) * math.log(t) - half_lf
+    head = 0.5 * np.arange(d) * (math.log(s) if s else 0.0) - half_lf
     bra = kets.conj()
-    w = np.ones(d)
     acc = np.zeros((kets.shape[0], betas.size))
-    for k in range(d if s > 0 else 1):
-        if k:
-            # w_k(m) = w_{k-1}(m) sqrt(s (m - k + 1) / k) for m = k .. d-1;
-            # w_k(d-1) is its largest entry, so an overflow shows there first
-            with np.errstate(over="ignore"):
-                w = w[1:] * np.sqrt(s * np.arange(1.0, d - k + 1) / k)
-            if not math.isfinite(w[-1]):
-                raise FockampError(
-                    f"heterodyne expansion overflows at {d} meter levels "
-                    f"(sigma^2 = {sigma2:g}): term {k} leaves the float range")
-        a = (bra[:, k:] * w) @ c[:d - k]
-        acc += a.real ** 2 + a.imag ** 2
+    for lo in range(0, betas.size, Y_CHUNK):
+        c = _coherent_amplitudes(d, math.sqrt(t) * betas[lo:lo + Y_CHUNK])
+        for k in range(d if s > 0 else 1):
+            w = np.exp(half_lf[k:] + (rest[:d - k] + head[k]))
+            a = (bra[:, k:] * w) @ c[:d - k]
+            acc[:, lo:lo + Y_CHUNK] += a.real ** 2 + a.imag ** 2
     return (t / math.pi) * acc.T
 
 
@@ -289,7 +272,7 @@ def _homodyne_kernel(xs, sigma2: float, y: np.ndarray, lo: int = 0,
     # exp is left at 0 where it would be subnormal (1e-308 of the peak):
     # most of the table lies there, and exp takes a ~15x slower path on it
     w = np.zeros_like(arg)
-    np.exp(arg, out=w, where=arg >= _LOG_TINY)
+    np.exp(arg, out=w, where=arg >= math.log(np.finfo(float).tiny))
     w /= math.sqrt(math.pi * sigma2)
     w *= y[1] - y[0]
     if lo == 0:
@@ -299,39 +282,20 @@ def _homodyne_kernel(xs, sigma2: float, y: np.ndarray, lo: int = 0,
     return w
 
 
-def _homodyne_grid(xs, sigma2: float) -> np.ndarray:
-    """Quadrature points of :func:`_homodyne_expectations` for the outcomes
-    ``xs``: the outcomes themselves at sigma^2 = 0, else :func:`_default_ygrid`.
-
-    h_0(y) = pi^{-1/4} e^{-y^2/2} leaves the normal float range at |y| >=
-    HERMITE_REACH, and every Hermite row with it; a grid that reaches there
-    raises TruncationError rather than lose the mass there.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    y = xs if sigma2 == 0.0 else _default_ygrid(xs, sigma2)
-    reach = float(np.abs(y).max())
-    if reach >= HERMITE_REACH:
-        raise TruncationError(
-            f"homodyne grid reaches |y| = {reach:.1f}; Hermite functions "
-            f"underflow past {HERMITE_REACH:.1f}")
-    return y
-
-
 def _homodyne_expectations(kets: np.ndarray, xs, sigma2: float) -> np.ndarray:
     """<chi_k|M_x|chi_k> for each outcome x (rows) and ket chi_k (columns).
 
     The quadrature of :func:`oracles.homodyne_element` on the position
     densities q_k(y) = |<y|chi_k>|^2, streamed over the grid of
-    :func:`_homodyne_grid` (which refuses one past HERMITE_REACH) in blocks
-    of Y_CHUNK points: per block, one Hermite table h,
-    q = (Re chi @ h)^2 + (Im chi @ h)^2 (one real GEMM), and q @ W, with W
-    the block's rows of :func:`_homodyne_kernel`. At
+    :func:`_default_ygrid` in blocks of Y_CHUNK points: per block, one
+    Hermite table h, q = (Re chi @ h)^2 + (Im chi @ h)^2 (one real GEMM), and
+    q @ W, with W the block's rows of :func:`_homodyne_kernel`. At
     sigma^2 = 0 the densities are read at the outcomes themselves, in the
     same blocks. No meter-space element is built, and the working set is
     O(d Y_CHUNK + Y_CHUNK n_outcomes) at any grid length.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    y = _homodyne_grid(xs, sigma2)
+    y = xs if sigma2 == 0.0 else _default_ygrid(xs, sigma2)
     parts = np.concatenate((kets.real, kets.imag))  # (Re chi; Im chi)
     out = np.zeros((xs.shape[0], kets.shape[0]))
     for lo in range(0, y.shape[0], Y_CHUNK):
@@ -400,9 +364,6 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     table = meter_table(amp)
     expectations, jacobian = (_heterodyne_expectations, g * g) if heterodyne \
         else (_homodyne_expectations, g)
-    if not heterodyne:  # a refused grid costs no meter build
-        for _, part in table:
-            _homodyne_grid(g * part(outcomes), sig2)
     weights = 1.0
     meters = meters or prepare_meters(amp, drive, dims)
     for (_, part), (meter, rows) in zip(table, meters):
@@ -707,7 +668,7 @@ def _as_coherent(state: State):
         m = complex(np.vdot(psi[:-1], root * psi[1:]))
     else:
         m = complex(np.sum(root * np.diagonal(state.data, -1)))
-    ket = _coherent_amplitudes(state.space.dim, m)
+    ket = _coherent_amplitudes(state.space.dim, m)[:, 0]
     ket /= np.linalg.norm(ket)
     if state.kind == "ket":
         fidelity = abs(np.vdot(ket, psi)) ** 2

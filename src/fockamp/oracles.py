@@ -171,7 +171,9 @@ def von_neumann_unitary(f: Operator, g: float, dims: tuple[int, int]) -> Operato
 
 def three_mode_columns(f: Operator, g: float, dims: tuple[int, int, int],
                        keep: tuple[int, int, int]) -> np.ndarray:
-    """Columns W[:, :ka, :kb, :kc] of :func:`three_mode_unitary`, shape dims + keep.
+    """Columns W[:, :ka, :kb, :kc] of :func:`three_mode_unitary` as one owned
+    (prod(dims), prod(keep)) matrix; view it as shape dims + keep to index
+    the modes.
 
     W is assembled in the joint eigenbasis Va (x) Vb (x) Vc of (f, p_b, p_c):
     the phase table is taken through one mode product per factor, c, then b,
@@ -199,9 +201,9 @@ def three_mode_columns(f: Operator, g: float, dims: tuple[int, int, int],
                               + fi[:, None, None] * wc[None, None, :]))
     t = np.einsum("ijk,czk->ijcz", phase, vc[:, None] * vc[None, :kc].conj())
     t = np.einsum("byj,ijcz->ibcyz", vb[:, None] * vb[None, :kb].conj(), t)
-    out = np.empty(tuple(dims) + tuple(keep), dtype=complex)
+    out = np.empty((math.prod(dims), math.prod(keep)), dtype=complex)
     np.einsum("axi,ibcyz->abcxyz", va[:, None] * va[None, :ka].conj(), t,
-              out=out)
+              out=out.reshape(tuple(dims) + tuple(keep)))
     return out
 
 
@@ -212,11 +214,10 @@ def three_mode_unitary(f: Operator, g: float,
     f_R and f_I commute for normal f, so W is assembled in the joint
     eigenbasis of (f, p_b, p_c); this equals the exponential of the full
     generator to roundoff and needs no composite-space eigendecomposition.
-    It is the full-column reshape of :func:`three_mode_columns`.
+    It is :func:`three_mode_columns` at full keep, handed to the Operator
+    without a copy.
     """
-    n = math.prod(dims)
-    return Operator(FockSpace(tuple(dims)),
-                    three_mode_columns(f, g, dims, dims).reshape(n, n))
+    return Operator(FockSpace(tuple(dims)), three_mode_columns(f, g, dims, dims))
 
 
 def linear_amp_unitary(g: float, dims: tuple[int, int]) -> Operator:

@@ -243,7 +243,7 @@ def _tm3():
         want = np.kron(np.eye(3), meters) + g * np.kron(part.matrix[:3, :3],
                                                         np.eye(36))
         lhs = np.zeros((k, k), dtype=complex)
-        for c in cols:
+        for c in cols.reshape((5, 24, 24) + keep):
             # C_a viewed as (b, rest), x acts on mode b; as (b, c, rest), on c
             xc = x @ c.reshape(c.shape[:mode] + (-1,))
             lhs += c.reshape(-1, k).conj().T @ xc.reshape(-1, k)

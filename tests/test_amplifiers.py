@@ -200,7 +200,7 @@ def test_three_mode_matches_brute_force_exponential():
     assert np.abs(w.matrix - brute).max() < 1e-12
     assert w.unitarity_residual() < 1e-12
     # the column builder behind W, on a keep that differs in every mode
-    cols = three_mode_columns(f, g, dims, (3, 4, 5))
+    cols = three_mode_columns(f, g, dims, (3, 4, 5)).reshape(dims + (3, 4, 5))
     assert cols.shape == dims + (3, 4, 5)
     want = brute.reshape(dims + dims)[..., :3, :4, :5]
     assert np.abs(cols - want).max() < 1e-12
@@ -233,10 +233,28 @@ def _three_mode_columns_two_einsums(f, g, dims, keep):
 def test_three_mode_columns_match_two_einsum_assembly(dims, keep):
     sp = FockSpace(dims[0])
     f = Operator(sp, number_op(sp).matrix + 0.3j * np.eye(dims[0]))
-    cols = three_mode_columns(f, 0.7, dims, keep)
+    cols = three_mode_columns(f, 0.7, dims, keep).reshape(dims + keep)
     want = _three_mode_columns_two_einsums(f, 0.7, dims, keep)
     assert cols.shape == dims + keep
     assert np.abs(cols - want).max() < 1e-13
+
+
+def test_three_mode_unitary_holds_one_copy_of_w():
+    # the column builder returns an owned (n, n) matrix that the Operator
+    # keeps as it is; a reshaped view was copied, so W was held twice
+    # (2.0 W traced). What is left is the mode-c product's table (W / 4
+    # here) and the finiteness mask (W / 16)
+    import tracemalloc
+    sp = FockSpace(4)
+    f = Operator(sp, number_op(sp).matrix + 0.3j * np.eye(4))
+    tracemalloc.start()
+    try:
+        w = three_mode_unitary(f, 0.7, (4, 10, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.matrix.flags.owndata
+    assert peak <= 1.4 * w.matrix.nbytes, peak / w.matrix.nbytes
 
 
 def test_three_mode_hermitian_signal_leaves_mode_c_alone():

@@ -674,6 +674,37 @@ def test_seed_override_obeys_the_seed_row(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_seed_bound_keeps_both_philox_keys_in_range(tmp_path, capsys):
+    # Philox keys are below 2**128 and compare keys its linear side with
+    # seed + 1, so 2**128 - 2 is the largest seed. A larger one, given in
+    # the config or by --seed, exits 2 with the key named: not a Philox
+    # ValueError traceback (exit 1), nor a run-time ceiling (exit 3)
+    from fockamp import cli
+    top = 2 ** 128 - 2
+    cfg = {"command": "compare", "amplifier": {"g": 1.0},
+           "input_state": {"kind": "coherent", "alpha": 0.5},
+           "dims": {"signal": 16}, "trials": 100}
+    for seed in (top + 1, top + 2):
+        with pytest.raises(ConfigError, match="'seed'") as info:
+            validate_config(cfg | {"seed": seed})
+        assert not isinstance(info.value, ResourceLimit)
+    estimate = {"command": "estimate", "amplifier": {"variant": "linear"},
+                "dims": {"signal": 4}, "trials": 100, "seed": top + 2}
+    proc = run_cli(tmp_path, estimate)
+    assert proc.returncode == 2
+    assert "'seed'" in proc.stderr and "Traceback" not in proc.stderr
+    config = tmp_path / "config.json"
+    out = tmp_path / "out"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(config), "--out", str(out),
+                     "--seed", str(top + 1)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert cli.main(["--config", str(config), "--out", str(out),
+                     "--seed", str(top)]) == 0
+    report = json.loads((out / "compare.json").read_text())
+    assert report["config"]["seed"] == top
+
+
 def test_estimate_and_compare_load_no_scipy(tmp_path):
     # start-up (import and validation of every benchmark config) and the
     # estimate and compare commands run on numpy alone; scipy is imported

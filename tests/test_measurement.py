@@ -11,9 +11,8 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
                      effective_povm_numeric, fock_state, normal_decompose,
                      number_op, own_region_weights, sample_outcomes, tensor,
                      vacuum_state)
-from fockamp import amplifiers, measurement, oracles
-from fockamp.errors import (CoverageError, DimensionMismatch, FockampError,
-                            TruncationError)
+from fockamp import measurement, oracles
+from fockamp.errors import CoverageError, DimensionMismatch, TruncationError
 from fockamp.amplifiers import meter_dim_for
 from fockamp.fock import State, _coherent_amplitudes, log_factorials
 from fockamp.measurement import (_heterodyne_expectations, _region_masses,
@@ -133,12 +132,88 @@ def test_heterodyne_expectations_closed_form_at_large_amplitude(sigma2):
     assert np.max(np.abs(got - exact) / exact) < 1e-11
 
 
-def test_heterodyne_expectations_raise_past_float_range():
-    # w_k(m) = s^{k/2} sqrt(binom(m, k)) overflows near 3500 levels at sigma2 = 1
+@pytest.mark.parametrize("sigma2", [1.0, 9.0])
+def test_heterodyne_expectations_closed_form_at_4096_levels(sigma2):
+    # the sizing cap: both factors of each term are at most 1, so no term
+    # leaves the float range (the product form of the binomial weights
+    # overflowed near 3500 levels at sigma2 = 1)
     alpha = 55.0 * np.exp(0.7j)
-    ket = coherent_state(FockSpace(3600), alpha).data[None, :]
-    with pytest.raises(FockampError, match="overflows"):
-        _heterodyne_expectations(ket, alpha + np.array([0.0, 0.5]), 1.0)
+    ket = coherent_state(FockSpace(4096), alpha).data[None, :]
+    betas = alpha + np.array([0.0, 0.5, -1.0 + 1.0j, 2.5j, 3.0])
+    t = 1.0 / (1.0 + sigma2)
+    exact = (t / math.pi) * np.exp(-t * np.abs(alpha - betas) ** 2)
+    got = _heterodyne_expectations(ket, betas, sigma2)[:, 0]
+    assert np.max(np.abs(got - exact) / exact) < 1e-11
+
+
+def _heterodyne_expectations_product_form(kets, betas, sigma2):
+    """Reference sandwich with w_k(m) = s^{k/2} sqrt(binom(m, k)) built by
+    the product w_k = w_{k-1} sqrt(s (m-k+1)/k) and the amplitudes
+    e^{-t|beta|^2/2} (t beta)^p / sqrt(p!) in one complex exponential. The
+    product overflows past ~3500 levels at sigma2 = 1."""
+    d = kets.shape[1]
+    betas = np.asarray(betas, dtype=complex)
+    t, s = 1.0 / (1.0 + sigma2), sigma2 / (1.0 + sigma2)
+    tb = t * betas
+    p = np.arange(d)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logc = p * np.log(np.abs(tb))
+    logc[0] = 0.0
+    c = np.exp(logc - 0.5 * log_factorials(d)[:, None]
+               - 0.5 * t * np.abs(betas) ** 2 + 1j * p * np.angle(tb))
+    w = np.ones(d)
+    acc = np.zeros((kets.shape[0], betas.size))
+    for k in range(d if s > 0 else 1):
+        if k:
+            w = w[1:] * np.sqrt(s * np.arange(1.0, d - k + 1) / k)
+        a = (kets[:, k:].conj() * w) @ c[:d - k]
+        acc += a.real ** 2 + a.imag ** 2
+    return (t / math.pi) * acc.T
+
+
+@pytest.mark.parametrize("g, dim, sigma2", [(1.0, 81, 1.0), (2.0, 144, 1.0),
+                                            (3.0, 225, 0.25), (2.0, 144, 0.0),
+                                            (1.0, 2048, 1.0)])
+def test_heterodyne_expectations_match_product_form(g, dim, sigma2):
+    # the povm benchmark's readout (a^dag a on 4 levels, vacuum meter, its
+    # rescaled outcome grid of 2 points per width) and the meter size of
+    # the sizing rule at each gain; at 2048 levels, kets on every level
+    lam = np.arange(4.0)
+    if dim < 2048:
+        kets = np.array([coherent_state(FockSpace(dim), g * x).data
+                         for x in lam])
+        w = math.sqrt((sigma2 + 1.0) / g ** 2)
+        axis = np.arange(-5 * w, 5 * w + 1e-9, w / 2)
+        grid = (lam[:, None] + axis).ravel()
+        betas = g * (grid[:, None] + 1j * axis).ravel()
+    else:
+        kets = _random_kets(3, dim, 11)
+        rng = np.random.default_rng(11)
+        betas = 3.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
+    got = _heterodyne_expectations(kets, betas, sigma2)
+    want = _heterodyne_expectations_product_form(kets, betas, sigma2)
+    assert np.max(np.abs(got - want) / want.max(axis=0)) <= 1e-13
+
+
+def test_heterodyne_expectations_memory_is_bounded():
+    # the outcomes stream in blocks of Y_CHUNK, so the peak does not grow
+    # with their count; one amplitude table over all outcomes traces 55 and
+    # 220 MiB here
+    import tracemalloc
+    kets = _random_kets(4, 144, 2)
+    rng = np.random.default_rng(2)
+    peaks = []
+    for n in (10_000, 40_000):
+        betas = 4.0 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+        tracemalloc.start()
+        try:
+            out = _heterodyne_expectations(kets, betas, 1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, 4)
+    assert peaks[1] <= 16 * 2 ** 20, peaks
+    assert peaks[1] - peaks[0] <= 2 * 2 ** 20, peaks  # the (n, 4) output
 
 
 # ---------------------------------------------------------------------------
@@ -232,31 +307,18 @@ def test_homodyne_expectations_memory_is_bounded():
     assert peak <= 16e6, peak / 1e6
 
 
-def test_homodyne_grid_past_hermite_range_raises(monkeypatch):
-    # at g = 16 the outcomes reach g (3 + 5 w) ~ 53, where h_0(y) = 0 in
-    # floating point; the grid lost the POVM mass there (deviation from the
-    # closed form 8.0, identity residual 1.0) without a word. The grid is
-    # refused before any meter is displaced (2916 levels at this gain)
-    calls = []
-    displace = amplifiers.displaced_meter_ket
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return displace(*args, **kwargs)
-
-    monkeypatch.setattr(amplifiers, "displaced_meter_ket", counted)
-    g = 16.0
-    amp = VonNeumannAmp(number_op(FockSpace(4)), g, Meter("vacuum"))
-    det = DetectorSpec("homodyne", 0.5)
-    closed = effective_povm_closed_form(normal_decompose(amp.f), g,
-                                        det.sigma2, "homodyne")
-    w = math.sqrt(closed.width2)
-    outcomes = np.arange(-5 * w, 3 + 5 * w + 1e-9, w / 4)
-    with pytest.raises(TruncationError, match="Hermite"):
-        effective_povm_numeric(amp, det, outcomes)
-    assert calls == []
-    with pytest.raises(TruncationError, match="Hermite"):
-        measurement._homodyne_expectations(np.eye(1, 8), [40.0], 0.0)
+@pytest.mark.parametrize("sigma2", [0.25, 0.0])
+def test_homodyne_expectations_past_old_reach(sigma2):
+    # past |y| ~ 37.6, where h_0(y) underflows, the rescaled Hermite rows
+    # carry a coherent meter centred at x = 42: a normal density of
+    # variance 1/2 + sigma^2/2 about 42
+    x0 = 42.0
+    ket = coherent_state(FockSpace(1500), x0 / math.sqrt(2.0)).data[None, :]
+    xs = x0 + np.array([-2.0, -0.7, 0.0, 0.4, 1.5])
+    var = 0.5 + sigma2 / 2.0
+    want = np.exp(-(xs - x0) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
+    got = measurement._homodyne_expectations(ket, xs, sigma2)[:, 0]
+    assert np.max(np.abs(got - want) / want) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +719,7 @@ def test_husimi_values_match_overlap_matrix():
     rng = np.random.default_rng(3)
     betas = 3.0 * (rng.normal(size=300) + 1j * rng.normal(size=300))
     sp = FockSpace(64)
-    c = np.array([_coherent_amplitudes(64, b) for b in betas]).T  # <n|beta>
+    c = _coherent_amplitudes(64, betas)  # <n|beta>
     ket = coherent_state(sp, 1.0 + 0.5j)
     want = np.abs(c.conj().T @ ket.data) ** 2 / math.pi
     assert np.abs(husimi_values(ket, betas) - want).max() < 1e-15

@@ -24,12 +24,16 @@ vacuum meters on mixed inputs.
 normal operators whose spectra hold equal, nearly equal (1e-7 apart) and
 repeated real parts. The three-mode column builder is checked against the
 kept columns of ``scipy.linalg.expm`` of the full generator on small random
-dims, keeps, gains and normal f.
+dims, keeps, gains and normal f. Hermite functions (n <= 3000, |x| <= 60)
+and coherent amplitudes (p < 4096, |gamma| <= 60) are checked against
+``mpmath`` at 40 digits.
 """
+import math
 import warnings
 
+import mpmath
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm, schur
 
 from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
@@ -40,6 +44,7 @@ from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      simulate_output_state, simulated_output_moments, tensor)
 from fockamp.amplifiers import _mode_quad_moments, displaced_meter_ket
 from fockamp.estimators import _Moments
+from fockamp.fock import _coherent_amplitudes, hermite_functions
 from fockamp.oracles import (embed, three_mode_columns, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
 
@@ -264,7 +269,7 @@ def test_three_mode_columns_match_expm(case):
              + np.kron(np.kron(fi.matrix, np.eye(db)), pc))
     want = expm(-1j * h).reshape(dims + dims)
     want = want[..., :keep[0], :keep[1], :keep[2]]
-    cols = three_mode_columns(f, g, dims, keep)
+    cols = three_mode_columns(f, g, dims, keep).reshape(dims + keep)
     assert cols.shape == dims + keep
     assert np.abs(cols - want).max() < 1e-12
 
@@ -417,3 +422,55 @@ def test_predicted_vs_simulated_meters_and_mixed_inputs(case):
     assert abs(pred.quad_noises[0] - sim.quad_noises[0]) < tol * 10
     assert abs(pred.quad_noises[1] - sim.quad_noises[1]) < tol * 10
     assert abs(pred.added_noise - sim.added_noise) < tol * 10
+
+
+def _mp_hermite_function(n: int, x: float):
+    """h_n(x) = H_n(x) e^{-x^2/2} / sqrt(2^n n! sqrt(pi)), in mpmath."""
+    x = mpmath.mpf(x)
+    return mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / mpmath.sqrt(
+        mpmath.mpf(2) ** n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 3000), st.integers(-60000, 60000).map(lambda k: k / 1000))
+@example(1000, 42.0)
+@example(3000, -55.5)
+@example(700, 37.7)
+def test_hermite_functions_match_mpmath(n, x):
+    # where the true h_n(x) is a normal float, the table is exact to 1e-12
+    # of the local scale max(|h_{n-1}|, |h_n|, |h_{n+1}|): near a zero of
+    # h_n no relative bound can hold, and the recurrence's roundoff follows
+    # the neighbouring rows. Past |x| ~ 37.6, where h_0 underflows, the rows
+    # come from the rescaled start (0 everywhere before it)
+    with mpmath.workdps(40):
+        true = [float(_mp_hermite_function(k, x)) if k >= 0 else 0.0
+                for k in (n - 1, n, n + 1)]
+    got = hermite_functions(n + 2, np.array([x]))[n, 0]
+    if abs(true[1]) >= np.finfo(float).tiny:
+        assert abs(got - true[1]) <= 1e-12 * max(map(abs, true))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 4095), st.floats(0.0, 60.0),
+       st.floats(-math.pi, math.pi))
+@example(4095, 60.0, 2.5)
+@example(3600, 60.0, -0.4)
+@example(0, 0.0, 0.0)
+def test_coherent_amplitudes_match_mpmath(p, r, phase):
+    # <p|gamma> from its logarithms: the relative error is the roundoff of
+    # the log-space sum, 4 eps (p (|ln r| + pi) + ln(p!)/2 + r^2/2 + 1)
+    # (~6e-12 at p = 4095, r = 60), wherever the true modulus is a normal
+    # float; a column is the same bit for bit in a batch as on its own
+    gamma = r * complex(math.cos(phase), math.sin(phase))
+    with mpmath.workdps(40):
+        g = mpmath.mpc(gamma.real, gamma.imag)
+        true = complex(mpmath.exp(-abs(g) ** 2 / 2) * g ** p
+                       / mpmath.sqrt(mpmath.factorial(p)))
+    table = _coherent_amplitudes(p + 1, [0.5j, gamma, -3.0])
+    got = table[p, 1]
+    assert np.array_equal(table[:, 1], _coherent_amplitudes(p + 1, gamma)[:, 0])
+    assert abs(got) <= 1.0
+    if abs(true) >= np.finfo(float).tiny:
+        scale = p * (abs(math.log(r)) + math.pi) if p else 0.0
+        scale += 0.5 * math.lgamma(p + 1) + 0.5 * r * r + 1.0
+        assert abs(got - true) <= 4 * np.finfo(float).eps * scale * abs(true)
