@@ -15,6 +15,9 @@ Five variants share the package:
 
 The signal always appears with gain in a meter quadrature; the added noise of
 the nonlinear variants is the meter preparation noise and is gain independent.
+One table, :func:`meter_table`, describes that readout for each nonlinear
+variant: simulation, the moment reports, the numeric effective POVM and the
+POVM model (:func:`measurement.povm_model`) all read it.
 """
 from __future__ import annotations
 
@@ -25,10 +28,9 @@ import numpy as np
 
 from .errors import GainOutOfRange, NotHermitian, NotNormal, TruncationError
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
-                   annihilation_op, gaussian_meter, guard_keep,
-                   normal_decompose, partial_trace, quadrature_ops,
-                   squeezed_vacuum, symmetrized_moment, tensor, vacuum_state,
-                   variance)
+                   annihilation_op, guard_keep, normal_decompose,
+                   partial_trace, quadrature_ops, squeezed_vacuum,
+                   symmetrized_moment, tensor, variance)
 
 METER_DIM_CAP = 4096
 METER_DIM_FLOOR = 24
@@ -42,7 +44,12 @@ TRUNCATION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Meter:
-    """Internal-mode preparation: vacuum, squeezed(r), or gaussian(epsilon)."""
+    """Internal-mode preparation: vacuum, squeezed(r), or gaussian(epsilon).
+
+    Each is the squeezed vacuum of one parameter, which the constructor
+    stores in ``r``: 0 for vacuum, r for squeezed and -ln epsilon for
+    gaussian. Every method reads that one value.
+    """
 
     kind: str = "vacuum"
     r: float = 0.0
@@ -53,31 +60,21 @@ class Meter:
             raise ValueError(f"unknown meter kind {self.kind!r}")
         if self.kind == "gaussian" and self.epsilon <= 0:
             raise ValueError("gaussian meter needs epsilon > 0")
+        if self.kind != "squeezed":
+            object.__setattr__(self, "r", -math.log(self.epsilon)
+                               if self.kind == "gaussian" else 0.0)
 
     def x_variance(self) -> float:
-        if self.kind == "vacuum":
-            return 0.5
-        if self.kind == "squeezed":
-            return 0.5 * math.exp(-2 * self.r)
-        return 0.5 * self.epsilon ** 2
+        return 0.5 * math.exp(-2 * self.r)
 
     def p_variance(self) -> float:
-        if self.kind == "vacuum":
-            return 0.5
-        if self.kind == "squeezed":
-            return 0.5 * math.exp(2 * self.r)
-        return 0.5 / self.epsilon ** 2
+        return 0.5 * math.exp(2 * self.r)
 
     def symmetrized_variance(self) -> float:
         return 0.5 * (self.x_variance() + self.p_variance())
 
     def state(self, dim: int) -> State:
-        sp = FockSpace(dim)
-        if self.kind == "vacuum":
-            return vacuum_state(sp)
-        if self.kind == "squeezed":
-            return squeezed_vacuum(sp, self.r)
-        return gaussian_meter(sp, self.epsilon)
+        return squeezed_vacuum(FockSpace(dim), self.r)
 
     def fock_levels(self) -> int:
         """Fewest Fock levels whose complement holds at most 1e-6 mean quanta.
@@ -87,8 +84,7 @@ class Meter:
         p_2k = sech(r) tanh(r)^2k (2k)!/(4^k k!^2) on level 2k and holds
         sinh(r)^2 quanta in all; the count stops past METER_DIM_CAP.
         """
-        r = abs(self.r if self.kind == "squeezed"
-                else -math.log(self.epsilon) if self.kind == "gaussian" else 0.0)
+        r = abs(self.r)
         t2 = math.tanh(r) ** 2
         tail = math.sinh(r) ** 2
         p = 1.0 / math.cosh(r)
@@ -112,6 +108,11 @@ def _require_normal(f: Operator):
     norm = f.commutator_norm()
     if norm >= 1e-9 * max(1.0, float(np.abs(f.matrix).max())):
         raise NotNormal(f"signal operator not normal, [f,f^dag] = {norm:.2e}", norm)
+
+
+def _is_hermitian(f: Operator) -> bool:
+    """Whether f - f^dag is at most 1e-10 max(1, max|f|)."""
+    return f.hermiticity_residual() <= 1e-10 * max(1.0, float(np.abs(f.matrix).max()))
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,9 @@ class VonNeumannAmp:
     def __post_init__(self):
         if self.g <= 0:
             raise GainOutOfRange("von Neumann amplifier needs g > 0")
-        res = self.f.hermiticity_residual()
-        if res > 1e-10 * max(1.0, float(np.abs(self.f.matrix).max())):
-            raise NotHermitian(f"signal operator residual {res:.2e}")
+        if not _is_hermitian(self.f):
+            raise NotHermitian(
+                f"signal operator residual {self.f.hermiticity_residual():.2e}")
 
 
 @dataclass(frozen=True)
@@ -181,21 +182,6 @@ class SingleModeAmp:
             raise GainOutOfRange("single-mode amplifier needs g > 0")
         if self.r < 0:
             raise ValueError("single-mode amplifier needs r >= 0")
-
-
-AmplifierSpec = (LinearAmp, TwoModeNormalAmp, VonNeumannAmp, ThreeModeAmp,
-                 SingleModeAmp)
-
-
-def output_modes(spec) -> tuple[int, ...]:
-    """Mode indices carrying the amplified signal after evolution."""
-    if isinstance(spec, LinearAmp):
-        return (0,)
-    if isinstance(spec, (TwoModeNormalAmp, VonNeumannAmp)):
-        return (1,)
-    if isinstance(spec, ThreeModeAmp):
-        return (1, 2)
-    return (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +308,14 @@ def _squeezer_chains(g: float, dims: tuple[int, int]):
 
 @dataclass(frozen=True)
 class MomentReport:
-    """First and second moments of the designated output mode(s).
+    """First and second moments of the output.
 
-    ``added_noise`` is the output noise minus the amplified input-signal
-    noise: symmetrized for the linear amplifier and non-Hermitian signal
-    operators, the x-quadrature value for Hermitian signal operators, and
-    the mean meter-quadrature value for the three-mode variant.
+    For a nonlinear variant these are the moments of its two readout
+    quadratures (:func:`_readouts`): ``mean_out`` = (<q0> + i <q1>)/sqrt(2),
+    ``symmetrized_noise`` the mean of their variances and ``added_noise``
+    their noise less g^2 Var f_j: q0's for a Hermitian f on a single meter,
+    else the mean of the two. The linear amplifier reports its signal mode
+    and its symmetrized added noise.
     """
 
     mean_out: complex
@@ -337,70 +325,55 @@ class MomentReport:
     added_noise: float
 
 
-def _signal_moments(f: Operator, state: State):
-    fr, fi = real_imag_parts(f)
-    return {
-        "mean": state.expectation(f),
-        "sym": symmetrized_moment(state, f),
-        "var_r": variance(state, fr),
-        "var_i": variance(state, fi),
-        "hermitian": f.hermiticity_residual()
-        <= 1e-10 * max(1.0, float(np.abs(f.matrix).max())),
-    }
+def _readouts(spec) -> list:
+    """(f_j, part, meter, quadrature) of the two readout quadratures of a
+    nonlinear variant: quadrature j reads sqrt(2) g f_j (:func:`real_imag_parts`),
+    mean sqrt(2) g part(<f>), on x and p of a single meter or on x of each
+    of two (indices into :func:`meter_table` and (x, p))."""
+    second = (0, 1) if len(meter_table(spec)) == 1 else (1, 0)
+    f_r, f_i = real_imag_parts(spec.f)
+    return [(f_r, np.real, 0, 0), (f_i, np.imag, *second)]
 
 
-def _meter_quads(meter, meter_state: State | None):
-    """(x-var, p-var, <x>, <p>) of an internal mode, analytic unless a state is given."""
-    if meter_state is None:
-        return meter.x_variance(), meter.p_variance(), 0.0, 0.0
-    _, _, mx, mp, vx, vp = _mode_quad_moments(meter_state, 0)
-    return vx, vp, mx, mp
+def _readout_report(spec, quads) -> MomentReport:
+    """MomentReport of a nonlinear variant from (variance, added noise,
+    mean) of each of its two readout quadratures."""
+    (v0, a0, m0), (v1, a1, m1) = quads
+    single_hermitian = len(meter_table(spec)) == 1 and _is_hermitian(spec.f)
+    return MomentReport(complex(m0, m1) / math.sqrt(2.0), 0.5 * (v0 + v1),
+                        (m0, m1), (v0, v1),
+                        a0 if single_hermitian else 0.5 * (a0 + a1))
 
 
-def predict_output_moments(spec, input_a: State, meters=None) -> MomentReport:
-    """Closed-form output moments from input-state moments; no unitary applied."""
+def predict_output_moments(spec, input_a: State) -> MomentReport:
+    """Closed-form output moments from input-state moments; no unitary applied.
+
+    A nonlinear variant's readout quadrature adds to g^2 Var f_j the
+    variance of that quadrature in its meter's preparation.
+    """
     if isinstance(spec, SingleModeAmp):
         return single_mode_output_moments(spec.f_of_x, spec.g, spec.r, input_a)
-
     if isinstance(spec, LinearAmp):
         g = spec.g
         a = annihilation_op(input_a.space)
         x, p = quadrature_ops(input_a.space)
-        vxb, vpb, mxb, mpb = _meter_quads(spec.meter, meters[0] if meters else None)
-        mean = g * input_a.expectation(a)
+        vxb, vpb = spec.meter.x_variance(), spec.meter.p_variance()
         sym_b = 0.5 * (vxb + vpb)
         sym = g * g * symmetrized_moment(input_a, a) + (g * g - 1.0) * sym_b
-        qm = (g * float(np.real(input_a.expectation(x))) + math.sqrt(g * g - 1) * mxb,
-              g * float(np.real(input_a.expectation(p))) - math.sqrt(g * g - 1) * mpb)
+        qm = (g * float(np.real(input_a.expectation(x))),
+              g * float(np.real(input_a.expectation(p))))
         qn = (g * g * variance(input_a, x) + (g * g - 1) * vxb,
               g * g * variance(input_a, p) + (g * g - 1) * vpb)
-        return MomentReport(mean, sym, qm, qn, (g * g - 1.0) * sym_b)
-
-    if isinstance(spec, (TwoModeNormalAmp, VonNeumannAmp)):
-        g = spec.g
-        sm = _signal_moments(spec.f, input_a)
-        vxb, vpb, mxb, mpb = _meter_quads(spec.meter, meters[0] if meters else None)
-        mean = g * sm["mean"]
-        sym = g * g * sm["sym"] + 0.5 * (vxb + vpb)
-        qm = (g * math.sqrt(2.0) * float(np.real(sm["mean"])) + mxb,
-              g * math.sqrt(2.0) * float(np.imag(sm["mean"])) + mpb)
-        qn = (g * g * sm["var_r"] + vxb, g * g * sm["var_i"] + vpb)
-        added = vxb if sm["hermitian"] else 0.5 * (vxb + vpb)
-        return MomentReport(mean, sym, qm, qn, added)
-
-    if isinstance(spec, ThreeModeAmp):
-        g = spec.g
-        sm = _signal_moments(spec.f, input_a)
-        vxb, _, mxb, _ = _meter_quads(spec.meter_b, meters[0] if meters else None)
-        vxc, _, mxc, _ = _meter_quads(spec.meter_c, meters[1] if meters else None)
-        qm = (g * math.sqrt(2.0) * float(np.real(sm["mean"])) + mxb,
-              g * math.sqrt(2.0) * float(np.imag(sm["mean"])) + mxc)
-        qn = (g * g * sm["var_r"] + vxb, g * g * sm["var_i"] + vxc)
-        mean = g * sm["mean"]
-        sym = g * g * sm["sym"] + 0.5 * (vxb + vxc)
-        return MomentReport(mean, sym, qm, qn, 0.5 *(vxb + vxc))
-
-    raise TypeError(f"unknown amplifier spec {type(spec)!r}")
+        return MomentReport(g * input_a.expectation(a), sym, qm, qn,
+                            (g * g - 1.0) * sym_b)
+    table, g = meter_table(spec), spec.g
+    mean = input_a.expectation(spec.f)
+    quads = []
+    for f_j, part, i, q in _readouts(spec):
+        noise = (table[i][0].x_variance(), table[i][0].p_variance())[q]
+        quads.append((g * g * variance(input_a, f_j) + noise, noise,
+                      g * math.sqrt(2.0) * float(part(mean))))
+    return _readout_report(spec, quads)
 
 
 # ---------------------------------------------------------------------------
@@ -610,28 +583,22 @@ def simulated_output_moments(spec, input_a: State, dims=None) -> MomentReport:
     """MomentReport extracted from an actual evolution (matrix moments)."""
     if isinstance(spec, SingleModeAmp):
         return _single_mode_matrix_report(spec, input_a)
-    out = simulate_output_state(spec, input_a, dims=dims)
-    if isinstance(spec, ThreeModeAmp):
-        _, _, mxb, _, vxb, _ = _mode_quad_moments(out, 1)
-        _, _, mxc, _, vxc, _ = _mode_quad_moments(out, 2)
-        sm = _signal_moments(spec.f, input_a)
-        g = spec.g
-        mean = (mxb + 1j * mxc) / math.sqrt(2.0)
-        return MomentReport(complex(mean), 0.5 * (vxb + vxc), (mxb, mxc),
-                            (vxb, vxc),
-                            0.5 * ((vxb - g * g * sm["var_r"])
-                                   + (vxc - g * g * sm["var_i"])))
-    mode = output_modes(spec)[0]
-    mean, sym, mx, mp, vx, vp = _mode_quad_moments(out, mode)
-    g = spec.g
     if isinstance(spec, LinearAmp):
-        a_in = annihilation_op(input_a.space)
-        added = sym - g * g * symmetrized_moment(input_a, a_in)
-    else:
-        sm = _signal_moments(spec.f, input_a)
-        added = (vx - 2.0 * g * g * variance(input_a, spec.f)) if sm["hermitian"] \
-            else (sym - g * g * sm["sym"])
-    return MomentReport(mean, sym, (mx, mp), (vx, vp), added)
+        out = simulate_output_state(spec, input_a, dims=dims)
+        mean, sym, mx, mp, vx, vp = _mode_quad_moments(out, 0)
+        added = sym - spec.g * spec.g * symmetrized_moment(
+            input_a, annihilation_op(input_a.space))
+        return MomentReport(mean, sym, (mx, mp), (vx, vp), added)
+    readouts = _readouts(spec)
+    out = simulate_output_state(spec, input_a, dims=dims)
+    # meter i is mode i + 1; (<x>, <p>) and (Var x, Var p) at 2 + q and 4 + q
+    moments = [_mode_quad_moments(out, i) for i in range(1, out.space.n_modes)]
+    quads = []
+    for f_j, _, i, q in readouts:
+        v = moments[i][4 + q]
+        quads.append((v, v - spec.g * spec.g * variance(input_a, f_j),
+                      moments[i][2 + q]))
+    return _readout_report(spec, quads)
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,10 @@ def _field(path: str, kind, bounds, value):
 
 
 def _check_rules(cfg: dict):
-    """Cross-field rules: the variants each command covers and, for povm
-    and estimate, the detector each variant is read out by (the POVM model,
-    or the estimator of estimators.run_plan)."""
+    """Cross-field rules: the variants each command covers; for povm and
+    estimate, the detector each variant is read out by (the POVM model of
+    measurement.povm_model, or the estimator of estimators.run_plan); and
+    the vacuum meter of two closed forms."""
     command, variant = cfg["command"], cfg["amplifier"]["variant"]
     covers = {
         "noise-sweep": dict.fromkeys(("linear", "two_mode_normal",
@@ -202,11 +203,12 @@ def _check_rules(cfg: dict):
     if covers[variant] not in (None, cfg["detector"]["kind"]):
         raise ConfigError(f"'detector.kind' must be {covers[variant]} for a "
                           f"{variant} {command}")
-    # the linear estimator draws the input's Husimi law: a vacuum idler
-    if (command, variant) == ("estimate", "linear") \
+    # a vacuum meter: the linear estimator draws the input's Husimi law, and
+    # the heterodyne POVM's closed form has unit width
+    if (command, variant) in (("estimate", "linear"), ("povm", "two_mode_normal")) \
             and cfg["amplifier"]["meter"]["kind"] != "vacuum":
         raise ConfigError("'amplifier.meter.kind' must be vacuum for a "
-                          "linear estimate")
+                          f"{variant} {command}")
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +333,7 @@ def cmd_noise_sweep(cfg: dict, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _povm_model_and_epsilon(cfg: dict):
-    # the variants povm covers (see _check_rules)
-    variant = cfg["amplifier"]["variant"]
-    if variant == "two_mode_normal":
-        return "heterodyne", 1.0
-    # meter wavefunction width: Var[x] = epsilon^2/2
-    epsilon = math.sqrt(2.0 * build_meter(cfg["amplifier"]["meter"]).x_variance())
-    return ("homodyne" if variant == "von_neumann" else "three_mode"), epsilon
-
-
 def cmd_povm(cfg: dict, outdir: Path) -> int:
-    model, epsilon = _povm_model_and_epsilon(cfg)
     detector = build_detector(cfg)
     space = FockSpace(cfg["dims"]["signal"])
     f = build_signal_op(cfg["amplifier"]["f"], space)
@@ -356,6 +347,8 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     # 4096 levels, in the eigh of its Jacobi matrix.
     numeric_limit = 2500
     for g in cfg["amplifier"]["g_list"]:
+        spec = build_amplifier(cfg, g=g)
+        model, epsilon = meas.povm_model(spec)
         closed = meas.effective_povm_closed_form(dec, g, detector.sigma2, model,
                                                  epsilon)
         w = math.sqrt(closed.width2)
@@ -374,7 +367,6 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
             "own_region_weights": [float(v) for v in weights],
             "numeric": None,
         }
-        spec = build_amplifier(cfg, g=g)
         meters = None
         if model != "three_mode":
             try:

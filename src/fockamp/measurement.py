@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifiers import (ThreeModeAmp, TwoModeNormalAmp, VonNeumannAmp,
-                         displaced_rows, meter_table, prepare_meters)
+from .amplifiers import displaced_rows, meter_table, prepare_meters
 from .errors import CoverageError, DimensionMismatch, TruncationError
 from .fock import (FockSpace, SpectralDecomposition, State,
                    _coherent_amplitudes, hermite_functions, log_factorials,
@@ -204,9 +203,22 @@ def effective_povm_closed_form(decomposition: SpectralDecomposition, g: float,
 # numeric sandwich
 # ---------------------------------------------------------------------------
 
+def povm_model(amp) -> tuple[str, float]:
+    """(model, epsilon) of the closed form the numeric sandwich of ``amp``
+    matches: heterodyne (epsilon 1) for one meter recording the whole
+    eigenvalue of f, else homodyne for one meter and three_mode for two,
+    at the width epsilon = sqrt(2 Var x) of the (first) meter's preparation
+    (:func:`amplifiers.meter_table`)."""
+    table = meter_table(amp)
+    if table[0][1] is np.asarray:
+        return "heterodyne", 1.0
+    return ("homodyne" if len(table) == 1 else "three_mode",
+            math.sqrt(2.0 * table[0][0].x_variance()))
+
+
 def _readout_drive(amp) -> float:
     """Drive of the sandwich: g for heterodyne readout, g/sqrt(2) for homodyne."""
-    return amp.g if isinstance(amp, TwoModeNormalAmp) else amp.g / math.sqrt(2.0)
+    return amp.g if povm_model(amp)[0] == "heterodyne" else amp.g / math.sqrt(2.0)
 
 
 def povm_meters(amp) -> list:
@@ -321,9 +333,8 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
                            dims=None, meters=None) -> PovmGrid:
     """E(outcome) = <meters| U^dag M U |meters> on the signal mode, rescaled.
 
-    The amplifier fixes the model: a two-mode normal amplifier is read out by
-    heterodyne on its meter; a von Neumann amplifier by homodyne; a
-    three-mode amplifier by two homodyne detectors of equal efficiency. The
+    The amplifier fixes the model (:func:`povm_model`); the three-mode
+    meters are read by two homodyne detectors of equal efficiency. The
     homodyne-type couplings are driven at kappa t = g/sqrt(2) so the
     displacement seen by each meter is g times the (standard) real or
     imaginary part of the eigenvalue, matching the closed-form records whose
@@ -348,30 +359,26 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     ``outcomes`` are rescaled (outcome/g); the weights carry the matching
     Jacobian (g^2 for complex outcomes, g for real ones).
     """
-    if not isinstance(amp, (TwoModeNormalAmp, VonNeumannAmp, ThreeModeAmp)):
-        raise TypeError(f"no effective POVM for {type(amp)!r}")
-    heterodyne = isinstance(amp, TwoModeNormalAmp)
+    model, epsilon = povm_model(amp)  # TypeError for a variant without meters
+    heterodyne = model == "heterodyne"
     expected = "heterodyne" if heterodyne else "homodyne"
     if detector.kind != expected:
         raise ValueError(f"{type(amp).__name__} is read out by {expected}")
     outcomes = np.atleast_1d(outcomes)
-    if isinstance(amp, VonNeumannAmp):
+    if model == "homodyne":
         outcomes = np.real(outcomes)
     sig2 = detector.sigma2
     g = amp.g
     drive = _readout_drive(amp)
     dec = normal_decompose(amp.f)
-    table = meter_table(amp)
     expectations, jacobian = (_heterodyne_expectations, g * g) if heterodyne \
         else (_homodyne_expectations, g)
     weights = 1.0
     meters = meters or prepare_meters(amp, drive, dims)
-    for (_, part), (meter, rows) in zip(table, meters):
+    for (_, part), (meter, rows) in zip(meter_table(amp), meters):
         chi = displaced_rows(meter, drive * part(dec.eigenvalues), rows)
         weights = weights * (jacobian * expectations(chi, g * part(outcomes), sig2))
-    model = "three_mode" if isinstance(amp, ThreeModeAmp) else expected
-    eps2 = 1.0 if heterodyne else 2.0 * table[0][0].x_variance()
-    return PovmGrid(outcomes, dec, weights, model, (sig2 + eps2) / g ** 2)
+    return PovmGrid(outcomes, dec, weights, model, (sig2 + epsilon ** 2) / g ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +643,10 @@ def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
     COHERENT_DEFECT for m = <a> and |m> the renormalized coherent ket on the
     state's own truncated space, is sampled as |m>: the complex Gaussian
     about gain m of per-axis variance (gain^2 + sigma^2)/2, drawn by
-    :func:`gaussian_blocks`. Its outcome law is within sqrt(COHERENT_DEFECT)
-    = 1e-6 in total variation of the input's (Fuchs-van de Graaf). Every
+    :func:`gaussian_blocks`. The law of the truncated ket is within
+    sqrt(COHERENT_DEFECT) = 1e-6 in total variation of the input's
+    (Fuchs-van de Graaf), but the draws follow the untruncated |m>: the
+    bound holds up to sqrt(t), t the mass of |m> past the cutoff. Every
     other input is drawn from its Husimi density by :func:`husimi_blocks`,
     plus detector noise of per-axis variance sigma^2/2.
     """

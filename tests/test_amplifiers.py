@@ -543,10 +543,17 @@ def test_predicted_vs_simulated_all_variants(make_input):
     sp = FockSpace(10)
     st = make_input(sp)
     fc = Operator(sp, number_op(sp).matrix + 0.3j * np.eye(10))
+    squeezed, gaussian = Meter("squeezed", 0.3), Meter("gaussian", epsilon=0.8)
     specs = [
         TwoModeNormalAmp(number_op(sp), 1.5),
+        TwoModeNormalAmp(fc, 1.1),
+        TwoModeNormalAmp(number_op(sp), 1.5, squeezed),
+        TwoModeNormalAmp(fc, 1.1, gaussian),
         VonNeumannAmp(number_op(sp), 1.2),
+        VonNeumannAmp(number_op(sp), 1.2, gaussian),
         ThreeModeAmp(fc, 0.8),
+        ThreeModeAmp(number_op(sp), 0.8),
+        ThreeModeAmp(fc, 0.8, squeezed, gaussian),
         SingleModeAmp((0.0, 0.0, 1.0), 2.0, 1.0),
     ]
     # linear amplification populates the signal space itself, so it gets a
@@ -554,6 +561,7 @@ def test_predicted_vs_simulated_all_variants(make_input):
     sp_lin = FockSpace(32)
     cases = [(spec, st, None) for spec in specs]
     cases.append((LinearAmp(1.25), make_input(sp_lin), (32,)))
+    cases.append((LinearAmp(1.25, squeezed), make_input(sp_lin), (32,)))
     for spec, state, dims in cases:
         pred = predict_output_moments(spec, state)
         sim = simulated_output_moments(spec, state, dims=dims)
@@ -563,7 +571,32 @@ def test_predicted_vs_simulated_all_variants(make_input):
         assert abs(pred.quad_means[1] - sim.quad_means[1]) < tol
         assert abs(pred.quad_noises[0] - sim.quad_noises[0]) < tol * 10
         assert abs(pred.quad_noises[1] - sim.quad_noises[1]) < tol * 10
+        assert abs(pred.symmetrized_noise - sim.symmetrized_noise) < tol * 10
         assert abs(pred.added_noise - sim.added_noise) < tol * 10
+    for report in (predict_output_moments, simulated_output_moments):
+        with pytest.raises(TypeError):
+            report(number_op(sp), st)
+
+
+@pytest.mark.parametrize("meter, r", [
+    (Meter(), 0.0), (Meter("vacuum", r=0.7), 0.0), (Meter("squeezed", 0.4), 0.4),
+    (Meter("squeezed", -0.3), -0.3),
+    (Meter("gaussian", epsilon=0.6), -math.log(0.6)),
+    (Meter("gaussian", epsilon=1.5), -math.log(1.5)),
+], ids=["vacuum", "vacuum_r_ignored", "squeezed", "squeezed_negative",
+        "gaussian", "gaussian_wide"])
+def test_meter_is_one_squeezed_vacuum(meter, r):
+    # every kind is the squeezed vacuum of r: 0, r or -ln(epsilon)
+    assert meter.r == r
+    for dim in (max(2, meter.fock_levels()), 30):
+        st, ref = meter.state(dim), squeezed_vacuum(FockSpace(dim), meter.r)
+        assert np.array_equal(st.data, ref.data)
+        assert st.norm_defect == ref.norm_defect
+    _, _, mx, mp, vx, vp = amplifiers._mode_quad_moments(
+        meter.state(4 * meter.fock_levels() + 40), 0)
+    assert abs(vx - meter.x_variance()) < 1e-12
+    assert abs(vp - meter.p_variance()) < 1e-12
+    assert abs(mx) < 1e-12 and abs(mp) < 1e-12
 
 
 def test_mode_moments_of_a_large_meter_ket_form_no_mode_matrix():

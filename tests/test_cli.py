@@ -134,9 +134,16 @@ def test_estimate_needs_the_detector_its_estimator_reads(tmp_path, variant,
      "amplifier.variant"),
     ("estimate", {"variant": "linear", "meter": {"kind": "squeezed", "r": 0.5}},
      "heterodyne", "amplifier.meter.kind"),
+    ("povm", {"variant": "two_mode_normal",
+              "meter": {"kind": "squeezed", "r": 0.5}},
+     "heterodyne", "amplifier.meter.kind"),
+    ("povm", {"variant": "two_mode_normal",
+              "meter": {"kind": "gaussian", "epsilon": 0.7}},
+     "heterodyne", "amplifier.meter.kind"),
 ], ids=["povm_linear", "povm_single_mode", "povm_two_mode_homodyne",
         "povm_von_neumann_heterodyne", "povm_three_mode_heterodyne",
-        "sweep_single_mode", "linear_estimate_squeezed_idler"])
+        "sweep_single_mode", "linear_estimate_squeezed_idler",
+        "povm_two_mode_squeezed_meter", "povm_two_mode_gaussian_meter"])
 def test_commands_refuse_what_they_cannot_read(tmp_path, capsys, command,
                                                amplifier, kind, path):
     # refused at validation, before the output directory is made; the
@@ -154,6 +161,33 @@ def test_commands_refuse_what_they_cannot_read(tmp_path, capsys, command,
     assert cli.main(["--config", str(config), "--out", str(out)]) == 2
     assert path in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["linear", "two_mode_normal",
+                                     "von_neumann", "three_mode",
+                                     "single_mode"])
+def test_povm_model_reads_the_detector_the_rules_demand(variant):
+    # cli._check_rules and measurement.povm_model each map a variant to its
+    # readout (the rules to exit 2 before anything runs); they must agree
+    from fockamp import cli, measurement
+    accepted = []
+    for kind in ("heterodyne", "homodyne"):
+        try:
+            cfg = validate_config({"command": "povm",
+                                   "amplifier": {"variant": variant},
+                                   "detector": {"kind": kind}})
+        except ConfigError:
+            continue
+        model, _ = measurement.povm_model(cli.build_amplifier(cfg))
+        assert ("heterodyne" if model == "heterodyne" else "homodyne") == kind
+        accepted.append(kind)
+    if variant in ("linear", "single_mode"):  # povm covers neither
+        assert accepted == []
+        with pytest.raises(TypeError):
+            measurement.povm_model(cli.build_amplifier(validate_config(
+                {"command": "verify", "amplifier": {"variant": variant}})))
+    else:
+        assert len(accepted) == 1
 
 
 def _put(cfg, path, value):
