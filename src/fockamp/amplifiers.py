@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import GainOutOfRange, NotHermitian, NotNormal, TruncationError
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
-                   annihilation_op, guard_keep, normal_decompose,
-                   partial_trace, quadrature_ops, squeezed_vacuum,
-                   symmetrized_moment, tensor, variance)
+                   annihilation_op, guard_keep, hermite_functions,
+                   normal_decompose, partial_trace, quadrature_ops,
+                   squeezed_vacuum, symmetrized_moment, tensor, variance)
 
 METER_DIM_CAP = 4096
 METER_DIM_FLOOR = 24
@@ -385,21 +385,25 @@ def displaced_meter_ket(meter_state: State, alphas) -> np.ndarray:
 
     This is the one conditional-displacement kernel: the exponential of the
     truncated generator, the object the dense composite unitaries hold on
-    each eigenspace of f. With beta = -i alpha, R = e^{i arg(beta) n} and the
-    Hermite Jacobi matrix J = b + b^dag = U diag(lam) U^T (one eigh per call,
-    nothing cached), each row is R U e^{i|beta| lam} U^T R^dag |meter>, by two
-    GEMMs over all alphas, renormalized; alpha = 0 rows copy the meter ket.
+    each eigenspace of f. With beta = -i sqrt(2) alpha, R = e^{i arg(beta) n}
+    and x = U diag(xi) U^T, U the normalized Hermite functions at the zeros xi
+    of h_d (Golub-Welsch; nothing cached), each row is R U e^{i|beta| xi} U^T
+    R^dag |meter>, by two GEMMs, renormalized; alpha = 0 rows copy the ket.
     """
-    ket = meter_state.data
+    ket, d = meter_state.data, meter_state.data.size
     alphas = np.ravel(alphas).astype(complex)
     rows = np.tile(ket, (alphas.size, 1))
     move = np.flatnonzero(alphas)
     if move.size:
-        # eigh reads the upper triangle only: the superdiagonal sqrt(n) of J
-        lam, u = np.linalg.eigh(np.diag(np.sqrt(np.arange(1.0, ket.size)), 1), UPLO="U")
-        beta = -1j * alphas[move, None]
-        r = np.exp(1j * np.angle(beta) * np.arange(ket.size))
-        out = ((ket * r.conj()) @ u * np.exp(1j * np.abs(beta) * lam)) @ u.T * r
+        # eigvalsh reads the upper triangle only: the superdiagonal sqrt(n/2) of x
+        xi = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, d) / 2), 1), UPLO="U")
+        h = hermite_functions(d + 1, xi)[d - 1:].copy()  # rows d-1, d; table freed
+        xi -= h[1] / (math.sqrt(2.0 * d) * h[0])  # Newton: eigvalsh errs by ~1e-12
+        u = hermite_functions(d, xi)
+        u /= np.linalg.norm(u, axis=0)
+        beta = -1j * math.sqrt(2.0) * alphas[move, None]
+        r = np.exp(1j * np.angle(beta) * np.arange(d))
+        out = ((ket * r.conj()) @ u * np.exp(1j * np.abs(beta) * xi)) @ u.T * r
         rows[move] = out / np.linalg.norm(out, axis=1, keepdims=True)
     return rows
 
@@ -479,6 +483,7 @@ def simulate_output_state(spec, input_a: State, dims=None) -> State:
         meter = spec.meter.state(dims[0] if dims else input_a.space.dim)
         out = _squeeze(spec.g, tensor(input_a, meter))
     else:
+        meter_table(spec)  # TypeError before spec.g is read
         out = _spectral_output(spec, input_a, prepare_meters(spec, spec.g, dims))
 
     _check_top_occupancy(out)

@@ -182,11 +182,14 @@ def _field(path: str, kind, bounds, value):
 
 
 def _check_rules(cfg: dict):
-    """Cross-field rules: the variants each command covers; for povm and
-    estimate, the detector each variant is read out by (the POVM model of
-    measurement.povm_model, or the estimator of estimators.run_plan); and
-    the vacuum meter of two closed forms."""
+    """Cross-field rules: a Fock input inside the signal space; the variants
+    each command covers; for povm and estimate, the detector each variant is
+    read out by (the POVM model of measurement.povm_model, or the estimator
+    of estimators.run_plan); and the vacuum meter of two closed forms."""
     command, variant = cfg["command"], cfg["amplifier"]["variant"]
+    if cfg["input_state"].get("n", 0) >= cfg["dims"]["signal"]:
+        raise ConfigError("'input_state.n' must be below dims.signal = "
+                          f"{cfg['dims']['signal']}")
     covers = {
         "noise-sweep": dict.fromkeys(("linear", "two_mode_normal",
                                       "von_neumann", "three_mode")),
@@ -342,9 +345,7 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     nw = cfg["grid"]["n_widths"]
     ppw = cfg["grid"]["points_per_width"]
     summary = {"config": cfg, "per_gain": []}
-    # Both sandwich kernels run up to the sizing cap METER_DIM_CAP = 4096;
-    # this gate bounds cost: displaced_meter_ket takes ~9 s and 682 MB at
-    # 4096 levels, in the eigh of its Jacobi matrix.
+    # bounds cost: displaced_meter_ket takes ~5 s and 418 MB at the 4096-level cap
     numeric_limit = 2500
     for g in cfg["amplifier"]["g_list"]:
         spec = build_amplifier(cfg, g=g)
@@ -367,13 +368,11 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
             "own_region_weights": [float(v) for v in weights],
             "numeric": None,
         }
-        meters = None
-        if model != "three_mode":
-            try:
-                meters = meas.povm_meters(spec)
-            except TruncationError:
-                pass
-        if meters and space.dim * meters[0][0].space.dim <= numeric_limit:
+        try:
+            meters = meas.povm_meters(spec)
+        except TruncationError:
+            meters = []
+        if meters and space.dim * max(m.space.dim for m, _ in meters) <= numeric_limit:
             grid = meas.effective_povm_numeric(spec, detector, outcomes,
                                                meters=meters)
             grid.measure = measure
@@ -394,11 +393,13 @@ def _povm_grid(eigenvalues: np.ndarray, width: float, n_widths: float,
     spans = [(float(part(eigenvalues).min() - n_widths * width),
               float(part(eigenvalues).max() + n_widths * width) + step / 2)
              for part in parts]
-    # np.arange's length, counted before anything is allocated
-    count = math.prod(math.ceil((hi - lo) / step) for lo, hi in spans)
-    if count > POVM_OUTCOMES_MAX:
-        raise ResourceLimit(f"'grid': {count:.3g} outcomes exceed the ceiling "
-                            f"{POVM_OUTCOMES_MAX:.0e}")
+    # np.arange's length, counted before anything is allocated; nan or inf
+    # where the record width at this gain leaves the float range
+    with np.errstate(divide="ignore", invalid="ignore"):
+        count = math.prod(np.ceil(np.float64(hi - lo) / step) for lo, hi in spans)
+    if not count <= POVM_OUTCOMES_MAX:
+        raise ResourceLimit(f"'grid': {count:.3g} outcomes (record width "
+                            f"{width:.3g}) exceed the ceiling {POVM_OUTCOMES_MAX:.0e}")
     axes = [np.arange(lo, hi, step) for lo, hi in spans]
     if not complex_grid:
         return axes[0], step

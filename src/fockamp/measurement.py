@@ -168,7 +168,8 @@ class ClosedFormPovm:
     @property
     def width2(self) -> float:
         eps2 = 1.0 if self.model == "heterodyne" else self.epsilon2
-        return (self.sigma2 + eps2) / (self.g * self.g)
+        g2 = self.g * self.g  # 0 below g ~ 1.6e-162: the width is then inf
+        return (self.sigma2 + eps2) / g2 if g2 else math.inf
 
     def weights(self, outcomes) -> np.ndarray:
         """(n, d) table: the Gaussian density of each eigenvector record
@@ -261,12 +262,15 @@ def _heterodyne_expectations(kets: np.ndarray, betas, sigma2: float) -> np.ndarr
     return (t / math.pi) * acc.T
 
 
-def _default_ygrid(xs, sigma2: float) -> np.ndarray:
-    """Quadrature grid for the raw outcomes ``xs``: step 0.005 on
-    |y| <= max(10, max|x| + 8 sqrt(sigma^2/2)), so the noise kernel about
-    every outcome lies on the grid to eight of its standard deviations."""
-    half = max(HOMODYNE_YGRID_RANGE,
-               float(np.abs(xs).max()) + 8.0 * math.sqrt(sigma2 / 2.0))
+def _default_ygrid(xs, sigma2: float, d: int) -> np.ndarray:
+    """Quadrature grid for the raw outcomes ``xs`` and kets of ``d`` levels:
+    step 0.005 on |y| <= max(10, max|x| + 8 sqrt(sigma^2/2)), so the noise
+    kernel about every outcome lies on the grid to eight of its standard
+    deviations, but not past sqrt(2d + 1) + 12, where the position densities
+    of d levels are below roundoff."""
+    half = min(max(HOMODYNE_YGRID_RANGE,
+                   float(np.abs(xs).max()) + 8.0 * math.sqrt(sigma2 / 2.0)),
+               math.sqrt(2 * d + 1) + 12.0)
     n = int(round(2 * half / HOMODYNE_YGRID_STEP)) + 1
     return np.linspace(-half, half, n)
 
@@ -307,7 +311,7 @@ def _homodyne_expectations(kets: np.ndarray, xs, sigma2: float) -> np.ndarray:
     O(d Y_CHUNK + Y_CHUNK n_outcomes) at any grid length.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    y = xs if sigma2 == 0.0 else _default_ygrid(xs, sigma2)
+    y = xs if sigma2 == 0.0 else _default_ygrid(xs, sigma2, kets.shape[1])
     parts = np.concatenate((kets.real, kets.imag))  # (Re chi; Im chi)
     out = np.zeros((xs.shape[0], kets.shape[0]))
     for lo in range(0, y.shape[0], Y_CHUNK):

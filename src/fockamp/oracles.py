@@ -276,7 +276,7 @@ def heterodyne_element(beta: complex, sigma2: float, space: FockSpace) -> Operat
 def homodyne_element(x: float, sigma2: float, space: FockSpace) -> Operator:
     """<m|M_x|n> = int K_sigma(x - y) h_m(y) h_n(y) dy by trapezoid quadrature.
 
-    The grid is step 0.005 on |y| <= max(10, |x| + 8 sqrt(sigma^2/2)).
+    The grid is :func:`measurement._default_ygrid` of x for ``space.dim`` levels.
     sigma^2 = 0 returns the rank-one outcome density h_m(x) h_n(x) (per unit
     outcome, not a projector). The numeric POVM runs the same quadrature on
     meter position densities in :func:`measurement._homodyne_expectations`.
@@ -287,7 +287,7 @@ def homodyne_element(x: float, sigma2: float, space: FockSpace) -> Operator:
     if sigma2 == 0.0:
         h = hermite_functions(d, np.array([float(x)]))[:, 0]
         return Operator(space, np.outer(h, h).astype(complex))
-    y = _default_ygrid(float(x), sigma2)
+    y = _default_ygrid(float(x), sigma2, d)
     h = hermite_functions(d, y)
     m = (h * _homodyne_kernel(x, sigma2, y)[:, 0]) @ h.T
     return Operator(space, m.astype(complex))

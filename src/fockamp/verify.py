@@ -322,7 +322,7 @@ def _homres():
     # streams (row sums do not depend on the blocking); 12 levels fit one
     # Hermite table
     xs = np.arange(-8.0, 8.0 + 1e-9, 0.05)
-    y = meas._default_ygrid(xs, 0.25)
+    y = meas._default_ygrid(xs, 0.25, 12)
     h = hermite_functions(12, y)
     w = np.concatenate([
         meas._homodyne_kernel(xs, 0.25, y, lo, lo + meas.Y_CHUNK).sum(axis=1)

@@ -18,7 +18,8 @@ from fockamp.amplifiers import (displaced_meter_ket, meter_dim_for,
                                 single_mode_commutator_residual)
 from fockamp import amplifiers, oracles
 from fockamp.errors import TruncationError
-from fockamp.fock import State, normal_decompose, partial_trace
+from fockamp.fock import (State, hermite_functions, normal_decompose,
+                         partial_trace)
 from fockamp.oracles import (cv_swap, embed, expm_hermitian,
                              linear_amp_unitary, three_mode_columns,
                              three_mode_unitary, two_mode_unitary,
@@ -578,6 +579,13 @@ def test_predicted_vs_simulated_all_variants(make_input):
             report(number_op(sp), st)
 
 
+def test_simulate_output_state_refuses_a_non_spec():
+    # the meter table refuses the object before anything reads its gain
+    sp = FockSpace(4)
+    with pytest.raises(TypeError, match="no meters"):
+        simulate_output_state(number_op(sp), fock_state(sp, 1))
+
+
 @pytest.mark.parametrize("meter, r", [
     (Meter(), 0.0), (Meter("vacuum", r=0.7), 0.0), (Meter("squeezed", 0.4), 0.4),
     (Meter("squeezed", -0.3), -0.3),
@@ -654,6 +662,29 @@ def test_displaced_meter_ket_matches_expm_multiply_at_225_levels():
         gen = diags([alpha * s, -np.conj(alpha) * s], [-1, 1], format="csr")
         target = expm_multiply(gen, st.data)
         assert np.abs(row - target / np.linalg.norm(target)).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", [24, 256, 1024])
+def test_displacement_basis_is_the_hermite_eigenbasis(monkeypatch, d):
+    # the kernel's basis is the Hermite table it builds at its nodes xi:
+    # normalized, it is an orthonormal eigenbasis of J = b + b^dag with
+    # eigenvalues sqrt(2) xi (without the Newton step on the nodes, the
+    # eigen-residual reads 2.4e-11 at 1024 levels)
+    tables = []
+
+    def spy(nmax, xs):
+        table = hermite_functions(nmax, xs)
+        tables.append((nmax, np.array(xs), table))
+        return table
+
+    monkeypatch.setattr(amplifiers, "hermite_functions", spy)
+    displaced_meter_ket(vacuum_state(FockSpace(d)), [1.0])
+    [(xi, u)] = [(xs, t) for nmax, xs, t in tables if nmax == d]
+    u = u / np.linalg.norm(u, axis=0)
+    j = annihilation_op(FockSpace(d)).matrix.real
+    j = j + j.T
+    assert np.abs(j @ u - u * (math.sqrt(2.0) * xi)).max() <= 1e-12
+    assert np.abs(u.T @ u - np.eye(d)).max() <= 1e-12
 
 
 def test_auto_sized_squeezed_meter_builds_one_kernel_basis(monkeypatch):

@@ -1,15 +1,20 @@
 """CLI tests: config validation, commands, output formats, reproducibility."""
 import ast
+import contextlib
+import io
 import json
 import math
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fockamp import ConfigError, ResourceLimit, verify
 from fockamp.cli import TRIALS_MAX, validate_config
@@ -357,6 +362,23 @@ def test_readme_config_reference_lists_every_field():
     assert rows == [path for path, *_ in cli._FIELDS]
 
 
+@pytest.mark.parametrize("command", ["noise-sweep", "estimate", "compare"])
+def test_fock_input_above_signal_space_rejected(tmp_path, command):
+    # each of these commands builds the input; level n = 8 is not among the
+    # levels 0..7 of an 8-level signal, so the config is refused (exit 2,
+    # naming the key), not a ValueError traceback
+    cfg = {"command": command, "amplifier": {"variant": "von_neumann"},
+           "input_state": {"kind": "fock", "n": 8}, "dims": {"signal": 8},
+           "detector": {"kind": "homodyne"}, "trials": 1000}
+    with pytest.raises(ConfigError, match="'input_state.n' must be below"):
+        validate_config(cfg)
+    proc = run_cli(tmp_path, cfg)
+    assert proc.returncode == 2
+    assert "input_state.n" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    validate_config({**cfg, "input_state": {"kind": "fock", "n": 7}})
+
+
 def test_bad_json_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -372,6 +394,144 @@ def test_missing_config_rejected(tmp_path):
          str(tmp_path / "none.json")],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# configs drawn from the config table
+# ---------------------------------------------------------------------------
+
+# the range each row is drawn from inside its bounds, small enough that a run
+# stays well under a second; a row without bounds is drawn from its range alone
+DRAW_RANGE = {
+    "amplifier.g": (0, 3), "amplifier.g_list": (0, 3), "amplifier.r": (0, 1.5),
+    "amplifier.f.alpha": (-1, 1), "amplifier.f.beta": (-1, 1),
+    "amplifier.f.gamma": (-1, 1), "amplifier.f.delta": (-1, 1),
+    "amplifier.f.coeffs": (-1, 1), "amplifier.meter.r": (-1, 1),
+    "amplifier.meter.epsilon": (0, 4), "input_state.n": (0, 7),
+    "input_state.alpha": (-2, 2), "input_state.r": (-1, 1),
+    "input_state.phi": (-4, 4), "detector.efficiency": (1e-9, 1),
+    "dims.signal": (2, 6), "trials": (2, 3000), "seed": (0, 2 ** 128 - 2),
+    "grid.n_widths": (0, 2), "grid.points_per_width": (1, 4),
+}
+# the wall time one drawn run may take: the slowest of 400 drawn runs took
+# 0.18 s in process (2 vCPUs), where a povm homodyne grid that spanned the
+# noise kernel at efficiency 1e-9 took 82 s
+DRAWN_RUN_WALL_S = 5.0
+
+
+def _bounds(bounds):
+    """(lo, hi, lo_open, hi_open) of a _FIELDS bounds string, as cli reads it."""
+    lo, hi = (int(b) if b.strip().isdigit() else float(b)
+              for b in bounds[1:-1].split(","))
+    return lo, hi, bounds[0] == "(", bounds[-1] == ")"
+
+
+def _inside(path, kind, bounds):
+    """Values of one _FIELDS row inside its bounds and DRAW_RANGE."""
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    lo, hi = DRAW_RANGE[path]
+    blo, bhi, blo_open, bhi_open = _bounds(bounds) if bounds else (lo, hi, False, False)
+    lo_open, hi_open = lo == blo and blo_open, hi == bhi and bhi_open
+    if kind in ("int", "count"):
+        return st.integers(lo + lo_open, hi - hi_open)
+    number = st.floats(lo, hi, exclude_min=lo_open, exclude_max=hi_open)
+    if kind == "pair":
+        return number | st.lists(number, min_size=2, max_size=2)
+    if kind == "nums":
+        return st.lists(number, min_size=1, max_size=3)
+    return number
+
+
+def _outside(path, kind, bounds):
+    """Values of one _FIELDS row just outside its bounds, or of another type."""
+    wrong = st.sampled_from([None, True, "x", [], {}])
+    if not bounds:
+        return wrong | st.just("unknown") if isinstance(kind, tuple) else wrong
+    lo, hi, lo_open, hi_open = _bounds(bounds)
+    if kind in ("int", "count"):
+        edges = [lo - 1, hi + 1]
+    else:
+        edges = [lo if lo_open else math.nextafter(lo, -math.inf),
+                 hi if hi_open else math.nextafter(hi, math.inf)]
+    edges = [e for e in edges if math.isfinite(e)]
+    if kind == "nums":
+        edges = [[1.0, e] for e in edges]
+    return wrong | st.sampled_from(edges)
+
+
+@st.composite
+def drawn_configs(draw):
+    """A config whose keys are drawn from cli._FIELDS: each present or not,
+    and one in twenty just outside its bounds; verify one run in nine."""
+    from fockamp import cli
+    commands = ["noise-sweep", "povm", "estimate", "compare"]
+    cfg = {"command": draw(st.sampled_from(["verify"] + commands * 2))}
+    for path, kind, bounds, _, _ in cli._FIELDS:
+        if path in ("command", "output") or not draw(st.booleans()):
+            continue
+        far = draw(st.integers(0, 19)) == 0
+        value = draw((_outside if far else _inside)(path, kind, bounds))
+        *heads, key = path.split(".")
+        block = cfg
+        for head in heads:
+            block = block.setdefault(head, {})
+        block[key] = value
+    return cfg
+
+
+class _Overrun(BaseException):
+    """Raised by the alarm in a drawn run; no handler of the package takes it."""
+
+
+def _overrun(signum, frame):
+    raise _Overrun(f"a drawn run took over {DRAWN_RUN_WALL_S} s")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(drawn_configs())
+def test_drawn_configs_resolve_to_themselves(raw):
+    # resolution is idempotent: a resolved config names every key, and
+    # resolves to itself, value for value and type for type
+    try:
+        cfg = validate_config(raw)
+    except (ConfigError, ResourceLimit):
+        return
+    assert json.dumps(validate_config(cfg), sort_keys=True) == \
+        json.dumps(cfg, sort_keys=True)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(drawn_configs())
+@example({"command": "noise-sweep", "input_state": {"kind": "fock", "n": 6},
+          "dims": {"signal": 6}})
+@example({"command": "povm", "amplifier": {"g_list": [1e-200]},
+          "detector": {"kind": "heterodyne"}})
+@example({"command": "povm", "amplifier": {"variant": "von_neumann"},
+          "detector": {"kind": "homodyne", "efficiency": 1e-9},
+          "dims": {"signal": 2}, "grid": {"n_widths": 1, "points_per_width": 1}})
+def test_drawn_configs_run_to_an_exit_code(raw):
+    # every drawn config runs to exit 0, 2 (config) or 3 (resource) and
+    # raises nothing, within DRAWN_RUN_WALL_S; verify may exit 1 where the
+    # configured amplifier gate is its one failing check. The examples are
+    # the defects such draws found: a Fock level above the signal space (a
+    # ValueError), a povm gain whose g^2 underflows (a ZeroDivisionError),
+    # and povm homodyne at efficiency 1e-9 (82 s; last, since the
+    # alarm's exception ends the run of examples)
+    from fockamp import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        previous = signal.signal(signal.SIGALRM, _overrun)
+        signal.setitimer(signal.ITIMER_REAL, DRAWN_RUN_WALL_S)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = cli.main(["--config", str(path), "--out", tmp])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    failed = re.findall(r"^\[FAIL\] (.*?):", stdout.getvalue(), re.M)
+    assert code in (0, 2, 3) or (code == 1 and failed == ["configured amplifier gate"])
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +764,53 @@ def test_povm_builds_one_kernel_basis_per_gain(tmp_path, monkeypatch):
     assert dims == [81, 144]
     summary = json.loads((tmp_path / "povm_summary.json").read_text())
     assert all(e["numeric"] is not None for e in summary["per_gain"])
+
+
+def _run_povm(tmp_path, cfg):
+    from fockamp import cli
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"command": "povm", **cfg}))
+    code = cli.main(["--config", str(path), "--out", str(tmp_path)])
+    return code, json.loads((tmp_path / "povm_summary.json").read_text()) \
+        if code == 0 else None
+
+
+def test_povm_three_mode_numeric_matches_closed_form(tmp_path):
+    # the three-mode amplifier gets its numeric POVM like the other models:
+    # meters of 81 and 144 levels at g = 1 and 2 on the CLI's own grid
+    code, summary = _run_povm(tmp_path, {
+        "amplifier": {"variant": "three_mode", "f": {"kind": "a_dag_a"},
+                      "g_list": [1, 2]},
+        "detector": {"kind": "homodyne", "efficiency": 0.5},
+        "dims": {"signal": 4}})
+    assert code == 0
+    for entry in summary["per_gain"]:
+        assert entry["numeric"]["max_deviation_from_closed_form"] <= 1e-9
+        assert entry["numeric"]["grid_identity_residual"] <= 1e-9
+
+
+def test_povm_homodyne_grid_is_bounded_at_tiny_efficiency(tmp_path):
+    # the quadrature grid stops at sqrt(2d + 1) + 12 whatever the detector
+    # noise: at efficiency 1e-9 the whole CLI run took 0.37 s (2 vCPUs),
+    # where a grid spanning the noise kernel took 82 s
+    import time
+    start = time.perf_counter()
+    code, summary = _run_povm(tmp_path, {
+        "amplifier": {"variant": "von_neumann", "f": {"kind": "a_dag_a"}},
+        "detector": {"kind": "homodyne", "efficiency": 1e-9},
+        "dims": {"signal": 2}, "grid": {"n_widths": 1, "points_per_width": 1}})
+    assert time.perf_counter() - start < 3.0
+    assert code == 0
+    assert summary["per_gain"][0]["numeric"]["max_deviation_from_closed_form"] <= 1e-9
+
+
+@pytest.mark.parametrize("g", [1e-200, 1e200])
+def test_povm_gain_past_float_range_refused(tmp_path, capsys, g):
+    # the record width (sigma^2 + 1)/g^2 is inf or 0 in floats: no grid
+    code, _ = _run_povm(tmp_path, {"amplifier": {"g_list": [g]},
+                                   "detector": {"kind": "heterodyne"}})
+    assert code == 3
+    assert "'grid'" in capsys.readouterr().err
 
 
 def test_povm_grid_above_ceiling_refused_before_allocation(tmp_path, capsys):

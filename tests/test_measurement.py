@@ -277,7 +277,7 @@ def test_streamed_homodyne_matches_dense_oracle(monkeypatch, layout, sigma2):
     # the blocks add up to the dense sandwich wherever the chunks fall; at
     # sigma^2 = 0 the blocks run over the outcomes
     xs = np.linspace(-4.0, 12.0, 28)
-    n = xs.size if sigma2 == 0.0 else measurement._default_ygrid(xs, sigma2).size
+    n = xs.size if sigma2 == 0.0 else measurement._default_ygrid(xs, sigma2, 40).size
     assert n % 4 == 0 and (n - 1) % 3 == 0  # 28 outcomes; 5932 grid points
     chunk = {"under_one_chunk": n + 1, "four_chunks": n // 4,
              "three_chunks_and_one": (n - 1) // 3}[layout]
