@@ -30,9 +30,9 @@ EXIT_CHECK = 1
 EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
 
-# Monte Carlo memory is O(workers * BLOCK) whatever trials is (the draws
-# stream in blocks on a thread pool); this ceiling bounds run time. Larger
-# configs are refused at validation.
+# Monte Carlo memory does not grow with trials (the draws stream in blocks on
+# a thread pool, each reduced a chunk at a time); this ceiling bounds run
+# time. Larger configs are refused at validation.
 TRIALS_MAX = 10 ** 8
 # povm holds its outcome grid and the (outcomes, signal dim) weight table,
 # its numeric stage one kernel table per meter of (outcomes, meter levels),

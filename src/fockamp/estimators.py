@@ -22,11 +22,11 @@ for a coherent input, and exact rejection draws from the Husimi density for
 any other.
 
 Plans are drawn in blocks of :data:`measurement.BLOCK` trials, each on a
-worker thread of the sampler, which also reduces it to its mean and centred
-sums (:meth:`_Moments.block`). A block of the Gaussian sampler is ordered by
-centre; the moments do not see the order. The main thread merges the sums in
-block order, so the reports do not depend on the worker count, and memory is
-O(workers * BLOCK) whatever ``trials`` is.
+worker thread of the sampler, which maps each chunk of draws to x/(sqrt(2) g)
+or |alpha|^2 and sums its powers. A block of the Gaussian sampler is ordered
+by centre; the moments do not see the order. The main thread merges the sums
+in block order, so the reports do not depend on the worker count, and memory
+does not grow with ``trials`` (chunk-sized buffers per Gaussian worker).
 """
 from __future__ import annotations
 
@@ -39,8 +39,7 @@ from .amplifiers import (LinearAmp, Meter, TwoModeNormalAmp, VACUUM,
                          VonNeumannAmp)
 from .errors import NotHermitian
 from .fock import State, normal_decompose, number_op, variance
-from .measurement import (DRAW_CHUNK, DetectorSpec, detector_blocks,
-                          gaussian_blocks)
+from .measurement import DetectorSpec, detector_blocks, gaussian_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -104,34 +103,23 @@ class EstimateReport:
 class _Moments:
     """Mean and centred power sums (n, 0, M2, M3, M4) of a sample fed in blocks.
 
-    Blocks merge exactly by the pairwise update of Chan, Golub & LeVeque and
-    Pebay (SAND2008-6212), as the binomial re-centring of both sides at the
-    merged mean. One block alone gives ``np.var(ddof=1)`` bit for bit.
+    Blocks, as power sums about a shift, merge exactly by the pairwise update
+    of Chan, Golub & LeVeque and Pebay (SAND2008-6212), as the binomial
+    re-centring of both sides at the merged mean. One block's centred sums
+    about its mean give ``np.var(ddof=1)`` bit for bit.
     """
 
     def __init__(self):
         self.mean, self.sums = 0.0, [0, 0.0, 0.0, 0.0, 0.0]
 
-    @staticmethod
-    def block(x: np.ndarray, out=None, scratch=None):
-        """(mean, centred sums) of one block; ``out=x`` centres x in place,
-        and ``scratch``, if given, holds the squares."""
-        mean = float(np.mean(x))
-        d = np.subtract(x, mean, out=out)
-        d2 = np.multiply(d, d, out=scratch)
-        d *= d2
-        m2, m3 = float(d2.sum()), float(d.sum())
-        d2 *= d2
-        return mean, [x.shape[0], 0.0, m2, m3, float(d2.sum())]
-
-    def merge(self, mean: float, sums: list) -> "_Moments":
-        """Fold in one block's :meth:`block` result."""
+    def merge(self, shift: float, sums: list) -> "_Moments":
+        """Fold in one block's (shift, [n, sum (x - shift)^k for k = 1..4])."""
+        mean = shift + sums[1] / sums[0]
         if self.sums[0]:
-            merged = self.mean + (mean - self.mean) * sums[0] / (self.sums[0] + sums[0])
-            sums = [a + b for a, b in zip(_recentred(self.sums, self.mean - merged),
-                                          _recentred(sums, mean - merged))]
-            mean = merged
-        self.mean, self.sums = mean, sums
+            mean = self.mean + (mean - self.mean) * sums[0] / (self.sums[0] + sums[0])
+            self.sums = _recentred(self.sums, self.mean - mean)
+        self.sums = [a + b for a, b in zip(self.sums, _recentred(sums, shift - mean))]
+        self.mean = mean
         return self
 
     def stats(self):
@@ -152,11 +140,11 @@ def _recentred(sums, shift: float) -> list:
 # nonlinear scheme: f_hat = x_out / (sqrt(2) g)
 # ---------------------------------------------------------------------------
 
-def _nonlinear_blocks(plan: TrialPlan, reduce=None):
+def _nonlinear_blocks(plan: TrialPlan, transform=None):
     """Meter homodyne outcomes for the nonlinear scheme, block by block: a
     centre sqrt(2) g lambda_i drawn from the spectral measure of the input,
     plus the meter position noise and the detector smearing, drawn as one
-    Gaussian of the summed variance. ``reduce`` goes to
+    Gaussian of the summed variance. ``transform`` goes to
     :func:`measurement.gaussian_blocks`."""
     amp = plan.amplifier
     dec = normal_decompose(amp.f)
@@ -165,7 +153,7 @@ def _nonlinear_blocks(plan: TrialPlan, reduce=None):
     probs = np.clip(dec.probabilities(plan.input_state), 0.0, None)
     sd = math.sqrt(amp.meter.x_variance() + plan.detector.sigma2 / 2.0)
     return gaussian_blocks(math.sqrt(2.0) * amp.g * np.real(dec.eigenvalues), probs,
-                           sd, plan.trials, plan.seed, reduce)
+                           sd, plan.trials, plan.seed, transform=transform)
 
 
 def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
@@ -178,12 +166,8 @@ def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
     g = amp.g
     scale = math.sqrt(2.0) * g
 
-    def reduce(x):  # on the sampler's worker, in the block's own buffer
-        x /= scale
-        return _Moments.block(x, out=x)
-
     moments = _Moments()
-    for sums in _nonlinear_blocks(plan, reduce):
+    for sums in _nonlinear_blocks(plan, lambda x, out: np.divide(x, scale, out=out)):
         moments.merge(*sums)
     mean, var, se_m, se_v = moments.stats()
     var_f = variance(plan.input_state, amp.f)
@@ -203,7 +187,7 @@ def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
 # linear scheme: n_hat = |alpha|^2/g^2 - 1
 # ---------------------------------------------------------------------------
 
-def _linear_blocks(plan: TrialPlan, reduce=None):
+def _linear_blocks(plan: TrialPlan, transform=None):
     """Heterodyne outcomes after phase-preserving amplification, by block.
 
     alpha = g * (exact Husimi draw of the input) + detector noise, from the
@@ -213,13 +197,13 @@ def _linear_blocks(plan: TrialPlan, reduce=None):
     Q_in(alpha/g)/g^2, so the antinormally ordered extra quantum is already
     in the Husimi draw (validated against two-mode squeezer evolution in
     the tests). An input holding more than 1e-6 at its cutoff raises
-    TruncationError. ``reduce`` goes to the sampler.
+    TruncationError. ``transform`` goes to the sampler.
     """
     amp = plan.amplifier
     if amp.meter.kind != "vacuum":
         raise ValueError("linear-scheme sampling shortcut assumes a vacuum internal mode")
     return detector_blocks(plan.input_state, plan.detector, plan.trials,
-                           plan.seed, gain=amp.g, reduce=reduce)
+                           plan.seed, gain=amp.g, transform=transform)
 
 
 def _linear_analytic(state: State, g: float, s2: float):
@@ -242,19 +226,8 @@ def run_linear_number_estimation(plan: TrialPlan) -> EstimateReport:
     g = amp.g
     g2 = g * g
 
-    def reduce(alpha):  # on the sampler's worker, in the block's own buffer
-        # |alpha| chunk by chunk into the first half of alpha's floats, which
-        # overlay trials already read, so no block-sized temporary is made
-        a2, scratch = alpha.view(float).reshape(2, -1)  # alpha is spent
-        part = np.empty(min(DRAW_CHUNK, alpha.shape[0]))
-        for lo in range(0, alpha.shape[0], DRAW_CHUNK):
-            chunk = alpha[lo:lo + DRAW_CHUNK]
-            a2[lo:lo + chunk.shape[0]] = np.abs(chunk, out=part[:chunk.shape[0]])
-        a2 *= a2
-        return _Moments.block(a2, out=a2, scratch=scratch)
-
     raw = _Moments()
-    for sums in _linear_blocks(plan, reduce):
+    for sums in _linear_blocks(plan, lambda a, out: np.square(np.abs(a, out=out), out=out)):
         raw.merge(*sums)
     # n_hat = |alpha|^2/g^2 - 1 is affine in |alpha|^2: its statistics follow
     m2, v2, se2m, se2v = raw.stats()

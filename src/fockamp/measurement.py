@@ -17,6 +17,7 @@ regions do not move with the gain.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from collections import deque
@@ -35,11 +36,10 @@ HOMODYNE_YGRID_RANGE = 10.0
 # homodyne quadrature points per Hermite table (see _homodyne_expectations);
 # sets the working set, not the result beyond roundoff
 Y_CHUNK = 2 ** 10
-# trials per Monte Carlo block, the unit of the stream law (see _pooled);
-# memory is O(workers * BLOCK) whatever the trial count
+# trials per Monte Carlo block, the unit of the stream law (see _pooled)
 BLOCK = 2 ** 16
-# trials per fill inside a block; the fills are sequential, so the chunk
-# sets the working set, not the streams
+# trials per fill of normals and per proposal round of husimi_blocks; the
+# fills are sequential, so for them it sets only a worker's buffers
 DRAW_CHUNK = 2 ** 13
 # proposals x levels per slice of the acceptance table of husimi_blocks;
 # sets the working set, not the streams
@@ -167,9 +167,8 @@ class ClosedFormPovm:
 
     @property
     def width2(self) -> float:
-        eps2 = 1.0 if self.model == "heterodyne" else self.epsilon2
-        g2 = self.g * self.g  # 0 below g ~ 1.6e-162: the width is then inf
-        return (self.sigma2 + eps2) / g2 if g2 else math.inf
+        return _width2(self.sigma2, 1.0 if self.model == "heterodyne"
+                       else self.epsilon2, self.g)
 
     def weights(self, outcomes) -> np.ndarray:
         """(n, d) table: the Gaussian density of each eigenvector record
@@ -190,6 +189,11 @@ class ClosedFormPovm:
         """The analytic outcome integral is exactly V V^dag; report its residual."""
         v = self.decomposition.eigenvectors
         return float(np.abs(v @ v.conj().T - np.eye(v.shape[0])).max())
+
+
+def _width2(sigma2: float, epsilon2: float, g: float) -> float:
+    """(sigma^2 + epsilon^2)/g^2; inf where g^2 underflows (g below ~1.6e-162)."""
+    return (sigma2 + epsilon2) / (g * g) if g * g else math.inf
 
 
 def effective_povm_closed_form(decomposition: SpectralDecomposition, g: float,
@@ -382,7 +386,7 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     for (_, part), (meter, rows) in zip(meter_table(amp), meters):
         chi = displaced_rows(meter, drive * part(dec.eigenvalues), rows)
         weights = weights * (jacobian * expectations(chi, g * part(outcomes), sig2))
-    return PovmGrid(outcomes, dec, weights, model, (sig2 + epsilon ** 2) / g ** 2)
+    return PovmGrid(outcomes, dec, weights, model, _width2(sig2, epsilon ** 2, g))
 
 
 # ---------------------------------------------------------------------------
@@ -480,37 +484,50 @@ def own_region_weights(povm, regions: DecisionRegions) -> np.ndarray:
 # outcome sampling
 # ---------------------------------------------------------------------------
 
-def _pooled(n: int, seed: int, draw, reduce=None):
-    """draw(rng, size, add) for each block of n trials, in block order.
+def _pooled(n: int, seed: int, draw, sd: float, dtype, transform=None):
+    """draw(rng, size, whole) plus sd times a standard normal per real axis,
+    for each block of n trials, in block order.
 
     Block b holds trials [b BLOCK, (b + 1) BLOCK) and draws from Philox
     keyed by the seed with b as its third counter word, which is
-    ``Philox(key=seed).jumped(b)`` (Salmon et al., SC'11).
-    ``add(out, fill, scale)`` adds ``scale * fill()`` to out, DRAW_CHUNK
-    trials per fill and one (re, im) pair per trial of a complex out. Blocks
-    are drawn on a thread pool, one worker per CPU available to the process,
-    with at most workers + 1 blocks in flight, and are yielded in block
-    order; ``reduce``, if given, runs on the worker once ``draw`` has
-    returned, and its result is yielded in place of the block (which it may
-    overwrite). The streams do not depend on the worker count. The workers
-    call closures only, no module-level function.
+    ``Philox(key=seed).jumped(b)`` (Salmon et al., SC'11). ``draw`` draws
+    first and returns the noiseless block (``dtype``), which takes the noise
+    in place (none at sd 0), or, unless ``whole``, a function adding trials
+    lo:lo + len(x) to x. The normals follow, DRAW_CHUNK trials per fill,
+    (re, im) per complex trial. ``transform(x, out)``, if given, writes a
+    real y per trial of each chunk x, and the block yields (c, [size, sum (y
+    - c)^k for k = 1..4]), c the mean y of its first chunk. Blocks are drawn
+    on a thread pool, one worker per CPU available to the process, with at
+    most workers + 1 in flight, and are yielded in block order. The streams
+    do not depend on the worker count. The workers call closures only.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    def add(out, fill, scale):
-        buf = np.empty((min(DRAW_CHUNK, out.shape[0]),)
-                       + ((2,) if out.dtype == complex else ()))
-        for lo in range(0, out.shape[0], DRAW_CHUNK):
-            part = out[lo:lo + DRAW_CHUNK]
-            r = buf[:part.shape[0]]
-            fill(out=r)
-            r *= scale
-            part += r.view(out.dtype).reshape(part.shape)
-
-    def work(b, size):  # reduces once draw's temporaries are freed
-        out = draw(np.random.Generator(
-            np.random.Philox(key=seed, counter=[0, 0, b, 0])), size, add)
-        return out if reduce is None else reduce(out)
+    def work(b, size):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0]))
+        base = draw(rng, size, transform is None)
+        block = isinstance(base, np.ndarray)
+        buf = np.empty(min(DRAW_CHUNK, size), dtype)
+        # rows 1, y - c and (y - c)^2 of a chunk, and their sums of products
+        m, acc = np.ones((3 if transform else 0, min(DRAW_CHUNK, size))), 0.0
+        for lo in range(0, size, DRAW_CHUNK):
+            r, d = buf[:size - lo].view(float), m[:, :size - lo]  # to the end or a chunk
+            x = base[lo:lo + DRAW_CHUNK] if block else r.view(dtype)
+            if sd > 0 or not block:
+                rng.standard_normal(out=r)  # rng.normal(0.0, sd)
+                r *= sd
+                if block:
+                    x += r.view(dtype)
+                else:
+                    base(x, lo)
+            if transform is not None:
+                transform(x, d[1])
+                shift = float(d[1].mean()) if lo == 0 else shift
+                d[1] -= shift
+                np.multiply(d[1], d[1], out=d[2])
+                acc = acc + d @ d[1:].T  # sum (y - c)^(j + k), j = 0..2, k = 1, 2
+        return base if transform is None else \
+            (shift, [size] + acc[0].tolist() + acc[1:, 1].tolist())
 
     affinity = getattr(os, "sched_getaffinity", None)
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
@@ -525,18 +542,19 @@ def _pooled(n: int, seed: int, draw, reduce=None):
 
 
 def gaussian_blocks(centres, weights, sd: float, n: int, seed: int,
-                    reduce=None):
+                    transform=None):
     """n draws of centres[i] + sd * (a standard normal per real axis), i
     with the law weights/sum(weights), in the blocks of :func:`_pooled`.
 
-    A block is filled by counts: one ``rng.multinomial(size, p)`` says how
+    A block is drawn by counts: one ``rng.multinomial(size, p)`` says how
     many of its trials fall on each centre (skipped for a single centre),
-    ``np.repeat(centres, counts)`` lays them down, and ``sd *
-    rng.standard_normal`` is added, (re, im) per trial for complex centres.
-    So a block is ordered by centre: an exchangeable sample of the mixture,
-    not i.i.d. in sequence. A function of the block that ignores order (its
-    moments, which are all the estimators read, or a histogram) has exactly
-    the law it has on i.i.d. draws.
+    ``np.repeat(centres, counts)`` lays a whole block down (a chunk adds
+    its runs of centres instead), and ``sd * rng.standard_normal`` is added,
+    (re, im) per trial for complex centres. So a block is ordered by
+    centre: an exchangeable sample of the mixture, not i.i.d. in sequence.
+    A function of the block that ignores order (its moments, which are all
+    the estimators read, or a histogram) has exactly the law it has on
+    i.i.d. draws.
     """
     centres = np.array(centres)
     p = np.array(weights, dtype=float)
@@ -544,13 +562,21 @@ def gaussian_blocks(centres, weights, sd: float, n: int, seed: int,
     for shared in (centres, p):  # read by every worker
         shared.flags.writeable = False
 
-    def draw(rng, size, add):
+    def draw(rng, size, whole):
         counts = [size] if centres.size == 1 else rng.multinomial(size, p)
-        out = np.repeat(centres, counts)
-        add(out, rng.standard_normal, sd)  # rng.normal(0.0, sd)
-        return out
+        if whole:
+            return np.repeat(centres, counts)
+        ends = np.cumsum(counts).tolist()  # run i ends before trial ends[i]
 
-    return _pooled(n, seed, draw, reduce)
+        def add_centres(x, lo):
+            at = lo
+            while at < lo + x.shape[0]:
+                i = bisect.bisect_right(ends, at)
+                x[at - lo:ends[i] - lo] += centres[i]
+                at = ends[i]
+        return add_centres
+
+    return _pooled(n, seed, draw, sd, centres.dtype, transform)
 
 
 def _husimi_proposal(state: State):
@@ -603,7 +629,7 @@ def _husimi_proposal(state: State):
 
 
 def husimi_blocks(state: State, gain: float, sd: float, n: int, seed: int,
-                  reduce=None):
+                  transform=None):
     """n draws of gain beta + sd (a standard normal per real axis), beta
     exactly from the Husimi density <beta|rho|beta>/pi of ``state``, in the
     blocks of :func:`_pooled`, by rejection (:func:`_husimi_proposal`).
@@ -617,7 +643,7 @@ def husimi_blocks(state: State, gain: float, sd: float, n: int, seed: int,
     """
     levels, prob, acceptance = _husimi_proposal(state)
 
-    def draw(rng, size, add):
+    def draw(rng, size, whole):
         out = np.empty(size, complex)
         done = 0
         while done < size:
@@ -629,17 +655,15 @@ def husimi_blocks(state: State, gain: float, sd: float, n: int, seed: int,
             out[done:done + beta.shape[0]] = beta
             done += beta.shape[0]
         out *= gain
-        if sd > 0:
-            add(out, rng.standard_normal, sd)  # rng.normal(0.0, sd)
         return out
 
-    return _pooled(n, seed, draw, reduce)
+    return _pooled(n, seed, draw, sd, complex, transform)
 
 
 def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
-                    gain: float = 1.0, reduce=None):
+                    gain: float = 1.0, transform=None):
     """n heterodyne outcomes on ``state`` times ``gain``, in the blocks of
-    :func:`_pooled`; ``reduce`` goes with them. A homodyne detector, a
+    :func:`_pooled`; ``transform`` goes with them. A homodyne detector, a
     multi-mode state, or one holding more than 1e-6 at its cutoff, raises
     first.
 
@@ -667,9 +691,9 @@ def detector_blocks(state: State, detector: DetectorSpec, n: int, seed: int,
     if m is not None:
         return gaussian_blocks([gain * m], [1.0],
                                math.sqrt((gain * gain + detector.sigma2) / 2.0),
-                               n, seed, reduce)
+                               n, seed, transform)
     return husimi_blocks(state, gain, math.sqrt(detector.sigma2 / 2.0), n,
-                         seed, reduce)
+                         seed, transform)
 
 
 def _as_coherent(state: State):
@@ -693,4 +717,7 @@ def _as_coherent(state: State):
 def sample_outcomes(state: State, detector: DetectorSpec, n: int,
                     seed: int) -> np.ndarray:
     """n outcomes of :func:`detector_blocks`, joined; deterministic given seed."""
-    return np.concatenate(list(detector_blocks(state, detector, n, seed)))
+    if n < 0:
+        raise ValueError(f"n = {n}: the number of outcomes must be >= 0")
+    return np.concatenate([np.empty(0, complex)]
+                          + list(detector_blocks(state, detector, n, seed)))

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import signal
 import sys
 import threading
 
@@ -19,7 +20,7 @@ from fockamp import (DetectorSpec, FockSpace, LinearAmp, TrialPlan,
                      run_plan, simulate_output_state, snr_report, tensor,
                      vacuum_state)
 from fockamp.errors import GainOutOfRange, TruncationError
-from fockamp.estimators import _linear_blocks, _nonlinear_blocks
+from fockamp.estimators import _Moments, _linear_blocks, _nonlinear_blocks
 from fockamp.fock import (State, log_factorials, normal_decompose,
                           partial_trace, quadrature_amplitudes)
 from fockamp import measurement
@@ -333,6 +334,34 @@ def test_nonlinear_samples_match_choice_plus_normals():
     assert np.array_equal(nonlinear_meter_x_samples(plan), np.concatenate(ref))
 
 
+@pytest.mark.parametrize("centres", [[0.5], [-3.0, 0.0, 2.5, 40.0], [1.0 + 0.5j]])
+def test_chunks_are_the_whole_block_draws_and_sum_to_its_moments(
+        centres, monkeypatch):
+    # with a transform, each chunk is drawn run by run (the runs of several
+    # centres cross chunks) and is the same slice of the whole block, bit
+    # for bit; its power sums about one shift per block merge to the
+    # two-pass moments of the joined draws
+    _set_cpus(monkeypatch, 1)  # chunks in trial order
+    args = (centres, np.arange(1.0, len(centres) + 1), 0.7, 2 * BLOCK + 7, 4)
+    whole = np.concatenate(list(gaussian_blocks(*args)))
+    chunks, moments = [], _Moments()
+
+    def transform(x, out):
+        chunks.append(x.copy())
+        np.square(np.abs(x, out=out), out=out)
+
+    for block in gaussian_blocks(*args, transform=transform):
+        moments.merge(*block)
+    assert np.array_equal(np.concatenate(chunks), whole)
+    y = np.abs(whole) ** 2
+    d = y - y.mean()
+    n, scale = y.size, float(y.max())
+    for got, ref, k in zip([moments.mean] + moments.sums[2:],
+                           [y.mean()] + [np.sum(d ** k) for k in (2, 3, 4)],
+                           (1, 2, 3, 4)):
+        assert abs(got - ref) <= 1e-12 * n * scale ** k
+
+
 def _mean_amplitude(state):
     # <a> = sum_n sqrt(n) conj(psi_{n-1}) psi_n, summed as the sampler sums it
     psi = state.data
@@ -421,7 +450,7 @@ def _set_cpus(mp, k):
 @pytest.mark.parametrize("case", ["linear", "two_mode"])
 def test_estimation_memory_is_bounded(case, monkeypatch):
     # the two montecarlo benchmark plans, at 1 and 4 workers; the samplers
-    # build their draws in place and the moments reuse the block buffers
+    # reduce their draws to moments a chunk at a time
     import tracemalloc
     if case == "linear":
         plan = TrialPlan(LinearAmp(2.0), coherent_state(FockSpace(64), 1.0 + 0.5j),
@@ -469,6 +498,32 @@ def test_estimation_memory_is_flat_in_trials(case, monkeypatch):
         assert abs(peaks[1] - peaks[0]) < 4 * 2 ** 20
 
 
+@pytest.mark.parametrize("case", ["linear", "two_mode"])
+def test_gaussian_route_forms_no_block_sized_array(case, monkeypatch):
+    # the Gaussian route reduces each chunk as it is drawn, so a worker holds
+    # chunk-sized buffers: the traced peak of a five-block plan stays under
+    # one real block (0.5 MiB) per worker, where whole blocks traced 1.1 and
+    # 2.3 MiB (linear) and 1.0 and 2.0 MiB (two-mode) at 1 and 4 workers
+    import tracemalloc
+    if case == "linear":
+        args = (LinearAmp(2.0), coherent_state(FockSpace(64), 1.0 + 0.5j), _het(0.8))
+    else:
+        sp = FockSpace(8)
+        args = (TwoModeNormalAmp(number_op(sp), 2.0), fock_state(sp, 2), _hom(0.9))
+    run_plan(TrialPlan(*args, 2, 7))  # the pool's and numpy.random's imports
+    plan = TrialPlan(*args, 5 * BLOCK, 7)
+    for workers in (1, 4):
+        _set_cpus(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            rep = run_plan(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
+        assert peak < workers * BLOCK * 8
+
+
 # ---------------------------------------------------------------------------
 # worker threads: the blocks are drawn on a pool and merged in block order
 # ---------------------------------------------------------------------------
@@ -496,6 +551,46 @@ def test_outputs_do_not_depend_on_worker_count(trials):
             assert _thread_outputs(trials) == ref
 
 
+class _Overrun(BaseException):
+    """Raised by the alarm of a time-bounded test."""
+
+
+def _overrun(signum, frame):
+    raise _Overrun("the stressed runs took over 60 s")
+
+
+def test_reports_under_thread_stress_match_one_worker():
+    # eight workers on fewer cores, switched every microsecond, interleave
+    # the per-chunk sums of the blocks in flight; a sum shared across blocks
+    # or updated out of order would change a report's digits
+    sp = FockSpace(16)
+    state = coherent_state(sp, 1.0 + 0.5j)
+    n = 8 * BLOCK + 5  # nine blocks: every worker has one
+    plans = [TrialPlan(TwoModeNormalAmp(number_op(sp), 2.0), state, _hom(0.9), n, 3),
+             TrialPlan(LinearAmp(2.0), state, _het(0.8), n, 3),
+             TrialPlan(LinearAmp(2.0), fock_state(sp, 2), _het(0.8), n, 3)]
+
+    def reports():
+        return [json.dumps(run_plan(plan).to_dict()) for plan in plans] \
+            + [json.dumps(compare_schemes(state, 2.0, n, 3, eta=0.9).to_dict())]
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp:
+        _set_cpus(mp, 1)
+        ref = reports()
+        _set_cpus(mp, 8)
+        previous = signal.signal(signal.SIGALRM, _overrun)
+        signal.setitimer(signal.ITIMER_REAL, 60.0)
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [reports() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert got == [ref] * 3
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
     _set_cpus(monkeypatch, workers)
@@ -503,23 +598,26 @@ def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
     blocks = list(gaussian_blocks(*args))
     started = []
 
-    def reduce(x, fail=None):
-        b = next(i for i, ref in enumerate(blocks) if np.array_equal(x, ref))
-        started.append(b)
-        if b == fail:
-            raise ValueError(f"block {b}")
-        return b
+    def transform(x, out, fail=None):
+        # a block starts with its first chunk, the only one that matches
+        # the head of a whole block
+        b = [i for i, ref in enumerate(blocks) if np.array_equal(x, ref[:x.size])]
+        started.extend(b)
+        if b == [fail]:
+            raise ValueError(f"block {fail}")
+        out[:] = x
 
     before = threading.active_count()
-    stream = gaussian_blocks(*args, reduce=reduce)
-    assert next(stream) == 0
+    stream = gaussian_blocks(*args, transform=transform)
+    assert next(stream)[1][0] == BLOCK
     stream.close()
     assert threading.active_count() == before
     assert max(started) <= workers  # at most workers + 1 blocks in flight
 
     started.clear()
     with pytest.raises(ValueError, match="block 2"):
-        for _ in gaussian_blocks(*args, reduce=lambda x: reduce(x, fail=2)):
+        for _ in gaussian_blocks(*args,
+                                 transform=lambda x, out: transform(x, out, fail=2)):
             pass
     assert threading.active_count() == before
     assert 2 in started and max(started) <= 2 + workers
@@ -528,13 +626,15 @@ def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
 def test_package_functions_run_on_the_main_thread(monkeypatch):
     # every module-level function wrapped as perfbench/tracer.py wraps it
     # (generator functions aside): none may run on a sampler worker, whose
-    # reductions do run off the main thread
+    # chunk transforms do run off the main thread
     from fockamp import estimators
     calls, reductions = [], []
 
     def on_thread(fn, log):
         def wrapper(*a, **k):
             log.append((fn.__name__, threading.current_thread()))
+            if k.get("transform"):
+                k["transform"] = on_thread(k["transform"], reductions)
             return fn(*a, **k)
         return wrapper
 
@@ -550,8 +650,6 @@ def test_package_functions_run_on_the_main_thread(monkeypatch):
             for attr, obj in list(vars(mod).items()):
                 if inspect.isfunction(obj) and id(obj) in wrapped:
                     monkeypatch.setattr(mod, attr, wrapped[id(obj)])
-    monkeypatch.setattr(estimators._Moments, "block", staticmethod(
-        on_thread(estimators._Moments.block, reductions)))
     _set_cpus(monkeypatch, 2)
     state = coherent_state(FockSpace(16), 1.0)
     estimators.compare_schemes(state, 2.0, 3 * BLOCK, 5)

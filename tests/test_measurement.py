@@ -15,8 +15,8 @@ from fockamp import measurement, oracles
 from fockamp.errors import CoverageError, DimensionMismatch, TruncationError
 from fockamp.amplifiers import meter_dim_for
 from fockamp.fock import State, _coherent_amplitudes, log_factorials
-from fockamp.measurement import (_heterodyne_expectations, _region_masses,
-                                 povm_meters)
+from fockamp.measurement import (BLOCK, _heterodyne_expectations,
+                                 _region_masses, povm_meters)
 from fockamp.oracles import (heterodyne_element, homodyne_element,
                              husimi_values, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
@@ -547,6 +547,17 @@ def test_closed_form_widths():
             dec, 2.0, 0.3, "heterodyne").width2
 
 
+def test_numeric_width_is_inf_where_gain_squared_underflows():
+    # g^2 is 0 below g ~ 1.6e-162; the numeric grid takes the closed form's
+    # width rule there instead of dividing by zero
+    amp = TwoModeNormalAmp(number_op(FockSpace(3)), 1e-200)
+    grid = effective_povm_numeric(amp, DetectorSpec("heterodyne", 0.5), [0.0])
+    closed = effective_povm_closed_form(normal_decompose(amp.f), amp.g, 1.0,
+                                        "heterodyne")
+    assert grid.width2 == closed.width2 == math.inf
+    assert np.array_equal(grid.weights, np.zeros((1, 3)))
+
+
 def test_closed_form_identity_and_psd():
     sp = FockSpace(5)
     dec = normal_decompose(number_op(sp))
@@ -704,12 +715,13 @@ def test_heterodyne_grid_memory_is_bounded(kind, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
         tracemalloc.start()
         try:
-            means = list(measurement.detector_blocks(
+            blocks = list(measurement.detector_blocks(
                 st, DetectorSpec("heterodyne", 1.0), 1_000_000, 0,
-                reduce=lambda x: float(np.mean(np.abs(x) ** 2))))
+                transform=lambda x, out: np.square(np.abs(x, out=out), out=out)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        means = [shift + sums[1] / sums[0] for shift, sums in blocks]
         assert abs(np.mean(means) - 2.0) < 0.01  # E|beta|^2 = 2, se 0.0014
         assert peak < 64 * 2 ** 20
 
@@ -995,6 +1007,16 @@ def test_sampler_rejects_cutoff_heavy_state():
     st = fock_state(sp, 5)  # all mass on the cutoff level
     with pytest.raises(TruncationError, match="cutoff"):
         sample_outcomes(st, DetectorSpec("heterodyne", 1.0), 10, 0)
+
+
+def test_sampler_takes_zero_outcomes_and_refuses_negative():
+    st = coherent_state(FockSpace(8), 0.5)
+    det = DetectorSpec("heterodyne", 0.9)
+    out = sample_outcomes(st, det, 0, 1)
+    assert out.shape == (0,) and out.dtype == complex
+    for n in (-1, -BLOCK):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            sample_outcomes(st, det, n, 1)
 
 
 def test_sampler_refuses_homodyne_and_two_modes():

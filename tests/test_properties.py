@@ -168,12 +168,19 @@ def test_numeric_povm_weight_table_matches_closed_form(case):
         assert abs(grid.identity_residual() - dense) < 1e-12
 
 
+def _centred(x):
+    # one block as its sums about its own mean: (mean, [n, 0, M2, M3, M4])
+    mean = float(np.mean(x))
+    d = x - mean
+    return mean, [x.size, 0.0] + [float(np.sum(d ** k)) for k in (2, 3, 4)]
+
+
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=500))
 def test_sample_stats_match_numpy_and_two_pass_reference(values):
     x = np.array(values)
     n = x.size
-    mean, var, se_mean, se_var = _Moments().merge(*_Moments.block(x)).stats()
+    mean, var, se_mean, se_var = _Moments().merge(*_centred(x)).stats()
     assert mean == float(np.mean(x))
     assert var == float(np.var(x, ddof=1))
     assert se_mean == np.sqrt(var / n)
@@ -186,8 +193,9 @@ def test_sample_stats_match_numpy_and_two_pass_reference(values):
 @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=400),
        st.lists(st.integers(1, 64), min_size=1, max_size=40))
 def test_merged_moments_match_one_buffer_two_pass(values, sizes):
-    # blocks cut at random sizes, and blocks of size 1, merge to the
-    # moments of the whole sample
+    # blocks cut at random sizes, and blocks of size 1, each as its power
+    # sums about its first value (a shift other than its mean, as the
+    # sampler's blocks come), merge to the moments of the whole sample
     x = np.array(values)
     n = x.size
     mean = x.sum() / n
@@ -198,7 +206,8 @@ def test_merged_moments_match_one_buffer_two_pass(values, sizes):
     for parts in (np.split(x, cuts[cuts < n]), np.split(x, np.arange(1, n))):
         acc = _Moments()
         for part in parts:
-            acc.merge(*_Moments.block(part))
+            acc.merge(part[0], [part.size] + [float(np.sum((part - part[0]) ** k))
+                                              for k in (1, 2, 3, 4)])
         assert acc.sums[0] == n
         for got, ref, k in zip([acc.mean] + acc.sums[2:], (mean, m2, m3, m4),
                                (1, 2, 3, 4)):
