@@ -21,12 +21,11 @@ detector's sampler, :func:`measurement.detector_blocks`: exact Gaussian draws
 for a coherent input, and exact rejection draws from the Husimi density for
 any other.
 
-Plans are drawn in blocks of :data:`measurement.BLOCK` trials, each on a
-worker thread of the sampler, which maps each chunk of draws to x/(sqrt(2) g)
-or |alpha|^2 and sums its powers. A block of the Gaussian sampler is ordered
-by centre; the moments do not see the order. The main thread merges the sums
-in block order, so the reports do not depend on the worker count, and memory
-does not grow with ``trials`` (chunk-sized buffers per Gaussian worker).
+Plans are drawn in blocks of :data:`measurement.BLOCK` trials on the
+sampler's worker threads, which map each chunk of draws to x/(sqrt(2) g) or
+|alpha|^2 and sum its powers; the moments do not see the Gaussian sampler's
+order by centre. The main thread merges the sums in block order, so reports
+do not depend on the worker count, and memory does not grow with ``trials``.
 """
 from __future__ import annotations
 

@@ -485,54 +485,56 @@ def own_region_weights(povm, regions: DecisionRegions) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _pooled(n: int, seed: int, draw, sd: float, dtype, transform=None):
-    """draw(rng, size, whole) plus sd times a standard normal per real axis,
-    for each block of n trials, in block order.
+    """Each block of n trials, in block order: draw(rng, size) plus sd times
+    a standard normal per real axis.
 
     Block b holds trials [b BLOCK, (b + 1) BLOCK) and draws from Philox
     keyed by the seed with b as its third counter word, which is
     ``Philox(key=seed).jumped(b)`` (Salmon et al., SC'11). ``draw`` draws
-    first and returns the noiseless block (``dtype``), which takes the noise
-    in place (none at sd 0), or, unless ``whole``, a function adding trials
-    lo:lo + len(x) to x. The normals follow, DRAW_CHUNK trials per fill,
-    (re, im) per complex trial. ``transform(x, out)``, if given, writes a
-    real y per trial of each chunk x, and the block yields (c, [size, sum (y
-    - c)^k for k = 1..4]), c the mean y of its first chunk. Blocks are drawn
-    on a thread pool, one worker per CPU available to the process, with at
-    most workers + 1 in flight, and are yielded in block order. The streams
-    do not depend on the worker count. The workers call closures only.
+    first and returns ``add(x, lo)``, adding trials lo:lo + len(x) of the
+    noiseless block (``dtype``) to each chunk x of DRAW_CHUNK normals, (re,
+    im) per complex trial (none at sd 0). Without ``transform`` the chunks
+    fill the block, which is yielded; ``transform(x, out)`` writes a real y
+    per trial of chunk x, and the block yields (c, [size, sum (y - c)^k for
+    k = 1..4]), c the mean y of its first chunk. Blocks are drawn on a
+    thread pool, one worker per CPU available to the process, at most
+    workers + 1 in flight. The streams do not depend on the worker count;
+    the workers call closures only.
     """
     from concurrent.futures import ThreadPoolExecutor
+    from threading import local
 
     def work(b, size):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0]))
-        base = draw(rng, size, transform is None)
-        block = isinstance(base, np.ndarray)
-        buf = np.empty(min(DRAW_CHUNK, size), dtype)
-        # rows 1, y - c and (y - c)^2 of a chunk, and their sums of products
-        m, acc = np.ones((3 if transform else 0, min(DRAW_CHUNK, size))), 0.0
+        add = draw(rng, size)
+        out, m = mine.bufs if transform else (np.empty(size, dtype), None)
         for lo in range(0, size, DRAW_CHUNK):
-            r, d = buf[:size - lo].view(float), m[:, :size - lo]  # to the end or a chunk
-            x = base[lo:lo + DRAW_CHUNK] if block else r.view(dtype)
-            if sd > 0 or not block:
+            x = out[lo:lo + DRAW_CHUNK] if transform is None else out[:size - lo]
+            r = x.view(float)
+            if sd > 0:
                 rng.standard_normal(out=r)  # rng.normal(0.0, sd)
                 r *= sd
-                if block:
-                    x += r.view(dtype)
-                else:
-                    base(x, lo)
+            else:
+                r.fill(-0.0)  # -0.0 + t is t, bit for bit
+            add(x, lo)
             if transform is not None:
+                d = m[:, :x.shape[0]]  # rows 1, y - c, (y - c)^2
                 transform(x, d[1])
                 shift = float(d[1].mean()) if lo == 0 else shift
                 d[1] -= shift
                 np.multiply(d[1], d[1], out=d[2])
-                acc = acc + d @ d[1:].T  # sum (y - c)^(j + k), j = 0..2, k = 1, 2
-        return base if transform is None else \
+                acc = (acc if lo else 0.0) + d @ d[1:].T  # (y - c)^(j + k) sums
+        return out if transform is None else \
             (shift, [size] + acc[0].tolist() + acc[1:, 1].tolist())
 
     affinity = getattr(os, "sched_getaffinity", None)
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-    pending = deque()
-    with ThreadPoolExecutor(workers) as pool:  # a closed stream joins its pool
+    # worker buffers made here: a worker's own allocations stay resident
+    chunk = min(DRAW_CHUNK, n) if transform else 0
+    spare = [(np.empty(chunk, dtype), np.ones((3, chunk))) for _ in range(workers)]
+    mine, pending = local(), deque()
+    with ThreadPoolExecutor(workers, initializer=lambda: setattr(
+            mine, "bufs", spare.pop())) as pool:  # a closed stream joins its pool
         for b, lo in enumerate(range(0, n, BLOCK)):
             pending.append(pool.submit(work, b, min(BLOCK, n - lo)))
             if len(pending) > workers:
@@ -546,15 +548,13 @@ def gaussian_blocks(centres, weights, sd: float, n: int, seed: int,
     """n draws of centres[i] + sd * (a standard normal per real axis), i
     with the law weights/sum(weights), in the blocks of :func:`_pooled`.
 
-    A block is drawn by counts: one ``rng.multinomial(size, p)`` says how
-    many of its trials fall on each centre (skipped for a single centre),
-    ``np.repeat(centres, counts)`` lays a whole block down (a chunk adds
-    its runs of centres instead), and ``sd * rng.standard_normal`` is added,
-    (re, im) per trial for complex centres. So a block is ordered by
+    A block is drawn by counts: ``rng.multinomial(size, p)`` says how many
+    of its trials fall on each centre (skipped for one centre), then each
+    chunk of ``sd * rng.standard_normal``, (re, im) per complex trial, takes
+    its part of ``np.repeat(centres, counts)``. So a block is ordered by
     centre: an exchangeable sample of the mixture, not i.i.d. in sequence.
-    A function of the block that ignores order (its moments, which are all
-    the estimators read, or a histogram) has exactly the law it has on
-    i.i.d. draws.
+    A function of the block that ignores order (its moments, all that the
+    estimators read, or a histogram) has exactly its law on i.i.d. draws.
     """
     centres = np.array(centres)
     p = np.array(weights, dtype=float)
@@ -562,18 +562,20 @@ def gaussian_blocks(centres, weights, sd: float, n: int, seed: int,
     for shared in (centres, p):  # read by every worker
         shared.flags.writeable = False
 
-    def draw(rng, size, whole):
+    def draw(rng, size):
         counts = [size] if centres.size == 1 else rng.multinomial(size, p)
-        if whole:
-            return np.repeat(centres, counts)
         ends = np.cumsum(counts).tolist()  # run i ends before trial ends[i]
 
         def add_centres(x, lo):
-            at = lo
-            while at < lo + x.shape[0]:
-                i = bisect.bisect_right(ends, at)
-                x[at - lo:ends[i] - lo] += centres[i]
-                at = ends[i]
+            hi = lo + x.shape[0]  # trials lo and hi - 1 are in runs i and j
+            i, j = bisect.bisect_right(ends, lo), bisect.bisect_left(ends, hi)
+            if j - i < 8:  # slice adds, no chunk-sized temporary
+                for r in range(i, j + 1):
+                    x[max(lo, ends[r] - counts[r]) - lo:ends[r] - lo] += centres[r]
+            else:  # one repeat of the chunk's runs
+                k = counts[i:j + 1].copy()
+                k[0], k[-1] = ends[i] - lo, hi - ends[j - 1]
+                x += np.repeat(centres[i:j + 1], k)
         return add_centres
 
     return _pooled(n, seed, draw, sd, centres.dtype, transform)
@@ -637,13 +639,12 @@ def husimi_blocks(state: State, gain: float, sd: float, n: int, seed: int,
     A block proposes in rounds of min(DRAW_CHUNK, draws missing). A round
     draws levels n (``rng.choice``), |beta|^2 ~ Gamma(n + 1), angles 2 pi
     ``rng.random()`` and accept uniforms, in that order, and keeps in order
-    the betas whose uniform is below their acceptance. A full block is
-    scaled by the gain, then the normals are added. Proposals per draw
-    average M = sum_k p_k S_k^2 <= levels kept; a Fock state takes one.
+    the betas whose uniform is below their acceptance; the gain scales the
+    block. Proposals per draw average M = sum_k p_k S_k^2 <= levels kept.
     """
     levels, prob, acceptance = _husimi_proposal(state)
 
-    def draw(rng, size, whole):
+    def draw(rng, size):
         out = np.empty(size, complex)
         done = 0
         while done < size:
@@ -655,7 +656,7 @@ def husimi_blocks(state: State, gain: float, sd: float, n: int, seed: int,
             out[done:done + beta.shape[0]] = beta
             done += beta.shape[0]
         out *= gain
-        return out
+        return lambda x, lo: np.add(x, out[lo:lo + x.shape[0]], out=x)
 
     return _pooled(n, seed, draw, sd, complex, transform)
 

@@ -334,16 +334,25 @@ def test_nonlinear_samples_match_choice_plus_normals():
     assert np.array_equal(nonlinear_meter_x_samples(plan), np.concatenate(ref))
 
 
-@pytest.mark.parametrize("centres", [[0.5], [-3.0, 0.0, 2.5, 40.0], [1.0 + 0.5j]])
+@pytest.mark.parametrize("centres", [[0.5], [-3.0, 0.0, 2.5, 40.0], [1.0 + 0.5j],
+                                     list(np.linspace(-5.0, 5.0, 300)),
+                                     list(np.linspace(-1.0, 1.0, 60) * (1 + 2j))])
 def test_chunks_are_the_whole_block_draws_and_sum_to_its_moments(
         centres, monkeypatch):
-    # with a transform, each chunk is drawn run by run (the runs of several
-    # centres cross chunks) and is the same slice of the whole block, bit
-    # for bit; its power sums about one shift per block merge to the
-    # two-pass moments of the joined draws
+    # the blocks, with or without a transform, are np.repeat(centres,
+    # counts) plus the normals, bit for bit, whether a chunk lies in one
+    # run, crosses a few or crosses dozens; the power sums about one shift
+    # per block merge to the two-pass moments of the joined draws
     _set_cpus(monkeypatch, 1)  # chunks in trial order
     args = (centres, np.arange(1.0, len(centres) + 1), 0.7, 2 * BLOCK + 7, 4)
     whole = np.concatenate(list(gaussian_blocks(*args)))
+    c, p = np.array(centres), args[1] / args[1].sum()
+    ref = []
+    for rng, m in _block_streams(4, args[3]):
+        counts = [m] if c.size == 1 else rng.multinomial(m, p)
+        ref.append(np.repeat(c, counts)
+                   + 0.7 * rng.standard_normal(m * (c.dtype.itemsize // 8)).view(c.dtype))
+    assert np.array_equal(whole, np.concatenate(ref))
     chunks, moments = [], _Moments()
 
     def transform(x, out):
@@ -609,7 +618,11 @@ def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
 
     before = threading.active_count()
     stream = gaussian_blocks(*args, transform=transform)
-    assert next(stream)[1][0] == BLOCK
+    # the first yield is block 0's: its shift is the mean of block 0's first
+    # chunk, drawn alone as a one-block plan (blocks[0] is whatever this
+    # stream yields first)
+    head = next(gaussian_blocks(*args[:3], BLOCK, 0))[:DRAW_CHUNK]
+    assert next(stream)[0] == float(head.mean())
     stream.close()
     assert threading.active_count() == before
     assert max(started) <= workers  # at most workers + 1 blocks in flight
