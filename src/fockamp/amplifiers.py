@@ -248,8 +248,9 @@ def meter_dim_for(g: float, f_max: float, meter: Meter | None = None,
     meter's own levels are added on top of the displacement's. Displaced
     copies are probed only for meters that need more than one level: at
     this size a displaced vacuum leaves at most ~1e-34 on the cutoff
-    (|alpha| up to METER_DIM_CAP). Sizes past METER_DIM_CAP raise
-    TruncationError.
+    (|alpha| up to METER_DIM_CAP). Without ``alphas`` nothing is built, and
+    the size is a lower bound on the probed one. Sizes past METER_DIM_CAP
+    raise TruncationError.
     """
     return _sized_meter(g, f_max, meter, alphas)[0]
 
@@ -260,7 +261,7 @@ def _sized_meter(g: float, f_max: float, meter: Meter | None, alphas):
     rows = None
     if meter is not None and need <= METER_DIM_CAP:
         levels = meter.fock_levels()
-        if 1 < levels <= need:
+        if 1 < levels <= need and np.size(alphas):
             rows = displaced_meter_ket(meter.state(need), alphas)
         if levels > need or _cutoff_occupancy(rows) > TRUNCATION_TOL:
             need, rows = need + levels, None
@@ -358,7 +359,7 @@ def predict_output_moments(spec, input_a: State) -> MomentReport:
         a = annihilation_op(input_a.space)
         x, p = quadrature_ops(input_a.space)
         vxb, vpb = spec.meter.x_variance(), spec.meter.p_variance()
-        sym_b = 0.5 * (vxb + vpb)
+        sym_b = spec.meter.symmetrized_variance()
         sym = g * g * symmetrized_moment(input_a, a) + (g * g - 1.0) * sym_b
         qm = (g * float(np.real(input_a.expectation(x))),
               g * float(np.real(input_a.expectation(p))))

@@ -34,10 +34,11 @@ EXIT_TRUNCATION = 3
 # a thread pool, each reduced a chunk at a time); this ceiling bounds run
 # time. Larger configs are refused at validation.
 TRIALS_MAX = 10 ** 8
-# povm holds its outcome grid and the (outcomes, signal dim) weight table,
-# its numeric stage one kernel table per meter of (outcomes, meter levels),
-# and it writes one CSV row per weight: memory and output grow with the
-# outcome count, which this ceiling bounds. A larger grid is refused before
+# povm holds its outcome grid and (outcomes, signal dim) weight tables, and
+# it writes one CSV row per weight: memory and output grow with the outcome
+# count, which this ceiling bounds. The homodyne kernel adds one (Y_CHUNK,
+# outcomes) block; the summary's dense d x d elements take a fixed ~24 MiB,
+# formed 2**19 // d**2 outcomes at a time. A larger grid is refused before
 # it is built.
 POVM_OUTCOMES_MAX = 10 ** 6
 
@@ -183,9 +184,10 @@ def _field(path: str, kind, bounds, value):
 
 def _check_rules(cfg: dict):
     """Cross-field rules: a Fock input inside the signal space; the variants
-    each command covers; for povm and estimate, the detector each variant is
-    read out by (the POVM model of measurement.povm_model, or the estimator
-    of estimators.run_plan); and the vacuum meter of two closed forms."""
+    each command covers (compare builds a two-mode and a linear amplifier
+    of its own); for povm and estimate, the detector each variant is read
+    out by (the POVM model of measurement.povm_model, or the estimator of
+    estimators.run_plan); and the vacuum meter of two closed forms."""
     command, variant = cfg["command"], cfg["amplifier"]["variant"]
     if cfg["input_state"].get("n", 0) >= cfg["dims"]["signal"]:
         raise ConfigError("'input_state.n' must be below dims.signal = "
@@ -197,6 +199,7 @@ def _check_rules(cfg: dict):
                  "three_mode": "homodyne"},
         "estimate": {"linear": "heterodyne", "two_mode_normal": "homodyne",
                      "von_neumann": "homodyne"},
+        "compare": {"two_mode_normal": None},
     }.get(command)
     if covers is None:
         return
@@ -345,15 +348,17 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     nw = cfg["grid"]["n_widths"]
     ppw = cfg["grid"]["points_per_width"]
     summary = {"config": cfg, "per_gain": []}
-    # bounds cost: displaced_meter_ket takes ~5 s and 418 MB at the 4096-level cap
+    # bounds cost: displaced_meter_ket takes ~5 s and 418 MB at the 4096-level
+    # cap; applied to the signal dim times the largest unprobed meter size
     numeric_limit = 2500
+    lam = dec.eigenvalues
     for g in cfg["amplifier"]["g_list"]:
         spec = build_amplifier(cfg, g=g)
         model, epsilon = meas.povm_model(spec)
         closed = meas.effective_povm_closed_form(dec, g, detector.sigma2, model,
                                                  epsilon)
         w = math.sqrt(closed.width2)
-        outcomes, measure = _povm_grid(dec.eigenvalues, w, nw, ppw,
+        outcomes, measure = _povm_grid(lam, w, nw, ppw,
                                        complex_grid=(model != "homodyne"))
         _write_csv(outdir / f"povm_g{g:g}.csv",
                    ["outcome_re", "outcome_im", "measure", "eigen_index",
@@ -368,16 +373,15 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
             "own_region_weights": [float(v) for v in weights],
             "numeric": None,
         }
-        try:
-            meters = meas.povm_meters(spec)
+        try:  # unprobed meter sizes: no meter is built for the gate
+            levels = max(amp.meter_dim_for(g, float(np.abs(part(lam)).max()), m)
+                         for m, part in amp.meter_table(spec))
         except TruncationError:
-            meters = []
-        if meters and space.dim * max(m.space.dim for m, _ in meters) <= numeric_limit:
-            grid = meas.effective_povm_numeric(spec, detector, outcomes,
-                                               meters=meters)
+            levels = math.inf
+        if space.dim * levels <= numeric_limit:
+            grid = meas.effective_povm_numeric(spec, detector, outcomes)
             grid.measure = measure
             entry["numeric"] = {
-                "max_offdiagonal": grid.max_offdiagonal(dec.eigenvectors),
                 "max_deviation_from_closed_form": grid.max_deviation(closed),
                 "grid_identity_residual": grid.identity_residual(),
             }
