@@ -796,7 +796,7 @@ def test_povm_gate_builds_no_meter(tmp_path, monkeypatch):
     assert summary["per_gain"][0]["numeric"] is None
 
 
-def test_povm_summary_memory_is_flat_in_outcomes(tmp_path):
+def test_povm_parity_summary_memory_is_bounded(tmp_path):
     # the closed-form deviation forms its dense elements 2**19 // d**2
     # outcomes at a time: on 1,927 parity outcomes at signal 32 the run
     # traced 24.9 MiB, where the whole (n, d, d) element stack took 91.6 MiB
