@@ -389,7 +389,8 @@ def displaced_meter_ket(meter_state: State, alphas) -> np.ndarray:
     each eigenspace of f. With beta = -i sqrt(2) alpha, R = e^{i arg(beta) n}
     and x = U diag(xi) U^T, U the normalized Hermite functions at the zeros xi
     of h_d (Golub-Welsch; nothing cached), each row is R U e^{i|beta| xi} U^T
-    R^dag |meter>, by two GEMMs, renormalized; alpha = 0 rows copy the ket.
+    R^dag |meter>, by two real GEMMs (no complex copy of U), renormalized;
+    alpha = 0 rows copy the ket.
     """
     ket, d = meter_state.data, meter_state.data.size
     alphas = np.ravel(alphas).astype(complex)
@@ -404,9 +405,16 @@ def displaced_meter_ket(meter_state: State, alphas) -> np.ndarray:
         u /= np.linalg.norm(u, axis=0)
         beta = -1j * math.sqrt(2.0) * alphas[move, None]
         r = np.exp(1j * np.angle(beta) * np.arange(d))
-        out = ((ket * r.conj()) @ u * np.exp(1j * np.abs(beta) * xi)) @ u.T * r
+        out = _times_real(_times_real(ket * r.conj(), u)
+                          * np.exp(1j * np.abs(beta) * xi), u.T) * r
         rows[move] = out / np.linalg.norm(out, axis=1, keepdims=True)
     return rows
+
+
+def _times_real(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """z @ m for complex rows z and a real matrix m, by one real GEMM."""
+    p = np.concatenate((z.real, z.imag)) @ m
+    return p[:z.shape[0]] + 1j * p[z.shape[0]:]
 
 
 def meter_table(spec) -> list:

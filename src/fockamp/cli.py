@@ -10,6 +10,7 @@ same seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -34,12 +35,14 @@ EXIT_TRUNCATION = 3
 # a thread pool, each reduced a chunk at a time); this ceiling bounds run
 # time. Larger configs are refused at validation.
 TRIALS_MAX = 10 ** 8
+# rows per %-format of the CSV writer (see _write_csv)
+CSV_ROWS = 256
 # povm holds its outcome grid and (outcomes, signal dim) weight tables, and
 # it writes one CSV row per weight: memory and output grow with the outcome
-# count, which this ceiling bounds. The homodyne kernel adds one (Y_CHUNK,
-# outcomes) block; the summary's dense d x d elements take a fixed ~24 MiB,
-# formed 2**19 // d**2 outcomes at a time. A larger grid is refused before
-# it is built.
+# count, which this ceiling bounds. The detector kernel reads the outcomes a
+# block at a time, one amplitude table of ~2**16 entries; the summary's dense
+# d x d elements take a fixed ~24 MiB, formed 2**19 // d**2 outcomes at a
+# time. A larger grid is refused before it is built.
 POVM_OUTCOMES_MAX = 10 ** 6
 
 # One row per config key: path, type, bounds, default, and the kind of its
@@ -282,16 +285,28 @@ def build_detector(cfg: dict) -> meas.DetectorSpec:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Path, header: list, rows):
-    # row by row: a body formatted in one piece would hold every value of a
-    # povm weight table at once (~0.2 MB more peak RSS on the povm benchmark);
-    # one %-format per table, from the types of its first row
+    # the bytes of one %-format per row, from the types of the first row, but
+    # CSV_ROWS rows per format; a body formatted in one piece would hold a
+    # whole povm weight table (~0.2 MB more peak RSS on the povm benchmark)
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fmt = None
-        for row in rows:
+        while block := list(itertools.islice(rows, CSV_ROWS)):
             fmt = fmt or ",".join("%s" if isinstance(v, str) else "%.11e"
-                                  for v in row) + "\n"
-            fh.write(fmt % row)
+                                  for v in block[0]) + "\n"
+            fh.write(fmt * len(block) % tuple(itertools.chain.from_iterable(block)))
+
+
+def _povm_rows(outcomes: np.ndarray, measure: float, table: np.ndarray):
+    """CSV rows of the (n, d) weight table, from .tolist() values a block of
+    CSV_ROWS outcomes at a time."""
+    labels = [str(i) for i in range(table.shape[1])]
+    for lo in range(0, table.shape[0], CSV_ROWS):
+        o = outcomes[lo:lo + CSV_ROWS]
+        for re, im, row in zip(np.real(o).tolist(), np.imag(o).tolist(),
+                               table[lo:lo + CSV_ROWS].tolist()):
+            yield from ((re, im, measure, i, w) for i, w in zip(labels, row))
 
 
 def _write_json(path: Path, payload: dict):
@@ -363,9 +378,7 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
         _write_csv(outdir / f"povm_g{g:g}.csv",
                    ["outcome_re", "outcome_im", "measure", "eigen_index",
                     "weight"],
-                   ((np.real(o), np.imag(o), measure, str(i), w)
-                    for o, row in zip(outcomes, closed.weights(outcomes))
-                    for i, w in enumerate(row)))
+                   _povm_rows(outcomes, measure, closed.weights(outcomes)))
         weights = meas.own_region_weights(closed, regions)
         entry = {
             "g": g,

@@ -252,19 +252,23 @@ def _coherent_amplitudes(d: int, gammas) -> np.ndarray:
     """<p|gamma_j> = e^{-|gamma_j|^2/2} gamma_j^p / sqrt(p!) for p < d (rows)
     and each gamma_j (columns), from their logarithms, so every entry has
     modulus at most 1 at any gamma. log|gamma| and |gamma|^2 are taken per
-    gamma in float arithmetic, so a column is the same at any batch size."""
+    gamma in float arithmetic, so a column is the same at any batch size.
+    Rows are built 2**12 entries at a time: the result is the one (d, n) array."""
     gammas = np.atleast_1d(np.asarray(gammas, dtype=complex))
-    p = np.arange(d)[:, None]
     r = [abs(g) for g in gammas.tolist()]
-    mag = np.zeros((d, gammas.size))  # gamma^0 = 1, also at gamma = 0
-    np.multiply(p[1:], [math.log(x) if x else -math.inf for x in r],
-                out=mag[1:])
-    mag -= 0.5 * log_factorials(d)[:, None]
-    mag -= [0.5 * x ** 2 for x in r]
-    out = np.zeros(mag.shape, dtype=complex)
-    np.multiply(p, np.angle(gammas), out=out.imag)
-    np.exp(out, out=out)  # the phases e^{i p arg gamma}
-    out *= np.exp(mag, out=mag)
+    log_r = [math.log(x) if x else -math.inf for x in r]
+    half_lf, phase = 0.5 * log_factorials(d)[:, None], np.angle(gammas)
+    out = np.zeros((d, gammas.size), dtype=complex)
+    step = max(1, 2 ** 12 // max(1, gammas.size))
+    for lo in range(0, d, step):
+        p, rows = np.arange(lo, min(lo + step, d))[:, None], out[lo:lo + step]
+        mag = np.zeros(rows.shape)  # row p = 0 stays 0: gamma^0 = 1, at gamma = 0 too
+        np.multiply(p[lo == 0:], log_r, out=mag[lo == 0:])
+        mag -= half_lf[lo:lo + step]
+        mag -= [0.5 * x ** 2 for x in r]
+        np.multiply(p, phase, out=rows.imag)
+        np.exp(rows, out=rows)  # the phases e^{i p arg gamma}
+        rows *= np.exp(mag, out=mag)
     return out
 
 

@@ -31,11 +31,9 @@ from .fock import (FockSpace, SpectralDecomposition, State,
                    _coherent_amplitudes, hermite_functions, log_factorials,
                    normal_decompose)
 
-HOMODYNE_YGRID_STEP = 0.005
-HOMODYNE_YGRID_RANGE = 10.0
-# homodyne quadrature points per Hermite table (see _homodyne_expectations);
-# sets the working set, not the result beyond roundoff
-Y_CHUNK = 2 ** 10
+# outcomes per GEMM of the detector kernel (see _detector_expectations); one
+# width for every product keeps an outcome's row independent of its neighbours
+OUTCOME_TILE = 64
 # trials per Monte Carlo block, the unit of the stream law (see _pooled)
 BLOCK = 2 ** 16
 # trials per fill of normals and per proposal round of husimi_blocks; the
@@ -220,110 +218,59 @@ def povm_model(amp) -> tuple[str, float]:
             math.sqrt(2.0 * table[0][0].x_variance()))
 
 
-def _heterodyne_expectations(kets: np.ndarray, betas, sigma2: float) -> np.ndarray:
-    """<chi_k|M_beta|chi_k> for each outcome beta (rows) and ket chi_k (columns).
+def _outcome_block(d: int) -> int:
+    """Outcomes per amplitude table of :func:`_detector_expectations`: ~2**16
+    entries in whole tiles, at least 256, so a large meter's GEMMs stay wide."""
+    return max(256, 2 ** 16 // d // OUTCOME_TILE * OUTCOME_TILE)
 
-    The rank-one expansion of :func:`oracles.heterodyne_element` contracted
-    with all outcomes at once. With t = 1/(1+sigma^2), s = sigma^2/(1+sigma^2),
-    the binomial weights B_k(m) = sqrt(binom(m, k) s^k t^(m-k)) and the
-    coherent amplitudes <p|sqrt(t) beta> (:func:`fock._coherent_amplitudes`),
 
-        <chi|M_beta|chi> = (t/pi) sum_k |sum_{m>=k} chi*(m) B_k(m) <m-k|sqrt(t) beta>|^2,
+def _detector_expectations(kets: np.ndarray, outcomes, sigma2: float,
+                           heterodyne: bool) -> np.ndarray:
+    """<chi_k|M_o|chi_k> for each outcome o (rows) and ket chi_k (columns).
 
-    one GEMM per k. Both factors are at most 1, so no term leaves the float
-    range at any number of meter levels; B_k is taken from log factorials,
-    one row per term. All d terms are kept: for a meter displaced to alpha
-    they peak near k = s|alpha|^2. The outcomes are streamed in blocks of
-    Y_CHUNK, so the working set is O(d Y_CHUNK) at any outcome count.
+    The detector is the ideal one behind a loss channel of transmission
+    t = 1/(1+sigma^2), s = 1 - t, with Kraus weights B_k(m) =
+    sqrt(binom(m, k) s^k t^(m-k)) (from log factorials, at most 1):
+
+        <chi|M_o|chi> = c sum_k |sum_{m>=k} chi*(m) B_k(m) A_{m-k}(sqrt(t) o)|^2,
+
+    c = t/pi and A_p = <p|gamma> (:func:`fock._coherent_amplitudes`) for
+    heterodyne, c = sqrt(t) and A_p = h_p (:func:`fock.hermite_functions`,
+    real GEMMs on the stacked real and imaginary parts) for homodyne. No
+    grid and no term is dropped at any sigma^2 (k = 0 alone at 0). Outcome
+    blocks of :func:`_outcome_block` are padded to whole OUTCOME_TILEs, so
+    every GEMM has one shape and a row is the same bit for bit wherever the
+    block boundaries fall; one amplitude table is alive at a time.
     """
-    d = kets.shape[1]
-    betas = np.asarray(betas, dtype=complex)
+    n, d = kets.shape
+    outcomes = np.atleast_1d(np.asarray(outcomes, dtype=complex if heterodyne
+                                        else float))
     t = 1.0 / (1.0 + sigma2)
     s = sigma2 / (1.0 + sigma2)
     # log B_k(m) = half_lf[m] + rest[m - k] + head[k]
     half_lf = 0.5 * log_factorials(d)
     rest = 0.5 * np.arange(d) * math.log(t) - half_lf
     head = 0.5 * np.arange(d) * (math.log(s) if s else 0.0) - half_lf
-    bra = kets.conj()
-    acc = np.zeros((kets.shape[0], betas.size))
-    for lo in range(0, betas.size, Y_CHUNK):
-        c = _coherent_amplitudes(d, math.sqrt(t) * betas[lo:lo + Y_CHUNK])
+    bra, table, scale = (kets.conj(), _coherent_amplitudes, t / math.pi) if heterodyne \
+        else (np.concatenate((kets.real, kets.imag)), hermite_functions, math.sqrt(t))
+    out = np.empty((outcomes.size, n))
+    step = _outcome_block(d)
+    for lo in range(0, outcomes.size, step):
+        part = outcomes[lo:lo + step]
+        block = np.zeros(-(-part.size // OUTCOME_TILE) * OUTCOME_TILE, part.dtype)
+        block[:part.size] = part
+        tiles = table(d, math.sqrt(t) * block).reshape(
+            d, -1, OUTCOME_TILE).transpose(1, 0, 2)
+        acc = np.zeros((tiles.shape[0], bra.shape[0], OUTCOME_TILE))
         for k in range(d if s > 0 else 1):
             w = np.exp(half_lf[k:] + (rest[:d - k] + head[k]))
-            a = (bra[:, k:] * w) @ c[:d - k]
-            acc[:, lo:lo + Y_CHUNK] += a.real ** 2 + a.imag ** 2
-    return (t / math.pi) * acc.T
-
-
-def _default_ygrid(xs, sigma2: float, d: int) -> np.ndarray:
-    """Quadrature grid for the raw outcomes ``xs`` and kets of ``d`` levels:
-    step 0.005 on |y| <= max(10, max|x| + 8 sqrt(sigma^2/2)), so the noise
-    kernel about every outcome lies on the grid to eight of its standard
-    deviations, but not past sqrt(2d + 1) + 12, where the position densities
-    of d levels are below roundoff."""
-    half = min(max(HOMODYNE_YGRID_RANGE,
-                   float(np.abs(xs).max()) + 8.0 * math.sqrt(sigma2 / 2.0)),
-               math.sqrt(2 * d + 1) + 12.0)
-    n = int(round(2 * half / HOMODYNE_YGRID_STEP)) + 1
-    return np.linspace(-half, half, n)
-
-
-def _homodyne_kernel(xs, sigma2: float, y: np.ndarray, lo: int = 0,
-                     hi: int | None = None) -> np.ndarray:
-    """(rows, outcomes) trapezoid weights of the noise kernel K_sigma(x - y)
-    on rows lo:hi of the grid ``y``, one column per outcome x in ``xs``. The
-    end halves go on y[0] and y[-1] only, so the row blocks of a grid sum to
-    the weights of the whole grid."""
-    hi = y.shape[0] if hi is None else min(hi, y.shape[0])
-    arg = np.subtract.outer(y[lo:hi], np.atleast_1d(np.asarray(xs, dtype=float)))
-    arg *= arg
-    arg /= -sigma2
-    # exp is left at 0 where it would be subnormal (1e-308 of the peak):
-    # most of the table lies there, and exp takes a ~15x slower path on it
-    w = np.zeros_like(arg)
-    np.exp(arg, out=w, where=arg >= math.log(np.finfo(float).tiny))
-    w /= math.sqrt(math.pi * sigma2)
-    w *= y[1] - y[0]
-    if lo == 0:
-        w[0] *= 0.5
-    if hi == y.shape[0]:
-        w[-1] *= 0.5
-    return w
-
-
-def _homodyne_expectations(kets: np.ndarray, xs, sigma2: float) -> np.ndarray:
-    """<chi_k|M_x|chi_k> for each outcome x (rows) and ket chi_k (columns).
-
-    The quadrature of :func:`oracles.homodyne_element` on the position
-    densities q_k(y) = |<y|chi_k>|^2, streamed over the grid of
-    :func:`_default_ygrid` in blocks of Y_CHUNK points: per block, one
-    Hermite table h, q = (Re chi @ h)^2 + (Im chi @ h)^2 (one real GEMM), and
-    q @ W, with W the block's rows of :func:`_homodyne_kernel`. At
-    sigma^2 = 0 the densities are read at the outcomes themselves, in the
-    same blocks. No meter-space element is built, and the working set is
-    O(d Y_CHUNK + Y_CHUNK n_outcomes) at any grid length.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    y = xs if sigma2 == 0.0 else _default_ygrid(xs, sigma2, kets.shape[1])
-    parts = np.concatenate((kets.real, kets.imag))  # (Re chi; Im chi)
-    out = np.zeros((xs.shape[0], kets.shape[0]))
-    for lo in range(0, y.shape[0], Y_CHUNK):
-        q = _position_densities(parts, y[lo:lo + Y_CHUNK])
-        if sigma2 == 0.0:
-            out[lo:lo + Y_CHUNK] = q.T
-        else:
-            out += (q @ _homodyne_kernel(xs, sigma2, y, lo, lo + Y_CHUNK)).T
+            a = (bra[:, k:] * w) @ tiles[:, :d - k]
+            acc += a.real ** 2 + a.imag ** 2 if heterodyne else np.square(a, out=a)
+        if not heterodyne:
+            acc = acc[:, :n] + acc[:, n:]
+        out[lo:lo + step] = (scale * acc).transpose(0, 2, 1).reshape(-1, n)[:part.size]
+        del tiles  # freed before the next block's table is built
     return out
-
-
-def _position_densities(parts: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|<y|chi_k>|^2 on the points ``y`` from the stacked real and imaginary
-    parts of the kets, by one real GEMM with a Hermite table of those points
-    (freed on return, so one table is alive at a time)."""
-    a = parts @ hermite_functions(parts.shape[1], y)
-    a *= a
-    n = parts.shape[0] // 2
-    return a[:n] + a[n:]
 
 
 def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
@@ -367,13 +314,13 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     g = amp.g
     drive = g if heterodyne else g / math.sqrt(2.0)
     dec = normal_decompose(amp.f)
-    expectations, jacobian = (_heterodyne_expectations, g * g) if heterodyne \
-        else (_homodyne_expectations, g)
+    jacobian = g * g if heterodyne else g
     weights = 1.0
     meters = prepare_meters(amp, drive, dims)
     for (_, part), (meter, rows) in zip(meter_table(amp), meters):
         chi = displaced_rows(meter, drive * part(dec.eigenvalues), rows)
-        weights = weights * (jacobian * expectations(chi, g * part(outcomes), sig2))
+        weights = weights * (jacobian * _detector_expectations(
+            chi, g * part(outcomes), sig2, heterodyne))
     return PovmGrid(outcomes, dec, weights, model, _width2(sig2, epsilon ** 2, g))
 
 

@@ -20,7 +20,10 @@ from .amplifiers import _squeezer_chains
 from .errors import DimensionMismatch, NotHermitian
 from .fock import (FockSpace, Operator, annihilation_op, hermite_functions,
                    log_factorials, normal_decompose, quadrature_ops)
-from .measurement import _default_ygrid, _homodyne_kernel
+
+# trapezoid quadrature of homodyne_element: step and least half-width of its grid
+HOMODYNE_YGRID_STEP = 0.005
+HOMODYNE_YGRID_RANGE = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +254,7 @@ def heterodyne_element(beta: complex, sigma2: float, space: FockSpace) -> Operat
     any beta (entries are exact; only states near the cutoff are affected by
     truncation). sigma^2 = 0 reduces to (1/pi)|beta><beta|. The numeric POVM
     builds no element and takes the same expansion over all outcomes at once
-    in :func:`measurement._heterodyne_expectations`.
+    in :func:`measurement._detector_expectations`.
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
@@ -273,13 +276,40 @@ def heterodyne_element(beta: complex, sigma2: float, space: FockSpace) -> Operat
     return Operator(space, m)
 
 
+def _default_ygrid(xs, sigma2: float, d: int) -> np.ndarray:
+    """Grid for the raw outcomes ``xs`` and kets of ``d`` levels: step 0.005
+    on |y| <= max(10, max|x| + 8 sqrt(sigma^2/2)) (the noise kernel to eight
+    deviations), capped at sqrt(2d + 1) + 12 (the densities below roundoff)."""
+    half = min(max(HOMODYNE_YGRID_RANGE,
+                   float(np.abs(xs).max()) + 8.0 * math.sqrt(sigma2 / 2.0)),
+               math.sqrt(2 * d + 1) + 12.0)
+    n = int(round(2 * half / HOMODYNE_YGRID_STEP)) + 1
+    return np.linspace(-half, half, n)
+
+
+def _homodyne_kernel(xs, sigma2: float, y: np.ndarray) -> np.ndarray:
+    """(points, outcomes) trapezoid weights of the noise kernel K_sigma(x - y)
+    on the grid ``y``, one column per outcome x in ``xs``."""
+    arg = np.subtract.outer(y, np.atleast_1d(np.asarray(xs, dtype=float)))
+    arg *= arg
+    arg /= -sigma2
+    # exp is left at 0 where it would be subnormal (1e-308 of the peak):
+    # most of the table lies there, and exp takes a ~15x slower path on it
+    w = np.zeros_like(arg)
+    np.exp(arg, out=w, where=arg >= math.log(np.finfo(float).tiny))
+    w /= math.sqrt(math.pi * sigma2)
+    w *= y[1] - y[0]
+    w[[0, -1]] *= 0.5
+    return w
+
+
 def homodyne_element(x: float, sigma2: float, space: FockSpace) -> Operator:
     """<m|M_x|n> = int K_sigma(x - y) h_m(y) h_n(y) dy by trapezoid quadrature.
 
-    The grid is :func:`measurement._default_ygrid` of x for ``space.dim`` levels.
+    The grid is :func:`_default_ygrid` of x for ``space.dim`` levels.
     sigma^2 = 0 returns the rank-one outcome density h_m(x) h_n(x) (per unit
-    outcome, not a projector). The numeric POVM runs the same quadrature on
-    meter position densities in :func:`measurement._homodyne_expectations`.
+    outcome, not a projector). The numeric POVM needs no grid
+    (:func:`measurement._detector_expectations`), so this is its cross-check.
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")

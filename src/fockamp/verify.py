@@ -317,16 +317,13 @@ def _hettr():
 
 @check("homodyne elements resolve the identity")
 def _homres():
-    # sum_x M_x dx on the grid and kernel weights of _homodyne_expectations,
-    # summed over the outcomes in the Y_CHUNK row blocks that function
-    # streams (row sums do not depend on the blocking); 12 levels fit one
-    # Hermite table
+    # sum_x M_x dx on the grid and kernel weights of oracles.homodyne_element,
+    # 64 outcomes at a time; 12 levels fit one Hermite table
     xs = np.arange(-8.0, 8.0 + 1e-9, 0.05)
-    y = meas._default_ygrid(xs, 0.25, 12)
+    y = oracles._default_ygrid(xs, 0.25, 12)
     h = hermite_functions(12, y)
-    w = np.concatenate([
-        meas._homodyne_kernel(xs, 0.25, y, lo, lo + meas.Y_CHUNK).sum(axis=1)
-        for lo in range(0, y.shape[0], meas.Y_CHUNK)]) * 0.05
+    w = sum(oracles._homodyne_kernel(xs[lo:lo + 64], 0.25, y).sum(axis=1)
+            for lo in range(0, xs.size, 64)) * 0.05
     return _ok(float(np.abs((h * w) @ h.T - np.eye(12)).max()), 1e-4)
 
 

@@ -706,6 +706,24 @@ def test_csv_format(tmp_path):
     assert re.fullmatch(r"-?\d\.\d{11}e[+-]\d{2,}", text[1].split(",")[0])
 
 
+def test_block_csv_writer_matches_row_by_row(tmp_path):
+    # _write_csv formats CSV_ROWS rows per %-operation; the bytes are those
+    # of one %-format per row, for str and float columns, numpy scalars and
+    # the .tolist() floats of cmd_povm, -0.0 and the ends of the float range
+    import numpy as np
+    from fockamp.cli import CSV_ROWS, _write_csv
+    floats = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1.0 / 3.0,
+              -2.5, 123456.789e10]
+    header = ["a", "b", "c", "d"]
+    for n in (0, 1, CSV_ROWS - 1, CSV_ROWS, CSV_ROWS + 1, 4 * CSV_ROWS - 25):
+        rows = [(floats[i % 10], np.float64(floats[(i * 3) % 10]), str(i % 7),
+                 floats[(i * 7) % 10] * (i + 1)) for i in range(n)]
+        _write_csv(tmp_path / "block.csv", header, iter(rows))
+        want = ",".join(header) + "\n" + "".join(
+            "%.11e,%.11e,%s,%.11e\n" % row for row in rows)
+        assert (tmp_path / "block.csv").read_bytes() == want.encode("utf-8"), n
+
+
 # ---------------------------------------------------------------------------
 # povm
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fockamp import measurement, oracles
 from fockamp.errors import CoverageError, DimensionMismatch, TruncationError
 from fockamp.amplifiers import meter_dim_for, prepare_meters
 from fockamp.fock import State, _coherent_amplitudes, log_factorials, parity_op
-from fockamp.measurement import BLOCK, _heterodyne_expectations, _region_masses
+from fockamp.measurement import BLOCK, _detector_expectations, _region_masses
 from fockamp.oracles import (heterodyne_element, homodyne_element,
                              husimi_values, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
@@ -125,7 +125,7 @@ def test_heterodyne_expectations_match_element_oracle(dim, sigma2):
     oracle = np.array([
         np.real(np.sum(kets.conj() * (kets @ heterodyne_element(
             b, sigma2, FockSpace(dim)).matrix.T), axis=1)) for b in betas])
-    got = _heterodyne_expectations(kets, betas, sigma2)
+    got = _detector_expectations(kets, betas, sigma2, True)
     assert got.shape == oracle.shape
     assert np.max(np.abs(got - oracle) / np.abs(oracle)) < 1e-12
 
@@ -139,7 +139,7 @@ def test_heterodyne_expectations_closed_form_at_large_amplitude(sigma2):
     betas = alpha + np.array([0.0, 0.3, -0.5 + 0.2j, 1.1j, 1.5, 2.0 - 1.0j])
     t = 1.0 / (1.0 + sigma2)
     exact = (t / math.pi) * np.exp(-t * np.abs(alpha - betas) ** 2)
-    got = _heterodyne_expectations(ket, betas, sigma2)[:, 0]
+    got = _detector_expectations(ket, betas, sigma2, True)[:, 0]
     assert np.max(np.abs(got - exact) / exact) < 1e-11
 
 
@@ -153,7 +153,7 @@ def test_heterodyne_expectations_closed_form_at_4096_levels(sigma2):
     betas = alpha + np.array([0.0, 0.5, -1.0 + 1.0j, 2.5j, 3.0])
     t = 1.0 / (1.0 + sigma2)
     exact = (t / math.pi) * np.exp(-t * np.abs(alpha - betas) ** 2)
-    got = _heterodyne_expectations(ket, betas, sigma2)[:, 0]
+    got = _detector_expectations(ket, betas, sigma2, True)[:, 0]
     assert np.max(np.abs(got - exact) / exact) < 1e-11
 
 
@@ -201,13 +201,13 @@ def test_heterodyne_expectations_match_product_form(g, dim, sigma2):
         kets = _random_kets(3, dim, 11)
         rng = np.random.default_rng(11)
         betas = 3.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
-    got = _heterodyne_expectations(kets, betas, sigma2)
+    got = _detector_expectations(kets, betas, sigma2, True)
     want = _heterodyne_expectations_product_form(kets, betas, sigma2)
     assert np.max(np.abs(got - want) / want.max(axis=0)) <= 1e-13
 
 
 def test_heterodyne_expectations_memory_is_bounded():
-    # the outcomes stream in blocks of Y_CHUNK, so the peak does not grow
+    # the outcomes stream in blocks of _outcome_block, so the peak does not grow
     # with their count; one amplitude table over all outcomes traces 55 and
     # 220 MiB here
     import tracemalloc
@@ -218,7 +218,7 @@ def test_heterodyne_expectations_memory_is_bounded():
         betas = 4.0 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
         tracemalloc.start()
         try:
-            out = _heterodyne_expectations(kets, betas, 1.0)
+            out = _detector_expectations(kets, betas, 1.0, True)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -283,39 +283,72 @@ def _random_kets(n, d, seed):
 @pytest.mark.parametrize("sigma2", [0.25, 0.0])
 @pytest.mark.parametrize("layout", ["under_one_chunk", "four_chunks",
                                     "three_chunks_and_one"])
-def test_streamed_homodyne_matches_dense_oracle(monkeypatch, layout, sigma2):
-    # the end halves of the trapezoid rule sit on the grid's ends only, so
-    # the blocks add up to the dense sandwich wherever the chunks fall; at
-    # sigma^2 = 0 the blocks run over the outcomes
-    xs = np.linspace(-4.0, 12.0, 28)
-    n = xs.size if sigma2 == 0.0 else measurement._default_ygrid(xs, sigma2, 40).size
-    assert n % 4 == 0 and (n - 1) % 3 == 0  # 28 outcomes; 5932 grid points
-    chunk = {"under_one_chunk": n + 1, "four_chunks": n // 4,
-             "three_chunks_and_one": (n - 1) // 3}[layout]
-    monkeypatch.setattr(measurement, "Y_CHUNK", chunk)
+def test_streamed_homodyne_matches_dense_oracle(layout, sigma2):
+    # the outcomes stream in blocks of _outcome_block(40) (1600 here); 28
+    # outcomes repeat through them, so each lands at many places in a block
+    # and at its boundaries, and each row is checked against the dense
+    # quadrature of oracles.homodyne_element
+    base = np.linspace(-4.0, 12.0, 28)
+    step = measurement._outcome_block(40)
+    n = {"under_one_chunk": base.size, "four_chunks": 4 * step,
+         "three_chunks_and_one": 3 * step + 1}[layout]
+    assert n <= step or n // step in (3, 4)
     kets = _random_kets(3, 40, 5)
-    got = measurement._homodyne_expectations(kets, xs, sigma2)
+    got = measurement._detector_expectations(kets, np.resize(base, n), sigma2, False)
     sp = FockSpace(40)
     want = np.array([[np.vdot(k, homodyne_element(float(x), sigma2, sp).matrix @ k).real
-                      for k in kets] for x in xs])
+                      for k in kets] for x in base])
+    want = np.resize(want, (n, 3))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_homodyne_expectations_memory_is_bounded():
-    # one Hermite table of Y_CHUNK points at a time: a 1024-level meter and
-    # 200 outcomes trace 8.6 MB; the whole (d x 5131) table and its complex
-    # copy traced 126 MB
+    # one Hermite table of one outcome block at a time: a 1024-level meter
+    # and 200 outcomes trace 2.4 MB here; the whole (d x 5131) quadrature
+    # table and its complex copy traced 126 MB
     import tracemalloc
     kets = _random_kets(4, 1024, 3)
     xs = np.linspace(-10.0, 10.0, 200)
     tracemalloc.start()
     try:
-        out = measurement._homodyne_expectations(kets, xs, 0.25)
+        out = measurement._detector_expectations(kets, xs, 0.25, False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out.shape == (200, 4)
     assert peak <= 16e6, peak / 1e6
+
+
+def test_homodyne_expectations_memory_does_not_grow_with_outcomes():
+    # the meters of a von Neumann povm (a_dag_a, signal 4, g 1, vacuum
+    # meter, homodyne eta 0.5) on its grids of 52, 1,269 and 5,074 outcomes
+    # (points_per_width 4, 100 and 400): past one outcome block the peak
+    # grows by the (n, 4) output alone; the quadrature over a grid traced
+    # 1.1, 21.4 and 84.7 MiB
+    import tracemalloc
+    from fockamp.amplifiers import VonNeumannAmp, displaced_rows
+    from fockamp.cli import _povm_grid
+    from fockamp.fock import number_op
+    spec = VonNeumannAmp(number_op(FockSpace(4)), 1.0)
+    drive = 1.0 / math.sqrt(2.0)
+    (meter, rows), = prepare_meters(spec, drive)
+    kets = displaced_rows(meter, drive * np.arange(4.0), rows)
+    assert 1269 > measurement._outcome_block(kets.shape[1])
+    sigma2 = measurement.DetectorSpec("homodyne", 0.5).sigma2
+    width = math.sqrt(sigma2 + 1.0)
+    peaks = []
+    for ppw, n in ((4, 52), (100, 1269), (400, 5074)):
+        xs, _ = _povm_grid(np.arange(4.0), width, 5.0, ppw, complex_grid=False)
+        assert xs.size == n
+        tracemalloc.start()
+        try:
+            out = measurement._detector_expectations(kets, xs, sigma2, False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, 4)
+    assert max(peaks) <= 2 * 2 ** 20, peaks
+    assert peaks[2] - peaks[1] <= 32 * (5074 - 1269) + 2 ** 16, peaks  # the output
 
 
 @pytest.mark.parametrize("sigma2", [0.25, 0.0])
@@ -328,7 +361,7 @@ def test_homodyne_expectations_past_old_reach(sigma2):
     xs = x0 + np.array([-2.0, -0.7, 0.0, 0.4, 1.5])
     var = 0.5 + sigma2 / 2.0
     want = np.exp(-(xs - x0) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
-    got = measurement._homodyne_expectations(ket, xs, sigma2)[:, 0]
+    got = measurement._detector_expectations(ket, xs, sigma2, False)[:, 0]
     assert np.max(np.abs(got - want) / want) < 1e-9
 
 

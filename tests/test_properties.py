@@ -483,3 +483,58 @@ def test_coherent_amplitudes_match_mpmath(p, r, phase):
         scale = p * (abs(math.log(r)) + math.pi) if p else 0.0
         scale += 0.5 * math.lgamma(p + 1) + 0.5 * r * r + 1.0
         assert abs(got - true) <= 4 * np.finfo(float).eps * scale * abs(true)
+
+
+@st.composite
+def detector_cases(draw):
+    """Random kets on 2 <= d <= 40 levels, a detector at efficiency 10^-e
+    (e in [0, 9], 1 exactly included) and outcomes on its scale."""
+    d = draw(st.integers(2, 40))
+    heterodyne = draw(st.booleans())
+    eta = 10.0 ** -draw(st.floats(0.0, 9.0))
+    sigma2 = DetectorSpec("heterodyne" if heterodyne else "homodyne", eta).sigma2
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kets = rng.normal(size=(draw(st.integers(1, 3)), d)) * (1 + 0j)
+    kets += 1j * rng.normal(size=kets.shape)
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    # outcome 0 near the peak, the others out to several record widths
+    reach = 6.0 + 3.0 * math.sqrt(sigma2)
+    parts = draw(st.lists(unit, min_size=10, max_size=10))
+    outcomes = np.concatenate(([0.0], reach * _complex(parts)))
+    return kets, sigma2, heterodyne, outcomes if heterodyne else outcomes.real
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(detector_cases())
+def test_detector_kernel_matches_dense_elements(case):
+    # the loss-channel kernel of both detectors against the dense
+    # single-outcome elements (closed form for heterodyne, trapezoid
+    # quadrature for homodyne), from eta = 1 down to 1e-9
+    from fockamp.measurement import _detector_expectations
+    from fockamp.oracles import heterodyne_element, homodyne_element
+    kets, sigma2, heterodyne, outcomes = case
+    element = heterodyne_element if heterodyne else homodyne_element
+    space = FockSpace(kets.shape[1])
+    want = np.array([[np.vdot(k, element(o, sigma2, space).matrix @ k).real
+                      for k in kets] for o in outcomes])
+    got = _detector_expectations(kets, outcomes, sigma2, heterodyne)
+    assert got.shape == want.shape and (got >= 0).all()
+    assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(detector_cases(), st.floats(0.0, 2.5), st.lists(unit, min_size=1,
+                                                       max_size=4))
+def test_detector_kernel_rows_do_not_depend_on_block_boundaries(case, blocks,
+                                                                cuts):
+    # the outcomes in pieces cut anywhere (inside, at and across the blocks
+    # of _outcome_block) give the rows of one call, bit for bit
+    from fockamp.measurement import _detector_expectations, _outcome_block
+    kets, sigma2, heterodyne, outcomes = case
+    n = 1 + int(blocks * _outcome_block(kets.shape[1]))
+    outcomes = np.resize(outcomes, n) * np.linspace(0.5, 1.5, n)
+    whole = _detector_expectations(kets, outcomes, sigma2, heterodyne)
+    edges = sorted({0, n, *(int((c + 1) / 2 * n) for c in cuts)})
+    pieces = [_detector_expectations(kets, outcomes[a:b], sigma2, heterodyne)
+              for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(np.concatenate(pieces), whole)
