@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GainOutOfRange, NotHermitian, NotNormal, TruncationError
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
-                   annihilation_op, guard_keep, hermite_functions,
+                   _coherent_amplitudes, annihilation_op, guard_keep,
                    normal_decompose, partial_trace, quadrature_ops,
                    squeezed_vacuum, symmetrized_moment, tensor, variance)
 
@@ -36,6 +36,7 @@ METER_DIM_CAP = 4096
 METER_DIM_FLOOR = 24
 # probability (or mean quanta) a meter may lose to its truncation
 TRUNCATION_TOL = 1e-6
+R_MAX = 512 * math.log(2.0)  # largest meter |r|: e^{2|r|} rounds to a float
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,7 @@ class Meter:
 
     Each is the squeezed vacuum of one parameter, which the constructor
     stores in ``r``: 0 for vacuum, r for squeezed and -ln epsilon for
-    gaussian. Every method reads that one value.
+    gaussian. Every method reads that one value, which R_MAX bounds.
     """
 
     kind: str = "vacuum"
@@ -63,6 +64,8 @@ class Meter:
         if self.kind != "squeezed":
             object.__setattr__(self, "r", -math.log(self.epsilon)
                                if self.kind == "gaussian" else 0.0)
+        if not abs(self.r) <= R_MAX:
+            raise ValueError(f"meter r = {self.r:.6g} puts e^(2|r|) past the float range")
 
     def x_variance(self) -> float:
         return 0.5 * math.exp(-2 * self.r)
@@ -245,12 +248,9 @@ def meter_dim_for(g: float, f_max: float, meter: Meter | None = None,
     the meter fits there: its own tail holds at most 1e-6 quanta
     (:meth:`Meter.fock_levels`) and no displaced copy D(alpha)|meter> puts
     more than 1e-6 on the cutoff. Otherwise (strongly squeezed meters) the
-    meter's own levels are added on top of the displacement's. Displaced
-    copies are probed only for meters that need more than one level: at
-    this size a displaced vacuum leaves at most ~1e-34 on the cutoff
-    (|alpha| up to METER_DIM_CAP). Without ``alphas`` nothing is built, and
-    the size is a lower bound on the probed one. Sizes past METER_DIM_CAP
-    raise TruncationError.
+    meter's own levels are added on top of the displacement's. Without
+    ``alphas`` nothing is built, and the size is a lower bound on the probed
+    one. Sizes past METER_DIM_CAP raise TruncationError.
     """
     return _sized_meter(g, f_max, meter, alphas)[0]
 
@@ -261,8 +261,8 @@ def _sized_meter(g: float, f_max: float, meter: Meter | None, alphas):
     rows = None
     if meter is not None and need <= METER_DIM_CAP:
         levels = meter.fock_levels()
-        if 1 < levels <= need and np.size(alphas):
-            rows = displaced_meter_ket(meter.state(need), alphas)
+        if levels <= need and np.size(alphas):
+            rows = displaced_meter_ket(meter, need, alphas)
         if levels > need or _cutoff_occupancy(rows) > TRUNCATION_TOL:
             need, rows = need + levels, None
     if need > METER_DIM_CAP:
@@ -381,40 +381,39 @@ def predict_output_moments(spec, input_a: State) -> MomentReport:
 # simulation
 # ---------------------------------------------------------------------------
 
-def displaced_meter_ket(meter_state: State, alphas) -> np.ndarray:
-    """Rows D(alpha)|meter> = exp(alpha b^dag - alpha* b)|meter>, shape (len(alphas), d).
-
-    This is the one conditional-displacement kernel: the exponential of the
-    truncated generator, the object the dense composite unitaries hold on
-    each eigenspace of f. With beta = -i sqrt(2) alpha, R = e^{i arg(beta) n}
-    and x = U diag(xi) U^T, U the normalized Hermite functions at the zeros xi
-    of h_d (Golub-Welsch; nothing cached), each row is R U e^{i|beta| xi} U^T
-    R^dag |meter>, by two real GEMMs (no complex copy of U), renormalized;
-    alpha = 0 rows copy the ket.
+def displaced_meter_ket(meter: Meter, dim: int, alphas) -> np.ndarray:
+    """The one conditional-displacement kernel: rows D(alpha) S(r)|0> of the
+    meter at ``dim`` levels, renormalized; alpha = 0 rows copy
+    ``meter.state(dim)``. A vacuum meter's rows are coherent; a squeezed
+    one's are the eigenvectors of mu a + nu a^dag (mu, nu = cosh r, sinh r)
+    at gamma = mu alpha + nu alpha* (Yuen, PRA 13, 2226, 1976), so
+    mu sqrt(n+1) c_{n+1} = gamma c_n - nu sqrt(n) c_{n-1}, run up from
+    c_{-1} = 0 (row dim - 1, still 0) and the phase of c_0 = sech(r)^{1/2}
+    e^{-|alpha|^2/2 - tanh(r) alpha*^2/2}: O(dim) per row, no matrix. |c|
+    grows at most 2 max|alpha| + 1 per level; every ``step`` levels the rows
+    are scaled back to 1, before they pass 1e150.
     """
-    ket, d = meter_state.data, meter_state.data.size
     alphas = np.ravel(alphas).astype(complex)
-    rows = np.tile(ket, (alphas.size, 1))
+    rows = np.tile(meter.state(dim).data, (alphas.size, 1))
     move = np.flatnonzero(alphas)
-    if move.size:
-        # eigvalsh reads the upper triangle only: the superdiagonal sqrt(n/2) of x
-        xi = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, d) / 2), 1), UPLO="U")
-        h = hermite_functions(d + 1, xi)[d - 1:].copy()  # rows d-1, d; table freed
-        xi -= h[1] / (math.sqrt(2.0 * d) * h[0])  # Newton: eigvalsh errs by ~1e-12
-        u = hermite_functions(d, xi)
-        u /= np.linalg.norm(u, axis=0)
-        beta = -1j * math.sqrt(2.0) * alphas[move, None]
-        r = np.exp(1j * np.angle(beta) * np.arange(d))
-        out = _times_real(_times_real(ket * r.conj(), u)
-                          * np.exp(1j * np.abs(beta) * xi), u.T) * r
-        rows[move] = out / np.linalg.norm(out, axis=1, keepdims=True)
+    if not move.size:
+        return rows
+    a = alphas[move]
+    if meter.r == 0.0:
+        c = _coherent_amplitudes(dim, a)
+    else:
+        t = math.tanh(meter.r)
+        g = a + t * a.conj()  # gamma / mu
+        c = np.zeros((dim, a.size), dtype=complex)
+        c[0] = np.exp(-0.5j * t * (a.conj() ** 2).imag)
+        step = max(1, int(150 / math.log10(2.0 * float(np.abs(a).max()) + 2.0)))
+        for lo in range(0, dim - 1, step):
+            hi = min(lo + step, dim - 1)
+            for n in range(lo, hi):
+                c[n + 1] = (g * c[n] - t * math.sqrt(n) * c[n - 1]) / math.sqrt(n + 1)
+            c[:hi + 1] /= np.maximum(np.abs(c[hi - 1:hi + 1]).max(axis=0), 1.0)
+    rows[move] = c.T / np.linalg.norm(c, axis=0)[:, None]
     return rows
-
-
-def _times_real(z: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """z @ m for complex rows z and a real matrix m, by one real GEMM."""
-    p = np.concatenate((z.real, z.imag)) @ m
-    return p[:z.shape[0]] + 1j * p[z.shape[0]:]
 
 
 def meter_table(spec) -> list:
@@ -435,40 +434,41 @@ def meter_table(spec) -> list:
 
 
 def prepare_meters(spec, drive: float,
-                   dims=None) -> list[tuple[State, np.ndarray | None]]:
-    """The meters of :func:`meter_table` at ``dims``, auto-sized if not given.
+                   dims=None) -> list[tuple[State, np.ndarray]]:
+    """The meters of :func:`meter_table` at ``dims``, auto-sized if not given,
+    each with its rows D(drive part(lam))|m> over the spectrum of f.
 
-    Auto-sizing holds each meter's preparation and its displacements
-    ``drive * part(lam)`` over the spectrum of f (:func:`meter_dim_for`).
-    Each meter is paired with the rows its sizing probe built, else None.
-    A meter whose truncation drops more than TRUNCATION_TOL of its norm
-    raises TruncationError instead of being renormalized.
+    Auto-sizing holds each meter's preparation and those displacements
+    (:func:`meter_dim_for`), whose sizing probe hands its rows on. A meter
+    whose truncation drops more than TRUNCATION_TOL of its norm raises
+    TruncationError instead of being renormalized.
     """
     table = meter_table(spec)
-    sized = [(d, None) for d in dims or ()]
-    if not dims:
-        lam = normal_decompose(spec.f).eigenvalues
-        sized = [_sized_meter(spec.g, float(np.abs(part(lam)).max()), m,
-                              drive * part(lam)) for m, part in table]
-    prepared = [(m.state(d), rows) for (m, _), (d, rows) in zip(table, sized, strict=True)]
-    for st, _ in prepared:
+    lam = normal_decompose(spec.f).eigenvalues
+    sized = [(d, None) for d in dims] if dims else [
+        _sized_meter(spec.g, float(np.abs(part(lam)).max()), m, drive * part(lam))
+        for m, part in table]
+    prepared = []
+    for (m, part), (d, rows) in zip(table, sized, strict=True):
+        st = m.state(d)
         if st.norm_defect > TRUNCATION_TOL:
             raise TruncationError(
-                f"meter truncated at dim {st.space.dim} drops {st.norm_defect:.2e} "
+                f"meter truncated at dim {d} drops {st.norm_defect:.2e} "
                 f"of its norm (> {TRUNCATION_TOL:.0e}); enlarge the meter")
+        prepared.append((st, displaced_meter_ket(m, d, drive * part(lam))
+                         if rows is None else rows))
     return prepared
 
 
-def displaced_rows(meter: State, alphas, rows=None) -> np.ndarray:
-    """Rows D(alpha)|meter>, one per alpha (``rows`` if already built); reject
-    any that put more than TRUNCATION_TOL on the meter's cutoff."""
-    chi = displaced_meter_ket(meter, alphas) if rows is None else rows
-    worst = _cutoff_occupancy(chi)
+def displaced_rows(meter: State, rows: np.ndarray) -> np.ndarray:
+    """``rows`` of displaced copies of ``meter``, once none puts more than
+    TRUNCATION_TOL on the meter's cutoff."""
+    worst = _cutoff_occupancy(rows)
     if worst > TRUNCATION_TOL:
         raise TruncationError(
             f"a displaced meter holds {worst:.2e} at its cutoff (dim "
             f"{meter.space.dim}, > {TRUNCATION_TOL:.0e}); enlarge the meter")
-    return chi
+    return rows
 
 
 def simulate_output_state(spec, input_a: State, dims=None) -> State:
@@ -545,11 +545,9 @@ def _spectral_output(spec, input_a: State, meters) -> State:
     c = v.conj().T @ input_a.data if ket else v.conj().T @ input_a.data @ v
     keep = np.flatnonzero((np.abs(c) ** 2 if ket else np.real(np.diag(c))) >= 1e-32)
     c = c[keep] if ket else c[np.ix_(keep, keep)]
-    lam = dec.eigenvalues[keep]
     chi = np.ones((keep.size, 1))
-    for (_, part), (meter, probed) in zip(meter_table(spec), meters):
-        rows = displaced_rows(meter, spec.g * part(lam),
-                              None if probed is None else probed[keep])
+    for meter, rows in meters:
+        rows = displaced_rows(meter, rows[keep])
         chi = (chi[:, :, None] * rows[:, None, :]).reshape(keep.size, -1)
     # y[(a, m), i] = v[a, i] chi_i[m]
     y = (v[:, None, keep] * chi.T).reshape(-1, keep.size)

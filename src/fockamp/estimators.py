@@ -36,7 +36,7 @@ import numpy as np
 
 from .amplifiers import (LinearAmp, Meter, TwoModeNormalAmp, VACUUM,
                          VonNeumannAmp)
-from .errors import NotHermitian
+from .errors import GainOutOfRange, NotHermitian
 from .fock import State, normal_decompose, number_op, variance
 from .measurement import DetectorSpec, detector_blocks, gaussian_blocks
 
@@ -151,6 +151,8 @@ def _nonlinear_blocks(plan: TrialPlan, transform=None):
         raise NotHermitian("nonlinear estimation wants a Hermitian signal operator")
     probs = np.clip(dec.probabilities(plan.input_state), 0.0, None)
     sd = math.sqrt(amp.meter.x_variance() + plan.detector.sigma2 / 2.0)
+    if not sd <= 1e70 * math.sqrt(2.0) * amp.g:  # past it, 1e8 trials' y^4 overflow
+        raise GainOutOfRange(f"the noise of y = x/(sqrt(2) g) passes 1e70 at g = {amp.g:.6g}")
     return gaussian_blocks(math.sqrt(2.0) * amp.g * np.real(dec.eigenvalues), probs,
                            sd, plan.trials, plan.seed, transform=transform)
 

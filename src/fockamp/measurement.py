@@ -318,9 +318,8 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     weights = 1.0
     meters = prepare_meters(amp, drive, dims)
     for (_, part), (meter, rows) in zip(meter_table(amp), meters):
-        chi = displaced_rows(meter, drive * part(dec.eigenvalues), rows)
         weights = weights * (jacobian * _detector_expectations(
-            chi, g * part(outcomes), sig2, heterodyne))
+            displaced_rows(meter, rows), g * part(outcomes), sig2, heterodyne))
     return PovmGrid(outcomes, dec, weights, model, _width2(sig2, epsilon ** 2, g))
 
 

@@ -1,12 +1,15 @@
-"""Dense oracles: composite-space unitaries, single-outcome detector elements
-and Husimi values.
+"""Dense oracles: composite-space unitaries, the truncated-exponential meter
+displacement, single-outcome detector elements and Husimi values.
 
-No command builds these. The production routes take the conditional meter
-displacements in the eigenbasis of f (:func:`amplifiers.displaced_meter_ket`),
-the photon-difference chains of the linear squeezer
+No command builds these. The production routes take the exact displaced
+meter rows of a three-term recurrence in the eigenbasis of f
+(:func:`amplifiers.displaced_meter_ket`, O(d) per row), the
+photon-difference chains of the linear squeezer
 (:func:`amplifiers._squeezer_chains`), the all-outcome detector expectations
 of :mod:`fockamp.measurement` and its exact Husimi draws. The builders here
-form the dense matrices those routes avoid, so they serve as independent
+form the dense matrices those routes avoid, among them the O(d^3)
+exponential of the truncated displacement generator
+(:func:`displaced_meter_ket_expm`), so they serve as independent
 cross-checks in ``verify`` and the tests, and only those import this module.
 """
 from __future__ import annotations
@@ -70,6 +73,44 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     u = alpha / abs(alpha)
     phase = np.where(m >= n, (u ** k)[dk], ((-np.conj(u)) ** k)[dk])
     return f[lo, dk] * phase
+
+
+def displaced_meter_ket_expm(meter_state, alphas) -> np.ndarray:
+    """Rows exp(alpha b^dag - alpha* b)|ket> of the truncated generator, shape
+    (len(alphas), d), for any ket; alpha = 0 rows copy it.
+
+    These are the columns the dense composite unitaries hold on each
+    eigenspace of f, and the cross-check of the exact rows of
+    :func:`amplifiers.displaced_meter_ket`, which they match where the
+    truncation is below roundoff. With beta = -i sqrt(2) alpha,
+    R = e^{i arg(beta) n} and x = U diag(xi) U^T, U the normalized Hermite
+    functions at the zeros xi of h_d (Golub-Welsch, one Newton step), each
+    row is R U e^{i|beta| xi} U^T R^dag |ket>, by two real GEMMs,
+    renormalized. The cost is O(d^3).
+    """
+    ket, d = meter_state.data, meter_state.data.size
+    alphas = np.ravel(alphas).astype(complex)
+    rows = np.tile(ket, (alphas.size, 1))
+    move = np.flatnonzero(alphas)
+    if move.size:
+        # eigvalsh reads the upper triangle only: the superdiagonal sqrt(n/2) of x
+        xi = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, d) / 2), 1), UPLO="U")
+        h = hermite_functions(d + 1, xi)[d - 1:].copy()  # rows d-1, d; table freed
+        xi -= h[1] / (math.sqrt(2.0 * d) * h[0])  # Newton: eigvalsh errs by ~1e-12
+        u = hermite_functions(d, xi)
+        u /= np.linalg.norm(u, axis=0)
+        beta = -1j * math.sqrt(2.0) * alphas[move, None]
+        r = np.exp(1j * np.angle(beta) * np.arange(d))
+        out = _times_real(_times_real(ket * r.conj(), u)
+                          * np.exp(1j * np.abs(beta) * xi), u.T) * r
+        rows[move] = out / np.linalg.norm(out, axis=1, keepdims=True)
+    return rows
+
+
+def _times_real(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """z @ m for complex rows z and a real matrix m, by one real GEMM."""
+    p = np.concatenate((z.real, z.imag)) @ m
+    return p[:z.shape[0]] + 1j * p[z.shape[0]:]
 
 
 def unitary_from_generator(h: Operator, t: float = 1.0) -> Operator:

@@ -638,13 +638,13 @@ def test_cv_swap_moves_signal_to_mode_zero():
 
 
 def test_displaced_meter_ket_is_truncated_exponential():
-    # the one conditional-displacement kernel: exp(alpha b^dag - alpha* b)
-    # of the truncated b applied to any meter ket, every alpha in one call
+    # the dense oracle kernel: exp(alpha b^dag - alpha* b) of the truncated
+    # b applied to any meter ket, every alpha in one call
     b = annihilation_op(FockSpace(24)).matrix
     alphas = np.array([0.0, 0.7, 1.5 - 2.0j])
     for meter in (Meter(), Meter("squeezed", 0.5)):
         st = meter.state(24)
-        rows = displaced_meter_ket(st, alphas)
+        rows = oracles.displaced_meter_ket_expm(st, alphas)
         assert rows.shape == (3, 24)
         assert np.array_equal(rows[0], st.data)
         for row, alpha in zip(rows, alphas):
@@ -655,10 +655,11 @@ def test_displaced_meter_ket_is_truncated_exponential():
 def test_displaced_meter_ket_matches_expm_multiply_at_225_levels():
     from scipy.sparse import diags
     from scipy.sparse.linalg import expm_multiply
-    st = Meter("squeezed", 0.5).state(225)
+    meter = Meter("squeezed", 0.5)
+    st = meter.state(225)
     alphas = np.array([9.0, -6.0, 4.0 + 5.0j])
     s = np.sqrt(np.arange(1, 225))
-    for row, alpha in zip(displaced_meter_ket(st, alphas), alphas):
+    for row, alpha in zip(displaced_meter_ket(meter, 225, alphas), alphas):
         gen = diags([alpha * s, -np.conj(alpha) * s], [-1, 1], format="csr")
         target = expm_multiply(gen, st.data)
         assert np.abs(row - target / np.linalg.norm(target)).max() < 1e-13
@@ -666,7 +667,7 @@ def test_displaced_meter_ket_matches_expm_multiply_at_225_levels():
 
 @pytest.mark.parametrize("d", [24, 256, 1024])
 def test_displacement_basis_is_the_hermite_eigenbasis(monkeypatch, d):
-    # the kernel's basis is the Hermite table it builds at its nodes xi:
+    # the oracle kernel's basis is the Hermite table it builds at its nodes xi:
     # normalized, it is an orthonormal eigenbasis of J = b + b^dag with
     # eigenvalues sqrt(2) xi (without the Newton step on the nodes, the
     # eigen-residual reads 2.4e-11 at 1024 levels)
@@ -677,8 +678,8 @@ def test_displacement_basis_is_the_hermite_eigenbasis(monkeypatch, d):
         tables.append((nmax, np.array(xs), table))
         return table
 
-    monkeypatch.setattr(amplifiers, "hermite_functions", spy)
-    displaced_meter_ket(vacuum_state(FockSpace(d)), [1.0])
+    monkeypatch.setattr(oracles, "hermite_functions", spy)
+    oracles.displaced_meter_ket_expm(vacuum_state(FockSpace(d)), [1.0])
     [(xi, u)] = [(xs, t) for nmax, xs, t in tables if nmax == d]
     u = u / np.linalg.norm(u, axis=0)
     j = annihilation_op(FockSpace(d)).matrix.real
@@ -687,15 +688,46 @@ def test_displacement_basis_is_the_hermite_eigenbasis(monkeypatch, d):
     assert np.abs(u.T @ u - np.eye(d)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("r", [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0])
+def test_displaced_meter_ket_matches_oracle_at_twice_the_dim(r):
+    # at the auto-sized dim d the rows are the exact D(alpha) S(r)|0>, cut
+    # at d and renormalized: the oracle's truncated exponential at 2d, whose
+    # own truncation is below roundoff there, read on its first d levels.
+    # The truncated exponential at d itself is off by up to 3.3e-4 (r 1.5)
+    meter = Meter("squeezed", r)
+    alphas = np.concatenate([m * np.exp(1j * np.linspace(0.0, np.pi, 5))
+                             for m in (0.3, 3.0, 7.0, 12.0)])
+    d = meter_dim_for(12.0, 1.0, meter, alphas)
+    ref = oracles.displaced_meter_ket_expm(meter.state(2 * d), alphas)[:, :d]
+    ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+    assert np.abs(displaced_meter_ket(meter, d, alphas) - ref).max() <= 1e-12
+
+
+def test_displaced_meter_ket_memory_stays_linear_in_the_dim():
+    # three rows of 4,096 levels hold ~0.2 MB; the truncated exponential
+    # built a 4,096^2 Hermite basis (288 MB peak RSS). At |alpha| = 36,
+    # amplitudes run up from |c_0| = 1 unscaled would overflow (~1e330)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        rows = displaced_meter_ket(Meter("squeezed", 0.5), 4096, [1.0, 20j, 30 - 20j])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (3, 4096) and np.isfinite(rows).all()
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
+    assert peak <= 2 * 2 ** 20, peak
+
+
 def test_auto_sized_squeezed_meter_builds_one_kernel_basis(monkeypatch):
     # the sizing probe's rows are handed on, not rebuilt
     from fockamp import DetectorSpec, amplifiers, effective_povm_numeric
     calls = []
     kernel = amplifiers.displaced_meter_ket
 
-    def counted(meter_state, alphas):
-        calls.append(meter_state.space.dim)
-        return kernel(meter_state, alphas)
+    def counted(meter, dim, alphas):
+        calls.append(dim)
+        return kernel(meter, dim, alphas)
 
     monkeypatch.setattr(amplifiers, "displaced_meter_ket", counted)
     sp = FockSpace(4)

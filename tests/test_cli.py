@@ -509,6 +509,13 @@ def test_drawn_configs_resolve_to_themselves(raw):
           "dims": {"signal": 6}})
 @example({"command": "povm", "amplifier": {"g_list": [1e-200]},
           "detector": {"kind": "heterodyne"}})
+@example({"command": "noise-sweep",
+          "amplifier": {"meter": {"kind": "gaussian", "epsilon": 5e-324}}})
+@example({"command": "compare", "amplifier": {"g": 5e-324}, "trials": 100})
+@example({"command": "compare", "amplifier": {"g": 3.569467229130439e-91}})
+@example({"command": "compare",
+          "amplifier": {"meter": {"kind": "gaussian", "epsilon": 5e-324}},
+          "dims": {"signal": 3}, "trials": 50})
 @example({"command": "povm", "amplifier": {"variant": "von_neumann"},
           "detector": {"kind": "homodyne", "efficiency": 1e-9},
           "dims": {"signal": 2}, "grid": {"n_widths": 1, "points_per_width": 1}})
@@ -517,9 +524,12 @@ def test_drawn_configs_run_to_an_exit_code(raw):
     # raises nothing, within DRAWN_RUN_WALL_S; verify may exit 1 where the
     # configured amplifier gate is its one failing check. The examples are
     # the defects such draws found: a Fock level above the signal space (a
-    # ValueError), a povm gain whose g^2 underflows (a ZeroDivisionError),
-    # and povm homodyne at efficiency 1e-9 (82 s; last, since the
-    # alarm's exception ends the run of examples)
+    # ValueError), a povm gain whose g^2 underflows (a ZeroDivisionError), a
+    # gaussian meter whose e^{2r} overflows (an OverflowError, and a zero
+    # standard error in compare), compare gains whose estimate x/(sqrt(2) g)
+    # overflows its power sums (a ZeroDivisionError and an OverflowError),
+    # and povm homodyne at efficiency 1e-9 (82 s; last, since the alarm's
+    # exception ends the run of examples)
     from fockamp import cli
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -767,9 +777,9 @@ def test_povm_builds_one_kernel_basis_per_gain(tmp_path, monkeypatch):
     kernel = amplifiers.displaced_meter_ket
     dims = []
 
-    def counted(meter_state, alphas):
-        dims.append(meter_state.space.dim)
-        return kernel(meter_state, alphas)
+    def counted(meter, dim, alphas):
+        dims.append(dim)
+        return kernel(meter, dim, alphas)
 
     monkeypatch.setattr(amplifiers, "displaced_meter_ket", counted)
     cfg = {"command": "povm",

@@ -332,7 +332,7 @@ def test_homodyne_expectations_memory_does_not_grow_with_outcomes():
     spec = VonNeumannAmp(number_op(FockSpace(4)), 1.0)
     drive = 1.0 / math.sqrt(2.0)
     (meter, rows), = prepare_meters(spec, drive)
-    kets = displaced_rows(meter, drive * np.arange(4.0), rows)
+    kets = displaced_rows(meter, rows)  # at drive * [0, 1, 2, 3]
     assert 1269 > measurement._outcome_block(kets.shape[1])
     sigma2 = measurement.DetectorSpec("homodyne", 0.5).sigma2
     width = math.sqrt(sigma2 + 1.0)
@@ -1020,7 +1020,14 @@ def _dense_three_mode_sandwich(spec, det, outcomes, dims):
     (0.4, (28, 28), 0.4, 0.2),
     (0.4, (20, 20), 0.4, 1.0),
 ])
-def test_three_mode_spectral_sandwich_matches_dense_oracle(shift, dims, r, eta):
+def test_three_mode_spectral_sandwich_matches_dense_oracle(monkeypatch, shift,
+                                                           dims, r, eta):
+    # the production sandwich reads the oracle's truncated-exponential rows,
+    # which are the columns of the dense W: the test isolates the sandwich
+    from fockamp import amplifiers
+    monkeypatch.setattr(amplifiers, "displaced_meter_ket",
+                        lambda meter, dim, alphas: oracles.displaced_meter_ket_expm(
+                            meter.state(dim), alphas))
     sp = FockSpace(4)
     f = Operator(sp, number_op(sp).matrix + 1j * shift * np.eye(4))
     eps = math.exp(-r)
@@ -1107,3 +1114,36 @@ def test_meter_spec_validation():
         Meter("thermal")
     with pytest.raises(ValueError):
         Meter("gaussian", epsilon=0.0)
+
+
+@pytest.mark.parametrize("cls, meter, kind", [
+    (VonNeumannAmp, Meter("squeezed", r=0.5), "homodyne"),
+    (TwoModeNormalAmp, Meter(), "heterodyne"),
+])
+def test_numeric_povm_measures_f_ideally_at_large_gain(cls, meter, kind):
+    # the paper's large-gain claim by direct evolution: read by a noisy
+    # linear detector (eta 0.5), the numeric effective POVM of a^dag a at
+    # signal 2 puts each eigenvector's record in its own decision region
+    # with a weight that never falls as g grows and is ideal at g 16. The
+    # closed form, summed over the same grid, gives the same weights
+    from fockamp.cli import _povm_grid
+    f = number_op(FockSpace(2))
+    dec = normal_decompose(f)
+    regions = DecisionRegions.from_decomposition(dec)
+    det = DetectorSpec(kind, 0.5)
+    own = []
+    for g in (2.0, 4.0, 8.0, 16.0):
+        spec = cls(f, g, meter)
+        model, epsilon = measurement.povm_model(spec)
+        closed = effective_povm_closed_form(dec, g, det.sigma2, model, epsilon)
+        outcomes, cell = _povm_grid(dec.eigenvalues, math.sqrt(closed.width2), 6.0,
+                                    4, complex_grid=model != "homodyne")
+        grid = effective_povm_numeric(spec, det, outcomes)
+        grid.measure = cell
+        same_grid = measurement.PovmGrid(outcomes, dec, closed.weights(outcomes),
+                                         model, closed.width2, cell)
+        weights = own_region_weights(grid, regions)
+        assert np.abs(weights - own_region_weights(same_grid, regions)).max() <= 1e-9
+        own.append(weights)
+    assert all((later >= earlier - 1e-12).all() for earlier, later in zip(own, own[1:]))
+    assert own[-1].min() > 0.9999

@@ -45,7 +45,8 @@ from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
 from fockamp.amplifiers import _mode_quad_moments, displaced_meter_ket
 from fockamp.estimators import _Moments
 from fockamp.fock import _coherent_amplitudes, hermite_functions
-from fockamp.oracles import (embed, three_mode_columns, three_mode_unitary,
+from fockamp.oracles import (displaced_meter_ket_expm, embed,
+                             three_mode_columns, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
 
 METER_DIM = 20
@@ -337,14 +338,39 @@ def test_normal_decompose_matches_schur(f):
        st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
                 min_size=1, max_size=4))
 def test_displaced_meter_ket_rows_invert(dim, r, parts):
-    # the truncated exponentials are exact inverses of each other
+    # the truncated exponentials of the oracle kernel are exact inverses of
+    # each other
     meter = Meter("squeezed", r=r).state(dim)
     alphas = np.array([complex(a, b) for a, b in parts])
-    rows = displaced_meter_ket(meter, alphas)
+    rows = displaced_meter_ket_expm(meter, alphas)
     assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
     for row, alpha in zip(rows, alphas):
-        back = displaced_meter_ket(State(meter.space, "ket", row), [-alpha])
+        back = displaced_meter_ket_expm(State(meter.space, "ket", row), [-alpha])
         assert np.abs(back[0] - meter.data).max() <= 1e-12
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(24, 200), st.floats(-1.5, 1.5),
+       st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                min_size=1, max_size=4))
+def test_displaced_meter_ket_rows_are_displaced_squeezed_states(dim, r, parts):
+    # each row is the unit eigenvector of mu (a - alpha) + nu (a^dag - alpha*)
+    # (mu, nu = cosh r, sinh r) below its cutoff level, c_0 has the phase of
+    # e^{-tanh(r) alpha*^2/2}, and the alpha = 0 row is the meter ket itself
+    meter = Meter("squeezed", r=r)
+    alphas = np.array([0.0] + [complex(a, b) for a, b in parts])
+    rows = displaced_meter_ket(meter, dim, alphas)
+    assert np.array_equal(rows[0], meter.state(dim).data)
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
+    mu, nu, up = math.cosh(r), math.sinh(r), np.sqrt(np.arange(1.0, dim))
+    for row, alpha in zip(rows, alphas):
+        a_row, ad_row = np.zeros(dim, complex), np.zeros(dim, complex)
+        a_row[:-1], ad_row[1:] = up * row[1:], up * row[:-1]
+        b_row = mu * (a_row - alpha * row) + nu * (ad_row - np.conj(alpha) * row)
+        assert np.abs(b_row[:-1]).max() <= 1e-12
+        if abs(row[0]) > 1e-150:
+            phase = np.exp(-0.5j * math.tanh(r) * (np.conj(alpha) ** 2).imag)
+            assert abs(row[0] / abs(row[0]) - phase) <= 1e-12
 
 
 @st.composite
