@@ -40,9 +40,8 @@ CSV_ROWS = 256
 # povm holds its outcome grid and (outcomes, signal dim) weight tables, and
 # it writes one CSV row per weight: memory and output grow with the outcome
 # count, which this ceiling bounds. The detector kernel reads the outcomes a
-# block at a time, one amplitude table of ~2**16 entries; the summary's dense
-# d x d elements take a fixed ~24 MiB, formed 2**19 // d**2 outcomes at a
-# time. A larger grid is refused before it is built.
+# block at a time, one amplitude table of ~2**16 entries. A larger grid is
+# refused before it is built.
 POVM_OUTCOMES_MAX = 10 ** 6
 
 # One row per config key: path, type, bounds, default, and the kind of its

@@ -36,7 +36,7 @@ import numpy as np
 
 from .amplifiers import (LinearAmp, Meter, TwoModeNormalAmp, VACUUM,
                          VonNeumannAmp)
-from .errors import GainOutOfRange, NotHermitian
+from .errors import ConfigError, GainOutOfRange, NotHermitian
 from .fock import State, normal_decompose, number_op, variance
 from .measurement import DetectorSpec, detector_blocks, gaussian_blocks
 
@@ -171,6 +171,8 @@ def run_nonlinear_estimation(plan: TrialPlan) -> EstimateReport:
     for sums in _nonlinear_blocks(plan, lambda x, out: np.divide(x, scale, out=out)):
         moments.merge(*sums)
     mean, var, se_m, se_v = moments.stats()
+    if 0.0 in (se_m, se_v):  # the noise is below double resolution at every centre
+        raise ConfigError("'amplifier.meter': the estimate has no spread, so no z-score exists")
     var_f = variance(plan.input_state, amp.f)
     mean_f = float(np.real(plan.input_state.expectation(amp.f)))
     noise_var = (amp.meter.x_variance() + plan.detector.sigma2 / 2.0) / (2.0 * g * g)
@@ -203,6 +205,8 @@ def _linear_blocks(plan: TrialPlan, transform=None):
     amp = plan.amplifier
     if amp.meter.kind != "vacuum":
         raise ValueError("linear-scheme sampling shortcut assumes a vacuum internal mode")
+    if not amp.g * amp.g <= 1e70:  # past it, 1e8 trials' (|alpha|^2)^4 overflow
+        raise GainOutOfRange("the spread of |alpha|^2, about g^2, passes 1e70")
     return detector_blocks(plan.input_state, plan.detector, plan.trials,
                            plan.seed, gain=amp.g, transform=transform)
 

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from fockamp import (DetectorSpec, FockSpace, LinearAmp, TrialPlan,
-                     TwoModeNormalAmp, VonNeumannAmp, coherent_state,
+from fockamp import (ConfigError, DetectorSpec, FockSpace, LinearAmp, Meter,
+                     TrialPlan, TwoModeNormalAmp, VonNeumannAmp, coherent_state,
                      compare_schemes, fock_state, number_op,
                      run_linear_number_estimation, run_nonlinear_estimation,
                      run_plan, simulate_output_state, snr_report, tensor,
@@ -220,6 +220,26 @@ def test_linear_rejects_small_gain():
     sp = FockSpace(8)
     with pytest.raises(GainOutOfRange):
         LinearAmp(0.5)
+
+
+def test_linear_estimate_bounds_the_spread_of_alpha_squared():
+    # |alpha|^2 spreads about g^2: at g^2 = 1e70 its power sums stay finite,
+    # past it they overflow (a NaN variance at g 1e40, OverflowErrors above)
+    sp = FockSpace(4)
+    rep = run_plan(TrialPlan(LinearAmp(1e35), vacuum_state(sp), _het(), 1000, 0))
+    assert math.isfinite(rep.z_mean) and math.isfinite(rep.z_variance)
+    for g in (1e40, 1e200):
+        with pytest.raises(GainOutOfRange, match="passes 1e70"):
+            run_plan(TrialPlan(LinearAmp(g), vacuum_state(sp), _het(), 50, 0))
+
+
+def test_nonlinear_estimate_without_spread_is_refused():
+    # at epsilon 1e-150 the noise of a Fock input's estimate is below double
+    # resolution at its one centre: every trial reads 1, no z-score exists
+    sp = FockSpace(4)
+    amp = TwoModeNormalAmp(number_op(sp), 2.0, Meter("gaussian", epsilon=1e-150))
+    with pytest.raises(ConfigError, match="'amplifier.meter'"):
+        run_plan(TrialPlan(amp, fock_state(sp, 1), _hom(), 50, 0))
 
 
 def test_inefficient_linear_detector():

@@ -13,7 +13,8 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
                      vacuum_state)
 from fockamp import measurement, oracles
 from fockamp.errors import CoverageError, DimensionMismatch, TruncationError
-from fockamp.amplifiers import meter_dim_for, prepare_meters
+from fockamp.amplifiers import (_f_of_x_operator, meter_dim_for, prepare_meters,
+                                quadratic_signal_op)
 from fockamp.fock import State, _coherent_amplitudes, log_factorials, parity_op
 from fockamp.measurement import BLOCK, _detector_expectations, _region_masses
 from fockamp.oracles import (heterodyne_element, homodyne_element,
@@ -393,9 +394,11 @@ def test_effective_povm_diagonal_in_signal_basis():
 
 @pytest.mark.parametrize("model", ["heterodyne", "homodyne"])
 def test_grid_checks_match_per_outcome_loops(model):
-    # the closed-form deviation equals the per-outcome loop bit for bit: on
-    # three outcomes, and on 509 outcomes at d = 64, which max_deviation
-    # forms in four blocks of 2**19 // 64**2 = 128
+    # the closed-form deviation equals the per-outcome loop bit for bit, on
+    # three outcomes and on 509 outcomes at d = 64: for these diagonal f the
+    # eigenbasis V is the identity, so the weight-table difference that
+    # max_deviation takes is the dense difference. The identity residual
+    # sums the weight table by column, with the bits of the builtin sum
     small = (np.array([0.5 + 0.2j, 1.5, 2.5 - 0.4j]) if model == "heterodyne"
              else np.array([0.5, 1.5, 2.7]))
     line = np.linspace(-2.0, 2.0, 509)
@@ -412,6 +415,48 @@ def test_grid_checks_match_per_outcome_loops(model):
         dev = max(float(np.abs(e - closed.element(o)).max())
                   for o, e in zip(grid.outcomes, grid.elements))
         assert grid.max_deviation(closed) == dev > 0
+        assert np.array_equal(grid.weights.sum(axis=0), sum(grid.weights))
+
+
+@pytest.mark.parametrize("case", ["quadratic", "poly_x"])
+def test_max_deviation_is_the_weight_table_difference(case):
+    # both POVMs are V diag(w) V^dag on the same eigenvalues, so the
+    # deviation is max |w - w_closed|; for unitary V no entry of the dense
+    # difference V diag(dw) V^dag exceeds it. Here V is not the identity:
+    # a normal quadratic f under heterodyne, x + x^2 under homodyne
+    sp = FockSpace(5)
+    if case == "quadratic":
+        f, normal = quadratic_signal_op(sp, 0.5, 1.0, 0.5, 0.5)
+        assert normal
+        spec, det = TwoModeNormalAmp(f, 2.0), DetectorSpec("heterodyne", 0.5)
+    else:
+        f, _ = _f_of_x_operator([0.0, 0.5, 0.5], sp)
+        spec, det = VonNeumannAmp(f, 2.0), DetectorSpec("homodyne", 0.5)
+    model, epsilon = measurement.povm_model(spec)
+    dec = normal_decompose(f)
+    closed = effective_povm_closed_form(dec, 2.0, det.sigma2, model, epsilon)
+    lam = dec.eigenvalues
+    shift = math.sqrt(closed.width2) * (0.7 - 0.5j)
+    grid = effective_povm_numeric(spec, det, np.concatenate(
+        [lam, lam + shift, lam - 2 * shift]))
+    dense = max(float(np.abs(e - closed.element(o)).max())
+                for o, e in zip(grid.outcomes, grid.elements))
+    dw = float(np.abs(grid.weights - closed.weights(grid.outcomes)).max())
+    assert grid.max_deviation(closed) == dw > dense > 0
+    assert dw < 1e-12
+
+
+def test_max_deviation_refuses_another_decomposition():
+    # the weight tables are indexed by the eigenvalues, so a closed form of
+    # another f has nothing to compare column by column
+    sp = FockSpace(4)
+    det = DetectorSpec("heterodyne", 0.5)
+    grid = effective_povm_numeric(TwoModeNormalAmp(number_op(sp), 2.0), det,
+                                  np.array([0.5 + 0.2j, 1.5]))
+    closed = effective_povm_closed_form(normal_decompose(parity_op(sp)), 2.0,
+                                        det.sigma2, "heterodyne")
+    with pytest.raises(ValueError, match="decompose f differently"):
+        grid.max_deviation(closed)
 
 
 def test_heterodyne_oracle_equivalence():

@@ -8,7 +8,8 @@ the dense composite unitary, and the numeric heterodyne POVM of the same f
 against its closed form. The numeric POVMs of all three readouts on the
 drawn eigenbasis (heterodyne, homodyne on the Hermitian part of f, two-meter
 homodyne) are checked against their closed forms too, and their weight-table
-identity residuals against the dense sum of their elements; that test draws
+identity residuals against the dense sum of their elements, and their
+weight-table deviations bound the dense ones; that test draws
 only the spectrum, eigenbasis, gain and meter it reads, on a 0.001 grid.
 Numeric POVMs on grids that cover the outcomes resolve the identity. The
 batched displacement kernel undoes itself: D(-alpha) D(alpha)|meter> is the
@@ -159,8 +160,12 @@ def test_numeric_povm_weight_table_matches_closed_form(case):
         grid = effective_povm_numeric(spec, det, pts)
         elements = grid.elements
         assert grid.weights.shape == (pts.size, 4)
-        assert max(float(np.abs(e - closed.element(o)).max())
-                   for o, e in zip(pts, elements)) < 1e-11
+        dense = max(float(np.abs(e - closed.element(o)).max())
+                    for o, e in zip(pts, elements))
+        assert dense < 1e-11
+        # the weight-table deviation bounds the dense one in a unitary basis,
+        # up to the roundoff of forming the dense elements
+        assert grid.max_deviation(closed) >= dense * (1.0 - 1e-12)
 
         # the weight-table identity residual against the dense element sum,
         # on a basis that is not the identity
