@@ -22,11 +22,11 @@ POVM model (:func:`measurement.povm_model`) all read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GainOutOfRange, NotHermitian, NotNormal, TruncationError
+from .errors import GainOutOfRange, NotHermitian, TruncationError
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
                    _coherent_amplitudes, annihilation_op, guard_keep,
                    normal_decompose, partial_trace, quadrature_ops,
@@ -106,13 +106,6 @@ VACUUM = Meter()
 # amplifier specs
 # ---------------------------------------------------------------------------
 
-def _require_normal(f: Operator):
-    """Raise NotNormal unless [f, f^dag] is below 1e-9 max(1, max|f|)."""
-    norm = f.commutator_norm()
-    if norm >= 1e-9 * max(1.0, float(np.abs(f.matrix).max())):
-        raise NotNormal(f"signal operator not normal, [f,f^dag] = {norm:.2e}", norm)
-
-
 def _is_hermitian(f: Operator) -> bool:
     """Whether f - f^dag is at most 1e-10 max(1, max|f|)."""
     return f.hermiticity_residual() <= 1e-10 * max(1.0, float(np.abs(f.matrix).max()))
@@ -133,11 +126,12 @@ class TwoModeNormalAmp:
     f: Operator
     g: float
     meter: Meter = VACUUM
+    dec: SpectralDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.g <= 0:
             raise GainOutOfRange("two-mode amplifier needs g > 0")
-        _require_normal(self.f)
+        object.__setattr__(self, "dec", normal_decompose(self.f))
 
 
 @dataclass(frozen=True)
@@ -145,6 +139,7 @@ class VonNeumannAmp:
     f: Operator
     g: float
     meter: Meter = VACUUM
+    dec: SpectralDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.g <= 0:
@@ -152,6 +147,7 @@ class VonNeumannAmp:
         if not _is_hermitian(self.f):
             raise NotHermitian(
                 f"signal operator residual {self.f.hermiticity_residual():.2e}")
+        object.__setattr__(self, "dec", normal_decompose(self.f))
 
 
 @dataclass(frozen=True)
@@ -160,11 +156,12 @@ class ThreeModeAmp:
     g: float
     meter_b: Meter = VACUUM
     meter_c: Meter = VACUUM
+    dec: SpectralDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.g <= 0:
             raise GainOutOfRange("three-mode amplifier needs g > 0")
-        _require_normal(self.f)
+        object.__setattr__(self, "dec", normal_decompose(self.f))
 
 
 @dataclass(frozen=True)
@@ -443,8 +440,7 @@ def prepare_meters(spec, drive: float,
     whose truncation drops more than TRUNCATION_TOL of its norm raises
     TruncationError instead of being renormalized.
     """
-    table = meter_table(spec)
-    lam = normal_decompose(spec.f).eigenvalues
+    table, lam = meter_table(spec), spec.dec.eigenvalues
     sized = [(d, None) for d in dims] if dims else [
         _sized_meter(spec.g, float(np.abs(part(lam)).max()), m, drive * part(lam))
         for m, part in table]
@@ -540,8 +536,7 @@ def _spectral_output(spec, input_a: State, meters) -> State:
     rho'_ii below 1e-32) are skipped; for a density this is exact, since
     rho' is positive semidefinite.
     """
-    dec = normal_decompose(spec.f)
-    v, ket = dec.eigenvectors, input_a.kind == "ket"
+    v, ket = spec.dec.eigenvectors, input_a.kind == "ket"
     c = v.conj().T @ input_a.data if ket else v.conj().T @ input_a.data @ v
     keep = np.flatnonzero((np.abs(c) ** 2 if ket else np.real(np.diag(c))) >= 1e-32)
     c = c[keep] if ket else c[np.ix_(keep, keep)]

@@ -23,8 +23,7 @@ from . import estimators as est
 from . import measurement as meas
 from .errors import (ConfigError, CoverageError, FockampError, GainOutOfRange,
                      NotHermitian, NotNormal, ResourceLimit, TruncationError)
-from .fock import (FockSpace, State, make_state, normal_decompose, number_op,
-                   parity_op)
+from .fock import FockSpace, State, make_state, number_op, parity_op
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -353,9 +352,8 @@ def cmd_noise_sweep(cfg: dict, outdir: Path) -> int:
 
 def cmd_povm(cfg: dict, outdir: Path) -> int:
     detector = build_detector(cfg)
-    space = FockSpace(cfg["dims"]["signal"])
-    f = build_signal_op(cfg["amplifier"]["f"], space)
-    dec = normal_decompose(f)
+    specs = [build_amplifier(cfg, g=g) for g in cfg["amplifier"]["g_list"]]
+    dec = specs[0].dec
     regions = meas.DecisionRegions.from_decomposition(dec)
     nw = cfg["grid"]["n_widths"]
     ppw = cfg["grid"]["points_per_width"]
@@ -364,11 +362,10 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     # size; at 2 x 1225 a heterodyne povm at g 29 takes ~8 s on 2 vCPUs
     numeric_limit = 2500
     lam = dec.eigenvalues
-    for g in cfg["amplifier"]["g_list"]:
-        spec = build_amplifier(cfg, g=g)
+    for g, spec in zip(cfg["amplifier"]["g_list"], specs):
         model, epsilon = meas.povm_model(spec)
-        closed = meas.effective_povm_closed_form(dec, g, detector.sigma2, model,
-                                                 epsilon)
+        closed = meas.effective_povm_closed_form(spec.dec, g, detector.sigma2,
+                                                 model, epsilon)
         w = math.sqrt(closed.width2)
         outcomes, measure = _povm_grid(lam, w, nw, ppw,
                                        complex_grid=(model != "homodyne"))
@@ -388,7 +385,7 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
                          for m, part in amp.meter_table(spec))
         except TruncationError:
             levels = math.inf
-        if space.dim * levels <= numeric_limit:
+        if dec.space.dim * levels <= numeric_limit:
             grid = meas.effective_povm_numeric(spec, detector, outcomes)
             grid.measure = measure
             entry["numeric"] = {

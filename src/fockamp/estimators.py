@@ -37,7 +37,7 @@ import numpy as np
 from .amplifiers import (LinearAmp, Meter, TwoModeNormalAmp, VACUUM,
                          VonNeumannAmp)
 from .errors import ConfigError, GainOutOfRange, NotHermitian
-from .fock import State, normal_decompose, number_op, variance
+from .fock import State, number_op, variance
 from .measurement import DetectorSpec, detector_blocks, gaussian_blocks
 
 
@@ -56,6 +56,9 @@ class TrialPlan:
     def __post_init__(self):
         if self.trials < 2:
             raise ValueError("trials must be >= 2 for a sample variance")
+        amp = self.amplifier  # past g^2 = 1e70, 1e8 trials' (|alpha|^2)^4 overflow
+        if isinstance(amp, LinearAmp) and not amp.g * amp.g <= 1e70:
+            raise GainOutOfRange("the spread of |alpha|^2, about g^2, passes 1e70")
 
     @property
     def estimator(self) -> str:
@@ -146,14 +149,13 @@ def _nonlinear_blocks(plan: TrialPlan, transform=None):
     Gaussian of the summed variance. ``transform`` goes to
     :func:`measurement.gaussian_blocks`."""
     amp = plan.amplifier
-    dec = normal_decompose(amp.f)
-    if np.abs(np.imag(dec.eigenvalues)).max() > 1e-9:
+    if np.abs(np.imag(amp.dec.eigenvalues)).max() > 1e-9:
         raise NotHermitian("nonlinear estimation wants a Hermitian signal operator")
-    probs = np.clip(dec.probabilities(plan.input_state), 0.0, None)
+    probs = np.clip(amp.dec.probabilities(plan.input_state), 0.0, None)
     sd = math.sqrt(amp.meter.x_variance() + plan.detector.sigma2 / 2.0)
     if not sd <= 1e70 * math.sqrt(2.0) * amp.g:  # past it, 1e8 trials' y^4 overflow
         raise GainOutOfRange(f"the noise of y = x/(sqrt(2) g) passes 1e70 at g = {amp.g:.6g}")
-    return gaussian_blocks(math.sqrt(2.0) * amp.g * np.real(dec.eigenvalues), probs,
+    return gaussian_blocks(math.sqrt(2.0) * amp.g * np.real(amp.dec.eigenvalues), probs,
                            sd, plan.trials, plan.seed, transform=transform)
 
 
@@ -205,8 +207,6 @@ def _linear_blocks(plan: TrialPlan, transform=None):
     amp = plan.amplifier
     if amp.meter.kind != "vacuum":
         raise ValueError("linear-scheme sampling shortcut assumes a vacuum internal mode")
-    if not amp.g * amp.g <= 1e70:  # past it, 1e8 trials' (|alpha|^2)^4 overflow
-        raise GainOutOfRange("the spread of |alpha|^2, about g^2, passes 1e70")
     return detector_blocks(plan.input_state, plan.detector, plan.trials,
                            plan.seed, gain=amp.g, transform=transform)
 
@@ -286,27 +286,21 @@ def compare_schemes(input_state: State, g: float, trials: int, seed: int,
     the linear side is phase-preserving amplification plus heterodyne. The
     improvement flag compares the analytic variances; the linear Monte Carlo
     run is skipped below its g >= 1 validity range (the analytic linear
-    variance does not depend on g at unit efficiency).
+    variance does not depend on g at unit efficiency). The linear plan is
+    made first, so its gain rule (:class:`TrialPlan`) refuses before either
+    side draws.
     """
-    space = input_state.space
-    fop = number_op(space) if f is None else f
-    amp_nl = TwoModeNormalAmp(fop, g, meter)
-    det_h = DetectorSpec("homodyne", eta)
-    nl = run_nonlinear_estimation(
-        TrialPlan(amp_nl, input_state, det_h, trials, seed))
-    linear = None
-    if g >= 1.0:
-        amp_l = LinearAmp(g)
-        det = DetectorSpec("heterodyne", eta)
-        linear = run_linear_number_estimation(
-            TrialPlan(amp_l, input_state, det, trials, seed + 1))
-    n_mean, _, var_lin = _linear_analytic(
-        input_state, g, DetectorSpec("heterodyne", eta).sigma2)
+    det_l = DetectorSpec("heterodyne", eta)
+    plan_l = TrialPlan(LinearAmp(g), input_state, det_l, trials, seed + 1) \
+        if g >= 1.0 else None
+    fop = number_op(input_state.space) if f is None else f
+    nl = run_nonlinear_estimation(TrialPlan(TwoModeNormalAmp(fop, g, meter), input_state,
+                                            DetectorSpec("homodyne", eta), trials, seed))
+    linear = run_linear_number_estimation(plan_l) if plan_l else None
+    n_mean, _, var_lin = _linear_analytic(input_state, g, det_l.sigma2)
     var_nl = nl.analytic_variance
-    improvement = var_nl < var_lin
-    crossover = (1.0 / (4.0 * g * g) < n_mean + 1.0)
-    return CompareReport(nl, linear, var_nl, var_lin, improvement,
-                         crossover_satisfied=crossover)
+    return CompareReport(nl, linear, var_nl, var_lin, var_nl < var_lin,
+                         crossover_satisfied=1.0 / (4.0 * g * g) < n_mean + 1.0)
 
 
 def snr_report(n: int, g: float, r: float = 0.0) -> float:

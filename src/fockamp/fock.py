@@ -386,7 +386,28 @@ class SpectralDecomposition:
 
 
 def normal_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposition:
-    """Spectral decomposition of a normal operator as a joint eigenbasis.
+    """Spectral decomposition of a normal operator.
+
+    Eigenvalues ascend by real part, and by imaginary part within a run of
+    real parts closer than 1e-8 * scale, scale = max(1, max|f|). A diagonal
+    f (a_dag_a, parity) is its own decomposition: its diagonal in that
+    order, identity columns, residual 0, no eigensolver. Any other f takes
+    :func:`_dense_decompose`, which raises NotNormal at ``tol`` (1e-9 * scale).
+    """
+    m, lam = f.matrix, np.diagonal(f.matrix)
+    if np.count_nonzero(m) > np.count_nonzero(lam):
+        return _dense_decompose(f, tol)
+    order = np.lexsort((lam.imag, lam.real))
+    re, gap = lam.real[order], 1e-8 * max(1.0, float(np.abs(lam).max()))
+    cuts = np.flatnonzero(re[1:] - re[:-1] >= gap) + 1
+    runs = np.searchsorted(cuts, np.arange(lam.size), side="right")
+    order = order[np.lexsort((lam.imag[order], runs))]
+    return SpectralDecomposition(f.space, lam[order],
+                                 np.eye(lam.size, dtype=complex)[:, order], 0.0)
+
+
+def _dense_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposition:
+    """:func:`normal_decompose` of any f, as a joint eigenbasis.
 
     The Hermitian part h = (f + f^dag)/2 and the anti-Hermitian part
     k = (f - f^dag)/2i of a normal f commute, so one orthonormal basis
@@ -398,15 +419,10 @@ def normal_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposi
     V <- V (1 + E), E_ij = (V^dag f V)_ij / (lambda_j - lambda_i) over pairs
     at least 1e-8 * scale apart, removes them, and one Newton-Schulz step
     V <- V (3 - V^dag V)/2 restores orthonormality; both are exact no-ops on
-    a basis that already diagonalizes f exactly (a diagonal f, say). NotNormal
-    is raised when [f, f^dag] reaches ``tol``, or when the off-diagonal part
-    of V^dag f V or scale * (V^dag V - 1) reaches 10 * tol (a step that
-    cannot converge leaves V far from unitary).
-
-    The eigenvalues, the diagonal of V^dag f V, come in ascending order of
-    real part, and by ascending imaginary part within a run of real parts
-    closer than 1e-8 * scale. Default normality tolerance is
-    1e-9 * scale, scale = max(1, max|f|).
+    a basis that already diagonalizes f exactly. NotNormal is raised when
+    [f, f^dag] reaches ``tol``, or when the off-diagonal part of V^dag f V
+    or scale * (V^dag V - 1) reaches 10 * tol (a step that cannot converge
+    leaves V far from unitary). The eigenvalues are the diagonal of V^dag f V.
     """
     m = f.matrix
     d = m.shape[0]

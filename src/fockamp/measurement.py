@@ -28,8 +28,7 @@ import numpy as np
 from .amplifiers import displaced_rows, meter_table, prepare_meters
 from .errors import CoverageError, DimensionMismatch, TruncationError
 from .fock import (FockSpace, SpectralDecomposition, State,
-                   _coherent_amplitudes, hermite_functions, log_factorials,
-                   normal_decompose)
+                   _coherent_amplitudes, hermite_functions, log_factorials)
 
 # outcomes per GEMM of the detector kernel (see _detector_expectations); one
 # width for every product keeps an outcome's row independent of its neighbours
@@ -307,14 +306,13 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     sig2 = detector.sigma2
     g = amp.g
     drive = g if heterodyne else g / math.sqrt(2.0)
-    dec = normal_decompose(amp.f)
     jacobian = g * g if heterodyne else g
     weights = 1.0
     meters = prepare_meters(amp, drive, dims)
     for (_, part), (meter, rows) in zip(meter_table(amp), meters):
         weights = weights * (jacobian * _detector_expectations(
             displaced_rows(meter, rows), g * part(outcomes), sig2, heterodyne))
-    return PovmGrid(outcomes, dec, weights, model, _width2(sig2, epsilon ** 2, g))
+    return PovmGrid(outcomes, amp.dec, weights, model, _width2(sig2, epsilon ** 2, g))
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,10 @@ def _disp():
 @check("spectral reconstruction of a normal operator")
 def _spec():
     sp = FockSpace(10)
-    f = number_op(sp) + 0.4j * Operator(sp, np.eye(10))
+    # a fixed unitary turns the diagonal n + 0.4i into a dense f, so the check
+    # runs the joint-eigenbasis path, not the diagonal one
+    u = oracles.unitary_from_generator(quadrature_ops(sp)[0], 0.7).matrix
+    f = Operator(sp, (u * (np.arange(10) + 0.4j)) @ u.conj().T)
     dec = normal_decompose(f)
     return _ok(dec.residual, 1e-10)
 
@@ -332,8 +335,7 @@ def _oracle():
     sp = FockSpace(3)
     spec = amp.TwoModeNormalAmp(number_op(sp), 1.0)
     det = meas.DetectorSpec("heterodyne", 0.5)
-    dec = normal_decompose(number_op(sp))
-    closed = meas.effective_povm_closed_form(dec, 1.0, det.sigma2, "heterodyne")
+    closed = meas.effective_povm_closed_form(spec.dec, 1.0, det.sigma2, "heterodyne")
     pts = np.array([0.2 + 0.1j, 1.0, 1.7 - 0.4j])
     grid = meas.effective_povm_numeric(spec, det, pts)
     return _ok(grid.max_deviation(closed), 1e-5)

@@ -14,6 +14,7 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -606,6 +607,70 @@ def _assert_report_claims(command, out):
             for z in (rep["z_mean"], rep["z_variance"]):
                 assert math.isfinite(z)
                 assert rep["trials"] < 1000 or abs(z) <= 6
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(st.floats(1e36, 1e308).map(
+    lambda g: {"command": "compare", "amplifier": {"g": g}, "trials": 50}))
+@example({"command": "compare", "amplifier": {"g": 1e300}, "trials": 50})
+def test_compare_refuses_a_linear_gain_before_any_draw(raw):
+    # past g^2 = 1e70 the linear side's rule refuses the gain, exit 2 naming
+    # amplifier.g, before either side draws; at g 1e300 the nonlinear side
+    # drew first, and its sample, with no spread, was refused naming
+    # amplifier.meter
+    from unittest import mock
+
+    from fockamp import cli, measurement
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        with mock.patch.object(measurement, "_pooled", side_effect=AssertionError), \
+                contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = cli.main(["--config", str(path), "--out", tmp])
+    assert code == 2
+    assert stderr.getvalue().startswith("config error: 'amplifier.g': ")
+
+
+@pytest.mark.parametrize("cfg, amplifiers", [
+    (json.loads((CONFIGS / "povm" / "homodyne.json").read_text()), 3),
+    ({"command": "povm",
+      "amplifier": {"variant": "two_mode_normal", "f": {"kind": "parity"},
+                    "g_list": [1, 2, 4]},
+      "detector": {"kind": "heterodyne", "efficiency": 0.5},
+      "dims": {"signal": 4}}, 3),
+    ({"command": "compare", "amplifier": {"g": 2},
+      "input_state": {"kind": "coherent", "alpha": [1, 0]},
+      "dims": {"signal": 16}, "trials": 2000}, 1),
+    ({"command": "compare", "amplifier": {"f": {"kind": "parity"}, "g": 2},
+      "input_state": {"kind": "coherent", "alpha": [1, 0]},
+      "dims": {"signal": 16}, "trials": 2000}, 1),
+], ids=["povm_homodyne", "povm_parity", "compare", "compare_parity"])
+def test_one_decomposition_per_amplifier(tmp_path, monkeypatch, cfg, amplifiers):
+    # each amplifier decomposes f once, in its constructor, and the meters,
+    # the closed form, the numeric grid and the estimators read that one
+    # decomposition; a diagonal f (a_dag_a, parity) runs no eigensolver and
+    # no commutator check. Before, the homodyne povm made 7 decompositions,
+    # each with a commutator check and an eigh call.
+    from fockamp import cli, fock
+    decompose, callers, solves, checks = fock.normal_decompose, [], [], []
+
+    def spy(f, tol=None):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return decompose(f, tol)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "fockamp" or name.startswith("fockamp.")) and \
+                getattr(mod, "normal_decompose", None) is decompose:
+            monkeypatch.setattr(mod, "normal_decompose", spy)
+    eigh, norm = np.linalg.eigh, fock.Operator.commutator_norm
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: solves.append(1) or eigh(*a, **k))
+    monkeypatch.setattr(fock.Operator, "commutator_norm",
+                        lambda self: checks.append(1) or norm(self))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
+    assert callers == ["__post_init__"] * amplifiers
+    assert solves == [] and checks == []
 
 
 # ---------------------------------------------------------------------------

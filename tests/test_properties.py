@@ -23,7 +23,10 @@ predicted output moments against simulated ones for squeezed, Gaussian and
 vacuum meters on mixed inputs.
 :func:`normal_decompose` is checked against ``scipy.linalg.schur`` on random
 normal operators whose spectra hold equal, nearly equal (1e-7 apart) and
-repeated real parts. The three-mode column builder is checked against the
+repeated real parts; on drawn diagonal operators (one to three modes, with
+exact ties and real parts within and beyond 1e-8 * scale) it runs no
+eigensolver and gives the dense path's eigenvalues and cluster projectors.
+The three-mode column builder is checked against the
 kept columns of ``scipy.linalg.expm`` of the full generator on small random
 dims, keeps, gains and normal f. Hermite functions (n <= 3000, |x| <= 60)
 and coherent amplitudes (p < 4096, |gamma| <= 60) are checked against
@@ -336,6 +339,56 @@ def test_normal_decompose_matches_schur(f):
         theirs = z[:, np.abs(ref - center) < 1e-6 * scale]
         assert ours.shape == theirs.shape
         assert np.abs(ours @ ours.conj().T - theirs @ theirs.conj().T).max() <= 1e-9
+
+
+@st.composite
+def diagonal_operators(draw):
+    """A diagonal complex f on one to three modes: each entry is one of three
+    drawn centres (magnitude 1 or 40) shifted in its real part by 0 (an
+    exact tie), 0.3 or -0.45 (a run) or 2.5 (beyond one) times 1e-8 * scale,
+    and in its imaginary part by 0, 0.5 or -1 times that step."""
+    dims = draw(st.sampled_from([(2,), (3,), (5,), (9,), (2, 3), (2, 2, 2)]))
+    size = draw(st.sampled_from([1.0, 40.0]))
+    centres = _complex(draw(st.lists(unit, min_size=6, max_size=6))) * size
+    step = 1e-8 * max(1.0, float(np.abs(centres).max()))
+    entries = [centres[draw(st.integers(0, 2))]
+               + step * draw(st.sampled_from([0.0, 0.3, -0.45, 2.5]))
+               + 1j * step * draw(st.sampled_from([0.0, 0.5, -1.0]))
+               for _ in range(math.prod(dims))]
+    return Operator(FockSpace(dims), np.diag(entries))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(diagonal_operators())
+def test_diagonal_normal_decompose_matches_the_dense_path(f):
+    # a diagonal f skips the eigensolver and still gives the dense path's
+    # eigenvalues (in the pinned order) and spectral projectors
+    from unittest import mock
+
+    from fockamp.fock import _dense_decompose
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        dec = normal_decompose(f)
+    assert eigh.call_count == 0
+    dense = _dense_decompose(f)
+    lam, ref = dec.eigenvalues, dense.eigenvalues
+    scale = max(1.0, float(np.abs(f.matrix).max()))
+    assert dec.residual == 0.0
+    assert np.array_equal(np.sort(lam), np.sort(ref))
+    # the pinned order: the runs of the sorted real parts (chains of gaps
+    # below 1e-8 * scale) in turn, each by ascending imaginary part
+    re = np.sort(lam.real)
+    cuts = np.flatnonzero(np.diff(re) >= 1e-8 * scale) + 1
+    for ours, run in zip(np.split(lam, cuts), np.split(re, cuts)):
+        assert np.array_equal(np.sort(ours.real), run)
+        assert (np.diff(ours.imag) >= 0).all()
+    # within a run the order is pinned only where the imaginary parts differ
+    assert np.abs(lam - ref).max() <= 1e-8 * scale * lam.size
+    groups, dense_groups = dec.clusters(), dense.clusters()
+    assert len(groups) == len(dense_groups)
+    for ours, theirs in zip(groups, dense_groups):
+        v, w = dec.eigenvectors[:, ours], dense.eigenvectors[:, theirs]
+        assert np.array_equal(np.sort(lam[ours]), np.sort(ref[theirs]))
+        assert np.abs(v @ v.conj().T - w @ w.conj().T).max() <= 1e-12
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
