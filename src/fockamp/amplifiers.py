@@ -216,20 +216,18 @@ def real_imag_parts(f: Operator) -> tuple[Operator, Operator]:
     return Operator(f.space, fr), Operator(f.space, fi)
 
 
-def _f_of_x_operator(f_of_x, space: FockSpace) -> tuple[Operator, SpectralDecomposition]:
-    """Build f(x) by functional calculus on the truncated x quadrature."""
+def _f_of_x_operator(f_of_x, space: FockSpace) -> Operator:
+    """Build f(x) by functional calculus on the truncated x quadrature; a
+    coefficient sequence (ascending powers) is summed by Horner's rule."""
     x, _ = quadrature_ops(space)
     dec = normal_decompose(x)
-    if callable(f_of_x):
-        func = f_of_x
-    else:
-        coeffs = np.asarray(f_of_x, dtype=float)
-        func = lambda t: np.polynomial.polynomial.polyval(np.real(t), coeffs)  # noqa: E731
-    vals = np.array([func(np.real(lam)) for lam in dec.eigenvalues], dtype=float)
+    func = f_of_x if callable(f_of_x) else \
+        lambda t, c=np.asarray(f_of_x, dtype=float)[::-1]: np.polyval(c, t)
+    vals = np.array([func(t) for t in np.real(dec.eigenvalues)], dtype=float)
     v = dec.eigenvectors
     fm = (v * vals) @ v.conj().T
     fm = (fm + fm.conj().T) / 2.0
-    return Operator(space, fm), dec
+    return Operator(space, fm)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +431,14 @@ def meter_table(spec) -> list:
 def prepare_meters(spec, drive: float,
                    dims=None) -> list[tuple[State, np.ndarray]]:
     """The meters of :func:`meter_table` at ``dims``, auto-sized if not given,
-    each with its rows D(drive part(lam))|m> over the spectrum of f.
+    each with its rows D(drive part(lam))|m> over the eigenspaces of f.
 
     Auto-sizing holds each meter's preparation and those displacements
     (:func:`meter_dim_for`), whose sizing probe hands its rows on. A meter
     whose truncation drops more than TRUNCATION_TOL of its norm raises
     TruncationError instead of being renormalized.
     """
-    table, lam = meter_table(spec), spec.dec.eigenvalues
+    table, lam = meter_table(spec), spec.dec.eigenvalues[spec.dec.heads]
     sized = [(d, None) for d in dims] if dims else [
         _sized_meter(spec.g, float(np.abs(part(lam)).max()), m, drive * part(lam))
         for m, part in table]
@@ -530,11 +528,11 @@ def _spectral_output(spec, input_a: State, meters) -> State:
     U acts on the eigenspace of f with eigenvalue lam_i as a meter
     displacement, so it maps e_i (x) meters to the column y_i = e_i (x) chi_i,
     where chi_i is the product over :func:`meter_table` of the displaced
-    meters D(g part(lam_i))|m>. In the eigenbasis (c = V^dag psi,
-    rho' = V^dag rho V) the output is Y c for a ket and Y rho' Y^dag for a
-    density matrix. Eigenvectors the input does not populate (|c_i|^2 or
-    rho'_ii below 1e-32) are skipped; for a density this is exact, since
-    rho' is positive semidefinite.
+    meters D(g part(lam_i))|m>, one per eigenspace. In the eigenbasis
+    (c = V^dag psi, rho' = V^dag rho V) the output is Y c for a ket and
+    Y rho' Y^dag for a density matrix. Eigenvectors the input does not
+    populate (|c_i|^2 or rho'_ii below 1e-32) are skipped; for a density
+    this is exact, since rho' is positive semidefinite.
     """
     v, ket = spec.dec.eigenvectors, input_a.kind == "ket"
     c = v.conj().T @ input_a.data if ket else v.conj().T @ input_a.data @ v
@@ -542,7 +540,7 @@ def _spectral_output(spec, input_a: State, meters) -> State:
     c = c[keep] if ket else c[np.ix_(keep, keep)]
     chi = np.ones((keep.size, 1))
     for meter, rows in meters:
-        rows = displaced_rows(meter, rows[keep])
+        rows = displaced_rows(meter, rows[np.searchsorted(spec.dec.heads, keep, "right") - 1])
         chi = (chi[:, :, None] * rows[:, None, :]).reshape(keep.size, -1)
     # y[(a, m), i] = v[a, i] chi_i[m]
     y = (v[:, None, keep] * chi.T).reshape(-1, keep.size)
@@ -619,7 +617,7 @@ def single_mode_output_ops(f_of_x, g: float, r: float, space: FockSpace):
     assembled from a_out, so x_out = e^r x and p_out = sqrt(2) g f(x)
     + e^{-r} p hold as matrix identities away from the cutoff.
     """
-    fop, _ = _f_of_x_operator(f_of_x, space)
+    fop = _f_of_x_operator(f_of_x, space)
     a = annihilation_op(space).matrix
     a_out = 1j * g * fop.matrix + math.cosh(r) * a + math.sinh(r) * a.conj().T
     x_out = (a_out + a_out.conj().T) / math.sqrt(2.0)
@@ -638,7 +636,7 @@ def single_mode_output_moments(f_of_x, g: float, r: float,
     is checked against this exact value in the tests.
     """
     space = input_state.space
-    fop, _ = _f_of_x_operator(f_of_x, space)
+    fop = _f_of_x_operator(f_of_x, space)
     x, p = quadrature_ops(space)
     a = annihilation_op(space)
     er, emr = math.exp(r), math.exp(-r)

@@ -235,31 +235,30 @@ def build_signal_op(fres: dict, space: FockSpace):
             complex(*fres["gamma"]), complex(*fres["delta"]))
         return op
     # poly_x: Hermitian function of x via functional calculus
-    op, _ = amp._f_of_x_operator(fres["coeffs"], space)
-    return op
+    return amp._f_of_x_operator(fres["coeffs"], space)
 
 
 def build_meter(meter: dict) -> amp.Meter:
     return amp.Meter(meter["kind"], meter["r"], meter["epsilon"])
 
 
-def build_amplifier(cfg: dict, g: float | None = None):
+def build_amplifiers(cfg: dict, gains=None) -> list:
+    """The config's amplifier at each of ``gains`` (``[amplifier.g]`` if
+    None); they share one signal operator f, built once."""
     ab = cfg["amplifier"]
-    g = ab["g"] if g is None else g
-    variant = ab["variant"]
-    space = FockSpace(cfg["dims"]["signal"])
+    variant, gains = ab["variant"], [ab["g"]] if gains is None else gains
     meter = build_meter(ab["meter"])
     if variant == "linear":
-        return amp.LinearAmp(g, meter)
+        return [amp.LinearAmp(g, meter) for g in gains]
     if variant == "single_mode":
-        coeffs = ab["f"].get("coeffs", [0.0, 0.0, 1.0])
-        return amp.SingleModeAmp(tuple(coeffs), g, ab["r"])
-    f = build_signal_op(ab["f"], space)
+        coeffs = tuple(ab["f"].get("coeffs", [0.0, 0.0, 1.0]))
+        return [amp.SingleModeAmp(coeffs, g, ab["r"]) for g in gains]
+    f = build_signal_op(ab["f"], FockSpace(cfg["dims"]["signal"]))
     if variant == "two_mode_normal":
-        return amp.TwoModeNormalAmp(f, g, meter)
+        return [amp.TwoModeNormalAmp(f, g, meter) for g in gains]
     if variant == "von_neumann":
-        return amp.VonNeumannAmp(f, g, meter)
-    return amp.ThreeModeAmp(f, g, meter, meter)
+        return [amp.VonNeumannAmp(f, g, meter) for g in gains]
+    return [amp.ThreeModeAmp(f, g, meter, meter) for g in gains]
 
 
 def build_input_state(cfg: dict) -> State:
@@ -295,14 +294,16 @@ def _write_csv(path: Path, header: list, rows):
 
 
 def _povm_rows(outcomes: np.ndarray, measure: float, table: np.ndarray):
-    """CSV rows of the (n, d) weight table, from .tolist() values a block of
-    CSV_ROWS outcomes at a time."""
+    """CSV rows (outcome_re,outcome_im,measure, eigen_index, weight) of the
+    (n, d) weight table, from .tolist() values about CSV_ROWS rows at a
+    time; an outcome's three leading columns are formatted once."""
     labels = [str(i) for i in range(table.shape[1])]
-    for lo in range(0, table.shape[0], CSV_ROWS):
-        o = outcomes[lo:lo + CSV_ROWS]
+    step, lead = max(1, CSV_ROWS // len(labels)), "%.11e,%.11e," + "%.11e" % measure
+    for lo in range(0, table.shape[0], step):
+        o = outcomes[lo:lo + step]
         for re, im, row in zip(np.real(o).tolist(), np.imag(o).tolist(),
-                               table[lo:lo + CSV_ROWS].tolist()):
-            yield from ((re, im, measure, i, w) for i, w in zip(labels, row))
+                               table[lo:lo + step].tolist()):
+            yield from zip(itertools.repeat(lead % (re, im)), labels, row)
 
 
 def _write_json(path: Path, payload: dict):
@@ -322,7 +323,7 @@ def cmd_verify(cfg: dict, outdir: Path, amplifier_given: bool) -> int:
     if amplifier_given:
         def _configured():
             try:
-                build_amplifier(cfg)
+                build_amplifiers(cfg)
             except (NotNormal, NotHermitian) as exc:
                 return False, f"{type(exc).__name__}: {exc}"
             return True, "amplifier constructible"
@@ -335,8 +336,7 @@ def cmd_noise_sweep(cfg: dict, outdir: Path) -> int:
     ab = cfg["amplifier"]
     state = build_input_state(cfg)
     rows = []
-    for g in ab["g_list"]:
-        spec = build_amplifier(cfg, g=g)
+    for g, spec in zip(ab["g_list"], build_amplifiers(cfg, ab["g_list"])):
         rep = amp.predict_output_moments(spec, state)
         rows.append((g, ab["variant"], rep.quad_means[0], rep.quad_noises[0],
                      rep.added_noise))
@@ -352,7 +352,7 @@ def cmd_noise_sweep(cfg: dict, outdir: Path) -> int:
 
 def cmd_povm(cfg: dict, outdir: Path) -> int:
     detector = build_detector(cfg)
-    specs = [build_amplifier(cfg, g=g) for g in cfg["amplifier"]["g_list"]]
+    specs = build_amplifiers(cfg, cfg["amplifier"]["g_list"])
     dec = specs[0].dec
     regions = meas.DecisionRegions.from_decomposition(dec)
     nw = cfg["grid"]["n_widths"]
@@ -419,7 +419,7 @@ def _povm_grid(eigenvalues: np.ndarray, width: float, n_widths: float,
 
 
 def cmd_estimate(cfg: dict, outdir: Path) -> int:
-    spec = build_amplifier(cfg)
+    spec, = build_amplifiers(cfg)
     detector = build_detector(cfg)
     plan = est.TrialPlan(spec, build_input_state(cfg), detector,
                          cfg["trials"], cfg["seed"])

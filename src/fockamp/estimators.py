@@ -144,18 +144,18 @@ def _recentred(sums, shift: float) -> list:
 
 def _nonlinear_blocks(plan: TrialPlan, transform=None):
     """Meter homodyne outcomes for the nonlinear scheme, block by block: a
-    centre sqrt(2) g lambda_i drawn from the spectral measure of the input,
-    plus the meter position noise and the detector smearing, drawn as one
-    Gaussian of the summed variance. ``transform`` goes to
-    :func:`measurement.gaussian_blocks`."""
-    amp = plan.amplifier
-    if np.abs(np.imag(amp.dec.eigenvalues)).max() > 1e-9:
+    centre sqrt(2) g lambda per eigenspace of f, drawn with the input's
+    probability of that eigenspace, plus the meter position noise and the
+    detector smearing, drawn as one Gaussian of the summed variance.
+    ``transform`` goes to :func:`measurement.gaussian_blocks`."""
+    amp, dec = plan.amplifier, plan.amplifier.dec
+    if np.abs(np.imag(dec.eigenvalues)).max() > 1e-9:
         raise NotHermitian("nonlinear estimation wants a Hermitian signal operator")
-    probs = np.clip(amp.dec.probabilities(plan.input_state), 0.0, None)
+    probs = np.add.reduceat(np.clip(dec.probabilities(plan.input_state), 0.0, None), dec.heads)
     sd = math.sqrt(amp.meter.x_variance() + plan.detector.sigma2 / 2.0)
     if not sd <= 1e70 * math.sqrt(2.0) * amp.g:  # past it, 1e8 trials' y^4 overflow
         raise GainOutOfRange(f"the noise of y = x/(sqrt(2) g) passes 1e70 at g = {amp.g:.6g}")
-    return gaussian_blocks(math.sqrt(2.0) * amp.g * np.real(amp.dec.eigenvalues), probs,
+    return gaussian_blocks(math.sqrt(2.0) * amp.g * np.real(dec.eigenvalues[dec.heads]), probs,
                            sd, plan.trials, plan.seed, transform=transform)
 
 

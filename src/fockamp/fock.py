@@ -358,6 +358,8 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray        # complex, length d
     eigenvectors: np.ndarray       # unitary, columns are |e_i>
     residual: float                # max-norm reconstruction error
+    heads: np.ndarray              # first index of each eigenspace (its lambda)
+    cluster_heads: np.ndarray      # first index of each decision cluster
 
     def probabilities(self, state: State) -> np.ndarray:
         """Spectral measure of ``state``: p_i = <e_i|rho|e_i>."""
@@ -367,32 +369,30 @@ class SpectralDecomposition:
         return np.real(np.einsum("ji,jk,ki->i", v.conj(), state.data, v))
 
     def clusters(self) -> list[np.ndarray]:
-        """Indices of eigenvalues grouped within 1e-8 of each other."""
-        order = np.lexsort((self.eigenvalues.imag, self.eigenvalues.real))
-        groups: list[list[int]] = []
-        centers: list[complex] = []
-        for idx in order:
-            lam = self.eigenvalues[idx]
-            placed = False
-            for gi, c in enumerate(centers):
-                if abs(lam - c) < 1e-8:
-                    groups[gi].append(int(idx))
-                    placed = True
-                    break
-            if not placed:
-                groups.append([int(idx)])
-                centers.append(lam)
-        return [np.array(g, dtype=int) for g in groups]
+        """Indices of the eigenvectors of each decision cluster."""
+        return np.split(np.arange(self.eigenvalues.size), self.cluster_heads[1:])
+
+
+def _partitions(lam: np.ndarray, cuts: np.ndarray, gap: float):
+    """First indices of the eigenspaces and clusters of ``lam``. A cluster is
+    a run split at ``cuts`` and at imaginary steps of ``gap``; an eigenspace
+    ends there and at steps over 1e-5 * gap (1e-13 * scale, roundoff)."""
+    step = lam[1:] - lam[:-1]
+    cut = step.imag >= gap
+    cut[cuts - 1] = True
+    return (np.r_[0, np.flatnonzero(cut | (np.abs(step) > 1e-5 * gap)) + 1],
+            np.r_[0, np.flatnonzero(cut) + 1])
 
 
 def normal_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposition:
     """Spectral decomposition of a normal operator.
 
     Eigenvalues ascend by real part, and by imaginary part within a run of
-    real parts closer than 1e-8 * scale, scale = max(1, max|f|). A diagonal
-    f (a_dag_a, parity) is its own decomposition: its diagonal in that
-    order, identity columns, residual 0, no eigensolver. Any other f takes
-    :func:`_dense_decompose`, which raises NotNormal at ``tol`` (1e-9 * scale).
+    real parts closer than 1e-8 * scale, scale = max(1, max|f|), and
+    :func:`_partitions` splits them. A diagonal f (a_dag_a, parity) is its
+    own decomposition: its diagonal in that order, identity columns,
+    residual 0, no eigensolver. Any other f takes :func:`_dense_decompose`,
+    which raises NotNormal at ``tol`` (1e-9 * scale).
     """
     m, lam = f.matrix, np.diagonal(f.matrix)
     if np.count_nonzero(m) > np.count_nonzero(lam):
@@ -402,8 +402,8 @@ def normal_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposi
     cuts = np.flatnonzero(re[1:] - re[:-1] >= gap) + 1
     runs = np.searchsorted(cuts, np.arange(lam.size), side="right")
     order = order[np.lexsort((lam.imag[order], runs))]
-    return SpectralDecomposition(f.space, lam[order],
-                                 np.eye(lam.size, dtype=complex)[:, order], 0.0)
+    return SpectralDecomposition(f.space, lam[order], np.eye(lam.size, dtype=complex)[:, order],
+                                 0.0, *_partitions(lam[order], cuts, gap))
 
 
 def _dense_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposition:
@@ -458,7 +458,7 @@ def _dense_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposi
             cnorm)
     recon = (vecs * vals) @ vecs.conj().T
     residual = float(np.abs(recon - m).max())
-    return SpectralDecomposition(f.space, vals, vecs, residual)
+    return SpectralDecomposition(f.space, vals, vecs, residual, *_partitions(vals, cuts, gap))
 
 
 # ---------------------------------------------------------------------------

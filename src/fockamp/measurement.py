@@ -280,11 +280,11 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     U acts on the eigenspace of f with eigenvalue lam_k as a displacement of
     each meter of :func:`amplifiers.meter_table` by the drive times its part
     of lam_k, so the sandwich is E = sum_k P_k prod_meters g^j <chi_k|M|chi_k>
-    over the displaced meters chi_k, read at g times the same part of the
-    outcome, with j = 2 for heterodyne and j = 1 for homodyne readout. This is
-    what the dense sandwich with :func:`oracles.two_mode_unitary`,
-    :func:`oracles.von_neumann_unitary` or :func:`oracles.three_mode_unitary`
-    gives.
+    over the displaced meters chi_k, one per eigenspace P_k, read at g times
+    the same part of the outcome, with j = 2 for heterodyne and j = 1 for
+    homodyne readout. This is what the dense sandwich with
+    :func:`oracles.two_mode_unitary`, :func:`oracles.von_neumann_unitary` or
+    :func:`oracles.three_mode_unitary` gives.
 
     The meters come from :func:`amplifiers.prepare_meters` at ``dims``
     (auto-sized if None, driven as above), which simulation shares. A meter
@@ -312,7 +312,9 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     for (_, part), (meter, rows) in zip(meter_table(amp), meters):
         weights = weights * (jacobian * _detector_expectations(
             displaced_rows(meter, rows), g * part(outcomes), sig2, heterodyne))
-    return PovmGrid(outcomes, amp.dec, weights, model, _width2(sig2, epsilon ** 2, g))
+    eigenspace = np.searchsorted(amp.dec.heads, np.arange(amp.dec.eigenvalues.size), "right") - 1
+    return PovmGrid(outcomes, amp.dec, np.take(weights, eigenspace, axis=1), model,
+                    _width2(sig2, epsilon ** 2, g))
 
 
 # ---------------------------------------------------------------------------

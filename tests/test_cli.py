@@ -187,14 +187,14 @@ def test_povm_model_reads_the_detector_the_rules_demand(variant):
                                    "detector": {"kind": kind}})
         except ConfigError:
             continue
-        model, _ = measurement.povm_model(cli.build_amplifier(cfg))
+        model, _ = measurement.povm_model(cli.build_amplifiers(cfg)[0])
         assert ("heterodyne" if model == "heterodyne" else "homodyne") == kind
         accepted.append(kind)
     if variant in ("linear", "single_mode"):  # povm covers neither
         assert accepted == []
         with pytest.raises(TypeError):
-            measurement.povm_model(cli.build_amplifier(validate_config(
-                {"command": "verify", "amplifier": {"variant": variant}})))
+            measurement.povm_model(cli.build_amplifiers(validate_config(
+                {"command": "verify", "amplifier": {"variant": variant}}))[0])
     else:
         assert len(accepted) == 1
 
@@ -671,6 +671,24 @@ def test_one_decomposition_per_amplifier(tmp_path, monkeypatch, cfg, amplifiers)
     assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
     assert callers == ["__post_init__"] * amplifiers
     assert solves == [] and checks == []
+
+
+def test_poly_x_povm_builds_f_once(tmp_path, monkeypatch):
+    # f = x^2 is built once for the three gains: one eigh of x, then each
+    # amplifier's dense decomposition of f (one eigh of its Hermitian part
+    # and one per degenerate pair) makes 3; 12 when f was built per gain
+    from fockamp import cli
+    cfg = {"command": "povm",
+           "amplifier": {"variant": "von_neumann", "f": {"kind": "poly_x"},
+                         "g_list": [1, 2, 3]},
+           "detector": {"kind": "homodyne", "efficiency": 0.5},
+           "dims": {"signal": 4}}
+    solves, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: solves.append(1) or eigh(*a, **k))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(solves) == 10
 
 
 # ---------------------------------------------------------------------------
@@ -1174,7 +1192,11 @@ def test_povm_and_verify_load_no_scipy(tmp_path):
     # the displacement kernel is numpy-only, so the numeric POVM sandwich
     # (heterodyne, squeezed-meter homodyne) and verify run without scipy;
     # povm and estimate, the linear one on the rejection sampler, run
-    # without loading verify or the dense oracles
+    # without loading verify or the dense oracles. Nor do they load what
+    # each would hold for nothing, each far past the benchmark's 0.1 MB
+    # peak-RSS bound: povm, which draws nothing, neither numpy.random
+    # (~6.1 MB) nor concurrent.futures with logging (~0.6 MB), and no
+    # command numpy.polynomial (~0.75 MB)
     script = textwrap.dedent(f"""
         import json, sys
         from pathlib import Path
@@ -1202,6 +1224,9 @@ def test_povm_and_verify_load_no_scipy(tmp_path):
             "verify": {{"command": "verify"}},
         }}
         for name, cfg in configs.items():
+            if name == "estimate":
+                loaded = {{"numpy.random", "concurrent.futures"}} & set(sys.modules)
+                assert not loaded, sorted(loaded)
             if name == "verify":
                 # the dense oracles load with verify and with no other command
                 loaded = {{"fockamp.oracles", "fockamp.verify"}} & set(sys.modules)
@@ -1213,6 +1238,7 @@ def test_povm_and_verify_load_no_scipy(tmp_path):
         for name in ("heterodyne", "homodyne"):
             summary = json.loads((out / name / "povm_summary.json").read_text())
             assert summary["per_gain"][0]["numeric"] is not None, name
+        assert "numpy.polynomial" not in sys.modules
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -1,5 +1,6 @@
 """Estimator tests: exact samplers vs unitary evolution, variance formulas,
 and the sampler's worker threads."""
+import dataclasses
 import importlib
 import inspect
 import json
@@ -149,6 +150,52 @@ def test_nonlinear_plan_validation():
                      _het(), 10, 1)
     with pytest.raises(ValueError):
         run_nonlinear_estimation(plan)
+
+
+@pytest.mark.parametrize("kind, basis", [("parity", "dense"), ("parity", "rotated"),
+                                         ("poly_x", "rotated")])
+def test_nonlinear_estimate_ignores_the_basis_inside_an_eigenspace(kind, basis):
+    # parity and the default poly_x f = x^2 are degenerate; the draws run
+    # over the eigenspaces, so turning the eigenvectors inside each one
+    # (the dense path is such a turn for parity) leaves the estimate
+    from fockamp.amplifiers import _f_of_x_operator
+    from fockamp.fock import _dense_decompose, parity_op
+    sp = FockSpace(16)
+    f = parity_op(sp) if kind == "parity" else _f_of_x_operator([0.0, 0.0, 1.0], sp)
+    amp = TwoModeNormalAmp(f, 2.0)
+    plan = TrialPlan(amp, coherent_state(sp, 1.0), _hom(0.9), 200000, 7)
+    ref = run_nonlinear_estimation(plan)
+    dec = amp.dec
+    if basis == "dense":
+        turned = _dense_decompose(f)
+    else:
+        rng, v = np.random.default_rng(3), dec.eigenvectors.copy()
+        for members in np.split(np.arange(sp.dim), dec.heads[1:]):
+            z = rng.normal(size=(members.size, members.size, 2)) @ [1.0, 1j]
+            v[:, members] = v[:, members] @ np.linalg.qr(z)[0]
+        turned = dataclasses.replace(dec, eigenvectors=v)
+    assert np.array_equal(turned.heads, dec.heads)
+    assert np.diff(np.r_[dec.heads, sp.dim]).max() > 1
+    object.__setattr__(amp, "dec", turned)
+    rep = run_nonlinear_estimation(plan)
+    assert abs(rep.mean - ref.mean) <= 1e-12
+    assert abs(rep.variance - ref.variance) <= 1e-12
+
+
+def test_nonlinear_estimate_keeps_eigenvalues_closer_than_the_order_gap():
+    # beta a^dag a with beta = 1e-9: eigenvalues 1e-9 apart, far under the
+    # 1e-8 gap that orders the spectrum yet each its own eigenspace, so at
+    # g = 1e9 the estimate reads <f> = 1e-9 |alpha|^2, not the 0 of one
+    # shared eigenvalue
+    from fockamp.amplifiers import quadratic_signal_op
+    sp = FockSpace(12)
+    f, _ = quadratic_signal_op(sp, 0.0, 1e-9, 0.0, 0.0)
+    amp, state = TwoModeNormalAmp(f, 1e9), coherent_state(sp, 1.0)
+    assert amp.dec.heads.size == 12
+    rep = run_nonlinear_estimation(TrialPlan(amp, state, _hom(), 100000, 7))
+    truth = float(amp.dec.probabilities(state) @ np.real(amp.dec.eigenvalues))
+    assert truth == pytest.approx(1e-9, rel=1e-4)
+    assert abs(rep.mean - truth) < 4 * rep.se_mean < 0.1 * truth
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,8 @@ def test_decompose_degenerate_cluster():
     dec = normal_decompose(f)
     groups = dec.clusters()
     assert sorted(len(g) for g in groups) == [1, 1, 2, 2]
+    # 1 and 1 + 5e-9 share a cluster, not an eigenspace
+    assert np.diff(np.r_[dec.heads, 6]).tolist() == [1, 1, 1, 2, 1]
 
 
 def test_functional_calculus_square():

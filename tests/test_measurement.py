@@ -430,7 +430,7 @@ def test_max_deviation_is_the_weight_table_difference(case):
         assert normal
         spec, det = TwoModeNormalAmp(f, 2.0), DetectorSpec("heterodyne", 0.5)
     else:
-        f, _ = _f_of_x_operator([0.0, 0.5, 0.5], sp)
+        f = _f_of_x_operator([0.0, 0.5, 0.5], sp)
         spec, det = VonNeumannAmp(f, 2.0), DetectorSpec("homodyne", 0.5)
     model, epsilon = measurement.povm_model(spec)
     dec = normal_decompose(f)
@@ -444,6 +444,29 @@ def test_max_deviation_is_the_weight_table_difference(case):
     dw = float(np.abs(grid.weights - closed.weights(grid.outcomes)).max())
     assert grid.max_deviation(closed) == dw > dense > 0
     assert dw < 1e-12
+
+
+@pytest.mark.parametrize("variant", ["two_mode", "von_neumann"])
+def test_numeric_povm_keeps_eigenvalues_closer_than_the_order_gap(variant):
+    # 1 and 1 + 5e-9 share a decision cluster but not an eigenspace: each
+    # column of the numeric table is its own eigenvalue's, as in the closed
+    # form (sharing the row of 1 moves the 1 + 5e-9 column by ~1e-8 here)
+    sp = FockSpace(4)
+    f = Operator(sp, np.diag([0.0, 1.0, 1.0 + 5e-9, 2.0]).astype(complex))
+    g = 6.0
+    if variant == "two_mode":
+        spec, det = TwoModeNormalAmp(f, g), DetectorSpec("heterodyne", 0.5)
+    else:
+        spec = VonNeumannAmp(f, g, Meter("squeezed", r=0.5))
+        det = DetectorSpec("homodyne", 0.5)
+    assert spec.dec.heads.tolist() == [0, 1, 2, 3]
+    assert [c.tolist() for c in spec.dec.clusters()] == [[0], [1, 2], [3]]
+    model, epsilon = measurement.povm_model(spec)
+    closed = effective_povm_closed_form(spec.dec, g, det.sigma2, model, epsilon)
+    pts = 1.0 + np.linspace(-0.3, 0.3, 13) * (1.0 if variant == "von_neumann" else 1 - 0.5j)
+    grid = effective_povm_numeric(spec, det, pts)
+    assert grid.max_deviation(closed) < 1e-12
+    assert np.abs(grid.weights[:, 2] - grid.weights[:, 1]).max() > 1e-9
 
 
 def test_max_deviation_refuses_another_decomposition():
@@ -570,6 +593,27 @@ def test_numeric_povm_builds_no_heterodyne_element(monkeypatch):
                                   DetectorSpec("heterodyne", 0.5), pts)
     assert len(grid.elements) == pts.size
     assert calls == []
+
+
+def test_numeric_povm_works_once_per_eigenspace(monkeypatch):
+    # parity on 50 levels has 2 eigenspaces: the meter is displaced by 2
+    # alphas and the detector kernel reads 2 kets, not 50, and each
+    # eigenvector's column is the one the kernel gives on its own row
+    from fockamp import amplifiers
+    sp = FockSpace(50)
+    spec, det = TwoModeNormalAmp(parity_op(sp), 1.0), DetectorSpec("heterodyne", 0.5)
+    pts = np.add.outer(np.linspace(-4.0, 4.0, 9), 1j * np.linspace(-3.0, 3.0, 7)).ravel()
+    kernel, displace = measurement._detector_expectations, amplifiers.displaced_meter_ket
+    kets, alphas = [], []
+    monkeypatch.setattr(measurement, "_detector_expectations",
+                        lambda k, *a: kets.append(k.shape[0]) or kernel(k, *a))
+    monkeypatch.setattr(amplifiers, "displaced_meter_ket",
+                        lambda m, d, al: alphas.append(np.size(al)) or displace(m, d, al))
+    grid = effective_povm_numeric(spec, det, pts)
+    assert kets == [2] and alphas == [2]
+    (meter, _), = prepare_meters(spec, 1.0)
+    rows = displace(spec.meter, meter.space.dim, spec.dec.eigenvalues)
+    assert np.array_equal(grid.weights, kernel(rows, pts, det.sigma2, True))
 
 
 @pytest.mark.parametrize("variant", ["two_mode", "von_neumann"])

@@ -26,6 +26,8 @@ normal operators whose spectra hold equal, nearly equal (1e-7 apart) and
 repeated real parts; on drawn diagonal operators (one to three modes, with
 exact ties and real parts within and beyond 1e-8 * scale) it runs no
 eigensolver and gives the dense path's eigenvalues and cluster projectors.
+On drawn spectra whose eigenvalues lie within 1e-10 or at least 1e-6 of
+each other, the eigenspaces both paths mark are the old greedy clusters.
 The three-mode column builder is checked against the
 kept columns of ``scipy.linalg.expm`` of the full generator on small random
 dims, keeps, gains and normal f. Hermite functions (n <= 3000, |x| <= 60)
@@ -389,6 +391,72 @@ def test_diagonal_normal_decompose_matches_the_dense_path(f):
         v, w = dec.eigenvectors[:, ours], dense.eigenvectors[:, theirs]
         assert np.array_equal(np.sort(lam[ours]), np.sort(ref[theirs]))
         assert np.abs(v @ v.conj().T - w @ w.conj().T).max() <= 1e-12
+
+
+def _greedy_clusters(lam: np.ndarray) -> set:
+    """The grouping clusters() made by a loop before the decomposition held
+    its eigenspaces: in (real, imaginary) order, each eigenvalue joins the
+    first group whose first member lies within 1e-8 of it."""
+    groups, centres = [], []
+    for i in np.lexsort((lam.imag, lam.real)):
+        for group, centre in zip(groups, centres):
+            if abs(lam[i] - centre) < 1e-8:
+                group.append(int(i))
+                break
+        else:
+            groups.append([int(i)])
+            centres.append(lam[i])
+    return {frozenset(g) for g in groups}
+
+
+@st.composite
+def clustered_spectra(draw):
+    """(eigenvalues, seed) on 2-9 levels, |lam| <= 10: each eigenvalue is a
+    cluster centre moved by at most 3e-11 per part, so two of one cluster
+    lie within 1e-10; the centres' parts are k/2 + j 2e-6 (j = 0, 1, 2), so
+    two clusters lie at least 1e-6 apart, and their imaginary parts are 0
+    (a Hermitian f) or drawn alike."""
+    n = draw(st.integers(2, 9))
+    part = st.tuples(st.integers(-12, 12), st.integers(0, 2)).map(
+        lambda kj: kj[0] / 2 + kj[1] * 2e-6)
+    hermitian = draw(st.booleans())
+    centres = draw(st.lists(st.tuples(part, st.just(0.0) if hermitian else part),
+                            min_size=1, max_size=n, unique=True))
+    jitter = st.sampled_from([0.0, 2e-11, -3e-11])
+    lam = [complex(*centres[draw(st.integers(0, len(centres) - 1))])
+           + draw(jitter) + (0.0 if hermitian else 1j * draw(jitter))
+           for _ in range(n)]
+    return np.array(lam), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(clustered_spectra())
+def test_clusters_are_the_greedy_groups_split_into_eigenspaces(spectrum):
+    # on spectra whose eigenvalues are within 1e-10 or at least 1e-6 apart,
+    # clusters() on the diagonal path and on the dense path of a unitarily
+    # turned f gives the groups of the old greedy loop, and the eigenspaces
+    # ``heads`` marks split them. On the diagonal path an eigenspace is all
+    # the copies of one eigenvalue; the dense path pins eigenvectors only
+    # up to runs closer than 1e-8 * scale, so there the check needs
+    # clusters of one value each, which are then its eigenspaces
+    lam, seed = spectrum
+    z = np.random.default_rng(seed).normal(size=(lam.size, lam.size, 2)) @ [1.0, 1j]
+    u = np.linalg.qr(z)[0]
+    sp, values = FockSpace(lam.size), np.unique(lam)
+    apart = np.abs(np.subtract.outer(values, values))[np.triu_indices(values.size, 1)]
+    for diagonal, f in ((True, Operator(sp, np.diag(lam))),
+                        (False, Operator(sp, (u * lam) @ u.conj().T))):
+        dec = normal_decompose(f)
+        groups = dec.clusters()
+        assert {frozenset(g.tolist()) for g in groups} == _greedy_clusters(dec.eigenvalues)
+        heads = dec.heads
+        assert heads[0] == 0 and (np.diff(heads) > 0).all()
+        assert set(heads.tolist()) >= {int(g[0]) for g in groups}
+        if diagonal or (apart > 1e-7).all():
+            # each eigenvector's exact eigenvalue, told apart at 2e-11
+            label = np.abs(dec.eigenvalues[:, None] - values).argmin(axis=1)
+            assert all((s == s[0]).all() for s in np.split(label, heads[1:]))
+            assert (label[heads[1:]] != label[heads[1:] - 1]).all()
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
