@@ -213,9 +213,10 @@ def _linear_blocks(plan: TrialPlan, transform=None):
 
 def _linear_analytic(state: State, g: float, s2: float):
     """(<n>, mean, variance) of n_hat for heterodyne noise ``s2`` at gain g."""
-    nop = number_op(state.space)
-    n_mean = float(np.real(state.expectation(nop)))
-    n_var = variance(state, nop)
+    p = state.probabilities()
+    n = np.arange(p.size)
+    n_mean = float(p @ n)
+    n_var = float(p @ (n - n_mean) ** 2)
     return (n_mean, n_mean + s2 / (g * g),
             n_var + n_mean + 1.0 + 2.0 * s2 * (n_mean + 1.0) / (g * g)
             + s2 * s2 / g ** 4)

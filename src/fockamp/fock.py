@@ -413,7 +413,11 @@ def _dense_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposi
     k = (f - f^dag)/2i of a normal f commute, so one orthonormal basis
     diagonalizes both. ``eigh(h)`` gives it up to rotations inside runs of
     eigenvalues of h closer than 1e-8 * scale; ``eigh`` of k on each run
-    fixes those. Eigenvectors of h whose eigenvalues are close but not equal
+    fixes those. A run whose block of k is at roundoff (at most 1e-13 *
+    scale, the eigenspace step of :func:`_partitions`; every run of a
+    Hermitian f) keeps the eigenvectors of h, since turning it by the
+    eigenvectors of noise would mix distinct eigenvalues of h inside the
+    run. Eigenvectors of h whose eigenvalues are close but not equal
     still mix at roundoff over their gap (~1e-9 at a gap of 1e-7), which k
     turns into off-diagonal terms of V^dag f V. One first-order step
     V <- V (1 + E), E_ij = (V^dag f V)_ij / (lambda_j - lambda_i) over pairs
@@ -441,8 +445,9 @@ def _dense_decompose(f: Operator, tol: float | None = None) -> SpectralDecomposi
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, d]):
         if hi - lo > 1:
             blk = vecs[:, lo:hi]
-            _, w = np.linalg.eigh(blk.conj().T @ k @ blk)
-            vecs[:, lo:hi] = blk @ w
+            kb = blk.conj().T @ k @ blk
+            if np.abs(kb).max() > 1e-5 * gap:
+                vecs[:, lo:hi] = blk @ np.linalg.eigh(kb)[1]
     t = vecs.conj().T @ m @ vecs
     dl = np.diag(t)[None, :] - np.diag(t)[:, None]
     far = np.abs(dl) >= gap
@@ -478,10 +483,19 @@ def symmetrized_moment(state: State, op: Operator) -> float:
 
 
 def variance(state: State, op: Operator) -> float:
-    """<O^2> - <O>^2 for Hermitian O (independent code path, used as oracle)."""
+    """<O^2> - <O>^2 for Hermitian O (independent code path, used as oracle).
+
+    A ket's moments come from one product w = O psi: <O^2> = ||w||^2 and
+    <O> = Re <psi|w>, O(d^2); a density matrix takes Tr[O^2 rho].
+    """
     res = op.hermiticity_residual()
     if res > 1e-9 * max(1.0, float(np.abs(op.matrix).max())):
         raise NotHermitian(f"variance() wants Hermitian O, residual {res:.2e}")
+    if state.kind == "ket":
+        if op.space.dims != state.space.dims:
+            raise DimensionMismatch("state and operator live on different spaces")
+        w = op.matrix @ state.data
+        return float(np.vdot(w, w).real - np.vdot(state.data, w).real ** 2)
     mean = np.real(state.expectation(op))
     second = np.real(state.expectation(op @ op))
     return float(second - mean ** 2)

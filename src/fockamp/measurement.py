@@ -104,11 +104,14 @@ class PovmGrid:
 
     def identity_residual(self) -> float:
         """Max-norm residual of V diag(measure sum_j weights[j]) V^dag
-        against 1, which includes the residual of the eigenbasis itself."""
+        against 1, which includes the residual of the eigenbasis itself. The
+        column sums run over a C-ordered table, so they depend on its values,
+        not on its memory layout."""
         if self.measure is None:
             raise ValueError("grid carries no cell measure")
         v = self.decomposition.eigenvectors
-        total = (v * (self.measure * self.weights.sum(axis=0))) @ v.conj().T
+        column = np.ascontiguousarray(self.weights).sum(axis=0)
+        total = (v * (self.measure * column)) @ v.conj().T
         return float(np.abs(total - np.eye(v.shape[0])).max())
 
     def max_deviation(self, closed: "ClosedFormPovm") -> float:
@@ -424,18 +427,22 @@ def _pooled(n: int, seed: int, draw, sd: float, dtype, transform=None):
     im) per complex trial (none at sd 0). Without ``transform`` the chunks
     fill the block, which is yielded; ``transform(x, out)`` writes a real y
     per trial of chunk x, and the block yields (c, [size, sum (y - c)^k for
-    k = 1..4]), c the mean y of its first chunk. Blocks are drawn on a
-    thread pool, one worker per CPU available to the process, at most
-    workers + 1 in flight. The streams do not depend on the worker count;
-    the workers call closures only.
+    k = 1..4]), c the mean y of its first chunk. Blocks are drawn on daemon
+    threads, one per CPU available to the process (at most one per block),
+    which take (block, size, reply) tasks from one queue; at most workers + 1
+    blocks are in flight. A worker's exception is raised at its block. A
+    closed or failed stream joins its workers, except while the interpreter
+    finalizes, when a daemon thread can no longer run. The streams do not
+    depend on the worker count; the workers call closures only.
     """
-    from concurrent.futures import ThreadPoolExecutor
-    from threading import local
+    from queue import SimpleQueue
+    from sys import is_finalizing
+    from threading import Thread
 
-    def work(b, size):
+    def work(b, size, bufs):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0]))
         add = draw(rng, size)
-        out, m = mine.bufs if transform else (np.empty(size, dtype), None)
+        out, m = bufs if transform else (np.empty(size, dtype), None)
         for lo in range(0, size, DRAW_CHUNK):
             x = out[lo:lo + DRAW_CHUNK] if transform is None else out[:size - lo]
             r = x.view(float)
@@ -455,20 +462,43 @@ def _pooled(n: int, seed: int, draw, sd: float, dtype, transform=None):
         return out if transform is None else \
             (shift, [size] + acc[0].tolist() + acc[1:, 1].tolist())
 
+    def serve(bufs):
+        for b, size, reply in iter(tasks.get, None):
+            try:
+                reply.put((work(b, size, bufs), None))
+            except BaseException as exc:
+                reply.put((None, exc))
+
+    def result(reply):
+        value, exc = reply.get()
+        if exc is not None:
+            raise exc
+        return value
+
     affinity = getattr(os, "sched_getaffinity", None)
     workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(workers, -(-n // BLOCK))
     # worker buffers made here: a worker's own allocations stay resident
     chunk = min(DRAW_CHUNK, n) if transform else 0
-    spare = [(np.empty(chunk, dtype), np.ones((3, chunk))) for _ in range(workers)]
-    mine, pending = local(), deque()
-    with ThreadPoolExecutor(workers, initializer=lambda: setattr(
-            mine, "bufs", spare.pop())) as pool:  # a closed stream joins its pool
+    tasks, pending = SimpleQueue(), deque()
+    threads = [Thread(target=serve, args=((np.empty(chunk, dtype), np.ones((3, chunk))),),
+                      daemon=True) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    try:
         for b, lo in enumerate(range(0, n, BLOCK)):
-            pending.append(pool.submit(work, b, min(BLOCK, n - lo)))
+            pending.append(SimpleQueue())
+            tasks.put((b, min(BLOCK, n - lo), pending[-1]))
             if len(pending) > workers:
-                yield pending.popleft().result()
+                yield result(pending.popleft())
         while pending:
-            yield pending.popleft().result()
+            yield result(pending.popleft())
+    finally:
+        for t in threads:
+            tasks.put(None)
+        if not is_finalizing():
+            for t in threads:
+                t.join()
 
 
 def gaussian_blocks(centres, weights, sd: float, n: int, seed: int,

@@ -675,8 +675,9 @@ def test_one_decomposition_per_amplifier(tmp_path, monkeypatch, cfg, amplifiers)
 
 def test_poly_x_povm_builds_f_once(tmp_path, monkeypatch):
     # f = x^2 is built once for the three gains: one eigh of x, then each
-    # amplifier's dense decomposition of f (one eigh of its Hermitian part
-    # and one per degenerate pair) makes 3; 12 when f was built per gain
+    # amplifier's dense decomposition of f makes 1, the eigh of its
+    # Hermitian part (its degenerate pairs' block of k is roundoff, so they
+    # take no eigh of their own); 6 when f was built per gain
     from fockamp import cli
     cfg = {"command": "povm",
            "amplifier": {"variant": "von_neumann", "f": {"kind": "poly_x"},
@@ -688,7 +689,7 @@ def test_poly_x_povm_builds_f_once(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
-    assert len(solves) == 10
+    assert len(solves) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -1191,12 +1192,12 @@ def test_estimate_and_compare_load_no_scipy(tmp_path):
 def test_povm_and_verify_load_no_scipy(tmp_path):
     # the displacement kernel is numpy-only, so the numeric POVM sandwich
     # (heterodyne, squeezed-meter homodyne) and verify run without scipy;
-    # povm and estimate, the linear one on the rejection sampler, run
-    # without loading verify or the dense oracles. Nor do they load what
-    # each would hold for nothing, each far past the benchmark's 0.1 MB
-    # peak-RSS bound: povm, which draws nothing, neither numpy.random
-    # (~6.1 MB) nor concurrent.futures with logging (~0.6 MB), and no
-    # command numpy.polynomial (~0.75 MB)
+    # povm, estimate (the linear one on the rejection sampler) and compare
+    # run without loading verify or the dense oracles. Nor do they load
+    # what each would hold for nothing, each far past the benchmark's 0.1 MB
+    # peak-RSS bound: povm, which draws nothing, not numpy.random (~6.1 MB);
+    # no command concurrent.futures with logging (~0.5 MB; the sampler's
+    # pool runs on bare threads), nor numpy.polynomial (~0.75 MB)
     script = textwrap.dedent(f"""
         import json, sys
         from pathlib import Path
@@ -1221,6 +1222,12 @@ def test_povm_and_verify_load_no_scipy(tmp_path):
                         "input_state": {{"kind": "fock", "n": 2}},
                         "detector": {{"kind": "heterodyne", "efficiency": 0.8}},
                         "dims": {{"signal": 8}}, "trials": 2000}},
+            "compare": {{"command": "compare",
+                         "amplifier": {{"variant": "two_mode_normal",
+                                        "f": {{"kind": "a_dag_a"}}, "g": 2}},
+                         "input_state": {{"kind": "coherent", "alpha": [1, 0]}},
+                         "detector": {{"kind": "homodyne", "efficiency": 0.9}},
+                         "dims": {{"signal": 16}}, "trials": 2000}},
             "verify": {{"command": "verify"}},
         }}
         for name, cfg in configs.items():
@@ -1238,6 +1245,8 @@ def test_povm_and_verify_load_no_scipy(tmp_path):
         for name in ("heterodyne", "homodyne"):
             summary = json.loads((out / name / "povm_summary.json").read_text())
             assert summary["per_gain"][0]["numeric"] is not None, name
+        loaded = {{"concurrent.futures", "logging"}} & set(sys.modules)
+        assert not loaded, sorted(loaded)
         assert "numpy.polynomial" not in sys.modules
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)

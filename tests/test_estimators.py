@@ -7,7 +7,9 @@ import json
 import math
 import os
 import signal
+import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -21,7 +23,8 @@ from fockamp import (ConfigError, DetectorSpec, FockSpace, LinearAmp, Meter,
                      run_plan, simulate_output_state, snr_report, tensor,
                      vacuum_state)
 from fockamp.errors import GainOutOfRange, TruncationError
-from fockamp.estimators import _Moments, _linear_blocks, _nonlinear_blocks
+from fockamp.estimators import (_Moments, _linear_analytic, _linear_blocks,
+                                 _nonlinear_blocks)
 from fockamp.fock import (State, log_factorials, normal_decompose,
                           partial_trace, quadrature_amplitudes)
 from fockamp import measurement
@@ -227,6 +230,23 @@ def test_linear_vacuum_statistics():
     rep = run_linear_number_estimation(plan)
     assert abs(rep.mean) < 3 * rep.se_mean
     assert abs(rep.variance - 1.0) < 3 * rep.se_variance
+
+
+def test_linear_analytic_matches_dense_number_moments():
+    # <n> and Var[n] read from the Fock populations, against the dense
+    # number operator, on a ket and on a density matrix at dim 64
+    sp = FockSpace(64)
+    nop = number_op(sp).matrix
+    ket = coherent_state(sp, 1.0 + 0.5j)
+    mix = 0.3 * ket.to_density().data + 0.7 * coherent_state(sp, -2.0j).to_density().data
+    g, s2 = 2.0, _het(0.8).sigma2
+    for state in (ket, State(sp, "density", mix)):
+        rho = state.to_density().data
+        n1 = np.trace(nop @ rho).real
+        var = np.trace(nop @ nop @ rho).real - n1 ** 2
+        want = (n1, n1 + s2 / g ** 2,
+                var + n1 + 1.0 + 2.0 * s2 * (n1 + 1.0) / g ** 2 + s2 ** 2 / g ** 4)
+        assert np.allclose(_linear_analytic(state, g, s2), want, rtol=1e-12, atol=0)
 
 
 def test_heterodyne_second_moment_identity():
@@ -701,6 +721,29 @@ def test_stopped_or_failed_stream_leaves_no_threads(workers, monkeypatch):
             pass
     assert threading.active_count() == before
     assert 2 in started and max(started) <= 2 + workers
+
+
+def test_abandoned_stream_in_a_cycle_lets_the_interpreter_exit():
+    # a stream left suspended inside a reference cycle is closed, if at all,
+    # by the collector while the interpreter finalizes: its workers must
+    # not keep the process alive, and that close must not wait on them
+    script = textwrap.dedent("""
+        import gc, os
+        import numpy as np
+        from fockamp.measurement import BLOCK, gaussian_blocks
+        os.sched_getaffinity = lambda pid: {0, 1, 2}
+        gc.disable()
+        stream = gaussian_blocks(np.arange(4.0), np.ones(4), 1.0, 8 * BLOCK, 0,
+                                 transform=lambda x, out: np.copyto(out, x))
+        next(stream)
+        cycle = [stream]
+        cycle.append(cycle)
+        del stream, cycle
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_package_functions_run_on_the_main_thread(monkeypatch):

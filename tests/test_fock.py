@@ -288,6 +288,21 @@ def test_decompose_degenerate_cluster():
     assert np.diff(np.r_[dec.heads, 6]).tolist() == [1, 1, 1, 2, 1]
 
 
+def test_dense_decompose_separates_close_eigenvalues_of_a_hermitian_f():
+    # the same spectrum unitarily turned: 1 and 1 + 5e-9 share a run of h,
+    # whose k = (f - f^dag)/2i is roundoff; turning the run by eigh of that
+    # noise mixed the pair 91 % / 9 % and moved each eigenvalue by ~5e-10
+    lam = np.array([0.0, 1.0, 1.0 + 5e-9, 2.0])
+    z = np.random.default_rng(0).normal(size=(4, 4, 2)) @ [1.0, 1j]
+    u = np.linalg.qr(z)[0]
+    dec = normal_decompose(Operator(FockSpace(4), (u * lam) @ u.conj().T))
+    assert np.abs(dec.eigenvalues - lam).max() < 1e-12
+    overlap = np.abs(np.sum(u.conj() * dec.eigenvectors, axis=0)) ** 2
+    assert overlap.min() >= 1.0 - 1e-9
+    assert np.diff(np.r_[dec.heads, 4]).tolist() == [1, 1, 1, 1]
+    assert dec.residual < 1e-14
+
+
 def test_functional_calculus_square():
     sp = FockSpace(16)
     x, _ = quadrature_ops(sp)

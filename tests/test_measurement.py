@@ -1,4 +1,5 @@
 """Measurement tests: detector elements, effective POVMs, regions, sampling."""
+import dataclasses
 import math
 import os
 
@@ -537,9 +538,9 @@ def test_three_mode_oracle_equivalence_moderate_squeezing():
     assert dev < 1e-5
 
 
-def test_homodyne_numeric_povm_at_high_gain():
-    # the CLI's povm grid at g = 3 runs to 3 + 5w, raw outcomes g (3 + 5w)
-    # ~ 12.9, past |y| <= 10
+def _high_gain_homodyne_grid():
+    """The CLI's squeezed-meter homodyne povm grid at g = 3 on four levels,
+    with its closed form and outcomes."""
     sp = FockSpace(4)
     f = number_op(sp)
     dec = normal_decompose(f)
@@ -553,10 +554,27 @@ def test_homodyne_numeric_povm_at_high_gain():
     grid = effective_povm_numeric(VonNeumannAmp(f, g, Meter("squeezed", r=r)),
                                   det, pts)
     grid.measure = step
+    return grid, closed, pts
+
+
+def test_homodyne_numeric_povm_at_high_gain():
+    # the CLI's povm grid at g = 3 runs to 3 + 5w, raw outcomes g (3 + 5w)
+    # ~ 12.9, past |y| <= 10
+    grid, closed, pts = _high_gain_homodyne_grid()
     dev = max(float(np.abs(e - closed.element(o)).max())
               for o, e in zip(pts, grid.elements))
     assert dev < 1e-9
     assert grid.identity_residual() < 1e-9
+
+
+def test_identity_residual_reads_values_not_layout():
+    # an F-ordered copy of the 87-outcome table holds the same values, but
+    # numpy sums its columns in another order unless they are summed over a
+    # C-ordered table
+    grid, _, _ = _high_gain_homodyne_grid()
+    turned = dataclasses.replace(grid, weights=np.asfortranarray(grid.weights))
+    assert not turned.weights.flags.c_contiguous
+    assert turned.identity_residual() == grid.identity_residual()
 
 
 def test_heterodyne_numeric_povm_at_high_gain():

@@ -26,8 +26,10 @@ normal operators whose spectra hold equal, nearly equal (1e-7 apart) and
 repeated real parts; on drawn diagonal operators (one to three modes, with
 exact ties and real parts within and beyond 1e-8 * scale) it runs no
 eigensolver and gives the dense path's eigenvalues and cluster projectors.
-On drawn spectra whose eigenvalues lie within 1e-10 or at least 1e-6 of
+On drawn spectra whose eigenvalues lie within 1e-8 or at least 1e-6 of
 each other, the eigenspaces both paths mark are the old greedy clusters.
+The ket path of ``variance`` (one product O psi) is checked against the
+dense <O O> - <O>^2 on random Hermitian O and random kets.
 The three-mode column builder is checked against the
 kept columns of ``scipy.linalg.expm`` of the full generator on small random
 dims, keeps, gains and normal f. Hermite functions (n <= 3000, |x| <= 60)
@@ -47,7 +49,8 @@ from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      annihilation_op, effective_povm_closed_form,
                      effective_povm_numeric, normal_decompose,
                      predict_output_moments, quadrature_ops, real_imag_parts,
-                     simulate_output_state, simulated_output_moments, tensor)
+                     simulate_output_state, simulated_output_moments, tensor,
+                     variance)
 from fockamp.amplifiers import _mode_quad_moments, displaced_meter_ket
 from fockamp.estimators import _Moments
 from fockamp.fock import _coherent_amplitudes, hermite_functions
@@ -412,17 +415,18 @@ def _greedy_clusters(lam: np.ndarray) -> set:
 @st.composite
 def clustered_spectra(draw):
     """(eigenvalues, seed) on 2-9 levels, |lam| <= 10: each eigenvalue is a
-    cluster centre moved by at most 3e-11 per part, so two of one cluster
-    lie within 1e-10; the centres' parts are k/2 + j 2e-6 (j = 0, 1, 2), so
-    two clusters lie at least 1e-6 apart, and their imaginary parts are 0
-    (a Hermitian f) or drawn alike."""
+    cluster centre moved by 0, 2e-11, -3e-11 or 5e-9 per part, so one
+    cluster holds values 2e-11 to 5.03e-9 apart per part, all within 1e-8;
+    the centres' parts are k/2 + j 2e-6 (j = 0, 1, 2), so two clusters lie
+    at least 1e-6 apart, and their imaginary parts are 0 (a Hermitian f) or
+    drawn alike."""
     n = draw(st.integers(2, 9))
     part = st.tuples(st.integers(-12, 12), st.integers(0, 2)).map(
         lambda kj: kj[0] / 2 + kj[1] * 2e-6)
     hermitian = draw(st.booleans())
     centres = draw(st.lists(st.tuples(part, st.just(0.0) if hermitian else part),
                             min_size=1, max_size=n, unique=True))
-    jitter = st.sampled_from([0.0, 2e-11, -3e-11])
+    jitter = st.sampled_from([0.0, 2e-11, -3e-11, 5e-9])
     lam = [complex(*centres[draw(st.integers(0, len(centres) - 1))])
            + draw(jitter) + (0.0 if hermitian else 1j * draw(jitter))
            for _ in range(n)]
@@ -432,13 +436,14 @@ def clustered_spectra(draw):
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(clustered_spectra())
 def test_clusters_are_the_greedy_groups_split_into_eigenspaces(spectrum):
-    # on spectra whose eigenvalues are within 1e-10 or at least 1e-6 apart,
+    # on spectra whose eigenvalues are within 1e-8 or at least 1e-6 apart,
     # clusters() on the diagonal path and on the dense path of a unitarily
     # turned f gives the groups of the old greedy loop, and the eigenspaces
-    # ``heads`` marks split them. On the diagonal path an eigenspace is all
-    # the copies of one eigenvalue; the dense path pins eigenvectors only
-    # up to runs closer than 1e-8 * scale, so there the check needs
-    # clusters of one value each, which are then its eigenspaces
+    # ``heads`` marks split them. On the diagonal path, and on the dense path
+    # of a Hermitian f, an eigenspace is all the copies of one eigenvalue,
+    # also where one cluster holds several values. The dense path of a
+    # complex spectrum pins eigenvectors only up to runs closer than 1e-8 *
+    # scale, so there the check needs clusters of one value each
     lam, seed = spectrum
     z = np.random.default_rng(seed).normal(size=(lam.size, lam.size, 2)) @ [1.0, 1j]
     u = np.linalg.qr(z)[0]
@@ -452,11 +457,25 @@ def test_clusters_are_the_greedy_groups_split_into_eigenspaces(spectrum):
         heads = dec.heads
         assert heads[0] == 0 and (np.diff(heads) > 0).all()
         assert set(heads.tolist()) >= {int(g[0]) for g in groups}
-        if diagonal or (apart > 1e-7).all():
+        if diagonal or not lam.imag.any() or (apart > 1e-7).all():
             # each eigenvector's exact eigenvalue, told apart at 2e-11
             label = np.abs(dec.eigenvalues[:, None] - values).argmin(axis=1)
             assert all((s == s[0]).all() for s in np.split(label, heads[1:]))
             assert (label[heads[1:]] != label[heads[1:] - 1]).all()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(2, 48), st.floats(1e-3, 1e3), st.integers(0, 2 ** 32 - 1))
+def test_ket_variance_matches_dense_second_moment(dim, size, seed):
+    # <O^2> = ||O psi||^2 and <O> = Re <psi|O psi> against psi^dag (O O) psi
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(dim, dim, 2)) @ [1.0, 1j]
+    o = size * (h + h.conj().T) / 2
+    psi = rng.normal(size=(dim, 2)) @ [1.0, 1j]
+    psi /= np.linalg.norm(psi)
+    dense = (psi.conj() @ (o @ o) @ psi).real - (psi.conj() @ o @ psi).real ** 2
+    got = variance(State(FockSpace(dim), "ket", psi), Operator(FockSpace(dim), o))
+    assert abs(got - dense) <= 1e-12 * max(1.0, np.linalg.norm(o, 2) ** 2)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
