@@ -4,7 +4,8 @@ Layers: :mod:`fockamp.fock` (operators, states, spectral decompositions),
 :mod:`fockamp.amplifiers` (amplifier models, simulation and moment
 predictions), :mod:`fockamp.measurement` (detector POVMs, effective POVMs,
 sampling), :mod:`fockamp.estimators` (Monte Carlo estimator statistics), and
-:mod:`fockamp.cli` (config-driven runs). The dense oracles of
+:mod:`fockamp.cli` (config-driven runs). :mod:`fockamp.heterodyne` (the
+heterodyne read of the numeric POVM) loads on its first use. The dense oracles of
 :mod:`fockamp.oracles` (composite-space unitaries, single-outcome detector
 elements) are imported by name only where a cross-check needs them, so no
 command loads them.

@@ -38,9 +38,9 @@ TRIALS_MAX = 10 ** 8
 CSV_ROWS = 256
 # povm holds its outcome grid and (outcomes, signal dim) weight tables, and
 # it writes one CSV row per weight: memory and output grow with the outcome
-# count, which this ceiling bounds. The detector kernel reads the outcomes a
-# block at a time, one amplitude table of ~2**16 entries. A larger grid is
-# refused before it is built.
+# count, which this ceiling bounds. The detector reads take the outcomes a
+# block at a time, ~2**16 entries per table. A larger grid is refused before
+# it is built.
 POVM_OUTCOMES_MAX = 10 ** 6
 
 # One row per config key: path, type, bounds, default, and the kind of its
@@ -358,9 +358,11 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     nw = cfg["grid"]["n_widths"]
     ppw = cfg["grid"]["points_per_width"]
     summary = {"config": cfg, "per_gain": []}
-    # bounds the detector kernel's cost: signal dim x the largest unprobed meter
-    # size; at 2 x 1225 a heterodyne povm at g 29 takes ~8 s on 2 vCPUs
-    numeric_limit = 2500
+    # bound the numeric stage's cost. Homodyne: signal dim x the largest
+    # unprobed meter size. Heterodyne, which sizes and builds no meter: the
+    # terms of its series, outcomes x eigenspaces x ~39/eta at a small
+    # efficiency eta (1e8 take ~0.3 s on 2 vCPUs)
+    numeric_limit, series_limit = 2500, 10 ** 8
     lam = dec.eigenvalues
     for g, spec in zip(cfg["amplifier"]["g_list"], specs):
         model, epsilon = meas.povm_model(spec)
@@ -380,12 +382,18 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
             "own_region_weights": [float(v) for v in weights],
             "numeric": None,
         }
-        try:  # unprobed meter sizes: no meter is built for the gate
-            levels = max(amp.meter_dim_for(g, float(np.abs(part(lam)).max()), m)
-                         for m, part in amp.meter_table(spec))
-        except TruncationError:
-            levels = math.inf
-        if dec.space.dim * levels <= numeric_limit:
+        if model == "heterodyne":
+            from .heterodyne import series_terms
+            terms = outcomes.size * dec.heads.size * series_terms(detector.sigma2)
+            fits = terms <= series_limit
+        else:
+            try:  # unprobed meter sizes: no meter is built for the gate
+                fits = dec.space.dim * max(
+                    amp.meter_dim_for(g, float(np.abs(part(lam)).max()), m)
+                    for m, part in amp.meter_table(spec)) <= numeric_limit
+            except TruncationError:
+                fits = False
+        if fits:
             grid = meas.effective_povm_numeric(spec, detector, outcomes)
             grid.measure = measure
             entry["numeric"] = {

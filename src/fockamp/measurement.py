@@ -236,7 +236,9 @@ def _detector_expectations(kets: np.ndarray, outcomes, sigma2: float,
     grid and no term is dropped at any sigma^2 (k = 0 alone at 0). Outcome
     blocks of :func:`_outcome_block` are padded to whole OUTCOME_TILEs, so
     every GEMM has one shape and a row is the same bit for bit wherever the
-    block boundaries fall; one amplitude table is alive at a time.
+    block boundaries fall; one amplitude table is alive at a time. The
+    heterodyne branch is the truncated-row reference of
+    :func:`heterodyne.meter_reads`.
     """
     n, d = kets.shape
     outcomes = np.atleast_1d(np.asarray(outcomes, dtype=complex if heterodyne
@@ -289,7 +291,9 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     :func:`oracles.two_mode_unitary`, :func:`oracles.von_neumann_unitary` or
     :func:`oracles.three_mode_unitary` gives.
 
-    The meters come from :func:`amplifiers.prepare_meters` at ``dims``
+    Heterodyne reads build no meter and ignore ``dims``: each costs O(K)
+    per outcome and eigenspace at any gain (:func:`heterodyne.meter_reads`).
+    Homodyne meters come from :func:`amplifiers.prepare_meters` at ``dims``
     (auto-sized if None, driven as above), which simulation shares. A meter
     whose truncation drops more than 1e-6 of its norm, or whose displaced
     copy puts more than 1e-6 on the cutoff, raises TruncationError instead
@@ -308,13 +312,17 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
         outcomes = np.real(outcomes)
     sig2 = detector.sigma2
     g = amp.g
-    drive = g if heterodyne else g / math.sqrt(2.0)
-    jacobian = g * g if heterodyne else g
-    weights = 1.0
-    meters = prepare_meters(amp, drive, dims)
-    for (_, part), (meter, rows) in zip(meter_table(amp), meters):
-        weights = weights * (jacobian * _detector_expectations(
-            displaced_rows(meter, rows), g * part(outcomes), sig2, heterodyne))
+    if heterodyne:
+        from .heterodyne import meter_reads
+        (meter, _), = meter_table(amp)
+        weights = g * g * meter_reads(
+            meter, g * amp.dec.eigenvalues[amp.dec.heads], g * outcomes, sig2)
+    else:
+        weights = 1.0
+        meters = prepare_meters(amp, g / math.sqrt(2.0), dims)
+        for (_, part), (meter, rows) in zip(meter_table(amp), meters):
+            weights = weights * (g * _detector_expectations(
+                displaced_rows(meter, rows), g * part(outcomes), sig2, False))
     eigenspace = np.searchsorted(amp.dec.heads, np.arange(amp.dec.eigenvalues.size), "right") - 1
     return PovmGrid(outcomes, amp.dec, np.take(weights, eigenspace, axis=1), model,
                     _width2(sig2, epsilon ** 2, g))

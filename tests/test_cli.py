@@ -7,7 +7,6 @@ import json
 import math
 import re
 import signal
-import subprocess
 import sys
 import tempfile
 import textwrap
@@ -20,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fockamp import ConfigError, ResourceLimit, verify
 from fockamp.cli import TRIALS_MAX, validate_config
+from support import run_python
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
@@ -27,11 +27,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 def run_cli(tmp_path, cfg, *args):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fockamp.cli", "--config", str(path),
-         "--out", str(tmp_path), *args],
-        capture_output=True, text=True)
-    return proc
+    return run_python(["-m", "fockamp.cli", "--config", str(path),
+                       "--out", str(tmp_path), *args],
+                      capture_output=True, text=True)
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +384,14 @@ def test_fock_input_above_signal_space_rejected(tmp_path, command):
 def test_bad_json_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    proc = subprocess.run(
-        [sys.executable, "-m", "fockamp.cli", "--config", str(path)],
-        capture_output=True, text=True)
+    proc = run_python(["-m", "fockamp.cli", "--config", str(path)],
+                      capture_output=True, text=True)
     assert proc.returncode == 2
 
 
 def test_missing_config_rejected(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "fockamp.cli", "--config",
-         str(tmp_path / "none.json")],
-        capture_output=True, text=True)
+    proc = run_python(["-m", "fockamp.cli", "--config", str(tmp_path / "none.json")],
+                      capture_output=True, text=True)
     assert proc.returncode == 2
 
 
@@ -539,6 +534,10 @@ def test_drawn_configs_resolve_to_themselves(raw):
                         "g_list": [1]},
           "detector": {"kind": "homodyne", "efficiency": 0.5},
           "dims": {"signal": 4}})
+@example({"command": "povm", "detector": {"kind": "heterodyne", "efficiency": 0.02},
+          "dims": {"signal": 3}})
+@example({"command": "povm", "detector": {"kind": "heterodyne", "efficiency": 1e-9},
+          "dims": {"signal": 2}})
 @example({"command": "povm", "amplifier": {"variant": "von_neumann"},
           "detector": {"kind": "homodyne", "efficiency": 1e-9},
           "dims": {"signal": 2}, "grid": {"n_widths": 1, "points_per_width": 1}})
@@ -556,9 +555,13 @@ def test_drawn_configs_run_to_an_exit_code(raw):
     # overflows its power sums (a NaN z_variance, then OverflowErrors), a
     # nonlinear estimate with no spread (a ZeroDivisionError), and povm
     # homodyne at efficiency 1e-9 (82 s; last, since the alarm's exception
-    # ends the run of examples). The two povm examples before it put a
-    # normal quadratic f and a poly_x f, whose eigenbases are not the number
-    # basis, through the numeric deviation check.
+    # ends the run of examples). The two povm examples before it read
+    # heterodyne at low efficiency, where the outcome-frame series needs
+    # ~39/eta terms: 1,935 at 0.02, whose rows peak past where e^{-|beta|^2}
+    # underflows, and at 1e-9 more than the numeric stage's bound, so it is
+    # skipped. The two before those put a normal quadratic f and a poly_x f,
+    # whose eigenbases are not the number basis, through the numeric
+    # deviation check.
     from fockamp import cli
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -970,6 +973,33 @@ def test_povm_gate_builds_no_meter(tmp_path, monkeypatch):
     assert summary["per_gain"][0]["numeric"] is None
 
 
+def test_povm_heterodyne_reads_f_ideally_at_any_gain(tmp_path, monkeypatch):
+    # the large-gain claim on the CLI path: a two_mode_normal heterodyne
+    # povm of a_dag_a reads the numeric POVM at every gain, where the meter
+    # size rule gated it off past g 6.3. It builds no meter, and the
+    # own-region weights rise to 1
+    import time
+    from fockamp import amplifiers, measurement
+    calls = []
+    for mod, name in ((amplifiers, "displaced_meter_ket"), (amplifiers, "prepare_meters"),
+                      (measurement, "prepare_meters")):
+        monkeypatch.setattr(mod, name, lambda *a, name=name: calls.append(name))
+    start = time.perf_counter()
+    code, summary = _run_povm(tmp_path, {
+        "amplifier": {"variant": "two_mode_normal", "f": {"kind": "a_dag_a"},
+                      "g_list": [2, 4, 8, 16, 32]},
+        "detector": {"kind": "heterodyne", "efficiency": 0.5},
+        "dims": {"signal": 4}})
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and calls == []
+    own = [min(e["own_region_weights"]) for e in summary["per_gain"]]
+    assert own == sorted(own) and own[-1] > 1 - 1e-12
+    for entry in summary["per_gain"]:
+        numeric = entry["numeric"]
+        assert numeric["max_deviation_from_closed_form"] <= 1e-9
+        assert numeric["grid_identity_residual"] <= 1e-9
+
+
 def test_povm_parity_summary_memory_is_bounded(tmp_path):
     # the closed-form deviation compares the (n, d) weight tables and forms
     # no dense element: on 1,927 parity outcomes at signal 32 the run traced
@@ -1166,7 +1196,8 @@ def test_seed_bound_keeps_both_philox_keys_in_range(tmp_path, capsys):
 def test_estimate_and_compare_load_no_scipy(tmp_path):
     # start-up (import and validation of every benchmark config) and the
     # estimate and compare commands run on numpy alone; scipy is imported
-    # only by the displacement kernel, which povm and verify run
+    # only by the displacement kernel, which povm and verify run. Nor do
+    # they load the heterodyne povm read, which every process would compile
     script = textwrap.dedent(f"""
         import json, sys
         from pathlib import Path
@@ -1181,10 +1212,10 @@ def test_estimate_and_compare_load_no_scipy(tmp_path):
             path.write_text(json.dumps(cfg))
             code = cli.main(["--config", str(path), "--out", str(path.parent / name)])
             assert code == 0, (name, code)
+        assert "fockamp.heterodyne" not in sys.modules
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True)
+    proc = run_python(["-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -1250,8 +1281,7 @@ def test_povm_and_verify_load_no_scipy(tmp_path):
         assert "numpy.polynomial" not in sys.modules
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True)
+    proc = run_python(["-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 

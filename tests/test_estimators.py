@@ -7,7 +7,6 @@ import json
 import math
 import os
 import signal
-import subprocess
 import sys
 import textwrap
 import threading
@@ -31,6 +30,7 @@ from fockamp import measurement
 from fockamp.measurement import (BLOCK, DRAW_CHUNK, gaussian_blocks,
                                  sample_outcomes)
 from fockamp.oracles import husimi_values, von_neumann_unitary
+from support import run_python
 
 
 def nonlinear_meter_x_samples(plan):
@@ -740,8 +740,7 @@ def test_abandoned_stream_in_a_cycle_lets_the_interpreter_exit():
         cycle.append(cycle)
         del stream, cycle
     """)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60)
+    proc = run_python(["-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
 

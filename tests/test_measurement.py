@@ -12,7 +12,7 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
                      effective_povm_numeric, fock_state, normal_decompose,
                      number_op, own_region_weights, sample_outcomes, tensor,
                      vacuum_state)
-from fockamp import measurement, oracles
+from fockamp import amplifiers, heterodyne, measurement, oracles
 from fockamp.errors import CoverageError, DimensionMismatch, TruncationError
 from fockamp.amplifiers import (_f_of_x_operator, meter_dim_for, prepare_meters,
                                 quadratic_signal_op)
@@ -21,6 +21,7 @@ from fockamp.measurement import BLOCK, _detector_expectations, _region_masses
 from fockamp.oracles import (heterodyne_element, homodyne_element,
                              husimi_values, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
+from support import dense_rounding
 
 
 def povm_meter_dims(amp):
@@ -227,6 +228,54 @@ def test_heterodyne_expectations_memory_is_bounded():
         assert out.shape == (n, 4)
     assert peaks[1] <= 16 * 2 ** 20, peaks
     assert peaks[1] - peaks[0] <= 2 * 2 ** 20, peaks  # the (n, 4) output
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.7, 0.5, 0.3])
+@pytest.mark.parametrize("r", [0.0, -0.7, 0.5, 1.0])
+def test_heterodyne_reads_match_truncated_rows(r, eta):
+    # the outcome-frame series against the loss-channel kernel on the meter
+    # rows cut at 800 levels, whose tails lie far below roundoff here:
+    # alphas up to 12, outcomes within 6 of each alpha on both axes and at 0
+    meter = Meter("squeezed", r=r) if r else Meter()
+    sigma2 = DetectorSpec("heterodyne", eta).sigma2
+    alphas = np.array([0.0, 3.0 + 1.0j, -8.0j, 12.0 * np.exp(0.4j)])
+    rng = np.random.default_rng(7)
+    betas = np.concatenate([[0.0], *(a + rng.uniform(-6.0, 6.0, 15)
+                                     + 1j * rng.uniform(-6.0, 6.0, 15)
+                                     for a in alphas)])
+    want = _detector_expectations(amplifiers.displaced_meter_ket(meter, 800, alphas),
+                                  betas, sigma2, True)
+    got = heterodyne.meter_reads(meter, alphas, betas, sigma2)
+    assert got.shape == want.shape and (got >= 0).all()
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.9, 0.5, 0.3, 0.01, 1e-6])
+def test_heterodyne_terms_leave_the_stated_tail(eta):
+    # K is the fewest terms with s^K <= SERIES_TAIL: 1 at eta 1, 57 at 0.5,
+    # ~39/eta at a small eta
+    sigma2 = DetectorSpec("heterodyne", eta).sigma2
+    s = sigma2 / (1.0 + sigma2)
+    k = heterodyne.series_terms(sigma2)
+    assert s ** k <= heterodyne.SERIES_TAIL == 1e-17
+    assert k == 1 or s ** (k - 1) > heterodyne.SERIES_TAIL
+    assert k == {1.0: 1, 0.5: 57}.get(eta, k)
+    assert k <= 40 / eta
+
+
+def test_heterodyne_reads_keep_the_float_range_at_low_efficiency():
+    # at efficiency 0.01 the series runs 3,895 terms, and outcomes 30 to 100
+    # from the meter put its largest terms near n = |beta|^2, far past where
+    # e^{-|beta|^2} underflows: the rescaled running sums still give the
+    # vacuum meter's read, (t/pi) e^{-t |beta|^2}, t = 1/(1 + sigma^2), to
+    # roundoff where the K terms hold the row's mass (|beta| <= 30)
+    sigma2 = DetectorSpec("heterodyne", 0.01).sigma2
+    betas = np.array([0.0, 1.0, 10.0, 30.0, 60.0, 100.0]) * np.exp(0.3j)
+    got = heterodyne.meter_reads(Meter(), np.zeros(1), betas, sigma2)[:, 0]
+    t = 1.0 / (1.0 + sigma2)
+    want = (t / math.pi) * np.exp(-t * np.abs(betas) ** 2)
+    assert np.abs(got - want).max() <= 1e-17
+    assert np.abs(got[:4] / want[:4] - 1.0).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +492,19 @@ def test_max_deviation_is_the_weight_table_difference(case):
     dense = max(float(np.abs(e - closed.element(o)).max())
                 for o, e in zip(grid.outcomes, grid.elements))
     dw = float(np.abs(grid.weights - closed.weights(grid.outcomes)).max())
-    assert grid.max_deviation(closed) == dw > dense > 0
+    assert grid.max_deviation(closed) == dw and dense > 0
     assert dw < 1e-12
+    # at roundoff the dense deviation is bounded only up to the rounding of
+    # forming both dense elements
+    assert dw >= dense * (1.0 - 1e-12) - dense_rounding(grid, closed)
+    # a weight difference far above roundoff: V is not the identity, so it
+    # spreads each column over several entries and the dense deviation is
+    # strictly the smaller
+    grid.weights[2, 0] += 1e-6
+    dw = grid.max_deviation(closed)
+    dense = max(float(np.abs(e - closed.element(o)).max())
+                for o, e in zip(grid.outcomes, grid.elements))
+    assert dw > dense * (1.0 + 1e-3) and dense > 1e-8
 
 
 @pytest.mark.parametrize("variant", ["two_mode", "von_neumann"])
@@ -614,24 +674,20 @@ def test_numeric_povm_builds_no_heterodyne_element(monkeypatch):
 
 
 def test_numeric_povm_works_once_per_eigenspace(monkeypatch):
-    # parity on 50 levels has 2 eigenspaces: the meter is displaced by 2
-    # alphas and the detector kernel reads 2 kets, not 50, and each
-    # eigenvector's column is the one the kernel gives on its own row
-    from fockamp import amplifiers
+    # parity on 50 levels has 2 eigenspaces: the heterodyne read takes 2
+    # alphas, not 50, and builds no meter row, and each eigenvector's column
+    # is the one the read gives on its own alpha
     sp = FockSpace(50)
     spec, det = TwoModeNormalAmp(parity_op(sp), 1.0), DetectorSpec("heterodyne", 0.5)
     pts = np.add.outer(np.linspace(-4.0, 4.0, 9), 1j * np.linspace(-3.0, 3.0, 7)).ravel()
-    kernel, displace = measurement._detector_expectations, amplifiers.displaced_meter_ket
-    kets, alphas = [], []
-    monkeypatch.setattr(measurement, "_detector_expectations",
-                        lambda k, *a: kets.append(k.shape[0]) or kernel(k, *a))
-    monkeypatch.setattr(amplifiers, "displaced_meter_ket",
-                        lambda m, d, al: alphas.append(np.size(al)) or displace(m, d, al))
+    read, alphas, rows = heterodyne.meter_reads, [], []
+    monkeypatch.setattr(heterodyne, "meter_reads",
+                        lambda m, al, *a: alphas.append(np.size(al)) or read(m, al, *a))
+    monkeypatch.setattr(amplifiers, "displaced_meter_ket", lambda *a: rows.append(a))
     grid = effective_povm_numeric(spec, det, pts)
-    assert kets == [2] and alphas == [2]
-    (meter, _), = prepare_meters(spec, 1.0)
-    rows = displace(spec.meter, meter.space.dim, spec.dec.eigenvalues)
-    assert np.array_equal(grid.weights, kernel(rows, pts, det.sigma2, True))
+    assert alphas == [2] and rows == []
+    assert np.array_equal(grid.weights, read(spec.meter, spec.dec.eigenvalues,
+                                             pts, det.sigma2))
 
 
 @pytest.mark.parametrize("variant", ["two_mode", "von_neumann"])
@@ -644,7 +700,8 @@ def test_spectral_sandwich_matches_dense_oracle(variant):
         spec = TwoModeNormalAmp(f, g)
         det = DetectorSpec("heterodyne", 0.5)
         pts = np.array([0.2 + 0.1j, 1.0, 1.7 - 0.4j, 3.2 + 0.5j])
-        db, = povm_meter_dims(spec)
+        # the heterodyne read builds no meter: the oracle's is auto-sized
+        db = meter_dim_for(g, 3.0, spec.meter, g * spec.dec.eigenvalues)
         u = two_mode_unitary(f, g, (4, db)).matrix
         def element(o):
             return g * g * heterodyne_element(g * o, det.sigma2, FockSpace(db)).matrix
@@ -1169,7 +1226,7 @@ def test_povm_meter_dims_keep_fitting_meters():
     f = number_op(sp)
     for g in (1.0, 2.0, 3.0):
         base = (3 * g + 6) ** 2
-        assert povm_meter_dims(TwoModeNormalAmp(f, g)) == (base,)
+        assert povm_meter_dims(TwoModeNormalAmp(f, g)) == ()  # reads no meter
         assert povm_meter_dims(VonNeumannAmp(
             f, g, Meter("squeezed", r=0.5))) == (base,)
     spec = ThreeModeAmp(f, 0.5, Meter("gaussian", epsilon=math.exp(-2.0)),
@@ -1231,7 +1288,7 @@ def test_numeric_povm_measures_f_ideally_at_large_gain(cls, meter, kind):
     # the paper's large-gain claim by direct evolution: read by a noisy
     # linear detector (eta 0.5), the numeric effective POVM of a^dag a at
     # signal 2 puts each eigenvector's record in its own decision region
-    # with a weight that never falls as g grows and is ideal at g 16. The
+    # with a weight that never falls as g grows and is ideal from g 16 on. The
     # closed form, summed over the same grid, gives the same weights
     from fockamp.cli import _povm_grid
     f = number_op(FockSpace(2))
@@ -1239,7 +1296,7 @@ def test_numeric_povm_measures_f_ideally_at_large_gain(cls, meter, kind):
     regions = DecisionRegions.from_decomposition(dec)
     det = DetectorSpec(kind, 0.5)
     own = []
-    for g in (2.0, 4.0, 8.0, 16.0):
+    for g in (2.0, 4.0, 8.0, 16.0, 32.0):
         spec = cls(f, g, meter)
         model, epsilon = measurement.povm_model(spec)
         closed = effective_povm_closed_form(dec, g, det.sigma2, model, epsilon)

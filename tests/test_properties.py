@@ -57,6 +57,7 @@ from fockamp.fock import _coherent_amplitudes, hermite_functions
 from fockamp.oracles import (displaced_meter_ket_expm, embed,
                              three_mode_columns, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
+from support import dense_rounding
 
 METER_DIM = 20
 unit = st.floats(-1.0, 1.0)
@@ -172,8 +173,10 @@ def test_numeric_povm_weight_table_matches_closed_form(case):
                     for o, e in zip(pts, elements))
         assert dense < 1e-11
         # the weight-table deviation bounds the dense one in a unitary basis,
-        # up to the roundoff of forming the dense elements
-        assert grid.max_deviation(closed) >= dense * (1.0 - 1e-12)
+        # up to the roundoff of forming the dense elements: relative in V's
+        # unitarity, absolute in the rounding of each entry
+        assert grid.max_deviation(closed) >= \
+            dense * (1.0 - 1e-12) - dense_rounding(grid, closed)
 
         # the weight-table identity residual against the dense element sum,
         # on a basis that is not the identity
@@ -709,3 +712,26 @@ def test_detector_kernel_rows_do_not_depend_on_block_boundaries(case, blocks,
     pieces = [_detector_expectations(kets, outcomes[a:b], sigma2, heterodyne)
               for a, b in zip(edges, edges[1:])]
     assert np.array_equal(np.concatenate(pieces), whole)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.floats(0.0, 20.0), st.floats(-math.pi, math.pi), st.floats(-1.0, 1.0),
+       st.floats(0.2, 1.0, exclude_min=True),
+       st.lists(unit, min_size=8, max_size=8))
+def test_heterodyne_reads_match_the_gaussian_record(size, angle, r, eta, parts):
+    # the outcome-frame series on the untruncated row D(alpha) S(r)|0>
+    # against its exact Gaussian: the quadratures X, P of the outcome
+    # b = (X + iP)/sqrt(2) are normal about sqrt(2) (Re, Im) alpha with
+    # variances e^{-2r}/2 and e^{2r}/2 plus sigma^2 + 1/2 (the thermal
+    # noise and the heterodyne vacuum), and b has twice their joint density
+    from fockamp.heterodyne import meter_reads
+    alpha = size * complex(math.cos(angle), math.sin(angle))
+    sigma2 = DetectorSpec("heterodyne", eta).sigma2
+    betas = alpha + 4.0 * _complex(parts)
+    got = meter_reads(Meter("squeezed", r=r) if r else VACUUM,
+                      np.array([alpha]), betas, sigma2)[:, 0]
+    vx = math.exp(-2 * r) / 2 + sigma2 + 0.5
+    vp = math.exp(2 * r) / 2 + sigma2 + 0.5
+    dx, dp = math.sqrt(2) * (betas - alpha).real, math.sqrt(2) * (betas - alpha).imag
+    want = np.exp(-dx * dx / (2 * vx) - dp * dp / (2 * vp)) / (math.pi * math.sqrt(vx * vp))
+    assert np.abs(got - want).max() <= 1e-14
