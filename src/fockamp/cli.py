@@ -361,7 +361,7 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     # bound the numeric stage's cost. Homodyne: signal dim x the largest
     # unprobed meter size. Heterodyne, which sizes and builds no meter: the
     # terms of its series, outcomes x eigenspaces x ~39/eta at a small
-    # efficiency eta (1e8 take ~0.3 s on 2 vCPUs)
+    # efficiency eta (1e8 take ~1.7 s on 2 vCPUs)
     numeric_limit, series_limit = 2500, 10 ** 8
     lam = dec.eigenvalues
     for g, spec in zip(cfg["amplifier"]["g_list"], specs):

@@ -33,8 +33,8 @@ def meter_reads(meter, alphas, betas, sigma2: float) -> np.ndarray:
     for each outcome b (rows) and untruncated meter row chi_k = D(alpha_k)
     S(r)|0> (columns), K = :func:`series_terms`.
 
-    A vacuum meter runs the Poisson recurrence, a squeezed one Yuen's
-    (:func:`amplifiers.displaced_meter_ket`) from the explicit c_0 =
+    Every meter runs Yuen's recurrence (:func:`amplifiers.displaced_meter_ket`;
+    at r = 0 it is the Poisson series) from the explicit c_0 =
     sech(r)^{1/2} e^{-|beta|^2/2 - tanh(r) beta*^2/2}, as running sums over
     a block of outcomes. Each entry keeps its own log scale, and every
     ``step`` terms (set by the call's largest |alpha - b|, not by the block)
@@ -43,38 +43,25 @@ def meter_reads(meter, alphas, betas, sigma2: float) -> np.ndarray:
     s = sigma2 / (1.0 + sigma2)
     t, k = math.tanh(meter.r), series_terms(sigma2)
     reach = max((float(np.abs(betas - a).max(initial=0.0)) for a in alphas), default=0.0)
+    step = max(1, int(150 / math.log10(2.0 + 2.0 * reach)))  # |gamma| < 2 reach
     out = np.empty((betas.size, alphas.size))
     rows = max(1, 2 ** 16 // alphas.size)
     for lo in range(0, betas.size, rows):
         beta = alphas - betas[lo:lo + rows, None]
-        x = beta.real ** 2 + beta.imag ** 2
-        if t == 0.0:  # s^n p_n = term e^{log}, acc = sum of the terms
-            log, term, acc = -x, np.ones_like(x), np.ones_like(x)
-            sx = s * x
-            step = max(1, int(300 / math.log10(2.0 + s * reach * reach)))
-            for n in range(1, k):
-                term *= sx
-                term /= n
-                acc += term
-                if n % step == 0:  # acc >= term
-                    term /= acc
-                    log += np.log(acc)
-                    acc.fill(1.0)
-        else:  # c_n = c e^{log}, sum s^j |c_j|^2 = acc e^{2 log}
-            gamma = beta + t * beta.conj()
-            log = -0.5 * (x + t * (beta.conj() ** 2).real)
-            c = np.exp(-0.5j * t * (beta.conj() ** 2).imag) / math.sqrt(math.cosh(meter.r))
-            prev, acc, sn = np.zeros_like(c), np.abs(c) ** 2, 1.0
-            step = max(1, int(150 / math.log10(2.0 + 2.0 * reach)))  # |gamma| < 2 reach
-            for n in range(1, k):
-                c, prev = (gamma * c - t * math.sqrt(n - 1) * prev) / math.sqrt(n), c
-                sn *= s
-                acc += sn * (c.real ** 2 + c.imag ** 2)
-                if n % step == 0:
-                    f = np.maximum(np.maximum(np.abs(c), np.abs(prev)), np.sqrt(acc))
-                    c, prev, acc = c / f, prev / f, acc / (f * f)
-                    log += np.log(f)
-            log *= 2.0
+        b2 = beta.conj() ** 2  # c_n = c e^{log}, sum s^j |c_j|^2 = acc e^{2 log}
+        gamma = beta + t * beta.conj()
+        log = -0.5 * (beta.real ** 2 + beta.imag ** 2 + t * b2.real)
+        c = np.exp(-0.5j * t * b2.imag) / math.sqrt(math.cosh(meter.r))
+        prev, acc, sn = np.zeros_like(c), np.abs(c) ** 2, 1.0
+        for n in range(1, k):
+            c, prev = (gamma * c - t * math.sqrt(n - 1) * prev) / math.sqrt(n), c
+            sn *= s
+            acc += sn * (c.real ** 2 + c.imag ** 2)
+            if n % step == 0:
+                f = np.maximum(np.maximum(np.abs(c), np.abs(prev)), np.sqrt(acc))
+                c, prev, acc = c / f, prev / f, acc / (f * f)
+                log += np.log(f)
+        log *= 2.0
         with np.errstate(divide="ignore"):  # acc is 0 only far below 1e-308
             out[lo:lo + rows] = ((1.0 - s) / math.pi) * np.exp(log + np.log(acc))
     return out

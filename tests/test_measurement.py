@@ -21,7 +21,6 @@ from fockamp.measurement import BLOCK, _detector_expectations, _region_masses
 from fockamp.oracles import (heterodyne_element, homodyne_element,
                              husimi_values, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
-from support import dense_rounding
 
 
 def povm_meter_dims(amp):
@@ -492,11 +491,11 @@ def test_max_deviation_is_the_weight_table_difference(case):
     dense = max(float(np.abs(e - closed.element(o)).max())
                 for o, e in zip(grid.outcomes, grid.elements))
     dw = float(np.abs(grid.weights - closed.weights(grid.outcomes)).max())
-    assert grid.max_deviation(closed) == dw and dense > 0
-    assert dw < 1e-12
-    # at roundoff the dense deviation is bounded only up to the rounding of
-    # forming both dense elements
-    assert dw >= dense * (1.0 - 1e-12) - dense_rounding(grid, closed)
+    assert grid.max_deviation(closed) == dw < 1e-12
+    if case == "poly_x":
+        assert dw > dense > 0
+    else:  # both sit at roundoff (1.67e-16 each), so they may tie
+        assert dw >= dense > 0
     # a weight difference far above roundoff: V is not the identity, so it
     # spreads each column over several entries and the dense deviation is
     # strictly the smaller
