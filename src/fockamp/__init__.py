@@ -22,7 +22,7 @@ from .fock import (FockSpace, Operator, SpectralDecomposition, State,
                    symmetrized_moment, tensor, vacuum_state, variance)
 from .amplifiers import (LinearAmp, Meter, MomentReport, SingleModeAmp,
                          ThreeModeAmp, TwoModeNormalAmp, VACUUM,
-                         VonNeumannAmp, meter_dim_for, predict_output_moments,
+                         VonNeumannAmp, predict_output_moments,
                          quadratic_signal_op, real_imag_parts,
                          simulate_output_state, simulated_output_moments,
                          single_mode_output_moments, single_mode_output_ops)

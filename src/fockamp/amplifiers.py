@@ -28,13 +28,17 @@ import numpy as np
 
 from .errors import GainOutOfRange, NotHermitian, TruncationError
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
-                   _coherent_amplitudes, annihilation_op, guard_keep,
-                   normal_decompose, partial_trace, quadrature_ops,
-                   squeezed_vacuum, symmetrized_moment, tensor, variance)
+                   annihilation_op, guard_keep, normal_decompose,
+                   partial_trace, quadrature_ops, squeezed_vacuum,
+                   symmetrized_moment, tensor, variance)
 
 METER_DIM_CAP = 4096
-METER_DIM_FLOOR = 24
-# probability (or mean quanta) a meter may lose to its truncation
+# norm an auto-sized meter row leaves past its cutoff (mass 1e-26): a
+# homodyne read is a quadratic form of a dense element, so it errs linearly
+# in this norm, not in the mass
+METER_TAIL = 1e-13
+# probability a meter row at given dims, or an output mode's cutoff level,
+# may hold past its truncation
 TRUNCATION_TOL = 1e-6
 R_MAX = 512 * math.log(2.0)  # largest meter |r|: e^{2|r|} rounds to a float
 
@@ -78,25 +82,6 @@ class Meter:
 
     def state(self, dim: int) -> State:
         return squeezed_vacuum(FockSpace(dim), self.r)
-
-    def fock_levels(self) -> int:
-        """Fewest Fock levels whose complement holds at most 1e-6 mean quanta.
-
-        The discarded mean photon number bounds what the truncation does to
-        the meter's second moments. A squeezed vacuum puts
-        p_2k = sech(r) tanh(r)^2k (2k)!/(4^k k!^2) on level 2k and holds
-        sinh(r)^2 quanta in all; the count stops past METER_DIM_CAP.
-        """
-        r = abs(self.r)
-        t2 = math.tanh(r) ** 2
-        tail = math.sinh(r) ** 2
-        p = 1.0 / math.cosh(r)
-        k = 0
-        while tail > TRUNCATION_TOL and 2 * k < METER_DIM_CAP:
-            tail -= 2 * k * p
-            k += 1
-            p *= t2 * (2 * k - 1) / (2 * k)
-        return max(1, 2 * k - 1)
 
 
 VACUUM = Meter()
@@ -231,46 +216,8 @@ def _f_of_x_operator(f_of_x, space: FockSpace) -> Operator:
 
 
 # ---------------------------------------------------------------------------
-# meter sizing and squeezer chains
+# squeezer chains
 # ---------------------------------------------------------------------------
-
-def meter_dim_for(g: float, f_max: float, meter: Meter | None = None,
-                  alphas=()) -> int:
-    """Meter truncation that holds a displacement of size g*f_max: (g f_max + 6)^2.
-
-    The size is at least METER_DIM_FLOOR. Given the ``meter`` preparation
-    and the displacements ``alphas`` it undergoes, that size stays wherever
-    the meter fits there: its own tail holds at most 1e-6 quanta
-    (:meth:`Meter.fock_levels`) and no displaced copy D(alpha)|meter> puts
-    more than 1e-6 on the cutoff. Otherwise (strongly squeezed meters) the
-    meter's own levels are added on top of the displacement's. Without
-    ``alphas`` nothing is built, and the size is a lower bound on the probed
-    one. Sizes past METER_DIM_CAP raise TruncationError.
-    """
-    return _sized_meter(g, f_max, meter, alphas)[0]
-
-
-def _sized_meter(g: float, f_max: float, meter: Meter | None, alphas):
-    """(:func:`meter_dim_for`, the rows its probe built at that size or None)."""
-    need = max(METER_DIM_FLOOR, int(math.ceil((g * f_max + 6.0) ** 2)))
-    rows = None
-    if meter is not None and need <= METER_DIM_CAP:
-        levels = meter.fock_levels()
-        if levels <= need and np.size(alphas):
-            rows = displaced_meter_ket(meter, need, alphas)
-        if levels > need or _cutoff_occupancy(rows) > TRUNCATION_TOL:
-            need, rows = need + levels, None
-    if need > METER_DIM_CAP:
-        raise TruncationError(
-            f"meter would need dim {need} > cap {METER_DIM_CAP} for "
-            f"displacement {g * f_max:.1f}")
-    return need, rows
-
-
-def _cutoff_occupancy(rows) -> float:
-    """Largest probability that a displaced row puts on the meter's cutoff."""
-    return 0.0 if rows is None else float(np.max(np.abs(rows[:, -1]) ** 2, initial=0.0))
-
 
 def _squeezer_chains(g: float, dims: tuple[int, int]):
     """(indices, block) of the linear squeezer on each photon-difference chain.
@@ -376,38 +323,72 @@ def predict_output_moments(spec, input_a: State) -> MomentReport:
 # simulation
 # ---------------------------------------------------------------------------
 
-def displaced_meter_ket(meter: Meter, dim: int, alphas) -> np.ndarray:
-    """The one conditional-displacement kernel: rows D(alpha) S(r)|0> of the
-    meter at ``dim`` levels, renormalized; alpha = 0 rows copy
-    ``meter.state(dim)``. A vacuum meter's rows are coherent; a squeezed
-    one's are the eigenvectors of mu a + nu a^dag (mu, nu = cosh r, sinh r)
+def displaced_meter_ket(meter: Meter, dim: int | None, alphas) -> np.ndarray:
+    """The one meter pass: rows D(alpha) S(r)|0> of the meter at ``dim``
+    levels, or at its auto size if ``dim`` is None, renormalized.
+
+    Each row is the eigenvector of mu a + nu a^dag (mu, nu = cosh r, sinh r)
     at gamma = mu alpha + nu alpha* (Yuen, PRA 13, 2226, 1976), so
-    mu sqrt(n+1) c_{n+1} = gamma c_n - nu sqrt(n) c_{n-1}, run up from
-    c_{-1} = 0 (row dim - 1, still 0) and the phase of c_0 = sech(r)^{1/2}
-    e^{-|alpha|^2/2 - tanh(r) alpha*^2/2}: O(dim) per row, no matrix. |c|
-    grows at most 2 max|alpha| + 1 per level; every ``step`` levels the rows
-    are scaled back to 1, before they pass 1e150.
+    mu sqrt(n+1) c_{n+1} = gamma c_n - nu sqrt(n) c_{n-1}, run up from the
+    explicit c_0 = sech(r)^{1/2} e^{-|alpha|^2/2 - tanh(r) alpha*^2/2}: O(d)
+    per row, no matrix, the coherent row at r = 0. The untruncated row has
+    unit norm, so every level's mass is absolute. |c| grows at most
+    2 max|alpha| + 1 per level; each row keeps its own log scale, and every
+    ``block`` levels the next two are scaled back to 1, before they pass 1e150.
+
+    The auto size is the first n (at least 2) past which no row holds more
+    than METER_TAIL^2 of its mass, summed from the far end, so nothing
+    cancels. The far end is the first block, past every row's median, whose
+    levels each hold at most 1e-6 (1 - |tanh r|) METER_TAIL^2; past it the
+    rows fall off geometrically, toward |tanh r| per level, so what they
+    leave out is a few millionths of the tolerance. An auto size past
+    METER_DIM_CAP raises TruncationError, as does a row that leaves more
+    than TRUNCATION_TOL past a given ``dim``. alpha = 0 rows copy
+    ``meter.state(d)``.
     """
     alphas = np.ravel(alphas).astype(complex)
-    rows = np.tile(meter.state(dim).data, (alphas.size, 1))
-    move = np.flatnonzero(alphas)
-    if not move.size:
-        return rows
-    a = alphas[move]
-    if meter.r == 0.0:
-        c = _coherent_amplitudes(dim, a)
-    else:
-        t = math.tanh(meter.r)
-        g = a + t * a.conj()  # gamma / mu
-        c = np.zeros((dim, a.size), dtype=complex)
-        c[0] = np.exp(-0.5j * t * (a.conj() ** 2).imag)
-        step = max(1, int(150 / math.log10(2.0 * float(np.abs(a).max()) + 2.0)))
-        for lo in range(0, dim - 1, step):
-            hi = min(lo + step, dim - 1)
-            for n in range(lo, hi):
-                c[n + 1] = (g * c[n] - t * math.sqrt(n) * c[n - 1]) / math.sqrt(n + 1)
-            c[:hi + 1] /= np.maximum(np.abs(c[hi - 1:hi + 1]).max(axis=0), 1.0)
-    rows[move] = c.T / np.linalg.norm(c, axis=0)[:, None]
+    t = math.tanh(meter.r)
+    g = alphas + t * alphas.conj()  # gamma / mu
+    b2 = alphas.conj() ** 2
+    log = -0.5 * (alphas.real ** 2 + alphas.imag ** 2 + t * b2.real
+                  + math.log(math.cosh(meter.r)))
+    c, prev = np.exp(-0.5j * t * b2.imag), np.zeros(alphas.size, dtype=complex)
+    reach = float(np.abs(alphas).max(initial=0.0))
+    block = min(32, max(1, int(150 / math.log10(2.0 * reach + 2.0))))
+    far = 1e-6 * (1.0 - abs(t)) * METER_TAIL ** 2
+    levels, kept, n, d = [], 0.0, 0, dim
+    while d is None or n < d:
+        hi = n + block if d is None else min(n + block, d)
+        out = np.empty((hi - n, alphas.size), dtype=complex)
+        for k in range(n, hi):
+            out[k - n] = c
+            c, prev = (g * c - t * math.sqrt(k) * prev) / math.sqrt(k + 1), c
+        out *= np.exp(log)  # the absolute amplitudes
+        levels.append(out)
+        scale = np.maximum(np.maximum(np.abs(c), np.abs(prev)), 1.0)
+        c, prev, log = c / scale, prev / scale, log + np.log(scale)
+        mass = out.real ** 2 + out.imag ** 2
+        kept, n = kept + mass.sum(axis=0), hi
+        if dim is not None:
+            continue
+        if np.min(kept) >= 0.5 and mass.max() <= far:
+            rest = np.cumsum(np.abs(np.concatenate(levels)[::-1]) ** 2, axis=0)[::-1]
+            d = max(2, int(np.argmax(rest.max(axis=1) <= METER_TAIL ** 2)))
+        elif n > METER_DIM_CAP and np.max(1.0 - kept) > 1e-12:
+            d = n  # the tail past the cap alone is far above METER_TAIL^2
+    if dim is None and d > METER_DIM_CAP:
+        raise TruncationError(
+            f"meter (r {meter.r:.3g}) displaced by up to {reach:.1f} would "
+            f"need more than the cap of {METER_DIM_CAP} levels")
+    lost = float(np.max(1.0 - kept))
+    if dim is not None and lost > TRUNCATION_TOL:
+        raise TruncationError(
+            f"a meter row drops {lost:.2e} of its norm past its cutoff at dim "
+            f"{dim} (> {TRUNCATION_TOL:.0e}); enlarge the meter")
+    rows = np.concatenate(levels)[:d].T
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    if not alphas.all():
+        rows[alphas == 0] = meter.state(d).data
     return rows
 
 
@@ -428,56 +409,28 @@ def meter_table(spec) -> list:
     raise TypeError(f"no meters for {type(spec)!r}")
 
 
-def prepare_meters(spec, drive: float,
-                   dims=None) -> list[tuple[State, np.ndarray]]:
-    """The meters of :func:`meter_table` at ``dims``, auto-sized if not given,
-    each with its rows D(drive part(lam))|m> over the eigenspaces of f.
-
-    Auto-sizing holds each meter's preparation and those displacements
-    (:func:`meter_dim_for`), whose sizing probe hands its rows on. A meter
-    whose truncation drops more than TRUNCATION_TOL of its norm raises
-    TruncationError instead of being renormalized.
-    """
+def prepare_meters(spec, drive: float, dims=None) -> list[np.ndarray]:
+    """The rows D(drive part(lam)) S(r)|0> of each meter of :func:`meter_table`
+    over the eigenspaces of f, at ``dims`` or auto-sized, each by one pass
+    of :func:`displaced_meter_ket`."""
     table, lam = meter_table(spec), spec.dec.eigenvalues[spec.dec.heads]
-    sized = [(d, None) for d in dims] if dims else [
-        _sized_meter(spec.g, float(np.abs(part(lam)).max()), m, drive * part(lam))
-        for m, part in table]
-    prepared = []
-    for (m, part), (d, rows) in zip(table, sized, strict=True):
-        st = m.state(d)
-        if st.norm_defect > TRUNCATION_TOL:
-            raise TruncationError(
-                f"meter truncated at dim {d} drops {st.norm_defect:.2e} "
-                f"of its norm (> {TRUNCATION_TOL:.0e}); enlarge the meter")
-        prepared.append((st, displaced_meter_ket(m, d, drive * part(lam))
-                         if rows is None else rows))
-    return prepared
-
-
-def displaced_rows(meter: State, rows: np.ndarray) -> np.ndarray:
-    """``rows`` of displaced copies of ``meter``, once none puts more than
-    TRUNCATION_TOL on the meter's cutoff."""
-    worst = _cutoff_occupancy(rows)
-    if worst > TRUNCATION_TOL:
-        raise TruncationError(
-            f"a displaced meter holds {worst:.2e} at its cutoff (dim "
-            f"{meter.space.dim}, > {TRUNCATION_TOL:.0e}); enlarge the meter")
-    return rows
+    return [displaced_meter_ket(m, d, drive * part(lam))
+            for (m, part), d in zip(table, dims or [None] * len(table), strict=True)]
 
 
 def simulate_output_state(spec, input_a: State, dims=None) -> State:
     """Evolve input (x) meters under the amplifier unitary and return the composite.
 
-    The meters of a nonlinear variant come from :func:`prepare_meters` at
-    ``dims`` (auto-sized if None, driven at g), and kets and density
-    matrices alike are assembled from conditional meter displacements in
-    the signal eigenbasis (:func:`_spectral_output`); the linear amplifier
+    The meters of a nonlinear variant are the rows of
+    :func:`displaced_meter_ket` at ``dims`` (auto-sized if None, driven at
+    g) over the eigenspaces the input populates, and kets and density
+    matrices alike are assembled from those conditional meter displacements
+    in the signal eigenbasis (:func:`_spectral_output`); the linear amplifier
     applies its two-mode squeezer, one photon-difference chain at a time
     (:func:`_squeeze`), to its meter at ``dims`` (the signal dimension if
-    None). A meter that drops more than 1e-6 of its norm, a
-    displaced meter of a populated eigenvector that puts more than 1e-6 on
-    its cutoff, and an output holding more than 1e-6 on any mode's cutoff
-    raise TruncationError.
+    None). A displaced meter row that drops more than 1e-6 of its norm past
+    given ``dims``, an auto size past METER_DIM_CAP, and an output holding
+    more than 1e-6 on any mode's cutoff raise TruncationError.
     """
     if isinstance(spec, SingleModeAmp):
         raise TypeError("single-mode variant has no internal mode; "
@@ -487,7 +440,7 @@ def simulate_output_state(spec, input_a: State, dims=None) -> State:
         out = _squeeze(spec.g, tensor(input_a, meter))
     else:
         meter_table(spec)  # TypeError before spec.g is read
-        out = _spectral_output(spec, input_a, prepare_meters(spec, spec.g, dims))
+        out = _spectral_output(spec, input_a, dims)
 
     _check_top_occupancy(out)
     return out
@@ -522,7 +475,7 @@ def _squeeze(g: float, state: State) -> State:
     return State(state.space, state.kind, out, state.norm_defect)
 
 
-def _spectral_output(spec, input_a: State, meters) -> State:
+def _spectral_output(spec, input_a: State, dims) -> State:
     """Output via conditional meter displacements in the f eigenbasis.
 
     U acts on the eigenspace of f with eigenvalue lam_i as a meter
@@ -531,21 +484,26 @@ def _spectral_output(spec, input_a: State, meters) -> State:
     meters D(g part(lam_i))|m>, one per eigenspace. In the eigenbasis
     (c = V^dag psi, rho' = V^dag rho V) the output is Y c for a ket and
     Y rho' Y^dag for a density matrix. Eigenvectors the input does not
-    populate (|c_i|^2 or rho'_ii below 1e-32) are skipped; for a density
-    this is exact, since rho' is positive semidefinite.
+    populate (|c_i|^2 or rho'_ii below 1e-32) are skipped, and so are the
+    meter rows of eigenspaces it does not populate; for a density this is
+    exact, since rho' is positive semidefinite.
     """
     v, ket = spec.dec.eigenvectors, input_a.kind == "ket"
     c = v.conj().T @ input_a.data if ket else v.conj().T @ input_a.data @ v
     keep = np.flatnonzero((np.abs(c) ** 2 if ket else np.real(np.diag(c))) >= 1e-32)
     c = c[keep] if ket else c[np.ix_(keep, keep)]
+    used, space_of = np.unique(np.searchsorted(spec.dec.heads, keep, "right") - 1,
+                               return_inverse=True)
+    lam, table = spec.dec.eigenvalues[spec.dec.heads[used]], meter_table(spec)
+    meters = [displaced_meter_ket(m, d, spec.g * part(lam)) for (m, part), d
+              in zip(table, dims or [None] * len(table), strict=True)]
     chi = np.ones((keep.size, 1))
-    for meter, rows in meters:
-        rows = displaced_rows(meter, rows[np.searchsorted(spec.dec.heads, keep, "right") - 1])
-        chi = (chi[:, :, None] * rows[:, None, :]).reshape(keep.size, -1)
+    for rows in meters:
+        chi = (chi[:, :, None] * rows[space_of, None, :]).reshape(keep.size, -1)
     # y[(a, m), i] = v[a, i] chi_i[m]
     y = (v[:, None, keep] * chi.T).reshape(-1, keep.size)
-    space = FockSpace((input_a.space.dim,) + tuple(m.space.dim for m, _ in meters))
-    defect = input_a.norm_defect + sum(m.norm_defect for m, _ in meters)
+    space = FockSpace((input_a.space.dim,) + tuple(rows.shape[1] for rows in meters))
+    defect = input_a.norm_defect
     if ket:
         out = y @ c
         nrm = np.linalg.norm(out)

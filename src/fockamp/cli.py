@@ -359,9 +359,10 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     ppw = cfg["grid"]["points_per_width"]
     summary = {"config": cfg, "per_gain": []}
     # bound the numeric stage's cost. Homodyne: signal dim x the largest
-    # unprobed meter size. Heterodyne, which sizes and builds no meter: the
-    # terms of its series, outcomes x eigenspaces x ~39/eta at a small
-    # efficiency eta (1e8 take ~1.7 s on 2 vCPUs)
+    # meter size, read off one O(d) sizing pass per meter. Heterodyne, which
+    # sizes and builds no meter: the terms of its series, outcomes x
+    # eigenspaces x ~39/eta at a small efficiency eta (1e8 take ~1.7 s on
+    # 2 vCPUs)
     numeric_limit, series_limit = 2500, 10 ** 8
     lam = dec.eigenvalues
     for g, spec in zip(cfg["amplifier"]["g_list"], specs):
@@ -387,10 +388,9 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
             terms = outcomes.size * dec.heads.size * series_terms(detector.sigma2)
             fits = terms <= series_limit
         else:
-            try:  # unprobed meter sizes: no meter is built for the gate
-                fits = dec.space.dim * max(
-                    amp.meter_dim_for(g, float(np.abs(part(lam)).max()), m)
-                    for m, part in amp.meter_table(spec)) <= numeric_limit
+            try:
+                meters = amp.prepare_meters(spec, g / math.sqrt(2.0))
+                fits = dec.space.dim * max(rows.shape[1] for rows in meters) <= numeric_limit
             except TruncationError:
                 fits = False
         if fits:

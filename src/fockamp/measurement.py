@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifiers import displaced_rows, meter_table, prepare_meters
+from .amplifiers import meter_table, prepare_meters
 from .errors import CoverageError, DimensionMismatch, TruncationError
 from .fock import (FockSpace, SpectralDecomposition, State,
                    _coherent_amplitudes, hermite_functions, log_factorials)
@@ -294,10 +294,10 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     Heterodyne reads build no meter and ignore ``dims``: each costs O(K)
     per outcome and eigenspace at any gain (:func:`heterodyne.meter_reads`).
     Homodyne meters come from :func:`amplifiers.prepare_meters` at ``dims``
-    (auto-sized if None, driven as above), which simulation shares. A meter
-    whose truncation drops more than 1e-6 of its norm, or whose displaced
-    copy puts more than 1e-6 on the cutoff, raises TruncationError instead
-    of yielding truncation-limited elements.
+    (auto-sized if None, driven as above), the sizing pass simulation runs
+    too. A displaced meter row that drops more than 1e-6 of its norm past
+    given ``dims`` raises TruncationError instead of yielding
+    truncation-limited elements.
 
     ``outcomes`` are rescaled (outcome/g); the weights carry the matching
     Jacobian (g^2 for complex outcomes, g for real ones).
@@ -320,9 +320,9 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     else:
         weights = 1.0
         meters = prepare_meters(amp, g / math.sqrt(2.0), dims)
-        for (_, part), (meter, rows) in zip(meter_table(amp), meters):
+        for (_, part), rows in zip(meter_table(amp), meters):
             weights = weights * (g * _detector_expectations(
-                displaced_rows(meter, rows), g * part(outcomes), sig2, False))
+                rows, g * part(outcomes), sig2, False))
     eigenspace = np.searchsorted(amp.dec.heads, np.arange(amp.dec.eigenvalues.size), "right") - 1
     return PovmGrid(outcomes, amp.dec, np.take(weights, eigenspace, axis=1), model,
                     _width2(sig2, epsilon ** 2, g))

@@ -158,8 +158,8 @@ def cv_swap(space: FockSpace, i: int, j: int) -> Operator:
 # ---------------------------------------------------------------------------
 
 def _warn_if_meter_tight(g: float, f_max: float, dim_b: int):
-    # consistent with the sizing rule: a displacement of A needs dim >= (A+6)^2;
-    # no displacement (U = 1) needs nothing
+    # the dense oracles' own guard: a displacement of A on a truncated
+    # exponential wants dim >= (A+6)^2; no displacement (U = 1) needs nothing
     if g * f_max > 0 and dim_b < (g * f_max + 6.0) ** 2:
         warnings.warn(
             f"displacement g*max|f| = {g * f_max:.2f} needs meter dim "

@@ -6,8 +6,8 @@ each asserts its claim where the claim can hold and, at the pinned parameters,
 the warning or error the package raises, so the margin stays visible:
 
 * the ordered-product (direct vs factored) unitary comparison, 1e-8 on the
-  guarded block [:4, :22, :4, :22], runs at the package's own meter size
-  meter_dim_for(g, 5) (73, 121, 256 levels). At the pinned meter dimension 30
+  guarded block [:4, :22, :4, :22], runs at the meter sizes (g f_max + 6)^2
+  (73, 121, 256 levels for g 0.5, 1, 2). At the pinned meter dimension 30
   the conditional displacements (up to g*f = 10) overflow the cutoff and the
   two constructions differ by up to 0.285; two_mode_unitary warns
   "truncation limited" there, which the test asserts;
@@ -32,7 +32,7 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, LinearAmp,
                      Meter, ThreeModeAmp, TrialPlan, TruncationError,
                      TwoModeNormalAmp, coherent_state, compare_schemes,
                      effective_povm_closed_form, effective_povm_numeric,
-                     fock_state, meter_dim_for, normal_decompose, number_op,
+                     fock_state, normal_decompose, number_op,
                      own_region_weights, predict_output_moments,
                      quadratic_signal_op, run_linear_number_estimation,
                      run_nonlinear_estimation, simulated_output_moments,
@@ -90,18 +90,18 @@ def test_a03_ordered_product_factorization_at_pinned_dims():
     f = number_op(sp)
     ka, kb = 4, 22  # keep dim - ceil(dim/4) levels per mode of dims (6, 30)
     devs = {}
-    for g in (0.5, 1.0, 2.0):
+    for g, db in ((0.5, 73), (1.0, 121), (2.0, 256)):
         # displacements up to g*f = 10 overflow the pinned 30-level meter
         with pytest.warns(UserWarning, match="truncation limited"):
             two_mode_unitary(f, g, (6, 30))
-        dims = (6, meter_dim_for(g, 5))
+        dims = (6, db)
         ud = two_mode_unitary(f, g, dims)
         uf = two_mode_unitary_factored(f, g, dims)
         d = (ud.matrix - uf.matrix).reshape(6, dims[1], 6, dims[1])
         devs[g] = float(np.abs(d[:ka, :kb, :ka, :kb]).max())
     elapsed = time.monotonic() - t0
     worst = max(devs.values())
-    _report("ordered-product factorization, dims (6, meter_dim_for(g, 5)), g <= 2",
+    _report("ordered-product factorization, dims (6, 73 | 121 | 256), g <= 2",
             worst < 1e-8 and elapsed < 5.0,
             f"guarded deviations {dict((k, f'{v:.2e}') for k, v in devs.items())}, "
             f"{elapsed:.1f} s (the pinned 30-level meter warns 'truncation "

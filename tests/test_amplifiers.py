@@ -14,7 +14,8 @@ from fockamp import (FockSpace, GainOutOfRange, LinearAmp, NotHermitian,
                      quadrature_ops, real_imag_parts, simulate_output_state,
                      simulated_output_moments, single_mode_output_moments,
                      squeezed_vacuum, tensor, vacuum_state)
-from fockamp.amplifiers import (displaced_meter_ket, meter_dim_for,
+from fockamp.amplifiers import (METER_DIM_CAP, METER_TAIL, TRUNCATION_TOL,
+                                displaced_meter_ket, prepare_meters,
                                 single_mode_commutator_residual)
 from fockamp import amplifiers, oracles
 from fockamp.errors import TruncationError
@@ -594,14 +595,17 @@ def test_simulate_output_state_refuses_a_non_spec():
 ], ids=["vacuum", "vacuum_r_ignored", "squeezed", "squeezed_negative",
         "gaussian", "gaussian_wide"])
 def test_meter_is_one_squeezed_vacuum(meter, r):
-    # every kind is the squeezed vacuum of r: 0, r or -ln(epsilon)
+    # every kind is the squeezed vacuum of r: 0, r or -ln(epsilon), at its
+    # auto size too, where it leaves at most METER_TAIL^2 of its mass
     assert meter.r == r
-    for dim in (max(2, meter.fock_levels()), 30):
+    rest = displaced_meter_ket(meter, None, [0.0])
+    for dim in (rest.shape[1], 30):
         st, ref = meter.state(dim), squeezed_vacuum(FockSpace(dim), meter.r)
         assert np.array_equal(st.data, ref.data)
         assert st.norm_defect == ref.norm_defect
+    assert np.array_equal(rest[0], meter.state(rest.shape[1]).data)
     _, _, mx, mp, vx, vp = amplifiers._mode_quad_moments(
-        meter.state(4 * meter.fock_levels() + 40), 0)
+        meter.state(rest.shape[1]), 0)
     assert abs(vx - meter.x_variance()) < 1e-12
     assert abs(vp - meter.p_variance()) < 1e-12
     assert abs(mx) < 1e-12 and abs(mp) < 1e-12
@@ -690,17 +694,22 @@ def test_displacement_basis_is_the_hermite_eigenbasis(monkeypatch, d):
 
 @pytest.mark.parametrize("r", [0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0])
 def test_displaced_meter_ket_matches_oracle_at_twice_the_dim(r):
-    # at the auto-sized dim d the rows are the exact D(alpha) S(r)|0>, cut
-    # at d and renormalized: the oracle's truncated exponential at 2d, whose
-    # own truncation is below roundoff there, read on its first d levels.
-    # The truncated exponential at d itself is off by up to 3.3e-4 (r 1.5)
+    # the auto-sized rows are the exact D(alpha) S(r)|0>: read on their first
+    # d levels, past which each leaves at most TRUNCATION_TOL (874 at r 2,
+    # of 2,632 auto-sized), and renormalized, they are the oracle's
+    # truncated exponential at 2d, whose own truncation is below roundoff
+    # there, read on its first d levels. The truncated exponential at d
+    # itself is off by up to 3.3e-4 (r 1.5)
     meter = Meter("squeezed", r)
     alphas = np.concatenate([m * np.exp(1j * np.linspace(0.0, np.pi, 5))
                              for m in (0.3, 3.0, 7.0, 12.0)])
-    d = meter_dim_for(12.0, 1.0, meter, alphas)
+    rows = displaced_meter_ket(meter, None, alphas)
+    past = np.cumsum(np.abs(rows[:, ::-1]) ** 2, axis=1)[:, ::-1].max(axis=0)
+    d = int(np.argmax(past <= TRUNCATION_TOL))
     ref = oracles.displaced_meter_ket_expm(meter.state(2 * d), alphas)[:, :d]
     ref /= np.linalg.norm(ref, axis=1, keepdims=True)
-    assert np.abs(displaced_meter_ket(meter, d, alphas) - ref).max() <= 1e-12
+    rows = rows[:, :d] / np.linalg.norm(rows[:, :d], axis=1, keepdims=True)
+    assert np.abs(rows - ref).max() <= 1e-12
 
 
 def test_displaced_meter_ket_memory_stays_linear_in_the_dim():
@@ -720,7 +729,7 @@ def test_displaced_meter_ket_memory_stays_linear_in_the_dim():
 
 
 def test_auto_sized_squeezed_meter_builds_one_kernel_basis(monkeypatch):
-    # the sizing probe's rows are handed on, not rebuilt
+    # the sizing pass's rows are the ones read, not rebuilt
     from fockamp import DetectorSpec, amplifiers, effective_povm_numeric
     calls = []
     kernel = amplifiers.displaced_meter_ket
@@ -740,23 +749,45 @@ def test_auto_sized_squeezed_meter_builds_one_kernel_basis(monkeypatch):
     assert len(calls) == 1
 
 
+def _mass_past(rows):
+    """(k, d + 1) table: the mass each row holds at levels >= n, summed from
+    the far end."""
+    mass = np.abs(rows) ** 2
+    return np.concatenate([np.cumsum(mass[:, ::-1], axis=1)[:, ::-1],
+                           np.zeros((len(rows), 1))], axis=1)
+
+
 def test_meter_dim_rule_and_cap():
-    assert meter_dim_for(2.0, 3.0) == (2 * 3 + 6) ** 2
-    with pytest.raises(TruncationError):
-        meter_dim_for(30.0, 3.0)
+    # a vacuum meter displaced by 2 * (0, 1, 2, 3) is cut at the first
+    # level past which every row leaves at most METER_TAIL^2 of its mass
+    # (rows rebuilt at twice the size): 118 levels, where the old
+    # (g f_max + 6)^2 rule took 144. Displaced by 90 it needs ~8,300 levels,
+    # past the cap
+    alphas = 2.0 * np.arange(4.0)
+    rows = displaced_meter_ket(Meter(), None, alphas)
+    d = rows.shape[1]
+    big = displaced_meter_ket(Meter(), 2 * d, alphas)
+    past = _mass_past(big).max(axis=0)
+    assert past[d] <= METER_TAIL ** 2 < past[d - 1]
+    assert d == 118
+    ref = big[:, :d] / np.linalg.norm(big[:, :d], axis=1, keepdims=True)
+    assert np.abs(rows - ref).max() <= 1e-15
+    with pytest.raises(TruncationError, match=f"cap of {METER_DIM_CAP}"):
+        displaced_meter_ket(Meter(), None, [90.0])
 
 
 @pytest.mark.parametrize("cls", [TwoModeNormalAmp, VonNeumannAmp])
 @pytest.mark.parametrize("r", [1.5, 2.0])
 def test_auto_sized_meter_counts_squeezing(cls, r):
-    # the displacement rule alone picks 57 levels here, which leaves 7.1e-4
+    # a displacement rule alone picked 57 levels here, which leaves 7.1e-4
     # (r = 1.5) and 4.0e-2 (r = 2) of the squeezed meter above the cutoff
     sp = FockSpace(4)
     spec = cls(number_op(sp), 0.5, Meter("squeezed", r=r))
     for n in range(3):
         rep = simulated_output_moments(spec, fock_state(sp, n))
         assert abs(rep.added_noise - math.exp(-2 * r) / 2) < 1e-6
-    assert meter_dim_for(2, 3) == 144
+    (rows,) = prepare_meters(spec, spec.g)
+    assert rows.shape[1] >= displaced_meter_ket(spec.meter, None, [0.0]).shape[1] > 57
 
 
 def test_simulation_rejects_lossy_meter():
@@ -764,25 +795,43 @@ def test_simulation_rejects_lossy_meter():
     # it read added noise 0.0494 where e^{-3}/2 = 0.0249 is right
     sp = FockSpace(6)
     spec = VonNeumannAmp(number_op(sp), 0.3, Meter("squeezed", r=1.5))
-    with pytest.warns(UserWarning, match="truncation tail"):
-        with pytest.raises(TruncationError, match="drops"):
-            simulated_output_moments(spec, fock_state(sp, 1), dims=(40,))
+    with pytest.raises(TruncationError, match="drops"):
+        simulated_output_moments(spec, fock_state(sp, 1), dims=(40,))
     rep = simulated_output_moments(spec, fock_state(sp, 1))
     assert abs(rep.added_noise - math.exp(-3.0) / 2) < 1e-6
 
 
-def test_auto_sizing_keeps_displacement_rule_for_fitting_meters():
+def test_auto_size_is_set_by_the_widest_row():
+    # one pass sizes every row of a meter: the size is the largest that any
+    # row needs on its own, whether the meter is vacuum or squeezed
     lam = np.arange(4.0)
     for g in (0.5, 1.0, 2.0):
-        base = meter_dim_for(g, 3.0)
-        assert meter_dim_for(g, 3.0, meter=Meter(), alphas=g * lam) == base
-        assert meter_dim_for(g, 3.0, meter=Meter("squeezed", r=0.5),
-                             alphas=g * lam) == base
-    assert Meter().fock_levels() == 1
-    # sinh(2)^2 = 13.2 quanta in all; at most 1e-6 of them above the levels
-    levels = Meter("squeezed", r=2.0).fock_levels()
-    st = squeezed_vacuum(FockSpace(levels + 1), 2.0)
-    assert st.norm_defect * levels < 1e-6
+        for meter in (Meter(), Meter("squeezed", r=0.5)):
+            d = displaced_meter_ket(meter, None, g * lam).shape[1]
+            assert d == max(displaced_meter_ket(meter, None, [a]).shape[1]
+                            for a in g * lam)
+    # the vacuum at rest needs one level, and a mode holds at least two
+    assert displaced_meter_ket(Meter(), None, [0.0]).shape[1] == 2
+    # sinh(2)^2 = 13.2 quanta in all: the squeezed vacuum's own even-level
+    # formula at twice the size leaves at most METER_TAIL^2 above it, and
+    # more above the even level below it
+    d = displaced_meter_ket(Meter("squeezed", r=2.0), None, [0.0]).shape[1]
+    past = _mass_past(squeezed_vacuum(FockSpace(2 * d), 2.0).data[None])[0]
+    assert past[d] <= METER_TAIL ** 2 < past[d - 2]
+
+
+def test_auto_sized_meters_hold_the_added_noise_of_a_complex_f():
+    # f = i diag(0, 1, 2, 3, 0) on a squeezed r = 1 meter displaces it along
+    # its anti-squeezed axis: a size read off the last level left 5e-6 of
+    # a row past the cutoff, and the added noise read -1.87e-4, -1.63e-4
+    # and -1.0e-5 off at g 2, 4 and 16 (meter 144 levels at g 2; 418 now)
+    sp = FockSpace(5)
+    f = Operator(sp, 1j * np.diag([0.0, 1.0, 2.0, 3.0, 0.0]))
+    for g in (2.0, 4.0, 16.0):
+        spec = TwoModeNormalAmp(f, g, Meter("squeezed", r=1.0))
+        st = fock_state(sp, 3)
+        sim = simulated_output_moments(spec, st)
+        assert abs(sim.added_noise - predict_output_moments(spec, st).added_noise) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

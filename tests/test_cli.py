@@ -919,16 +919,18 @@ def test_povm_single_region_weight_one(tmp_path):
     assert summary["per_gain"][0]["own_region_weights"] == [1.0]
 
 
-def test_povm_builds_one_kernel_basis_per_gain(tmp_path, monkeypatch):
-    # the sizing probe's displaced rows of an auto-sized squeezed meter are
-    # handed on to the sandwich instead of being built again
+def test_povm_sizes_its_meters_by_the_one_pass(tmp_path, monkeypatch):
+    # the cost gate and the sandwich of each gain each run one auto-sizing
+    # pass of the squeezed meter: 80 and 95 levels at g 1 and 2, where the
+    # (g f_max + 6)^2 rule took 81 and 144
     from fockamp import amplifiers, cli
     kernel = amplifiers.displaced_meter_ket
-    dims = []
+    sizes = []
 
     def counted(meter, dim, alphas):
-        dims.append(dim)
-        return kernel(meter, dim, alphas)
+        rows = kernel(meter, dim, alphas)
+        sizes.append((dim, rows.shape[1]))
+        return rows
 
     monkeypatch.setattr(amplifiers, "displaced_meter_ket", counted)
     cfg = {"command": "povm",
@@ -939,7 +941,7 @@ def test_povm_builds_one_kernel_basis_per_gain(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
-    assert dims == [81, 144]
+    assert sizes == [(None, 80)] * 2 + [(None, 95)] * 2
     summary = json.loads((tmp_path / "povm_summary.json").read_text())
     assert all(e["numeric"] is not None for e in summary["per_gain"])
 
@@ -953,15 +955,23 @@ def _run_povm(tmp_path, cfg):
         if code == 0 else None
 
 
-def test_povm_gate_builds_no_meter(tmp_path, monkeypatch):
-    # numeric_limit reads the unprobed meter size, (18 * 3 + 6)^2 = 3600
-    # levels here, so the povm builds no displaced meter before it writes
-    # "numeric": null; the sizing probe took ~4.7 s at 3600 levels
+def test_povm_gate_sizes_the_meter_and_skips_the_sandwich(tmp_path, monkeypatch):
+    # numeric_limit reads the real meter size, one O(d) pass of 1,682 levels
+    # here (signal 4 x 1,682 > 2500), so the povm runs no detector kernel
+    # before it writes "numeric": null
     import time
-    from fockamp import amplifiers
-    kernel, calls = amplifiers.displaced_meter_ket, []
-    monkeypatch.setattr(amplifiers, "displaced_meter_ket",
-                        lambda *args: calls.append(args) or kernel(*args))
+    from fockamp import amplifiers, measurement
+    kernel, sizes, reads = amplifiers.displaced_meter_ket, [], []
+    expectations = measurement._detector_expectations
+
+    def counted(meter, dim, alphas):
+        rows = kernel(meter, dim, alphas)
+        sizes.append((dim, rows.shape[1]))
+        return rows
+
+    monkeypatch.setattr(amplifiers, "displaced_meter_ket", counted)
+    monkeypatch.setattr(measurement, "_detector_expectations",
+                        lambda *args: reads.append(args) or expectations(*args))
     start = time.perf_counter()
     code, summary = _run_povm(tmp_path, {
         "amplifier": {"variant": "von_neumann", "f": {"kind": "a_dag_a"},
@@ -969,8 +979,36 @@ def test_povm_gate_builds_no_meter(tmp_path, monkeypatch):
         "detector": {"kind": "homodyne", "efficiency": 0.5},
         "dims": {"signal": 4}})
     assert time.perf_counter() - start < 2.0
-    assert code == 0 and calls == []
+    assert code == 0 and sizes == [(None, 1682)] and reads == []
     assert summary["per_gain"][0]["numeric"] is None
+
+
+def test_povm_three_mode_squeezed_meter_reads_within_the_bar(tmp_path):
+    # a drawn config whose c meter, sized by the last level of its rows (79
+    # levels), left enough of them past the cutoff to read 1.8e-8; the
+    # sizing pass takes 159 levels, and it reads 1.9e-14
+    code, summary = _run_povm(tmp_path, {
+        "amplifier": {"variant": "three_mode", "g": 1.5504909972409284,
+                      "meter": {"kind": "squeezed", "r": 0.858748423037301}},
+        "detector": {"kind": "homodyne", "efficiency": 0.717884278954582},
+        "dims": {"signal": 6}})
+    assert code == 0
+    numeric = summary["per_gain"][0]["numeric"]
+    assert numeric["max_deviation_from_closed_form"] <= 1e-9
+    assert numeric["grid_identity_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["compare", "estimate_linear", "estimate_two_mode"])
+def test_montecarlo_benchmark_configs_size_no_meter(tmp_path, monkeypatch, name):
+    # the benchmark's montecarlo workload samples from closed forms: run in
+    # process, none of its configs sizes or builds a meter
+    from fockamp import amplifiers, cli
+    config = CONFIGS / "montecarlo" / f"{name}.json"
+    calls = []
+    monkeypatch.setattr(amplifiers, "displaced_meter_ket",
+                        lambda *args: calls.append(args))
+    assert cli.main(["--config", str(config), "--out", str(tmp_path)]) == 0
+    assert calls == []
 
 
 def test_povm_heterodyne_reads_f_ideally_at_any_gain(tmp_path, monkeypatch):

@@ -14,8 +14,8 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
                      vacuum_state)
 from fockamp import amplifiers, heterodyne, measurement, oracles
 from fockamp.errors import CoverageError, DimensionMismatch, TruncationError
-from fockamp.amplifiers import (_f_of_x_operator, meter_dim_for, prepare_meters,
-                                quadratic_signal_op)
+from fockamp.amplifiers import (_f_of_x_operator, displaced_meter_ket,
+                                prepare_meters, quadratic_signal_op)
 from fockamp.fock import State, _coherent_amplitudes, log_factorials, parity_op
 from fockamp.measurement import BLOCK, _detector_expectations, _region_masses
 from fockamp.oracles import (heterodyne_element, homodyne_element,
@@ -36,7 +36,7 @@ def povm_meter_dims(amp):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measurement, "prepare_meters", spy)
         effective_povm_numeric(amp, DetectorSpec(kind, 1.0), np.zeros(1))
-    return tuple(m.space.dim for m, _ in built)
+    return tuple(rows.shape[1] for rows in built)
 
 
 def coarse_grain(povm, regions: DecisionRegions) -> list[Operator]:
@@ -371,18 +371,17 @@ def test_homodyne_expectations_memory_is_bounded():
 
 def test_homodyne_expectations_memory_does_not_grow_with_outcomes():
     # the meters of a von Neumann povm (a_dag_a, signal 4, g 1, vacuum
-    # meter, homodyne eta 0.5) on its grids of 52, 1,269 and 5,074 outcomes
-    # (points_per_width 4, 100 and 400): past one outcome block the peak
-    # grows by the (n, 4) output alone; the quadrature over a grid traced
-    # 1.1, 21.4 and 84.7 MiB
+    # meter, homodyne eta 0.5, pinned at 81 levels) on its grids of 52,
+    # 1,269 and 5,074 outcomes (points_per_width 4, 100 and 400): past one
+    # outcome block the peak grows by the (n, 4) output alone; the
+    # quadrature over a grid traced 1.1, 21.4 and 84.7 MiB
     import tracemalloc
-    from fockamp.amplifiers import VonNeumannAmp, displaced_rows
+    from fockamp.amplifiers import VonNeumannAmp
     from fockamp.cli import _povm_grid
     from fockamp.fock import number_op
     spec = VonNeumannAmp(number_op(FockSpace(4)), 1.0)
     drive = 1.0 / math.sqrt(2.0)
-    (meter, rows), = prepare_meters(spec, drive)
-    kets = displaced_rows(meter, rows)  # at drive * [0, 1, 2, 3]
+    kets, = prepare_meters(spec, drive, (81,))  # at drive * [0, 1, 2, 3]
     assert 1269 > measurement._outcome_block(kets.shape[1])
     sigma2 = measurement.DetectorSpec("homodyne", 0.5).sigma2
     width = math.sqrt(sigma2 + 1.0)
@@ -699,9 +698,11 @@ def test_spectral_sandwich_matches_dense_oracle(variant):
         spec = TwoModeNormalAmp(f, g)
         det = DetectorSpec("heterodyne", 0.5)
         pts = np.array([0.2 + 0.1j, 1.0, 1.7 - 0.4j, 3.2 + 0.5j])
-        # the heterodyne read builds no meter: the oracle's is auto-sized
-        db = meter_dim_for(g, 3.0, spec.meter, g * spec.dec.eigenvalues)
-        u = two_mode_unitary(f, g, (4, db)).matrix
+        # the heterodyne read builds no meter: the oracle's is auto-sized,
+        # 57 levels, below the 81 at which the dense oracle stops warning
+        db = displaced_meter_ket(spec.meter, None, g * spec.dec.eigenvalues).shape[1]
+        with pytest.warns(UserWarning, match="truncation limited"):
+            u = two_mode_unitary(f, g, (4, db)).matrix
         def element(o):
             return g * g * heterodyne_element(g * o, det.sigma2, FockSpace(db)).matrix
     else:
@@ -1211,9 +1212,8 @@ def test_numeric_povm_rejects_truncated_meters():
     det = DetectorSpec("homodyne", 0.5)
     # the prepared meter loses its norm above the cutoff
     spec = VonNeumannAmp(number_op(sp), 1.0, Meter("squeezed", r=2.0))
-    with pytest.warns(UserWarning, match="truncation tail"):
-        with pytest.raises(TruncationError, match="drops"):
-            effective_povm_numeric(spec, det, np.array([0.0]), dims=(24,))
+    with pytest.raises(TruncationError, match="drops"):
+        effective_povm_numeric(spec, det, np.array([0.0]), dims=(24,))
     # the meter fits at rest but its displaced copies reach the cutoff
     with pytest.raises(TruncationError, match="cutoff"):
         effective_povm_numeric(VonNeumannAmp(number_op(sp), 3.0), det,
@@ -1221,17 +1221,23 @@ def test_numeric_povm_rejects_truncated_meters():
 
 
 def test_povm_meter_dims_keep_fitting_meters():
+    # the homodyne sandwich reads the sizing pass's meters at drive g/sqrt(2):
+    # 80, 95 and 119 levels at g 1, 2 and 3, where the (g f_max + 6)^2 rule
+    # took 81, 144 and 225
     sp = FockSpace(4)
     f = number_op(sp)
-    for g in (1.0, 2.0, 3.0):
-        base = (3 * g + 6) ** 2
+    meter = Meter("squeezed", r=0.5)
+    for g, d in ((1.0, 80), (2.0, 95), (3.0, 119)):
         assert povm_meter_dims(TwoModeNormalAmp(f, g)) == ()  # reads no meter
-        assert povm_meter_dims(VonNeumannAmp(
-            f, g, Meter("squeezed", r=0.5))) == (base,)
+        assert povm_meter_dims(VonNeumannAmp(f, g, meter)) == (d,)
+        assert displaced_meter_ket(meter, None, g / math.sqrt(2.0) * np.arange(4.0)
+                                   ).shape[1] == d
+    # squeezed meters (r = 2) hold their own levels: f is real, so the c
+    # meter stays at rest, at the size its squeezed vacuum needs alone
     spec = ThreeModeAmp(f, 0.5, Meter("gaussian", epsilon=math.exp(-2.0)),
                         Meter("gaussian", epsilon=math.exp(-2.0)))
     db, dc = povm_meter_dims(spec)
-    assert db > meter_dim_for(0.5, 3.0) and dc > meter_dim_for(0.5, 0.0)
+    assert db > dc == displaced_meter_ket(spec.meter_c, None, [0.0]).shape[1]
 
 
 def test_sampler_rejects_cutoff_heavy_state():

@@ -13,7 +13,10 @@ weight-table deviations bound the dense ones; that test draws
 only the spectrum, eigenbasis, gain and meter it reads, on a 0.001 grid.
 Numeric POVMs on grids that cover the outcomes resolve the identity. The
 batched displacement kernel undoes itself: D(-alpha) D(alpha)|meter> is the
-meter, and every row has unit norm. The
+meter, and every row has unit norm. The auto-sized meter rows (squeezing
+r in [-2, 2], displacements up to 48) leave at most the tail tolerance past
+their size, measured on rows rebuilt at twice it, and the size is within a
+few levels of where that measured tail first drops below it. The
 estimator statistics are checked on random samples against NumPy's mean
 and variance (bit for bit) and a two-pass fourth-moment reference, and
 their block merge against one-buffer two-pass moments.
@@ -41,6 +44,7 @@ import warnings
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm, schur
 
@@ -51,7 +55,9 @@ from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      predict_output_moments, quadrature_ops, real_imag_parts,
                      simulate_output_state, simulated_output_moments, tensor,
                      variance)
-from fockamp.amplifiers import _mode_quad_moments, displaced_meter_ket
+from fockamp.amplifiers import (METER_DIM_CAP, METER_TAIL, TRUNCATION_TOL,
+                                _mode_quad_moments, displaced_meter_ket)
+from fockamp.errors import TruncationError
 from fockamp.estimators import _Moments
 from fockamp.fock import _coherent_amplitudes, hermite_functions
 from fockamp.oracles import (displaced_meter_ket_expm, embed,
@@ -115,9 +121,13 @@ def povm_cases(draw):
 def test_meter_table_matches_dense_oracle_and_closed_form(case):
     variant, f, g, meters, psi = case
     st_in = State(f.space, "ket", psi)
-    d = METER_DIM
-    # the oracles warn below the (g max|f| + 6)^2 sizing rule; at dim 20 the
-    # displaced meters stay clear of the cutoff, which the spectral route checks
+    # the oracles warn below their own (g max|f| + 6)^2 guard; at these dims
+    # the displaced meters stay clear of the cutoff, which the spectral route
+    # checks. The two-mode coupling shifts its meter along p, which an r 0.3
+    # meter anti-squeezes: a shift of 1.41 leaves 1.3e-6 past 20 levels and
+    # 1e-13 past 40, so the single-meter variants run at 40. The three-mode
+    # meters shift along their squeezed x
+    d = METER_DIM if variant == "three_mode" else 2 * METER_DIM
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         if variant == "three_mode":
@@ -504,11 +514,19 @@ def test_displaced_meter_ket_rows_invert(dim, r, parts):
 def test_displaced_meter_ket_rows_are_displaced_squeezed_states(dim, r, parts):
     # each row is the unit eigenvector of mu (a - alpha) + nu (a^dag - alpha*)
     # (mu, nu = cosh r, sinh r) below its cutoff level, c_0 has the phase of
-    # e^{-tanh(r) alpha*^2/2}, and the alpha = 0 row is the meter ket itself
+    # e^{-tanh(r) alpha*^2/2}, and the alpha = 0 row is the meter ket itself.
+    # Where a row leaves more than TRUNCATION_TOL past dim, the pass at dim
+    # raises, and the auto-sized rows cut at dim are checked instead
     meter = Meter("squeezed", r=r)
     alphas = np.array([0.0] + [complex(a, b) for a, b in parts])
-    rows = displaced_meter_ket(meter, dim, alphas)
-    assert np.array_equal(rows[0], meter.state(dim).data)
+    rows = displaced_meter_ket(meter, None, alphas)
+    if (np.abs(rows[:, dim:]) ** 2).sum(axis=1).max() > TRUNCATION_TOL:
+        with pytest.raises(TruncationError, match="drops"):
+            displaced_meter_ket(meter, dim, alphas)
+        rows = rows[:, :dim] / np.linalg.norm(rows[:, :dim], axis=1, keepdims=True)
+    else:
+        rows = displaced_meter_ket(meter, dim, alphas)
+        assert np.array_equal(rows[0], meter.state(dim).data)
     assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
     mu, nu, up = math.cosh(r), math.sinh(r), np.sqrt(np.arange(1.0, dim))
     for row, alpha in zip(rows, alphas):
@@ -519,6 +537,31 @@ def test_displaced_meter_ket_rows_are_displaced_squeezed_states(dim, r, parts):
         if abs(row[0]) > 1e-150:
             phase = np.exp(-0.5j * math.tanh(r) * (np.conj(alpha) ** 2).imag)
             assert abs(row[0] / abs(row[0]) - phase) <= 1e-12
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.floats(-2.0, 2.0),
+       st.lists(st.tuples(st.floats(0.0, 48.0), st.floats(0.0, 2 * math.pi)),
+                min_size=1, max_size=3))
+@example(1.0, [(48.0, math.pi / 2)])  # anti-squeezed: 3,900 levels
+@example(2.0, [(48.0, math.pi / 2)])  # past the cap
+def test_auto_meter_size_leaves_at_most_the_tail(r, polar):
+    # the auto size d fits the cap, the rows rebuilt at 2d leave at most
+    # METER_TAIL^2 of their mass past d, and d is within a few levels of the
+    # first level where that measured tail drops below it; or the pass
+    # raises, naming the cap
+    meter = Meter("squeezed", r=r)
+    alphas = np.array([0.0] + [m * np.exp(1j * a) for m, a in polar])
+    try:
+        d = displaced_meter_ket(meter, None, alphas).shape[1]
+    except TruncationError as err:
+        assert f"cap of {METER_DIM_CAP}" in str(err)
+        return
+    assert d <= METER_DIM_CAP
+    mass = np.abs(displaced_meter_ket(meter, 2 * d, alphas)) ** 2
+    past = np.cumsum(mass[:, ::-1], axis=1)[:, ::-1].max(axis=0)
+    assert past[d] <= METER_TAIL ** 2
+    assert d <= max(2, int(np.argmax(past <= METER_TAIL ** 2))) + 2
 
 
 @st.composite
