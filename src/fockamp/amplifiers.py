@@ -28,9 +28,9 @@ import numpy as np
 
 from .errors import GainOutOfRange, NotHermitian, TruncationError
 from .fock import (FockSpace, Operator, SpectralDecomposition, State,
-                   annihilation_op, guard_keep, normal_decompose,
+                   annihilation_op, complex_ldexp, guard_keep, normal_decompose,
                    partial_trace, quadrature_ops, squeezed_vacuum,
-                   symmetrized_moment, tensor, variance)
+                   symmetrized_moment, tensor, variance, yuen_blocks)
 
 METER_DIM_CAP = 4096
 # norm an auto-sized meter row leaves past its cutoff (mass 1e-26): a
@@ -327,14 +327,9 @@ def displaced_meter_ket(meter: Meter, dim: int | None, alphas) -> np.ndarray:
     """The one meter pass: rows D(alpha) S(r)|0> of the meter at ``dim``
     levels, or at its auto size if ``dim`` is None, renormalized.
 
-    Each row is the eigenvector of mu a + nu a^dag (mu, nu = cosh r, sinh r)
-    at gamma = mu alpha + nu alpha* (Yuen, PRA 13, 2226, 1976), so
-    mu sqrt(n+1) c_{n+1} = gamma c_n - nu sqrt(n) c_{n-1}, run up from the
-    explicit c_0 = sech(r)^{1/2} e^{-|alpha|^2/2 - tanh(r) alpha*^2/2}: O(d)
-    per row, no matrix, the coherent row at r = 0. The untruncated row has
-    unit norm, so every level's mass is absolute. |c| grows at most
-    2 max|alpha| + 1 per level; each row keeps its own log scale, and every
-    ``block`` levels the next two are scaled back to 1, before they pass 1e150.
+    The rows are blocks of :func:`fock.yuen_blocks`, O(d) per row with no
+    matrix (``meter.state(d)`` at alpha = 0), and the untruncated row has
+    unit norm, so every level's mass is absolute.
 
     The auto size is the first n (at least 2) past which no row holds more
     than METER_TAIL^2 of its mass, summed from the far end, so nothing
@@ -343,32 +338,17 @@ def displaced_meter_ket(meter: Meter, dim: int | None, alphas) -> np.ndarray:
     rows fall off geometrically, toward |tanh r| per level, so what they
     leave out is a few millionths of the tolerance. An auto size past
     METER_DIM_CAP raises TruncationError, as does a row that leaves more
-    than TRUNCATION_TOL past a given ``dim``. alpha = 0 rows copy
-    ``meter.state(d)``.
+    than TRUNCATION_TOL past a given ``dim``.
     """
     alphas = np.ravel(alphas).astype(complex)
-    t = math.tanh(meter.r)
-    g = alphas + t * alphas.conj()  # gamma / mu
-    b2 = alphas.conj() ** 2
-    log = -0.5 * (alphas.real ** 2 + alphas.imag ** 2 + t * b2.real
-                  + math.log(math.cosh(meter.r)))
-    c, prev = np.exp(-0.5j * t * b2.imag), np.zeros(alphas.size, dtype=complex)
-    reach = float(np.abs(alphas).max(initial=0.0))
-    block = min(32, max(1, int(150 / math.log10(2.0 * reach + 2.0))))
-    far = 1e-6 * (1.0 - abs(t)) * METER_TAIL ** 2
+    far = 1e-6 * (1.0 - abs(math.tanh(meter.r))) * METER_TAIL ** 2
     levels, kept, n, d = [], 0.0, 0, dim
+    blocks = yuen_blocks(alphas, meter.r)
     while d is None or n < d:
-        hi = n + block if d is None else min(n + block, d)
-        out = np.empty((hi - n, alphas.size), dtype=complex)
-        for k in range(n, hi):
-            out[k - n] = c
-            c, prev = (g * c - t * math.sqrt(k) * prev) / math.sqrt(k + 1), c
-        out *= np.exp(log)  # the absolute amplitudes
+        out = complex_ldexp(*next(blocks))[:None if dim is None else dim - n]
         levels.append(out)
-        scale = np.maximum(np.maximum(np.abs(c), np.abs(prev)), 1.0)
-        c, prev, log = c / scale, prev / scale, log + np.log(scale)
         mass = out.real ** 2 + out.imag ** 2
-        kept, n = kept + mass.sum(axis=0), hi
+        kept, n = kept + mass.sum(axis=0), n + len(out)
         if dim is not None:
             continue
         if np.min(kept) >= 0.5 and mass.max() <= far:
@@ -378,8 +358,8 @@ def displaced_meter_ket(meter: Meter, dim: int | None, alphas) -> np.ndarray:
             d = n  # the tail past the cap alone is far above METER_TAIL^2
     if dim is None and d > METER_DIM_CAP:
         raise TruncationError(
-            f"meter (r {meter.r:.3g}) displaced by up to {reach:.1f} would "
-            f"need more than the cap of {METER_DIM_CAP} levels")
+            f"meter (r {meter.r:.3g}) displaced by up to {np.abs(alphas).max():.1f} "
+            f"would need more than the cap of {METER_DIM_CAP} levels")
     lost = float(np.max(1.0 - kept))
     if dim is not None and lost > TRUNCATION_TOL:
         raise TruncationError(
@@ -387,8 +367,6 @@ def displaced_meter_ket(meter: Meter, dim: int | None, alphas) -> np.ndarray:
             f"{dim} (> {TRUNCATION_TOL:.0e}); enlarge the meter")
     rows = np.concatenate(levels)[:d].T
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    if not alphas.all():
-        rows[alphas == 0] = meter.state(d).data
     return rows
 
 

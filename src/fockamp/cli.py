@@ -359,10 +359,10 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     ppw = cfg["grid"]["points_per_width"]
     summary = {"config": cfg, "per_gain": []}
     # bound the numeric stage's cost. Homodyne: signal dim x the largest
-    # meter size, read off one O(d) sizing pass per meter. Heterodyne, which
-    # sizes and builds no meter: the terms of its series, outcomes x
-    # eigenspaces x ~39/eta at a small efficiency eta (1e8 take ~1.7 s on
-    # 2 vCPUs)
+    # meter size, read off the one O(d) sizing pass per meter whose rows the
+    # sandwich then reads. Heterodyne, which sizes and builds no meter: the
+    # terms of its series, outcomes x eigenspaces x ~39/eta at a small
+    # efficiency eta (1e8 take ~1.9 s on 2 vCPUs)
     numeric_limit, series_limit = 2500, 10 ** 8
     lam = dec.eigenvalues
     for g, spec in zip(cfg["amplifier"]["g_list"], specs):
@@ -383,6 +383,7 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
             "own_region_weights": [float(v) for v in weights],
             "numeric": None,
         }
+        meters = None
         if model == "heterodyne":
             from .heterodyne import series_terms
             terms = outcomes.size * dec.heads.size * series_terms(detector.sigma2)
@@ -394,7 +395,7 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
             except TruncationError:
                 fits = False
         if fits:
-            grid = meas.effective_povm_numeric(spec, detector, outcomes)
+            grid = meas._sandwich(spec, detector, outcomes, meters)
             grid.measure = measure
             entry["numeric"] = {
                 "max_deviation_from_closed_form": grid.max_deviation(closed),

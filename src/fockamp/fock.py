@@ -11,6 +11,7 @@ dim - ceil(dim/4) of each mode, see :func:`guard_keep`).
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -248,32 +249,68 @@ def vacuum_state(space: FockSpace) -> State:
     return State(space, "ket", v)
 
 
-def _coherent_amplitudes(d: int, gammas) -> np.ndarray:
-    """<p|gamma_j> = e^{-|gamma_j|^2/2} gamma_j^p / sqrt(p!) for p < d (rows)
-    and each gamma_j (columns), from their logarithms, so every entry has
-    modulus at most 1 at any gamma. log|gamma| and |gamma|^2 are taken per
-    gamma in float arithmetic, so a column is the same at any batch size.
-    Rows are built 2**12 entries at a time: the result is the one (d, n) array."""
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=complex))
-    r = [abs(g) for g in gammas.tolist()]
-    log_r = [math.log(x) if x else -math.inf for x in r]
-    half_lf, phase = 0.5 * log_factorials(d)[:, None], np.angle(gammas)
-    out = np.zeros((d, gammas.size), dtype=complex)
-    step = max(1, 2 ** 12 // max(1, gammas.size))
-    for lo in range(0, d, step):
-        p, rows = np.arange(lo, min(lo + step, d))[:, None], out[lo:lo + step]
-        mag = np.zeros(rows.shape)  # row p = 0 stays 0: gamma^0 = 1, at gamma = 0 too
-        np.multiply(p[lo == 0:], log_r, out=mag[lo == 0:])
-        mag -= half_lf[lo:lo + step]
-        mag -= [0.5 * x ** 2 for x in r]
-        np.multiply(p, phase, out=rows.imag)
-        np.exp(rows, out=rows)  # the phases e^{i p arg gamma}
-        rows *= np.exp(mag, out=mag)
+def yuen_blocks(alphas, r: float, theta: float = 0.0):
+    """Blocks of <n|D(alpha) S(r e^{i theta})|0>, the two-photon coherent
+    state of Yuen (PRA 13, 2226, 1976), for every entry of ``alphas`` (any
+    shape): the coherent state at r = 0, the squeezed vacuum at alpha = 0.
+
+    With t = e^{i theta} tanh r and gamma = alpha + t alpha*, the amplitudes
+    run c_{n+1} = (gamma c_n - t sqrt(n) c_{n-1}) / sqrt(n+1) up from the
+    explicit c_0 = sech(r)^{1/2} e^{-|alpha|^2/2 - t alpha*^2/2}, O(1) per
+    level and entry. Each yield (c, e) holds the next block of levels, c
+    of shape (levels,) + alphas.shape, and the amplitudes are c 2^e: every
+    entry keeps its own exponent e. |c| grows at most 2 max|alpha| + 2 per
+    level, so within a span of at most 32 levels it stays below 1e150; after
+    each, the last two levels are scaled by the power of two that brings
+    the larger into [1/2, 1), which is exact, so no amplitude depends on the
+    batch. A span is whole blocks of at most ~2**13 amplitudes, so a wide
+    batch yields short blocks. The kernel takes r and theta, not t: near
+    R_MAX, tanh r rounds to 1 and r could not be recovered from t.
+    """
+    shape = np.shape(alphas)
+    alphas = np.ravel(alphas).astype(complex)  # 0-d too: one array path
+    t = cmath.rect(math.tanh(r), theta)
+    g, tb2 = alphas + t * alphas.conj(), t * alphas.conj() ** 2
+    log = -0.5 * (alphas.real ** 2 + alphas.imag ** 2 + tb2.real + math.log(math.cosh(r)))
+    e = (log // math.log(2.0)).astype(int)
+    c, prev = np.exp(log - e * math.log(2.0) - 0.5j * tb2.imag), np.zeros(alphas.size, complex)
+    span = min(32, max(1, int(150 / math.log10(2.0 * np.abs(alphas).max(initial=0.0) + 2.0))))
+    block = max(1, min(span, 2 ** 13 // max(1, alphas.size)))
+    span -= span % block
+    n = 0
+    while True:
+        out = np.empty((block, alphas.size), dtype=complex)
+        for k in range(n, n + block):
+            out[k - n] = c
+            c, prev = (g * c - t * math.sqrt(k) * prev) * (1.0 / math.sqrt(k + 1)), c
+        yield out.reshape((block,) + shape), e.reshape(shape)
+        n += block
+        if n % span == 0:
+            shift = np.frexp(np.maximum(np.abs(c), np.abs(prev)))[1]
+            c, prev = complex_ldexp(c, -shift), complex_ldexp(prev, -shift)
+            e = e + shift
+
+
+def complex_ldexp(c: np.ndarray, e) -> np.ndarray:
+    """c 2^e for complex c, whole wherever it is a normal float (2^e may not be)."""
+    out = np.empty_like(c)
+    np.ldexp(c.real, e, out=out.real)
+    np.ldexp(c.imag, e, out=out.imag)
     return out
 
 
+def yuen_levels(d: int, alphas, r: float = 0.0, theta: float = 0.0) -> np.ndarray:
+    """The first d levels of :func:`yuen_blocks`, shape (d,) + alphas.shape."""
+    levels = []
+    for c, e in yuen_blocks(alphas, r, theta):
+        levels.append(complex_ldexp(c, e))
+        if len(levels) * len(c) >= d:
+            return np.concatenate(levels)[:d]
+
+
 def coherent_state(space: FockSpace, alpha: complex) -> State:
-    """Coherent ket from exact coefficients e^{-|a|^2/2} a^n / sqrt(n!), renormalized.
+    """Coherent ket from exact coefficients e^{-|a|^2/2} a^n / sqrt(n!)
+    (:func:`yuen_levels` at r = 0), renormalized.
 
     Warns when the top three levels carry more than 1e-8 occupancy; raises
     TruncationError when the discarded tail mass exceeds 1e-6.
@@ -282,7 +319,7 @@ def coherent_state(space: FockSpace, alpha: complex) -> State:
     alpha = complex(alpha)
     if abs(alpha) == 0.0:
         return fock_state(space, 0)
-    c = _coherent_amplitudes(d, alpha)[:, 0]
+    c = yuen_levels(d, alpha)
     kept = float(np.sum(np.abs(c) ** 2))
     tail = max(0.0, 1.0 - kept)
     if float(np.sum(np.abs(c[-3:]) ** 2)) > 1e-8:
@@ -296,22 +333,13 @@ def coherent_state(space: FockSpace, alpha: complex) -> State:
 
 
 def squeezed_vacuum(space: FockSpace, r: float, phi: float = 0.0) -> State:
-    """Squeezed vacuum with Var[x] = e^{-2r}/2 at phi = 0.
-
-    Built from the exact even-level coefficients
-    c_{2k} ~ (-e^{2i phi} tanh r)^k sqrt((2k)!) / (2^k k!), then renormalized;
+    """Squeezed vacuum S(r e^{2i phi})|0>: x cos(phi) + p sin(phi) has
+    variance e^{-2r}/2. The levels of :func:`yuen_levels` at alpha = 0,
+    c_{2k} ~ (-e^{2i phi} tanh r)^k sqrt((2k)!) / (2^k k!), renormalized;
     the discarded tail mass is recorded in ``norm_defect``.
     """
     d = space.dim
-    if r == 0.0:
-        return fock_state(space, 0)
-    c = np.zeros(d, dtype=complex)
-    t = math.tanh(r)
-    zeta = -t * np.exp(2j * phi)
-    for k in range(0, (d + 1) // 2):
-        lnmag = 0.5 * math.lgamma(2 * k + 1) - k * math.log(2.0) - math.lgamma(k + 1)
-        c[2 * k] = zeta ** k * math.exp(lnmag)
-    c *= math.sqrt(1.0 / math.cosh(r))
+    c = yuen_levels(d, 0.0, r, 2.0 * phi)
     kept = float(np.sum(np.abs(c) ** 2))
     tail = max(0.0, 1.0 - kept)
     if tail > 1e-6:

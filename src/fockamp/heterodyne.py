@@ -4,16 +4,19 @@ A heterodyne detector with added noise sigma^2 has the element
 M_b = D(b) rho_th D(b)^dag / pi, rho_th the thermal state of mean sigma^2,
 whose populations are (1 - s) s^n, s = sigma^2/(1 + sigma^2). For a meter
 row D(alpha) S(r)|0>, D(-b) D(alpha) is D(alpha - b) up to a phase, so each
-read is a Fock series of K terms at any gain and any meter size, with no
-meter state. :func:`measurement.effective_povm_numeric` and ``povm``'s cost
-gate import this module on first use, so a command that reads no heterodyne
-POVM neither compiles nor holds it.
+read is a Fock series over the first K levels of :func:`fock.yuen_blocks`
+at any gain and any meter size, with no meter state; its reference is
+the test suite's loss-channel kernel on truncated rows. The numeric
+sandwich and ``povm``'s cost gate import this module on first use, so a
+command that reads no heterodyne POVM neither compiles nor holds it.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .fock import yuen_blocks
 
 # s^K, the largest share of a read that its K terms leave out
 SERIES_TAIL = 1e-17
@@ -33,35 +36,23 @@ def meter_reads(meter, alphas, betas, sigma2: float) -> np.ndarray:
     for each outcome b (rows) and untruncated meter row chi_k = D(alpha_k)
     S(r)|0> (columns), K = :func:`series_terms`.
 
-    Every meter runs Yuen's recurrence (:func:`amplifiers.displaced_meter_ket`;
-    at r = 0 it is the Poisson series) from the explicit c_0 =
-    sech(r)^{1/2} e^{-|beta|^2/2 - tanh(r) beta*^2/2}, as running sums over
-    a block of outcomes. Each entry keeps its own log scale, and every
-    ``step`` terms (set by the call's largest |alpha - b|, not by the block)
-    its largest term is taken out: none leaves the float range.
+    The amplitudes are the blocks c 2^e of :func:`fock.yuen_blocks` over
+    ~2**11 (outcome, row) pairs at a time. Each term s^n |c_n|^2 takes the
+    power of two 4^e last (exact above ~1e-300), so the terms that carry a
+    read survive where e^{-|alpha - b|^2/2} underflows; they are summed in
+    level order, so a read is the same bit for bit in any batch.
     """
-    s = sigma2 / (1.0 + sigma2)
-    t, k = math.tanh(meter.r), series_terms(sigma2)
-    reach = max((float(np.abs(betas - a).max(initial=0.0)) for a in alphas), default=0.0)
-    step = max(1, int(150 / math.log10(2.0 + 2.0 * reach)))  # |gamma| < 2 reach
-    out = np.empty((betas.size, alphas.size))
-    rows = max(1, 2 ** 16 // alphas.size)
+    s, k = sigma2 / (1.0 + sigma2), series_terms(sigma2)
+    out = np.zeros((betas.size, alphas.size))
+    rows = max(1, 2 ** 11 // alphas.size)
     for lo in range(0, betas.size, rows):
-        beta = alphas - betas[lo:lo + rows, None]
-        b2 = beta.conj() ** 2  # c_n = c e^{log}, sum s^j |c_j|^2 = acc e^{2 log}
-        gamma = beta + t * beta.conj()
-        log = -0.5 * (beta.real ** 2 + beta.imag ** 2 + t * b2.real)
-        c = np.exp(-0.5j * t * b2.imag) / math.sqrt(math.cosh(meter.r))
-        prev, acc, sn = np.zeros_like(c), np.abs(c) ** 2, 1.0
-        for n in range(1, k):
-            c, prev = (gamma * c - t * math.sqrt(n - 1) * prev) / math.sqrt(n), c
-            sn *= s
-            acc += sn * (c.real ** 2 + c.imag ** 2)
-            if n % step == 0:
-                f = np.maximum(np.maximum(np.abs(c), np.abs(prev)), np.sqrt(acc))
-                c, prev, acc = c / f, prev / f, acc / (f * f)
-                log += np.log(f)
-        log *= 2.0
-        with np.errstate(divide="ignore"):  # acc is 0 only far below 1e-308
-            out[lo:lo + rows] = ((1.0 - s) / math.pi) * np.exp(log + np.log(acc))
-    return out
+        n, acc = 0, out[lo:lo + rows]
+        for c, e in yuen_blocks(alphas - betas[lo:lo + rows, None], meter.r):
+            terms = c[:k - n].real ** 2 + c[:k - n].imag ** 2
+            terms *= (s ** np.arange(n, n + len(terms)))[:, None, None] * np.ldexp(1.0, 2 * e)
+            for term in terms:
+                acc += term
+            n += len(terms)
+            if n == k:
+                break
+    return ((1.0 - s) / math.pi) * out

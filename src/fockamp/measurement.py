@@ -13,7 +13,9 @@ of Gaussians centered on the eigenvalues, diagonal in the eigenbasis.
 
 All outcome grids and closed forms are stored in the gain-rescaled variable
 (raw outcome divided by g), so Gaussian widths shrink as 1/g^2 and decision
-regions do not move with the gain.
+regions do not move with the gain. Homodyne meters are read by the
+loss-channel kernel here, heterodyne ones in the outcome frame
+(:mod:`fockamp.heterodyne`), each on rows of :func:`fock.yuen_blocks`.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ import numpy as np
 
 from .amplifiers import meter_table, prepare_meters
 from .errors import CoverageError, DimensionMismatch, TruncationError
-from .fock import (FockSpace, SpectralDecomposition, State,
-                   _coherent_amplitudes, hermite_functions, log_factorials)
+from .fock import (FockSpace, SpectralDecomposition, State, hermite_functions,
+                   log_factorials, yuen_levels)
 
 # outcomes per GEMM of the detector kernel (see _detector_expectations); one
 # width for every product keeps an outcome's row independent of its neighbours
@@ -220,53 +222,48 @@ def _outcome_block(d: int) -> int:
     return max(256, 2 ** 16 // d // OUTCOME_TILE * OUTCOME_TILE)
 
 
-def _detector_expectations(kets: np.ndarray, outcomes, sigma2: float,
-                           heterodyne: bool) -> np.ndarray:
-    """<chi_k|M_o|chi_k> for each outcome o (rows) and ket chi_k (columns).
+def _detector_expectations(kets: np.ndarray, outcomes, sigma2: float) -> np.ndarray:
+    """<chi_k|M_x|chi_k> of the homodyne detector for each outcome x (rows)
+    and ket chi_k (columns).
 
     The detector is the ideal one behind a loss channel of transmission
     t = 1/(1+sigma^2), s = 1 - t, with Kraus weights B_k(m) =
     sqrt(binom(m, k) s^k t^(m-k)) (from log factorials, at most 1):
 
-        <chi|M_o|chi> = c sum_k |sum_{m>=k} chi*(m) B_k(m) A_{m-k}(sqrt(t) o)|^2,
+        <chi|M_x|chi> = sqrt(t) sum_k |sum_{m>=k} chi*(m) B_k(m) h_{m-k}(sqrt(t) x)|^2,
 
-    c = t/pi and A_p = <p|gamma> (:func:`fock._coherent_amplitudes`) for
-    heterodyne, c = sqrt(t) and A_p = h_p (:func:`fock.hermite_functions`,
-    real GEMMs on the stacked real and imaginary parts) for homodyne. No
-    grid and no term is dropped at any sigma^2 (k = 0 alone at 0). Outcome
-    blocks of :func:`_outcome_block` are padded to whole OUTCOME_TILEs, so
-    every GEMM has one shape and a row is the same bit for bit wherever the
-    block boundaries fall; one amplitude table is alive at a time. The
-    heterodyne branch is the truncated-row reference of
-    :func:`heterodyne.meter_reads`.
+    h_p the Hermite functions (:func:`fock.hermite_functions`), by real GEMMs
+    on the stacked real and imaginary parts. No grid and no term is dropped
+    at any sigma^2 (k = 0 alone at 0). Outcome blocks of
+    :func:`_outcome_block` are padded to whole OUTCOME_TILEs, so every GEMM
+    has one shape and a row is the same bit for bit wherever the block
+    boundaries fall; one Hermite table is alive at a time. The heterodyne
+    read takes the outcome frame instead (:func:`heterodyne.meter_reads`).
     """
     n, d = kets.shape
-    outcomes = np.atleast_1d(np.asarray(outcomes, dtype=complex if heterodyne
-                                        else float))
+    outcomes = np.atleast_1d(np.asarray(outcomes, dtype=float))
     t = 1.0 / (1.0 + sigma2)
     s = sigma2 / (1.0 + sigma2)
     # log B_k(m) = half_lf[m] + rest[m - k] + head[k]
     half_lf = 0.5 * log_factorials(d)
     rest = 0.5 * np.arange(d) * math.log(t) - half_lf
     head = 0.5 * np.arange(d) * (math.log(s) if s else 0.0) - half_lf
-    bra, table, scale = (kets.conj(), _coherent_amplitudes, t / math.pi) if heterodyne \
-        else (np.concatenate((kets.real, kets.imag)), hermite_functions, math.sqrt(t))
+    bra = np.concatenate((kets.real, kets.imag))
     out = np.empty((outcomes.size, n))
     step = _outcome_block(d)
     for lo in range(0, outcomes.size, step):
         part = outcomes[lo:lo + step]
-        block = np.zeros(-(-part.size // OUTCOME_TILE) * OUTCOME_TILE, part.dtype)
+        block = np.zeros(-(-part.size // OUTCOME_TILE) * OUTCOME_TILE)
         block[:part.size] = part
-        tiles = table(d, math.sqrt(t) * block).reshape(
+        tiles = hermite_functions(d, math.sqrt(t) * block).reshape(
             d, -1, OUTCOME_TILE).transpose(1, 0, 2)
         acc = np.zeros((tiles.shape[0], bra.shape[0], OUTCOME_TILE))
         for k in range(d if s > 0 else 1):
             w = np.exp(half_lf[k:] + (rest[:d - k] + head[k]))
             a = (bra[:, k:] * w) @ tiles[:, :d - k]
-            acc += a.real ** 2 + a.imag ** 2 if heterodyne else np.square(a, out=a)
-        if not heterodyne:
-            acc = acc[:, :n] + acc[:, n:]
-        out[lo:lo + step] = (scale * acc).transpose(0, 2, 1).reshape(-1, n)[:part.size]
+            acc += np.square(a, out=a)
+        acc = math.sqrt(t) * (acc[:, :n] + acc[:, n:])
+        out[lo:lo + step] = acc.transpose(0, 2, 1).reshape(-1, n)[:part.size]
         del tiles  # freed before the next block's table is built
     return out
 
@@ -302,27 +299,31 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     ``outcomes`` are rescaled (outcome/g); the weights carry the matching
     Jacobian (g^2 for complex outcomes, g for real ones).
     """
+    homodyne = povm_model(amp)[0] != "heterodyne" and detector.kind == "homodyne"
+    return _sandwich(amp, detector, outcomes,
+                     prepare_meters(amp, amp.g / math.sqrt(2.0), dims) if homodyne else None)
+
+
+def _sandwich(amp, detector: DetectorSpec, outcomes, meters) -> PovmGrid:
+    """:func:`effective_povm_numeric` on homodyne meter rows a caller has
+    sized already, ``meters`` (None for a heterodyne read)."""
     model, epsilon = povm_model(amp)  # TypeError for a variant without meters
-    heterodyne = model == "heterodyne"
-    expected = "heterodyne" if heterodyne else "homodyne"
+    expected = "heterodyne" if model == "heterodyne" else "homodyne"
     if detector.kind != expected:
         raise ValueError(f"{type(amp).__name__} is read out by {expected}")
     outcomes = np.atleast_1d(outcomes)
-    if model == "homodyne":
-        outcomes = np.real(outcomes)
-    sig2 = detector.sigma2
-    g = amp.g
-    if heterodyne:
+    outcomes = np.real(outcomes) if model == "homodyne" else outcomes
+    sig2, g = detector.sigma2, amp.g
+    if model == "heterodyne":
         from .heterodyne import meter_reads
         (meter, _), = meter_table(amp)
         weights = g * g * meter_reads(
             meter, g * amp.dec.eigenvalues[amp.dec.heads], g * outcomes, sig2)
     else:
         weights = 1.0
-        meters = prepare_meters(amp, g / math.sqrt(2.0), dims)
         for (_, part), rows in zip(meter_table(amp), meters):
             weights = weights * (g * _detector_expectations(
-                rows, g * part(outcomes), sig2, False))
+                rows, g * part(outcomes), sig2))
     eigenspace = np.searchsorted(amp.dec.heads, np.arange(amp.dec.eigenvalues.size), "right") - 1
     return PovmGrid(outcomes, amp.dec, np.take(weights, eigenspace, axis=1), model,
                     _width2(sig2, epsilon ** 2, g))
@@ -672,7 +673,7 @@ def _as_coherent(state: State):
         m = complex(np.vdot(psi[:-1], root * psi[1:]))
     else:
         m = complex(np.sum(root * np.diagonal(state.data, -1)))
-    ket = _coherent_amplitudes(state.space.dim, m)[:, 0]
+    ket = yuen_levels(state.space.dim, m)
     ket /= np.linalg.norm(ket)
     if state.kind == "ket":
         fidelity = abs(np.vdot(ket, psi)) ** 2

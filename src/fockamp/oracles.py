@@ -2,11 +2,12 @@
 displacement, single-outcome detector elements and Husimi values.
 
 No command builds these. The production routes take the exact displaced
-meter rows of a three-term recurrence in the eigenbasis of f
-(:func:`amplifiers.displaced_meter_ket`, O(d) per row), the
-photon-difference chains of the linear squeezer
-(:func:`amplifiers._squeezer_chains`), the all-outcome detector expectations
-of :mod:`fockamp.measurement` and its exact Husimi draws. The builders here
+meter rows of Yuen's three-term recurrence in the eigenbasis of f
+(:func:`fock.yuen_blocks` through :func:`amplifiers.displaced_meter_ket`,
+O(d) per row), the photon-difference chains of the linear squeezer
+(:func:`amplifiers._squeezer_chains`), the homodyne detector expectations
+of :mod:`fockamp.measurement`, the outcome-frame heterodyne read of
+:mod:`fockamp.heterodyne` and the exact Husimi draws. The builders here
 form the dense matrices those routes avoid, among them the O(d^3)
 exponential of the truncated displacement generator
 (:func:`displaced_meter_ket_expm`), so they serve as independent
@@ -294,8 +295,8 @@ def heterodyne_element(beta: complex, sigma2: float, space: FockSpace) -> Operat
     which is the Fock projection of the exact smeared coherent projector for
     any beta (entries are exact; only states near the cutoff are affected by
     truncation). sigma^2 = 0 reduces to (1/pi)|beta><beta|. The numeric POVM
-    builds no element and takes the same expansion over all outcomes at once
-    in :func:`measurement._detector_expectations`.
+    builds no element and reads heterodyne outcomes in the outcome frame
+    (:func:`heterodyne.meter_reads`).
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
@@ -347,10 +348,14 @@ def _homodyne_kernel(xs, sigma2: float, y: np.ndarray) -> np.ndarray:
 def homodyne_element(x: float, sigma2: float, space: FockSpace) -> Operator:
     """<m|M_x|n> = int K_sigma(x - y) h_m(y) h_n(y) dy by trapezoid quadrature.
 
-    The grid is :func:`_default_ygrid` of x for ``space.dim`` levels.
-    sigma^2 = 0 returns the rank-one outcome density h_m(x) h_n(x) (per unit
-    outcome, not a projector). The numeric POVM needs no grid
-    (:func:`measurement._detector_expectations`), so this is its cross-check.
+    The grid is :func:`_default_ygrid` of x for ``space.dim`` levels, or,
+    for a kernel of deviation sd = sqrt(sigma^2/2) under twice its step, the
+    kernel's own window x + u, |u| <= 9 sd at step sd/8: the trapezoid rule
+    errs on a Gaussian by ~e^{-2 pi^2 (sd/step)^2}, 0.17 of the element at
+    sigma^2 6e-6 on the default grid. sigma^2 = 0 returns the rank-one outcome
+    density h_m(x) h_n(x) (per unit outcome, not a projector). The numeric
+    POVM needs no grid (:func:`measurement._detector_expectations`), so this
+    is its cross-check.
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
@@ -358,9 +363,15 @@ def homodyne_element(x: float, sigma2: float, space: FockSpace) -> Operator:
     if sigma2 == 0.0:
         h = hermite_functions(d, np.array([float(x)]))[:, 0]
         return Operator(space, np.outer(h, h).astype(complex))
-    y = _default_ygrid(float(x), sigma2, d)
+    sd = math.sqrt(sigma2 / 2.0)
+    if sd >= 2 * HOMODYNE_YGRID_STEP:
+        y = _default_ygrid(float(x), sigma2, d)
+        w = _homodyne_kernel(x, sigma2, y)[:, 0]
+    else:  # weights from the exact offsets u, not from y - x
+        u = sd * np.linspace(-9.0, 9.0, 145)
+        y, w = float(x) + u, _homodyne_kernel(0.0, sigma2, u)[:, 0]
     h = hermite_functions(d, y)
-    m = (h * _homodyne_kernel(x, sigma2, y)[:, 0]) @ h.T
+    m = (h * w) @ h.T
     return Operator(space, m.astype(complex))
 
 

@@ -920,7 +920,7 @@ def test_povm_single_region_weight_one(tmp_path):
 
 
 def test_povm_sizes_its_meters_by_the_one_pass(tmp_path, monkeypatch):
-    # the cost gate and the sandwich of each gain each run one auto-sizing
+    # the cost gate and the sandwich of each gain share one auto-sizing
     # pass of the squeezed meter: 80 and 95 levels at g 1 and 2, where the
     # (g f_max + 6)^2 rule took 81 and 144
     from fockamp import amplifiers, cli
@@ -941,7 +941,7 @@ def test_povm_sizes_its_meters_by_the_one_pass(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
-    assert sizes == [(None, 80)] * 2 + [(None, 95)] * 2
+    assert sizes == [(None, 80), (None, 95)]
     summary = json.loads((tmp_path / "povm_summary.json").read_text())
     assert all(e["numeric"] is not None for e in summary["per_gain"])
 

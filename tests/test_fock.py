@@ -97,6 +97,44 @@ def test_squeezed_vacuum_antisqueezed_momentum():
     assert abs(variance(st, p) - 0.5 * math.exp(1.0)) < 1e-6
 
 
+def _even_level_row(dim, r, phi):
+    """The closed-form even levels sech(r)^{1/2} (-e^{2i phi} tanh r)^k
+    sqrt((2k)!) / (2^k k!) of the squeezed vacuum, renormalized on dim."""
+    k = np.arange((dim + 1) // 2)
+    ln = np.array([0.5 * math.lgamma(2 * j + 1) - j * math.log(2.0) - math.lgamma(j + 1)
+                   for j in k])
+    row = np.zeros(dim, dtype=complex)
+    row[::2] = (-np.exp(2j * phi) * math.tanh(r)) ** k * np.exp(ln)
+    return row / np.linalg.norm(row)
+
+
+@pytest.mark.parametrize("r, phi", [(0.5, 0.3), (-0.7, 1.2), (1.0, -2.0)])
+def test_squeezed_vacuum_squeezes_the_rotated_quadrature(r, phi):
+    # S(r e^{2i phi})|0> has variance e^{-2r}/2 on x cos(phi) + p sin(phi)
+    # and e^{2r}/2 on the orthogonal quadrature, and its levels are the
+    # closed-form even-level coefficients
+    sp = FockSpace(120)
+    st = squeezed_vacuum(sp, r, phi)
+    x, p = (q.matrix for q in quadrature_ops(sp))
+    c, s = math.cos(phi), math.sin(phi)
+    assert abs(variance(st, Operator(sp, c * x + s * p)) - math.exp(-2 * r) / 2) < 1e-10
+    assert abs(variance(st, Operator(sp, c * p - s * x)) - math.exp(2 * r) / 2) < 1e-10
+    assert np.abs(st.data - _even_level_row(120, r, phi)).max() <= 1e-14
+
+
+def test_gaussian_meter_at_the_squeezing_limit():
+    # at epsilon = e^{-R_MAX}, tanh r rounds to 1.0: the even levels no longer
+    # decay, the 12-level meter is their renormalized row, and the whole
+    # norm lies past the cutoff
+    from fockamp.amplifiers import R_MAX
+    epsilon = math.exp(-R_MAX)
+    assert math.tanh(-math.log(epsilon)) == 1.0
+    with pytest.warns(UserWarning, match="truncation tail"):
+        st = gaussian_meter(FockSpace(12), epsilon)
+    assert np.abs(st.data - _even_level_row(12, -math.log(epsilon), 0.0)).max() <= 1e-15
+    assert st.norm_defect == 1.0
+
+
 def test_coherent_eigenvalue():
     sp = FockSpace(24)
     st = coherent_state(sp, 1.0 + 0.0j)

@@ -16,11 +16,12 @@ from fockamp import amplifiers, heterodyne, measurement, oracles
 from fockamp.errors import CoverageError, DimensionMismatch, TruncationError
 from fockamp.amplifiers import (_f_of_x_operator, displaced_meter_ket,
                                 prepare_meters, quadratic_signal_op)
-from fockamp.fock import State, _coherent_amplitudes, log_factorials, parity_op
-from fockamp.measurement import BLOCK, _detector_expectations, _region_masses
+from fockamp.fock import State, log_factorials, parity_op
+from fockamp.measurement import BLOCK, _region_masses
 from fockamp.oracles import (heterodyne_element, homodyne_element,
                              husimi_values, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
+from support import coherent_amplitudes, heterodyne_expectations
 
 
 def povm_meter_dims(amp):
@@ -127,7 +128,7 @@ def test_heterodyne_expectations_match_element_oracle(dim, sigma2):
     oracle = np.array([
         np.real(np.sum(kets.conj() * (kets @ heterodyne_element(
             b, sigma2, FockSpace(dim)).matrix.T), axis=1)) for b in betas])
-    got = _detector_expectations(kets, betas, sigma2, True)
+    got = heterodyne_expectations(kets, betas, sigma2)
     assert got.shape == oracle.shape
     assert np.max(np.abs(got - oracle) / np.abs(oracle)) < 1e-12
 
@@ -141,7 +142,7 @@ def test_heterodyne_expectations_closed_form_at_large_amplitude(sigma2):
     betas = alpha + np.array([0.0, 0.3, -0.5 + 0.2j, 1.1j, 1.5, 2.0 - 1.0j])
     t = 1.0 / (1.0 + sigma2)
     exact = (t / math.pi) * np.exp(-t * np.abs(alpha - betas) ** 2)
-    got = _detector_expectations(ket, betas, sigma2, True)[:, 0]
+    got = heterodyne_expectations(ket, betas, sigma2)[:, 0]
     assert np.max(np.abs(got - exact) / exact) < 1e-11
 
 
@@ -155,7 +156,7 @@ def test_heterodyne_expectations_closed_form_at_4096_levels(sigma2):
     betas = alpha + np.array([0.0, 0.5, -1.0 + 1.0j, 2.5j, 3.0])
     t = 1.0 / (1.0 + sigma2)
     exact = (t / math.pi) * np.exp(-t * np.abs(alpha - betas) ** 2)
-    got = _detector_expectations(ket, betas, sigma2, True)[:, 0]
+    got = heterodyne_expectations(ket, betas, sigma2)[:, 0]
     assert np.max(np.abs(got - exact) / exact) < 1e-11
 
 
@@ -203,7 +204,7 @@ def test_heterodyne_expectations_match_product_form(g, dim, sigma2):
         kets = _random_kets(3, dim, 11)
         rng = np.random.default_rng(11)
         betas = 3.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
-    got = _detector_expectations(kets, betas, sigma2, True)
+    got = heterodyne_expectations(kets, betas, sigma2)
     want = _heterodyne_expectations_product_form(kets, betas, sigma2)
     assert np.max(np.abs(got - want) / want.max(axis=0)) <= 1e-13
 
@@ -220,7 +221,7 @@ def test_heterodyne_expectations_memory_is_bounded():
         betas = 4.0 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
         tracemalloc.start()
         try:
-            out = _detector_expectations(kets, betas, 1.0, True)
+            out = heterodyne_expectations(kets, betas, 1.0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -242,8 +243,8 @@ def test_heterodyne_reads_match_truncated_rows(r, eta):
     betas = np.concatenate([[0.0], *(a + rng.uniform(-6.0, 6.0, 15)
                                      + 1j * rng.uniform(-6.0, 6.0, 15)
                                      for a in alphas)])
-    want = _detector_expectations(amplifiers.displaced_meter_ket(meter, 800, alphas),
-                                  betas, sigma2, True)
+    want = heterodyne_expectations(amplifiers.displaced_meter_ket(meter, 800, alphas),
+                                   betas, sigma2)
     got = heterodyne.meter_reads(meter, alphas, betas, sigma2)
     assert got.shape == want.shape and (got >= 0).all()
     assert np.abs(got - want).max() <= 1e-12
@@ -344,7 +345,7 @@ def test_streamed_homodyne_matches_dense_oracle(layout, sigma2):
          "three_chunks_and_one": 3 * step + 1}[layout]
     assert n <= step or n // step in (3, 4)
     kets = _random_kets(3, 40, 5)
-    got = measurement._detector_expectations(kets, np.resize(base, n), sigma2, False)
+    got = measurement._detector_expectations(kets, np.resize(base, n), sigma2)
     sp = FockSpace(40)
     want = np.array([[np.vdot(k, homodyne_element(float(x), sigma2, sp).matrix @ k).real
                       for k in kets] for x in base])
@@ -361,7 +362,7 @@ def test_homodyne_expectations_memory_is_bounded():
     xs = np.linspace(-10.0, 10.0, 200)
     tracemalloc.start()
     try:
-        out = measurement._detector_expectations(kets, xs, 0.25, False)
+        out = measurement._detector_expectations(kets, xs, 0.25)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -391,7 +392,7 @@ def test_homodyne_expectations_memory_does_not_grow_with_outcomes():
         assert xs.size == n
         tracemalloc.start()
         try:
-            out = measurement._detector_expectations(kets, xs, sigma2, False)
+            out = measurement._detector_expectations(kets, xs, sigma2)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -410,7 +411,7 @@ def test_homodyne_expectations_past_old_reach(sigma2):
     xs = x0 + np.array([-2.0, -0.7, 0.0, 0.4, 1.5])
     var = 0.5 + sigma2 / 2.0
     want = np.exp(-(xs - x0) ** 2 / (2 * var)) / math.sqrt(2 * math.pi * var)
-    got = measurement._detector_expectations(ket, xs, sigma2, False)[:, 0]
+    got = measurement._detector_expectations(ket, xs, sigma2)[:, 0]
     assert np.max(np.abs(got - want) / want) < 1e-9
 
 
@@ -958,7 +959,7 @@ def test_husimi_values_match_overlap_matrix():
     rng = np.random.default_rng(3)
     betas = 3.0 * (rng.normal(size=300) + 1j * rng.normal(size=300))
     sp = FockSpace(64)
-    c = _coherent_amplitudes(64, betas)  # <n|beta>
+    c = coherent_amplitudes(64, betas)  # <n|beta>
     ket = coherent_state(sp, 1.0 + 0.5j)
     want = np.abs(c.conj().T @ ket.data) ** 2 / math.pi
     assert np.abs(husimi_values(ket, betas) - want).max() < 1e-15

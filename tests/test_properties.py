@@ -35,9 +35,10 @@ The ket path of ``variance`` (one product O psi) is checked against the
 dense <O O> - <O>^2 on random Hermitian O and random kets.
 The three-mode column builder is checked against the
 kept columns of ``scipy.linalg.expm`` of the full generator on small random
-dims, keeps, gains and normal f. Hermite functions (n <= 3000, |x| <= 60)
-and coherent amplitudes (p < 4096, |gamma| <= 60) are checked against
-``mpmath`` at 40 digits.
+dims, keeps, gains and normal f. Hermite functions (n <= 3000, |x| <= 60),
+the test suite's log-form coherent amplitudes (p < 4096, |gamma| <= 60) and the Yuen
+amplitudes <n|D(alpha) S(r e^{i theta})|0> of every Gaussian Fock row
+(|alpha| <= 48, r in [-2, 2]) are checked against ``mpmath`` at 40 digits.
 """
 import math
 import warnings
@@ -55,15 +56,15 @@ from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      predict_output_moments, quadrature_ops, real_imag_parts,
                      simulate_output_state, simulated_output_moments, tensor,
                      variance)
-from fockamp.amplifiers import (METER_DIM_CAP, METER_TAIL, TRUNCATION_TOL,
+from fockamp.amplifiers import (METER_DIM_CAP, METER_TAIL, R_MAX, TRUNCATION_TOL,
                                 _mode_quad_moments, displaced_meter_ket)
 from fockamp.errors import TruncationError
 from fockamp.estimators import _Moments
-from fockamp.fock import _coherent_amplitudes, hermite_functions
+from fockamp.fock import hermite_functions, yuen_levels
 from fockamp.oracles import (displaced_meter_ket_expm, embed,
                              three_mode_columns, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
-from support import dense_rounding
+from support import coherent_amplitudes, dense_rounding, heterodyne_expectations
 
 METER_DIM = 20
 unit = st.floats(-1.0, 1.0)
@@ -692,14 +693,60 @@ def test_coherent_amplitudes_match_mpmath(p, r, phase):
         g = mpmath.mpc(gamma.real, gamma.imag)
         true = complex(mpmath.exp(-abs(g) ** 2 / 2) * g ** p
                        / mpmath.sqrt(mpmath.factorial(p)))
-    table = _coherent_amplitudes(p + 1, [0.5j, gamma, -3.0])
+    table = coherent_amplitudes(p + 1, [0.5j, gamma, -3.0])
     got = table[p, 1]
-    assert np.array_equal(table[:, 1], _coherent_amplitudes(p + 1, gamma)[:, 0])
+    assert np.array_equal(table[:, 1], coherent_amplitudes(p + 1, gamma)[:, 0])
     assert abs(got) <= 1.0
     if abs(true) >= np.finfo(float).tiny:
         scale = p * (abs(math.log(r)) + math.pi) if p else 0.0
         scale += 0.5 * math.lgamma(p + 1) + 0.5 * r * r + 1.0
         assert abs(got - true) <= 4 * np.finfo(float).eps * scale * abs(true)
+
+
+def _mp_yuen(n: int, alpha: complex, r: float, theta: float) -> complex:
+    """<n|D(alpha) S(r e^{i theta})|0> at 40 digits from the Hermite form
+    sech(r)^{1/2} e^{-|alpha|^2/2 - alpha*^2 u^2} u^n H_n(gamma/(2u cosh r)) / sqrt(n!),
+    u^2 = e^{i theta} tanh(r)/2 and gamma = alpha cosh r + alpha* e^{i theta}
+    sinh r (2u cosh r is sqrt(e^{i theta} sinh 2r), and u^n H_n(z/u) is a
+    polynomial in u^2, so the branch of u does not matter); at r = 0 the
+    coherent amplitude e^{-|alpha|^2/2} alpha^n / sqrt(n!)."""
+    with mpmath.workdps(40):
+        a, r_ = mpmath.mpc(alpha.real, alpha.imag), mpmath.mpf(r)
+        if r == 0.0:
+            return complex(mpmath.exp(-abs(a) ** 2 / 2) * a ** n
+                           / mpmath.sqrt(mpmath.factorial(n)))
+        u2 = mpmath.expj(theta) * mpmath.tanh(r_) / 2
+        u = mpmath.sqrt(u2)
+        gamma = a * mpmath.cosh(r_) + mpmath.conj(a) * 2 * u2 * mpmath.cosh(r_)
+        return complex(mpmath.sqrt(mpmath.sech(r_))
+                       * mpmath.exp(-abs(a) ** 2 / 2 - mpmath.conj(a) ** 2 * u2)
+                       * u ** n * mpmath.hermite(n, gamma / (2 * u * mpmath.cosh(r_)))
+                       / mpmath.sqrt(mpmath.factorial(n)))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.floats(0.0, 48.0), st.floats(-math.pi, math.pi), st.floats(-2.0, 2.0),
+       st.floats(-math.pi, math.pi), st.floats(0.0, 1.0))
+@example(30.0, 0.5, 0.0, 0.0, 0.6)  # r = 0: the coherent row
+@example(0.0, 0.0, 1.3, 0.4, 0.3)  # alpha = 0: the squeezed vacuum
+@example(60.0, 2.5, 0.0, 0.0, 1.0)  # p 4095 at |alpha| 60
+@example(5.0, 0.9, R_MAX, 0.0, 0.01)  # tanh r rounds to 1
+@example(1e-3, 2.0, -R_MAX, 1.0, 0.01)
+def test_yuen_amplitudes_match_mpmath(size, angle, r, theta, frac):
+    # the one amplitude kernel against the Hermite closed form, at a level n
+    # up to twice the row's mean photon number (capped at 4095): the
+    # relative error is at most 2 eps (n + |alpha|^2 + |r| + 1), the
+    # roundoff of n recurrence steps and of the exponent of c_0, measured
+    # against the largest true amplitude of levels n - 1, n and n + 1 (the
+    # recurrence error follows the row's envelope, not its zeros), wherever
+    # the true amplitude is a normal float
+    alpha = size * complex(math.cos(angle), math.sin(angle))
+    n = int(frac * min(4095.0, 2 * (size * size + math.sinh(r) ** 2) + 64))
+    got = yuen_levels(n + 1, alpha, r, theta)[n]
+    true = [_mp_yuen(k, alpha, r, theta) if k >= 0 else 0.0 for k in (n - 1, n, n + 1)]
+    if abs(true[1]) >= np.finfo(float).tiny:
+        bound = 2 * np.finfo(float).eps * (n + size * size + abs(r) + 1)
+        assert abs(got - true[1]) <= bound * max(map(abs, true))
 
 
 @st.composite
@@ -723,6 +770,8 @@ def detector_cases(draw):
 
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(detector_cases())
+@example((np.array([[0.6, 0.8j]]), 5.7565290067304925e-06, False,
+          np.array([0.0, 0.7, -2.3])))  # a homodyne kernel under the grid step
 def test_detector_kernel_matches_dense_elements(case):
     # the loss-channel kernel of both detectors against the dense
     # single-outcome elements (closed form for heterodyne, trapezoid
@@ -731,10 +780,11 @@ def test_detector_kernel_matches_dense_elements(case):
     from fockamp.oracles import heterodyne_element, homodyne_element
     kets, sigma2, heterodyne, outcomes = case
     element = heterodyne_element if heterodyne else homodyne_element
+    kernel = heterodyne_expectations if heterodyne else _detector_expectations
     space = FockSpace(kets.shape[1])
     want = np.array([[np.vdot(k, element(o, sigma2, space).matrix @ k).real
                       for k in kets] for o in outcomes])
-    got = _detector_expectations(kets, outcomes, sigma2, heterodyne)
+    got = kernel(kets, outcomes, sigma2)
     assert got.shape == want.shape and (got >= 0).all()
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
@@ -748,11 +798,12 @@ def test_detector_kernel_rows_do_not_depend_on_block_boundaries(case, blocks,
     # of _outcome_block) give the rows of one call, bit for bit
     from fockamp.measurement import _detector_expectations, _outcome_block
     kets, sigma2, heterodyne, outcomes = case
+    kernel = heterodyne_expectations if heterodyne else _detector_expectations
     n = 1 + int(blocks * _outcome_block(kets.shape[1]))
     outcomes = np.resize(outcomes, n) * np.linspace(0.5, 1.5, n)
-    whole = _detector_expectations(kets, outcomes, sigma2, heterodyne)
+    whole = kernel(kets, outcomes, sigma2)
     edges = sorted({0, n, *(int((c + 1) / 2 * n) for c in cuts)})
-    pieces = [_detector_expectations(kets, outcomes[a:b], sigma2, heterodyne)
+    pieces = [kernel(kets, outcomes[a:b], sigma2)
               for a, b in zip(edges, edges[1:])]
     assert np.array_equal(np.concatenate(pieces), whole)
 
