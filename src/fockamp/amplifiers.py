@@ -17,7 +17,10 @@ The signal always appears with gain in a meter quadrature; the added noise of
 the nonlinear variants is the meter preparation noise and is gain independent.
 One table, :func:`meter_table`, describes that readout for each nonlinear
 variant: simulation, the moment reports, the numeric effective POVM and the
-POVM model (:func:`measurement.povm_model`) all read it.
+POVM model (:func:`measurement.povm_model`) all read it. Simulation of a
+nonlinear variant reads each meter's mixture of displaced rows over the
+eigenspaces of f and forms no composite state; that composite is the test
+reference :func:`oracles.spectral_output`.
 """
 from __future__ import annotations
 
@@ -389,50 +392,47 @@ def meter_table(spec) -> list:
 
 def prepare_meters(spec, drive: float, dims=None) -> list[np.ndarray]:
     """The rows D(drive part(lam)) S(r)|0> of each meter of :func:`meter_table`
-    over the eigenspaces of f, at ``dims`` or auto-sized, each by one pass
+    over the eigenspaces of f, at ``dims`` or auto-sized (:func:`_meter_rows`)."""
+    return _meter_rows(spec, drive * spec.dec.eigenvalues[spec.dec.heads], dims)
+
+
+def _meter_rows(spec, lam, dims) -> list[np.ndarray]:
+    """The rows D(part(lam)) S(r)|0> of each meter of :func:`meter_table`, one
+    per value of ``lam``, at ``dims`` or auto-sized if None, each by one pass
     of :func:`displaced_meter_ket`."""
-    table, lam = meter_table(spec), spec.dec.eigenvalues[spec.dec.heads]
-    return [displaced_meter_ket(m, d, drive * part(lam))
+    table = meter_table(spec)
+    return [displaced_meter_ket(m, d, part(lam))
             for (m, part), d in zip(table, dims or [None] * len(table), strict=True)]
 
 
 def simulate_output_state(spec, input_a: State, dims=None) -> State:
-    """Evolve input (x) meters under the amplifier unitary and return the composite.
+    """Evolve input (x) meter under the linear amplifier and return the composite.
 
-    The meters of a nonlinear variant are the rows of
-    :func:`displaced_meter_ket` at ``dims`` (auto-sized if None, driven at
-    g) over the eigenspaces the input populates, and kets and density
-    matrices alike are assembled from those conditional meter displacements
-    in the signal eigenbasis (:func:`_spectral_output`); the linear amplifier
-    applies its two-mode squeezer, one photon-difference chain at a time
-    (:func:`_squeeze`), to its meter at ``dims`` (the signal dimension if
-    None). A displaced meter row that drops more than 1e-6 of its norm past
-    given ``dims``, an auto size past METER_DIM_CAP, and an output holding
-    more than 1e-6 on any mode's cutoff raise TruncationError.
+    The two-mode squeezer acts one photon-difference chain at a time
+    (:func:`_squeeze`) on its meter at ``dims`` (the signal dimension if
+    None). An output holding more than TRUNCATION_TOL on either mode's
+    cutoff raises TruncationError. A nonlinear variant's composite is the
+    test reference :func:`oracles.spectral_output`; its moments need none
+    (:func:`simulated_output_moments`).
     """
-    if isinstance(spec, SingleModeAmp):
-        raise TypeError("single-mode variant has no internal mode; "
-                        "use single_mode_output_moments / single_mode_output_ops")
-    if isinstance(spec, LinearAmp):
-        meter = spec.meter.state(dims[0] if dims else input_a.space.dim)
-        out = _squeeze(spec.g, tensor(input_a, meter))
-    else:
-        meter_table(spec)  # TypeError before spec.g is read
-        out = _spectral_output(spec, input_a, dims)
-
-    _check_top_occupancy(out)
+    if not isinstance(spec, LinearAmp):
+        raise TypeError(f"simulate_output_state evolves a LinearAmp, not {type(spec).__name__}; "
+                        "a nonlinear variant's composite output is oracles.spectral_output")
+    meter = spec.meter.state(dims[0] if dims else input_a.space.dim)
+    out = _squeeze(spec.g, tensor(input_a, meter))
+    prob = out.probabilities().reshape(out.space.dims)
+    _check_top_occupancy([float(np.take(prob, d - 1, axis=mode).sum())
+                          for mode, d in enumerate(out.space.dims)], out.space.dims)
     return out
 
 
-def _check_top_occupancy(out: State):
-    """Reject outputs holding more than TRUNCATION_TOL on any mode's cutoff."""
-    dims = out.space.dims
-    prob = out.probabilities().reshape(dims)
+def _check_top_occupancy(top, dims):
+    """Reject an output holding more than TRUNCATION_TOL on any mode's
+    cutoff, the first such mode by index; ``top`` holds those probabilities."""
     for mode, d in enumerate(dims):
-        top = float(np.take(prob, d - 1, axis=mode).sum())
-        if top > TRUNCATION_TOL:
+        if top[mode] > TRUNCATION_TOL:
             raise TruncationError(
-                f"mode {mode} holds {top:.2e} probability at its cutoff "
+                f"mode {mode} holds {top[mode]:.2e} probability at its cutoff "
                 f"(dim {d}); enlarge the truncation")
 
 
@@ -453,63 +453,24 @@ def _squeeze(g: float, state: State) -> State:
     return State(state.space, state.kind, out, state.norm_defect)
 
 
-def _spectral_output(spec, input_a: State, dims) -> State:
-    """Output via conditional meter displacements in the f eigenbasis.
-
-    U acts on the eigenspace of f with eigenvalue lam_i as a meter
-    displacement, so it maps e_i (x) meters to the column y_i = e_i (x) chi_i,
-    where chi_i is the product over :func:`meter_table` of the displaced
-    meters D(g part(lam_i))|m>, one per eigenspace. In the eigenbasis
-    (c = V^dag psi, rho' = V^dag rho V) the output is Y c for a ket and
-    Y rho' Y^dag for a density matrix. Eigenvectors the input does not
-    populate (|c_i|^2 or rho'_ii below 1e-32) are skipped, and so are the
-    meter rows of eigenspaces it does not populate; for a density this is
-    exact, since rho' is positive semidefinite.
-    """
-    v, ket = spec.dec.eigenvectors, input_a.kind == "ket"
-    c = v.conj().T @ input_a.data if ket else v.conj().T @ input_a.data @ v
-    keep = np.flatnonzero((np.abs(c) ** 2 if ket else np.real(np.diag(c))) >= 1e-32)
-    c = c[keep] if ket else c[np.ix_(keep, keep)]
-    used, space_of = np.unique(np.searchsorted(spec.dec.heads, keep, "right") - 1,
-                               return_inverse=True)
-    lam, table = spec.dec.eigenvalues[spec.dec.heads[used]], meter_table(spec)
-    meters = [displaced_meter_ket(m, d, spec.g * part(lam)) for (m, part), d
-              in zip(table, dims or [None] * len(table), strict=True)]
-    chi = np.ones((keep.size, 1))
-    for rows in meters:
-        chi = (chi[:, :, None] * rows[space_of, None, :]).reshape(keep.size, -1)
-    # y[(a, m), i] = v[a, i] chi_i[m]
-    y = (v[:, None, keep] * chi.T).reshape(-1, keep.size)
-    space = FockSpace((input_a.space.dim,) + tuple(rows.shape[1] for rows in meters))
-    defect = input_a.norm_defect
-    if ket:
-        out = y @ c
-        nrm = np.linalg.norm(out)
-        return State(space, "ket", out / nrm, defect + max(0.0, 1.0 - nrm ** 2))
-    out = y @ c @ y.conj().T
-    tr = float(np.trace(out).real)
-    return State(space, "density", out / tr, defect + max(0.0, 1.0 - tr))
-
-
-def _mode_quad_moments(out: State, mode: int):
-    """(mean_a, sym_a, <x>, <p>, Var x, Var p) of one mode of a composite.
+def _mode_quad_moments(reduced):
+    """(mean_a, sym_a, <x>, <p>, Var x, Var p) of one mode whose reduced
+    density rho is sum_k |chi_k><chi_k| over the rows chi_k of a (k, d)
+    array, or is the data of a single-mode density State.
 
     Every moment comes from three diagonals r_k[n] = rho[n + k, n], k = 0, 1,
-    2, of the mode's reduced density rho. A ket, reshaped to (rest, d), gives
-    each r_k as one sum over the other modes, so no d x d matrix is formed; a
-    density gives them from its partial trace. Then <a> = sum sqrt(n+1) r_1,
-    <a^2> = sum sqrt((n+1)(n+2)) r_2 and <a^dag a + a a^dag> = sum n r_0 +
-    sum_{n<d-1} (n+1) r_0: the truncated a a^dag gives the cutoff level 0,
-    as the matrix products do.
+    2; rows give each r_k as one sum over k, so no d x d matrix is formed.
+    Then <a> = sum sqrt(n+1) r_1, <a^2> = sum sqrt((n+1)(n+2)) r_2 and
+    <a^dag a + a a^dag> = sum n r_0 + sum_{n<d-1} (n+1) r_0: the truncated
+    a a^dag gives the cutoff level 0, as the matrix products do.
     """
-    d = out.space.dims[mode]
-    if out.kind == "ket":
-        psi = np.moveaxis(out.data.reshape(out.space.dims), mode, -1).reshape(-1, d)
-        r0, r1, r2 = (np.einsum("in,in->n", psi[:, k:], psi[:, :d - k].conj())
-                      for k in range(3))
+    if isinstance(reduced, State):
+        d = reduced.space.dim
+        r0, r1, r2 = (np.diag(reduced.data, -k) for k in range(3))
     else:
-        rho = partial_trace(out, mode).data
-        r0, r1, r2 = (np.diag(rho, -k) for k in range(3))
+        d = reduced.shape[1]
+        r0, r1, r2 = (np.einsum("in,in->n", reduced[:, k:], reduced[:, :d - k].conj())
+                      for k in range(3))
     up = np.sqrt(np.arange(1.0, d))
     pops = r0.real
     mean = complex(up @ r1)
@@ -521,19 +482,39 @@ def _mode_quad_moments(out: State, mode: int):
 
 
 def simulated_output_moments(spec, input_a: State, dims=None) -> MomentReport:
-    """MomentReport extracted from an actual evolution (matrix moments)."""
+    """MomentReport extracted from an actual evolution (matrix moments).
+
+    A nonlinear variant forms no composite: each meter's reduced state is
+    the mixture sum_k p_k |chi_k><chi_k| of its displaced rows over the
+    eigenspaces the input populates, p_k = <P_k>, and the cutoffs are
+    checked as the composite's would be (README, simulation).
+    """
     if isinstance(spec, SingleModeAmp):
         return _single_mode_matrix_report(spec, input_a)
     if isinstance(spec, LinearAmp):
         out = simulate_output_state(spec, input_a, dims=dims)
-        mean, sym, mx, mp, vx, vp = _mode_quad_moments(out, 0)
+        reduced = out.data.reshape(out.space.dims).T if out.kind == "ket" \
+            else partial_trace(out, 0)
+        mean, sym, mx, mp, vx, vp = _mode_quad_moments(reduced)
         added = sym - spec.g * spec.g * symmetrized_moment(
             input_a, annihilation_op(input_a.space))
         return MomentReport(mean, sym, (mx, mp), (vx, vp), added)
-    readouts = _readouts(spec)
-    out = simulate_output_state(spec, input_a, dims=dims)
-    # meter i is mode i + 1; (<x>, <p>) and (Var x, Var p) at 2 + q and 4 + q
-    moments = [_mode_quad_moments(out, i) for i in range(1, out.space.n_modes)]
+    readouts, dec = _readouts(spec), spec.dec
+    p = dec.eigenspace_weights(input_a)
+    used = np.flatnonzero(p >= 1e-32)
+    total = p[used].sum()
+    meters = _meter_rows(spec, spec.g * dec.eigenvalues[dec.heads[used]], dims)
+    overlaps = np.prod([rows.conj() @ rows.T for rows in meters], axis=0)
+    vecs, top = dec.eigenvectors, dec.eigenvectors[-1]
+    b = top[:, None] * (vecs.conj().T @ input_a.to_density().data @ vecs) * top.conj()
+    b = np.add.reduceat(np.add.reduceat(b, dec.heads, axis=0), dec.heads, axis=1)
+    _check_top_occupancy(
+        [float(np.real(np.sum(b[np.ix_(used, used)] * overlaps.T))) / total]
+        + [float(p[used] @ np.abs(rows[:, -1]) ** 2) / total for rows in meters],
+        (input_a.space.dim,) + tuple(rows.shape[1] for rows in meters))
+    # (<x>, <p>) and (Var x, Var p) of meter i at 2 + q and 4 + q
+    moments = [_mode_quad_moments(np.sqrt(p[used] / total)[:, None] * rows)
+               for rows in meters]
     quads = []
     for f_j, _, i, q in readouts:
         v = moments[i][4 + q]

@@ -151,7 +151,7 @@ def _nonlinear_blocks(plan: TrialPlan, transform=None):
     amp, dec = plan.amplifier, plan.amplifier.dec
     if np.abs(np.imag(dec.eigenvalues)).max() > 1e-9:
         raise NotHermitian("nonlinear estimation wants a Hermitian signal operator")
-    probs = np.add.reduceat(np.clip(dec.probabilities(plan.input_state), 0.0, None), dec.heads)
+    probs = dec.eigenspace_weights(plan.input_state)
     sd = math.sqrt(amp.meter.x_variance() + plan.detector.sigma2 / 2.0)
     if not sd <= 1e70 * math.sqrt(2.0) * amp.g:  # past it, 1e8 trials' y^4 overflow
         raise GainOutOfRange(f"the noise of y = x/(sqrt(2) g) passes 1e70 at g = {amp.g:.6g}")

@@ -396,6 +396,11 @@ class SpectralDecomposition:
             return np.abs(v.conj().T @ state.data) ** 2
         return np.real(np.einsum("ji,jk,ki->i", v.conj(), state.data, v))
 
+    def eigenspace_weights(self, state: State) -> np.ndarray:
+        """<P_k> of ``state`` on each eigenspace (``heads``), from the
+        spectral measure clipped at 0."""
+        return np.add.reduceat(np.clip(self.probabilities(state), 0.0, None), self.heads)
+
     def clusters(self) -> list[np.ndarray]:
         """Indices of the eigenvectors of each decision cluster."""
         return np.split(np.arange(self.eigenvalues.size), self.cluster_heads[1:])

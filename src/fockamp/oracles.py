@@ -1,10 +1,13 @@
-"""Dense oracles: composite-space unitaries, the truncated-exponential meter
-displacement, single-outcome detector elements and Husimi values.
+"""Dense oracles: composite-space unitaries, the composite output state of a
+nonlinear variant, the truncated-exponential meter displacement,
+single-outcome detector elements and Husimi values.
 
 No command builds these. The production routes take the exact displaced
 meter rows of Yuen's three-term recurrence in the eigenbasis of f
 (:func:`fock.yuen_blocks` through :func:`amplifiers.displaced_meter_ket`,
-O(d) per row), the photon-difference chains of the linear squeezer
+O(d) per row), each meter's mixture of those rows in place of the composite
+output (:func:`amplifiers.simulated_output_moments`), the photon-difference
+chains of the linear squeezer
 (:func:`amplifiers._squeezer_chains`), the homodyne detector expectations
 of :mod:`fockamp.measurement`, the outcome-frame heterodyne read of
 :mod:`fockamp.heterodyne` and the exact Husimi draws. The builders here
@@ -20,10 +23,11 @@ import warnings
 
 import numpy as np
 
-from .amplifiers import _squeezer_chains
+from .amplifiers import _meter_rows, _squeezer_chains
 from .errors import DimensionMismatch, NotHermitian
-from .fock import (FockSpace, Operator, annihilation_op, hermite_functions,
-                   log_factorials, normal_decompose, quadrature_ops)
+from .fock import (FockSpace, Operator, State, annihilation_op,
+                   hermite_functions, log_factorials, normal_decompose,
+                   quadrature_ops)
 
 # trapezoid quadrature of homodyne_element: step and least half-width of its grid
 HOMODYNE_YGRID_STEP = 0.005
@@ -278,6 +282,40 @@ def linear_amp_unitary(g: float, dims: tuple[int, int]) -> Operator:
     for idx, block in _squeezer_chains(g, dims):
         u[np.ix_(idx, idx)] = block
     return Operator(FockSpace(tuple(dims)), u)
+
+
+def spectral_output(spec, input_a: State, dims=None) -> State:
+    """The composite output state of a nonlinear variant, unchecked: the
+    reference of :func:`amplifiers.simulated_output_moments`, which reads
+    each meter's mixture instead.
+
+    U acts on the eigenspace k of f as a displacement of each meter, so it
+    maps e_i (x) meters, i in k, to the column y_i = e_i (x) chi_k, chi_k
+    the Kronecker product of the meters' rows (:func:`amplifiers._meter_rows`
+    at ``dims``, auto-sized if None, driven at g) over the eigenspaces the
+    input populates (<P_k> >= 1e-32), as simulation takes them. In the
+    eigenbasis (c = V^dag psi, rho' = V^dag rho V) the output is Y c for a
+    ket and Y rho' Y^dag for a density matrix, renormalized. It holds
+    d_s prod(d_m) entries for a ket and their square for a density.
+    """
+    dec, ket = spec.dec, input_a.kind == "ket"
+    used = np.flatnonzero(dec.eigenspace_weights(input_a) >= 1e-32)
+    space_of = np.searchsorted(dec.heads, np.arange(dec.eigenvalues.size), "right") - 1
+    keep = np.flatnonzero(np.isin(space_of, used))
+    v = dec.eigenvectors[:, keep]
+    c = v.conj().T @ input_a.data if ket else v.conj().T @ input_a.data @ v
+    meters = _meter_rows(spec, spec.g * dec.eigenvalues[dec.heads[used]], dims)
+    idx = np.searchsorted(used, space_of[keep])
+    chi = np.ones((keep.size, 1))
+    for rows in meters:
+        chi = (chi[:, :, None] * rows[idx, None, :]).reshape(keep.size, -1)
+    # y[(a, m), i] = v[a, i] chi_i[m]
+    y = (v[:, None, :] * chi.T).reshape(-1, keep.size)
+    space = FockSpace((input_a.space.dim,) + tuple(rows.shape[1] for rows in meters))
+    out = y @ c if ket else y @ c @ y.conj().T
+    norm = float(np.linalg.norm(out) ** 2 if ket else np.trace(out).real)
+    return State(space, input_a.kind, out / (math.sqrt(norm) if ket else norm),
+                 input_a.norm_defect + max(0.0, 1.0 - norm))
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,10 @@ from fockamp.errors import TruncationError
 from fockamp.fock import (State, hermite_functions, normal_decompose,
                          partial_trace)
 from fockamp.oracles import (cv_swap, embed, expm_hermitian,
-                             linear_amp_unitary, three_mode_columns,
-                             three_mode_unitary, two_mode_unitary,
-                             two_mode_unitary_factored, von_neumann_unitary)
+                             linear_amp_unitary, spectral_output,
+                             three_mode_columns, three_mode_unitary,
+                             two_mode_unitary, two_mode_unitary_factored,
+                             von_neumann_unitary)
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +407,20 @@ def test_simulation_forms_no_dense_exponential(monkeypatch):
     monkeypatch.setattr(oracles, "expm_hermitian", refuse)
     monkeypatch.setattr(oracles, "linear_amp_unitary", refuse)
     sp, sp_lin = FockSpace(8), FockSpace(12)
-    fc = Operator(sp, number_op(sp).matrix + 0.3j * np.eye(8))
-    cases = [
-        (LinearAmp(1.05), coherent_state(sp_lin, 0.3), (16,)),
-        (LinearAmp(1.05), _mixed_state(sp_lin, 3, 3, 5), (16,)),
-        (TwoModeNormalAmp(number_op(sp), 0.5), fock_state(sp, 2), None),
-        (VonNeumannAmp(number_op(sp), 0.5), _mixed_state(sp, 3, 2, 2), None),
-        (ThreeModeAmp(fc, 0.5), fock_state(sp, 1), None),
-    ]
-    for spec, state, dims in cases:
-        out = simulate_output_state(spec, state, dims=dims)
+    for state in (coherent_state(sp_lin, 0.3), _mixed_state(sp_lin, 3, 3, 5)):
+        out = simulate_output_state(LinearAmp(1.05), state, dims=(16,))
         assert out.kind == state.kind
+    # the nonlinear moments read each meter's mixture: no composite state,
+    # neither the reference's nor a product or partial trace of modes
+    for name in ("tensor", "partial_trace"):
+        monkeypatch.setattr(amplifiers, name, refuse)
+    monkeypatch.setattr(oracles, "spectral_output", refuse)
+    fc = Operator(sp, number_op(sp).matrix + 0.3j * np.eye(8))
+    for spec, state in ((TwoModeNormalAmp(number_op(sp), 0.5), fock_state(sp, 2)),
+                        (VonNeumannAmp(number_op(sp), 0.5), _mixed_state(sp, 3, 2, 2)),
+                        (ThreeModeAmp(fc, 0.5), fock_state(sp, 1)),
+                        (ThreeModeAmp(fc, 0.5), _mixed_state(sp, 3, 2, 3))):
+        simulated_output_moments(spec, state)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +485,45 @@ def test_added_noise_gain_independent_squeezed_meter():
     assert abs(vals[0] - 0.5 * math.exp(-0.6)) < 1e-4
 
 
+def test_added_noise_gain_independent_three_mode_density_to_large_gain():
+    # a rank-3 density on a complex normal f, squeezed and gaussian meters:
+    # at g 32 each meter is displaced by up to 26 and sized to ~800 levels,
+    # and its moments come from its mixture without the composite, which as
+    # a density would hold ~1e13 entries
+    sp = FockSpace(5)
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    v = np.eye(5, dtype=complex)
+    v[:4, :4] = q
+    lam = np.array([0.3 + 0.2j, -0.5 + 0.7j, 0.8 - 0.4j, -0.2 - 0.8j, 0.0])
+    f = Operator(sp, (v * lam) @ v.conj().T)
+    rho = _mixed_state(sp, 4, 3, 12)
+    noise = []
+    for g in (0.5, 2.0, 8.0, 16.0, 32.0):
+        spec = ThreeModeAmp(f, g, Meter("squeezed", 0.5), Meter("gaussian", epsilon=0.7))
+        sim = simulated_output_moments(spec, rho)
+        assert abs(sim.added_noise - predict_output_moments(spec, rho).added_noise) <= 1e-10
+        noise.append(sim.added_noise)
+    assert max(noise) - min(noise) <= 1e-12
+
+
+def test_nonlinear_density_moments_memory_is_bounded():
+    # the composite output of this rank-2 density at g 3 traced 120.6 MiB;
+    # the meter mixture holds the rows of the populated eigenspaces only
+    import tracemalloc
+    sp = FockSpace(6)
+    spec = VonNeumannAmp(number_op(sp), 3.0, Meter("squeezed", 0.5))
+    rho = _mixed_state(sp, 5, 2, 4)
+    tracemalloc.start()
+    try:
+        rep = simulated_output_moments(spec, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(rep.added_noise - predict_output_moments(spec, rho).added_noise) <= 1e-10
+    assert peak < 2 * 2 ** 20
+
+
 def _mixed_state(sp, support, rank, seed):
     """Random density matrix of the given rank on the lowest ``support`` levels."""
     rng = np.random.default_rng(seed)
@@ -498,7 +541,7 @@ def test_spectral_route_matches_dense_route():
     for spec, unitary in ((TwoModeNormalAmp(number_op(sp), 1.2), two_mode_unitary),
                           (VonNeumannAmp(number_op(sp), 1.2), von_neumann_unitary)):
         dense = unitary(spec.f, spec.g, (6, 64)).matrix @ joint
-        spectral = simulate_output_state(spec, st, dims=(64,))
+        spectral = spectral_output(spec, st, dims=(64,))
         fid = abs(np.vdot(dense, spectral.data))
         assert abs(fid - 1.0) < 1e-10
     # density inputs supported below the signal cutoff, against U (rho (x) sigma) U^dag
@@ -510,7 +553,7 @@ def test_spectral_route_matches_dense_route():
              two_mode_unitary)):
         u = unitary(spec.f, spec.g, (6, 64)).matrix
         dense = u @ tensor(rho, spec.meter.state(64)).data @ u.conj().T
-        spectral = simulate_output_state(spec, rho, dims=(64,))
+        spectral = spectral_output(spec, rho, dims=(64,))
         assert spectral.kind == "density"
         assert np.abs(spectral.data - dense).max() < 1e-12
 
@@ -523,13 +566,13 @@ def test_spectral_route_three_mode_matches_dense():
     vac = vacuum_state(FockSpace(24))
     w = three_mode_unitary(f, 0.5, (4, 24, 24)).matrix
     dense = w @ tensor(st, vac, vac).data
-    spectral = simulate_output_state(spec, st, dims=(24, 24))
+    spectral = spectral_output(spec, st, dims=(24, 24))
     assert abs(abs(np.vdot(dense, spectral.data)) - 1.0) < 1e-10
     rho = _mixed_state(sp, 3, 2, 1)
     # rho (x) |0><0| (x) |0><0| is zero off the vacuum-meter columns
     vac_cols = w[:, ::24 * 24]
     dense = vac_cols @ rho.data @ vac_cols.conj().T
-    spectral = simulate_output_state(spec, rho, dims=(24, 24))
+    spectral = spectral_output(spec, rho, dims=(24, 24))
     assert np.abs(spectral.data - dense).max() < 1e-12
 
 
@@ -581,10 +624,13 @@ def test_predicted_vs_simulated_all_variants(make_input):
 
 
 def test_simulate_output_state_refuses_a_non_spec():
-    # the meter table refuses the object before anything reads its gain
+    # it evolves the linear amplifier only, and refuses anything else before
+    # reading its gain; a nonlinear variant is pointed at the reference
     sp = FockSpace(4)
-    with pytest.raises(TypeError, match="no meters"):
+    with pytest.raises(TypeError, match="LinearAmp, not Operator"):
         simulate_output_state(number_op(sp), fock_state(sp, 1))
+    with pytest.raises(TypeError, match="oracles.spectral_output"):
+        simulate_output_state(TwoModeNormalAmp(number_op(sp), 1.0), fock_state(sp, 1))
 
 
 @pytest.mark.parametrize("meter, r", [
@@ -605,24 +651,24 @@ def test_meter_is_one_squeezed_vacuum(meter, r):
         assert st.norm_defect == ref.norm_defect
     assert np.array_equal(rest[0], meter.state(rest.shape[1]).data)
     _, _, mx, mp, vx, vp = amplifiers._mode_quad_moments(
-        meter.state(rest.shape[1]), 0)
+        meter.state(rest.shape[1]).data[None])
     assert abs(vx - meter.x_variance()) < 1e-12
     assert abs(vp - meter.p_variance()) < 1e-12
     assert abs(mx) < 1e-12 and abs(mp) < 1e-12
 
 
 def test_mode_moments_of_a_large_meter_ket_form_no_mode_matrix():
-    # six moments of a 4096-level meter from three diagonals: a dense
-    # 4096 x 4096 ladder alone would take 256 MiB
+    # six moments of a 4096-level meter from three diagonals of its rows: a
+    # dense 4096 x 4096 ladder alone would take 256 MiB
     import tracemalloc
     n = np.arange(4096)
     rng = np.random.default_rng(5)
     psi = np.exp(-n / 50.0 + 2j * np.pi * rng.uniform(size=(8, 4096)))
-    out = State(FockSpace((8, 4096)), "ket", (psi / np.linalg.norm(psi)).ravel())
-    for mode in (0, 1):
+    psi /= np.linalg.norm(psi)
+    for rows in (psi, psi.T):
         tracemalloc.start()
         try:
-            amplifiers._mode_quad_moments(out, mode)
+            amplifiers._mode_quad_moments(rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -633,7 +679,7 @@ def test_cv_swap_moves_signal_to_mode_zero():
     sp = FockSpace(10)
     spec = TwoModeNormalAmp(number_op(sp), 0.4)
     st = fock_state(sp, 2)
-    plain = simulate_output_state(spec, st, dims=(10,))
+    plain = spectral_output(spec, st, dims=(10,))
     u = cv_swap(plain.space, 0, 1).matrix
     swapped = State(plain.space, "ket", u @ plain.data)
     b = annihilation_op(sp)
@@ -745,7 +791,7 @@ def test_auto_sized_squeezed_meter_builds_one_kernel_basis(monkeypatch):
                            np.linspace(-2.0, 8.0, 5))
     assert len(calls) == 1
     calls.clear()
-    simulate_output_state(spec, fock_state(sp, 1))
+    simulated_output_moments(spec, fock_state(sp, 1))
     assert len(calls) == 1
 
 

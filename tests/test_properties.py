@@ -54,14 +54,14 @@ from fockamp import (DetectorSpec, FockSpace, Meter, Operator, State,
                      annihilation_op, effective_povm_closed_form,
                      effective_povm_numeric, normal_decompose,
                      predict_output_moments, quadrature_ops, real_imag_parts,
-                     simulate_output_state, simulated_output_moments, tensor,
-                     variance)
+                     simulated_output_moments, tensor, variance)
 from fockamp.amplifiers import (METER_DIM_CAP, METER_TAIL, R_MAX, TRUNCATION_TOL,
-                                _mode_quad_moments, displaced_meter_ket)
+                                _mode_quad_moments, _readout_report, _readouts,
+                                displaced_meter_ket)
 from fockamp.errors import TruncationError
 from fockamp.estimators import _Moments
-from fockamp.fock import hermite_functions, yuen_levels
-from fockamp.oracles import (displaced_meter_ket_expm, embed,
+from fockamp.fock import hermite_functions, partial_trace, yuen_levels
+from fockamp.oracles import (displaced_meter_ket_expm, embed, spectral_output,
                              three_mode_columns, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
 from support import coherent_amplitudes, dense_rounding, heterodyne_expectations
@@ -144,7 +144,7 @@ def test_meter_table_matches_dense_oracle_and_closed_form(case):
             dims = (d,)
     meter_states = [m.state(dim) for m, dim in zip(meters, dims)]
     dense = u.matrix @ tensor(st_in, *meter_states).data
-    spectral = simulate_output_state(spec, st_in, dims=dims)
+    spectral = spectral_output(spec, st_in, dims=dims)
     assert abs(abs(np.vdot(dense, spectral.data)) - 1.0) < 1e-10
 
     # the numeric heterodyne POVM of the same f, vacuum meter, auto-sized
@@ -586,8 +586,9 @@ def composite_states(draw):
 @settings(max_examples=12, derandomize=True, deadline=None)
 @given(composite_states())
 def test_mode_moments_match_embedded_operators(state):
-    # three diagonals of each mode's reduced density against the dense
-    # truncated products, whose a a^dag gives the cutoff level 0
+    # three diagonals of each mode's reduced density, from its rows (a ket
+    # with the mode last) or its partial trace, against the dense truncated
+    # products, whose a a^dag gives the cutoff level 0
     space = state.space
     for mode, d in enumerate(space.dims):
         a = annihilation_op(FockSpace(d)).matrix
@@ -600,16 +601,16 @@ def test_mode_moments_match_embedded_operators(state):
         oracle = (mean_a,
                   0.5 * (ev(a @ a.conj().T) + ev(a.conj().T @ a)).real - abs(mean_a) ** 2,
                   ex, ep, ev(x @ x).real - ex ** 2, ev(p @ p).real - ep ** 2)
-        got = _mode_quad_moments(state, mode)
+        got = _mode_quad_moments(
+            np.moveaxis(state.data.reshape(space.dims), mode, -1).reshape(-1, d)
+            if state.kind == "ket" else partial_trace(state, mode))
         assert max(abs(u - v) for u, v in zip(got, oracle)) < 1e-12
 
 
 @st.composite
 def moment_cases(draw):
     """A nonlinear variant on a random normal f of 5 levels, one meter kind,
-    a gain, and an input on the lowest 4 levels: a rank 1-3 density for the
-    two-mode variants, a ket for the three-mode one (a density on its three
-    auto-sized modes would not fit in memory)."""
+    a gain, and a rank 1-3 density on the lowest 4 levels."""
     variant = draw(st.sampled_from(["two_mode", "von_neumann", "three_mode"]))
     meter = draw(st.sampled_from([Meter("squeezed", r=0.5),
                                   Meter("gaussian", epsilon=0.7), VACUUM]))
@@ -622,18 +623,18 @@ def moment_cases(draw):
     if variant == "von_neumann":
         lam = lam.real
     f = Operator(FockSpace(5), (v * lam) @ v.conj().T)
-    rank = 1 if variant == "three_mode" else draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3))
     vecs = np.zeros((rank, 5), dtype=complex)
     for k in range(rank):
         vecs[k, :4] = _complex(draw(st.lists(unit, min_size=8, max_size=8)))
         vecs[k, k] += 2.0  # keeps the components clear of zero
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    if variant == "three_mode":
-        return ThreeModeAmp(f, g, meter, meter), State(f.space, "ket", vecs[0])
     w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=rank, max_size=rank)))
-    rho = (vecs.T * (w / w.sum())) @ vecs.conj()
+    rho = State(f.space, "density", (vecs.T * (w / w.sum())) @ vecs.conj())
+    if variant == "three_mode":
+        return ThreeModeAmp(f, g, meter, meter), rho
     cls = TwoModeNormalAmp if variant == "two_mode" else VonNeumannAmp
-    return cls(f, g, meter), State(f.space, "density", rho)
+    return cls(f, g, meter), rho
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
@@ -649,6 +650,129 @@ def test_predicted_vs_simulated_meters_and_mixed_inputs(case):
     assert abs(pred.quad_noises[0] - sim.quad_noises[0]) < tol * 10
     assert abs(pred.quad_noises[1] - sim.quad_noises[1]) < tol * 10
     assert abs(pred.added_noise - sim.added_noise) < tol * 10
+
+
+METERS = [VACUUM, Meter("squeezed", r=0.5), Meter("gaussian", epsilon=0.7)]
+
+
+def _mixture_case(variant, f, g, meters, vecs, weights, dims):
+    """(spec, input, dims) of :func:`mixture_cases`: a ket for one weight,
+    else the density of the rows of ``vecs`` at ``weights``."""
+    vecs = np.asarray(vecs, dtype=complex)
+    vecs = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    if len(weights) == 1:
+        state = State(f.space, "ket", vecs[0])
+    else:
+        w = np.asarray(weights) / sum(weights)
+        state = State(f.space, "density", (vecs.T * w) @ vecs.conj())
+    if variant == "three_mode":
+        return ThreeModeAmp(f, g, *meters), state, dims
+    cls = TwoModeNormalAmp if variant == "two_mode" else VonNeumannAmp
+    return cls(f, g, meters[0]), state, dims
+
+
+@st.composite
+def mixture_cases(draw):
+    """A nonlinear variant on a normal f of 4 levels, its meters (vacuum,
+    squeezed or gaussian), a gain in [0.3, 3], the meters' dims, and a ket
+    or rank 2-3 density on the lowest 3 levels.
+
+    The eigenbasis is drawn on the lowest 3 levels or, one draw in four, on
+    all 4, which dephases the input onto the signal cutoff. Dims are auto-sized or drawn in
+    [8, 64]; a three-mode density takes dims in [8, 24] and g up to 1, so its
+    reference composite, (4 d_b d_c)^2 entries, stays under 5.4e6.
+    """
+    variant = draw(st.sampled_from(["two_mode", "von_neumann", "three_mode"]))
+    n = draw(st.sampled_from([3, 3, 3, 4]))
+    q, _ = np.linalg.qr(_complex(draw(st.lists(unit, min_size=2 * n * n,
+                                               max_size=2 * n * n))).reshape(n, n))
+    v = np.eye(4, dtype=complex)
+    v[:n, :n] = q
+    lam = _complex(draw(st.lists(unit, min_size=8, max_size=8)))
+    if variant == "von_neumann":
+        lam = lam.real
+    f = (v * lam) @ v.conj().T
+    if variant == "von_neumann":
+        f = (f + f.conj().T) / 2
+    rank = draw(st.sampled_from([1, 2, 3]))
+    vecs = np.zeros((rank, 4), dtype=complex)
+    for k in range(rank):
+        vecs[k, :3] = _complex(draw(st.lists(unit, min_size=6, max_size=6)))
+        vecs[k, k] += 2.0  # keeps the rows clear of zero
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=rank, max_size=rank))
+    meters = draw(st.lists(st.sampled_from(METERS), min_size=2, max_size=2))
+    n_meters = 2 if variant == "three_mode" else 1
+    small = variant == "three_mode" and rank > 1
+    g = draw(st.floats(0.3, 1.0 if small else 3.0))
+    drawn = st.lists(st.integers(8, 24 if small else 64), min_size=n_meters,
+                     max_size=n_meters).map(tuple)
+    dims = draw(drawn if small else st.none() | drawn)
+    return _mixture_case(variant, Operator(FockSpace(4), f), g, meters, vecs,
+                         weights, dims)
+
+
+def _reference(spec, state, dims):
+    """(MomentReport, each mode's probability at its cutoff) of the
+    composite output :func:`oracles.spectral_output`, the meters read from
+    their partial traces."""
+    out = spectral_output(spec, state, dims)
+    assert out.data.size <= 2e7
+    prob = out.probabilities().reshape(out.space.dims)
+    tops = [float(np.take(prob, d - 1, axis=mode).sum())
+            for mode, d in enumerate(out.space.dims)]
+    moments = [_mode_quad_moments(partial_trace(out, i))
+               for i in range(1, out.space.n_modes)]
+    quads = [(moments[i][4 + q], moments[i][4 + q] - spec.g ** 2 * variance(state, f_j),
+              moments[i][2 + q]) for f_j, _, i, q in _readouts(spec)]
+    return _readout_report(spec, quads), tops
+
+
+_ROT = np.eye(4, dtype=complex)
+_ROT[2:, 2:] = [[1, 1], [1, -1]]
+_ROT[2:, 2:] /= math.sqrt(2.0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(mixture_cases())
+# the eigenvectors of f mix levels 2 and 3: the meters dephase |2> onto
+# the signal cutoff, 0.34 of the output at g 1
+@example(_mixture_case("two_mode", Operator(FockSpace(4), (_ROT * [0, 0.5, -0.5, 1])
+                                            @ _ROT.T), 1.0, METERS[:1],
+                       [[0, 0, 1, 0]], [1.0], None))
+# a rank-3 density on a squeezed meter
+@example(_mixture_case("von_neumann", Operator(FockSpace(4), np.diag([0.3, -0.7, 0.9, 0.0])),
+                       2.0, METERS[1:2], np.eye(4)[:3] + [0.5, 0.5, 0.5, 0.0], [0.2, 0.3, 0.5],
+                       None))
+# a three-mode amplifier with two different meters, on a density
+@example(_mixture_case("three_mode", Operator(FockSpace(4), np.diag([0.5 + 0.5j, -0.8j, 0.6, 0])),
+                       0.9, METERS[1:], np.eye(4)[:2] + [0.3, 0.3, 0.3, 0.0], [0.4, 0.6],
+                       (20, 24)))
+# a meter row that keeps all but 1e-6 of its norm at 8 levels, and holds
+# 9.9e-6 on the last one
+@example(_mixture_case("two_mode", Operator(FockSpace(4), np.diag([0.85, 0.0, 0.2j, 0.0])),
+                       1.0, METERS[:1], [[1, 0, 0, 0]], [1.0], (8,)))
+def test_meter_mixture_matches_the_composite_reference(case):
+    # every MomentReport field to 1e-12 of its size or of the output noise,
+    # and the TruncationError of each cutoff the reference overfills
+    spec, state, dims = case
+    try:
+        ref, tops = _reference(spec, state, dims)
+    except TruncationError as err:  # a meter row drops its norm past dims
+        with pytest.raises(TruncationError, match="drops"):
+            simulated_output_moments(spec, state, dims)
+        assert "drops" in str(err)
+        return
+    over = [mode for mode, top in enumerate(tops) if top > TRUNCATION_TOL]
+    if over:
+        with pytest.raises(TruncationError, match=f"mode {over[0]} holds"):
+            simulated_output_moments(spec, state, dims)
+        return
+    sim = simulated_output_moments(spec, state, dims)
+    scale = ref.symmetrized_noise
+    for got, want in ((sim.mean_out, ref.mean_out), (sim.added_noise, ref.added_noise),
+                      (sim.symmetrized_noise, ref.symmetrized_noise),
+                      *zip(sim.quad_means + sim.quad_noises, ref.quad_means + ref.quad_noises)):
+        assert abs(got - want) <= 1e-12 * max(abs(want), scale)
 
 
 def _mp_hermite_function(n: int, x: float):
