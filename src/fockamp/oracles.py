@@ -39,9 +39,16 @@ HOMODYNE_YGRID_RANGE = 10.0
 # ---------------------------------------------------------------------------
 
 def expm_hermitian(h: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(-i h t) by eigendecomposition; exactly unitary up to roundoff."""
+    """exp(-i h t) by eigendecomposition; exactly unitary up to roundoff.
+
+    Beside h it holds three matrices of its size: the eigenvectors v, their
+    one scaled copy and the product, v being conjugated in place and read
+    as a transposed view.
+    """
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    vs = v * np.exp(-1j * w * t)
+    np.conjugate(v, out=v)
+    return vs @ v.T
 
 
 def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
@@ -127,7 +134,9 @@ def unitary_from_generator(h: Operator, t: float = 1.0) -> Operator:
     res = h.hermiticity_residual()
     if res > 1e-10 * max(1.0, float(np.abs(h.matrix).max())):
         raise NotHermitian(f"generator hermiticity residual {res:.2e}")
-    hm = (h.matrix + h.matrix.conj().T) / 2.0
+    hm = h.matrix.conj().T
+    hm += h.matrix
+    hm /= 2.0
     return Operator(h.space, expm_hermitian(hm, t))
 
 
@@ -180,8 +189,12 @@ def two_mode_unitary(f: Operator, g: float, dims: tuple[int, int]) -> Operator:
     dec = normal_decompose(f)
     _warn_if_meter_tight(g, float(np.abs(dec.eigenvalues).max()), db)
     b = annihilation_op(FockSpace(db)).matrix
-    k = g * (np.kron(f.matrix, b.conj().T) - np.kron(f.matrix.conj().T, b))
-    return Operator(FockSpace((da, db)), expm_hermitian(1j * k))
+    # f^dag (x) b is the adjoint of f (x) b^dag, so one Kronecker product serves
+    k = np.kron(f.matrix, b.conj().T)
+    k -= k.conj().T
+    k *= g
+    k *= 1j
+    return Operator(FockSpace((da, db)), expm_hermitian(k))
 
 
 def two_mode_unitary_factored(f: Operator, g: float,
@@ -214,22 +227,26 @@ def von_neumann_unitary(f: Operator, g: float, dims: tuple[int, int]) -> Operato
     if res > 1e-10 * max(1.0, float(np.abs(f.matrix).max())):
         raise NotHermitian(f"von Neumann coupling wants Hermitian f, residual {res:.2e}")
     _, p = quadrature_ops(FockSpace(db))
-    h = math.sqrt(2.0) * g * np.kron(f.matrix, p.matrix)
+    h = np.kron(f.matrix, p.matrix)
+    h *= math.sqrt(2.0) * g
     return Operator(FockSpace((da, db)), expm_hermitian(h))
 
 
-def three_mode_columns(f: Operator, g: float, dims: tuple[int, int, int],
-                       keep: tuple[int, int, int]) -> np.ndarray:
-    """Columns W[:, :ka, :kb, :kc] of :func:`three_mode_unitary` as one owned
-    (prod(dims), prod(keep)) matrix; view it as shape dims + keep to index
-    the modes.
+def three_mode_blocks(f: Operator, g: float, dims: tuple[int, int, int],
+                      keep: tuple[int, int, int], out=None):
+    """An iterator over the mode-a row blocks of :func:`three_mode_columns`,
+    each built as it is read: block a is W[a, :, :, :ka, :kb, :kc] of shape
+    (db, dc, prod(keep)), meter rows first. It is written into ``out[a]``
+    (``out`` of shape dims + keep) when ``out`` is given, else into an
+    array of its own.
 
     W is assembled in the joint eigenbasis Va (x) Vb (x) Vc of (f, p_b, p_c):
     the phase table is taken through one mode product per factor, c, then b,
-    then a, each with that factor's projector columns V V[:k]^H. Every
-    intermediate is smaller than the output, which the last product writes
-    in place, so the working set is the size of the kept columns; the
-    composite-space basis is never formed.
+    then a, each with that factor's projector columns V V[:k]^H; the last
+    product runs one row a of mode a at a time. The table it reads is da/ka
+    blocks in size, so a reader that drops each block before the next holds
+    that table and one block, not the kept columns; the composite-space
+    basis is never formed.
     """
     da, db, dc = dims
     if f.space.dim != da:
@@ -250,9 +267,24 @@ def three_mode_columns(f: Operator, g: float, dims: tuple[int, int, int],
                               + fi[:, None, None] * wc[None, None, :]))
     t = np.einsum("ijk,czk->ijcz", phase, vc[:, None] * vc[None, :kc].conj())
     t = np.einsum("byj,ijcz->ibcyz", vb[:, None] * vb[None, :kb].conj(), t)
+    pa = va[:, None] * va[None, :ka].conj()
+    return (np.einsum("xi,ibcyz->bcxyz", pa[a], t,
+                      out=np.empty((db, dc) + tuple(keep), dtype=complex)
+                      if out is None else out[a]).reshape(db, dc, -1)
+            for a in range(da))
+
+
+def three_mode_columns(f: Operator, g: float, dims: tuple[int, int, int],
+                       keep: tuple[int, int, int]) -> np.ndarray:
+    """Columns W[:, :ka, :kb, :kc] of :func:`three_mode_unitary` as one owned
+    (prod(dims), prod(keep)) matrix; view it as shape dims + keep to index
+    the modes. It is :func:`three_mode_blocks` written in place, so beside
+    the output it holds the table the blocks read.
+    """
     out = np.empty((math.prod(dims), math.prod(keep)), dtype=complex)
-    np.einsum("axi,ibcyz->abcxyz", va[:, None] * va[None, :ka].conj(), t,
-              out=out.reshape(tuple(dims) + tuple(keep)))
+    for _ in three_mode_blocks(f, g, dims, keep,
+                               out.reshape(tuple(dims) + tuple(keep))):
+        pass
     return out
 
 

@@ -18,14 +18,15 @@ from fockamp.amplifiers import (METER_DIM_CAP, METER_TAIL, TRUNCATION_TOL,
                                 displaced_meter_ket, prepare_meters,
                                 single_mode_commutator_residual)
 from fockamp import amplifiers, oracles
-from fockamp.errors import TruncationError
+from fockamp.errors import DimensionMismatch, TruncationError
 from fockamp.fock import (State, hermite_functions, normal_decompose,
                          partial_trace)
 from fockamp.oracles import (cv_swap, embed, expm_hermitian,
                              linear_amp_unitary, spectral_output,
                              three_mode_columns, three_mode_unitary,
                              two_mode_unitary, two_mode_unitary_factored,
-                             von_neumann_unitary)
+                             unitary_from_generator, von_neumann_unitary)
+from support import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +180,39 @@ def test_von_neumann_rejects_nonhermitian():
                             1.0, (6, 10))
 
 
+def _expm_out_of_place(h, t=1.0):
+    """exp(-i h t) as the oracles built it before they worked in place."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+@pytest.mark.parametrize("case", ["two_mode", "von_neumann", "generator"])
+def test_dense_oracles_build_in_place(case):
+    # each oracle holds its generator, the eigenvectors, their scaled copy
+    # and the product: 4.0x the output traced, where the out-of-place build
+    # traced 6.0x, 5.1x and 5.0x. The result is that build's bit for bit
+    sp, g, db = FockSpace(4), 0.3, 48  # g max|f| = 0.9 fits 48 meter levels
+    f = number_op(sp).matrix
+    if case == "two_mode":
+        b = annihilation_op(FockSpace(db)).matrix
+        u, peak = traced_peak(lambda: two_mode_unitary(Operator(sp, f), g, (4, db)))
+        want = _expm_out_of_place(
+            1j * (g * (np.kron(f, b.conj().T) - np.kron(f.conj().T, b))))
+    elif case == "von_neumann":
+        p = quadrature_ops(FockSpace(db))[1].matrix
+        u, peak = traced_peak(lambda: von_neumann_unitary(Operator(sp, f), g, (4, db)))
+        want = _expm_out_of_place(math.sqrt(2.0) * g * np.kron(f, p))
+    else:
+        # Hermitian to 1e-13, so the symmetrization has something to do
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(4 * db, 4 * db)) + 1j * rng.normal(size=(4 * db, 4 * db))
+        h = Operator(FockSpace(4 * db), m + m.conj().T + 1e-13 * m)
+        u, peak = traced_peak(lambda: unitary_from_generator(h, g))
+        want = _expm_out_of_place((h.matrix + h.matrix.conj().T) / 2.0, g)
+    assert np.array_equal(u.matrix, want)
+    assert peak <= 4.5 * u.matrix.nbytes, peak / u.matrix.nbytes
+
+
 # ---------------------------------------------------------------------------
 # three-mode coupling
 # ---------------------------------------------------------------------------
@@ -242,20 +276,29 @@ def test_three_mode_columns_match_two_einsum_assembly(dims, keep):
     assert np.abs(cols - want).max() < 1e-13
 
 
+def test_three_mode_blocks_are_the_rows_of_the_columns():
+    # the check's blocks and the columns are one assembly, bit for bit
+    sp = FockSpace(5)
+    f = Operator(sp, number_op(sp).matrix + 0.3j * np.eye(5))
+    dims, keep = (5, 8, 7), (3, 4, 5)
+    cols = three_mode_columns(f, 0.7, dims, keep).reshape(5, 8, 7, -1)
+    blocks = list(oracles.three_mode_blocks(f, 0.7, dims, keep))
+    assert len(blocks) == 5
+    for blk, want in zip(blocks, cols):
+        assert blk.shape == (8, 7, 60) and blk.flags.c_contiguous
+        assert np.array_equal(blk, want)
+    with pytest.raises(DimensionMismatch):
+        oracles.three_mode_blocks(f, 0.7, dims, (3, 9, 5))
+
+
 def test_three_mode_unitary_holds_one_copy_of_w():
     # the column builder returns an owned (n, n) matrix that the Operator
     # keeps as it is; a reshaped view was copied, so W was held twice
     # (2.0 W traced). What is left is the mode-c product's table (W / 4
     # here) and the finiteness mask (W / 16)
-    import tracemalloc
     sp = FockSpace(4)
     f = Operator(sp, number_op(sp).matrix + 0.3j * np.eye(4))
-    tracemalloc.start()
-    try:
-        w = three_mode_unitary(f, 0.7, (4, 10, 10))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    w, peak = traced_peak(lambda: three_mode_unitary(f, 0.7, (4, 10, 10)))
     assert w.matrix.flags.owndata
     assert peak <= 1.4 * w.matrix.nbytes, peak / w.matrix.nbytes
 
@@ -367,14 +410,9 @@ def test_linear_chains_match_dense_exponential(dims, g):
 def test_linear_simulation_memory_is_bounded():
     # the chain blocks are applied to the ket; the dense (d_a d_b)^2
     # generator and unitary (2 x 41 MB at 40 x 40 levels) are never formed
-    import tracemalloc
     st = coherent_state(FockSpace(40), 0.5)
-    tracemalloc.start()
-    try:
-        out = simulate_output_state(LinearAmp(1.25), st, dims=(40,))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(
+        lambda: simulate_output_state(LinearAmp(1.25), st, dims=(40,)))
     assert out.space.dims == (40, 40)
     assert peak < 16 * 2 ** 20
 
@@ -510,16 +548,10 @@ def test_added_noise_gain_independent_three_mode_density_to_large_gain():
 def test_nonlinear_density_moments_memory_is_bounded():
     # the composite output of this rank-2 density at g 3 traced 120.6 MiB;
     # the meter mixture holds the rows of the populated eigenspaces only
-    import tracemalloc
     sp = FockSpace(6)
     spec = VonNeumannAmp(number_op(sp), 3.0, Meter("squeezed", 0.5))
     rho = _mixed_state(sp, 5, 2, 4)
-    tracemalloc.start()
-    try:
-        rep = simulated_output_moments(spec, rho)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(lambda: simulated_output_moments(spec, rho))
     assert abs(rep.added_noise - predict_output_moments(spec, rho).added_noise) <= 1e-10
     assert peak < 2 * 2 ** 20
 
@@ -660,18 +692,12 @@ def test_meter_is_one_squeezed_vacuum(meter, r):
 def test_mode_moments_of_a_large_meter_ket_form_no_mode_matrix():
     # six moments of a 4096-level meter from three diagonals of its rows: a
     # dense 4096 x 4096 ladder alone would take 256 MiB
-    import tracemalloc
     n = np.arange(4096)
     rng = np.random.default_rng(5)
     psi = np.exp(-n / 50.0 + 2j * np.pi * rng.uniform(size=(8, 4096)))
     psi /= np.linalg.norm(psi)
     for rows in (psi, psi.T):
-        tracemalloc.start()
-        try:
-            amplifiers._mode_quad_moments(rows)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: amplifiers._mode_quad_moments(rows))
         assert peak < 4 * 2 ** 20
 
 
@@ -762,13 +788,8 @@ def test_displaced_meter_ket_memory_stays_linear_in_the_dim():
     # three rows of 4,096 levels hold ~0.2 MB; the truncated exponential
     # built a 4,096^2 Hermite basis (288 MB peak RSS). At |alpha| = 36,
     # amplitudes run up from |c_0| = 1 unscaled would overflow (~1e330)
-    import tracemalloc
-    tracemalloc.start()
-    try:
-        rows = displaced_meter_ket(Meter("squeezed", 0.5), 4096, [1.0, 20j, 30 - 20j])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak(lambda: displaced_meter_ket(
+        Meter("squeezed", 0.5), 4096, [1.0, 20j, 30 - 20j]))
     assert rows.shape == (3, 4096) and np.isfinite(rows).all()
     assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
     assert peak <= 2 * 2 ** 20, peak

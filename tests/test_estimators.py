@@ -30,7 +30,7 @@ from fockamp import measurement
 from fockamp.measurement import (BLOCK, DRAW_CHUNK, gaussian_blocks,
                                  sample_outcomes)
 from fockamp.oracles import husimi_values, von_neumann_unitary
-from support import run_python
+from support import run_python, traced_peak
 
 
 def nonlinear_meter_x_samples(plan):
@@ -547,7 +547,6 @@ def _set_cpus(mp, k):
 def test_estimation_memory_is_bounded(case, monkeypatch):
     # the two montecarlo benchmark plans, at 1 and 4 workers; the samplers
     # reduce their draws to moments a chunk at a time
-    import tracemalloc
     if case == "linear":
         plan = TrialPlan(LinearAmp(2.0), coherent_state(FockSpace(64), 1.0 + 0.5j),
                          _het(0.8), 1_000_000, 7)
@@ -559,12 +558,7 @@ def test_estimation_memory_is_bounded(case, monkeypatch):
         bound = 90
     for workers in (1, 4):
         _set_cpus(monkeypatch, workers)
-        tracemalloc.start()
-        try:
-            rep = run_plan(plan)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rep, peak = traced_peak(lambda: run_plan(plan))
         assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
         assert peak < bound * 2 ** 20
 
@@ -573,7 +567,6 @@ def test_estimation_memory_is_bounded(case, monkeypatch):
 def test_estimation_memory_is_flat_in_trials(case, monkeypatch):
     # the draws stream in blocks and the moments merge per block, so at 1
     # and at 4 workers the traced peak at 4e6 trials is the peak at 1e5
-    import tracemalloc
     if case == "linear":
         args = (LinearAmp(2.0), coherent_state(FockSpace(64), 1.0 + 0.5j), _het(0.8))
     else:
@@ -583,13 +576,8 @@ def test_estimation_memory_is_flat_in_trials(case, monkeypatch):
         _set_cpus(monkeypatch, workers)
         peaks = []
         for trials in (100_000, 4_000_000):
-            plan = TrialPlan(*args, trials, 7)
-            tracemalloc.start()
-            try:
-                rep = run_plan(plan)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            rep, peak = traced_peak(lambda: run_plan(TrialPlan(*args, trials, 7)))
+            peaks.append(peak)
             assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
         assert abs(peaks[1] - peaks[0]) < 4 * 2 ** 20
 
@@ -600,7 +588,6 @@ def test_gaussian_route_forms_no_block_sized_array(case, monkeypatch):
     # chunk-sized buffers: the traced peak of a five-block plan stays under
     # one real block (0.5 MiB) per worker, where whole blocks traced 1.1 and
     # 2.3 MiB (linear) and 1.0 and 2.0 MiB (two-mode) at 1 and 4 workers
-    import tracemalloc
     if case == "linear":
         args = (LinearAmp(2.0), coherent_state(FockSpace(64), 1.0 + 0.5j), _het(0.8))
     else:
@@ -610,12 +597,7 @@ def test_gaussian_route_forms_no_block_sized_array(case, monkeypatch):
     plan = TrialPlan(*args, 5 * BLOCK, 7)
     for workers in (1, 4):
         _set_cpus(monkeypatch, workers)
-        tracemalloc.start()
-        try:
-            rep = run_plan(plan)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rep, peak = traced_peak(lambda: run_plan(plan))
         assert abs(rep.z_mean) < 5 and abs(rep.z_variance) < 5
         assert peak < workers * BLOCK * 8
 

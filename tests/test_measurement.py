@@ -21,7 +21,7 @@ from fockamp.measurement import BLOCK, _region_masses
 from fockamp.oracles import (heterodyne_element, homodyne_element,
                              husimi_values, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
-from support import coherent_amplitudes, heterodyne_expectations
+from support import coherent_amplitudes, heterodyne_expectations, traced_peak
 
 
 def povm_meter_dims(amp):
@@ -213,18 +213,13 @@ def test_heterodyne_expectations_memory_is_bounded():
     # the outcomes stream in blocks of _outcome_block, so the peak does not grow
     # with their count; one amplitude table over all outcomes traces 55 and
     # 220 MiB here
-    import tracemalloc
     kets = _random_kets(4, 144, 2)
     rng = np.random.default_rng(2)
     peaks = []
     for n in (10_000, 40_000):
         betas = 4.0 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
-        tracemalloc.start()
-        try:
-            out = heterodyne_expectations(kets, betas, 1.0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: heterodyne_expectations(kets, betas, 1.0))
+        peaks.append(peak)
         assert out.shape == (n, 4)
     assert peaks[1] <= 16 * 2 ** 20, peaks
     assert peaks[1] - peaks[0] <= 2 * 2 ** 20, peaks  # the (n, 4) output
@@ -357,15 +352,10 @@ def test_homodyne_expectations_memory_is_bounded():
     # one Hermite table of one outcome block at a time: a 1024-level meter
     # and 200 outcomes trace 2.4 MB here; the whole (d x 5131) quadrature
     # table and its complex copy traced 126 MB
-    import tracemalloc
     kets = _random_kets(4, 1024, 3)
     xs = np.linspace(-10.0, 10.0, 200)
-    tracemalloc.start()
-    try:
-        out = measurement._detector_expectations(kets, xs, 0.25)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(
+        lambda: measurement._detector_expectations(kets, xs, 0.25))
     assert out.shape == (200, 4)
     assert peak <= 16e6, peak / 1e6
 
@@ -376,7 +366,6 @@ def test_homodyne_expectations_memory_does_not_grow_with_outcomes():
     # 1,269 and 5,074 outcomes (points_per_width 4, 100 and 400): past one
     # outcome block the peak grows by the (n, 4) output alone; the
     # quadrature over a grid traced 1.1, 21.4 and 84.7 MiB
-    import tracemalloc
     from fockamp.amplifiers import VonNeumannAmp
     from fockamp.cli import _povm_grid
     from fockamp.fock import number_op
@@ -390,12 +379,9 @@ def test_homodyne_expectations_memory_does_not_grow_with_outcomes():
     for ppw, n in ((4, 52), (100, 1269), (400, 5074)):
         xs, _ = _povm_grid(np.arange(4.0), width, 5.0, ppw, complex_grid=False)
         assert xs.size == n
-        tracemalloc.start()
-        try:
-            out = measurement._detector_expectations(kets, xs, sigma2)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(
+            lambda: measurement._detector_expectations(kets, xs, sigma2))
+        peaks.append(peak)
         assert out.shape == (n, 4)
     assert max(peaks) <= 2 * 2 ** 20, peaks
     assert peaks[2] - peaks[1] <= 32 * (5074 - 1269) + 2 ** 16, peaks  # the output
@@ -912,21 +898,15 @@ def test_heterodyne_grid_memory_is_bounded(kind, monkeypatch):
     # traced peak of the two heterodyne routes at dim 64, 1 and 4 workers:
     # a coherent input is one Gaussian, Fock 1 takes the rejection sampler,
     # whose proposals and acceptance table are built in chunks
-    import tracemalloc
     sp = FockSpace(64)
     st = coherent_state(sp, 1.0) if kind == "coherent" else fock_state(sp, 1)
     for workers in (1, 4):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(workers)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
-        tracemalloc.start()
-        try:
-            blocks = list(measurement.detector_blocks(
-                st, DetectorSpec("heterodyne", 1.0), 1_000_000, 0,
-                transform=lambda x, out: np.square(np.abs(x, out=out), out=out)))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        blocks, peak = traced_peak(lambda: list(measurement.detector_blocks(
+            st, DetectorSpec("heterodyne", 1.0), 1_000_000, 0,
+            transform=lambda x, out: np.square(np.abs(x, out=out), out=out))))
         means = [shift + sums[1] / sums[0] for shift, sums in blocks]
         assert abs(np.mean(means) - 2.0) < 0.01  # E|beta|^2 = 2, se 0.0014
         assert peak < 64 * 2 ** 20
@@ -937,19 +917,14 @@ def test_sample_outcomes_holds_its_output_once(monkeypatch):
     # the traced peak is the blocks in flight (workers + 1 pending, the one
     # being copied, the one copied last) and the chunk temporaries; joining
     # a list of every block held the output twice (31.8 MiB at 1e6 outcomes)
-    import tracemalloc
     st = coherent_state(FockSpace(64), 1.0 + 0.5j)
     block = BLOCK * np.dtype(complex).itemsize
     for workers in (1, 4):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(workers)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
-        tracemalloc.start()
-        try:
-            out = sample_outcomes(st, DetectorSpec("heterodyne", 0.8), 1_000_000, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: sample_outcomes(
+            st, DetectorSpec("heterodyne", 0.8), 1_000_000, 3))
         assert abs(np.mean(out) - (1.0 + 0.5j)) < 0.01  # se 0.0008 per axis
         assert peak < out.nbytes + (workers + 4) * block, peak / 2 ** 20
 
