@@ -390,12 +390,6 @@ def meter_table(spec) -> list:
     raise TypeError(f"no meters for {type(spec)!r}")
 
 
-def prepare_meters(spec, drive: float, dims=None) -> list[np.ndarray]:
-    """The rows D(drive part(lam)) S(r)|0> of each meter of :func:`meter_table`
-    over the eigenspaces of f, at ``dims`` or auto-sized (:func:`_meter_rows`)."""
-    return _meter_rows(spec, drive * spec.dec.eigenvalues[spec.dec.heads], dims)
-
-
 def _meter_rows(spec, lam, dims) -> list[np.ndarray]:
     """The rows D(part(lam)) S(r)|0> of each meter of :func:`meter_table`, one
     per value of ``lam``, at ``dims`` or auto-sized if None, each by one pass

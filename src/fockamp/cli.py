@@ -358,15 +358,28 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
     nw = cfg["grid"]["n_widths"]
     ppw = cfg["grid"]["points_per_width"]
     summary = {"config": cfg, "per_gain": []}
-    # bound the numeric stage's cost. Homodyne: signal dim x the largest
-    # meter size, read off the one O(d) sizing pass per meter whose rows the
-    # sandwich then reads. Heterodyne, which sizes and builds no meter: the
-    # terms of its series, outcomes x eigenspaces x ~39/eta at a small
-    # efficiency eta (1e8 take ~1.9 s on 2 vCPUs)
-    numeric_limit, series_limit = 2500, 10 ** 8
+    # bound the numeric stage's cost by the terms its reads sum, outcomes x
+    # eigenspaces x the terms per read; neither read builds a displaced
+    # meter, so a term costs the same at every g. Heterodyne: the terms of
+    # its series, ~39/eta at a small efficiency eta (1e8 take ~1.9 s on 2
+    # vCPUs). Homodyne: d0^2 summed over the meters, d0 a meter's size at
+    # rest (75 levels at r 0.5, 211 at r -1), from one sizing pass per meter
+    # whose size the reads at every gain then take (4e9 take 2-3 s)
+    series_limit, kernel_limit = 10 ** 8, 4 * 10 ** 9
+    model, epsilon = meas.povm_model(specs[0])
+    dims, terms, limit = None, math.inf, kernel_limit
+    if model == "heterodyne":
+        from .heterodyne import series_terms
+        terms, limit = series_terms(detector.sigma2), series_limit
+    else:
+        try:
+            dims = [amp.displaced_meter_ket(m, None, [0.0]).shape[1]
+                    for m, _ in amp.meter_table(specs[0])]
+            terms = sum(d * d for d in dims)
+        except TruncationError:  # a meter past METER_DIM_CAP at rest
+            pass
     lam = dec.eigenvalues
     for g, spec in zip(cfg["amplifier"]["g_list"], specs):
-        model, epsilon = meas.povm_model(spec)
         closed = meas.effective_povm_closed_form(spec.dec, g, detector.sigma2,
                                                  model, epsilon)
         w = math.sqrt(closed.width2)
@@ -383,19 +396,8 @@ def cmd_povm(cfg: dict, outdir: Path) -> int:
             "own_region_weights": [float(v) for v in weights],
             "numeric": None,
         }
-        meters = None
-        if model == "heterodyne":
-            from .heterodyne import series_terms
-            terms = outcomes.size * dec.heads.size * series_terms(detector.sigma2)
-            fits = terms <= series_limit
-        else:
-            try:
-                meters = amp.prepare_meters(spec, g / math.sqrt(2.0))
-                fits = dec.space.dim * max(rows.shape[1] for rows in meters) <= numeric_limit
-            except TruncationError:
-                fits = False
-        if fits:
-            grid = meas._sandwich(spec, detector, outcomes, meters)
+        if outcomes.size * dec.heads.size * terms <= limit:
+            grid = meas.effective_povm_numeric(spec, detector, outcomes, dims)
             grid.measure = measure
             entry["numeric"] = {
                 "max_deviation_from_closed_form": grid.max_deviation(closed),

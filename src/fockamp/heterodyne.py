@@ -6,8 +6,10 @@ whose populations are (1 - s) s^n, s = sigma^2/(1 + sigma^2). For a meter
 row D(alpha) S(r)|0>, D(-b) D(alpha) is D(alpha - b) up to a phase, so each
 read is a Fock series over the first K levels of :func:`fock.yuen_blocks`
 at any gain and any meter size, with no meter state; its reference is
-the test suite's loss-channel kernel on truncated rows. The numeric
-sandwich and ``povm``'s cost gate import this module on first use, so a
+the test suite's loss-channel kernel on truncated rows. The homodyne read
+is its twin, each meter at rest at shifted outcomes
+(:func:`measurement.effective_povm_numeric`). The numeric POVM and the
+heterodyne cost gate of ``povm`` import this module on first use, so a
 command that reads no heterodyne POVM neither compiles nor holds it.
 """
 from __future__ import annotations

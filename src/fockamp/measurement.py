@@ -13,9 +13,9 @@ of Gaussians centered on the eigenvalues, diagonal in the eigenbasis.
 
 All outcome grids and closed forms are stored in the gain-rescaled variable
 (raw outcome divided by g), so Gaussian widths shrink as 1/g^2 and decision
-regions do not move with the gain. Homodyne meters are read by the
-loss-channel kernel here, heterodyne ones in the outcome frame
-(:mod:`fockamp.heterodyne`), each on rows of :func:`fock.yuen_blocks`.
+regions do not move with the gain. Both reads take the outcome frame, on
+meter rows of :func:`fock.yuen_blocks`: homodyne meters at rest by the
+loss-channel kernel here, heterodyne ones by :mod:`fockamp.heterodyne`.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifiers import meter_table, prepare_meters
+from . import amplifiers
 from .errors import CoverageError, DimensionMismatch, TruncationError
 from .fock import (FockSpace, SpectralDecomposition, State, hermite_functions,
                    log_factorials, yuen_levels)
@@ -209,7 +209,7 @@ def povm_model(amp) -> tuple[str, float]:
     eigenvalue of f, else homodyne for one meter and three_mode for two,
     at the width epsilon = sqrt(2 Var x) of the (first) meter's preparation
     (:func:`amplifiers.meter_table`)."""
-    table = meter_table(amp)
+    table = amplifiers.meter_table(amp)
     if table[0][1] is np.asarray:
         return "heterodyne", 1.0
     return ("homodyne" if len(table) == 1 else "three_mode",
@@ -237,8 +237,9 @@ def _detector_expectations(kets: np.ndarray, outcomes, sigma2: float) -> np.ndar
     at any sigma^2 (k = 0 alone at 0). Outcome blocks of
     :func:`_outcome_block` are padded to whole OUTCOME_TILEs, so every GEMM
     has one shape and a row is the same bit for bit wherever the block
-    boundaries fall; one Hermite table is alive at a time. The heterodyne
-    read takes the outcome frame instead (:func:`heterodyne.meter_reads`).
+    boundaries fall; one Hermite table is alive at a time. The numeric
+    POVM reads its meters at rest at shifted outcomes, as the heterodyne
+    read (:func:`heterodyne.meter_reads`) takes its outcome frame.
     """
     n, d = kets.shape
     outcomes = np.atleast_1d(np.asarray(outcomes, dtype=float))
@@ -288,42 +289,37 @@ def effective_povm_numeric(amp, detector: DetectorSpec, outcomes,
     :func:`oracles.two_mode_unitary`, :func:`oracles.von_neumann_unitary` or
     :func:`oracles.three_mode_unitary` gives.
 
-    Heterodyne reads build no meter and ignore ``dims``: each costs O(K)
-    per outcome and eigenspace at any gain (:func:`heterodyne.meter_reads`).
-    Homodyne meters come from :func:`amplifiers.prepare_meters` at ``dims``
-    (auto-sized if None, driven as above), the sizing pass simulation runs
-    too. A displaced meter row that drops more than 1e-6 of its norm past
-    given ``dims`` raises TruncationError instead of yielding
-    truncation-limited elements.
+    Both reads take the outcome frame and build no displaced meter. A
+    heterodyne read costs O(K) per outcome and eigenspace at any gain
+    (:func:`heterodyne.meter_reads`) and ignores ``dims``. A homodyne
+    element is a function of X, M_y = G(X - y), and D(a)^dag X D(a) = X +
+    sqrt(2) a for real a, so <D(a) chi|M_y|D(a) chi> = <chi|M_{y - sqrt2 a}|chi>
+    exactly: each meter S(r)|0> is read at rest, at ``dims`` (auto-sized if
+    None; a meter that drops more than TRUNCATION_TOL past them raises
+    TruncationError), at the offsets g part(outcome) - g part(lam_k).
 
     ``outcomes`` are rescaled (outcome/g); the weights carry the matching
     Jacobian (g^2 for complex outcomes, g for real ones).
     """
-    homodyne = povm_model(amp)[0] != "heterodyne" and detector.kind == "homodyne"
-    return _sandwich(amp, detector, outcomes,
-                     prepare_meters(amp, amp.g / math.sqrt(2.0), dims) if homodyne else None)
-
-
-def _sandwich(amp, detector: DetectorSpec, outcomes, meters) -> PovmGrid:
-    """:func:`effective_povm_numeric` on homodyne meter rows a caller has
-    sized already, ``meters`` (None for a heterodyne read)."""
     model, epsilon = povm_model(amp)  # TypeError for a variant without meters
     expected = "heterodyne" if model == "heterodyne" else "homodyne"
     if detector.kind != expected:
         raise ValueError(f"{type(amp).__name__} is read out by {expected}")
     outcomes = np.atleast_1d(outcomes)
     outcomes = np.real(outcomes) if model == "homodyne" else outcomes
-    sig2, g = detector.sigma2, amp.g
+    sig2, g, table = detector.sigma2, amp.g, amplifiers.meter_table(amp)
+    lam = amp.dec.eigenvalues[amp.dec.heads]
     if model == "heterodyne":
         from .heterodyne import meter_reads
-        (meter, _), = meter_table(amp)
-        weights = g * g * meter_reads(
-            meter, g * amp.dec.eigenvalues[amp.dec.heads], g * outcomes, sig2)
+        (meter, _), = table
+        weights = g * g * meter_reads(meter, g * lam, g * outcomes, sig2)
     else:
         weights = 1.0
-        for (_, part), rows in zip(meter_table(amp), meters):
+        for (meter, part), d in zip(table, dims or [None] * len(table), strict=True):
+            offsets = g * part(outcomes)[:, None] - g * part(lam)
+            rest = amplifiers.displaced_meter_ket(meter, d, [0.0])
             weights = weights * (g * _detector_expectations(
-                rows, g * part(outcomes), sig2))
+                rest, offsets.ravel(), sig2).reshape(offsets.shape))
     eigenspace = np.searchsorted(amp.dec.heads, np.arange(amp.dec.eigenvalues.size), "right") - 1
     return PovmGrid(outcomes, amp.dec, np.take(weights, eigenspace, axis=1), model,
                     _width2(sig2, epsilon ** 2, g))

@@ -214,8 +214,11 @@ def two_mode_unitary_factored(f: Operator, g: float,
     dec = normal_decompose(f)
     v = dec.eigenvectors
     disp = np.array([displacement_matrix(g * lam, db) for lam in dec.eigenvalues])
-    m = np.einsum("ai,bi,imn->ambn", v, v.conj(), disp, optimize=True)
-    return Operator(FockSpace((da, db)), m.reshape(da * db, da * db))
+    # einsum copies its tensordot into a view of the owned output: two copies
+    m = np.empty((da * db, da * db), complex)
+    np.einsum("ai,bi,imn->ambn", v, v.conj(), disp, out=m.reshape(da, db, da, db),
+              optimize=True)
+    return Operator(FockSpace((da, db)), m)
 
 
 def von_neumann_unitary(f: Operator, g: float, dims: tuple[int, int]) -> Operator:

@@ -1,7 +1,9 @@
-"""Helpers shared by the test modules, and the references that share no code
-with the package: the log-form coherent table and the heterodyne loss-channel
-kernel on truncated rows, against which the outcome-frame heterodyne read of
-the untruncated rows is checked."""
+"""Helpers shared by the test modules, and the references for the reads of
+the numeric effective POVM: the log-form coherent table and the heterodyne
+loss-channel kernel on truncated rows, against which the outcome-frame
+heterodyne read of the untruncated rows is checked, and the homodyne read of
+the displaced meter rows, against which the read at rest at shifted outcomes
+is checked."""
 import math
 import os
 import subprocess
@@ -12,8 +14,10 @@ from pathlib import Path
 import numpy as np
 
 import fockamp
+from fockamp import amplifiers
 from fockamp.fock import log_factorials
-from fockamp.measurement import OUTCOME_TILE, _outcome_block
+from fockamp.measurement import (OUTCOME_TILE, PovmGrid, _detector_expectations,
+                                 _outcome_block, _width2, povm_model)
 
 
 def run_python(args, **kwargs) -> subprocess.CompletedProcess:
@@ -117,3 +121,26 @@ def heterodyne_expectations(kets: np.ndarray, betas, sigma2: float) -> np.ndarra
         out[lo:lo + step] = (t / math.pi * acc).transpose(0, 2, 1).reshape(-1, n)[:part.size]
         del tiles  # freed before the next block's table is built
     return out
+
+
+def displaced_row_povm(amp, detector, outcomes, dims=None) -> PovmGrid:
+    """The homodyne numeric effective POVM of a von Neumann or three-mode
+    ``amp`` read on displaced meter rows: E = sum_k P_k prod_meters g
+    <chi_k|M_{g part(x)}|chi_k>, chi_k = D(g/sqrt(2) part(lam_k)) S(r)|0>
+    from :func:`amplifiers.displaced_meter_ket` at ``dims`` (auto-sized if
+    None), by the loss-channel kernel at the outcome itself. It is the
+    reference of :func:`measurement.effective_povm_numeric`, which reads
+    each meter at rest at the shifted outcome g part(x - lam_k)."""
+    model, epsilon = povm_model(amp)
+    table, dec, g = amplifiers.meter_table(amp), amp.dec, amp.g
+    outcomes = np.atleast_1d(outcomes)
+    outcomes = np.real(outcomes) if model == "homodyne" else outcomes
+    lam = g / math.sqrt(2.0) * dec.eigenvalues[dec.heads]
+    weights = 1.0
+    for (meter, part), d in zip(table, dims or [None] * len(table), strict=True):
+        rows = amplifiers.displaced_meter_ket(meter, d, part(lam))
+        weights = weights * (g * _detector_expectations(
+            rows, g * part(outcomes), detector.sigma2))
+    eigenspace = np.searchsorted(dec.heads, np.arange(dec.eigenvalues.size), "right") - 1
+    return PovmGrid(outcomes, dec, np.take(weights, eigenspace, axis=1), model,
+                    _width2(detector.sigma2, epsilon ** 2, g))

@@ -15,7 +15,7 @@ from fockamp import (FockSpace, GainOutOfRange, LinearAmp, NotHermitian,
                      simulated_output_moments, single_mode_output_moments,
                      squeezed_vacuum, tensor, vacuum_state)
 from fockamp.amplifiers import (METER_DIM_CAP, METER_TAIL, TRUNCATION_TOL,
-                                displaced_meter_ket, prepare_meters,
+                                displaced_meter_ket,
                                 single_mode_commutator_residual)
 from fockamp import amplifiers, oracles
 from fockamp.errors import DimensionMismatch, TruncationError
@@ -211,6 +211,29 @@ def test_dense_oracles_build_in_place(case):
         want = _expm_out_of_place((h.matrix + h.matrix.conj().T) / 2.0, g)
     assert np.array_equal(u.matrix, want)
     assert peak <= 4.5 * u.matrix.nbytes, peak / u.matrix.nbytes
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_factored_unitary_holds_its_output_twice(hermitian):
+    # einsum writes into the owned output, so the build holds the output
+    # and einsum's tensordot, beside the (da, db, db) displacement stack it
+    # contracts and a few small tables (32 KiB allowed): 2.26x the output
+    # traced at (4, 60), where the non-contiguous einsum result and its
+    # reshaped copy traced 3.26x. The result is the out-of-place build's bit
+    # for bit
+    sp, g, dims = FockSpace(4), 0.7, (4, 60)
+    f = number_op(sp)
+    if hermitian:
+        m = np.random.default_rng(2).normal(size=(4, 8)).view(complex)
+        f = Operator(sp, m + m.conj().T)
+    u, peak = traced_peak(lambda: two_mode_unitary_factored(f, g, dims))
+    dec = normal_decompose(f)
+    disp = np.array([oracles.displacement_matrix(g * lam, dims[1])
+                     for lam in dec.eigenvalues])
+    want = np.einsum("ai,bi,imn->ambn", dec.eigenvectors, dec.eigenvectors.conj(),
+                     disp, optimize=True).reshape(u.matrix.shape)
+    assert np.array_equal(u.matrix, want)
+    assert peak <= 2 * u.matrix.nbytes + disp.nbytes + 2 ** 15, peak / u.matrix.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +876,7 @@ def test_auto_sized_meter_counts_squeezing(cls, r):
     for n in range(3):
         rep = simulated_output_moments(spec, fock_state(sp, n))
         assert abs(rep.added_noise - math.exp(-2 * r) / 2) < 1e-6
-    (rows,) = prepare_meters(spec, spec.g)
+    (rows,) = amplifiers._meter_rows(spec, spec.g * spec.dec.eigenvalues, None)
     assert rows.shape[1] >= displaced_meter_ket(spec.meter, None, [0.0]).shape[1] > 57
 
 

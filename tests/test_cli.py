@@ -918,15 +918,17 @@ def test_povm_single_region_weight_one(tmp_path):
 
 
 def test_povm_sizes_its_meters_by_the_one_pass(tmp_path, monkeypatch):
-    # the cost gate and the sandwich of each gain share one auto-sizing
-    # pass of the squeezed meter: 80 and 95 levels at g 1 and 2, where the
-    # (g f_max + 6)^2 rule took 81 and 144
+    # the cost gate and the reads of every gain share one auto-sizing pass
+    # of the squeezed meter at rest: 75 levels at any g, where the rows
+    # displaced at g 1 and 2 took 80 and 95 and the (g f_max + 6)^2 rule 81
+    # and 144. Each gain's read builds the meter at rest at that size
     from fockamp import amplifiers, cli
     kernel = amplifiers.displaced_meter_ket
     sizes = []
 
     def counted(meter, dim, alphas):
         rows = kernel(meter, dim, alphas)
+        assert np.array_equal(alphas, [0.0])
         sizes.append((dim, rows.shape[1]))
         return rows
 
@@ -939,7 +941,7 @@ def test_povm_sizes_its_meters_by_the_one_pass(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(path), "--out", str(tmp_path)]) == 0
-    assert sizes == [(None, 80), (None, 95)]
+    assert sizes == [(None, 75), (75, 75), (75, 75)]
     summary = json.loads((tmp_path / "povm_summary.json").read_text())
     assert all(e["numeric"] is not None for e in summary["per_gain"])
 
@@ -954,9 +956,13 @@ def _run_povm(tmp_path, cfg):
 
 
 def test_povm_gate_sizes_the_meter_and_skips_the_sandwich(tmp_path, monkeypatch):
-    # numeric_limit reads the real meter size, one O(d) pass of 1,682 levels
-    # here (signal 4 x 1,682 > 2500), so the povm runs no detector kernel
-    # before it writes "numeric": null
+    # the gate reads the meter's size at rest, one O(d) pass of 75 levels
+    # at alpha 0, where the rows displaced at g 18 took 1,682 levels and
+    # signal 4 x 1,682 > 2500 gated the read off. Now g 18 reads the numeric
+    # POVM (316 outcomes x 4 eigenspaces x 75^2 terms). A meter of 1,563
+    # levels at rest (r -2) at g 1024 exceeds the bound of 4e9 terms (1,700
+    # x 4 x 1,563^2 = 1.7e10), so the povm runs no detector kernel before
+    # it writes "numeric": null
     import time
     from fockamp import amplifiers, measurement
     kernel, sizes, reads = amplifiers.displaced_meter_ket, [], []
@@ -964,27 +970,37 @@ def test_povm_gate_sizes_the_meter_and_skips_the_sandwich(tmp_path, monkeypatch)
 
     def counted(meter, dim, alphas):
         rows = kernel(meter, dim, alphas)
-        sizes.append((dim, rows.shape[1]))
+        sizes.append((dim, rows.shape[1], np.array_equal(alphas, [0.0])))
         return rows
 
     monkeypatch.setattr(amplifiers, "displaced_meter_ket", counted)
     monkeypatch.setattr(measurement, "_detector_expectations",
                         lambda *args: reads.append(args) or expectations(*args))
-    start = time.perf_counter()
-    code, summary = _run_povm(tmp_path, {
-        "amplifier": {"variant": "von_neumann", "f": {"kind": "a_dag_a"},
-                      "g_list": [18], "meter": {"kind": "squeezed", "r": 0.5}},
-        "detector": {"kind": "homodyne", "efficiency": 0.5},
-        "dims": {"signal": 4}})
-    assert time.perf_counter() - start < 2.0
-    assert code == 0 and sizes == [(None, 1682)] and reads == []
-    assert summary["per_gain"][0]["numeric"] is None
+    for g, r, want in ((18, 0.5, [(None, 75, True), (75, 75, True)]),
+                       (1024, -2.0, [(None, 1563, True)])):
+        sizes.clear()
+        reads.clear()
+        start = time.perf_counter()
+        code, summary = _run_povm(tmp_path, {
+            "amplifier": {"variant": "von_neumann", "f": {"kind": "a_dag_a"},
+                          "g_list": [g], "meter": {"kind": "squeezed", "r": r}},
+            "detector": {"kind": "homodyne", "efficiency": 0.5},
+            "dims": {"signal": 4}})
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and sizes == want
+        numeric = summary["per_gain"][0]["numeric"]
+        if g == 18:
+            assert reads and numeric["max_deviation_from_closed_form"] <= 1e-9
+            assert numeric["grid_identity_residual"] <= 1e-9
+        else:
+            assert reads == [] and numeric is None
 
 
 def test_povm_three_mode_squeezed_meter_reads_within_the_bar(tmp_path):
     # a drawn config whose c meter, sized by the last level of its rows (79
     # levels), left enough of them past the cutoff to read 1.8e-8; the
-    # sizing pass takes 159 levels, and it reads 1.9e-14
+    # sizing pass takes 159 levels, and its displaced rows read 1.6e-14,
+    # the meters at rest 5.8e-15
     code, summary = _run_povm(tmp_path, {
         "amplifier": {"variant": "three_mode", "g": 1.5504909972409284,
                       "meter": {"kind": "squeezed", "r": 0.858748423037301}},
@@ -1017,8 +1033,8 @@ def test_povm_heterodyne_reads_f_ideally_at_any_gain(tmp_path, monkeypatch):
     import time
     from fockamp import amplifiers, measurement
     calls = []
-    for mod, name in ((amplifiers, "displaced_meter_ket"), (amplifiers, "prepare_meters"),
-                      (measurement, "prepare_meters")):
+    for mod, name in ((amplifiers, "displaced_meter_ket"),
+                      (measurement, "_detector_expectations")):
         monkeypatch.setattr(mod, name, lambda *a, name=name: calls.append(name))
     start = time.perf_counter()
     code, summary = _run_povm(tmp_path, {
@@ -1030,6 +1046,35 @@ def test_povm_heterodyne_reads_f_ideally_at_any_gain(tmp_path, monkeypatch):
     assert code == 0 and calls == []
     own = [min(e["own_region_weights"]) for e in summary["per_gain"]]
     assert own == sorted(own) and own[-1] > 1 - 1e-12
+    for entry in summary["per_gain"]:
+        numeric = entry["numeric"]
+        assert numeric["max_deviation_from_closed_form"] <= 1e-9
+        assert numeric["grid_identity_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("variant, gains", [("von_neumann", [2, 8, 32, 128, 1024]),
+                                            ("three_mode", [2, 8, 32])])
+def test_povm_homodyne_reads_f_ideally_at_large_gain(tmp_path, monkeypatch,
+                                                     variant, gains):
+    # the large-gain claim on the CLI path for homodyne readout: the povm
+    # benchmark's homodyne config (a_dag_a at signal 4, squeezed meter r
+    # 0.5, efficiency 0.5) reads the numeric POVM up to g 1024, and its
+    # three-mode twin up to g 32, where the displaced meters stopped the
+    # read near g 10 (signal dim x meter size <= 2500) and at g 24 (the
+    # meter cap). Every meter is built at rest, and the own-region weights
+    # rise to 1
+    from fockamp import amplifiers
+    cfg = json.loads((CONFIGS / "povm" / "homodyne.json").read_text())
+    cfg["amplifier"].update(variant=variant, g_list=gains)
+    del cfg["command"]
+    kernel, alphas = amplifiers.displaced_meter_ket, []
+    monkeypatch.setattr(amplifiers, "displaced_meter_ket",
+                        lambda m, d, a: alphas.append(list(a)) or kernel(m, d, a))
+    code, summary = _run_povm(tmp_path, cfg)
+    assert code == 0 and alphas and all(a == [0.0] for a in alphas)
+    own = [np.array(e["own_region_weights"]) for e in summary["per_gain"]]
+    assert all((later >= earlier - 1e-12).all() for earlier, later in zip(own, own[1:]))
+    assert own[-1].min() > 1 - 1e-9
     for entry in summary["per_gain"]:
         numeric = entry["numeric"]
         assert numeric["max_deviation_from_closed_form"] <= 1e-9
@@ -1054,8 +1099,9 @@ def test_povm_parity_summary_memory_is_bounded(tmp_path):
 
 
 def test_povm_three_mode_numeric_matches_closed_form(tmp_path):
-    # the three-mode amplifier gets its numeric POVM like the other models:
-    # meters of 81 and 144 levels at g = 1 and 2 on the CLI's own grid
+    # the three-mode amplifier gets its numeric POVM like the other models,
+    # on the CLI's own grid: two-level vacuum meters read at rest at g = 1
+    # and 2, where the (g f_max + 6)^2 rule built 81 and 144 levels
     code, summary = _run_povm(tmp_path, {
         "amplifier": {"variant": "three_mode", "f": {"kind": "a_dag_a"},
                       "g_list": [1, 2]},

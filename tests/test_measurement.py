@@ -15,27 +15,30 @@ from fockamp import (DecisionRegions, DetectorSpec, FockSpace, Operator,
 from fockamp import amplifiers, heterodyne, measurement, oracles
 from fockamp.errors import CoverageError, DimensionMismatch, TruncationError
 from fockamp.amplifiers import (_f_of_x_operator, displaced_meter_ket,
-                                prepare_meters, quadratic_signal_op)
+                                quadratic_signal_op)
 from fockamp.fock import State, log_factorials, parity_op
 from fockamp.measurement import BLOCK, _region_masses
 from fockamp.oracles import (heterodyne_element, homodyne_element,
                              husimi_values, three_mode_unitary,
                              two_mode_unitary, von_neumann_unitary)
-from support import coherent_amplitudes, heterodyne_expectations, traced_peak
+from support import (coherent_amplitudes, displaced_row_povm,
+                     heterodyne_expectations, traced_peak)
 
 
 def povm_meter_dims(amp):
-    """Dims of the meters that effective_povm_numeric builds for ``amp``."""
-    built = []
+    """Dims of the meters that effective_povm_numeric builds for ``amp``,
+    each of which it builds at rest."""
+    built, kernel = [], amplifiers.displaced_meter_ket
 
-    def spy(*args):
-        built.extend(prepare_meters(*args))
-        return built
+    def spy(meter, dim, alphas):
+        assert np.array_equal(alphas, [0.0])
+        built.append(kernel(meter, dim, alphas))
+        return built[-1]
 
     model, _ = measurement.povm_model(amp)
     kind = "heterodyne" if model == "heterodyne" else "homodyne"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measurement, "prepare_meters", spy)
+        mp.setattr(amplifiers, "displaced_meter_ket", spy)
         effective_povm_numeric(amp, DetectorSpec(kind, 1.0), np.zeros(1))
     return tuple(rows.shape[1] for rows in built)
 
@@ -371,7 +374,7 @@ def test_homodyne_expectations_memory_does_not_grow_with_outcomes():
     from fockamp.fock import number_op
     spec = VonNeumannAmp(number_op(FockSpace(4)), 1.0)
     drive = 1.0 / math.sqrt(2.0)
-    kets, = prepare_meters(spec, drive, (81,))  # at drive * [0, 1, 2, 3]
+    kets = displaced_meter_ket(spec.meter, 81, drive * np.arange(4.0))
     assert 1269 > measurement._outcome_block(kets.shape[1])
     sigma2 = measurement.DetectorSpec("homodyne", 0.5).sigma2
     width = math.sqrt(sigma2 + 1.0)
@@ -697,7 +700,10 @@ def test_spectral_sandwich_matches_dense_oracle(variant):
         spec = VonNeumannAmp(f, g, Meter("squeezed", r=0.5))
         det = DetectorSpec("homodyne", 0.5)
         pts = np.array([-0.5, 0.3, 1.0, 2.6, 3.9])
-        db, = povm_meter_dims(spec)
+        # the povm reads its meter at rest (75 levels); the oracle's is
+        # sized for the displaced rows, 95 levels
+        db = displaced_meter_ket(spec.meter, None,
+                                 g / math.sqrt(2.0) * spec.dec.eigenvalues).shape[1]
         u = von_neumann_unitary(f, g / math.sqrt(2.0), (4, db)).matrix
         def element(o):
             return g * homodyne_element(g * o, det.sigma2, FockSpace(db)).matrix
@@ -1162,9 +1168,9 @@ def _dense_three_mode_sandwich(spec, det, outcomes, dims):
 ])
 def test_three_mode_spectral_sandwich_matches_dense_oracle(monkeypatch, shift,
                                                            dims, r, eta):
-    # the production sandwich reads the oracle's truncated-exponential rows,
-    # which are the columns of the dense W: the test isolates the sandwich
-    from fockamp import amplifiers
+    # the displaced-row read of the tests' reference on the oracle's
+    # truncated-exponential rows, which are the columns of the dense W: the
+    # test isolates the read of displaced rows
     monkeypatch.setattr(amplifiers, "displaced_meter_ket",
                         lambda meter, dim, alphas: oracles.displaced_meter_ket_expm(
                             meter.state(dim), alphas))
@@ -1177,7 +1183,7 @@ def test_three_mode_spectral_sandwich_matches_dense_oracle(monkeypatch, shift,
     pts = np.array([lam + 0.8 * (u + 0.4j)
                     for lam in normal_decompose(f).eigenvalues
                     for u in np.linspace(-3, 3, 4)])
-    grid = effective_povm_numeric(spec, det, pts, dims=dims)
+    grid = displaced_row_povm(spec, det, pts, dims=dims)
     dense = _dense_three_mode_sandwich(spec, det, pts, dims)
     assert max(float(np.abs(a - b).max())
                for a, b in zip(grid.elements, dense)) < 1e-12
@@ -1190,30 +1196,41 @@ def test_numeric_povm_rejects_truncated_meters():
     spec = VonNeumannAmp(number_op(sp), 1.0, Meter("squeezed", r=2.0))
     with pytest.raises(TruncationError, match="drops"):
         effective_povm_numeric(spec, det, np.array([0.0]), dims=(24,))
-    # the meter fits at rest but its displaced copies reach the cutoff
+    # the vacuum meter fits at rest but its displaced copies at g 3 reach
+    # the cutoff; the povm reads it at rest, so at 24 levels it matches
+    # the closed form
     with pytest.raises(TruncationError, match="cutoff"):
-        effective_povm_numeric(VonNeumannAmp(number_op(sp), 3.0), det,
-                               np.array([0.0]), dims=(24,))
+        displaced_meter_ket(Meter(), 24, 3.0 / math.sqrt(2.0) * np.arange(4.0))
+    spec = VonNeumannAmp(number_op(sp), 3.0)
+    closed = effective_povm_closed_form(spec.dec, 3.0, det.sigma2, "homodyne")
+    pts = np.linspace(-1.0, 4.0, 41)
+    grid = effective_povm_numeric(spec, det, pts, dims=(24,))
+    assert grid.max_deviation(closed) <= 1e-12 * np.abs(closed.weights(pts)).max()
 
 
 def test_povm_meter_dims_keep_fitting_meters():
-    # the homodyne sandwich reads the sizing pass's meters at drive g/sqrt(2):
-    # 80, 95 and 119 levels at g 1, 2 and 3, where the (g f_max + 6)^2 rule
-    # took 81, 144 and 225
+    # the homodyne read takes each meter at rest, 75 levels at every g,
+    # where its rows displaced by the drive g/sqrt(2) take 80, 95 and 119
+    # levels at g 1, 2 and 3 (and the (g f_max + 6)^2 rule took 81, 144 and
+    # 225)
     sp = FockSpace(4)
     f = number_op(sp)
     meter = Meter("squeezed", r=0.5)
     for g, d in ((1.0, 80), (2.0, 95), (3.0, 119)):
         assert povm_meter_dims(TwoModeNormalAmp(f, g)) == ()  # reads no meter
-        assert povm_meter_dims(VonNeumannAmp(f, g, meter)) == (d,)
+        assert povm_meter_dims(VonNeumannAmp(f, g, meter)) == (75,)
         assert displaced_meter_ket(meter, None, g / math.sqrt(2.0) * np.arange(4.0)
                                    ).shape[1] == d
-    # squeezed meters (r = 2) hold their own levels: f is real, so the c
-    # meter stays at rest, at the size its squeezed vacuum needs alone
+    assert displaced_meter_ket(meter, None, [0.0]).shape[1] == 75
+    # squeezed meters (r = 2) hold their own levels: both are read at the
+    # size their squeezed vacuum needs alone, which the b meter's rows
+    # displaced by the real f pass
     spec = ThreeModeAmp(f, 0.5, Meter("gaussian", epsilon=math.exp(-2.0)),
                         Meter("gaussian", epsilon=math.exp(-2.0)))
     db, dc = povm_meter_dims(spec)
-    assert db > dc == displaced_meter_ket(spec.meter_c, None, [0.0]).shape[1]
+    assert db == dc == displaced_meter_ket(spec.meter_c, None, [0.0]).shape[1]
+    assert displaced_meter_ket(spec.meter_b, None, 0.5 / math.sqrt(2.0)
+                               * spec.dec.eigenvalues.real).shape[1] > db
 
 
 def test_sampler_rejects_cutoff_heavy_state():

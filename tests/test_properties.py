@@ -279,6 +279,56 @@ def test_numeric_povm_grid_covering_outcomes_resolves_identity(case):
 
 
 @st.composite
+def shifted_read_cases(draw):
+    """(variant, spectrum, g, r, efficiency, offsets) of a homodyne povm: a
+    von Neumann (real spectrum) or three-mode (real or complex) amplifier
+    on 2-3 levels, eigenvalues in [-1.5, 1.5]^2 on a 0.0015 grid, g in
+    [0.3, 16], both meters squeezed at r in [-1, 1], and outcomes at the
+    drawn offsets (in record widths, complex) about each eigenvalue."""
+    variant = draw(st.sampled_from(["von_neumann", "three_mode"]))
+    d = draw(st.integers(2, 3))
+    lam = 1.5 * _complex(draw(st.lists(grid_unit, min_size=2 * d, max_size=2 * d)))
+    if variant == "von_neumann" or draw(st.booleans()):
+        lam = lam.real
+    offsets = _complex(draw(st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6)))
+    return (variant, lam, draw(st.floats(0.3, 16.0)), draw(st.floats(-1.0, 1.0)),
+            draw(st.floats(0.2, 1.0)), offsets)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(shifted_read_cases())
+@example(("von_neumann", np.array([0.0, 1.5, -0.75]), 16.0, 0.0, 0.5,
+          np.array([0.0, 1.3 + 0.2j, -3.7 - 1j])))
+@example(("three_mode", np.array([1.5 + 1.5j, -1.5 + 0.3j]), 16.0, -1.0, 0.2,
+          np.array([0.4 - 4j, -2.9 + 1.1j, 4j])))
+@example(("three_mode", np.array([0.0, 1.0, 1.0]), 2.5, 0.0, 1.0,
+          np.array([-1.0 + 1j, 0.0, 2.5 - 0.5j])))
+@example(("von_neumann", np.array([-1.5, 1.5]), 16.0, -1.0, 0.9,
+          np.array([-4.0, 0.0, 2.0])))
+def test_shifted_homodyne_read_matches_displaced_rows(case):
+    # the read of each meter at rest at the shifted outcome g part(x -
+    # lam_k) against the tests' reference read of the displaced rows D(g
+    # part(lam_k)/sqrt 2) S(r)|0> at the outcome itself: the same weight
+    # table up to the displaced rows' truncation and roundoff, 1e-12 of its
+    # largest weight, up to g 16
+    from support import displaced_row_povm
+    variant, lam, g, r, eta, offsets = case
+    f = Operator(FockSpace(lam.size), np.diag(lam))
+    meter = Meter("squeezed", r=r)
+    spec = VonNeumannAmp(f, g, meter) if variant == "von_neumann" \
+        else ThreeModeAmp(f, g, meter, meter)
+    det = DetectorSpec("homodyne", eta)
+    w = math.sqrt(effective_povm_closed_form(
+        spec.dec, g, det.sigma2, "homodyne" if variant == "von_neumann"
+        else "three_mode", math.exp(-r)).width2)
+    pts = (lam[:, None] + w * offsets).ravel()
+    got = effective_povm_numeric(spec, det, pts).weights
+    want = displaced_row_povm(spec, det, pts).weights
+    assert got.shape == want.shape == (pts.size, lam.size)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@st.composite
 def three_mode_cases(draw):
     """A normal f on da = 2..5 levels (complex spectrum on a 0.001 grid,
     drawn first, then a random eigenbasis), meter dims 4..10, any keep and
